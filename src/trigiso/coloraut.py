@@ -216,32 +216,40 @@ def build_structure_tree(
 
     Transitive content splits along a two-block system; the right subtree is
     the relabeling of the left one by an element swapping the blocks.
-    Intransitive content splits off the orbit of its smallest point.
+    Intransitive content splits into two runs of whole orbits.
+
+    Orbits are computed once, at the root, and inherited down the tree.  An
+    intransitive node's children keep its generators, so each child takes
+    its own run of the parent's orbits.  A transitive node's left child
+    acts under the setwise stabilizer of its block, which is transitive on
+    that block, so the block is the child's only orbit; `two_block_system`
+    re-checks that transitivity when it splits the child.  A point set that
+    is not stable under the generators raises ValueError.
     """
     content = tuple(sorted(points))
     if not content:
         raise ValueError("empty point set")
 
-    def build(ctt: tuple[int, ...], local: tuple[Permutation, ...]):
+    def build(
+        ctt: tuple[int, ...],
+        local: tuple[Permutation, ...],
+        orbits: list[frozenset[int]],
+    ):
         node = StructureTreeNode(ctt)
         if len(ctt) == 1:
             return node
-        if local:
-            orbits = orbit_partition(local, ctt)
-        else:
-            orbits = [frozenset({p}) for p in ctt]
         if len(orbits) > 1:
             # Balanced stable bipartition: whole orbits in min-point order
             # until half the content is covered.  Balance keeps the tree
             # depth logarithmic in the orbit count.
             left_set: set[int] = set()
-            for orb in orbits[:-1]:
+            for k, orb in enumerate(orbits[:-1], 1):
                 left_set |= orb
                 if 2 * len(left_set) >= len(ctt):
                     break
-            node.left = build(tuple(sorted(left_set)), local)
+            node.left = build(tuple(sorted(left_set)), local, orbits[:k])
             node.right = build(
-                tuple(sorted(set(ctt) - left_set)), local
+                tuple(sorted(set(ctt) - left_set)), local, orbits[k:]
             )
         else:
             node.transitive = True
@@ -254,13 +262,18 @@ def build_structure_tree(
             h = index2_sgs(local, member)
             node.stab_gens = h
             node.tau = tau
-            node.left = build(tuple(sorted(bl)), h)
+            node.left = build(tuple(sorted(bl)), h, [bl])
             node.right = _relabel_subtree(node.left, tau, inverse(tau))
         node.left.parent = node
         node.right.parent = node
         return node
 
-    return build(content, tuple(gens))
+    gens = tuple(gens)
+    if gens:
+        orbits = orbit_partition(gens, content)
+    else:
+        orbits = [frozenset({p}) for p in content]
+    return build(content, gens, orbits)
 
 
 def annotate(

@@ -180,16 +180,22 @@ def orbit(gens: Sequence[Permutation], point: int) -> frozenset[int]:
 def orbit_partition(
     gens: Sequence[Permutation], points: Iterable[int]
 ) -> list[frozenset[int]]:
-    """Orbits of <gens> restricted to a gens-stable point set, sorted by minimum."""
-    remaining = set(points)
+    """Orbits of <gens> on a gens-stable point set, sorted by minimum.
+
+    One pass over the points in sorted order, with one BFS per orbit.  A
+    point set that is not a union of orbits raises ValueError.
+    """
+    pts = set(points)
+    seen: set[int] = set()
     out = []
-    while remaining:
-        b = min(remaining)
-        orb = orbit(gens, b)
-        if not orb <= remaining | orb:
+    for p in sorted(pts):
+        if p in seen:
+            continue
+        orb = orbit(gens, p)
+        if not orb <= pts:
             raise ValueError("point set is not stable under the generators")
-        out.append(frozenset(orb))
-        remaining -= orb
+        out.append(orb)
+        seen |= orb
     return out
 
 
@@ -315,19 +321,20 @@ def index2_sgs(
 
     If every generator satisfies `member` the sequence is returned unchanged.
     Otherwise, with j the first failing index, each failing g_i is replaced by
-    g_j^{-1} g_i; the transformed sequence is an SGS of H.  Costs O(k)
-    membership calls.  The precondition ([G:H] <= 2, H a subgroup) is trusted
-    in release mode and spot-checked under __debug__.
+    g_j^{-1} g_i; the transformed sequence is an SGS of H.  Costs one
+    membership call per generator.  The precondition ([G:H] <= 2, H a
+    subgroup) is trusted in release mode; under __debug__ each replaced
+    generator is checked to lie in H, at one more call each.
     """
     gens = tuple(gens)
-    j = next((i for i, g in enumerate(gens) if not member(g)), None)
-    if j is None:
+    kept = [member(g) for g in gens]
+    if all(kept):
         return gens
-    gj_inv = inverse(gens[j])
-    out = tuple(g if member(g) else compose(gj_inv, g) for g in gens)
+    gj_inv = inverse(gens[kept.index(False)])
+    out = tuple(g if ok else compose(gj_inv, g) for g, ok in zip(gens, kept))
     if __debug__:
-        for beta in out:
-            assert member(beta), "index2_sgs precondition violated"
+        for beta, ok in zip(out, kept):
+            assert ok or member(beta), "index2_sgs precondition violated"
     return out
 
 

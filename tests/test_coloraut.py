@@ -4,22 +4,32 @@ import random
 
 import pytest
 
+from trigiso import core
 from trigiso.coloraut import (
     StructureTreeNode,
+    _relabel_subtree,
     annotate,
     build_structure_tree,
     cb,
     cb_tree,
 )
-from trigiso.harness import random_smooth_2group
+from trigiso.harness import (
+    random_relabeling,
+    random_smooth_2group,
+    random_ternary_graph,
+)
 from trigiso.perm import (
     Coset,
     Permutation,
     compose,
     coset_elements,
     enumerate_group,
+    index2_sgs,
+    inverse,
+    is_transitive,
     orbit_partition,
     smoothness_violations,
+    two_block_system,
 )
 
 
@@ -164,6 +174,109 @@ def test_structure_tree_leaves_and_lifting(seed):
         for d, contents in by_depth.items():
             for c in contents:
                 assert g.apply_set(c) in contents, (d, sorted(c))
+
+
+def _reference_tree(points, gens):
+    """Structure tree that recomputes the orbit partition at every node."""
+
+    def build(ctt, local):
+        node = StructureTreeNode(ctt)
+        if len(ctt) == 1:
+            return node
+        if local:
+            orbits = orbit_partition(local, ctt)
+        else:
+            orbits = [frozenset({p}) for p in ctt]
+        if len(orbits) > 1:
+            left_set = set()
+            for orb in orbits[:-1]:
+                left_set |= orb
+                if 2 * len(left_set) >= len(ctt):
+                    break
+            node.left = build(tuple(sorted(left_set)), local)
+            node.right = build(tuple(sorted(set(ctt) - left_set)), local)
+        else:
+            node.transitive = True
+            bl, br = two_block_system(local, ctt)
+            if min(ctt) not in bl:
+                bl, br = br, bl
+            node.block_left = bl
+            member = lambda g: int(g.image[min(bl)]) in bl
+            node.tau = next(g for g in local if not member(g))
+            node.stab_gens = index2_sgs(local, member)
+            node.left = build(tuple(sorted(bl)), node.stab_gens)
+            node.right = _relabel_subtree(node.left, node.tau, inverse(node.tau))
+        return node
+
+    return build(tuple(sorted(points)), tuple(gens))
+
+
+def _assert_same_tree(got, want):
+    stack = [(got, want)]
+    while stack:
+        a, b = stack.pop()
+        assert a.content == b.content
+        assert a.transitive == b.transitive
+        assert a.block_left == b.block_left
+        assert a.stab_gens == b.stab_gens
+        assert a.tau == b.tau
+        assert a.is_leaf() == b.is_leaf()
+        if not a.is_leaf():
+            assert a.left.parent is a and a.right.parent is a
+            stack += [(a.left, b.left), (a.right, b.right)]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_structure_tree_matches_per_node_orbits(seed):
+    _, sgs, _, _ = _random_instance(seed)
+    root = build_structure_tree(range(16), sgs)
+    _assert_same_tree(root, _reference_tree(range(16), sgs))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_structure_tree_matches_per_node_orbits_on_towers(seed, monkeypatch):
+    # Record every tree the tower builds, for the full edge-fixing group and
+    # for a relabelled positive, and rebuild each one with the reference.
+    inputs = []
+    real = core.build_structure_tree
+
+    def spy(points, gens):
+        inputs.append((list(points), tuple(gens)))
+        return real(points, gens)
+
+    monkeypatch.setattr(core, "build_structure_tree", spy)
+    g = random_ternary_graph(24, seed)
+    core.aut_e_generators(g, g.sorted_edges()[0])
+    h, _ = random_relabeling(g, seed)
+    assert core.is_isomorphic(g, h).isomorphic
+    assert inputs
+    for points, gens in inputs:
+        _assert_same_tree(real(points, gens), _reference_tree(points, gens))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_block_stabilizer_is_transitive_on_its_block(seed):
+    # Orbit inheritance rests on this: a transitive node's left child is a
+    # single orbit of the stabilizer generators stored at the node.  Only
+    # built nodes are walked; a right child of a transitive node is a
+    # relabelled copy of its left sibling, not built from its own group.
+    sgs = random_smooth_2group(16, 1 << 8, 500 + seed)
+    root = build_structure_tree(range(16), sgs)
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf():
+            continue
+        if node.transitive:
+            assert is_transitive(node.stab_gens, node.left.content)
+            stack.append(node.left)
+        else:
+            stack += [node.left, node.right]
+
+
+def test_structure_tree_rejects_unstable_points():
+    with pytest.raises(ValueError):
+        build_structure_tree([1, 2], (T(4, 0, 1),))
 
 
 def test_annotate_all_neutral_and_single_active():

@@ -119,6 +119,12 @@ def test_orbit_partition_sorted():
     ]
 
 
+def test_orbit_partition_rejects_unstable_set():
+    # The orbit of 1 under (0 1) leaves the point set.
+    with pytest.raises(ValueError):
+        orbit_partition([T(4, 0, 1)], {1, 2})
+
+
 def _check_block_invariants(gens, points, blocks):
     b1, b2 = blocks
     assert b1 | b2 == frozenset(points)
@@ -184,6 +190,13 @@ def test_index2_sgs_point_stabilizer():
     got = enumerate_group(out)
     want = enumerate_group((T(4, 2, 3),))
     assert got == want
+
+
+@pytest.mark.skipif(not __debug__, reason="the check runs under __debug__ only")
+def test_index2_sgs_debug_check_rejects_bad_precondition():
+    # The stabilizer of 0 in S_3 has index 3, so (0 1)^{-1} (0 2) must fail.
+    with pytest.raises(AssertionError, match="precondition"):
+        index2_sgs((T(3, 0, 1), T(3, 0, 2)), lambda g: g(0) == 0)
 
 
 def test_index2_sgs_verified_by_enumeration():
