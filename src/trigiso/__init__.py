@@ -15,7 +15,6 @@ from .core import (
     IsoResult,
     aut_e_generators,
     is_isomorphic,
-    is_isomorphic_swap,
     lift,
 )
 from .graphs import (
@@ -42,7 +41,7 @@ from .harness import (
     random_smooth_2group,
     random_ternary_graph,
 )
-from .layers import ElementColor, LayerDecomposition, layer_sequence, triangle_gadget
+from .layers import LayerDecomposition, layer_sequence, triangle_gadget
 from .perm import (
     Coset,
     Permutation,
@@ -79,7 +78,6 @@ __all__ = [
     "AutResult",
     "BenchRecord",
     "Coset",
-    "ElementColor",
     "GraphError",
     "GraphFormatError",
     "IsoResult",
@@ -111,7 +109,6 @@ __all__ = [
     "inverse",
     "is_graph_isomorphism",
     "is_isomorphic",
-    "is_isomorphic_swap",
     "is_network_isomorphism",
     "is_transitive",
     "layer_sequence",

@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .core import aut_e_generators, is_isomorphic, is_isomorphic_swap
+from .core import aut_e_generators, is_isomorphic
 from .graphs import GraphError, format_graph_text, parse_graph_text
 from .harness import BENCH_MODES, bench_csv, bench_run, bench_summary, random_ternary_graph
 from .perm import Permutation
@@ -90,11 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_iso.add_argument("first")
     p_iso.add_argument("second")
     p_iso.add_argument("--mapping", action="store_true", help="print a witness mapping")
-    p_iso.add_argument(
-        "--swap-only",
-        action="store_true",
-        help="search only the part-exchanging coset at every layer",
-    )
 
     p_aut = sub.add_parser("aut", help="generators of the edge-fixing automorphisms")
     p_aut.add_argument("graph")
@@ -123,7 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--trials", type=int, default=3)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--out")
-    p_bench.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -146,8 +140,7 @@ def _cmd_iso(args) -> int:
     g1 = _load_graph(args.first)
     g2 = _load_graph(args.second)
     try:
-        fn = is_isomorphic_swap if args.swap_only else is_isomorphic
-        res = fn(g1, g2, want_mapping=args.mapping)
+        res = is_isomorphic(g1, g2, want_mapping=args.mapping)
     except GraphError as exc:
         raise InputError(str(exc)) from exc
     if args.mapping and res.mapping is not None:
@@ -208,9 +201,7 @@ def _cmd_bench(args) -> int:
         raise InputError(f"--sizes must be comma-separated integers: {exc}") from exc
     if not sizes:
         raise InputError("--sizes must name at least one size")
-    records = bench_run(
-        args.mode, sizes, trials=args.trials, seed=args.seed, threads=args.threads
-    )
+    records = bench_run(args.mode, sizes, trials=args.trials, seed=args.seed)
     _emit(bench_csv(records), args.out)
     print(bench_summary(records), file=sys.stderr)
     return EXIT_OK

@@ -156,7 +156,8 @@ class StructureTreeNode:
         "parent",
         "transitive",
         "block_left",
-        "stab_gens",
+        "_stab_gens",
+        "_stab_from",
         "tau",
         "active",
         "facile",
@@ -170,11 +171,30 @@ class StructureTreeNode:
         self.parent: StructureTreeNode | None = None
         self.transitive = False
         self.block_left: frozenset[int] | None = None
-        self.stab_gens: tuple[Permutation, ...] | None = None
+        self._stab_gens: tuple[Permutation, ...] | None = None
+        self._stab_from: tuple[StructureTreeNode, Permutation, Permutation] | None = None
         self.tau: Permutation | None = None
         self.active: bool | None = None
         self.facile: bool | None = None
         self.delta: StructureTreeNode | None = None
+
+    @property
+    def stab_gens(self) -> tuple[Permutation, ...] | None:
+        """Generators of the setwise stabilizer of `block_left` (transitive nodes).
+
+        A node inside a relabelled copy conjugates its source node's
+        generators on access: storing them would cost one permutation per
+        generator for every copied node, and no solver reads them.
+        """
+        if self._stab_from is None:
+            return self._stab_gens
+        src, tau, tau_inv = self._stab_from
+        return tuple(compose(tau, compose(g, tau_inv)) for g in src.stab_gens)
+
+    @stab_gens.setter
+    def stab_gens(self, gens: tuple[Permutation, ...] | None) -> None:
+        self._stab_gens = gens
+        self._stab_from = None
 
     def is_leaf(self) -> bool:
         return self.left is None
@@ -197,8 +217,8 @@ def _relabel_subtree(node: StructureTreeNode, tau: Permutation, tau_inv: Permuta
     copy.transitive = node.transitive
     if node.block_left is not None:
         copy.block_left = frozenset(int(tau.image[x]) for x in node.block_left)
-    if node.stab_gens is not None:
-        copy.stab_gens = node.stab_gens  # index-2 subgroups are normal
+    if node.transitive:
+        copy._stab_from = (node, tau, tau_inv)
     if node.tau is not None:
         copy.tau = compose(tau, compose(node.tau, tau_inv))
     if not node.is_leaf():

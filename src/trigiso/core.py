@@ -9,13 +9,12 @@ new edge pairs).  That color filtering is delegated to the coset solver;
 surviving generators are lifted by matching fibers in sorted order.
 
 Two graphs are isomorphic exactly when, after splitting one edge of each and
-joining the split nodes, some generator of the edge-fixing group of the
-joined graph exchanges the two split nodes (exchange parity is a
-homomorphism onto a 2-element group, so a generating set contains an
-exchanging element whenever the group does).  `is_isomorphic` follows that
-recipe literally; `is_isomorphic_swap` restricts every level to the coset of
-part-exchanging candidates instead, which lets non-matching edge choices
-fail early.
+joining the split nodes, some automorphism of the joined graph fixing the
+join edge exchanges the two split nodes.  `is_isomorphic` searches for one
+directly: every level keeps only the coset of part-exchanging candidates
+over the part-preserving subgroup, so an edge pairing that admits no
+exchange dies at the first layer where the two sides differ.
+`aut_e_generators` runs the same tower over the whole edge-fixing group.
 """
 
 from __future__ import annotations
@@ -224,10 +223,9 @@ def aut_e_generators(
     g: LabeledGraph,
     e: tuple[int, int],
     use_tree: bool = True,
-    gadget: bool = True,
 ) -> AutResult:
     """Smooth generators of the automorphisms of g that fix e setwise."""
-    dec = layer_sequence(g, e, gadget=gadget)
+    dec = layer_sequence(g, e)
     gens, _ = _run_tower(dec, use_tree=use_tree, swap=False)
     contracted = _contract(dec, gens)
     ids, pos = _original_positions(dec)
@@ -332,16 +330,17 @@ def is_isomorphic(
     g2: LabeledGraph,
     want_mapping: bool = False,
     use_tree: bool = True,
-    gadget: bool = True,
-    swap_only: bool = False,
 ) -> IsoResult:
     """Label- and color-preserving isomorphism test.
 
     Cheap pre-tests (node and edge counts, degree sequence, color and label
     multisets) short-circuit obvious mismatches.  Otherwise one edge of the
-    first graph is split against every edge of the second, and the joined
-    graph is searched for a generator exchanging the two split nodes.  Any
-    returned mapping is re-verified before being surfaced.
+    first graph is split against every edge of the second whose layer
+    profile matches, and for each such pairing the exchange coset of the
+    joined graph (automorphisms fixing the join edge that swap the two split
+    nodes) is searched along the tower.  The first pairing whose coset
+    survives yields the witness; any returned mapping is re-verified before
+    being surfaced.
     """
     require_valid(g1, "first graph")
     require_valid(g2, "second graph")
@@ -367,19 +366,11 @@ def is_isomorphic(
         if not _profiles_match(profile1, _LayerProfile(g2, e2)):
             continue
         sp = build_x(g1, g2, e1, e2, validated=True)
-        dec = layer_sequence(sp.graph, sp.e, gadget=gadget, validated=True)
-        if swap_only:
-            result = _run_tower(dec, use_tree=use_tree, swap=True)
-            if result is None:
-                continue
-            _, rep = result
-            witness = _contract(dec, [rep])[0]
-        else:
-            gens, _ = _run_tower(dec, use_tree=use_tree, swap=False)
-            contracted = _contract(dec, gens)
-            witness = next((s for s in contracted if s(sp.v1) == sp.v2), None)
-            if witness is None:
-                continue
+        dec = layer_sequence(sp.graph, sp.e, validated=True)
+        result = _run_tower(dec, use_tree=use_tree, swap=True)
+        if result is None:
+            continue
+        witness = _contract(dec, [result[1]])[0]
         mapping = _extract_mapping(sp, witness)
         if not is_graph_isomorphism(g1, g2, mapping):
             raise AssertionError("internal error: witness failed verification")
@@ -387,24 +378,6 @@ def is_isomorphic(
     return IsoResult(False)
 
 
-def is_isomorphic_swap(
-    g1: LabeledGraph,
-    g2: LabeledGraph,
-    want_mapping: bool = False,
-    use_tree: bool = True,
-    gadget: bool = True,
-) -> IsoResult:
-    """Same verdict as `is_isomorphic` via coset-restricted level solving.
-
-    Each candidate edge pairing maintains only the part-exchanging coset, so
-    pairings that cannot support an exchange die at the first layer where
-    the local structure differs.
-    """
-    return is_isomorphic(
-        g1,
-        g2,
-        want_mapping=want_mapping,
-        use_tree=use_tree,
-        gadget=gadget,
-        swap_only=True,
-    )
+# Acceptance criterion 3 imports this name from `trigiso.core`; it is not
+# re-exported from the package.
+is_isomorphic_swap = is_isomorphic

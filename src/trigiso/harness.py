@@ -450,7 +450,7 @@ def _bench_case(mode: str, n: int, trial: int, seed: int) -> BenchRecord:
                 g1 = random_ternary_graph(n, sub)
                 g2 = random_ternary_graph(n, sub + 1)
         t0 = time.perf_counter()
-        verdict = core.is_isomorphic_swap(g1, g2).isomorphic
+        verdict = core.is_isomorphic(g1, g2).isomorphic
         elapsed = time.perf_counter() - t0
     elif mode == "phylo":
         n1 = phylo.random_network(n, seed=sub)
@@ -474,28 +474,18 @@ def bench_run(
     sizes: Sequence[int],
     trials: int,
     seed: int,
-    threads: int = 1,
 ) -> list[BenchRecord]:
     """Run the benchmark protocol; records are sorted by (mode, n, trial).
 
     Isomorphism-mode pairs are relabeled copies, so their verdicts are all
-    true.  With threads=1 the output (and hence the CSV) is byte-stable for
+    true.  Verdicts (and hence the CSV apart from `elapsed`) are stable for
     a fixed seed.
     """
     if mode not in BENCH_MODES:
         raise ValueError(f"unknown bench mode {mode!r}; pick one of {BENCH_MODES}")
     if not sizes:
         raise ValueError("need at least one size")
-    cases = [(n, t) for n in sizes for t in range(trials)]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(
-                pool.map(lambda c: _bench_case(mode, c[0], c[1], seed), cases)
-            )
-    else:
-        records = [_bench_case(mode, n, t, seed) for n, t in cases]
+    records = [_bench_case(mode, n, t, seed) for n in sizes for t in range(trials)]
     return sorted(records, key=lambda r: (r.mode, r.n, r.trial))
 
 
@@ -524,12 +514,3 @@ def bench_summary(records: Iterable[BenchRecord]) -> str:
         lines.append(f"{mode} n={n} median={med:.6f}s{ratio}")
         prev[mode] = med
     return "\n".join(lines)
-
-
-def size_medians(records: Iterable[BenchRecord]) -> dict[int, float]:
-    import statistics
-
-    by_n: dict[int, list[float]] = {}
-    for r in records:
-        by_n.setdefault(r.n, []).append(r.elapsed)
-    return {n: statistics.median(v) for n, v in sorted(by_n.items())}

@@ -18,29 +18,10 @@ so levels of all other nodes are unaffected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graphs import GADGET_LABEL, GraphError, LabeledGraph, require_valid, _norm_edge
 from .perm import Permutation
-
-
-@dataclass(frozen=True)
-class ElementColor:
-    """Color of a tower element: a placed node, or a small subset of placed nodes.
-
-    Node elements carry the node color.  Subset elements carry the label of
-    the edge joining the pair (None when the pair is not an edge) and the
-    number of entering nodes whose neighbor set equals the subset, clamped
-    to {0, 1, 2}.  The neutral color has all three components empty.
-    """
-
-    node_color: int | None = None
-    edge_label: int | None = None
-    multiplicity: int = 0
-
-
-NEUTRAL = ElementColor()
 
 
 class LayerDecomposition:
@@ -133,31 +114,6 @@ class LayerDecomposition:
         )
         return nodes, edges
 
-    # -- element colors -------------------------------------------------------
-
-    def color_of(self, r: int, element) -> ElementColor:
-        """Color of a node of V(X_{r-1}) or a 1-/2-/3-subset of V(X_r)."""
-        if isinstance(element, int):
-            if self.level_of[element] > r - 1:
-                raise ValueError(f"node {element} not in V(X_{r-1})")
-            return ElementColor(node_color=self.colors[element])
-        subset = frozenset(element)
-        if not 1 <= len(subset) <= 3:
-            raise ValueError("subset elements have size 1..3")
-        for v in subset:
-            if self.level_of[v] > r:
-                raise ValueError(f"node {v} not in V(X_{r})")
-        edge_label = None
-        if len(subset) == 2:
-            u, v = sorted(subset)
-            if self.graph.has_edge(u, v):
-                edge_label = self.graph.label(u, v)
-        count = 0
-        for fset, members in self.fibers_set.get(r, {}).items():
-            if frozenset(w for w, _ in fset) == subset:
-                count += len(members)
-        return ElementColor(edge_label=edge_label, multiplicity=min(count, 2))
-
     # -- ground elements for the per-level solve ------------------------------
 
     def b_set(self, r: int, gens: Sequence[Permutation]) -> list:
@@ -237,13 +193,12 @@ def _bfs_levels(g: LabeledGraph, e: tuple[int, int]) -> dict:
 
 
 def layer_sequence(
-    g: LabeledGraph, e: tuple[int, int], gadget: bool = True, validated: bool = False
+    g: LabeledGraph, e: tuple[int, int], validated: bool = False
 ) -> LayerDecomposition:
     """Build the full tower for (g, e), applying the triangle rewrite.
 
-    With gadget=False the original graph is decomposed as-is (neighbor sets
-    of size 3 remain); the pipeline accepts both and must produce identical
-    verdicts.
+    Every node whose neighbor set would have size 3 is replaced by a labeled
+    triangle, so every neighbor set of the returned tower has size 1 or 2.
     """
     if not validated:
         require_valid(g, allow_reserved=True)
@@ -255,13 +210,12 @@ def layer_sequence(
     adj = g.adjacency()
 
     gadget_nodes = []
-    if gadget:
-        for v in g.node_ids:
-            if level_orig[v] == 1:
-                continue
-            placed = [(w, lab) for w, lab in adj[v] if level_orig[w] < level_orig[v]]
-            if len(placed) == 3:
-                gadget_nodes.append(v)
+    for v in g.node_ids:
+        if level_orig[v] == 1:
+            continue
+        placed = [(w, lab) for w, lab in adj[v] if level_orig[w] < level_orig[v]]
+        if len(placed) == 3:
+            gadget_nodes.append(v)
 
     kept = [v for v in g.node_ids if v not in set(gadget_nodes)]
     index_of = {v: i for i, v in enumerate(kept)}
@@ -323,7 +277,7 @@ def triangle_gadget(g: LabeledGraph, e: tuple[int, int]) -> LabeledGraph:
     are replaced by labeled triangles; corner nodes get fresh ids above the
     input id range.  Graphs with no such node are returned unchanged.
     """
-    dec = layer_sequence(g, e, gadget=True)
+    dec = layer_sequence(g, e)
     if not dec.gadget_triple:
         return g
     fresh_base = max(g.node_ids) + 1

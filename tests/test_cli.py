@@ -49,13 +49,6 @@ def test_iso_negative(capsys, example_files):
     assert out.strip().splitlines()[-1] == "false"
 
 
-def test_iso_swap_only(capsys, example_files):
-    code, out, _ = run_cli(
-        capsys, "iso", example_files["1a"], example_files["1b"], "--swap-only"
-    )
-    assert code == 0 and out.strip().splitlines()[-1] == "true"
-
-
 def test_unknown_command_is_usage_error(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 2
     assert run_cli(capsys, "iso")[0] == 2

@@ -274,6 +274,25 @@ def test_block_stabilizer_is_transitive_on_its_block(seed):
             stack += [node.left, node.right]
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_stabilizer_fixes_its_block_in_relabelled_copies(seed):
+    # Every transitive node, including those inside a relabelled right
+    # subtree, stores generators of the setwise stabilizer of its own left
+    # block: a copy's generators are conjugated by the relabelling element.
+    sgs = random_smooth_2group(16, 1 << 8, seed)
+    root = build_structure_tree(range(16), sgs)
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf():
+            continue
+        if node.transitive:
+            for g in node.stab_gens:
+                assert g.apply_set(node.block_left) == node.block_left
+            assert is_transitive(node.stab_gens, node.left.content)
+        stack += [node.left, node.right]
+
+
 def test_structure_tree_rejects_unstable_points():
     with pytest.raises(ValueError):
         build_structure_tree([1, 2], (T(4, 0, 1),))

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from trigiso.core import AutResult, aut_e_generators, is_isomorphic, is_isomorphic_swap, lift
-from trigiso.graphs import GraphError, LabeledGraph, is_graph_isomorphism
+from trigiso.core import AutResult, aut_e_generators, is_isomorphic, lift
+from trigiso.graphs import GraphError, LabeledGraph, build_x, is_graph_isomorphism
 from trigiso.harness import (
     oracle_aut_e,
     oracle_isomorphic,
@@ -75,7 +75,7 @@ def test_group_matches_oracle(seed):
     want = set(oracle_aut_e(g, e))
     res = aut_e_generators(g, e)
     assert _group(res, n) == want
-    res_plain = aut_e_generators(g, e, use_tree=False, gadget=False)
+    res_plain = aut_e_generators(g, e, use_tree=False)
     assert _group(res_plain, n) == want
 
 
@@ -104,7 +104,6 @@ def test_example_pair_positive_with_verified_mapping():
     assert is_graph_isomorphism(g1, g2, res.mapping)
     published = {1: 2, 2: 1, 3: 7, 4: 4, 5: 5, 6: 6, 7: 3, 8: 8, 9: 9, 10: 10}
     assert is_graph_isomorphism(g1, g2, published)
-    assert is_isomorphic_swap(g1, g2).isomorphic
 
 
 def test_example_pair_negative():
@@ -113,7 +112,6 @@ def test_example_pair_negative():
     # equal counts and degree sequences: no pre-test can decide this pair
     assert g1.degree_sequence() == g2.degree_sequence()
     assert not is_isomorphic(g1, g2)
-    assert not is_isomorphic_swap(g1, g2)
 
 
 def test_relabelings_are_isomorphic():
@@ -132,6 +130,10 @@ def test_symmetry_of_verdicts():
 
 
 def test_swap_variant_agrees_with_full():
+    # The exchange-coset search of is_isomorphic against the full-group
+    # route: the graphs are isomorphic exactly when, for some same-label
+    # e2, a generator of the whole edge-fixing group of the joined graph
+    # exchanges the two split nodes.
     for seed in range(20):
         rng = random.Random(seed)
         n = rng.randint(2, 11)
@@ -140,17 +142,16 @@ def test_swap_variant_agrees_with_full():
             g2 = random_ternary_graph(n, seed + 999)
         else:
             g2, _ = random_relabeling(g1, seed)
-        assert bool(is_isomorphic(g1, g2)) == bool(is_isomorphic_swap(g1, g2))
-
-
-def test_gadget_on_off_agree():
-    for seed in range(10):
-        n = random.Random(seed).randint(4, 10)
-        g1 = random_ternary_graph(n, seed + 40)
-        g2, _ = random_relabeling(g1, seed)
-        a = bool(is_isomorphic(g1, g2, gadget=True))
-        b = bool(is_isomorphic(g1, g2, gadget=False))
-        assert a == b
+        e1 = g1.sorted_edges()[0]
+        full = any(
+            aut_e_generators(sp.graph, sp.e).swap_witness is not None
+            for sp in (
+                build_x(g1, g2, e1, e2)
+                for e2 in g2.sorted_edges()
+                if g2.label(*e2) == g1.label(*e1)
+            )
+        )
+        assert bool(is_isomorphic(g1, g2)) == full
 
 
 def test_single_node_graphs():

@@ -1,9 +1,9 @@
-"""Tests for the layer tower, the triangle rewrite, colors, and kernels."""
+"""Tests for the layer tower, the triangle rewrite, B_r closure, and kernels."""
 
 import pytest
 
 from trigiso.graphs import GADGET_LABEL, LabeledGraph, validate
-from trigiso.layers import NEUTRAL, ElementColor, layer_sequence, triangle_gadget
+from trigiso.layers import layer_sequence, triangle_gadget
 from trigiso.perm import Permutation, group_order
 
 
@@ -114,27 +114,6 @@ def test_gadget_fires_and_is_valid():
 def test_gadget_untouched_graph_returned_as_is():
     g = six_cycle()
     assert triangle_gadget(g, (0, 1)) is g
-
-
-def test_color_of_neutral_and_unique():
-    dec = layer_sequence(path4(), (1, 2))
-    # {0, 3} is neither an edge nor a neighbor set image: the neutral color.
-    assert dec.color_of(1, frozenset({1, 2})) == ElementColor(edge_label=0, multiplicity=0)
-    assert dec.color_of(2, frozenset({0, 3})) == NEUTRAL
-    # node 0 enters with f = {1}: the singleton {1} has multiplicity 1
-    assert dec.color_of(1, frozenset({1})) == ElementColor(edge_label=None, multiplicity=1)
-    assert dec.color_of(2, 1) == ElementColor(node_color=0)
-    with pytest.raises(ValueError):
-        dec.color_of(1, 0)  # node 0 is not in V(X_0)
-
-
-def test_color_of_six_cycle_last_level():
-    # The two level-3 nodes have distinct singleton neighbor sets, each of
-    # multiplicity one; neither pair element is shared.
-    dec = layer_sequence(six_cycle(), (0, 1))
-    assert dec.color_of(2, frozenset({2})) == ElementColor(edge_label=None, multiplicity=1)
-    assert dec.color_of(2, frozenset({5})) == ElementColor(edge_label=None, multiplicity=1)
-    assert dec.color_of(3, frozenset({3, 4})) == ElementColor(edge_label=0, multiplicity=0)
 
 
 def test_b_set_materializes_and_closes():
