@@ -2,8 +2,11 @@
 
 Exit codes: 0 = the command ran (for the isomorphism commands the verdict is
 the last stdout line, `true` or `false`); 2 = usage error; 3 = unreadable or
-invalid input.  Output is plain text with no color, and all randomness comes
-from explicit --seed flags.
+invalid input; 4 = internal error: one of the pipeline's own self-checks
+failed (a witness that does not verify, an identity coset filtered to empty,
+a level permutation that does not preserve node colors), reported as one
+`error: internal: ...` line on stderr.  Output is plain text with no color,
+and all randomness comes from explicit --seed flags.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .phylo import (
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 class InputError(Exception):
@@ -227,6 +231,10 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except AssertionError as exc:
+        detail = " ".join(str(exc).split()) or "assertion failed"
+        print(f"error: internal: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def console_main() -> None:

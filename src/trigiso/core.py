@@ -5,8 +5,12 @@ computed level by level along the layer tower: the kernel of the restriction
 to the previous layer is generated by same-fiber transpositions, and the
 image of the restriction is exactly the part of the previous group that
 preserves the colors of the materialized tower elements (neighbor sets and
-new edge pairs).  That color filtering is delegated to the coset solver;
-surviving generators are lifted by matching fibers in sorted order.
+new edge pairs).  That color filtering is delegated to the coset solver,
+whose ground points B_r are those materialized elements only, closed under
+the level's group and integer-coded by the layer decomposition.  The nodes
+of the previous layer stay out of B_r: every permutation reaching a level
+already preserves their colors, which each level re-checks.  Surviving
+generators are lifted by matching fibers in sorted order.
 
 Two graphs are isomorphic exactly when, after splitting one edge of each and
 joining the split nodes, some automorphism of the joined graph fixing the
@@ -24,76 +28,71 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coloraut import annotate, build_structure_tree, cb, cb_tree
-from .graphs import GraphError, LabeledGraph, build_x, is_graph_isomorphism, require_valid
+from .graphs import LabeledGraph, build_x, is_graph_isomorphism, require_valid
 from .layers import LayerDecomposition, layer_sequence
 from .perm import Coset, Permutation
 
-_NEUTRAL_F = ("f", ())
-_NEUTRAL_E = ("e", None)
-
-
-def _solve_neutral(color) -> bool:
-    # Node elements never constrain the filtering: every permutation that
-    # reaches the solver is already a color-preserving automorphism of the
-    # current layer.  Unmaterialized subsets are neutral by definition.
-    return color[0] == "n" or color == _NEUTRAL_F or color == _NEUTRAL_E
-
 
 class _LevelContext:
-    """Ground set, colors, and permutation extension for one tower level."""
+    """B_r, its colors and the extended action for one tower level r.
+
+    B_r holds only the materialized elements of level r: the labeled
+    neighbor sets of the nodes entering at r+1 and the cross-edge pairs of
+    level r, closed under the level's permutations.  They take the ground
+    points [n, m) in key order.  The nodes of X_{r-1} are not part of B_r:
+    every permutation that reaches level r already preserves their colors,
+    so a filter over them could remove nothing.  That premise is checked
+    here, on every generator and the representative, and a violation
+    raises AssertionError.
+    """
 
     def __init__(self, dec: LayerDecomposition, r: int, gens, rep):
         self.dec = dec
         self.r = r
-        closing = list(gens) + ([rep] if rep is not None else [])
-        elements = dec.b_set(r, closing)
-        self.node_points = [x for x in elements if isinstance(x, int)]
-        subset_elems = [x for x in elements if not isinstance(x, int)]
-        self.elems = subset_elems
-        self.index = {elem: dec.n + i for i, elem in enumerate(subset_elems)}
-        self.m = dec.n + len(subset_elems)
-
-        fibers = dec.fibers_set.get(r, {})
-        cross = dec.cross.get(r, {})
-        colors: list = [("n", c) for c in dec.colors]
-        for elem in subset_elems:
-            if isinstance(next(iter(elem)), tuple):  # labeled neighbor set
-                fiber = fibers.get(elem, ())
-                sig = tuple(sorted(dec.colors[v] for v in fiber))
-                colors.append(("f", sig))
-            else:  # node pair
-                colors.append(("e", cross.get(elem)))
-        self.colors = colors
-        self.b_points = self.node_points + list(range(dec.n, self.m))
-
-    def extend(self, p: Permutation) -> Permutation:
-        img = np.empty(self.m, dtype=np.int32)
-        img[: self.dec.n] = p.image
-        for elem, i in self.index.items():
-            if isinstance(next(iter(elem)), tuple):
-                moved = frozenset((int(p.image[w]), lab) for w, lab in elem)
-            else:
-                moved = frozenset(int(p.image[w]) for w in elem)
-            img[i] = self.index[moved]
-        return Permutation(img, _checked=True)
+        perms = list(gens) + [rep if rep is not None else Permutation.identity(dec.n)]
+        self.images = np.stack([p.image for p in perms])
+        if not (dec.node_colors[self.images] == dec.node_colors).all():
+            raise AssertionError(
+                f"level {r}: a permutation moves a node onto a node of another color"
+            )
+        self.keys = dec.b_set(r, perms)
+        self.m = dec.n + len(self.keys)
 
     def restrict(self, p: Permutation) -> Permutation:
         return Permutation(p.image[: self.dec.n].copy(), _checked=True)
 
-    def solve(self, gens, rep, use_tree: bool) -> Coset | None:
-        """Color-preserving part of the (extended) coset over B_r."""
-        ext_gens = tuple(self.extend(g) for g in gens)
-        ext_rep = (
-            self.extend(rep) if rep is not None else Permutation.identity(self.m)
-        )
-        coset = Coset(ext_rep, ext_gens)
-        if not self.b_points:
-            return coset
+    def extend(self) -> Coset:
+        """The coset on the ground set [0, m), all permutations at once.
+
+        One gather of the element images under every generator and the
+        representative, then a lookup of their keys in B_r.
+        """
+        dec, n, keys = self.dec, self.dec.n, self.keys
+        moved = dec.move(self.images, keys)
+        pos = np.searchsorted(keys, moved).clip(max=len(keys) - 1)
+        if not (keys[pos] == moved).all():
+            raise AssertionError(f"level {self.r}: B_r is not closed")
+        ext = np.empty((len(self.images), self.m), dtype=np.int32)
+        ext[:, :n] = self.images
+        ext[:, n:] = n + pos
+        perms = [Permutation(row, _checked=True) for row in ext]
+        return Coset(perms[-1], tuple(perms[:-1]))
+
+    def colors(self) -> list[int]:
+        """Color ids over [0, m); the node slots, never read, are 0 too."""
+        colors = self.dec.element_colors(self.r, self.keys)
+        return [0] * self.dec.n + colors.tolist()
+
+    def solve(self, use_tree: bool) -> Coset | None:
+        """Color-preserving part of the extended coset over B_r."""
+        coset = self.extend()
+        colors = self.colors()
+        points = range(self.dec.n, self.m)
         if use_tree:
-            root = build_structure_tree(self.b_points, ext_gens)
-            annotate(root, self.colors, neutral=_solve_neutral)
-            return cb_tree(coset, root, self.colors)
-        return cb(coset, self.b_points, self.colors)
+            root = build_structure_tree(points, coset.sub)
+            annotate(root, colors, neutral=0)
+            return cb_tree(coset, root, colors)
+        return cb(coset, points, colors)
 
 
 def lift(dec: LayerDecomposition, r: int, sigma: Permutation) -> Permutation:
@@ -104,20 +103,7 @@ def lift(dec: LayerDecomposition, r: int, sigma: Permutation) -> Permutation:
     pushed through sigma, same color.  The restriction of the result back to
     level r is sigma again.
     """
-    img = np.array(sigma.image, dtype=np.int32)
-    for (fset, color), members in dec.fibers_full.get(r, {}).items():
-        target_key = (
-            frozenset((int(sigma.image[w]), lab) for w, lab in fset),
-            color,
-        )
-        targets = dec.fibers_full[r].get(target_key)
-        if targets is None or len(targets) != len(members):
-            raise GraphError(
-                "fiber mismatch while lifting: permutation was not certified"
-            )
-        for u, v in zip(members, targets):
-            img[u] = v
-    return Permutation(img, _checked=True)
+    return Permutation(dec.lift_image(r, sigma.image), _checked=True)
 
 
 def _run_tower(dec: LayerDecomposition, use_tree: bool, swap: bool):
@@ -143,12 +129,11 @@ def _run_tower(dec: LayerDecomposition, use_tree: bool, swap: bool):
 
     for r in range(1, dec.N):
         ctx = _LevelContext(dec, r, gens, rep)
-        if not ctx.elems:
-            out = None  # nothing materialized: the whole coset survives
+        if ctx.m == dec.n:  # nothing materialized: the whole coset survives
             s_gens = gens
             s_rep = rep
         else:
-            out = ctx.solve(gens, rep, use_tree)
+            out = ctx.solve(use_tree)
             if out is None:
                 if swap:
                     return None

@@ -18,7 +18,9 @@ so levels of all other nodes are unaffected.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .graphs import GADGET_LABEL, GraphError, LabeledGraph, require_valid, _norm_edge
 from .perm import Permutation
@@ -73,20 +75,6 @@ class LayerDecomposition:
                     (w, lab) for w, lab in self.adj[v] if level_of[w] < level_of[v]
                 )
 
-        # Fibers of entering nodes, per level: keyed by the labeled neighbor
-        # set alone and by (neighbor set, node color).
-        self.fibers_set: dict[int, dict] = {}
-        self.fibers_full: dict[int, dict] = {}
-        for r in range(1, self.N):
-            by_set: dict = {}
-            by_full: dict = {}
-            for v in self.fresh.get(r + 1, []):
-                fset = self.nbr_map[v]
-                by_set.setdefault(fset, []).append(v)
-                by_full.setdefault((fset, self.colors[v]), []).append(v)
-            self.fibers_set[r] = by_set
-            self.fibers_full[r] = by_full
-
         # Cross edges: both endpoints at the same level; they belong to the
         # next layer.  The base edge itself is level 1 by definition.
         self.cross: dict[int, dict] = {}
@@ -94,6 +82,132 @@ class LayerDecomposition:
         for (u, v), lab in graph.edges().items():
             if level_of[u] == level_of[v] and frozenset((u, v)) != base:
                 self.cross.setdefault(level_of[u], {})[frozenset((u, v))] = lab
+
+        # Integer codes of the tower elements (see `encode`).  Label rank
+        # R - 1 marks the two halves of a node pair.
+        self._label_rank = {
+            lab: i for i, lab in enumerate(sorted(set(graph.edges().values())))
+        }
+        self._R = len(self._label_rank) + 1
+        self._S = self.n * self._R
+        if 2 * self._S * self._S >= 1 << 63:
+            raise GraphError("graph too large for 64-bit tower element keys")
+        self.node_colors = np.array(self.colors)
+        self._color_rank = {c: i for i, c in enumerate(sorted(set(self.colors)))}
+        self.n_colors = len(self._color_rank)
+        self.levels = {r: self._level(r) for r in range(1, self.N)}
+
+    # -- integer-coded elements ---------------------------------------------
+
+    def encode(self, elems) -> np.ndarray:
+        """Keys of tower elements, in the given order.
+
+        An element is a labeled neighbor set (a frozenset of one or two
+        (node, label) pairs) or a node pair (a frozenset of two nodes).
+        Each member is coded as a half node·R + label rank (rank R - 1 for
+        pair members); a singleton repeats its half.  The key is
+        kind·S² + smaller half·S + larger half, kind 1 for pairs, so keys
+        sort neighbor sets before pairs, and each kind like the sorted
+        member tuples.
+        """
+        R, S = self._R, self._S
+        halves = np.zeros((len(elems), 2), dtype=np.int64)
+        kind = np.zeros(len(elems), dtype=np.int64)
+        for i, elem in enumerate(elems):
+            members = list(elem)
+            if len(members) == 1:
+                members *= 2
+            for j, x in enumerate(members):
+                if isinstance(x, tuple):
+                    halves[i, j] = x[0] * R + self._label_rank[x[1]]
+                else:
+                    halves[i, j] = x * R + R - 1
+                    kind[i] = 1
+        return kind * S * S + halves.min(axis=1) * S + halves.max(axis=1)
+
+    def move(self, images: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """Keys of the images of elements under node maps, shape (k, len(keys)).
+
+        `images` is a (k, n) array of node images, one permutation per row.
+        """
+        S, R = self._S, self._R
+        rest = keys % (S * S)
+        halves = np.stack([rest // S, rest % S], axis=-1)
+        node = halves // R
+        moved = halves + (images[:, node] - node) * R
+        return (keys - rest) + moved.min(axis=-1) * S + moved.max(axis=-1)
+
+    def element_colors(self, r: int, keys: np.ndarray) -> np.ndarray:
+        """Color ids of level-r elements; 0, the neutral color, if unmaterialized."""
+        level = self.levels[r]
+        at = np.searchsorted(level.keys, keys).clip(max=len(level.keys) - 1)
+        return np.where(level.keys[at] == keys, level.colors[at], 0)
+
+    def lift_image(self, r: int, image: np.ndarray) -> np.ndarray:
+        """Node images of the lift of a level-r automorphism to level r+1.
+
+        Each node entering at level r+1 goes to the node at its own position
+        (in index order) of the fiber with the image neighbor set and the
+        same color.  A missing target fiber, or one of another size, raises
+        GraphError.
+        """
+        img = np.array(image, dtype=np.int32)
+        level = self.levels.get(r)
+        if level is None or not len(level.members):
+            return img
+        halves = image[level.fiber_nodes].astype(np.int64) * self._R + level.fiber_ranks
+        moved = halves.min(axis=1) * self._S + halves.max(axis=1)
+        at = np.searchsorted(level.set_keys, moved)
+        target = at * self.n_colors + level.fiber_colors
+        j = np.searchsorted(level.fiber_keys, target)
+        if not ((level.set_keys[at] == moved) & (level.fiber_keys[j] == target)).all() or (
+            level.size[j] != level.size
+        ).any():
+            raise GraphError("fiber mismatch while lifting: permutation was not certified")
+        shift = np.repeat(level.start[j] - level.start, level.size)
+        img[level.members] = level.members[shift + np.arange(len(level.members))]
+        return img
+
+    def _level(self, r: int) -> "_Level":
+        entering = self.fresh.get(r + 1, [])
+        sets = [self.nbr_map[v] for v in entering]
+        set_keys, set_index = np.unique(self.encode(sets), return_inverse=True)
+        ranks = [self._color_rank[self.colors[v]] for v in entering]
+        fiber_of = set_index * self.n_colors + np.array(ranks, dtype=np.int64)
+        order = np.argsort(fiber_of, kind="stable")
+        fiber_keys, start, size = np.unique(
+            fiber_of[order], return_index=True, return_counts=True
+        )
+        # Each fiber's neighbor set, to gather: halves = image[nodes]·R + ranks.
+        fiber_sets = set_keys[fiber_keys // self.n_colors]
+        fiber_halves = np.stack([fiber_sets // self._S, fiber_sets % self._S], axis=-1)
+
+        # Colors: the sorted member colors of a neighbor set's nodes, the
+        # label of a cross edge; ids from 1, 0 is left for the neutral color.
+        ids: dict = {}
+        sigs: list[list] = [[] for _ in set_keys]
+        for i, v in zip(set_index, entering):
+            sigs[i].append(self.colors[v])
+        cross = self.cross.get(r, {})
+        colors = [("f", tuple(sorted(sig))) for sig in sigs]
+        colors += [("e", lab) for lab in cross.values()]
+        keys = np.concatenate([set_keys, self.encode(list(cross))])
+        by_key = np.argsort(keys)
+        color_ids = np.array(
+            [ids.setdefault(c, len(ids) + 1) for c in colors], dtype=np.int64
+        )
+        return _Level(
+            keys=keys[by_key],
+            colors=color_ids[by_key],
+            set_keys=np.append(set_keys, _PAST_ALL_KEYS),
+            fiber_keys=np.append(fiber_keys, _PAST_ALL_KEYS),
+            fiber_nodes=fiber_halves // self._R,
+            fiber_ranks=fiber_halves % self._R,
+            fiber_colors=fiber_keys % self.n_colors,
+            start=start,
+            size=size,
+            members=np.array(entering, dtype=np.int64)[order],
+        )
 
     # -- layers -------------------------------------------------------------
 
@@ -116,40 +230,25 @@ class LayerDecomposition:
 
     # -- ground elements for the per-level solve ------------------------------
 
-    def b_set(self, r: int, gens: Sequence[Permutation]) -> list:
-        """Ordered B_r: prior nodes, entering neighbor sets, new edge pairs.
+    def b_set(self, r: int, gens: Sequence[Permutation]) -> np.ndarray:
+        """Sorted keys of B_r: the materialized elements of level r, closed.
 
-        The materialized elements (labeled neighbor sets of the level-(r+1)
-        nodes, cross-edge pairs of level r, nodes of V(X_{r-1})) are closed
-        under the node action of `gens`, so the result is stable under the
-        group they generate.  Nodes come first, then neighbor-set elements
-        (frozensets of (node, label) pairs), then pair elements (frozensets
-        of nodes), each block deterministically sorted.
+        The materialized elements are the labeled neighbor sets of the nodes
+        entering at level r+1 and the cross-edge pairs of level r (keys as in
+        `encode`).  The closure runs on keys, a whole frontier under all of
+        `gens` per round, so the result is stable under the group they
+        generate.
         """
-        node_elems = [v for v in range(self.n) if self.level_of[v] <= r - 1]
-        f_elems = set(self.fibers_set.get(r, {}).keys())
-        e_elems = set(self.cross.get(r, {}).keys())
-
-        queue = list(f_elems) + list(e_elems)
-        while queue:
-            elem = queue.pop()
-            labeled = isinstance(next(iter(elem)), tuple)
-            for g in gens:
-                if labeled:
-                    img = frozenset((int(g.image[w]), lab) for w, lab in elem)
-                    pool = f_elems
-                else:
-                    img = frozenset(int(g.image[w]) for w in elem)
-                    pool = e_elems
-                if img not in pool:
-                    pool.add(img)
-                    queue.append(img)
-
-        return (
-            sorted(node_elems)
-            + sorted(f_elems, key=lambda s: tuple(sorted(s)))
-            + sorted(e_elems, key=lambda s: tuple(sorted(s)))
-        )
+        level = self.levels.get(r)
+        seen = level.keys if level is not None else np.empty(0, dtype=np.int64)
+        if gens and len(seen):
+            images = np.stack([g.image for g in gens])
+            frontier = seen
+            while len(frontier):
+                moved = _sorted_distinct(self.move(images, frontier))
+                frontier = np.setdiff1d(moved, seen, assume_unique=True)
+                seen = np.sort(np.concatenate([seen, frontier]))
+        return seen
 
     # -- kernel of the level restriction --------------------------------------
 
@@ -162,15 +261,56 @@ class LayerDecomposition:
         """
         if r + 1 > self.N:
             raise ValueError(f"level {r + 1} beyond tower depth {self.N}")
+        level = self.levels.get(r)
+        if level is None:
+            return []
         out = []
-        for (_fset, _color), members in sorted(
-            self.fibers_full.get(r, {}).items(),
-            key=lambda kv: (tuple(sorted(kv[0][0])), kv[0][1]),
-        ):
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    out.append(Permutation.transposition(self.n, members[i], members[j]))
+        for s, z in zip(level.start.tolist(), level.size.tolist()):
+            fiber = level.members[s : s + z].tolist()
+            for i in range(z):
+                for j in range(i + 1, z):
+                    out.append(Permutation.transposition(self.n, fiber[i], fiber[j]))
         return out
+
+
+def _sorted_distinct(a: np.ndarray) -> np.ndarray:
+    # Plain np.unique and np.union1d import numpy.ma, about 1.3 MB resident.
+    a = np.sort(a, axis=None)
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
+# Ends the lookup tables of `lift_image`, so a searchsorted index is always valid.
+_PAST_ALL_KEYS = np.iinfo(np.int64).max
+
+
+class _Level(NamedTuple):
+    """Integer-coded elements and fibers of one tower level r.
+
+    `keys` are the sorted keys of the materialized elements and `colors`
+    their color ids.  A fiber is the set of nodes entering at level r+1 with
+    one neighbor set and one color.  `set_keys` are the sorted distinct
+    neighbor-set keys; fiber i is keyed `fiber_keys[i]` = (position of its
+    neighbor set in `set_keys`) · C + `fiber_colors[i]`, C the number of
+    node colors and the color a rank, and fibers are sorted by that key.
+    Both key tables end with `_PAST_ALL_KEYS`.  `fiber_nodes` and
+    `fiber_ranks` hold the two halves of each fiber's neighbor set (see
+    `LayerDecomposition.encode`).  `members` lists the nodes
+    of every fiber, fiber by fiber and each in index order; fiber i takes
+    `size[i]` entries from `start[i]`.
+    """
+
+    keys: np.ndarray
+    colors: np.ndarray
+    set_keys: np.ndarray
+    fiber_keys: np.ndarray
+    fiber_nodes: np.ndarray
+    fiber_ranks: np.ndarray
+    fiber_colors: np.ndarray
+    start: np.ndarray
+    size: np.ndarray
+    members: np.ndarray
 
 
 def _bfs_levels(g: LabeledGraph, e: tuple[int, int]) -> dict:

@@ -199,19 +199,22 @@ def orbit_partition(
     return out
 
 
-def is_gens_stable(gens: Sequence[Permutation], points: Iterable[int]) -> bool:
-    pts = set(points)
-    return all(int(g.image[x]) in pts for g in gens for x in pts)
-
-
 def is_transitive(gens: Sequence[Permutation], points: Iterable[int]) -> bool:
-    """Whether <gens> acts transitively on a nonempty, gens-stable point set."""
+    """Whether <gens> acts transitively on a nonempty, gens-stable point set.
+
+    The orbit of the smallest point decides: if it is the whole set, the set
+    is one orbit and so stable.  Only a proper sub-orbit needs the scan that
+    checks every generator on every point.  An unstable set raises ValueError.
+    """
     pts = set(points)
     if not pts:
         raise ValueError("empty point set")
-    if not is_gens_stable(gens, pts):
+    orb = orbit(gens, min(pts))
+    if orb == pts:
+        return True
+    if not orb <= pts or any(int(g.image[x]) not in pts for g in gens for x in pts):
         raise ValueError("point set is not stable under the generators")
-    return orbit(gens, min(pts)) >= pts
+    return False
 
 
 # -- block systems -----------------------------------------------------------

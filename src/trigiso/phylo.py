@@ -301,7 +301,7 @@ class _Occurrence:
 
 
 class _Parser:
-    """Recursive-descent parser for the eNewick subset used here.
+    """Parser for the eNewick subset used here.
 
     Supported: nested parenthesized groups, unquoted and single-quoted
     labels, branch lengths (accepted, discarded), and hybrid tags #H<k>
@@ -346,18 +346,33 @@ class _Parser:
         return self.build(root)
 
     def parse_subtree(self) -> int:
-        occ = _Occurrence(len(self.occurrences))
-        self.occurrences.append(occ)
-        self.skip_ws()
-        if self.peek() == "(":
-            self.pos += 1
-            occ.children.append(self.parse_subtree())
+        """Parse one subtree; open groups wait on a stack, so depth is unbounded."""
+        open_groups: list[_Occurrence] = []
+        while True:
+            occ = _Occurrence(len(self.occurrences))
+            self.occurrences.append(occ)
             self.skip_ws()
-            while self.peek() == ",":
+            if self.peek() == "(":
                 self.pos += 1
-                occ.children.append(self.parse_subtree())
+                open_groups.append(occ)
+                continue
+            self.parse_suffix(occ)
+            while True:
+                if not open_groups:
+                    return occ.node_id
+                group = open_groups[-1]
+                group.children.append(occ.node_id)
                 self.skip_ws()
-            self.expect(")")
+                if self.peek() == ",":
+                    self.pos += 1
+                    break
+                self.expect(")")
+                open_groups.pop()
+                self.parse_suffix(group)
+                occ = group
+
+    def parse_suffix(self, occ: _Occurrence):
+        """Label, hybrid tag and branch length after a leaf or a closed group."""
         self.skip_ws()
         if self.peek() == "'" or (self.peek() and self.peek() not in self._SPECIALS):
             occ.name = self.parse_name()
@@ -368,7 +383,6 @@ class _Parser:
             self.parse_number()
         if occ.name is None and occ.tag is None and not occ.children:
             self.error("empty node: expected a label, a group, or a hybrid tag")
-        return occ.node_id
 
     def parse_name(self) -> str:
         if self.peek() == "'":
@@ -477,20 +491,31 @@ def write_enewick(net: PhyloNetwork) -> str:
     tags = {v: f"H{i + 1}" for i, v in enumerate(sorted(net.reticulations()))}
     primary_parent = {v: min(net.parents(v)) for v in tags}
 
-    def render(v: int, parent: int | None) -> str:
+    # Iterative post-order: a node is rendered after its children, whose
+    # strings wait on `done` in child order.
+    done: list[str] = []
+    stack: list[tuple[int, int | None, bool]] = [(net.root, None, False)]
+    while stack:
+        v, parent, expanded = stack.pop()
         if v in tags and parent is not None and parent != primary_parent[v]:
-            return f"#{tags[v]}"
-        parts = ""
+            done.append(f"#{tags[v]}")
+            continue
         kids = sorted(net.children(v))
+        if not expanded:
+            stack.append((v, parent, True))
+            stack.extend((c, v, False) for c in reversed(kids))
+            continue
+        out = ""
         if kids:
-            parts = "(" + ",".join(render(c, v) for c in kids) + ")"
+            out = "(" + ",".join(done[-len(kids) :]) + ")"
+            del done[-len(kids) :]
         name = net.label(v)
-        out = parts + (_quote_label(name) if name is not None else "")
+        if name is not None:
+            out += _quote_label(name)
         if v in tags:
             out += f"#{tags[v]}"
-        return out
-
-    return render(net.root, None) + ";"
+        done.append(out)
+    return done[0] + ";"
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,17 @@ def test_phylo_iso_bad_newick(capsys, tmp_path):
     assert run_cli(capsys, "phylo-iso", str(p1), str(p2))[0] == 3
 
 
+def test_internal_error_exit_code(capsys, monkeypatch, example_files):
+    def broken(*args, **kwargs):
+        raise AssertionError("internal error: witness failed\nverification")
+
+    monkeypatch.setattr("trigiso.cli.is_isomorphic", broken)
+    code, out, err = run_cli(capsys, "iso", example_files["1a"], example_files["1b"])
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal: internal error: witness failed verification\n"
+
+
 def test_bench_writes_csv(capsys, tmp_path):
     out_path = tmp_path / "bench.csv"
     code, _, err = run_cli(

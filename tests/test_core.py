@@ -2,8 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
 
+from trigiso import core
+from trigiso.coloraut import annotate, build_structure_tree, cb, cb_tree
 from trigiso.core import AutResult, aut_e_generators, is_isomorphic, lift
 from trigiso.graphs import GraphError, LabeledGraph, build_x, is_graph_isomorphism
 from trigiso.harness import (
@@ -16,6 +19,7 @@ from trigiso.layers import layer_sequence
 from trigiso.perm import Permutation, enumerate_group, group_order, smoothness_violations
 
 from test_graphs import EX1_A, EX1_B, EX2_A, EX2_B, graph_from_edges
+from test_layers import decide_tower_cases, reference_b_set
 
 
 def _group(res: AutResult, n):
@@ -188,3 +192,124 @@ def test_two_group_property():
         res = aut_e_generators(g, g.sorted_edges()[0])
         order = group_order(res.generators or (Permutation.identity(n),))
         assert order is not None and order & (order - 1) == 0
+
+
+# -- integer-coded level steps against frozenset references -------------------
+
+
+def reference_extend(dec, elems, p: Permutation) -> list[int]:
+    """Image of p on nodes and on the frozenset elements, ground set [0, n + |elems|)."""
+    index = {elem: dec.n + i for i, elem in enumerate(elems)}
+    img = [int(x) for x in p.image]
+    for elem in elems:
+        if isinstance(next(iter(elem)), tuple):
+            img.append(index[frozenset((p(w), lab) for w, lab in elem)])
+        else:
+            img.append(index[frozenset(p(w) for w in elem)])
+    return img
+
+
+def reference_lift(dec, r, sigma: Permutation) -> Permutation:
+    """Fiber-by-fiber lift over dicts keyed by (neighbor set, color)."""
+    fibers: dict = {}
+    for v in dec.fresh.get(r + 1, []):
+        fibers.setdefault((dec.nbr_map[v], dec.colors[v]), []).append(v)
+    img = np.array(sigma.image, dtype=np.int32)
+    for (fset, color), members in fibers.items():
+        targets = fibers.get((frozenset((sigma(w), lab) for w, lab in fset), color))
+        if targets is None or len(targets) != len(members):
+            raise GraphError("fiber mismatch")
+        for u, v in zip(members, targets):
+            img[u] = v
+    return Permutation(img)
+
+
+def _same_coset(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    return a.rep == b.rep and len(a.sub) == len(b.sub) and all(
+        x == y for x, y in zip(a.sub, b.sub)
+    )
+
+
+@pytest.mark.parametrize("n", [24, 40, 64])
+@pytest.mark.parametrize("seed", range(3))
+def test_extend_and_lift_match_frozenset_references(monkeypatch, n, seed):
+    levels = []
+    real_lift = core.lift
+
+    class Checked(core._LevelContext):
+        def __init__(self, dec, r, gens, rep):
+            super().__init__(dec, r, gens, rep)
+            perms = list(gens) + [rep or Permutation.identity(dec.n)]
+            elems = reference_b_set(dec, r, perms)
+            if elems:
+                coset = self.extend()
+                got = [p.image.tolist() for p in coset.sub + (coset.rep,)]
+                assert got == [reference_extend(dec, elems, p) for p in perms]
+            levels.append(r)
+
+    def checked_lift(dec, r, sigma):
+        out = real_lift(dec, r, sigma)
+        assert out == reference_lift(dec, r, sigma)
+        return out
+
+    monkeypatch.setattr(core, "_LevelContext", Checked)
+    monkeypatch.setattr(core, "lift", checked_lift)
+    decide_tower_cases(n, seed)
+    assert len(levels) > 3
+
+
+def test_lift_raises_on_fiber_mismatch():
+    # Swapping the base endpoints of this path sends node 2's neighbor set
+    # {(0, 7)} to {(1, 7)}, which no entering node has.
+    g = LabeledGraph(range(4), {(0, 1): 0, (0, 2): 7, (1, 3): 8})
+    dec = layer_sequence(g, (0, 1))
+    with pytest.raises(GraphError):
+        lift(dec, 1, Permutation.transposition(4, 0, 1))
+    # Same neighbor-set shape, but fibers of sizes 2 and 1.
+    g = LabeledGraph(range(5), {(0, 1): 0, (0, 2): 7, (0, 3): 7, (1, 4): 7})
+    dec = layer_sequence(g, (0, 1))
+    with pytest.raises(GraphError):
+        lift(dec, 1, Permutation.transposition(5, 0, 1))
+
+
+@pytest.mark.parametrize("use_tree", [True, False])
+@pytest.mark.parametrize("seed", range(3))
+def test_level_solve_over_elements_equals_solve_with_nodes(monkeypatch, use_tree, seed):
+    # The nodes of X_{r-1}, given non-neutral colors and added to the
+    # points, change no level's coset: rep and every generator agree.
+    solved = []
+
+    class Checked(core._LevelContext):
+        def solve(self, use_tree):
+            got = super().solve(use_tree)
+            dec, n = self.dec, self.dec.n
+            coset = self.extend()
+            colors = [("n", c) for c in dec.colors] + self.colors()[n:]
+            points = [v for v in range(n) if dec.level_of[v] <= self.r - 1]
+            points += range(n, self.m)
+            if use_tree:
+                root = build_structure_tree(points, coset.sub)
+                annotate(root, colors, neutral=0)
+                want = cb_tree(coset, root, colors)
+            else:
+                want = cb(coset, points, colors)
+            assert _same_coset(got, want)
+            solved.append(self.r)
+            return got
+
+    monkeypatch.setattr(core, "_LevelContext", Checked)
+    decide_tower_cases(40, seed, use_tree=use_tree)
+    assert solved
+
+
+def test_node_color_check_raises():
+    g = LabeledGraph({0: 0, 1: 0, 2: 1, 3: 2}, [(0, 1), (0, 2), (0, 3)])
+    dec = layer_sequence(g, (0, 1))
+    swap = Permutation.transposition(dec.n, 2, 3)  # colors 1 and 2
+    with pytest.raises(AssertionError, match="color"):
+        core._LevelContext(dec, 1, [swap], None)
+    with pytest.raises(AssertionError, match="color"):
+        core._LevelContext(dec, 1, [], swap)
+    core._LevelContext(dec, 1, [Permutation.transposition(dec.n, 0, 1)], None)

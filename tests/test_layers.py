@@ -2,9 +2,12 @@
 
 import pytest
 
+from trigiso.core import aut_e_generators, is_isomorphic
 from trigiso.graphs import GADGET_LABEL, LabeledGraph, validate
-from trigiso.layers import layer_sequence, triangle_gadget
+from trigiso.harness import random_relabeling, random_ternary_graph
+from trigiso.layers import LayerDecomposition, layer_sequence, triangle_gadget
 from trigiso.perm import Permutation, group_order
+from trigiso.phylo import phylo_isomorphic, random_network
 
 
 def path4():
@@ -120,26 +123,104 @@ def test_b_set_materializes_and_closes():
     dec = layer_sequence(path4(), (1, 2))
     ident = Permutation.identity(dec.n)
     b = dec.b_set(1, [ident])
-    # r=1: no prior nodes, no cross edges, two neighbor-set elements.
-    assert b == [frozenset({(1, 0)}), frozenset({(2, 0)})]
+    # r=1: no cross edges, two neighbor-set elements.
+    assert b.tolist() == dec.encode([frozenset({(1, 0)}), frozenset({(2, 0)})]).tolist()
     flip = Permutation([3, 2, 1, 0])
     b2 = dec.b_set(1, [flip])
-    assert b2 == b  # the flip permutes the two elements among themselves
+    assert b2.tolist() == b.tolist()  # the flip permutes the two elements
     # closure property: applying any generator keeps us inside B
-    for elem in b2:
-        img = frozenset((flip(w), lab) for w, lab in elem)
-        assert img in set(b2)
+    assert set(dec.move(flip.image[None], b2)[0].tolist()) == set(b2.tolist())
 
 
 def test_b_set_closure_adds_orbit_images():
     dec = layer_sequence(six_cycle(), (0, 1))
+    cross_pair = int(dec.encode([frozenset({3, 4})])[0])
     swap = Permutation([1, 0, 5, 4, 3, 2])  # the reflection fixing the base edge
-    b = dec.b_set(3, [swap])
-    assert frozenset({3, 4}) in b  # the cross pair
-    assert 0 in b and 1 in b and 2 in b and 5 in b  # V(X_2)
+    assert cross_pair in dec.b_set(3, [swap]).tolist()
     rogue = Permutation([0, 1, 2, 4, 3, 5])
-    b_r = dec.b_set(3, [rogue])
-    assert frozenset({3, 4}) in b_r
+    assert cross_pair in dec.b_set(3, [rogue]).tolist()
+
+
+def test_b_set_adds_unmaterialized_images():
+    # Node 2 enters with neighbor set {(0, 5)}; moving 0 onto 1 gives the
+    # unmaterialized set {(1, 5)}, which the closure adds.
+    g = LabeledGraph(range(3), {(0, 1): 0, (0, 2): 5})
+    dec = layer_sequence(g, (0, 1))
+    swap = Permutation.transposition(3, 0, 1)
+    want = dec.encode([frozenset({(0, 5)}), frozenset({(1, 5)})])
+    assert dec.b_set(1, [swap]).tolist() == sorted(want.tolist())
+
+
+def test_encode_orders_like_sorted_member_tuples():
+    dec = layer_sequence(gadget_example(), (0, 1))
+    labeled = [
+        frozenset({(2, 0)}),
+        frozenset({(1, 0), (3, 0)}),
+        frozenset({(1, 0)}),
+        frozenset({(3, 0), (4, 0)}),
+    ]
+    pairs = [frozenset({3, 4}), frozenset({2, 3})]
+    keys = dec.encode(labeled + pairs).tolist()
+    by_key = [e for _, e in sorted(zip(keys, labeled + pairs), key=lambda t: t[0])]
+    want = sorted(labeled, key=lambda s: tuple(sorted(s)))
+    want += sorted(pairs, key=lambda s: tuple(sorted(s)))
+    assert by_key == want
+    assert len(set(keys)) == len(keys)
+
+
+def reference_b_set(dec, r, gens) -> list:
+    """Frozenset closure of the materialized elements of level r.
+
+    Neighbor sets (frozensets of (node, label) pairs) come first, then node
+    pairs, each block sorted by its sorted member tuples.
+    """
+    f_elems = {dec.nbr_map[v] for v in dec.fresh.get(r + 1, [])}
+    e_elems = set(dec.cross.get(r, {}))
+    queue = list(f_elems) + list(e_elems)
+    while queue:
+        elem = queue.pop()
+        labeled = isinstance(next(iter(elem)), tuple)
+        for g in gens:
+            if labeled:
+                img = frozenset((int(g.image[w]), lab) for w, lab in elem)
+                pool = f_elems
+            else:
+                img = frozenset(int(g.image[w]) for w in elem)
+                pool = e_elems
+            if img not in pool:
+                pool.add(img)
+                queue.append(img)
+    return sorted(f_elems, key=lambda s: tuple(sorted(s))) + sorted(
+        e_elems, key=lambda s: tuple(sorted(s))
+    )
+
+
+def decide_tower_cases(n: int, seed: int, use_tree: bool = True):
+    """Full-group towers, exchange-coset towers and a network twin."""
+    g = random_ternary_graph(n, seed)
+    aut_e_generators(g, g.sorted_edges()[0], use_tree=use_tree)
+    h, _ = random_relabeling(g, seed)
+    assert is_isomorphic(g, h, use_tree=use_tree)
+    net = random_network(n // 2 + 1, seed=seed)
+    twin = net.relabeled_nodes({v: 1000 + v for v in net.nodes})
+    assert phylo_isomorphic(net, twin, use_tree=use_tree)
+
+
+@pytest.mark.parametrize("n", [24, 40, 64])
+@pytest.mark.parametrize("seed", range(3))
+def test_b_set_matches_frozenset_reference(monkeypatch, n, seed):
+    calls = []
+    real = LayerDecomposition.b_set
+
+    def checked(self, r, gens):
+        keys = real(self, r, gens)
+        assert keys.tolist() == self.encode(reference_b_set(self, r, gens)).tolist()
+        calls.append(r)
+        return keys
+
+    monkeypatch.setattr(LayerDecomposition, "b_set", checked)
+    decide_tower_cases(n, seed)
+    assert len(calls) > 3
 
 
 def test_kernel_generators():

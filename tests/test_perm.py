@@ -106,6 +106,10 @@ def test_is_transitive():
 def test_is_transitive_rejects_unstable_set():
     with pytest.raises(ValueError):
         is_transitive([T(4, 0, 1)], {1, 2})
+    # The orbit of the minimum stays inside, another point leaves the set.
+    with pytest.raises(ValueError):
+        is_transitive([T(4, 2, 3)], {0, 2})
+    assert not is_transitive([T(4, 2, 3)], {0, 2, 3})
 
 
 def test_orbit_partition_sorted():

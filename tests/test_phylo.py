@@ -161,6 +161,18 @@ def test_write_then_parse_roundtrip():
         assert phylo_isomorphic(net, back).isomorphic, text
 
 
+def test_deep_caterpillar_roundtrip_without_recursion():
+    text = "l0"
+    for i in range(1, 1501):
+        text = f"({text},l{i})"
+    net = parse_enewick(text + ";")
+    assert net.n_nodes == 3001
+    written = write_enewick(net)
+    back = parse_enewick(written)
+    assert back.arcs == net.arcs and back.labels == net.labels
+    assert write_enewick(back) == written
+
+
 def test_random_network_basics():
     net = random_network(21, seed=5)
     assert validate_network(net) == []
