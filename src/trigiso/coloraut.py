@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .perm import (
     Coset,
     Permutation,
@@ -120,17 +122,25 @@ def _cb(coset, points: list[int], colors: ColorSeq):
     return _transitive_step(coset, block_left, sub_filter)
 
 
+def _maps_into(images: np.ndarray, points) -> bool:
+    """Whether every image row (one permutation each) sends `points` into itself."""
+    points = np.asarray(points, dtype=np.intp)
+    inside = np.zeros(images.shape[-1], dtype=bool)
+    inside[points] = True
+    return bool(inside[images[..., points]].all())
+
+
 def cb(coset: Coset | None, points, colors: ColorSeq) -> Coset | None:
     """Color-preserving part of a coset over a stable point set.
 
     Exact for any coset; EMPTY is represented by None.  When nonempty, the
     subgroup part of the result generates the color-preserving subgroup.
     """
-    if coset is not None and __debug__:
-        pts = set(points)
-        for g in coset.sub:
-            assert all(int(g.image[b]) in pts for b in pts), "B not stable"
-    out, _ = _cb(coset, list(points), colors)
+    points = list(points)
+    if coset is not None and coset.sub and __debug__:
+        images = np.stack([g.image for g in coset.sub])
+        assert _maps_into(images, points), "B not stable"
+    out, _ = _cb(coset, points, colors)
     return out
 
 
@@ -396,8 +406,7 @@ def cb_tree(
     non-neutral ones).
     """
     if coset is not None and __debug__:
-        pts = set(root.content)
-        assert all(int(coset.rep.image[b]) in pts for b in pts), (
+        assert _maps_into(coset.rep.image, root.content), (
             "coset representative does not stabilize the tree's point set"
         )
     if root.active is None:

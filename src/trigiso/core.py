@@ -24,12 +24,13 @@ exchange dies at the first layer where the two sides differ.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .coloraut import annotate, build_structure_tree, cb, cb_tree
 from .graphs import LabeledGraph, build_x, is_graph_isomorphism, require_valid
-from .layers import LayerDecomposition, layer_sequence
+from .layers import LayerDecomposition, _sorted_distinct, layer_sequence
 from .perm import Coset, Permutation
 
 
@@ -236,61 +237,126 @@ class IsoResult:
         return self.isomorphic
 
 
-class _LayerProfile:
-    """Lazy per-level invariants of the tower rooted at an edge.
+# Cells of the (candidate edge, node) distance table one block of the
+# layer-profile filter may fill; a block takes as many candidate edges as fit.
+_PROFILE_CELLS = 1 << 20
+# Distance of a node the walk has not reached yet.
+_UNSEEN = np.iinfo(np.int32).max
 
-    Level d holds the sorted multiset of node signatures entering at BFS
-    depth d from the edge's endpoint pair; a node's signature records its
-    color and, for each incident edge, the label and whether the neighbor
-    sits at a smaller, equal, or larger depth.  Any isomorphism carrying one
-    edge onto another carries depth-d entrants onto depth-d entrants and
-    preserves every signature, so a first differing (or missing) level rules
-    the edge pairing out before any group machinery runs.
+
+class _ProfileTables(NamedTuple):
+    """One graph's integer tables for the layer-profile filter.
+
+    Nodes take dense indices in id order (`index`); row n is a padding node.
+    Row v of `nbr` and `labels` holds v's incident edges as (neighbor, label
+    rank) slots sorted by label rank, absent slots first with neighbor n and
+    rank -1.  `base` ranks v's color together with its label sequence.
     """
 
-    def __init__(self, g: LabeledGraph, e: tuple[int, int]):
-        self.adj = g.adjacency()
-        self.colors = {v: g.color(v) for v in g.node_ids}
-        self.dist = {e[0]: 1, e[1]: 1}
-        self.frontier = [e[0], e[1]]
-        self.levels = [self._level_sig(self.frontier)]
-
-    def _level_sig(self, nodes):
-        dist = self.dist
-        sigs = []
-        for v in nodes:
-            dv = dist[v]
-            incident = sorted(
-                (lab, min(max(dist.get(w, dv + 1) - dv, -1), 1))
-                for w, lab in self.adj[v]
-            )
-            sigs.append((self.colors[v], tuple(incident)))
-        return tuple(sorted(sigs))
-
-    def level(self, d: int):
-        """Signature of level d (0-based), or None past the last level."""
-        while d >= len(self.levels) and self.frontier:
-            nxt = []
-            for v in self.frontier:
-                for w, _ in self.adj[v]:
-                    if w not in self.dist:
-                        self.dist[w] = self.dist[v] + 1
-                        nxt.append(w)
-            self.frontier = nxt
-            if nxt:
-                self.levels.append(self._level_sig(nxt))
-        return self.levels[d] if d < len(self.levels) else None
+    index: dict
+    nbr: np.ndarray
+    labels: np.ndarray
+    base: np.ndarray
 
 
-def _profiles_match(p1: _LayerProfile, p2: _LayerProfile) -> bool:
+def _profile_tables(g1: LabeledGraph, g2: LabeledGraph) -> list[_ProfileTables]:
+    """Tables of both graphs; color, label and base ranks span their union."""
+    graphs = (g1, g2)
+    color_rank = _ranks(c for g in graphs for c in g.colors().values())
+    label_rank = _ranks(lab for g in graphs for lab in g.edges().values())
+    parts = []
+    for g in graphs:
+        ids = g.node_ids
+        index = {v: i for i, v in enumerate(ids)}
+        adj = g.adjacency()
+        pad = [(-1, len(ids))] * 3
+        slots = [
+            pad[len(adj[v]) :] + sorted((label_rank[lab], index[w]) for w, lab in adj[v])
+            for v in ids
+        ] + [pad]
+        kinds = [(color_rank[g.color(v)], *(lab for lab, _ in row)) for v, row in zip(ids, slots)]
+        kinds.append((-1, -1, -1, -1))
+        parts.append((index, np.array(slots, dtype=np.int32), kinds))
+    base_rank = _ranks(kind for _, _, kinds in parts for kind in kinds)
+    return [
+        _ProfileTables(index, slots[:, :, 1], slots[:, :, 0],
+                       np.array([base_rank[kind] for kind in kinds], dtype=np.int64))
+        for index, slots, kinds in parts
+    ]
+
+
+def _ranks(values) -> dict:
+    return {x: i for i, x in enumerate(sorted(set(values)))}
+
+
+def _profile_walk(tab: _ProfileTables, edges, alive: np.ndarray):
+    """Level-synchronous BFS from every edge at once, one row per edge.
+
+    Yields, for each BFS level d (the edge's endpoints are level 0), the
+    rows and signature codes of the nodes at level d, one entry per (row,
+    node).  A node's code is its `base` rank·27 plus three step digits.
+    Each of its three slots holds label·3 + step + 1, step the sign of
+    dist(neighbor) - dist(node); an absent edge has label rank -1 and step
+    -1, so slot -3.  The slots are sorted, which orders them by label and
+    then step, and reduced mod 3 to digits, 0 for an absent edge.  Base
+    and digits together fix the color and the sorted (label, step)
+    multiset, so equal codes mean equal signatures.  Rows the consumer sets
+    False in `alive` stop expanding.
+    """
+    k, n = len(edges), len(tab.index)
+    dist = np.full((k, n + 1), _UNSEEN, dtype=np.int32)
+    dist[:, n] = -1  # absent slots: step -1, so slot -3 and digit 0
+    rows = np.repeat(np.arange(k, dtype=np.int64), 2)
+    nodes = np.array([tab.index[v] for e in edges for v in e], dtype=np.int64)
+    dist[rows, nodes] = 0
     d = 0
-    while True:
-        s1, s2 = p1.level(d), p2.level(d)
-        if s1 != s2:
-            return False
-        if s1 is None:
-            return True
+    while len(rows):
+        nbr = tab.nbr[nodes]
+        step = np.sign(dist[rows[:, None], nbr] - d)
+        digits = np.sort(3 * tab.labels[nodes] + step + 1, axis=1) % 3
+        yield rows, tab.base[nodes] * 27 + digits @ np.array([9, 3, 1])
+        keep = alive[rows]
+        rows, nbr = rows[keep], nbr[keep]
+        fresh = dist[rows[:, None], nbr] == _UNSEEN
+        key = _sorted_distinct((rows[:, None] * (n + 1) + nbr)[fresh])
+        rows, nodes = np.divmod(key, n + 1)
         d += 1
+        dist[rows, nodes] = d
+
+
+def _profile_filter(t1: _ProfileTables, e1, t2: _ProfileTables, candidates):
+    """Yield the candidate edges of the second graph whose layer profile matches e1's.
+
+    Level d of an edge's profile is the multiset of signatures of the nodes
+    at BFS depth d from its endpoints; a node's signature is its color and,
+    for each incident edge, the label and whether the neighbor sits at a
+    smaller, equal, or larger depth.  Any isomorphism carrying e1 onto e2
+    carries depth-d nodes onto depth-d nodes and preserves every signature,
+    so a first differing level, or a different number of levels, rules the
+    pairing out before any group machinery runs.
+
+    e1's levels come from the same walk as a batch of one.  The candidates
+    walk together, one row each (see `_profile_walk`), and a row is dropped
+    at its first level whose node count or sorted codes differ from e1's.
+    A row whose walk ends at another depth than e1's is dropped at the last
+    level both reach, where only one side has nodes with a step +1 edge.
+    Candidates are taken in the given order, in blocks whose distance table
+    stays under `_PROFILE_CELLS` cells (4 MiB of int32), so memory does not
+    grow with the number of candidates; a block's survivors are yielded, in
+    order, before the next block is walked.
+    """
+    ref = [np.sort(codes) for _, codes in _profile_walk(t1, [e1], np.ones(1, dtype=bool))]
+    span = 27 * (int(max(t1.base.max(), t2.base.max())) + 1)
+    block = max(1, _PROFILE_CELLS // (len(t2.index) + 1))
+    for first in range(0, len(candidates), block):
+        chunk = candidates[first : first + block]
+        alive = np.ones(len(chunk), dtype=bool)
+        for want, (rows, codes) in zip(ref, _profile_walk(t2, chunk, alive)):
+            alive &= np.bincount(rows, minlength=len(chunk)) == len(want)
+            sel = alive[rows]
+            got = np.sort(rows[sel] * span + codes[sel]) % span
+            alive[alive] = (got.reshape(np.count_nonzero(alive), len(want)) == want).all(axis=1)
+        yield from (e2 for e2, ok in zip(chunk, alive) if ok)
 
 
 def _pretests_pass(g1: LabeledGraph, g2: LabeledGraph) -> bool:
@@ -319,13 +385,16 @@ def is_isomorphic(
     """Label- and color-preserving isomorphism test.
 
     Cheap pre-tests (node and edge counts, degree sequence, color and label
-    multisets) short-circuit obvious mismatches.  Otherwise one edge of the
-    first graph is split against every edge of the second whose layer
-    profile matches, and for each such pairing the exchange coset of the
-    joined graph (automorphisms fixing the join edge that swap the two split
-    nodes) is searched along the tower.  The first pairing whose coset
-    survives yields the witness; any returned mapping is re-verified before
-    being surfaced.
+    multisets) short-circuit obvious mismatches.  Otherwise one edge e1 of
+    the first graph is split against the same-label edges e2 of the second,
+    in sorted order.  The layer-profile filter (`_profile_filter`) drops
+    every e2 whose BFS level signatures differ from e1's; it walks the
+    candidates together, in blocks of bounded memory.  For each surviving
+    pairing, block by block, the exchange coset of the joined graph
+    (automorphisms fixing the join edge that swap the two split nodes) is
+    searched along the tower.  The first pairing whose coset survives
+    yields the witness, and no later block is walked; any returned mapping
+    is re-verified before being surfaced.
     """
     require_valid(g1, "first graph")
     require_valid(g2, "second graph")
@@ -344,12 +413,9 @@ def is_isomorphic(
 
     e1 = g1.sorted_edges()[0]
     lab1 = g1.label(*e1)
-    profile1 = _LayerProfile(g1, e1)
-    for e2 in g2.sorted_edges():
-        if g2.label(*e2) != lab1:
-            continue
-        if not _profiles_match(profile1, _LayerProfile(g2, e2)):
-            continue
+    candidates = [e2 for e2 in g2.sorted_edges() if g2.label(*e2) == lab1]
+    t1, t2 = _profile_tables(g1, g2)
+    for e2 in _profile_filter(t1, e1, t2, candidates):
         sp = build_x(g1, g2, e1, e2, validated=True)
         dec = layer_sequence(sp.graph, sp.e, validated=True)
         result = _run_tower(dec, use_tree=use_tree, swap=True)

@@ -118,7 +118,7 @@ class LabeledGraph:
         return len(self.adjacency()[v])
 
     def degree_sequence(self) -> list[int]:
-        return sorted(self.degree(v) for v in self._colors)
+        return sorted(len(nbrs) for nbrs in self.adjacency().values())
 
     def relabeled(self, mapping: Mapping[int, int]) -> "LabeledGraph":
         nodes = {mapping[v]: c for v, c in self._colors.items()}
@@ -151,25 +151,26 @@ def validate(g: LabeledGraph, allow_reserved: bool = False) -> list[str]:
             problems.append(f"loop at node {u}")
         if lab < 0 and not allow_reserved:
             problems.append(f"edge ({u},{v}) uses reserved label {lab}")
-    for v in g.node_ids:
+    ids = g.node_ids
+    adj = g.adjacency()
+    for v in ids:
         if g.color(v) < 0 and not allow_reserved:
             problems.append(f"node {v} uses reserved color {g.color(v)}")
-        if g.degree(v) > 3:
-            problems.append(f"node {v} has degree {g.degree(v)} > 3")
-    if g.n_nodes > 1:
+        if len(adj[v]) > 3:
+            problems.append(f"node {v} has degree {len(adj[v])} > 3")
+    if len(ids) > 1:
         seen = set()
-        start = g.node_ids[0]
+        start = ids[0]
         stack = [start]
         seen.add(start)
-        adj = g.adjacency()
         while stack:
             x = stack.pop()
             for y, _ in adj[x]:
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
-        if len(seen) != g.n_nodes:
-            missing = sorted(set(g.node_ids) - seen)
+        if len(seen) != len(ids):
+            missing = sorted(set(ids) - seen)
             problems.append(f"graph is disconnected ({len(missing)} unreachable nodes)")
     return problems
 

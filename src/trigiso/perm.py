@@ -126,14 +126,14 @@ class Permutation:
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """Composition p∘q: the result maps x to p(q(x))."""
-    if p.degree != q.degree:
+    if p.image.shape != q.image.shape:
         raise ValueError("ground-set size mismatch")
     return Permutation(p.image[q.image], _checked=True)
 
 
 def inverse(p: Permutation) -> Permutation:
-    inv = np.empty(p.degree, dtype=np.int32)
-    inv[p.image] = np.arange(p.degree, dtype=np.int32)
+    inv = np.empty_like(p.image)
+    inv[p.image] = np.arange(len(inv), dtype=np.int32)
     return Permutation(inv, _checked=True)
 
 
@@ -349,8 +349,9 @@ class Coset:
     sub: tuple[Permutation, ...]
 
     def __post_init__(self):
+        shape = self.rep.image.shape
         for g in self.sub:
-            if g.degree != self.rep.degree:
+            if g.image.shape != shape:
                 raise ValueError("ground-set size mismatch inside coset")
 
 

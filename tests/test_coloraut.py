@@ -386,3 +386,23 @@ def test_cb_tree_requires_annotation():
     root = build_structure_tree(range(4), ())
     with pytest.raises(ValueError):
         cb_tree(Coset(Permutation.identity(4), ()), root, [0, 0, 0, 0])
+
+
+def test_cb_rejects_unstable_points():
+    # (2 3) moves point 2 out of {0, 1, 2}; {0, 1} and {2, 3} are stable.
+    coset = Coset(Permutation.identity(4), (T(4, 0, 1), T(4, 2, 3)))
+    with pytest.raises(AssertionError, match="not stable"):
+        cb(coset, [0, 1, 2], [0, 1, 0, 0])
+    with pytest.raises(AssertionError, match="not stable"):
+        cb(coset, iter([2, 1, 0]), [0, 1, 0, 0])
+    kept = cb(coset, iter([0, 1, 2, 3]), [0, 1, 0, 0])
+    assert _as_set(kept) == {Permutation.identity(4), T(4, 2, 3)}
+
+
+def test_cb_tree_rejects_unstable_representative():
+    root = build_structure_tree([0, 1], (T(4, 0, 1),))
+    annotate(root, [1, 1, 0, 0], neutral=0)
+    with pytest.raises(AssertionError, match="representative"):
+        cb_tree(Coset(T(4, 1, 2), (T(4, 0, 1),)), root, [1, 1, 0, 0])
+    kept = cb_tree(Coset(T(4, 2, 3), (T(4, 0, 1),)), root, [1, 1, 0, 0])
+    assert kept is not None and kept.rep == T(4, 2, 3)

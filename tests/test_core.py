@@ -8,8 +8,9 @@ import pytest
 from trigiso import core
 from trigiso.coloraut import annotate, build_structure_tree, cb, cb_tree
 from trigiso.core import AutResult, aut_e_generators, is_isomorphic, lift
-from trigiso.graphs import GraphError, LabeledGraph, build_x, is_graph_isomorphism
+from trigiso.graphs import GraphError, LabeledGraph, build_x, is_graph_isomorphism, validate
 from trigiso.harness import (
+    degree_sequence_graph,
     oracle_aut_e,
     oracle_isomorphic,
     random_relabeling,
@@ -313,3 +314,229 @@ def test_node_color_check_raises():
     with pytest.raises(AssertionError, match="color"):
         core._LevelContext(dec, 1, [], swap)
     core._LevelContext(dec, 1, [Permutation.transposition(dec.n, 0, 1)], None)
+
+
+# -- the batched layer-profile filter against the per-edge reference ----------
+
+
+class ReferenceLayerProfile:
+    """Per-edge layer profile over dicts and tuples, the filter's reference.
+
+    Level d is the sorted tuple of (color, sorted (label, step)) signatures
+    of the nodes at BFS depth d from the edge, step the sign of the
+    neighbor's depth minus the node's.
+    """
+
+    def __init__(self, g: LabeledGraph, e):
+        self.adj = g.adjacency()
+        self.colors = {v: g.color(v) for v in g.node_ids}
+        self.dist = {e[0]: 1, e[1]: 1}
+        self.frontier = [e[0], e[1]]
+        self.levels = [self._level_sig(self.frontier)]
+
+    def _level_sig(self, nodes):
+        dist = self.dist
+        sigs = []
+        for v in nodes:
+            dv = dist[v]
+            incident = sorted(
+                (lab, min(max(dist.get(w, dv + 1) - dv, -1), 1)) for w, lab in self.adj[v]
+            )
+            sigs.append((self.colors[v], tuple(incident)))
+        return tuple(sorted(sigs))
+
+    def level(self, d: int):
+        """Signature of level d (0-based), or None past the last level."""
+        while d >= len(self.levels) and self.frontier:
+            nxt = []
+            for v in self.frontier:
+                for w, _ in self.adj[v]:
+                    if w not in self.dist:
+                        self.dist[w] = self.dist[v] + 1
+                        nxt.append(w)
+            self.frontier = nxt
+            if nxt:
+                self.levels.append(self._level_sig(nxt))
+        return self.levels[d] if d < len(self.levels) else None
+
+
+def reference_profiles_match(p1, p2) -> bool:
+    d = 0
+    while True:
+        s1, s2 = p1.level(d), p2.level(d)
+        if s1 != s2:
+            return False
+        if s1 is None:
+            return True
+        d += 1
+
+
+def _candidates(g1, g2, e1):
+    return [e2 for e2 in g2.sorted_edges() if g2.label(*e2) == g1.label(*e1)]
+
+
+def filtered(g1, g2, e1=None):
+    e1 = e1 or g1.sorted_edges()[0]
+    t1, t2 = core._profile_tables(g1, g2)
+    return list(core._profile_filter(t1, e1, t2, _candidates(g1, g2, e1)))
+
+
+def reference_filtered(g1, g2, e1=None):
+    e1 = e1 or g1.sorted_edges()[0]
+    p1 = ReferenceLayerProfile(g1, e1)
+    return [
+        e2 for e2 in _candidates(g1, g2, e1)
+        if reference_profiles_match(p1, ReferenceLayerProfile(g2, e2))
+    ]
+
+
+def _recolored(g: LabeledGraph, seed: int, colors: int, labels: int) -> LabeledGraph:
+    rng = random.Random(seed)
+    return LabeledGraph(
+        {v: rng.randrange(colors) for v in g.node_ids},
+        {e: rng.randrange(labels) for e in g.sorted_edges()},
+    )
+
+
+def _two_switch(g: LabeledGraph, seed: int) -> LabeledGraph:
+    """A connected degree-preserving switch ab, cd -> ac, bd of g."""
+    rng = random.Random(seed)
+    edges = g.sorted_edges()
+    while True:
+        (a, b), (c, d) = rng.sample(edges, 2)
+        if len({a, b, c, d}) < 4 or g.has_edge(a, c) or g.has_edge(b, d):
+            continue
+        out = set(edges) - {(a, b), (c, d)} | {tuple(sorted(p)) for p in ((a, c), (b, d))}
+        h = LabeledGraph(g.node_ids, out)
+        if not validate(h):
+            return h
+
+
+def _path(n: int) -> LabeledGraph:
+    return LabeledGraph(range(n), [(i, i + 1) for i in range(n - 1)])
+
+
+def _ladder(k: int, moebius: bool = False) -> LabeledGraph:
+    """Circular ladder on 2k nodes, or with moebius=True its twisted form."""
+    edges = [(i, k + i) for i in range(k)]
+    edges += [(i, i + 1) for i in range(k - 1)] + [(k + i, k + i + 1) for i in range(k - 1)]
+    edges += [(k - 1, k), (0, 2 * k - 1)] if moebius else [(k - 1, 0), (2 * k - 1, k)]
+    return LabeledGraph(range(2 * k), edges)
+
+
+def _tree(n: int, seed: int) -> LabeledGraph:
+    rng = random.Random(seed)
+    deg = [0] * n
+    edges = []
+    for v in range(1, n):
+        u = rng.choice([w for w in range(v) if deg[w] < 3])
+        deg[u] += 1
+        deg[v] += 1
+        edges.append((u, v))
+    return LabeledGraph(range(n), edges)
+
+
+def _profile_cases():
+    # Paths p-x-a-b-y-q, x and y colored: every level has the same colors,
+    # labels and steps, but x's leaf edge has label 2 in one and 1 in the
+    # other, so only the pairing of labels with steps tells them apart.
+    colors = {0: 0, 1: 0, 2: 1, 3: 2, 4: 0, 5: 0}
+    yield (
+        "label-step-pairing",
+        LabeledGraph(colors, {(0, 1): 0, (0, 2): 1, (1, 3): 2, (2, 4): 2, (3, 5): 1}),
+        LabeledGraph(colors, {(0, 1): 0, (1, 2): 2, (0, 3): 1, (2, 4): 1, (3, 5): 2}),
+    )
+    for seed in range(6):
+        g = random_ternary_graph(30 + 7 * seed, seed)
+        h, _ = random_relabeling(g, seed + 40)
+        yield f"relabel-{seed}", g, h
+        yield f"other-{seed}", g, random_ternary_graph(30 + 7 * seed, seed + 90)
+        c = _recolored(g, seed, 3, 3)
+        yield f"colored-{seed}", c, random_relabeling(c, seed)[0]
+        yield f"colored-other-{seed}", c, _recolored(g, seed + 7, 3, 3)
+        t = _tree(25 + seed, seed)
+        yield f"tree-path-{seed}", t, _path(25 + seed)
+        yield f"tree-{seed}", t, _tree(25 + seed, seed + 50)
+        yield f"path-{seed}", _path(9 + seed), _path(9 + seed)
+        cubic = degree_sequence_graph([3] * (40 + 2 * seed), seed)
+        yield f"cubic-switch-{seed}", cubic, random_relabeling(_two_switch(cubic, seed), seed)[0]
+        ladder = _ladder(8 + seed)
+        yield f"ladder-{seed}", ladder, random_relabeling(ladder, seed)[0]
+        for name, colored in (("colors", _recolored(ladder, seed, 2, 1)),
+                              ("labels", _recolored(ladder, seed, 1, 2))):
+            yield f"ladder-{name}-{seed}", colored, random_relabeling(colored, seed)[0]
+        yield f"ladder-moebius-{seed}", ladder, _ladder(8 + seed, moebius=True)
+
+
+    # Small unrelated graphs and small cubic switches share long profile
+    # prefixes, so they tell apart the three step values.
+    for seed in range(160):
+        n = 6 + seed % 10
+        yield f"small-{seed}", random_ternary_graph(n, seed), random_ternary_graph(n, seed + 500)
+    for seed in range(12):
+        cubic = degree_sequence_graph([3] * (8 + 2 * (seed % 6)), seed)
+        yield f"small-cubic-switch-{seed}", cubic, _two_switch(cubic, seed)
+    # One small graph under two random colorings, or two random labelings.
+    for seed in range(60):
+        base = random_ternary_graph(6 + seed % 10, seed)
+        for name, colors, labels in (("colors", 2, 1), ("labels", 1, 2)):
+            yield (f"small-{name}-{seed}", _recolored(base, seed, colors, labels),
+                   _recolored(base, seed + 1000, colors, labels))
+
+
+@pytest.mark.parametrize("name,g1,g2", list(_profile_cases()))
+def test_profile_filter_matches_reference(name, g1, g2):
+    assert filtered(g1, g2) == reference_filtered(g1, g2)
+
+
+def test_profile_filter_matches_reference_from_every_edge():
+    # Rooted anywhere, including edges whose profile has a different
+    # number of levels than most candidates'.
+    g = _recolored(random_ternary_graph(24, 3), 3, 2, 2)
+    h = random_relabeling(g, 8)[0]
+    for e1 in g.sorted_edges():
+        assert filtered(g, h, e1) == reference_filtered(g, h, e1)
+    t = _tree(20, 1)
+    for e1 in t.sorted_edges():
+        assert filtered(t, _path(20), e1) == reference_filtered(t, _path(20), e1)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_profile_filter_keeps_the_image_of_e1(seed):
+    g = _recolored(random_ternary_graph(40 + seed, seed), seed, 1 + seed % 3, 1 + seed % 2)
+    h, mapping = random_relabeling(g, seed)
+    e1 = g.sorted_edges()[0]
+    image = tuple(sorted((mapping[e1[0]], mapping[e1[1]])))
+    assert image in filtered(g, h, e1)
+
+
+def test_profile_filter_blocks_give_the_same_edges(monkeypatch):
+    cases = [(g1, g2) for _, g1, g2 in _profile_cases()]
+    whole = [filtered(g1, g2) for g1, g2 in cases]
+    assert any(len(c) > 1 for c in whole)
+    for cells in (1, 40, 100):  # one candidate per block, then a few
+        monkeypatch.setattr(core, "_PROFILE_CELLS", cells)
+        assert [filtered(g1, g2) for g1, g2 in cases] == whole
+
+
+def test_is_isomorphic_runs_towers_block_by_block(monkeypatch):
+    # Two accepted pairings fail their towers before the third succeeds; a
+    # positive stops there, whatever the blocks.
+    g = degree_sequence_graph([3] * 10, 30)
+    h, _ = random_relabeling(g, 30)
+    towers = []
+
+    def recording_build_x(g1, g2, e1, e2, **kw):
+        towers.append(e2)
+        return build_x(g1, g2, e1, e2, **kw)
+
+    monkeypatch.setattr(core, "build_x", recording_build_x)
+    calls = {}
+    for cells in (core._PROFILE_CELLS, 11):  # one block, then one row per block
+        monkeypatch.setattr(core, "_PROFILE_CELLS", cells)
+        towers.clear()
+        res = is_isomorphic(g, h, want_mapping=True)
+        assert res.isomorphic and is_graph_isomorphism(g, h, res.mapping)
+        calls[cells] = list(towers)
+    first, rowwise = calls.values()
+    assert first == rowwise == reference_filtered(g, h)[:3]

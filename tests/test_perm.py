@@ -54,6 +54,12 @@ def test_compose_size_mismatch():
         compose(T(3, 0, 1), T(4, 0, 1))
 
 
+def test_coset_size_mismatch():
+    with pytest.raises(ValueError, match="inside coset"):
+        Coset(T(3, 0, 1), (T(3, 1, 2), T(4, 0, 1)))
+    Coset(T(3, 0, 1), (T(3, 1, 2),))
+
+
 def test_inverse_roundtrip():
     rng = random.Random(7)
     for _ in range(25):
