@@ -3,13 +3,14 @@
 Implements the bounded-degree graph isomorphism algorithm of E. Luks (1982)
 for graphs of maximum degree three, with the practical refinements that make
 it usable: triangle rewriting of size-3 neighbor sets, smooth generating
-sequences for all 2-group bookkeeping, structure-tree-guided coset
-filtering, initial invariant tests, and part-exchange coset restriction.
+sequences for all 2-group bookkeeping, color filtering of each tower
+level's coset by the recursive solver `cb`, initial invariant tests, and
+part-exchange coset restriction.
 Includes an adaptation to fully resolved rooted phylogenetic networks
 (eNewick in/out), brute-force oracles, and a seeded benchmark harness.
 """
 
-from .coloraut import StructureTreeNode, annotate, build_structure_tree, cb, cb_tree
+from .coloraut import cb
 from .core import (
     AutResult,
     IsoResult,
@@ -88,16 +89,12 @@ __all__ = [
     "Permutation",
     "PhyloNetwork",
     "Splice",
-    "StructureTreeNode",
-    "annotate",
     "aut_e_generators",
     "bench_csv",
     "bench_run",
     "bench_summary",
-    "build_structure_tree",
     "build_x",
     "cb",
-    "cb_tree",
     "compose",
     "coset_union",
     "cycle_string",

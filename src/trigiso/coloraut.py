@@ -5,24 +5,22 @@ ground set, and a stable subset B of colored points, extract the subset of
 coset elements that preserve the color of every point of B.  When nonempty,
 that subset is again a coset of the color-preserving subgroup, and `cb`
 computes it by the classical three-way recursion: singleton test, sequential
-filtering over orbits, or an index-2 split along a two-block system.
+filtering over orbits, or an index-2 split along a two-block system.  `cb`
+is the solver every tower level runs.
 
-`cb_tree` computes the same thing guided by a precomputed structure tree:
-a binary tree over B to which the whole group action lifts.  Subtrees that
-contain no non-neutrally colored point impose no constraints and are skipped
-outright, and chains of "facile" nodes are collapsed through their delta
-links.  Skipping is sound whenever the coset representative maps B onto
-itself (true for every use in the isomorphism pipeline, where colors are
-closed under the ambient action); `cb` itself never relies on it.
-
-If filtering shrinks the group, a stored transitive split may stop being
-transitive for the current subgroup; those nodes fall back to the unguided
-recursion on their active points.  Both solvers return identical cosets.
+`cb_tree` is a reference kept to be compared against `cb`: the same filter
+guided by a precomputed structure tree, a binary tree over B to which the
+whole group action lifts.  Subtrees that contain no non-neutrally colored
+point are skipped, which is sound whenever the coset representative maps B
+onto itself, and chains of "facile" nodes are collapsed through their delta
+links.  Where filtering has made a stored transitive split intransitive, it
+falls back to `cb`'s recursion on the active points.  Both solvers return
+identical cosets.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +40,7 @@ ColorSeq = Sequence  # ground-indexed sequence of hashable color values
 
 
 # ---------------------------------------------------------------------------
-# Unguided solver
+# The solver
 # ---------------------------------------------------------------------------
 
 
@@ -145,7 +143,7 @@ def cb(coset: Coset | None, points, colors: ColorSeq) -> Coset | None:
 
 
 # ---------------------------------------------------------------------------
-# Structure trees
+# Reference: structure trees
 # ---------------------------------------------------------------------------
 
 
@@ -166,8 +164,7 @@ class StructureTreeNode:
         "parent",
         "transitive",
         "block_left",
-        "_stab_gens",
-        "_stab_from",
+        "stab_gens",
         "tau",
         "active",
         "facile",
@@ -181,30 +178,11 @@ class StructureTreeNode:
         self.parent: StructureTreeNode | None = None
         self.transitive = False
         self.block_left: frozenset[int] | None = None
-        self._stab_gens: tuple[Permutation, ...] | None = None
-        self._stab_from: tuple[StructureTreeNode, Permutation, Permutation] | None = None
+        self.stab_gens: tuple[Permutation, ...] | None = None
         self.tau: Permutation | None = None
         self.active: bool | None = None
         self.facile: bool | None = None
         self.delta: StructureTreeNode | None = None
-
-    @property
-    def stab_gens(self) -> tuple[Permutation, ...] | None:
-        """Generators of the setwise stabilizer of `block_left` (transitive nodes).
-
-        A node inside a relabelled copy conjugates its source node's
-        generators on access: storing them would cost one permutation per
-        generator for every copied node, and no solver reads them.
-        """
-        if self._stab_from is None:
-            return self._stab_gens
-        src, tau, tau_inv = self._stab_from
-        return tuple(compose(tau, compose(g, tau_inv)) for g in src.stab_gens)
-
-    @stab_gens.setter
-    def stab_gens(self, gens: tuple[Permutation, ...] | None) -> None:
-        self._stab_gens = gens
-        self._stab_from = None
 
     def is_leaf(self) -> bool:
         return self.left is None
@@ -227,8 +205,8 @@ def _relabel_subtree(node: StructureTreeNode, tau: Permutation, tau_inv: Permuta
     copy.transitive = node.transitive
     if node.block_left is not None:
         copy.block_left = frozenset(int(tau.image[x]) for x in node.block_left)
-    if node.transitive:
-        copy._stab_from = (node, tau, tau_inv)
+    if node.stab_gens is not None:
+        copy.stab_gens = tuple(compose(tau, compose(g, tau_inv)) for g in node.stab_gens)
     if node.tau is not None:
         copy.tau = compose(tau, compose(node.tau, tau_inv))
     if not node.is_leaf():
@@ -311,19 +289,15 @@ def annotate(
 ) -> StructureTreeNode:
     """Set active/facile flags and delta links, bottom-up.
 
-    `neutral` is either the neutral color value or a predicate on colors.
-    A node is active if its content meets a non-neutral point; an active
-    intransitive interior node with exactly one active child is facile, and
-    its delta link jumps to the nearest non-facile descendant.
+    A node is active if its content meets a point whose color is not
+    `neutral`; an active intransitive interior node with exactly one active
+    child is facile, and its delta link jumps to the nearest non-facile
+    descendant.
     """
-    if callable(neutral):
-        is_neutral = neutral
-    else:
-        is_neutral = lambda c: c == neutral
 
     def visit(node: StructureTreeNode):
         if node.is_leaf():
-            node.active = not is_neutral(colors[node.content[0]])
+            node.active = colors[node.content[0]] != neutral
             node.facile = False
             node.delta = node
             return
@@ -343,7 +317,7 @@ def annotate(
 
 
 # ---------------------------------------------------------------------------
-# Tree-guided solver
+# Reference: the tree-guided solver
 # ---------------------------------------------------------------------------
 
 

@@ -5,7 +5,7 @@ computed level by level along the layer tower: the kernel of the restriction
 to the previous layer is generated by same-fiber transpositions, and the
 image of the restriction is exactly the part of the previous group that
 preserves the colors of the materialized tower elements (neighbor sets and
-new edge pairs).  That color filtering is delegated to the coset solver,
+new edge pairs).  That color filtering is delegated to the coset solver `cb`,
 whose ground points B_r are those materialized elements only, closed under
 the level's group and integer-coded by the layer decomposition.  The nodes
 of the previous layer stay out of B_r: every permutation reaching a level
@@ -28,6 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+# Only `cb` runs here; perfbench/tracing.py patches the tree names in this module.
 from .coloraut import annotate, build_structure_tree, cb, cb_tree
 from .graphs import LabeledGraph, build_x, is_graph_isomorphism, require_valid
 from .layers import LayerDecomposition, _sorted_distinct, layer_sequence
@@ -84,16 +85,9 @@ class _LevelContext:
         colors = self.dec.element_colors(self.r, self.keys)
         return [0] * self.dec.n + colors.tolist()
 
-    def solve(self, use_tree: bool) -> Coset | None:
+    def solve(self) -> Coset | None:
         """Color-preserving part of the extended coset over B_r."""
-        coset = self.extend()
-        colors = self.colors()
-        points = range(self.dec.n, self.m)
-        if use_tree:
-            root = build_structure_tree(points, coset.sub)
-            annotate(root, colors, neutral=0)
-            return cb_tree(coset, root, colors)
-        return cb(coset, points, colors)
+        return cb(self.extend(), range(self.dec.n, self.m), self.colors())
 
 
 def lift(dec: LayerDecomposition, r: int, sigma: Permutation) -> Permutation:
@@ -107,7 +101,7 @@ def lift(dec: LayerDecomposition, r: int, sigma: Permutation) -> Permutation:
     return Permutation(dec.lift_image(r, sigma.image), _checked=True)
 
 
-def _run_tower(dec: LayerDecomposition, use_tree: bool, swap: bool):
+def _run_tower(dec: LayerDecomposition, swap: bool):
     """Run the level loop; returns (generators, representative) or None.
 
     With swap=False the result generates the full edge-fixing automorphism
@@ -134,7 +128,7 @@ def _run_tower(dec: LayerDecomposition, use_tree: bool, swap: bool):
             s_gens = gens
             s_rep = rep
         else:
-            out = ctx.solve(use_tree)
+            out = ctx.solve()
             if out is None:
                 if swap:
                     return None
@@ -205,14 +199,10 @@ class AutResult:
     swap_witness: Permutation | None
 
 
-def aut_e_generators(
-    g: LabeledGraph,
-    e: tuple[int, int],
-    use_tree: bool = True,
-) -> AutResult:
+def aut_e_generators(g: LabeledGraph, e: tuple[int, int]) -> AutResult:
     """Smooth generators of the automorphisms of g that fix e setwise."""
     dec = layer_sequence(g, e)
-    gens, _ = _run_tower(dec, use_tree=use_tree, swap=False)
+    gens, _ = _run_tower(dec, swap=False)
     contracted = _contract(dec, gens)
     ids, pos = _original_positions(dec)
     a, b = min(e), max(e)
@@ -380,7 +370,6 @@ def is_isomorphic(
     g1: LabeledGraph,
     g2: LabeledGraph,
     want_mapping: bool = False,
-    use_tree: bool = True,
 ) -> IsoResult:
     """Label- and color-preserving isomorphism test.
 
@@ -418,7 +407,7 @@ def is_isomorphic(
     for e2 in _profile_filter(t1, e1, t2, candidates):
         sp = build_x(g1, g2, e1, e2, validated=True)
         dec = layer_sequence(sp.graph, sp.e, validated=True)
-        result = _run_tower(dec, use_tree=use_tree, swap=True)
+        result = _run_tower(dec, swap=True)
         if result is None:
             continue
         witness = _contract(dec, [result[1]])[0]

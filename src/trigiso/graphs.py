@@ -187,8 +187,8 @@ def require_valid(g: LabeledGraph, what: str = "graph", allow_reserved: bool = F
 #   node <id> [<color>]
 #   edge <id> <id> [<label>]
 #
-# ids, colors and labels are decimal non-negative integers; duplicate edges
-# are rejected.
+# ids, colors and labels are non-negative integers in ASCII decimal;
+# duplicate edges are rejected.
 
 
 def parse_graph_text(text: str) -> LabeledGraph:
@@ -200,7 +200,8 @@ def parse_graph_text(text: str) -> LabeledGraph:
             continue
         parts = line.split()
         kind, args = parts[0], parts[1:]
-        if not all(a.isdigit() for a in args):
+        fields = "".join(args)
+        if fields and not (fields.isascii() and fields.isdigit()):
             raise GraphFormatError(f"non-numeric field in {line!r}", lineno)
         if kind == "node":
             if len(args) not in (1, 2):

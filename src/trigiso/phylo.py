@@ -236,7 +236,6 @@ def phylo_isomorphic(
     n1: PhyloNetwork,
     n2: PhyloNetwork,
     want_mapping: bool = False,
-    use_tree: bool = True,
 ) -> IsoResult:
     """Isomorphism of rooted binary networks, as directed labeled graphs.
 
@@ -269,7 +268,7 @@ def phylo_isomorphic(
     joined = LabeledGraph(nodes, edges)
 
     dec = layer_sequence(joined, e, validated=True)
-    result = _run_tower(dec, use_tree=use_tree, swap=True)
+    result = _run_tower(dec, swap=True)
     if result is None:
         return IsoResult(False)
     if not want_mapping:

@@ -68,6 +68,14 @@ def test_invalid_graph_is_input_error(capsys, tmp_path):
     assert code == 3 and "disconnected" in err
 
 
+def test_non_ascii_digit_is_input_error(capsys, tmp_path):
+    p = tmp_path / "sup.graph"
+    p.write_text("node \u00b2\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "iso", str(p), str(p))
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "non-numeric" in err
+
+
 def test_aut_prints_generators_in_original_ids(capsys, tmp_path):
     p = tmp_path / "path.graph"
     p.write_text("node 3\nnode 5\nnode 7\nnode 9\nedge 3 5\nedge 5 7\nedge 7 9\n")

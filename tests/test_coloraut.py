@@ -235,23 +235,24 @@ def test_structure_tree_matches_per_node_orbits(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_structure_tree_matches_per_node_orbits_on_towers(seed, monkeypatch):
-    # Record every tree the tower builds, for the full edge-fixing group and
-    # for a relabelled positive, and rebuild each one with the reference.
+    # Record every level coset the tower solves, for the full edge-fixing
+    # group and for a relabelled positive, and build each one's tree both
+    # ways.
     inputs = []
-    real = core.build_structure_tree
+    real = core.cb
 
-    def spy(points, gens):
-        inputs.append((list(points), tuple(gens)))
-        return real(points, gens)
+    def spy(coset, points, colors):
+        inputs.append((list(points), tuple(coset.sub)))
+        return real(coset, points, colors)
 
-    monkeypatch.setattr(core, "build_structure_tree", spy)
+    monkeypatch.setattr(core, "cb", spy)
     g = random_ternary_graph(24, seed)
     core.aut_e_generators(g, g.sorted_edges()[0])
     h, _ = random_relabeling(g, seed)
     assert core.is_isomorphic(g, h).isomorphic
     assert inputs
     for points, gens in inputs:
-        _assert_same_tree(real(points, gens), _reference_tree(points, gens))
+        _assert_same_tree(build_structure_tree(points, gens), _reference_tree(points, gens))
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -80,8 +80,6 @@ def test_group_matches_oracle(seed):
     want = set(oracle_aut_e(g, e))
     res = aut_e_generators(g, e)
     assert _group(res, n) == want
-    res_plain = aut_e_generators(g, e, use_tree=False)
-    assert _group(res_plain, n) == want
 
 
 def test_lift_identity_and_determinism():
@@ -275,33 +273,30 @@ def test_lift_raises_on_fiber_mismatch():
         lift(dec, 1, Permutation.transposition(5, 0, 1))
 
 
-@pytest.mark.parametrize("use_tree", [True, False])
 @pytest.mark.parametrize("seed", range(3))
-def test_level_solve_over_elements_equals_solve_with_nodes(monkeypatch, use_tree, seed):
+def test_level_solve_over_elements_equals_solve_with_nodes(monkeypatch, seed):
     # The nodes of X_{r-1}, given non-neutral colors and added to the
-    # points, change no level's coset: rep and every generator agree.
+    # points, change no level's coset: rep and every generator agree, under
+    # both `cb` and the tree-guided reference `cb_tree`.
     solved = []
 
     class Checked(core._LevelContext):
-        def solve(self, use_tree):
-            got = super().solve(use_tree)
+        def solve(self):
+            got = super().solve()
             dec, n = self.dec, self.dec.n
             coset = self.extend()
             colors = [("n", c) for c in dec.colors] + self.colors()[n:]
             points = [v for v in range(n) if dec.level_of[v] <= self.r - 1]
             points += range(n, self.m)
-            if use_tree:
-                root = build_structure_tree(points, coset.sub)
-                annotate(root, colors, neutral=0)
-                want = cb_tree(coset, root, colors)
-            else:
-                want = cb(coset, points, colors)
-            assert _same_coset(got, want)
+            root = build_structure_tree(points, coset.sub)
+            annotate(root, colors, neutral=0)
+            assert _same_coset(got, cb(coset, points, colors))
+            assert _same_coset(got, cb_tree(coset, root, colors))
             solved.append(self.r)
             return got
 
     monkeypatch.setattr(core, "_LevelContext", Checked)
-    decide_tower_cases(40, seed, use_tree=use_tree)
+    decide_tower_cases(40, seed)
     assert solved
 
 

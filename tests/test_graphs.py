@@ -78,6 +78,10 @@ def test_parse_rejects_duplicates_and_junk():
         parse_graph_text("vertex 0\n")
     with pytest.raises(GraphFormatError):
         parse_graph_text("node -3\n")
+    # str.isdigit accepts these; the format takes ASCII decimal only.
+    for field in ["\u00b2", "\u0663", "1\uff12", "\u2460"]:
+        with pytest.raises(GraphFormatError, match="non-numeric"):
+            parse_graph_text(f"node 0\nnode {field}\n")
 
 
 def test_parse_comments_and_colors():

@@ -195,15 +195,15 @@ def reference_b_set(dec, r, gens) -> list:
     )
 
 
-def decide_tower_cases(n: int, seed: int, use_tree: bool = True):
+def decide_tower_cases(n: int, seed: int):
     """Full-group towers, exchange-coset towers and a network twin."""
     g = random_ternary_graph(n, seed)
-    aut_e_generators(g, g.sorted_edges()[0], use_tree=use_tree)
+    aut_e_generators(g, g.sorted_edges()[0])
     h, _ = random_relabeling(g, seed)
-    assert is_isomorphic(g, h, use_tree=use_tree)
+    assert is_isomorphic(g, h)
     net = random_network(n // 2 + 1, seed=seed)
     twin = net.relabeled_nodes({v: 1000 + v for v in net.nodes})
-    assert phylo_isomorphic(net, twin, use_tree=use_tree)
+    assert phylo_isomorphic(net, twin)
 
 
 @pytest.mark.parametrize("n", [24, 40, 64])
