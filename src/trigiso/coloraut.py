@@ -4,9 +4,35 @@ Core problem: given a coset rep·<gens> of a 2-group acting on an indexed
 ground set, and a stable subset B of colored points, extract the subset of
 coset elements that preserve the color of every point of B.  When nonempty,
 that subset is again a coset of the color-preserving subgroup, and `cb`
-computes it by the classical three-way recursion: singleton test, sequential
-filtering over orbits, or an index-2 split along a two-block system.  `cb`
-is the solver every tower level runs.
+computes it by the classical recursion (Luks 1982): sequential filtering
+over orbits, or an index-2 split along a two-block system.  `cb` is the
+solver every tower level runs.
+
+The recursion runs on int arrays, not `Permutation` objects.  A coset is a
+pair: the generators as one int32 image array, one row each, and the
+representative's row.  B is a sorted index array into the columns; at a
+tower level it is B_r = [n, m), a slice of every row.  Every other column
+(the nodes, at a tower level) is never read, but rides along and is moved
+by every composition and inverse: the level's action on B need not be
+faithful, so two elements that agree on B can still differ on the nodes,
+and the result must be exact on the whole ground set.  A generator that
+fixes every point of B passes every filter unchanged, so it stays out of
+the kernel and keeps its place in the result.  Colors enter as int codes:
+an int array is used as it is, any other sequence of hashable colors is
+coded once on entry.
+
+Each recursive call first makes the color-multiset cut.  Let S be the
+call's point set, stable under the coset's subgroup H.  Every h in H maps S
+onto S, so every element rep·h maps S onto rep(S).  An element that
+preserves colors on S is a color-preserving bijection from S onto rep(S),
+which exists only if S and rep(S) have the same multiset of colors; when
+they differ the result is empty, and the call returns None.  When S and
+rep(S) have one and the same color, every element preserves colors on S,
+and the recursion would return its input unchanged: by induction no branch
+of it reports a change.  The call then returns its input at once.  Both
+are exactly what the full recursion returns, and the same cut runs on
+every orbit of an intransitive call, all orbits at once.  A transitive pair
+of points is decided by two color comparisons per branch.
 
 `cb_tree` is a reference kept to be compared against `cb`: the same filter
 guided by a precomputed structure tree, a binary tree over B to which the
@@ -24,19 +50,28 @@ from typing import Sequence
 
 import numpy as np
 
+from . import perm
 from .perm import (
     Coset,
     Permutation,
     compose,
     coset_union,
-    index2_sgs,
     inverse,
+    inverse_image,
     is_transitive,
-    orbit_partition,
-    two_block_system,
+    maps_into,
+    point_array,
+    restricted,
 )
 
 ColorSeq = Sequence  # ground-indexed sequence of hashable color values
+
+# The kernel calls its array primitives through these names, where the
+# benchmark's tracer patches them to time the orbit, block and index-2 stages
+# (as perm.orbit_partition, perm.two_block_system, perm.index2_sgs).
+orbit_partition = perm.orbit_labels
+two_block_system = perm.block_halves
+index2_sgs = perm.index2_images
 
 
 # ---------------------------------------------------------------------------
@@ -44,102 +79,155 @@ ColorSeq = Sequence  # ground-indexed sequence of hashable color values
 # ---------------------------------------------------------------------------
 
 
-def _filter_singleton(coset: Coset, b: int, colors: ColorSeq):
-    # B is stable and a singleton, so every coset element sends b to rep(b).
-    if colors[coset.rep(b)] == colors[b]:
-        return coset, False
-    return None, True
+def _cb(coset, points: np.ndarray, colors: np.ndarray):
+    """Color-preserving part of a coset over a stable point set.
 
-
-def _transitive_step(coset, block_left, sub_filter):
-    """Index-2 split: filter rep·H and rep·tau·H, then merge.
-
-    `sub_filter(c)` filters a coset over both halves and reports whether
-    anything changed.  When neither branch changed, the union is the input
-    coset itself, which keeps generating sequences from growing on no-op
-    filters.
+    `coset` is a pair (generators, representative) of int32 image arrays,
+    one generator per row, or None; `points` is a sorted index array, stable
+    under the generators; `colors` holds an int code for every column.
+    Returns (coset or None, changed); when nothing changed the coset is the
+    input pair itself.
     """
-    gens = coset.sub
-    bl = min(block_left)
-    member = lambda g: int(g.image[bl]) in block_left
-    tau = next((g for g in gens if not member(g)), None)
-    if tau is None:
-        raise ValueError("block system does not split the acting group")
-    h = index2_sgs(gens, member)
-    b1, ch1 = sub_filter(Coset(coset.rep, h))
-    b2, ch2 = sub_filter(Coset(compose(coset.rep, tau), h))
-    if b1 is None and b2 is None:
-        return None, True
-    if b1 is None:
-        return b2, True
-    if b2 is None:
-        return b1, True
-    if not ch1 and not ch2:
-        return coset, False
-    return coset_union(b1, b2), True
-
-
-def _cb(coset, points: list[int], colors: ColorSeq):
     if coset is None:
         return None, True
-    if not points:
+    s = len(points)
+    if not s:
         return coset, False
-    if len(points) == 1:
-        return _filter_singleton(coset, points[0], colors)
-    gens = coset.sub
-    if not gens:
-        cur, changed = coset, False
-        for b in sorted(points):
-            cur, ch = _filter_singleton(cur, b, colors)
-            changed |= ch
-            if cur is None:
-                return None, True
-        return cur, changed
-    orbits = orbit_partition(gens, points)
-    if len(orbits) > 1:
-        cur, changed = coset, False
-        for orb in orbits:
-            cur, ch = _cb(cur, sorted(orb), colors)
-            changed |= ch
-            if cur is None:
-                return None, True
-        return cur, changed
-    block_left, block_right = two_block_system(gens, points)
-    if min(points) not in block_left:
-        block_left, block_right = block_right, block_left
-    left_sorted = sorted(block_left)
-    right_sorted = sorted(block_right)
-
-    def sub_filter(c):
-        out, ch = _cb(c, left_sorted, colors)
-        if out is None:
+    gens, rep = coset
+    here, there = colors[points], colors[rep[points]]
+    a, b = np.sort(here), np.sort(there)
+    if a[0] == a[-1] == b[0] == b[-1]:
+        return coset, False
+    if (a != b).any():
+        return None, True
+    if not len(gens):
+        return (coset, False) if (here == there).all() else (None, True)
+    images = restricted(gens, points)
+    lab = orbit_partition(images)
+    if not lab.any():
+        return _split(coset, points, images, colors)
+    # The cut on every orbit at once; orbits of one color on both sides pass.
+    if (np.sort(here * s + lab) != np.sort(there * s + lab)).any():
+        return None, True
+    varied = np.zeros(s, dtype=bool)
+    varied[lab[here != here[lab]]] = True
+    cur, changed = coset, False
+    for root in np.flatnonzero(varied):
+        orb = points[lab == root]
+        if cur is coset:  # same generators: the orbit is transitive
+            cur, ch = _split(cur, orb, restricted(gens, orb), colors)
+        else:
+            cur, ch = _cb(cur, orb, colors)
+        changed |= ch
+        if cur is None:
             return None, True
-        out, ch2 = _cb(out, right_sorted, colors)
-        return out, ch or ch2
-
-    return _transitive_step(coset, block_left, sub_filter)
+    return cur, changed
 
 
-def _maps_into(images: np.ndarray, points) -> bool:
-    """Whether every image row (one permutation each) sends `points` into itself."""
-    points = np.asarray(points, dtype=np.intp)
-    inside = np.zeros(images.shape[-1], dtype=bool)
-    inside[points] = True
-    return bool(inside[images[..., points]].all())
+def _split(coset, points, images, colors):
+    """Index-2 split of a transitive orbit: filter rep·H and rep·tau·H, then merge.
+
+    H is the setwise stabilizer of the block of the smallest point, tau the
+    first generator that moves that block.  On two points each branch is
+    decided by two color comparisons.
+    """
+    gens, rep = coset
+    left = two_block_system(images)
+    keep = left[images[:, 0]]
+    moves = np.flatnonzero(~keep)
+    if not len(moves):
+        raise ValueError("block system does not split the acting group")
+    h = index2_sgs(gens, keep)
+    if __debug__:
+        # h maps the points onto themselves, so each image is found in them.
+        moved = np.searchsorted(points, h[moves, points[0]])
+        assert left[moved].all(), "index2_sgs precondition violated"
+    reps = (rep, rep[gens[moves[0]]])
+    if len(points) == 2:
+        a, b = colors[points].tolist()
+        ra, rb = colors[rep[points]].tolist()
+        ok = (ra == a and rb == b, rb == a and ra == b)
+        if all(ok):
+            return coset, False
+        if not any(ok):
+            return None, True
+        return (h, reps[ok.index(True)]), True
+    halves = points[left], points[~left]
+    (c1, ch1), (c2, ch2) = (_filter_halves((h, r), halves, colors) for r in reps)
+    if c1 is None or c2 is None:
+        return (c2 if c1 is None else c1), True
+    if not ch1 and not ch2:
+        return coset, False
+    (h1, rep1), (_, rep2) = c1, c2
+    link = inverse_image(rep1)[rep2]  # rep1^-1 rep2
+    if (link == np.arange(len(link))).all():
+        return c1, True
+    return (np.concatenate([h1, link[None]]), rep1), True
+
+
+def _filter_halves(coset, halves, colors):
+    """Filter a coset over each half in turn; (coset or None, changed)."""
+    changed = False
+    for half in halves:
+        coset, ch = _cb(coset, half, colors)
+        changed |= ch
+        if coset is None:
+            return None, True
+    return coset, changed
+
+
+def _color_codes(colors: ColorSeq, idx: np.ndarray) -> np.ndarray:
+    """Dense int codes of colors[i] for i in idx: equal colors, equal codes."""
+    if isinstance(colors, np.ndarray) and colors.dtype.kind in "biu":
+        values = colors[idx]
+        return np.searchsorted(perm._sorted_distinct(values), values)
+    ids: dict = {}
+    return np.array([ids.setdefault(colors[i], len(ids)) for i in idx.tolist()], dtype=np.int64)
+
+
+def _filter(coset: Coset | None, points, colors: ColorSeq):
+    """`cb` with its changed flag: (coset or None, changed).
+
+    A generator that fixes every point passes every filter unchanged, so
+    only the others enter the kernel, and the rest keep their places in the
+    result.  Only the colors of the points and of their images under the
+    representative are read.
+    """
+    if coset is None:
+        return None, True
+    sub, rep, m = coset.sub, coset.rep.image, coset.rep.degree
+    pts = point_array(points, m)
+    on_points = np.array([g.image[pts] for g in sub], dtype=np.intp).reshape(len(sub), len(pts))
+    if __debug__:
+        inside = np.zeros(m, dtype=bool)
+        inside[pts] = True
+        assert inside[on_points].all(), "B not stable"
+    moving = np.flatnonzero((on_points != pts).any(axis=1))
+    gens = np.array([sub[i].image for i in moving], dtype=np.int32).reshape(len(moving), m)
+    read = np.concatenate([pts, rep[pts]])
+    codes = np.zeros(m, dtype=np.int64)
+    codes[read] = _color_codes(colors, read)
+    out, changed = _cb((gens, rep), pts, codes)
+    if not changed:
+        return coset, False
+    if out is None:
+        return None, True
+    new = [Permutation(row, _checked=True) for row in out[0]]
+    sub = list(sub)
+    for i, p in zip(moving.tolist(), new):
+        sub[i] = p
+    sub += new[len(moving) :]
+    return Coset(Permutation(out[1], _checked=True), tuple(sub)), True
 
 
 def cb(coset: Coset | None, points, colors: ColorSeq) -> Coset | None:
     """Color-preserving part of a coset over a stable point set.
 
     Exact for any coset; EMPTY is represented by None.  When nonempty, the
-    subgroup part of the result generates the color-preserving subgroup.
+    subgroup part of the result generates the color-preserving subgroup; a
+    filter that removes nothing returns the input coset itself.
     """
-    points = list(points)
-    if coset is not None and coset.sub and __debug__:
-        images = np.stack([g.image for g in coset.sub])
-        assert _maps_into(images, points), "B not stable"
-    out, _ = _cb(coset, points, colors)
-    return out
+    return _filter(coset, points, colors)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +349,13 @@ def build_structure_tree(
             )
         else:
             node.transitive = True
-            bl, br = two_block_system(local, ctt)
+            bl, br = perm.two_block_system(local, ctt)
             if min(ctt) not in bl:
                 bl, br = br, bl
             node.block_left = bl
             member = lambda g: int(g.image[min(bl)]) in bl
             tau = next(g for g in local if not member(g))
-            h = index2_sgs(local, member)
+            h = perm.index2_sgs(local, member)
             node.stab_gens = h
             node.tau = tau
             node.left = build(tuple(sorted(bl)), h, [bl])
@@ -278,7 +366,7 @@ def build_structure_tree(
 
     gens = tuple(gens)
     if gens:
-        orbits = orbit_partition(gens, content)
+        orbits = perm.orbit_partition(gens, content)
     else:
         orbits = [frozenset({p}) for p in content]
     return build(content, gens, orbits)
@@ -321,6 +409,41 @@ def annotate(
 # ---------------------------------------------------------------------------
 
 
+def _filter_singleton(coset: Coset, b: int, colors: ColorSeq):
+    # B is stable and a singleton, so every coset element sends b to rep(b).
+    if colors[coset.rep(b)] == colors[b]:
+        return coset, False
+    return None, True
+
+
+def _transitive_step(coset, block_left, sub_filter):
+    """Index-2 split: filter rep·H and rep·tau·H, then merge.
+
+    `sub_filter(c)` filters a coset over both halves and reports whether
+    anything changed.  When neither branch changed, the union is the input
+    coset itself, which keeps generating sequences from growing on no-op
+    filters.
+    """
+    gens = coset.sub
+    bl = min(block_left)
+    member = lambda g: int(g.image[bl]) in block_left
+    tau = next((g for g in gens if not member(g)), None)
+    if tau is None:
+        raise ValueError("block system does not split the acting group")
+    h = perm.index2_sgs(gens, member)
+    b1, ch1 = sub_filter(Coset(coset.rep, h))
+    b2, ch2 = sub_filter(Coset(compose(coset.rep, tau), h))
+    if b1 is None and b2 is None:
+        return None, True
+    if b1 is None:
+        return b2, True
+    if b2 is None:
+        return b1, True
+    if not ch1 and not ch2:
+        return coset, False
+    return coset_union(b1, b2), True
+
+
 def _active_points(node: StructureTreeNode) -> list[int]:
     return sorted(leaf.content[0] for leaf in node.leaves() if leaf.active)
 
@@ -359,14 +482,14 @@ def _cbt(coset, node: StructureTreeNode, colors: ColorSeq):
     # meets an active point, and all-neutral orbits are skipped.
     active = set(_active_points(node))
     if not gens:
-        return _cb(coset, sorted(active), colors)
+        return _filter(coset, sorted(active), colors)
     points = sorted(
         x
-        for orb in orbit_partition(gens, node.content)
+        for orb in perm.orbit_partition(gens, node.content)
         if orb & active
         for x in orb
     )
-    return _cb(coset, points, colors)
+    return _filter(coset, points, colors)
 
 
 def cb_tree(
@@ -380,7 +503,7 @@ def cb_tree(
     non-neutral ones).
     """
     if coset is not None and __debug__:
-        assert _maps_into(coset.rep.image, root.content), (
+        assert maps_into(coset.rep.image, root.content), (
             "coset representative does not stabilize the tree's point set"
         )
     if root.active is None:

@@ -31,8 +31,8 @@ import numpy as np
 # Only `cb` runs here; perfbench/tracing.py patches the tree names in this module.
 from .coloraut import annotate, build_structure_tree, cb, cb_tree
 from .graphs import LabeledGraph, build_x, is_graph_isomorphism, require_valid
-from .layers import LayerDecomposition, _sorted_distinct, layer_sequence
-from .perm import Coset, Permutation
+from .layers import LayerDecomposition, layer_sequence
+from .perm import Coset, Permutation, _sorted_distinct
 
 
 class _LevelContext:
@@ -80,10 +80,10 @@ class _LevelContext:
         perms = [Permutation(row, _checked=True) for row in ext]
         return Coset(perms[-1], tuple(perms[:-1]))
 
-    def colors(self) -> list[int]:
+    def colors(self) -> np.ndarray:
         """Color ids over [0, m); the node slots, never read, are 0 too."""
         colors = self.dec.element_colors(self.r, self.keys)
-        return [0] * self.dec.n + colors.tolist()
+        return np.concatenate([np.zeros(self.dec.n, dtype=colors.dtype), colors])
 
     def solve(self) -> Coset | None:
         """Color-preserving part of the extended coset over B_r."""

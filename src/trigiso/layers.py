@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .graphs import GADGET_LABEL, GraphError, LabeledGraph, require_valid, _norm_edge
-from .perm import Permutation
+from .perm import Permutation, _sorted_distinct
 
 
 class LayerDecomposition:
@@ -271,14 +271,6 @@ class LayerDecomposition:
                 for j in range(i + 1, z):
                     out.append(Permutation.transposition(self.n, fiber[i], fiber[j]))
         return out
-
-
-def _sorted_distinct(a: np.ndarray) -> np.ndarray:
-    # Plain np.unique and np.union1d import numpy.ma, about 1.3 MB resident.
-    a = np.sort(a, axis=None)
-    keep = np.ones(len(a), dtype=bool)
-    keep[1:] = a[1:] != a[:-1]
-    return a[keep]
 
 
 # Ends the lookup tables of `lift_image`, so a searchsorted index is always valid.

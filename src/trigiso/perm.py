@@ -13,6 +13,24 @@ operations the isomorphism pipeline needs: passing to an index-2 subgroup
 (`index2_sgs`) and merging two cosets of a common subgroup (`coset_union`).
 Exhaustive enumeration (`group_order`, `enumerate_group`) exists for tests
 only and is guarded by a hard cap.
+
+Orbits, block systems and index-2 subgroups are computed by array
+primitives that take a whole generating sequence as one int array, one
+permutation per row, and work on all rows at once:
+
+- `restricted` re-indexes the rows' action on a stable sorted point set to
+  [0, s), the local coordinates the primitives below work in;
+- `orbit_labels` names each point's orbit by its minimum, by min-label
+  propagation with pointer jumping over every row's edges x -- g(x);
+- `block_halves` finds the two-block system of a transitive 2-group action:
+  closed forms on two and four points, pair collapse by the same label
+  propagation otherwise;
+- `index2_images` passes to an index-2 subgroup by one gather.
+
+The color solver in `coloraut` calls them on its image arrays directly.
+`orbit`, `orbit_partition`, `is_transitive`, `two_block_system` and
+`index2_sgs` are adapters that stack `Permutation` images, check their
+preconditions and call the same primitives.
 """
 
 from __future__ import annotations
@@ -132,9 +150,14 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
 
 
 def inverse(p: Permutation) -> Permutation:
-    inv = np.empty_like(p.image)
-    inv[p.image] = np.arange(len(inv), dtype=np.int32)
-    return Permutation(inv, _checked=True)
+    return Permutation(inverse_image(p.image), _checked=True)
+
+
+def inverse_image(image: np.ndarray) -> np.ndarray:
+    """Image array of the inverse permutation."""
+    inv = np.empty_like(image)
+    inv[image] = np.arange(len(image), dtype=image.dtype)
+    return inv
 
 
 def cycle_string(p: Permutation) -> str:
@@ -155,26 +178,173 @@ def cycle_string(p: Permutation) -> str:
     return "".join(parts) if parts else "()"
 
 
-# -- orbits and stability ---------------------------------------------------
+# -- array primitives ------------------------------------------------------
+#
+# The color solver and the adapters below share these.  `images` is an int
+# array with one permutation per row; a point set is a sorted int array.
+
+
+def _sorted_distinct(a: np.ndarray) -> np.ndarray:
+    # Plain np.unique and np.union1d import numpy.ma, about 1.3 MB resident.
+    a = np.sort(a, axis=None)
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
+def point_array(points: Iterable[int], m: int) -> np.ndarray:
+    """Sorted distinct points as an int array; a point outside [0, m) raises ValueError."""
+    pts = _sorted_distinct(np.fromiter(points, dtype=np.int64))
+    if len(pts) and (pts[0] < 0 or pts[-1] >= m):
+        raise ValueError(f"point out of range for ground set of size {m}")
+    return pts
+
+
+def maps_into(images: np.ndarray, points) -> bool:
+    """Whether every image row (one permutation each) sends `points` into itself."""
+    points = np.asarray(points, dtype=np.intp)
+    inside = np.zeros(images.shape[-1], dtype=bool)
+    inside[points] = True
+    return bool(inside[images[..., points]].all())
+
+
+def restricted(images: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The rows' action on a stable sorted point set, re-indexed to [0, len(points))."""
+    return np.searchsorted(points, images[:, points])
+
+
+def _join(lab: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Coarsen a partition until u[i] and v[i] share a class for every i.
+
+    `lab` names each point's class by its smallest member, which is the
+    class's root (lab[root] = root).  Each round hooks the larger root of
+    every split pair onto the smaller one, then jumps pointers until every
+    point names a root again.  Roots only ever point lower, so a class's
+    root stays its minimum.
+    """
+    while True:
+        lu, lv = lab[u], lab[v]
+        split = lu != lv
+        if not split.any():
+            return lab
+        lu, lv = lu[split], lv[split]
+        lab[np.maximum(lu, lv)] = np.minimum(lu, lv)
+        while True:
+            up = lab[lab]
+            if (up == lab).all():
+                break
+            lab = up
+
+
+def orbit_labels(images: np.ndarray) -> np.ndarray:
+    """Orbits of the rows' action on [0, s): each point's orbit minimum.
+
+    Min-label propagation with pointer jumping over the edges x -- g(x) of
+    all rows at once.
+    """
+    s = images.shape[1]
+    if s == 2:
+        return np.array([0, 0 if images[:, 0].any() else 1])
+    return _join(np.arange(s), np.arange(images.size) % s, images.ravel())
+
+
+def _block_labels(images: np.ndarray, b: int) -> np.ndarray:
+    """Finest block system in which 0 and b share a block, by pair collapse.
+
+    A partition is a block system when g(x) and g(root of x) share a class
+    for every row g and point x; classes are joined until that holds.
+    """
+    lab = np.arange(images.shape[1])
+    lab[b] = 0
+    u = images.ravel()
+    while True:
+        v = images[:, lab].ravel()
+        if (lab[u] == lab[v]).all():
+            return lab
+        lab = _join(lab, u, v)
+
+
+# Partner of each point under the three pairings of four points, and the
+# block of 0 in each: {0, 1}, {0, 2}, {0, 3}.
+_PAIRINGS = np.array([[1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_PAIRING_LEFT = np.array([[1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]], dtype=bool)
+
+
+def block_halves(images: np.ndarray) -> np.ndarray:
+    """Two-block system of a transitive 2-group action on [0, s), as a mask.
+
+    The mask marks the block of point 0.  Two points split into singletons.
+    Four points split along the first of the pairings {0,1}|{2,3},
+    {0,2}|{1,3}, {0,3}|{1,2} that every row preserves.  Otherwise the first
+    b in increasing order whose finest block system joining 0 and b is
+    nontrivial gives the blocks; when there are more than two, the action
+    on the blocks, numbered by their minima, is split the same way and
+    pulled back.  An odd point count, or no nontrivial block system (the
+    group is not a 2-group), raises ValueError.
+    """
+    s = images.shape[1]
+    if s < 2:
+        raise ValueError("need at least two points")
+    if s % 2:
+        raise ValueError("transitive 2-group orbits have even size")
+    if s == 2:
+        return np.array([True, False])
+    if s == 4:
+        for partner, left in zip(_PAIRINGS, _PAIRING_LEFT):
+            if (partner[images] == images[:, partner]).all():
+                return left.copy()
+    else:
+        for b in range(1, s):
+            lab = _block_labels(images, b)
+            leaders = np.flatnonzero(lab == np.arange(s))
+            if len(leaders) == 2:
+                return lab == 0
+            if len(leaders) > 2:
+                block = np.searchsorted(leaders, lab)
+                return block_halves(block[images[:, leaders]])[block]
+    raise ValueError("no nontrivial block system found; group is not a 2-group")
+
+
+def index2_images(images: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Rows of an SGS of the index-2 subgroup that `keep` marks, by one gather.
+
+    With tau the first row not kept, every row not kept is replaced by
+    tau^-1 g, so tau's own row by the identity; kept rows stay.  At least
+    one row must not be kept.
+    """
+    tau, *rest = np.flatnonzero(~keep)
+    out = images.copy()
+    out[tau] = np.arange(images.shape[1], dtype=images.dtype)
+    if rest:
+        out[rest] = inverse_image(images[tau])[images[rest]]
+    return out
+
+
+# -- orbits, blocks and index-2 subgroups of Permutation sequences -----------
+
+
+def _stack(gens: Sequence[Permutation]) -> np.ndarray:
+    if not gens:
+        raise ValueError("need at least one generator (use the identity)")
+    return np.stack([g.image for g in gens])
+
+
+def _stable_points(gens: Sequence[Permutation], points) -> tuple[np.ndarray, np.ndarray]:
+    images = _stack(gens)
+    pts = point_array(points, images.shape[1])
+    if not maps_into(images, pts):
+        raise ValueError("point set is not stable under the generators")
+    return images, pts
 
 
 def orbit(gens: Sequence[Permutation], point: int) -> frozenset[int]:
-    """Smallest gens-closed set containing the point, by BFS closure."""
-    if not gens:
-        raise ValueError("need at least one generator (use the identity)")
-    m = gens[0].degree
+    """Smallest gens-closed set containing the point."""
+    images = _stack(gens)
+    m = images.shape[1]
     if not 0 <= point < m:
         raise ValueError(f"point {point} out of range for ground set of size {m}")
-    seen = {point}
-    queue = [point]
-    while queue:
-        x = queue.pop()
-        for g in gens:
-            y = int(g.image[x])
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return frozenset(seen)
+    lab = orbit_labels(images)
+    return frozenset(np.flatnonzero(lab == lab[point]).tolist())
 
 
 def orbit_partition(
@@ -182,83 +352,25 @@ def orbit_partition(
 ) -> list[frozenset[int]]:
     """Orbits of <gens> on a gens-stable point set, sorted by minimum.
 
-    One pass over the points in sorted order, with one BFS per orbit.  A
-    point set that is not a union of orbits raises ValueError.
+    A point set that is not a union of orbits raises ValueError.
     """
-    pts = set(points)
-    seen: set[int] = set()
-    out = []
-    for p in sorted(pts):
-        if p in seen:
-            continue
-        orb = orbit(gens, p)
-        if not orb <= pts:
-            raise ValueError("point set is not stable under the generators")
-        out.append(orb)
-        seen |= orb
-    return out
+    images, pts = _stable_points(gens, points)
+    lab = orbit_labels(restricted(images, pts))
+    by_orbit = np.argsort(lab, kind="stable")
+    cuts = np.flatnonzero(np.diff(lab[by_orbit])) + 1
+    return [frozenset(pts[part].tolist()) for part in np.split(by_orbit, cuts) if len(part)]
 
 
 def is_transitive(gens: Sequence[Permutation], points: Iterable[int]) -> bool:
     """Whether <gens> acts transitively on a nonempty, gens-stable point set.
 
-    The orbit of the smallest point decides: if it is the whole set, the set
-    is one orbit and so stable.  Only a proper sub-orbit needs the scan that
-    checks every generator on every point.  An unstable set raises ValueError.
+    An empty or unstable set raises ValueError.
     """
-    pts = set(points)
-    if not pts:
+    points = list(points)
+    if not points:
         raise ValueError("empty point set")
-    orb = orbit(gens, min(pts))
-    if orb == pts:
-        return True
-    if not orb <= pts or any(int(g.image[x]) not in pts for g in gens for x in pts):
-        raise ValueError("point set is not stable under the generators")
-    return False
-
-
-# -- block systems -----------------------------------------------------------
-
-
-def _minimal_block_partition(
-    gens: Sequence[Permutation], points: list[int], a: int, b: int
-) -> dict[int, int]:
-    """Finest block system identifying a and b (union-find pair collapse).
-
-    Returns a map point -> block leader.  Standard Atkinson procedure: merge
-    the classes of a and b, then repeatedly merge the classes of the images of
-    any two merged points until the partition is generator-invariant.
-    """
-    parent = {x: x for x in points}
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(x: int, y: int) -> int | None:
-        """Merge classes; return the absorbed leader (None if already equal)."""
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return None
-        if ry < rx:
-            rx, ry = ry, rx
-        parent[ry] = rx
-        return ry
-
-    queue = [b]
-    union(a, b)
-    while queue:
-        x = queue.pop()
-        leader = find(x)
-        for g in gens:
-            merged = union(int(g.image[x]), int(g.image[leader]))
-            if merged is not None:
-                queue.append(merged)
-    return {x: find(x) for x in points}
+    images, pts = _stable_points(gens, points)
+    return not orbit_labels(restricted(images, pts)).any()
 
 
 def two_block_system(
@@ -266,9 +378,9 @@ def two_block_system(
 ) -> tuple[frozenset[int], frozenset[int]]:
     """Coarsest nontrivial block system (exactly two blocks) for a transitive 2-group.
 
-    For |B| = 2 the blocks are the two singletons.  Otherwise a nontrivial
-    block system is found by pair collapse from the minimal point, and the
-    quotient action is recursed on until only two blocks remain.
+    The first block holds the smallest point; see `block_halves` for which
+    system is chosen.  Fewer than two points, an odd count, an intransitive
+    action or a group that is not a 2-group raises ValueError.
     """
     pts = sorted(set(points))
     if len(pts) < 2:
@@ -277,44 +389,9 @@ def two_block_system(
         raise ValueError("transitive 2-group orbits have even size")
     if not is_transitive(gens, pts):
         raise ValueError("generators are not transitive on the point set")
-    if len(pts) == 2:
-        return frozenset({pts[0]}), frozenset({pts[1]})
-
-    blocks: list[list[int]] | None = None
-    for b in pts[1:]:
-        leader_of = _minimal_block_partition(gens, pts, pts[0], b)
-        leaders = sorted(set(leader_of.values()))
-        if len(leaders) > 1:
-            by_leader: dict[int, list[int]] = {lead: [] for lead in leaders}
-            for x in pts:
-                by_leader[leader_of[x]].append(x)
-            blocks = [by_leader[lead] for lead in leaders]
-            break
-    if blocks is None:
-        # A transitive 2-group on >= 4 points is never primitive.
-        raise ValueError("no nontrivial block system found; group is not a 2-group")
-
-    if len(blocks) == 2:
-        return frozenset(blocks[0]), frozenset(blocks[1])
-
-    # Recurse on the action on blocks, then pull the two halves back.
-    block_index = {}
-    for i, blk in enumerate(blocks):
-        for x in blk:
-            block_index[x] = i
-    qgens = []
-    for g in gens:
-        qimg = [block_index[int(g.image[blk[0]])] for blk in blocks]
-        qgens.append(Permutation(qimg))
-    q1, _q2 = two_block_system(qgens, range(len(blocks)))
-    side1: set[int] = set()
-    side2: set[int] = set()
-    for i, blk in enumerate(blocks):
-        (side1 if i in q1 else side2).update(blk)
-    return frozenset(side1), frozenset(side2)
-
-
-# -- index-2 subgroups and cosets --------------------------------------------
+    pts = np.array(pts)
+    left = block_halves(restricted(_stack(gens), pts))
+    return frozenset(pts[left].tolist()), frozenset(pts[~left].tolist())
 
 
 def index2_sgs(
@@ -324,17 +401,19 @@ def index2_sgs(
 
     If every generator satisfies `member` the sequence is returned unchanged.
     Otherwise, with j the first failing index, each failing g_i is replaced by
-    g_j^{-1} g_i; the transformed sequence is an SGS of H.  Costs one
-    membership call per generator.  The precondition ([G:H] <= 2, H a
-    subgroup) is trusted in release mode; under __debug__ each replaced
+    g_j^{-1} g_i (`index2_images`); the transformed sequence is an SGS of H.
+    Costs one membership call per generator.  The precondition ([G:H] <= 2,
+    H a subgroup) is trusted in release mode; under __debug__ each replaced
     generator is checked to lie in H, at one more call each.
     """
     gens = tuple(gens)
-    kept = [member(g) for g in gens]
-    if all(kept):
+    kept = np.array([bool(member(g)) for g in gens], dtype=bool)
+    if kept.all():
         return gens
-    gj_inv = inverse(gens[kept.index(False)])
-    out = tuple(g if ok else compose(gj_inv, g) for g, ok in zip(gens, kept))
+    rows = index2_images(_stack(gens), kept)
+    out = tuple(
+        g if ok else Permutation(row, _checked=True) for g, ok, row in zip(gens, kept, rows)
+    )
     if __debug__:
         for beta, ok in zip(out, kept):
             assert ok or member(beta), "index2_sgs precondition violated"

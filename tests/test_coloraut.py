@@ -1,13 +1,17 @@
 """Tests for the color-automorphism solver and structure trees."""
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 
-from trigiso import core
+from trigiso import coloraut, core
 from trigiso.coloraut import (
     StructureTreeNode,
+    _filter_singleton,
     _relabel_subtree,
+    _transitive_step,
     annotate,
     build_structure_tree,
     cb,
@@ -120,6 +124,238 @@ def test_cb_on_stable_subsets_and_sequential_split(seed):
     joint = cb(coset, both, colors) if b2 else inner
     assert _as_set(seq) == _as_set(joint)
     assert _as_set(joint) == _oracle_filter(coset, both, colors)
+
+
+# -- exactness of the array kernel ----------------------------------------------
+
+
+def _sgs_of(elements, m):
+    """A smooth generating sequence of a 2-group given by its elements."""
+    current = {Permutation.identity(m)}
+    sgs = []
+    while len(current) < len(elements):
+        g = min(x for x in elements if x not in current and compose(x, x) in current
+                and all(compose(x, compose(c, inverse(x))) in current for c in current))
+        sgs.append(g)
+        current |= {compose(g, c) for c in current}
+    return tuple(sgs)
+
+
+def _transitive_2groups_on(points, m):
+    """Every transitive 2-group on `points` (fixing the rest of [0, m)), by its SGS."""
+    points = list(points)
+    perms = []
+    for img in itertools.permutations(points):
+        full = list(range(m))
+        for x, y in zip(points, img):
+            full[x] = y
+        perms.append(Permutation(full))
+    groups = set()
+    for a, b in itertools.combinations_with_replacement(perms, 2):
+        elements = frozenset(enumerate_group((a, b)))
+        size = len(elements)
+        if size & (size - 1) == 0 and is_transitive(tuple(elements), points):
+            groups.add(elements)
+    return sorted((_sgs_of(g, m) for g in groups), key=lambda sgs: [p.key() for p in sgs])
+
+
+_S4 = [Permutation(img) for img in itertools.permutations(range(4))]
+_COLORINGS = list(itertools.product(range(3), repeat=4))
+
+
+def _small_cases():
+    for points in ([0, 1], [1, 3], [2, 3], [0, 1, 2, 3]):
+        for sgs in _transitive_2groups_on(points, 4):
+            yield points, sgs
+
+
+_SMALL_CASES = list(_small_cases())
+
+
+def test_small_case_list_is_complete():
+    # One group on each pair; on four points the Klein group, three cyclic
+    # groups and three dihedral groups.
+    orders = sorted(len(enumerate_group(sgs)) for p, sgs in _SMALL_CASES if len(p) == 4)
+    assert orders == [4, 4, 4, 4, 8, 8, 8]
+    assert sum(len(p) == 2 for p, _ in _SMALL_CASES) == 3
+
+
+@pytest.mark.parametrize("case", range(len(_SMALL_CASES)))
+def test_cb_exact_on_every_small_transitive_2group(case):
+    # Every representative in S_4 (some send the points elsewhere) and every
+    # coloring with at most three colors.
+    points, sgs = _SMALL_CASES[case]
+    group = enumerate_group(sgs)
+    for rep in _S4:
+        elements = {compose(rep, h) for h in group}
+        coset = Coset(rep, sgs)
+        for colors in _COLORINGS:
+            got = cb(coset, points, colors)
+            want = {p for p in elements if all(colors[p(b)] == colors[b] for b in points)}
+            assert _as_set(got) == want, (points, sgs, rep, colors)
+            if want == elements:
+                assert got is coset
+
+
+# The Klein group on {0, 1, 2, 3} of 8 points, and a representative that
+# sends those points onto {4, 5, 6, 7}.
+_KLEIN_ON_4_OF_8 = (
+    Permutation.from_cycles(8, [(0, 1), (2, 3)]),
+    Permutation.from_cycles(8, [(0, 2), (1, 3)]),
+)
+_SHIFT_BY_4 = Permutation.from_cycles(8, [(0, 4), (1, 5), (2, 6), (3, 7)])
+
+
+def test_multiset_cut_returns_none_before_recursing(monkeypatch):
+    # rep sends S = {0..3} onto {4..7}, where one color 1 became a 2.
+    calls = []
+    monkeypatch.setattr(coloraut, "orbit_partition", lambda images: calls.append(1))
+    gens, rep = _KLEIN_ON_4_OF_8, _SHIFT_BY_4
+    colors = [1, 1, 2, 2, 1, 2, 2, 2]
+    coset = Coset(rep, gens)
+    assert _oracle_filter(coset, range(4), colors) == set()
+    assert cb(coset, range(4), colors) is None
+    assert not calls
+
+
+def test_one_color_returns_the_input_coset(monkeypatch):
+    calls = []
+    monkeypatch.setattr(coloraut, "orbit_partition", lambda images: calls.append(1))
+    gens, rep = _KLEIN_ON_4_OF_8, _SHIFT_BY_4
+    coset = Coset(rep, gens)
+    assert cb(coset, range(4), [3, 3, 3, 3, 3, 3, 3, 3]) is coset
+    assert not calls
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_no_op_filter_returns_the_input_coset(seed):
+    # Colors constant on the orbits of the group: every element preserves
+    # them, so the solver must hand back the very same coset.
+    _, sgs, _, _ = _random_instance(seed)
+    rng = random.Random(seed)
+    colors = [0] * 16
+    for orb in orbit_partition(sgs, range(16)):
+        c = rng.randrange(3)
+        for x in orb:
+            colors[x] = c
+    rep = compose(sgs[rng.randrange(len(sgs))], sgs[rng.randrange(len(sgs))])
+    coset = Coset(rep, sgs)
+    assert cb(coset, range(16), colors) is coset
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_cb_accepts_any_hashable_colors(seed):
+    # Tuples mixed with ints, as the level test passes: the same filter as
+    # the int coloring they stand for, and the same coset.
+    _, sgs, rep, colors = _random_instance(3000 + seed)
+    coset = Coset(rep, sgs)
+    names = {0: 0, 1: ("f", (1, 2)), 2: ("n", 2)}
+    mixed = [names[c] for c in colors]
+    got = cb(coset, range(16), mixed)
+    assert _as_set(got) == _oracle_filter(coset, range(16), colors)
+    for same in (cb(coset, range(16), colors), cb(coset, range(16), np.array(colors))):
+        assert (same is None) if got is None else (same.rep, same.sub) == (got.rep, got.sub)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_cb_exact_when_rep_leaves_the_points(seed):
+    # The group acts on 8 of 16 points; rep is any permutation of all 16.
+    rng = random.Random(f"leave:{seed}")
+    sgs8 = random_smooth_2group(8, 1 << 6, seed)
+    sgs = tuple(Permutation(list(g.image) + list(range(8, 16))) for g in sgs8)
+    rep = Permutation(rng.sample(range(16), 16))
+    colors = [rng.choice([0, 1, 1, 2]) for _ in range(16)]
+    coset = Coset(rep, sgs)
+    got = cb(coset, range(8), colors)
+    assert _as_set(got) == _oracle_filter(coset, range(8), colors)
+
+
+def _reference_cb(coset, points, colors):
+    """The point-by-point recursion on `Permutation` cosets: singletons,
+    orbits in order of their minima, index-2 splits along `two_block_system`."""
+    if coset is None:
+        return None, True
+    if not points:
+        return coset, False
+    if len(points) == 1:
+        return _filter_singleton(coset, points[0], colors)
+    parts = orbit_partition(coset.sub, points) if coset.sub else [{b} for b in points]
+    if len(parts) > 1:
+        cur, changed = coset, False
+        for part in parts:
+            cur, ch = _reference_cb(cur, sorted(part), colors)
+            changed |= ch
+            if cur is None:
+                return None, True
+        return cur, changed
+    left, right = two_block_system(coset.sub, points)
+
+    def sub_filter(c):
+        out, ch = _reference_cb(c, sorted(left), colors)
+        if out is None:
+            return None, True
+        out, ch2 = _reference_cb(out, sorted(right), colors)
+        return out, ch or ch2
+
+    return _transitive_step(coset, left, sub_filter)
+
+
+def _reference_case(n_points, seed):
+    if n_points == 16:
+        _, sgs, rep, colors = _random_instance(4000 + seed)
+        return Coset(rep, sgs), list(range(16)), colors
+    rng = random.Random(f"ref:{n_points}:{seed}")
+    sgs = random_smooth_2group(n_points, 1 << 10, 50 + seed)
+    rep = compose(rng.choice(sgs), rng.choice(sgs))
+    colors = [rng.choice([0, 0, 0, 1, 2]) for _ in range(n_points)]
+    return Coset(rep, sgs), list(range(n_points)), colors
+
+
+@pytest.mark.parametrize(
+    "n_points,seed", [(16, s) for s in range(40)] + [(n, s) for n in (32, 64) for s in range(4)]
+)
+def test_cb_returns_the_reference_coset_exactly(n_points, seed):
+    # Same representative and the same generators in the same order, not
+    # just the same set of elements.
+    coset, points, colors = _reference_case(n_points, seed)
+    want, _ = _reference_cb(coset, points, colors)
+    got = cb(coset, points, colors)
+    assert (got is None) if want is None else (got.rep, got.sub) == (want.rep, want.sub)
+
+
+def test_cb_merges_branches_like_the_reference():
+    # The regular action of Z4 x Z2 on 8 points, with every representative
+    # and every balanced 2-coloring: both branches of a split often survive,
+    # and their merge appends rep1^-1 rep2, an element of order 4 here, so
+    # the order of the product shows in the bytes.
+    gens = (
+        Permutation.from_cycles(8, [(0, 4), (1, 5), (2, 6), (3, 7)]),
+        Permutation.from_cycles(8, [(0, 1, 2, 3), (4, 5, 6, 7)]),
+    )
+    for rep in sorted(enumerate_group(gens)):
+        for ones in itertools.combinations(range(8), 4):
+            colors = [int(x in ones) for x in range(8)]
+            want, _ = _reference_cb(Coset(rep, gens), list(range(8)), colors)
+            got = cb(Coset(rep, gens), range(8), colors)
+            assert (got is None) if want is None else (got.rep, got.sub) == (want.rep, want.sub)
+
+
+@pytest.mark.parametrize("n_points", [32, 64])
+@pytest.mark.parametrize("seed", range(6))
+def test_cb_matches_cb_tree_on_larger_groups(n_points, seed):
+    rng = random.Random(f"large:{n_points}:{seed}")
+    sgs = random_smooth_2group(n_points, 1 << 8, seed)
+    rep = compose(rng.choice(sgs), rng.choice(sgs))
+    colors = [rng.choice([0, 0, 1, 2]) for _ in range(n_points)]
+    coset = Coset(rep, sgs)
+    points = list(range(n_points))
+    got = cb(coset, points, colors)
+    root = build_structure_tree(points, sgs)
+    annotate(root, colors, neutral=0)
+    want = _as_set(cb_tree(coset, root, colors))
+    assert _as_set(got) == want == _oracle_filter(coset, points, colors)
+    if got is not None:
+        assert smoothness_violations(got.sub) == []
 
 
 def test_structure_tree_singleton_and_identity_group():

@@ -124,6 +124,30 @@ def test_relabelings_are_isomorphic():
     assert res.isomorphic and is_graph_isomorphism(g, h, res.mapping)
 
 
+def complete_binary_tree(n_nodes):
+    return LabeledGraph(
+        range(n_nodes),
+        [(i, c) for i in range(n_nodes) for c in (2 * i + 1, 2 * i + 2) if c < n_nodes],
+    )
+
+
+@pytest.mark.parametrize("n_nodes", [127, 255, 511])
+def test_relabelled_complete_binary_trees_are_isomorphic(n_nodes):
+    # A positive with a large automorphism 2-group: every tower level splits
+    # deep index-2 chains.
+    g = complete_binary_tree(n_nodes)
+    h, _ = random_relabeling(g, n_nodes)
+    res = is_isomorphic(g, h, want_mapping=True)
+    assert res.isomorphic and is_graph_isomorphism(g, h, res.mapping)
+
+
+def test_complete_binary_tree_edge_group():
+    # Fixing the edge (0, 1) fixes the root, so 14 of the 15 child swaps remain.
+    res = aut_e_generators(complete_binary_tree(31), (0, 1))
+    assert group_order(res.generators) == 1 << 14
+    assert smoothness_violations(res.generators) == []
+
+
 def test_symmetry_of_verdicts():
     for seed in range(12):
         n = random.Random(seed).randint(3, 9)
@@ -287,7 +311,7 @@ def test_level_solve_over_elements_equals_solve_with_nodes(monkeypatch, tree_ref
             got = super().solve()
             dec, n = self.dec, self.dec.n
             coset = self.extend()
-            colors = [("n", c) for c in dec.colors] + self.colors()[n:]
+            colors = [("n", c) for c in dec.colors] + self.colors()[n:].tolist()
             points = [v for v in range(n) if dec.level_of[v] <= self.r - 1]
             points += range(n, self.m)
             if tree_reference:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from trigiso.harness import random_smooth_2group
 from trigiso.perm import (
     Coset,
     Permutation,
@@ -279,3 +280,88 @@ def test_smoothness_violations_detects_bad_sequence():
         Permutation.from_cycles(4, [(0, 1, 2, 3)]),
     )
     assert smoothness_violations(good) == []
+
+
+# -- the array primitives against point-by-point references --------------------
+
+
+def _bfs_orbit(gens, point):
+    seen, queue = {point}, [point]
+    while queue:
+        x = queue.pop()
+        for g in gens:
+            if g(x) not in seen:
+                seen.add(g(x))
+                queue.append(g(x))
+    return frozenset(seen)
+
+
+def _union_find_blocks(gens, points, a, b):
+    """Finest block system joining a and b, by union-find pair collapse."""
+    parent = {x: x for x in points}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    queue = [b]
+    parent[max(a, b)] = min(a, b)
+    while queue:
+        x = queue.pop()
+        for g in gens:
+            rx, ry = find(g(x)), find(g(find(x)))
+            if rx != ry:
+                rx, ry = min(rx, ry), max(rx, ry)
+                parent[ry] = rx
+                queue.append(ry)
+    return {x: find(x) for x in points}
+
+
+def _reference_two_block_system(gens, points):
+    """The first partner b of the minimum, in order, whose finest block
+    system is nontrivial; more than two blocks recurse on their quotient."""
+    pts = sorted(points)
+    if len(pts) == 2:
+        return frozenset(pts[:1]), frozenset(pts[1:])
+    for b in pts[1:]:
+        leader = _union_find_blocks(gens, pts, pts[0], b)
+        leaders = sorted(set(leader.values()))
+        if len(leaders) > 1:
+            break
+    blocks = [[x for x in pts if leader[x] == lead] for lead in leaders]
+    if len(blocks) == 2:
+        return frozenset(blocks[0]), frozenset(blocks[1])
+    index = {x: i for i, blk in enumerate(blocks) for x in blk}
+    quotient = [Permutation([index[g(blk[0])] for blk in blocks]) for g in gens]
+    q1, _ = _reference_two_block_system(quotient, range(len(blocks)))
+    side = frozenset(x for i in q1 for x in blocks[i])
+    return side, frozenset(pts) - side
+
+
+@pytest.mark.parametrize("n_points", [16, 32])
+@pytest.mark.parametrize("seed", range(15))
+def test_orbits_and_blocks_match_references(n_points, seed):
+    sgs = random_smooth_2group(n_points, 1 << 8, 7000 + seed)
+    orbits = orbit_partition(sgs, range(n_points))
+    assert orbits == sorted({_bfs_orbit(sgs, x) for x in range(n_points)}, key=min)
+    for x in range(n_points):
+        assert orbit(sgs, x) == _bfs_orbit(sgs, x)
+    for orb in orbits:
+        assert is_transitive(sgs, orb)
+        if len(orb) > 1:
+            assert two_block_system(sgs, orb) == _reference_two_block_system(sgs, orb)
+
+
+@pytest.mark.parametrize("bits", [3, 4])
+@pytest.mark.parametrize("seed", range(6))
+def test_block_choice_on_regular_elementary_abelian_groups(bits, seed):
+    # Every index-2 subgroup gives a two-block system here, so only the
+    # order in which partners of the minimum are tried decides the answer.
+    size = 1 << bits
+    shuffle = random.Random(f"regular:{bits}:{seed}").sample(range(size), size)
+    gens = [
+        Permutation([shuffle[shuffle.index(x) ^ (1 << i)] for x in range(size)])
+        for i in range(bits)
+    ]
+    assert two_block_system(gens, range(size)) == _reference_two_block_system(gens, range(size))
