@@ -18,8 +18,8 @@ faithful, so two elements that agree on B can still differ on the nodes,
 and the result must be exact on the whole ground set.  A generator that
 fixes every point of B passes every filter unchanged, so it stays out of
 the kernel and keeps its place in the result.  Colors enter as int codes:
-an int array is used as it is, any other sequence of hashable colors is
-coded once on entry.
+the colors of the points and of their images under the representative,
+hashable values of any kind, are coded to dense ints once on entry.
 
 Each recursive call first makes the color-multiset cut.  Let S be the
 call's point set, stable under the coset's subgroup H.  Every h in H maps S
@@ -31,8 +31,8 @@ rep(S) have one and the same color, every element preserves colors on S,
 and the recursion would return its input unchanged: by induction no branch
 of it reports a change.  The call then returns its input at once.  Both
 are exactly what the full recursion returns, and the same cut runs on
-every orbit of an intransitive call, all orbits at once.  A transitive pair
-of points is decided by two color comparisons per branch.
+every orbit of an intransitive call, all orbits at once.  On a transitive
+pair of points, one color comparison then picks the surviving branch.
 
 `cb_tree` is a reference kept to be compared against `cb`: the same filter
 guided by a precomputed structure tree, a binary tree over B to which the
@@ -83,13 +83,11 @@ def _cb(coset, points: np.ndarray, colors: np.ndarray):
     """Color-preserving part of a coset over a stable point set.
 
     `coset` is a pair (generators, representative) of int32 image arrays,
-    one generator per row, or None; `points` is a sorted index array, stable
-    under the generators; `colors` holds an int code for every column.
+    one generator per row; `points` is a sorted index array, stable under
+    the generators; `colors` holds an int code for every column.
     Returns (coset or None, changed); when nothing changed the coset is the
     input pair itself.
     """
-    if coset is None:
-        return None, True
     s = len(points)
     if not s:
         return coset, False
@@ -100,8 +98,6 @@ def _cb(coset, points: np.ndarray, colors: np.ndarray):
         return coset, False
     if (a != b).any():
         return None, True
-    if not len(gens):
-        return (coset, False) if (here == there).all() else (None, True)
     images = restricted(gens, points)
     lab = orbit_partition(images)
     if not lab.any():
@@ -114,10 +110,7 @@ def _cb(coset, points: np.ndarray, colors: np.ndarray):
     cur, changed = coset, False
     for root in np.flatnonzero(varied):
         orb = points[lab == root]
-        if cur is coset:  # same generators: the orbit is transitive
-            cur, ch = _split(cur, orb, restricted(gens, orb), colors)
-        else:
-            cur, ch = _cb(cur, orb, colors)
+        cur, ch = _cb(cur, orb, colors)
         changed |= ch
         if cur is None:
             return None, True
@@ -128,8 +121,9 @@ def _split(coset, points, images, colors):
     """Index-2 split of a transitive orbit: filter rep·H and rep·tau·H, then merge.
 
     H is the setwise stabilizer of the block of the smallest point, tau the
-    first generator that moves that block.  On two points each branch is
-    decided by two color comparisons.
+    first generator that moves that block.  On two points one color
+    comparison picks the branch that survives, as the recursion on the two
+    singleton halves would.
     """
     gens, rep = coset
     left = two_block_system(images)
@@ -144,14 +138,10 @@ def _split(coset, points, images, colors):
         assert left[moved].all(), "index2_sgs precondition violated"
     reps = (rep, rep[gens[moves[0]]])
     if len(points) == 2:
-        a, b = colors[points].tolist()
-        ra, rb = colors[rep[points]].tolist()
-        ok = (ra == a and rb == b, rb == a and ra == b)
-        if all(ok):
-            return coset, False
-        if not any(ok):
-            return None, True
-        return (h, reps[ok.index(True)]), True
+        # The cut in `_cb` left the two points two different colors, which
+        # rep(points) also has, so exactly one branch preserves them.
+        p = points[0]
+        return (h, reps[int(colors[rep[p]] != colors[p])]), True
     halves = points[left], points[~left]
     (c1, ch1), (c2, ch2) = (_filter_halves((h, r), halves, colors) for r in reps)
     if c1 is None or c2 is None:
@@ -178,9 +168,6 @@ def _filter_halves(coset, halves, colors):
 
 def _color_codes(colors: ColorSeq, idx: np.ndarray) -> np.ndarray:
     """Dense int codes of colors[i] for i in idx: equal colors, equal codes."""
-    if isinstance(colors, np.ndarray) and colors.dtype.kind in "biu":
-        values = colors[idx]
-        return np.searchsorted(perm._sorted_distinct(values), values)
     ids: dict = {}
     return np.array([ids.setdefault(colors[i], len(ids)) for i in idx.tolist()], dtype=np.int64)
 

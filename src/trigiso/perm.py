@@ -275,8 +275,9 @@ def block_halves(images: np.ndarray) -> np.ndarray:
 
     The mask marks the block of point 0.  Two points split into singletons.
     Four points split along the first of the pairings {0,1}|{2,3},
-    {0,2}|{1,3}, {0,3}|{1,2} that every row preserves.  Otherwise the first
-    b in increasing order whose finest block system joining 0 and b is
+    {0,2}|{1,3}, {0,3}|{1,2} that every row preserves, which is the block
+    system the general search below finds on them.  Otherwise the first b
+    in increasing order whose finest block system joining 0 and b is
     nontrivial gives the blocks; when there are more than two, the action
     on the blocks, numbered by their minima, is split the same way and
     pulled back.  An odd point count, or no nontrivial block system (the
