@@ -51,12 +51,8 @@ from .perm import (
     cycle_string,
     enumerate_group,
     group_order,
-    index2_sgs,
     inverse,
-    is_transitive,
-    orbit,
     smoothness_violations,
-    two_block_system,
 )
 from .phylo import (
     NetworkError,
@@ -102,18 +98,15 @@ __all__ = [
     "enumerate_group",
     "format_graph_text",
     "group_order",
-    "index2_sgs",
     "inverse",
     "is_graph_isomorphism",
     "is_isomorphic",
     "is_network_isomorphism",
-    "is_transitive",
     "layer_sequence",
     "lift",
     "oracle_aut_e",
     "oracle_isomorphic",
     "oracle_network_isomorphic",
-    "orbit",
     "parse_enewick",
     "parse_graph_text",
     "phylo_isomorphic",
@@ -126,7 +119,6 @@ __all__ = [
     "smoothness_violations",
     "swap_two_leaf_labels",
     "triangle_gadget",
-    "two_block_system",
     "validate",
     "validate_network",
     "write_enewick",

@@ -18,7 +18,7 @@ from pathlib import Path
 from .core import aut_e_generators, is_isomorphic
 from .graphs import GraphError, format_graph_text, parse_graph_text
 from .harness import BENCH_MODES, bench_csv, bench_run, bench_summary, random_ternary_graph
-from .perm import Permutation
+from .perm import cycle_string
 from .phylo import (
     NetworkError,
     parse_enewick,
@@ -63,24 +63,6 @@ def _emit(text: str, out: str | None):
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-
-
-def _cycles_in_ids(p: Permutation, ids) -> str:
-    """Cycle notation over the original node ids instead of positions."""
-    seen = [False] * p.degree
-    parts = []
-    for i in range(p.degree):
-        if seen[i] or p(i) == i:
-            continue
-        cyc = [i]
-        seen[i] = True
-        j = p(i)
-        while j != i:
-            seen[j] = True
-            cyc.append(j)
-            j = p(j)
-        parts.append("(" + " ".join(str(ids[x]) for x in cyc) + ")")
-    return "".join(parts) if parts else "()"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,7 +144,7 @@ def _cmd_aut(args) -> int:
     except GraphError as exc:
         raise InputError(str(exc)) from exc
     for gen in res.generators:
-        print(_cycles_in_ids(gen, res.node_order))
+        print(cycle_string(gen, res.node_order))
     if not res.generators:
         print("()")
     return EXIT_OK

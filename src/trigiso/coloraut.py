@@ -3,10 +3,11 @@
 Core problem: given a coset rep·<gens> of a 2-group acting on an indexed
 ground set, and a stable subset B of colored points, extract the subset of
 coset elements that preserve the color of every point of B.  When nonempty,
-that subset is again a coset of the color-preserving subgroup, and `cb`
-computes it by the classical recursion (Luks 1982): sequential filtering
-over orbits, or an index-2 split along a two-block system.  `cb` is the
-solver every tower level runs.
+that subset is again a coset of the color-preserving subgroup, computed
+by the classical recursion (Luks 1982): sequential filtering over orbits,
+or an index-2 split along a two-block system.  `cb_images` is the array
+entry that every tower level runs; `cb` is its adapter for `Coset`s of
+`Permutation`s.
 
 The recursion runs on int arrays, not `Permutation` objects.  A coset is a
 pair: the generators as one int32 image array, one row each, and the
@@ -17,9 +18,10 @@ by every composition and inverse: the level's action on B need not be
 faithful, so two elements that agree on B can still differ on the nodes,
 and the result must be exact on the whole ground set.  A generator that
 fixes every point of B passes every filter unchanged, so it stays out of
-the kernel and keeps its place in the result.  Colors enter as int codes:
-the colors of the points and of their images under the representative,
-hashable values of any kind, are coded to dense ints once on entry.
+the kernel and keeps its place in the result.  Colors enter as int codes,
+compared only for equality: a tower level passes its element color ids
+as they are, and `cb` codes the colors of the points and of their images
+under the representative, hashable values of any kind, to dense ints.
 
 Each recursive call first makes the color-multiset cut.  Let S be the
 call's point set, stable under the coset's subgroup H.  Every h in H maps S
@@ -172,39 +174,54 @@ def _color_codes(colors: ColorSeq, idx: np.ndarray) -> np.ndarray:
     return np.array([ids.setdefault(colors[i], len(ids)) for i in idx.tolist()], dtype=np.int64)
 
 
+def cb_images(gens: np.ndarray, rep: np.ndarray, points: np.ndarray, colors: np.ndarray):
+    """Color-preserving part of the coset rep·<gens> over a stable point set.
+
+    The array entry of the solver, which every tower level runs: `gens` is
+    a (k, m) int32 image array, one generator per row, `rep` the
+    representative's row, `points` a sorted index array and `colors` an int
+    code for every column, compared only for equality.  Returns (coset or
+    None, changed), the coset a pair (generators, representative) of arrays;
+    when nothing changed it is the input pair itself.
+
+    A generator that fixes every point passes every filter unchanged, so
+    only the others enter the kernel, and the rest keep their rows in the
+    result.
+    """
+    assert maps_into(gens, points), "B not stable"
+    moving = np.flatnonzero((gens[:, points] != points).any(axis=1))
+    out, changed = _cb((gens[moving], rep), points, colors)
+    if not changed:
+        return (gens, rep), False
+    if out is None:
+        return None, True
+    new, new_rep = out
+    sub = gens.copy()
+    sub[moving] = new[: len(moving)]
+    return (np.concatenate([sub, new[len(moving) :]]), new_rep), True
+
+
 def _filter(coset: Coset | None, points, colors: ColorSeq):
     """`cb` with its changed flag: (coset or None, changed).
 
-    A generator that fixes every point passes every filter unchanged, so
-    only the others enter the kernel, and the rest keep their places in the
-    result.  Only the colors of the points and of their images under the
-    representative are read.
+    Only the colors of the points and of their images under the
+    representative are read; they are coded to dense ints for `cb_images`.
     """
     if coset is None:
         return None, True
-    sub, rep, m = coset.sub, coset.rep.image, coset.rep.degree
+    rep, m = coset.rep.image, coset.rep.degree
     pts = point_array(points, m)
-    on_points = np.array([g.image[pts] for g in sub], dtype=np.intp).reshape(len(sub), len(pts))
-    if __debug__:
-        inside = np.zeros(m, dtype=bool)
-        inside[pts] = True
-        assert inside[on_points].all(), "B not stable"
-    moving = np.flatnonzero((on_points != pts).any(axis=1))
-    gens = np.array([sub[i].image for i in moving], dtype=np.int32).reshape(len(moving), m)
+    gens = np.array([g.image for g in coset.sub], dtype=np.int32).reshape(len(coset.sub), m)
     read = np.concatenate([pts, rep[pts]])
     codes = np.zeros(m, dtype=np.int64)
     codes[read] = _color_codes(colors, read)
-    out, changed = _cb((gens, rep), pts, codes)
+    out, changed = cb_images(gens, rep, pts, codes)
     if not changed:
         return coset, False
     if out is None:
         return None, True
-    new = [Permutation(row, _checked=True) for row in out[0]]
-    sub = list(sub)
-    for i, p in zip(moving.tolist(), new):
-        sub[i] = p
-    sub += new[len(moving) :]
-    return Coset(Permutation(out[1], _checked=True), tuple(sub)), True
+    sub = tuple(Permutation(row, _checked=True) for row in out[0])
+    return Coset(Permutation(out[1], _checked=True), sub), True
 
 
 def cb(coset: Coset | None, points, colors: ColorSeq) -> Coset | None:

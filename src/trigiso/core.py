@@ -5,12 +5,19 @@ computed level by level along the layer tower: the kernel of the restriction
 to the previous layer is generated by same-fiber transpositions, and the
 image of the restriction is exactly the part of the previous group that
 preserves the colors of the materialized tower elements (neighbor sets and
-new edge pairs).  That color filtering is delegated to the coset solver `cb`,
-whose ground points B_r are those materialized elements only, closed under
-the level's group and integer-coded by the layer decomposition.  The nodes
-of the previous layer stay out of B_r: every permutation reaching a level
-already preserves their colors, which each level re-checks.  Surviving
-generators are lifted by matching fibers in sorted order.
+new edge pairs).  That color filtering is delegated to the coset solver's
+array entry `cb_images`, whose ground points B_r are those materialized
+elements only, closed under the level's group and integer-coded by the
+layer decomposition.  The nodes of the previous layer stay out of B_r:
+every permutation reaching a level already preserves their colors, which
+each level re-checks.  Surviving generators are lifted by matching fibers
+in sorted order.
+
+Inside the tower every permutation is a row of an int32 image array: the
+generators are one (k, n) array and the representative one row.  A level
+appends the B_r columns to every row in one concatenation, filters, keeps
+the first n columns and lifts all rows in one call.  `Permutation` objects
+appear only at the boundary, in `lift`, `_contract` and the results.
 
 Two graphs are isomorphic exactly when, after splitting one edge of each and
 joining the split nodes, some automorphism of the joined graph fixing the
@@ -28,66 +35,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Only `cb` runs here; perfbench/tracing.py patches the tree names in this module.
-from .coloraut import annotate, build_structure_tree, cb, cb_tree
+# The tower runs `cb_images`; `cb` and the tree names are bound here only
+# because perfbench/tracing.py patches them in this module.
+from .coloraut import annotate, build_structure_tree, cb, cb_images, cb_tree
 from .graphs import LabeledGraph, build_x, is_graph_isomorphism, require_valid
 from .layers import LayerDecomposition, layer_sequence
-from .perm import Coset, Permutation, _sorted_distinct
-
-
-class _LevelContext:
-    """B_r, its colors and the extended action for one tower level r.
-
-    B_r holds only the materialized elements of level r: the labeled
-    neighbor sets of the nodes entering at r+1 and the cross-edge pairs of
-    level r, closed under the level's permutations.  They take the ground
-    points [n, m) in key order.  The nodes of X_{r-1} are not part of B_r:
-    every permutation that reaches level r already preserves their colors,
-    so a filter over them could remove nothing.  That premise is checked
-    here, on every generator and the representative, and a violation
-    raises AssertionError.
-    """
-
-    def __init__(self, dec: LayerDecomposition, r: int, gens, rep):
-        self.dec = dec
-        self.r = r
-        perms = list(gens) + [rep if rep is not None else Permutation.identity(dec.n)]
-        self.images = np.stack([p.image for p in perms])
-        if not (dec.node_colors[self.images] == dec.node_colors).all():
-            raise AssertionError(
-                f"level {r}: a permutation moves a node onto a node of another color"
-            )
-        self.keys = dec.b_set(r, perms)
-        self.m = dec.n + len(self.keys)
-
-    def restrict(self, p: Permutation) -> Permutation:
-        return Permutation(p.image[: self.dec.n].copy(), _checked=True)
-
-    def extend(self) -> Coset:
-        """The coset on the ground set [0, m), all permutations at once.
-
-        One gather of the element images under every generator and the
-        representative, then a lookup of their keys in B_r.
-        """
-        dec, n, keys = self.dec, self.dec.n, self.keys
-        moved = dec.move(self.images, keys)
-        pos = np.searchsorted(keys, moved).clip(max=len(keys) - 1)
-        if not (keys[pos] == moved).all():
-            raise AssertionError(f"level {self.r}: B_r is not closed")
-        ext = np.empty((len(self.images), self.m), dtype=np.int32)
-        ext[:, :n] = self.images
-        ext[:, n:] = n + pos
-        perms = [Permutation(row, _checked=True) for row in ext]
-        return Coset(perms[-1], tuple(perms[:-1]))
-
-    def colors(self) -> np.ndarray:
-        """Color ids over [0, m); the node slots, never read, are 0 too."""
-        colors = self.dec.element_colors(self.r, self.keys)
-        return np.concatenate([np.zeros(self.dec.n, dtype=colors.dtype), colors])
-
-    def solve(self) -> Coset | None:
-        """Color-preserving part of the extended coset over B_r."""
-        return cb(self.extend(), range(self.dec.n, self.m), self.colors())
+from .perm import Permutation, _sorted_distinct
 
 
 def lift(dec: LayerDecomposition, r: int, sigma: Permutation) -> Permutation:
@@ -104,50 +57,65 @@ def lift(dec: LayerDecomposition, r: int, sigma: Permutation) -> Permutation:
 def _run_tower(dec: LayerDecomposition, swap: bool):
     """Run the level loop; returns (generators, representative) or None.
 
-    With swap=False the result generates the full edge-fixing automorphism
-    group of the working graph (representative is None).  With swap=True
-    the maintained group is the part-preserving subgroup and the
-    representative tracks a part-exchanging coset element; returns None as
-    soon as the exchange coset dies, which certifies that no automorphism
-    exchanges the base edge's endpoints.
+    Generators are a (k, n) int32 array of node images, one per row, and the
+    representative is one such row.  With swap=False the generators
+    generate the full edge-fixing automorphism group of the working graph
+    and the representative stays the identity.  With swap=True the
+    generators generate the part-preserving subgroup and the representative
+    tracks a part-exchanging coset element; returns None as soon as the
+    exchange coset dies, which certifies that no automorphism exchanges the
+    base edge's endpoints.
+
+    Level r filters the coset over B_r only: the materialized elements of
+    level r, the labeled neighbor sets of the nodes entering at r+1 and the
+    cross-edge pairs of level r, closed under the level's permutations.
+    They take the ground points [n, m) in key order.  The nodes of X_{r-1}
+    are not part of B_r: every permutation that reaches level r already
+    preserves their colors, so a filter over them could remove nothing.
+    That premise is checked on every row at every level, and a violation
+    raises AssertionError.
     """
+    n = dec.n
     a, b = dec.base_edge
     same_color = dec.colors[a] == dec.colors[b]
-    if swap:
-        if not same_color:
-            return None
-        gens: list[Permutation] = []
-        rep: Permutation | None = Permutation.transposition(dec.n, a, b)
-    else:
-        gens = [Permutation.transposition(dec.n, a, b)] if same_color else []
-        rep = None
-
+    if swap and not same_color:
+        return None
+    ident = np.arange(n, dtype=np.int32)
+    flip = ident.copy()
+    flip[[a, b]] = b, a
+    gens = flip[None] if same_color and not swap else np.empty((0, n), dtype=np.int32)
+    rep = flip if swap else ident
     for r in range(1, dec.N):
-        ctx = _LevelContext(dec, r, gens, rep)
-        if ctx.m == dec.n:  # nothing materialized: the whole coset survives
-            s_gens = gens
-            s_rep = rep
-        else:
-            out = ctx.solve()
+        rows = np.vstack([gens, rep])
+        if not (dec.node_colors[rows] == dec.node_colors).all():
+            raise AssertionError(
+                f"level {r}: a permutation moves a node onto a node of another color"
+            )
+        keys = dec.b_set(r, rows)
+        if len(keys):  # else nothing is materialized: the whole coset survives
+            moved = dec.move(rows, keys)
+            pos = np.searchsorted(keys, moved).clip(max=len(keys) - 1)
+            if not (keys[pos] == moved).all():
+                raise AssertionError(f"level {r}: B_r is not closed")
+            ext = np.concatenate([rows, (n + pos).astype(np.int32)], axis=1)
+            colors = np.concatenate([np.zeros(n, dtype=np.int64), dec.element_colors(r, keys)])
+            out, _ = cb_images(ext[:-1], ext[-1], np.arange(n, ext.shape[1]), colors)
             if out is None:
                 if swap:
                     return None
                 raise AssertionError("identity coset filtered to empty")
-            s_gens = [ctx.restrict(g) for g in out.sub]
-            s_rep = ctx.restrict(out.rep) if swap else None
-
-        new_gens = list(dec.kernel_generators(r))
-        seen = {g.image.tobytes() for g in new_gens}
-        for g in s_gens:
-            lifted = lift(dec, r, g)
-            key = lifted.image.tobytes()
-            if lifted.is_identity() or key in seen:
-                continue
-            seen.add(key)
-            new_gens.append(lifted)
-        gens = new_gens
-        if swap:
-            rep = lift(dec, r, s_rep)
+            rows = np.vstack(out)[:, :n]
+        lifted = dec.lift_image(r, rows)
+        rep = lifted[-1]
+        kernel = dec.kernel_generators(r)
+        seen = {row.tobytes() for row in kernel}
+        keep = []
+        for i in np.flatnonzero((lifted[:-1] != ident).any(axis=1)).tolist():
+            key = lifted[i].tobytes()
+            if key not in seen:
+                seen.add(key)
+                keep.append(i)
+        gens = np.concatenate([kernel, lifted[keep]])
     return gens, rep
 
 
@@ -157,31 +125,19 @@ def _original_positions(dec: LayerDecomposition):
     return ids, pos
 
 
-def _contract(dec: LayerDecomposition, perms) -> list[Permutation]:
+def _contract(dec: LayerDecomposition, images: np.ndarray) -> list[Permutation]:
     """Map working-graph automorphisms back onto the input graph's nodes.
 
-    Gadget corners collapse to their parent node; the reserved triangle
-    labels force corners onto corners, so the parent map is well defined and
-    the contraction is a group isomorphism.
+    `images` holds one automorphism per row.  Gadget corners collapse to
+    their parent node; the reserved triangle labels force corners onto
+    corners, so the parent map is well defined and the contraction is a
+    group isomorphism.
     """
     ids, pos = _original_positions(dec)
-
-    def entry_index(v: int) -> int:
-        idx = dec.index_of.get(v)
-        if idx is None:
-            idx = dec.gadget_triple[v][0]
-        return idx
-
-    def owner(idx: int) -> int:
-        oid = dec.orig_id[idx]
-        return oid if oid is not None else dec.gadget_parent[idx]
-
-    entry = [entry_index(v) for v in ids]
-    out = []
-    for p in perms:
-        img = [pos[owner(int(p.image[i]))] for i in entry]
-        out.append(Permutation(img))
-    return out
+    entry = [dec.index_of[v] if v in dec.index_of else dec.gadget_triple[v][0] for v in ids]
+    owner = [oid if oid is not None else dec.gadget_parent[i] for i, oid in enumerate(dec.orig_id)]
+    owner_pos = np.array([pos[v] for v in owner], dtype=np.int32)
+    return [Permutation(row) for row in owner_pos[images[:, entry]]]
 
 
 @dataclass(frozen=True)
@@ -410,7 +366,7 @@ def is_isomorphic(
         result = _run_tower(dec, swap=True)
         if result is None:
             continue
-        witness = _contract(dec, [result[1]])[0]
+        witness = _contract(dec, result[1][None])[0]
         mapping = _extract_mapping(sp, witness)
         if not is_graph_isomorphism(g1, g2, mapping):
             raise AssertionError("internal error: witness failed verification")

@@ -414,58 +414,21 @@ class BenchRecord:
     mode: str
 
 
-BENCH_MODES = ("random", "semirandom", "isomorphic", "phylo", "phylo-undirected-iso")
+# Pairs the pretests decide time the pretests, not the pipeline, so the only
+# mode is relabelled positives.
+BENCH_MODES = ("isomorphic",)
 
 
 def _bench_case(mode: str, n: int, trial: int, seed: int) -> BenchRecord:
-    from . import core, phylo
+    from . import core
 
     rng = random.Random(f"bench:{seed}:{mode}:{n}:{trial}")
     sub = rng.randrange(1 << 30)
-
-    if mode in ("random", "semirandom", "isomorphic"):
-        if mode == "random":
-            g1 = random_ternary_graph(n, sub)
-            g2 = random_ternary_graph(n, sub + 1)
-        elif mode == "isomorphic":
-            g1 = random_ternary_graph(n, sub)
-            g2, _ = random_relabeling(g1, sub + 1)
-        else:
-            base = random_ternary_graph(n, sub)
-            degrees = base.degree_sequence()
-            g1 = g2 = None
-            for k in range(20):
-                d1, d2 = list(degrees), list(degrees)
-                d1[-1] = rng.randint(1, 3)
-                d2[-1] = rng.randint(1, 3)
-                if sum(d1) % 2 == 1:
-                    d1[0] = max(1, min(3, d1[0] + (1 if d1[0] < 3 else -1)))
-                if sum(d2) % 2 == 1:
-                    d2[0] = max(1, min(3, d2[0] + (1 if d2[0] < 3 else -1)))
-                g1 = degree_sequence_graph(d1, sub + 100 + k)
-                g2 = degree_sequence_graph(d2, sub + 200 + k)
-                if g1 is not None and g2 is not None:
-                    break
-            if g1 is None or g2 is None:
-                g1 = random_ternary_graph(n, sub)
-                g2 = random_ternary_graph(n, sub + 1)
-        t0 = time.perf_counter()
-        verdict = core.is_isomorphic(g1, g2).isomorphic
-        elapsed = time.perf_counter() - t0
-    elif mode == "phylo":
-        n1 = phylo.random_network(n, seed=sub)
-        n2 = phylo.random_network(n, seed=sub + 1)
-        t0 = time.perf_counter()
-        verdict = phylo.phylo_isomorphic(n1, n2).isomorphic
-        elapsed = time.perf_counter() - t0
-    elif mode == "phylo-undirected-iso":
-        n1 = phylo.random_network(n, seed=sub)
-        n2 = phylo.swap_two_leaf_labels(n1, seed=sub + 1)
-        t0 = time.perf_counter()
-        verdict = phylo.phylo_isomorphic(n1, n2).isomorphic
-        elapsed = time.perf_counter() - t0
-    else:
-        raise ValueError(f"unknown bench mode {mode!r}")
+    g1 = random_ternary_graph(n, sub)
+    g2, _ = random_relabeling(g1, sub + 1)
+    t0 = time.perf_counter()
+    verdict = core.is_isomorphic(g1, g2).isomorphic
+    elapsed = time.perf_counter() - t0
     return BenchRecord(n=n, trial=trial, verdict=verdict, elapsed=elapsed, mode=mode)
 
 
@@ -477,9 +440,8 @@ def bench_run(
 ) -> list[BenchRecord]:
     """Run the benchmark protocol; records are sorted by (mode, n, trial).
 
-    Isomorphism-mode pairs are relabeled copies, so their verdicts are all
-    true.  Verdicts (and hence the CSV apart from `elapsed`) are stable for
-    a fixed seed.
+    Pairs are relabeled copies, so their verdicts are all true.  Verdicts
+    (and hence the CSV apart from `elapsed`) are stable for a fixed seed.
     """
     if mode not in BENCH_MODES:
         raise ValueError(f"unknown bench mode {mode!r}; pick one of {BENCH_MODES}")

@@ -18,12 +18,13 @@ so levels of all other nodes are unaffected.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
 from .graphs import GADGET_LABEL, GraphError, LabeledGraph, require_valid, _norm_edge
-from .perm import Permutation, _sorted_distinct
+from .perm import _sorted_distinct
 
 
 class LayerDecomposition:
@@ -143,20 +144,21 @@ class LayerDecomposition:
         at = np.searchsorted(level.keys, keys).clip(max=len(level.keys) - 1)
         return np.where(level.keys[at] == keys, level.colors[at], 0)
 
-    def lift_image(self, r: int, image: np.ndarray) -> np.ndarray:
-        """Node images of the lift of a level-r automorphism to level r+1.
+    def lift_image(self, r: int, images: np.ndarray) -> np.ndarray:
+        """Node images of the lifts of level-r automorphisms to level r+1.
 
-        Each node entering at level r+1 goes to the node at its own position
-        (in index order) of the fiber with the image neighbor set and the
-        same color.  A missing target fiber, or one of another size, raises
-        GraphError.
+        `images` holds node images in its last axis, one automorphism per
+        row.  Each node entering at level r+1 goes to the node at its own
+        position (in index order) of the fiber with the image neighbor set
+        and the same color.  A missing target fiber, or one of another size,
+        raises GraphError.
         """
-        img = np.array(image, dtype=np.int32)
+        img = np.array(images, dtype=np.int32)
         level = self.levels.get(r)
         if level is None or not len(level.members):
             return img
-        halves = image[level.fiber_nodes].astype(np.int64) * self._R + level.fiber_ranks
-        moved = halves.min(axis=1) * self._S + halves.max(axis=1)
+        halves = img[..., level.fiber_nodes].astype(np.int64) * self._R + level.fiber_ranks
+        moved = halves.min(axis=-1) * self._S + halves.max(axis=-1)
         at = np.searchsorted(level.set_keys, moved)
         target = at * self.n_colors + level.fiber_colors
         j = np.searchsorted(level.fiber_keys, target)
@@ -164,8 +166,8 @@ class LayerDecomposition:
             level.size[j] != level.size
         ).any():
             raise GraphError("fiber mismatch while lifting: permutation was not certified")
-        shift = np.repeat(level.start[j] - level.start, level.size)
-        img[level.members] = level.members[shift + np.arange(len(level.members))]
+        shift = np.repeat(level.start[j] - level.start, level.size, axis=-1)
+        img[..., level.members] = level.members[shift + np.arange(len(level.members))]
         return img
 
     def _level(self, r: int) -> "_Level":
@@ -230,19 +232,19 @@ class LayerDecomposition:
 
     # -- ground elements for the per-level solve ------------------------------
 
-    def b_set(self, r: int, gens: Sequence[Permutation]) -> np.ndarray:
+    def b_set(self, r: int, images: np.ndarray) -> np.ndarray:
         """Sorted keys of B_r: the materialized elements of level r, closed.
 
         The materialized elements are the labeled neighbor sets of the nodes
         entering at level r+1 and the cross-edge pairs of level r (keys as in
-        `encode`).  The closure runs on keys, a whole frontier under all of
-        `gens` per round, so the result is stable under the group they
-        generate.
+        `encode`).  `images` is a (k, n) array of node images, one
+        permutation per row.  The closure runs on keys, a whole frontier
+        under all rows per round, so the result is stable under the group
+        they generate.
         """
         level = self.levels.get(r)
         seen = level.keys if level is not None else np.empty(0, dtype=np.int64)
-        if gens and len(seen):
-            images = np.stack([g.image for g in gens])
+        if len(images) and len(seen):
             frontier = seen
             while len(frontier):
                 moved = _sorted_distinct(self.move(images, frontier))
@@ -252,24 +254,24 @@ class LayerDecomposition:
 
     # -- kernel of the level restriction --------------------------------------
 
-    def kernel_generators(self, r: int) -> list[Permutation]:
+    def kernel_generators(self, r: int) -> np.ndarray:
         """Transpositions of same-fiber, same-color nodes entering at level r+1.
 
         These generate the kernel of the restriction of the edge-fixing
         automorphisms of X_{r+1} to X_r.  Fibers compare the labeled neighbor
         sets, so the swaps preserve edge labels as well as node colors.
+        Returns a (t, n) array of node images, one transposition per row.
         """
         if r + 1 > self.N:
             raise ValueError(f"level {r + 1} beyond tower depth {self.N}")
         level = self.levels.get(r)
-        if level is None:
-            return []
-        out = []
-        for s, z in zip(level.start.tolist(), level.size.tolist()):
-            fiber = level.members[s : s + z].tolist()
-            for i in range(z):
-                for j in range(i + 1, z):
-                    out.append(Permutation.transposition(self.n, fiber[i], fiber[j]))
+        pairs = []
+        if level is not None:
+            for s, z in zip(level.start.tolist(), level.size.tolist()):
+                pairs += combinations(level.members[s : s + z].tolist(), 2)
+        out = np.tile(np.arange(self.n, dtype=np.int32), (len(pairs), 1))
+        for row, (u, v) in zip(out, pairs):
+            row[u], row[v] = v, u
         return out
 
 

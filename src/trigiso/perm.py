@@ -28,9 +28,9 @@ permutation per row, and work on all rows at once:
 - `index2_images` passes to an index-2 subgroup by one gather.
 
 The color solver in `coloraut` calls them on its image arrays directly.
-`orbit`, `orbit_partition`, `is_transitive`, `two_block_system` and
-`index2_sgs` are adapters that stack `Permutation` images, check their
-preconditions and call the same primitives.
+`orbit_partition`, `is_transitive`, `two_block_system` and `index2_sgs`
+are adapters that stack `Permutation` images, check their preconditions
+and call the same primitives.
 """
 
 from __future__ import annotations
@@ -160,8 +160,12 @@ def inverse_image(image: np.ndarray) -> np.ndarray:
     return inv
 
 
-def cycle_string(p: Permutation) -> str:
-    """Render in disjoint cycle notation, fixed points omitted; identity is ()."""
+def cycle_string(p: Permutation, names: Sequence | None = None) -> str:
+    """Render in disjoint cycle notation, fixed points omitted; identity is ().
+
+    Point x prints as `names[x]` when `names` is given.
+    """
+    label = str if names is None else (lambda x: str(names[x]))
     seen = [False] * p.degree
     parts = []
     for i in range(p.degree):
@@ -174,7 +178,7 @@ def cycle_string(p: Permutation) -> str:
             seen[j] = True
             cyc.append(j)
             j = p(j)
-        parts.append("(" + " ".join(map(str, cyc)) + ")")
+        parts.append("(" + " ".join(map(label, cyc)) + ")")
     return "".join(parts) if parts else "()"
 
 
@@ -336,16 +340,6 @@ def _stable_points(gens: Sequence[Permutation], points) -> tuple[np.ndarray, np.
     if not maps_into(images, pts):
         raise ValueError("point set is not stable under the generators")
     return images, pts
-
-
-def orbit(gens: Sequence[Permutation], point: int) -> frozenset[int]:
-    """Smallest gens-closed set containing the point."""
-    images = _stack(gens)
-    m = images.shape[1]
-    if not 0 <= point < m:
-        raise ValueError(f"point {point} out of range for ground set of size {m}")
-    lab = orbit_labels(images)
-    return frozenset(np.flatnonzero(lab == lab[point]).tolist())
 
 
 def orbit_partition(

@@ -275,7 +275,7 @@ def phylo_isomorphic(
         return IsoResult(True)
 
     _, rep = result
-    witness = _contract(dec, [rep])[0]
+    witness = _contract(dec, rep[None])[0]
     index1 = {v: i for i, v in enumerate(n1.nodes)}
     inv2 = {i + shift: v for i, v in enumerate(n2.nodes)}
     mapping = {v: inv2[witness(index1[v])] for v in n1.nodes}

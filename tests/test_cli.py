@@ -152,7 +152,7 @@ def test_bench_writes_csv(capsys, tmp_path):
 
 
 def test_bench_bad_sizes(capsys):
-    assert run_cli(capsys, "bench", "--mode", "random", "--sizes", "a,b")[0] == 3
+    assert run_cli(capsys, "bench", "--mode", "isomorphic", "--sizes", "a,b")[0] == 3
 
 
 def test_console_entry_point_runs():

@@ -475,13 +475,13 @@ def test_structure_tree_matches_per_node_orbits_on_towers(seed, monkeypatch):
     # group and for a relabelled positive, and build each one's tree both
     # ways.
     inputs = []
-    real = core.cb
+    real = core.cb_images
 
-    def spy(coset, points, colors):
-        inputs.append((list(points), tuple(coset.sub)))
-        return real(coset, points, colors)
+    def spy(gens, rep, points, colors):
+        inputs.append((points.tolist(), tuple(Permutation(g) for g in gens)))
+        return real(gens, rep, points, colors)
 
-    monkeypatch.setattr(core, "cb", spy)
+    monkeypatch.setattr(core, "cb_images", spy)
     g = random_ternary_graph(24, seed)
     core.aut_e_generators(g, g.sorted_edges()[0])
     h, _ = random_relabeling(g, seed)

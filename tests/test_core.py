@@ -1,5 +1,7 @@
 """Tests for the generator pipeline and the isomorphism drivers."""
 
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -16,8 +18,9 @@ from trigiso.harness import (
     random_relabeling,
     random_ternary_graph,
 )
-from trigiso.layers import layer_sequence
-from trigiso.perm import Permutation, enumerate_group, group_order, smoothness_violations
+from trigiso.layers import LayerDecomposition, layer_sequence
+from trigiso.perm import Coset, Permutation, enumerate_group, group_order, smoothness_violations
+from trigiso.phylo import phylo_isomorphic, random_network
 
 from test_graphs import EX1_A, EX1_B, EX2_A, EX2_B, graph_from_edges
 from test_layers import decide_tower_cases, reference_b_set
@@ -255,30 +258,46 @@ def _same_coset(a, b) -> bool:
     )
 
 
+def _coset(gens, rep) -> Coset:
+    return Coset(Permutation(rep), tuple(Permutation(g) for g in gens))
+
+
+def _spy_levels(monkeypatch) -> list:
+    """Record (decomposition, r, input rows) of every level the tower runs."""
+    levels = []
+    real = LayerDecomposition.b_set
+
+    def spy(dec, r, images):
+        levels.append((dec, r, images))
+        return real(dec, r, images)
+
+    monkeypatch.setattr(LayerDecomposition, "b_set", spy)
+    return levels
+
+
 @pytest.mark.parametrize("n", [24, 40, 64])
 @pytest.mark.parametrize("seed", range(3))
 def test_extend_and_lift_match_frozenset_references(monkeypatch, n, seed):
-    levels = []
-    real_lift = core.lift
+    levels = _spy_levels(monkeypatch)
+    real_solve = core.cb_images
+    real_lift = LayerDecomposition.lift_image
 
-    class Checked(core._LevelContext):
-        def __init__(self, dec, r, gens, rep):
-            super().__init__(dec, r, gens, rep)
-            perms = list(gens) + [rep or Permutation.identity(dec.n)]
-            elems = reference_b_set(dec, r, perms)
-            if elems:
-                coset = self.extend()
-                got = [p.image.tolist() for p in coset.sub + (coset.rep,)]
-                assert got == [reference_extend(dec, elems, p) for p in perms]
-            levels.append(r)
+    def checked_solve(gens, rep, points, colors):
+        dec, r, images = levels[-1]
+        elems = reference_b_set(dec, r, images)
+        assert elems
+        got = [row.tolist() for row in [*gens, rep]]
+        assert got == [reference_extend(dec, elems, Permutation(p)) for p in images]
+        return real_solve(gens, rep, points, colors)
 
-    def checked_lift(dec, r, sigma):
-        out = real_lift(dec, r, sigma)
-        assert out == reference_lift(dec, r, sigma)
+    def checked_lift(dec, r, images):
+        out = real_lift(dec, r, images)
+        for row, sigma in zip(out, images):
+            assert Permutation(row) == reference_lift(dec, r, Permutation(sigma))
         return out
 
-    monkeypatch.setattr(core, "_LevelContext", Checked)
-    monkeypatch.setattr(core, "lift", checked_lift)
+    monkeypatch.setattr(core, "cb_images", checked_solve)
+    monkeypatch.setattr(LayerDecomposition, "lift_image", checked_lift)
     decide_tower_cases(n, seed)
     assert len(levels) > 3
 
@@ -304,40 +323,87 @@ def test_level_solve_over_elements_equals_solve_with_nodes(monkeypatch, tree_ref
     # points, change no level's coset: rep and every generator agree with
     # `cb` over the enlarged points, or with the tree-guided reference
     # `cb_tree` when `tree_reference` is set.
+    levels = _spy_levels(monkeypatch)
     solved = []
+    real = core.cb_images
 
-    class Checked(core._LevelContext):
-        def solve(self):
-            got = super().solve()
-            dec, n = self.dec, self.dec.n
-            coset = self.extend()
-            colors = [("n", c) for c in dec.colors] + self.colors()[n:].tolist()
-            points = [v for v in range(n) if dec.level_of[v] <= self.r - 1]
-            points += range(n, self.m)
-            if tree_reference:
-                root = build_structure_tree(points, coset.sub)
-                annotate(root, colors, neutral=0)
-                want = cb_tree(coset, root, colors)
-            else:
-                want = cb(coset, points, colors)
-            assert _same_coset(got, want)
-            solved.append(self.r)
-            return got
+    def checked(gens, rep, points, colors):
+        out, changed = real(gens, rep, points, colors)
+        got = None if out is None else _coset(*out)
+        dec, r = levels[-1][:2]
+        n = dec.n
+        coset = _coset(gens, rep)
+        colors = [("n", c) for c in dec.colors] + colors[n:].tolist()
+        points = [v for v in range(n) if dec.level_of[v] <= r - 1] + points.tolist()
+        if tree_reference:
+            root = build_structure_tree(points, coset.sub)
+            annotate(root, colors, neutral=0)
+            want = cb_tree(coset, root, colors)
+        else:
+            want = cb(coset, points, colors)
+        assert _same_coset(got, want)
+        solved.append(r)
+        return out, changed
 
-    monkeypatch.setattr(core, "_LevelContext", Checked)
+    monkeypatch.setattr(core, "cb_images", checked)
     decide_tower_cases(40, seed)
     assert solved
 
 
 def test_node_color_check_raises():
+    # The check reads the decomposition's node colors; giving the base
+    # edge's endpoints different ones there makes the base swap (0 1), as
+    # a generator or as the representative, move a node onto a node of
+    # another color.
     g = LabeledGraph({0: 0, 1: 0, 2: 1, 3: 2}, [(0, 1), (0, 2), (0, 3)])
     dec = layer_sequence(g, (0, 1))
-    swap = Permutation.transposition(dec.n, 2, 3)  # colors 1 and 2
+    core._run_tower(dec, swap=False)
+    dec.node_colors = np.array([0, 3, 1, 2])
     with pytest.raises(AssertionError, match="color"):
-        core._LevelContext(dec, 1, [swap], None)
+        core._run_tower(dec, swap=False)
     with pytest.raises(AssertionError, match="color"):
-        core._LevelContext(dec, 1, [], swap)
-    core._LevelContext(dec, 1, [Permutation.transposition(dec.n, 0, 1)], None)
+        core._run_tower(dec, swap=True)
+
+
+# sha256 of the JSON outputs below.  Any change to a generator sequence or a
+# mapping changes them, even one that keeps every verdict.
+_PINNED_DIGESTS = {
+    "aut": "a6113be35cc36800ecdffb189681a74c6e05b961dd763e0237d4dad22fdc42f3",
+    "iso": "56db389abce1f861d98ec7afb5530e1666c9a90d350a9f644c84577616087afe",
+    "phylo": "c1d2c80e526033b2185056ebb0d551c07cf4c1f0faf86bb5af41bffa50fb14c1",
+    "trees": "dcebde94549fa59dd7dfe1765481ebc24adacf0e0f87c71a2f60570f35e12768",
+}
+
+
+def test_tower_outputs_match_pinned_digests():
+    def digest(obj) -> str:
+        return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+    aut = []
+    for n in range(24, 54):
+        g = random_ternary_graph(n, n)
+        res = aut_e_generators(g, g.sorted_edges()[0])
+        aut.append([[p.image.tolist() for p in res.generators], list(res.node_order)])
+    iso = []
+    for s in range(8):
+        g = random_ternary_graph(64, s)
+        h, _ = random_relabeling(g, 100 + s)
+        iso.append(sorted(is_isomorphic(g, h, want_mapping=True).mapping.items()))
+    nets = []
+    for s in range(6):
+        net = random_network(65, seed=s)
+        twin = net.relabeled_nodes({v: 1000 + v for v in net.nodes})
+        nets.append(sorted(phylo_isomorphic(net, twin, want_mapping=True).mapping.items()))
+    # Random graphs rarely keep two kernel swaps of one level; trees keep many.
+    trees = []
+    for n in (31, 63):
+        res = aut_e_generators(complete_binary_tree(n), (0, 1))
+        trees.append([[p.image.tolist() for p in res.generators], list(res.node_order)])
+    g = complete_binary_tree(127)
+    h, _ = random_relabeling(g, 5)
+    trees.append(sorted(is_isomorphic(g, h, want_mapping=True).mapping.items()))
+    got = {"aut": digest(aut), "iso": digest(iso), "phylo": digest(nets), "trees": digest(trees)}
+    assert got == _PINNED_DIGESTS
 
 
 # -- the batched layer-profile filter against the per-edge reference ----------

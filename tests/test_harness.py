@@ -109,17 +109,11 @@ def test_bench_empty_and_isomorphic_modes():
     assert [(r.n, r.trial) for r in records] == [(6, 0), (6, 1), (8, 0), (8, 1)]
 
 
-def test_bench_random_and_phylo_modes_run():
-    for mode in ("random", "semirandom", "phylo", "phylo-undirected-iso"):
-        records = bench_run(mode, [9], trials=1, seed=2)
-        assert len(records) == 1 and records[0].mode == mode
-
-
 def test_bench_rejects_bad_mode():
     with pytest.raises(ValueError):
         bench_run("nope", [4], trials=1, seed=0)
     with pytest.raises(ValueError):
-        bench_run("random", [], trials=1, seed=0)
+        bench_run("isomorphic", [], trials=1, seed=0)
 
 
 def test_bench_csv_shape_and_determinism():
