@@ -107,15 +107,8 @@ def _run_tower(dec: LayerDecomposition, swap: bool):
             rows = np.vstack(out)[:, :n]
         lifted = dec.lift_image(r, rows)
         rep = lifted[-1]
-        kernel = dec.kernel_generators(r)
-        seen = {row.tobytes() for row in kernel}
-        keep = []
-        for i in np.flatnonzero((lifted[:-1] != ident).any(axis=1)).tolist():
-            key = lifted[i].tobytes()
-            if key not in seen:
-                seen.add(key)
-                keep.append(i)
-        gens = np.concatenate([kernel, lifted[keep]])
+        moving = (lifted[:-1] != ident).any(axis=1)
+        gens = np.concatenate([dec.kernel_generators(r), lifted[:-1][moving]])
     return gens, rep
 
 

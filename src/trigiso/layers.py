@@ -14,11 +14,24 @@ corner per placed neighbor, triangle edges carrying a reserved label), which
 bounds every neighbor set by 2 without changing the edge-fixing automorphism
 group.  The rewrite cannot cascade: a replaced node has no later neighbors,
 so levels of all other nodes are unaffected.
+
+The tower is built by a few array passes over the edge list, with no loop
+over nodes or elements.  Nodes take dense indices in id order; BFS levels
+come from frontier expansion over a padded neighbor table; the rewritten
+nodes are one mask (three neighbors at a lower level).  Every node's
+neighbor-set key is computed at once, and one stable `np.lexsort` on (level,
+neighbor-set key, color rank) groups the fibers of all levels; each level's
+`_Level` is slices of these global arrays.  The colour solver compares
+element colors only for equality, so any coding that gives equal colors to
+exactly the equal classes yields the same tower: a neighbor set's color is
+the dense rank of the sorted color multiset of its entering nodes (at most
+3), and a cross edge's color is ranked apart from those, by its label.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -30,101 +43,135 @@ from .perm import _sorted_distinct
 class LayerDecomposition:
     """The full tower of one (graph, edge) pair over dense node indices.
 
-    Node indices 0..n-1 refer to the gadget-rewritten working graph; for a
-    node kept from the input graph, `orig_id[i]` is its original id, and for
-    a gadget corner it is None with `gadget_parent[i]` naming the replaced
-    original node.
+    Node indices 0..n-1 refer to the gadget-rewritten working graph: the
+    kept input nodes in id order, then the three corners of each replaced
+    node, in id order of the replaced nodes.  For a kept node `orig_id[i]`
+    is its original id; for a gadget corner it is None and
+    `gadget_parent[i]` names the replaced original node.  `levels[r]` holds
+    the integer-coded elements and fibers of level r, 1 <= r < N.
     """
 
     def __init__(
         self,
-        graph: LabeledGraph,
-        base_edge_orig: tuple[int, int],
+        colors: np.ndarray,
+        level: np.ndarray,
+        edges: np.ndarray,
+        base_edge: tuple[int, int],
         orig_id: list,
         index_of: dict,
         gadget_triple: dict,
         gadget_parent: dict,
-        level_of: list[int],
-        n_levels: int,
     ):
-        self.graph = graph
-        self.base_edge_orig = base_edge_orig
+        """`colors` and `level` are per node; `edges` holds (u, v, label) rows, u < v."""
         self.orig_id = orig_id
         self.index_of = index_of
         self.gadget_triple = gadget_triple
         self.gadget_parent = gadget_parent
-        self.level_of = level_of
-        self.N = n_levels
-        self.n = graph.n_nodes
-        self.base_edge = (index_of[base_edge_orig[0]], index_of[base_edge_orig[1]])
-        self.L = max(level_of)
-        self.colors = [graph.color(v) for v in range(self.n)]
+        self.base_edge = base_edge
+        self.n = n = len(colors)
+        self.node_colors = colors
+        self.colors = colors.tolist()
+        self.level_of = level.tolist()
+        self._edges = edges
+        u, v, lab = edges.T
+        lu, lv = level[u], level[v]
+        self.N = 1 if n == 2 else int(max(np.minimum(lu, lv).max() + 1, level.max()))
 
-        adj = graph.adjacency()
-        self.adj = [adj[v] for v in range(self.n)]
-
-        # Fresh nodes per level and labeled neighbor sets.
-        self.fresh: dict[int, list[int]] = {}
-        for v in range(self.n):
-            self.fresh.setdefault(level_of[v], []).append(v)
-        for r in self.fresh:
-            self.fresh[r].sort()
-        self.nbr_map: dict[int, frozenset] = {}
-        for v in range(self.n):
-            if level_of[v] > 1:
-                self.nbr_map[v] = frozenset(
-                    (w, lab) for w, lab in self.adj[v] if level_of[w] < level_of[v]
-                )
-
-        # Cross edges: both endpoints at the same level; they belong to the
-        # next layer.  The base edge itself is level 1 by definition.
-        self.cross: dict[int, dict] = {}
-        base = frozenset(self.base_edge)
-        for (u, v), lab in graph.edges().items():
-            if level_of[u] == level_of[v] and frozenset((u, v)) != base:
-                self.cross.setdefault(level_of[u], {})[frozenset((u, v))] = lab
-
-        # Integer codes of the tower elements (see `encode`).  Label rank
-        # R - 1 marks the two halves of a node pair.
-        self._label_rank = {
-            lab: i for i, lab in enumerate(sorted(set(graph.edges().values())))
-        }
-        self._R = len(self._label_rank) + 1
-        self._S = self.n * self._R
-        if 2 * self._S * self._S >= 1 << 63:
+        # Integer codes of the tower elements.  A neighbor set's members are
+        # halves node·R + label rank, a pair's node·R + R - 1; a singleton
+        # repeats its half.  The key is kind·S² + smaller half·S + larger
+        # half, kind 1 for pairs, so keys sort neighbor sets before pairs
+        # and each kind like the sorted member tuples.
+        labels = _sorted_distinct(lab)
+        self._R = R = len(labels) + 1
+        self._S = S = n * R
+        if 2 * S * S >= 1 << 63:
             raise GraphError("graph too large for 64-bit tower element keys")
-        self.node_colors = np.array(self.colors)
-        self._color_rank = {c: i for i, c in enumerate(sorted(set(self.colors)))}
-        self.n_colors = len(self._color_rank)
-        self.levels = {r: self._level(r) for r in range(1, self.N)}
+        rank = np.searchsorted(labels, lab)
+        palette = _sorted_distinct(colors)
+        self.n_colors = C = len(palette)
+        color_rank = np.searchsorted(palette, colors)
+
+        # Every node's neighbor-set key from its edges to lower levels.
+        src, dst = np.concatenate([u, v]), np.concatenate([v, u])
+        half = dst * R + np.concatenate([rank, rank])
+        low = level[dst] < level[src]
+        lo, hi = np.full(n, S), np.zeros(n, dtype=np.int64)
+        np.minimum.at(lo, src[low], half[low])
+        np.maximum.at(hi, src[low], half[low])
+        set_key = lo * S + hi
+
+        # The fibers of every level: entering nodes sorted by (level, set
+        # key, color rank), and by index within a fiber (lexsort is stable).
+        entering = np.flatnonzero(level > 1)
+        members = entering[
+            np.lexsort((color_rank[entering], set_key[entering], level[entering]))
+        ]
+        m_level, m_set, m_rank = level[members], set_key[members], color_rank[members]
+        new_set = np.ones(len(members), dtype=bool)
+        new_set[1:] = (m_level[1:] != m_level[:-1]) | (m_set[1:] != m_set[:-1])
+        new_fiber = new_set.copy()
+        new_fiber[1:] |= m_rank[1:] != m_rank[:-1]
+        set_first, fiber_first = np.flatnonzero(new_set), np.flatnonzero(new_fiber)
+        set_of = np.cumsum(new_set) - 1
+        set_keys, set_level = m_set[set_first], m_level[set_first]
+        fiber_set, fiber_level = set_of[fiber_first], m_level[fiber_first]
+        fiber_rank = m_rank[fiber_first]
+        # Where the nodes entering at level r+1 begin, for r = 1 .. N.
+        bounds = np.arange(2, self.N + 2)
+        m_at = np.searchsorted(m_level, bounds)
+        s_at = np.searchsorted(set_level, bounds)
+        f_at = np.searchsorted(fiber_level, bounds)
+        local_set = np.arange(len(set_first)) - s_at[set_level - 2]
+        fiber_keys = local_set[fiber_set] * C + fiber_rank
+        fiber_halves = np.stack([set_keys[fiber_set] // S, set_keys[fiber_set] % S], axis=-1)
+        fiber_nodes, fiber_ranks = np.divmod(fiber_halves, R)
+        start = fiber_first - m_at[fiber_level - 2]
+        size = np.diff(np.append(fiber_first, len(members)))
+
+        # Element colors: a set's sorted color-rank multiset, ranked densely
+        # from 1; cross edges (same level, not the base edge, which is the
+        # only edge inside level 1) after those, by label.
+        width = int(np.diff(np.append(set_first, len(members))).max(initial=1))
+        sig = np.full((len(set_first), width), -1)
+        sig[set_of, np.arange(len(members)) - set_first[set_of]] = m_rank
+        order = np.lexsort(sig.T[::-1])
+        step = np.ones(len(sig), dtype=bool)
+        step[1:] = (sig[order][1:] != sig[order][:-1]).any(axis=1)
+        set_color = np.empty(len(sig), dtype=np.int64)
+        set_color[order] = np.cumsum(step)
+        cross = (lu == lv) & (lu > 1)
+        cu, cv = u[cross], v[cross]
+        elem_level = np.concatenate([set_level - 1, lu[cross]])
+        elem_keys = np.concatenate([set_keys, S * S + (cu * R + R - 1) * S + cv * R + R - 1])
+        elem_colors = np.concatenate([set_color, len(sig) + 1 + rank[cross]])
+        order = np.lexsort((elem_keys, elem_level))
+        elem_keys, elem_colors = elem_keys[order], elem_colors[order]
+        e_at = np.searchsorted(elem_level[order], np.arange(1, self.N + 1))
+
+        self.levels = {}
+        for r in range(1, self.N):
+            e, f = slice(e_at[r - 1], e_at[r]), slice(f_at[r - 1], f_at[r])
+            self.levels[r] = _Level(
+                keys=elem_keys[e],
+                colors=elem_colors[e],
+                set_keys=np.append(set_keys[s_at[r - 1] : s_at[r]], _PAST_ALL_KEYS),
+                fiber_keys=np.append(fiber_keys[f], _PAST_ALL_KEYS),
+                fiber_nodes=fiber_nodes[f],
+                fiber_ranks=fiber_ranks[f],
+                fiber_colors=fiber_rank[f],
+                start=start[f],
+                size=size[f],
+                members=members[m_at[r - 1] : m_at[r]],
+            )
+
+    @cached_property
+    def graph(self) -> LabeledGraph:
+        """The gadget-rewritten working graph over node indices."""
+        u, v, lab = self._edges.T.tolist()
+        return LabeledGraph(dict(enumerate(self.colors)), dict(zip(zip(u, v), lab)))
 
     # -- integer-coded elements ---------------------------------------------
-
-    def encode(self, elems) -> np.ndarray:
-        """Keys of tower elements, in the given order.
-
-        An element is a labeled neighbor set (a frozenset of one or two
-        (node, label) pairs) or a node pair (a frozenset of two nodes).
-        Each member is coded as a half node·R + label rank (rank R - 1 for
-        pair members); a singleton repeats its half.  The key is
-        kind·S² + smaller half·S + larger half, kind 1 for pairs, so keys
-        sort neighbor sets before pairs, and each kind like the sorted
-        member tuples.
-        """
-        R, S = self._R, self._S
-        halves = np.zeros((len(elems), 2), dtype=np.int64)
-        kind = np.zeros(len(elems), dtype=np.int64)
-        for i, elem in enumerate(elems):
-            members = list(elem)
-            if len(members) == 1:
-                members *= 2
-            for j, x in enumerate(members):
-                if isinstance(x, tuple):
-                    halves[i, j] = x[0] * R + self._label_rank[x[1]]
-                else:
-                    halves[i, j] = x * R + R - 1
-                    kind[i] = 1
-        return kind * S * S + halves.min(axis=1) * S + halves.max(axis=1)
 
     def move(self, images: np.ndarray, keys: np.ndarray) -> np.ndarray:
         """Keys of the images of elements under node maps, shape (k, len(keys)).
@@ -170,77 +217,16 @@ class LayerDecomposition:
         img[..., level.members] = level.members[shift + np.arange(len(level.members))]
         return img
 
-    def _level(self, r: int) -> "_Level":
-        entering = self.fresh.get(r + 1, [])
-        sets = [self.nbr_map[v] for v in entering]
-        set_keys, set_index = np.unique(self.encode(sets), return_inverse=True)
-        ranks = [self._color_rank[self.colors[v]] for v in entering]
-        fiber_of = set_index * self.n_colors + np.array(ranks, dtype=np.int64)
-        order = np.argsort(fiber_of, kind="stable")
-        fiber_keys, start, size = np.unique(
-            fiber_of[order], return_index=True, return_counts=True
-        )
-        # Each fiber's neighbor set, to gather: halves = image[nodes]·R + ranks.
-        fiber_sets = set_keys[fiber_keys // self.n_colors]
-        fiber_halves = np.stack([fiber_sets // self._S, fiber_sets % self._S], axis=-1)
-
-        # Colors: the sorted member colors of a neighbor set's nodes, the
-        # label of a cross edge; ids from 1, 0 is left for the neutral color.
-        ids: dict = {}
-        sigs: list[list] = [[] for _ in set_keys]
-        for i, v in zip(set_index, entering):
-            sigs[i].append(self.colors[v])
-        cross = self.cross.get(r, {})
-        colors = [("f", tuple(sorted(sig))) for sig in sigs]
-        colors += [("e", lab) for lab in cross.values()]
-        keys = np.concatenate([set_keys, self.encode(list(cross))])
-        by_key = np.argsort(keys)
-        color_ids = np.array(
-            [ids.setdefault(c, len(ids) + 1) for c in colors], dtype=np.int64
-        )
-        return _Level(
-            keys=keys[by_key],
-            colors=color_ids[by_key],
-            set_keys=np.append(set_keys, _PAST_ALL_KEYS),
-            fiber_keys=np.append(fiber_keys, _PAST_ALL_KEYS),
-            fiber_nodes=fiber_halves // self._R,
-            fiber_ranks=fiber_halves % self._R,
-            fiber_colors=fiber_keys % self.n_colors,
-            start=start,
-            size=size,
-            members=np.array(entering, dtype=np.int64)[order],
-        )
-
-    # -- layers -------------------------------------------------------------
-
-    def nodes_at_most(self, r: int) -> list[int]:
-        return [v for v in range(self.n) if self.level_of[v] <= r]
-
-    def layer(self, r: int) -> tuple[frozenset, frozenset]:
-        """(nodes, edges) of X_r; edges as frozenset pairs of node indices."""
-        if not 1 <= r <= self.N:
-            raise ValueError(f"level {r} outside 1..{self.N}")
-        nodes = frozenset(self.nodes_at_most(r))
-        if r == 1:
-            return nodes, frozenset({frozenset(self.base_edge)})
-        edges = frozenset(
-            frozenset((u, v))
-            for (u, v) in self.graph.edges()
-            if min(self.level_of[u], self.level_of[v]) <= r - 1
-        )
-        return nodes, edges
-
     # -- ground elements for the per-level solve ------------------------------
 
     def b_set(self, r: int, images: np.ndarray) -> np.ndarray:
         """Sorted keys of B_r: the materialized elements of level r, closed.
 
         The materialized elements are the labeled neighbor sets of the nodes
-        entering at level r+1 and the cross-edge pairs of level r (keys as in
-        `encode`).  `images` is a (k, n) array of node images, one
-        permutation per row.  The closure runs on keys, a whole frontier
-        under all rows per round, so the result is stable under the group
-        they generate.
+        entering at level r+1 and the cross-edge pairs of level r.  `images`
+        is a (k, n) array of node images, one permutation per row.  The
+        closure runs on keys, a whole frontier under all rows per round, so
+        the result is stable under the group they generate.
         """
         level = self.levels.get(r)
         seen = level.keys if level is not None else np.empty(0, dtype=np.int64)
@@ -260,39 +246,48 @@ class LayerDecomposition:
         These generate the kernel of the restriction of the edge-fixing
         automorphisms of X_{r+1} to X_r.  Fibers compare the labeled neighbor
         sets, so the swaps preserve edge labels as well as node colors.
-        Returns a (t, n) array of node images, one transposition per row.
+        Returns a (t, n) array of node images, one transposition per row:
+        fiber by fiber, the pairs of members in `itertools.combinations`
+        order.
         """
         if r + 1 > self.N:
             raise ValueError(f"level {r + 1} beyond tower depth {self.N}")
         level = self.levels.get(r)
-        pairs = []
-        if level is not None:
-            for s, z in zip(level.start.tolist(), level.size.tolist()):
-                pairs += combinations(level.members[s : s + z].tolist(), 2)
-        out = np.tile(np.arange(self.n, dtype=np.int32), (len(pairs), 1))
-        for row, (u, v) in zip(out, pairs):
-            row[u], row[v] = v, u
+        if level is None:
+            return np.empty((0, self.n), dtype=np.int32)
+        # Each member pairs with the later members of its fiber.
+        fiber = np.repeat(np.arange(len(level.size)), level.size)
+        later = level.size[fiber] - 1 - (np.arange(len(fiber)) - level.start[fiber])
+        first = np.repeat(np.arange(len(fiber)), later)
+        second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+        u, v = level.members[first], level.members[second]
+        out = np.tile(np.arange(self.n, dtype=np.int32), (len(first), 1))
+        rows = np.arange(len(first))
+        out[rows, u], out[rows, v] = v, u
         return out
 
 
 # Ends the lookup tables of `lift_image`, so a searchsorted index is always valid.
 _PAST_ALL_KEYS = np.iinfo(np.int64).max
+# Level of the padding node of the neighbor table: never reached, never lower.
+_FAR = np.iinfo(np.int64).max
 
 
 class _Level(NamedTuple):
     """Integer-coded elements and fibers of one tower level r.
 
     `keys` are the sorted keys of the materialized elements and `colors`
-    their color ids.  A fiber is the set of nodes entering at level r+1 with
-    one neighbor set and one color.  `set_keys` are the sorted distinct
-    neighbor-set keys; fiber i is keyed `fiber_keys[i]` = (position of its
-    neighbor set in `set_keys`) · C + `fiber_colors[i]`, C the number of
-    node colors and the color a rank, and fibers are sorted by that key.
-    Both key tables end with `_PAST_ALL_KEYS`.  `fiber_nodes` and
-    `fiber_ranks` hold the two halves of each fiber's neighbor set (see
-    `LayerDecomposition.encode`).  `members` lists the nodes
-    of every fiber, fiber by fiber and each in index order; fiber i takes
-    `size[i]` entries from `start[i]`.
+    their color ids (ids from 1, equal exactly for equal colors).  A fiber
+    is the set of nodes entering at level r+1 with one neighbor set and one
+    color.  `set_keys` are the sorted distinct neighbor-set keys; fiber i is
+    keyed `fiber_keys[i]` = (position of its neighbor set in `set_keys`) · C
+    + `fiber_colors[i]`, C the number of node colors and the color a rank,
+    and fibers are sorted by that key.  Both key tables end with
+    `_PAST_ALL_KEYS`.  `fiber_nodes` and `fiber_ranks` hold the two halves
+    of each fiber's neighbor set, node and label rank.  `members` lists the
+    nodes of every fiber, fiber by fiber and each in index order; fiber i
+    takes `size[i]` entries from `start[i]`.  Apart from the appended
+    sentinels, every field is a slice of one array over all levels.
     """
 
     keys: np.ndarray
@@ -307,22 +302,22 @@ class _Level(NamedTuple):
     members: np.ndarray
 
 
-def _bfs_levels(g: LabeledGraph, e: tuple[int, int]) -> dict:
-    """Level of every node: 1 for e's endpoints, else 1 + min neighbor level."""
-    a, b = e
-    level = {a: 1, b: 1}
-    frontier = [a, b]
-    adj = g.adjacency()
-    r = 1
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w, _ in adj[v]:
-                if w not in level:
-                    level[w] = r + 1
-                    nxt.append(w)
-        frontier = sorted(nxt)
+def _bfs_levels(nbr: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Level of every node: 1 for a and b, else 1 + min neighbor level.
+
+    `nbr` is the (n+1, D) neighbor table padded with node n, whose level is
+    `_FAR`; frontiers expand one level per round.
+    """
+    n = len(nbr) - 1
+    level = np.zeros(n + 1, dtype=np.int64)
+    level[n] = _FAR
+    level[[a, b]] = 1
+    frontier, r = np.array([a, b]), 1
+    while len(frontier):
+        frontier = nbr[frontier].ravel()
+        frontier = frontier[level[frontier] == 0]
         r += 1
+        level[frontier] = r
     return level
 
 
@@ -333,6 +328,8 @@ def layer_sequence(
 
     Every node whose neighbor set would have size 3 is replaced by a labeled
     triangle, so every neighbor set of the returned tower has size 1 or 2.
+    A replaced node's corners take its placed neighbors, sorted by (new
+    index, label), in corner order.
     """
     if not validated:
         require_valid(g, allow_reserved=True)
@@ -340,67 +337,60 @@ def layer_sequence(
     if not g.has_edge(*e):
         raise GraphError(f"edge {e} not present in graph")
 
-    level_orig = _bfs_levels(g, e)
-    adj = g.adjacency()
+    color_of, edge_of = g.colors(), g.edges()
+    ids = np.fromiter(color_of, dtype=np.int64, count=len(color_of))
+    by_id = np.argsort(ids)
+    ids = ids[by_id]
+    colors = np.fromiter(color_of.values(), dtype=np.int64, count=len(ids))[by_id]
+    ends = np.fromiter(chain.from_iterable(edge_of), dtype=np.int64, count=2 * len(edge_of))
+    u, v = np.searchsorted(ids, ends).reshape(-1, 2).T
+    lab = np.fromiter(edge_of.values(), dtype=np.int64, count=len(edge_of))
+    a, b = np.searchsorted(ids, e).tolist()
 
-    gadget_nodes = []
-    for v in g.node_ids:
-        if level_orig[v] == 1:
-            continue
-        placed = [(w, lab) for w, lab in adj[v] if level_orig[w] < level_orig[v]]
-        if len(placed) == 3:
-            gadget_nodes.append(v)
+    # Neighbor table over both edge directions, sorted by source.
+    n = len(ids)
+    src, dst = np.concatenate([u, v]), np.concatenate([v, u])
+    by_src = np.argsort(src, kind="stable")
+    deg = np.bincount(src, minlength=n)
+    slot = np.arange(len(src)) - (np.cumsum(deg) - deg)[src[by_src]]
+    nbr = np.full((n + 1, int(deg.max(initial=0))), n)
+    nbr_lab = np.zeros_like(nbr)
+    nbr[src[by_src], slot] = dst[by_src]
+    nbr_lab[src[by_src], slot] = np.concatenate([lab, lab])[by_src]
+    level = _bfs_levels(nbr, a, b)
+    lower = level[nbr[:n]] < level[:n, None]
+    gadget = lower.sum(axis=1) == 3
 
-    kept = [v for v in g.node_ids if v not in set(gadget_nodes)]
-    index_of = {v: i for i, v in enumerate(kept)}
-    orig_id: list = list(kept)
-    nodes: dict[int, int] = {index_of[v]: g.color(v) for v in kept}
-    level_of = [level_orig[v] for v in kept]
-    gadget_triple: dict[int, tuple[int, int, int]] = {}
-    gadget_parent: dict[int, int] = {}
+    kept, replaced = np.flatnonzero(~gadget), np.flatnonzero(gadget)
+    nk, ng = len(kept), len(replaced)
+    index = np.zeros(n, dtype=np.int64)
+    index[kept] = np.arange(nk)
+    placed = index[nbr[replaced][lower[replaced]]].reshape(ng, 3)
+    placed_lab = nbr_lab[replaced][lower[replaced]].reshape(ng, 3)
+    by_index = np.argsort(placed, axis=1)  # distinct neighbors: (index, label) order
+    corners = nk + np.arange(3 * ng).reshape(ng, 3)
+    # Per replaced node: its three corner edges, then the triangle.
+    gadget_edges = np.empty((ng, 6, 3), dtype=np.int64)
+    gadget_edges[:, :3, 0] = np.take_along_axis(placed, by_index, axis=1)
+    gadget_edges[:, :3, 1] = corners
+    gadget_edges[:, :3, 2] = np.take_along_axis(placed_lab, by_index, axis=1)
+    gadget_edges[:, 3:, 0] = corners[:, [0, 0, 1]]
+    gadget_edges[:, 3:, 1] = corners[:, [1, 2, 2]]
+    gadget_edges[:, 3:, 2] = GADGET_LABEL
+    keep = ~(gadget[u] | gadget[v])
+    kept_edges = np.stack([index[u[keep]], index[v[keep]], lab[keep]], axis=1)
+    edges = np.concatenate([kept_edges, gadget_edges.reshape(-1, 3)])
 
-    edges: dict[tuple[int, int], int] = {}
-    for (u, v), lab in g.edges().items():
-        if u in index_of and v in index_of:
-            edges[_norm_edge(index_of[u], index_of[v])] = lab
-
-    next_idx = len(kept)
-    for v in sorted(gadget_nodes):
-        placed = sorted(
-            ((index_of[w], lab) for w, lab in adj[v] if level_orig[w] < level_orig[v])
-        )
-        corners = (next_idx, next_idx + 1, next_idx + 2)
-        next_idx += 3
-        for c, (w, lab) in zip(corners, placed):
-            nodes[c] = g.color(v)
-            orig_id.append(None)
-            level_of.append(level_orig[v])
-            gadget_parent[c] = v
-            edges[_norm_edge(c, w)] = lab
-        gadget_triple[v] = corners
-        for i in range(3):
-            for j in range(i + 1, 3):
-                edges[_norm_edge(corners[i], corners[j])] = GADGET_LABEL
-
-    working = LabeledGraph(nodes, edges)
-
-    if working.n_nodes == 2:
-        n_levels = 1
-    else:
-        n_levels = max(
-            min(level_of[u], level_of[v]) + 1 for (u, v) in working.edges()
-        )
-        n_levels = max(n_levels, max(level_of))
-
+    kept_ids, replaced_ids = ids[kept].tolist(), ids[replaced].tolist()
     return LayerDecomposition(
-        graph=working,
-        base_edge_orig=e,
-        orig_id=orig_id,
-        index_of=index_of,
-        gadget_triple=gadget_triple,
-        gadget_parent=gadget_parent,
-        level_of=level_of,
-        n_levels=n_levels,
+        colors=np.concatenate([colors[kept], np.repeat(colors[replaced], 3)]),
+        level=np.concatenate([level[kept], np.repeat(level[replaced], 3)]),
+        edges=edges,
+        base_edge=(int(index[a]), int(index[b])),
+        orig_id=kept_ids + [None] * (3 * ng),
+        index_of=dict(zip(kept_ids, range(nk))),
+        gadget_triple=dict(zip(replaced_ids, map(tuple, corners.tolist()))),
+        gadget_parent=dict(zip(range(nk, nk + 3 * ng), np.repeat(replaced_ids, 3).tolist())),
     )
 
 

@@ -194,7 +194,7 @@ def is_network_isomorphism(
 
 
 def reduce_to_colored(
-    net: PhyloNetwork, intern: dict[str, int] | None = None
+    net: PhyloNetwork, intern: dict[str, int] | None = None, validated: bool = False
 ) -> tuple[LabeledGraph, int]:
     """Encode the network as an undirected colored graph, plus its root's id.
 
@@ -203,9 +203,11 @@ def reduce_to_colored(
     color midpoint whose two edges carry the reserved out/in labels.  The
     result has |V| + |arcs| nodes and maximum degree 3, and two networks are
     isomorphic exactly when their reductions admit a color- and label-
-    preserving isomorphism matching the roots.
+    preserving isomorphism matching the roots.  Callers that already
+    validated the network pass validated=True.
     """
-    require_valid_network(net)
+    if not validated:
+        require_valid_network(net)
     if intern is None:
         intern = {}
     index = {v: i for i, v in enumerate(net.nodes)}
@@ -256,8 +258,8 @@ def phylo_isomorphic(
         return IsoResult(False)
 
     intern: dict[str, int] = {}
-    g1, r1 = reduce_to_colored(n1, intern)
-    g2, r2 = reduce_to_colored(n2, intern)
+    g1, r1 = reduce_to_colored(n1, intern, validated=True)
+    g2, r2 = reduce_to_colored(n2, intern, validated=True)
     shift = g1.n_nodes
     nodes = g1.colors()
     nodes.update({v + shift: c for v, c in g2.colors().items()})

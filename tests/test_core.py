@@ -24,6 +24,7 @@ from trigiso.phylo import phylo_isomorphic, random_network
 
 from test_graphs import EX1_A, EX1_B, EX2_A, EX2_B, graph_from_edges
 from test_layers import decide_tower_cases, reference_b_set
+from tower_reference import written_out
 
 
 def _group(res: AutResult, n):
@@ -237,9 +238,10 @@ def reference_extend(dec, elems, p: Permutation) -> list[int]:
 
 def reference_lift(dec, r, sigma: Permutation) -> Permutation:
     """Fiber-by-fiber lift over dicts keyed by (neighbor set, color)."""
+    tower = written_out(dec)
     fibers: dict = {}
-    for v in dec.fresh.get(r + 1, []):
-        fibers.setdefault((dec.nbr_map[v], dec.colors[v]), []).append(v)
+    for v in tower.fresh.get(r + 1, []):
+        fibers.setdefault((tower.nbr_map[v], tower.colors[v]), []).append(v)
     img = np.array(sigma.image, dtype=np.int32)
     for (fset, color), members in fibers.items():
         targets = fibers.get((frozenset((sigma(w), lab) for w, lab in fset), color))

@@ -1,13 +1,21 @@
 """Tests for the layer tower, the triangle rewrite, B_r closure, and kernels."""
 
+import random
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 
+from trigiso import phylo
 from trigiso.core import aut_e_generators, is_isomorphic
-from trigiso.graphs import GADGET_LABEL, LabeledGraph, validate
+from trigiso.graphs import GADGET_LABEL, GraphError, LabeledGraph, build_x, validate
 from trigiso.harness import random_relabeling, random_ternary_graph
-from trigiso.layers import LayerDecomposition, layer_sequence, triangle_gadget
+from trigiso.layers import LayerDecomposition, _Level, layer_sequence, triangle_gadget
 from trigiso.perm import Permutation, group_order
 from trigiso.phylo import phylo_isomorphic, random_network
+
+from tower_reference import WrittenOutTower, reference_layer_sequence, written_out
 
 
 def path4():
@@ -29,7 +37,7 @@ def test_single_edge_tower():
     g = LabeledGraph([0, 1], [(0, 1)])
     dec = layer_sequence(g, (0, 1))
     assert dec.N == 1
-    nodes, edges = dec.layer(1)
+    nodes, edges = written_out(dec).layer(1)
     assert nodes == frozenset({0, 1})
     assert edges == frozenset({frozenset({0, 1})})
 
@@ -38,11 +46,12 @@ def test_path_tower():
     dec = layer_sequence(path4(), (1, 2))
     assert dec.N == 2
     assert dec.level_of == [2, 1, 1, 2]
-    nodes, edges = dec.layer(2)
+    tower = written_out(dec)
+    nodes, edges = tower.layer(2)
     assert nodes == frozenset(range(4))
     assert len(edges) == 3
-    assert dec.nbr_map[0] == frozenset({(1, 0)})
-    assert dec.nbr_map[3] == frozenset({(2, 0)})
+    assert tower.nbr_map[0] == frozenset({(1, 0)})
+    assert tower.nbr_map[3] == frozenset({(2, 0)})
 
 
 def test_six_cycle_tower():
@@ -52,25 +61,27 @@ def test_six_cycle_tower():
     dec = layer_sequence(six_cycle(), (0, 1))
     assert dec.level_of == [1, 1, 2, 3, 3, 2]
     assert dec.N == 4
-    assert dec.nbr_map[3] == frozenset({(2, 0)})
-    assert dec.nbr_map[4] == frozenset({(5, 0)})
-    assert dec.cross.get(3) == {frozenset({3, 4}): 0}
-    nodes3, edges3 = dec.layer(3)
+    tower = written_out(dec)
+    assert tower.nbr_map[3] == frozenset({(2, 0)})
+    assert tower.nbr_map[4] == frozenset({(5, 0)})
+    assert tower.cross.get(3) == {frozenset({3, 4}): 0}
+    nodes3, edges3 = tower.layer(3)
     assert nodes3 == frozenset(range(6))
     assert frozenset({3, 4}) not in edges3
-    nodes4, edges4 = dec.layer(4)
+    nodes4, edges4 = tower.layer(4)
     assert frozenset({3, 4}) in edges4
 
 
 def test_layers_monotone_and_exhaustive():
     for g, e in [(six_cycle(), (0, 1)), (path4(), (0, 1)), (gadget_example(), (0, 1))]:
         dec = layer_sequence(g, e)
-        prev_nodes, prev_edges = dec.layer(1)
+        tower = written_out(dec)
+        prev_nodes, prev_edges = tower.layer(1)
         first_level = {}
         for pair in prev_edges:
             first_level[pair] = 1
         for r in range(2, dec.N + 1):
-            nodes, edges = dec.layer(r)
+            nodes, edges = tower.layer(r)
             assert prev_nodes <= nodes and prev_edges <= edges
             for pair in edges - prev_edges:
                 first_level[pair] = r
@@ -91,8 +102,9 @@ def test_k4_has_no_gadget_nodes():
     assert triangle_gadget(k4, (0, 1)) == k4
     dec = layer_sequence(k4, (0, 1))
     assert dec.gadget_triple == {}
-    assert all(len(f) <= 2 for f in dec.nbr_map.values())
-    assert dec.cross.get(2) == {frozenset({2, 3}): 0}
+    tower = written_out(dec)
+    assert all(len(f) <= 2 for f in tower.nbr_map.values())
+    assert tower.cross.get(2) == {frozenset({2, 3}): 0}
 
 
 def test_gadget_fires_and_is_valid():
@@ -107,11 +119,39 @@ def test_gadget_fires_and_is_valid():
     assert len(gadget_edges) == 3
     dec = layer_sequence(g, (0, 1))
     assert set(dec.gadget_triple) == {5}
-    assert all(len(f) <= 2 for f in dec.nbr_map.values())
+    assert all(len(f) <= 2 for f in written_out(dec).nbr_map.values())
     # corners inherit the replaced node's level and color
     for c in dec.gadget_triple[5]:
         assert dec.level_of[c] == 3
         assert dec.colors[c] == g.color(5)
+
+
+def test_build_checks_raise():
+    with pytest.raises(GraphError, match="disconnected"):
+        layer_sequence(LabeledGraph(range(4), [(0, 1), (2, 3)]), (0, 1))
+    with pytest.raises(GraphError, match="not present"):
+        layer_sequence(path4(), (0, 2))
+    # 2^16 - 1 nodes and as many distinct labels: S = n·R passes 2^31.
+    n = (1 << 16) - 1
+    tree = LabeledGraph(range(n), {((c - 1) // 2, c): c for c in range(1, n)})
+    with pytest.raises(GraphError, match="64-bit"):
+        layer_sequence(tree, (0, 1), validated=True)
+
+
+def test_build_and_decision_leave_numpy_ma_unimported():
+    # Plain np.unique imports numpy.ma, about 1.3 MB resident.
+    code = (
+        "import sys\n"
+        "from trigiso import is_isomorphic\n"
+        "from trigiso.harness import random_relabeling, random_ternary_graph\n"
+        "from trigiso.layers import layer_sequence\n"
+        "g = random_ternary_graph(64, 0)\n"
+        "assert layer_sequence(g, g.sorted_edges()[0]).gadget_triple\n"
+        "assert is_isomorphic(g, random_relabeling(g, 1)[0], want_mapping=True)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_gadget_untouched_graph_returned_as_is():
@@ -124,7 +164,8 @@ def test_b_set_materializes_and_closes():
     ident = Permutation.identity(dec.n)
     b = dec.b_set(1, ident.image[None])
     # r=1: no cross edges, two neighbor-set elements.
-    assert b.tolist() == dec.encode([frozenset({(1, 0)}), frozenset({(2, 0)})]).tolist()
+    want = written_out(dec).encode([frozenset({(1, 0)}), frozenset({(2, 0)})])
+    assert b.tolist() == want.tolist()
     flip = Permutation([3, 2, 1, 0])
     b2 = dec.b_set(1, flip.image[None])
     assert b2.tolist() == b.tolist()  # the flip permutes the two elements
@@ -134,7 +175,7 @@ def test_b_set_materializes_and_closes():
 
 def test_b_set_closure_adds_orbit_images():
     dec = layer_sequence(six_cycle(), (0, 1))
-    cross_pair = int(dec.encode([frozenset({3, 4})])[0])
+    cross_pair = int(written_out(dec).encode([frozenset({3, 4})])[0])
     swap = Permutation([1, 0, 5, 4, 3, 2])  # the reflection fixing the base edge
     assert cross_pair in dec.b_set(3, swap.image[None]).tolist()
     rogue = Permutation([0, 1, 2, 4, 3, 5])
@@ -147,7 +188,7 @@ def test_b_set_adds_unmaterialized_images():
     g = LabeledGraph(range(3), {(0, 1): 0, (0, 2): 5})
     dec = layer_sequence(g, (0, 1))
     swap = Permutation.transposition(3, 0, 1)
-    want = dec.encode([frozenset({(0, 5)}), frozenset({(1, 5)})])
+    want = written_out(dec).encode([frozenset({(0, 5)}), frozenset({(1, 5)})])
     assert dec.b_set(1, swap.image[None]).tolist() == sorted(want.tolist())
 
 
@@ -160,7 +201,7 @@ def test_encode_orders_like_sorted_member_tuples():
         frozenset({(3, 0), (4, 0)}),
     ]
     pairs = [frozenset({3, 4}), frozenset({2, 3})]
-    keys = dec.encode(labeled + pairs).tolist()
+    keys = written_out(dec).encode(labeled + pairs).tolist()
     by_key = [e for _, e in sorted(zip(keys, labeled + pairs), key=lambda t: t[0])]
     want = sorted(labeled, key=lambda s: tuple(sorted(s)))
     want += sorted(pairs, key=lambda s: tuple(sorted(s)))
@@ -176,8 +217,9 @@ def reference_b_set(dec, r, images) -> list:
     Neighbor sets (frozensets of (node, label) pairs) come first, then node
     pairs, each block sorted by its sorted member tuples.
     """
-    f_elems = {dec.nbr_map[v] for v in dec.fresh.get(r + 1, [])}
-    e_elems = set(dec.cross.get(r, {}))
+    tower = written_out(dec)
+    f_elems = {tower.nbr_map[v] for v in tower.fresh.get(r + 1, [])}
+    e_elems = set(tower.cross.get(r, {}))
     queue = list(f_elems) + list(e_elems)
     while queue:
         elem = queue.pop()
@@ -216,7 +258,8 @@ def test_b_set_matches_frozenset_reference(monkeypatch, n, seed):
 
     def checked(self, r, images):
         keys = real(self, r, images)
-        assert keys.tolist() == self.encode(reference_b_set(self, r, images)).tolist()
+        want = written_out(self).encode(reference_b_set(self, r, images))
+        assert keys.tolist() == want.tolist()
         calls.append(r)
         return keys
 
@@ -252,3 +295,91 @@ def test_kernel_respects_edge_labels():
     g = LabeledGraph(range(4), {(0, 1): 0, (0, 2): 1, (0, 3): 2})
     dec = layer_sequence(g, (0, 1))
     assert dec.kernel_generators(1).tolist() == []
+
+
+# -- the array build against the written-out definition ---------------------
+
+
+def _equality_pattern(colors) -> list[int]:
+    ids: dict = {}
+    return [ids.setdefault(c, len(ids)) for c in colors]
+
+
+def assert_tower_equals_written_out(g: LabeledGraph, e) -> LayerDecomposition:
+    dec = layer_sequence(g, e)
+    ref = reference_layer_sequence(g, e)
+    assert dec.graph == ref.graph
+    for name in ("base_edge", "level_of", "N", "orig_id", "index_of", "gadget_triple", "gadget_parent"):
+        assert getattr(dec, name) == getattr(ref, name), name
+    tower = WrittenOutTower(ref.graph, ref.level_of, ref.base_edge, ref.N)
+    assert (dec._R, dec._S, dec.n_colors) == (tower.R, tower.S, len(tower.color_rank))
+    assert sorted(dec.levels) == list(range(1, dec.N))
+    for r in range(1, dec.N):
+        got, want = dec.levels[r], tower.level_table(r)
+        for name in _Level._fields:
+            field = getattr(got, name)
+            if name == "colors":
+                assert (field >= 1).all()
+                assert _equality_pattern(field.tolist()) == _equality_pattern(want[name])
+                continue
+            if name in ("set_keys", "fiber_keys"):
+                assert field[-1] == np.iinfo(np.int64).max
+                field = field[:-1]
+            assert np.array_equal(field, want[name]), (r, name)
+        kernel = dec.kernel_generators(r)
+        assert kernel.dtype == np.int32 and np.array_equal(kernel, tower.kernel(r))
+    with pytest.raises(ValueError):
+        dec.kernel_generators(dec.N)
+    return dec
+
+
+def _recolored(g: LabeledGraph, seed: int) -> LabeledGraph:
+    rng = random.Random(seed)
+    colors = {v: rng.randrange(3) for v in g.node_ids}
+    return LabeledGraph(colors, {e: rng.randrange(3) for e in g.sorted_edges()})
+
+
+@pytest.mark.parametrize("n", [24, 40, 64, 128])
+@pytest.mark.parametrize("seed", range(3))
+def test_array_tower_equals_written_out_on_random_graphs(n, seed):
+    fired = 0
+    for g in (random_ternary_graph(n, seed), _recolored(random_ternary_graph(n, seed), seed)):
+        edges = g.sorted_edges()
+        for e in (edges[0], edges[len(edges) // 2], edges[-1]):
+            fired += bool(assert_tower_equals_written_out(g, e).gadget_triple)
+    assert fired
+
+
+def test_array_tower_equals_written_out_on_small_graphs():
+    k4 = LabeledGraph(range(4), [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    for g, e in [
+        (k4, (0, 1)),
+        (k4, (2, 3)),
+        (gadget_example(), (0, 1)),
+        (path4(), (1, 2)),
+        (path4(), (0, 1)),
+        (six_cycle(), (0, 1)),
+        (LabeledGraph([0, 1], [(0, 1)]), (0, 1)),
+    ]:
+        assert_tower_equals_written_out(g, e)
+    assert assert_tower_equals_written_out(gadget_example(), (0, 1)).gadget_triple
+
+
+def test_array_tower_equals_written_out_on_joined_graphs(monkeypatch):
+    joined = []
+    real = phylo.layer_sequence
+
+    def spy(g, e, validated=False):
+        joined.append((g, e))
+        return real(g, e, validated)
+
+    monkeypatch.setattr(phylo, "layer_sequence", spy)
+    for seed in range(3):
+        net = random_network(33, seed=seed)
+        assert phylo_isomorphic(net, net.relabeled_nodes({v: 500 + v for v in net.nodes}))
+        g = random_ternary_graph(40, seed)
+        h, _ = random_relabeling(g, seed)
+        sp = build_x(g, h, g.sorted_edges()[0], h.sorted_edges()[seed])
+        joined.append((sp.graph, sp.e))
+    for g, e in joined:
+        assert_tower_equals_written_out(g, e)

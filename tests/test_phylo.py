@@ -72,6 +72,17 @@ def test_reduction_shape_and_colors():
     assert len(a_color - {0, MIDPOINT_COLOR}) == 2
 
 
+def test_reduction_validates_unless_told_the_network_is_valid():
+    cyclic = PhyloNetwork(
+        [(0, 1), (0, 2), (1, 3), (3, 4), (4, 1), (4, 5), (3, 6)],
+        {2: "a", 5: "b", 6: "c"},
+    )
+    with pytest.raises(NetworkError, match="cycle"):
+        reduce_to_colored(cyclic)
+    net = random_network(15, seed=3)
+    assert reduce_to_colored(net, validated=True) == reduce_to_colored(net)
+
+
 def test_phylo_iso_reflexive_and_renamed():
     net = random_network(15, seed=3)
     assert phylo_isomorphic(net, net).isomorphic

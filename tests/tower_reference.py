@@ -1,0 +1,201 @@
+"""The layer tower written out node by node, the reference for the array build.
+
+`written_out(dec)` rebuilds the tower's definitions (adjacency, fresh nodes,
+labeled neighbor sets, cross edges, the layers X_r, the element keys, the
+per-level tables and the kernel transpositions) from `dec.graph` and
+`dec.level_of` with dicts, frozensets and per-node loops.
+`reference_layer_sequence` is the per-node BFS and triangle rewrite.
+"""
+
+from itertools import combinations
+from types import SimpleNamespace
+
+import numpy as np
+
+from trigiso.graphs import GADGET_LABEL, LabeledGraph, _norm_edge
+
+
+class WrittenOutTower:
+    """Definitions of the tower of `graph` over its node levels."""
+
+    def __init__(self, graph: LabeledGraph, level_of: list, base_edge, N: int):
+        self.graph, self.level_of, self.base_edge, self.N = graph, level_of, base_edge, N
+        self.n = graph.n_nodes
+        self.colors = [graph.color(v) for v in range(self.n)]
+        adj = graph.adjacency()
+        self.adj = [adj[v] for v in range(self.n)]
+        self.fresh: dict[int, list[int]] = {}
+        for v in range(self.n):
+            self.fresh.setdefault(level_of[v], []).append(v)
+        self.nbr_map: dict[int, frozenset] = {
+            v: frozenset((w, lab) for w, lab in self.adj[v] if level_of[w] < level_of[v])
+            for v in range(self.n)
+            if level_of[v] > 1
+        }
+        # Cross edges: both endpoints at the same level; they belong to the
+        # next layer.  The base edge itself is level 1 by definition.
+        self.cross: dict[int, dict] = {}
+        base = frozenset(base_edge)
+        for (u, v), lab in graph.edges().items():
+            if level_of[u] == level_of[v] and frozenset((u, v)) != base:
+                self.cross.setdefault(level_of[u], {})[frozenset((u, v))] = lab
+        self.label_rank = {
+            lab: i for i, lab in enumerate(sorted(set(graph.edges().values())))
+        }
+        self.R = len(self.label_rank) + 1
+        self.S = self.n * self.R
+        self.color_rank = {c: i for i, c in enumerate(sorted(set(self.colors)))}
+
+    def nodes_at_most(self, r: int) -> list[int]:
+        return [v for v in range(self.n) if self.level_of[v] <= r]
+
+    def layer(self, r: int) -> tuple[frozenset, frozenset]:
+        """(nodes, edges) of X_r; edges as frozenset pairs of node indices."""
+        if not 1 <= r <= self.N:
+            raise ValueError(f"level {r} outside 1..{self.N}")
+        nodes = frozenset(self.nodes_at_most(r))
+        if r == 1:
+            return nodes, frozenset({frozenset(self.base_edge)})
+        edges = frozenset(
+            frozenset((u, v))
+            for (u, v) in self.graph.edges()
+            if min(self.level_of[u], self.level_of[v]) <= r - 1
+        )
+        return nodes, edges
+
+    def encode(self, elems) -> np.ndarray:
+        """Keys of tower elements, in the given order.
+
+        An element is a labeled neighbor set (a frozenset of one or two
+        (node, label) pairs) or a node pair (a frozenset of two nodes).
+        Each member is coded as a half node·R + label rank (rank R - 1 for
+        pair members); a singleton repeats its half.  The key is
+        kind·S² + smaller half·S + larger half, kind 1 for pairs.
+        """
+        R, S = self.R, self.S
+        halves = np.zeros((len(elems), 2), dtype=np.int64)
+        kind = np.zeros(len(elems), dtype=np.int64)
+        for i, elem in enumerate(elems):
+            members = list(elem)
+            if len(members) == 1:
+                members *= 2
+            for j, x in enumerate(members):
+                if isinstance(x, tuple):
+                    halves[i, j] = x[0] * R + self.label_rank[x[1]]
+                else:
+                    halves[i, j] = x * R + R - 1
+                    kind[i] = 1
+        return kind * S * S + halves.min(axis=1) * S + halves.max(axis=1)
+
+    def level_table(self, r: int) -> dict:
+        """The fields of `_Level` for level r; `colors` as (color, ...) classes."""
+        entering = self.fresh.get(r + 1, [])
+        set_keys, set_index = np.unique(
+            self.encode([self.nbr_map[v] for v in entering]), return_inverse=True
+        )
+        C = len(self.color_rank)
+        ranks = [self.color_rank[self.colors[v]] for v in entering]
+        fiber_of = set_index * C + np.array(ranks, dtype=np.int64)
+        order = np.argsort(fiber_of, kind="stable")
+        fiber_keys, start, size = np.unique(fiber_of[order], return_index=True, return_counts=True)
+        fiber_sets = set_keys[fiber_keys // C]
+        fiber_halves = np.stack([fiber_sets // self.S, fiber_sets % self.S], axis=-1)
+        sigs: list[list] = [[] for _ in set_keys]
+        for i, v in zip(set_index, entering):
+            sigs[i].append(self.colors[v])
+        cross = self.cross.get(r, {})
+        classes = [("f", tuple(sorted(sig))) for sig in sigs]
+        classes += [("e", lab) for lab in cross.values()]
+        keys = np.concatenate([set_keys, self.encode(list(cross))])
+        by_key = np.argsort(keys)
+        return dict(
+            keys=keys[by_key],
+            colors=[classes[i] for i in by_key],
+            set_keys=set_keys,
+            fiber_keys=fiber_keys,
+            fiber_nodes=fiber_halves // self.R,
+            fiber_ranks=fiber_halves % self.R,
+            fiber_colors=fiber_keys % C,
+            start=start,
+            size=size,
+            members=np.array(entering, dtype=np.int64)[order],
+        )
+
+    def kernel(self, r: int) -> np.ndarray:
+        """Same-fiber transpositions of the nodes entering at level r+1, one per row."""
+        table = self.level_table(r)
+        pairs = []
+        for s, z in zip(table["start"].tolist(), table["size"].tolist()):
+            pairs += combinations(table["members"][s : s + z].tolist(), 2)
+        out = np.tile(np.arange(self.n, dtype=np.int32), (len(pairs), 1))
+        for row, (u, v) in zip(out, pairs):
+            row[u], row[v] = v, u
+        return out
+
+
+def written_out(dec) -> WrittenOutTower:
+    return WrittenOutTower(dec.graph, dec.level_of, dec.base_edge, dec.N)
+
+
+def reference_layer_sequence(g: LabeledGraph, e) -> SimpleNamespace:
+    """The per-node build: BFS levels, the triangle rewrite and the depth N."""
+    e = _norm_edge(*e)
+    adj = g.adjacency()
+    level_orig = {e[0]: 1, e[1]: 1}
+    frontier, r = [e[0], e[1]], 1
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w, _ in adj[v]:
+                if w not in level_orig:
+                    level_orig[w] = r + 1
+                    nxt.append(w)
+        frontier, r = sorted(nxt), r + 1
+
+    gadget_nodes = [
+        v
+        for v in g.node_ids
+        if level_orig[v] > 1 and sum(level_orig[w] < level_orig[v] for w, _ in adj[v]) == 3
+    ]
+    kept = [v for v in g.node_ids if v not in set(gadget_nodes)]
+    index_of = {v: i for i, v in enumerate(kept)}
+    orig_id: list = list(kept)
+    nodes = {index_of[v]: g.color(v) for v in kept}
+    level_of = [level_orig[v] for v in kept]
+    gadget_triple: dict = {}
+    gadget_parent: dict = {}
+    edges = {}
+    for (u, v), lab in g.edges().items():
+        if u in index_of and v in index_of:
+            edges[_norm_edge(index_of[u], index_of[v])] = lab
+    next_idx = len(kept)
+    for v in sorted(gadget_nodes):
+        placed = sorted(
+            (index_of[w], lab) for w, lab in adj[v] if level_orig[w] < level_orig[v]
+        )
+        corners = (next_idx, next_idx + 1, next_idx + 2)
+        next_idx += 3
+        for c, (w, lab) in zip(corners, placed):
+            nodes[c] = g.color(v)
+            orig_id.append(None)
+            level_of.append(level_orig[v])
+            gadget_parent[c] = v
+            edges[_norm_edge(c, w)] = lab
+        gadget_triple[v] = corners
+        for i, j in combinations(range(3), 2):
+            edges[_norm_edge(corners[i], corners[j])] = GADGET_LABEL
+    working = LabeledGraph(nodes, edges)
+    if working.n_nodes == 2:
+        N = 1
+    else:
+        N = max(max(min(level_of[u], level_of[v]) + 1 for u, v in working.edges()), max(level_of))
+    return SimpleNamespace(
+        graph=working,
+        base_edge=(index_of[e[0]], index_of[e[1]]),
+        level_of=level_of,
+        N=N,
+        orig_id=orig_id,
+        index_of=index_of,
+        gadget_triple=gadget_triple,
+        gadget_parent=gadget_parent,
+    )
