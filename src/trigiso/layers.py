@@ -306,7 +306,9 @@ def _bfs_levels(nbr: np.ndarray, a: int, b: int) -> np.ndarray:
     """Level of every node: 1 for a and b, else 1 + min neighbor level.
 
     `nbr` is the (n+1, D) neighbor table padded with node n, whose level is
-    `_FAR`; frontiers expand one level per round.
+    `_FAR`; frontiers expand one level per round.  Each frontier is made
+    distinct: a node reached from several lower neighbors would otherwise
+    appear once per shortest path from the base edge.
     """
     n = len(nbr) - 1
     level = np.zeros(n + 1, dtype=np.int64)
@@ -314,8 +316,8 @@ def _bfs_levels(nbr: np.ndarray, a: int, b: int) -> np.ndarray:
     level[[a, b]] = 1
     frontier, r = np.array([a, b]), 1
     while len(frontier):
-        frontier = nbr[frontier].ravel()
-        frontier = frontier[level[frontier] == 0]
+        reached = nbr[frontier].ravel()
+        frontier = _sorted_distinct(reached[level[reached] == 0])
         r += 1
         level[frontier] = r
     return level

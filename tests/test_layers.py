@@ -13,7 +13,7 @@ from trigiso.graphs import GADGET_LABEL, GraphError, LabeledGraph, build_x, vali
 from trigiso.harness import random_relabeling, random_ternary_graph
 from trigiso.layers import LayerDecomposition, _Level, layer_sequence, triangle_gadget
 from trigiso.perm import Permutation, group_order
-from trigiso.phylo import phylo_isomorphic, random_network
+from trigiso.phylo import PhyloNetwork, phylo_isomorphic, random_network
 
 from tower_reference import WrittenOutTower, reference_layer_sequence, written_out
 
@@ -24,6 +24,32 @@ def path4():
 
 def six_cycle():
     return LabeledGraph(range(6), [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
+
+
+def diamond_chain(k: int) -> LabeledGraph:
+    # Diamonds t-l, t-r, l-b, r-b joined by edges b-t'; every diamond doubles
+    # the number of shortest paths from the first edge to the nodes beyond it.
+    edges = []
+    for i in range(k):
+        t, l, r, b = 4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3
+        edges += [(t, l), (t, r), (l, b), (r, b)]
+        if i:
+            edges.append((t - 1, t))
+    return LabeledGraph(range(4 * k), edges)
+
+
+def stacked_galls(k: int) -> PhyloNetwork:
+    # Each gall x -> a -> h, x -> b -> h has equal sides; h's child is the
+    # next gall's top, and a and b each carry one leaf.
+    arcs, labels, top = [], {}, 0
+    for i in range(k):
+        a, b, h = top + 1, top + 2, top + 3
+        arcs += [(top, a), (top, b), (a, h), (b, h), (a, top + 4), (b, top + 5)]
+        labels.update({top + 4: f"a{i}", top + 5: f"b{i}"})
+        arcs.append((h, top + 6))
+        top += 6
+    labels[top] = "end"
+    return PhyloNetwork(arcs, labels)
 
 
 def gadget_example():
@@ -360,9 +386,22 @@ def test_array_tower_equals_written_out_on_small_graphs():
         (path4(), (0, 1)),
         (six_cycle(), (0, 1)),
         (LabeledGraph([0, 1], [(0, 1)]), (0, 1)),
+        (diamond_chain(40), (0, 1)),
+        (diamond_chain(40), (79, 80)),
     ]:
         assert_tower_equals_written_out(g, e)
     assert assert_tower_equals_written_out(gadget_example(), (0, 1)).gadget_triple
+
+
+def test_towers_of_equal_shortest_path_chains_stay_small():
+    # 2^40 shortest paths reach the end of the chain; a BFS that kept one
+    # frontier entry per path would never finish.
+    g = diamond_chain(40)
+    assert layer_sequence(g, (0, 1)).level_of[-1] == 2 + 3 * 39
+    h, _ = random_relabeling(g, 1)
+    assert is_isomorphic(g, h)
+    net = stacked_galls(40)
+    assert phylo_isomorphic(net, net.relabeled_nodes({v: 1000 + v for v in net.nodes}))
 
 
 def test_array_tower_equals_written_out_on_joined_graphs(monkeypatch):
@@ -374,9 +413,9 @@ def test_array_tower_equals_written_out_on_joined_graphs(monkeypatch):
         return real(g, e, validated)
 
     monkeypatch.setattr(phylo, "layer_sequence", spy)
-    for seed in range(3):
-        net = random_network(33, seed=seed)
+    for net in [random_network(33, seed=seed) for seed in range(3)] + [stacked_galls(8)]:
         assert phylo_isomorphic(net, net.relabeled_nodes({v: 500 + v for v in net.nodes}))
+    for seed in range(3):
         g = random_ternary_graph(40, seed)
         h, _ = random_relabeling(g, seed)
         sp = build_x(g, h, g.sorted_edges()[0], h.sorted_edges()[seed])
