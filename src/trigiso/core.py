@@ -38,7 +38,7 @@ import numpy as np
 # The tower runs `cb_images`; `cb` and the tree names are bound here only
 # because perfbench/tracing.py patches them in this module.
 from .coloraut import annotate, build_structure_tree, cb, cb_images, cb_tree
-from .graphs import LabeledGraph, build_x, is_graph_isomorphism, require_valid
+from .graphs import GraphArrays, LabeledGraph, build_x, is_graph_isomorphism, require_valid
 from .layers import LayerDecomposition, layer_sequence
 from .perm import Permutation, _sorted_distinct
 
@@ -176,23 +176,27 @@ class IsoResult:
         return self.isomorphic
 
 
-# Cells of the (candidate edge, node) distance table one block of the
+# Cells of the (candidate edge, node) depth table one block of the
 # layer-profile filter may fill; a block takes as many candidate edges as fit.
 _PROFILE_CELLS = 1 << 20
-# Distance of a node the walk has not reached yet.
-_UNSEEN = np.iinfo(np.int32).max
+# Entries of the walk's depth table besides depth mod 3: a node not reached
+# yet, and the padding node.
+_UNSEEN, _ABSENT = 3, 4
+# _DIGITS[d % 3][entry] is step + 1 for a neighbor of a depth-d node.
+_DIGITS = np.array([[1, 0, 0, 2, 0], [0, 1, 0, 2, 0], [0, 0, 1, 2, 0]], dtype=np.int32)
 
 
 class _ProfileTables(NamedTuple):
     """One graph's integer tables for the layer-profile filter.
 
-    Nodes take dense indices in id order (`index`); row n is a padding node.
-    Row v of `nbr` and `labels` holds v's incident edges as (neighbor, label
-    rank) slots sorted by label rank, absent slots first with neighbor n and
-    rank -1.  `base` ranks v's color together with its label sequence.
+    Row i is node `ids[i]`, the dense index of the graph's array view; row
+    n is a padding node.  Row v of `nbr` and `labels` holds v's incident
+    edges as (neighbor, label rank) slots sorted by label rank and then
+    neighbor, absent slots first with neighbor n and rank -1.  `base` ranks
+    v's color together with its label sequence.
     """
 
-    index: dict
+    ids: np.ndarray
     nbr: np.ndarray
     labels: np.ndarray
     base: np.ndarray
@@ -200,67 +204,85 @@ class _ProfileTables(NamedTuple):
 
 def _profile_tables(g1: LabeledGraph, g2: LabeledGraph) -> list[_ProfileTables]:
     """Tables of both graphs; color, label and base ranks span their union."""
-    graphs = (g1, g2)
-    color_rank = _ranks(c for g in graphs for c in g.colors().values())
-    label_rank = _ranks(lab for g in graphs for lab in g.edges().values())
-    parts = []
-    for g in graphs:
-        ids = g.node_ids
-        index = {v: i for i, v in enumerate(ids)}
-        adj = g.adjacency()
-        pad = [(-1, len(ids))] * 3
-        slots = [
-            pad[len(adj[v]) :] + sorted((label_rank[lab], index[w]) for w, lab in adj[v])
-            for v in ids
-        ] + [pad]
-        kinds = [(color_rank[g.color(v)], *(lab for lab, _ in row)) for v, row in zip(ids, slots)]
-        kinds.append((-1, -1, -1, -1))
-        parts.append((index, np.array(slots, dtype=np.int32), kinds))
-    base_rank = _ranks(kind for _, _, kinds in parts for kind in kinds)
+    views = (g1.arrays, g2.arrays)
+    palette = _sorted_distinct(np.concatenate([a.colors for a in views]))
+    label_palette = _sorted_distinct(np.concatenate([a.labels for a in views]))
+    slots, kinds = [], []
+    for a in views:
+        n = len(a.ids)
+        rank = np.searchsorted(label_palette, a.labels)
+        back = a.u != a.v  # a loop is one slot of its node, as in `adjacency`
+        src = np.concatenate([a.u, a.v[back]])
+        dst = np.concatenate([a.v, a.u[back]])
+        lab = np.concatenate([rank, rank[back]])
+        order = np.lexsort((dst, lab, src))
+        src, dst, lab = src[order], dst[order], lab[order]
+        col = 3 - a.degrees[src] + np.arange(len(src)) - np.searchsorted(src, src)
+        table = np.full((n + 1, 3, 2), (-1, n), dtype=np.int32)
+        table[src, col] = np.stack([lab, dst], axis=1)
+        slots.append(table)
+        kinds.append(np.column_stack([
+            np.append(np.searchsorted(palette, a.colors), -1), table[:, :, 0]
+        ]))
+    kind = np.concatenate(kinds)
+    order = np.lexsort(kind.T[::-1])
+    step = np.ones(len(kind), dtype=np.int64)
+    step[0] = 0
+    step[1:] = (kind[order][1:] != kind[order][:-1]).any(axis=1)
+    base = np.empty(len(kind), dtype=np.int64)
+    base[order] = np.cumsum(step)
+    cut = len(slots[0])
     return [
-        _ProfileTables(index, slots[:, :, 1], slots[:, :, 0],
-                       np.array([base_rank[kind] for kind in kinds], dtype=np.int64))
-        for index, slots, kinds in parts
+        _ProfileTables(a.ids, table[:, :, 1], table[:, :, 0], b)
+        for a, table, b in zip(views, slots, (base[:cut], base[cut:]))
     ]
 
 
-def _ranks(values) -> dict:
-    return {x: i for i, x in enumerate(sorted(set(values)))}
-
-
-def _profile_walk(tab: _ProfileTables, edges, alive: np.ndarray):
+def _profile_walk(tab: _ProfileTables, ends: np.ndarray, alive: np.ndarray):
     """Level-synchronous BFS from every edge at once, one row per edge.
 
-    Yields, for each BFS level d (the edge's endpoints are level 0), the
-    rows and signature codes of the nodes at level d, one entry per (row,
-    node).  A node's code is its `base` rank·27 plus three step digits.
-    Each of its three slots holds label·3 + step + 1, step the sign of
-    dist(neighbor) - dist(node); an absent edge has label rank -1 and step
-    -1, so slot -3.  The slots are sorted, which orders them by label and
-    then step, and reduced mod 3 to digits, 0 for an absent edge.  Base
-    and digits together fix the color and the sorted (label, step)
-    multiset, so equal codes mean equal signatures.  Rows the consumer sets
-    False in `alive` stop expanding.
+    `ends` holds each edge's endpoints as a row of node indices.  Yields,
+    for each BFS level d (the edge's endpoints are level 0), the rows and
+    signature codes of the nodes at level d, one entry per (row, node),
+    ordered by row and then node.  A node's code is its `base` rank·27 plus
+    three step digits.  Each of its three slots holds label·4 + step + 1,
+    step the sign of depth(neighbor) - depth(node); an absent edge has label
+    rank -1 and step -1, so slot -4.  The slots are sorted, which orders
+    them by label and then step, and their low two bits, step + 1, are the
+    digits, 0 for an absent edge.  Base and digits together fix the color
+    and the sorted (label, step) multiset, so equal codes mean equal
+    signatures.  Rows the consumer sets False in `alive` stop expanding.
+
+    The depth table is flat, (row, node) at key row·(n+1) + node, and holds
+    one int8 per cell: depth mod 3, `_UNSEEN`, or `_ABSENT` for the padding
+    node.  A neighbor of a depth-d node sits at depth d-1, d or d+1, and
+    when its step is read no node deeper than d has been entered, so the
+    residue tells d-1 from d and an unseen neighbor is at d+1.  One gather
+    of the neighbors' entries per level gives both the steps and the nodes
+    of the next level.  Gathers use `take`, which numpy runs faster than
+    fancy indexing.
     """
-    k, n = len(edges), len(tab.index)
-    dist = np.full((k, n + 1), _UNSEEN, dtype=np.int32)
-    dist[:, n] = -1  # absent slots: step -1, so slot -3 and digit 0
-    rows = np.repeat(np.arange(k, dtype=np.int64), 2)
-    nodes = np.array([tab.index[v] for e in edges for v in e], dtype=np.int64)
-    dist[rows, nodes] = 0
+    width = len(tab.nbr)
+    depth = np.full(len(ends) * width, _UNSEEN, dtype=np.int8)
+    depth[width - 1 :: width] = _ABSENT
+    key = (np.arange(len(ends))[:, None] * width + ends).ravel()
+    depth[key] = 0
+    nbr = tab.nbr.astype(np.int64)
+    slot_base = 4 * tab.labels
     d = 0
-    while len(rows):
-        nbr = tab.nbr[nodes]
-        step = np.sign(dist[rows[:, None], nbr] - d)
-        digits = np.sort(3 * tab.labels[nodes] + step + 1, axis=1) % 3
-        yield rows, tab.base[nodes] * 27 + digits @ np.array([9, 3, 1])
-        keep = alive[rows]
-        rows, nbr = rows[keep], nbr[keep]
-        fresh = dist[rows[:, None], nbr] == _UNSEEN
-        key = _sorted_distinct((rows[:, None] * (n + 1) + nbr)[fresh])
-        rows, nodes = np.divmod(key, n + 1)
+    while len(key):
+        rows, nodes = np.divmod(key, width)
+        near = (key - nodes)[:, None] + nbr.take(nodes, axis=0)
+        seen = depth.take(near)
+        s = slot_base.take(nodes, axis=0) + _DIGITS[d % 3].take(seen)
+        lo, hi = np.minimum(s[:, 0], s[:, 1]), np.maximum(s[:, 0], s[:, 1])
+        mid, top = np.minimum(hi, s[:, 2]), np.maximum(hi, s[:, 2])
+        low, mid = np.minimum(lo, mid), np.maximum(lo, mid)
+        yield rows, tab.base.take(nodes) * 27 + ((low & 3) * 9 + (mid & 3) * 3 + (top & 3))
+        fresh = (seen == _UNSEEN) & alive.take(rows)[:, None]
+        key = _sorted_distinct(near[fresh])
         d += 1
-        dist[rows, nodes] = d
+        depth[key] = d % 3
 
 
 def _profile_filter(t1: _ProfileTables, e1, t2: _ProfileTables, candidates):
@@ -274,40 +296,54 @@ def _profile_filter(t1: _ProfileTables, e1, t2: _ProfileTables, candidates):
     so a first differing level, or a different number of levels, rules the
     pairing out before any group machinery runs.
 
-    e1's levels come from the same walk as a batch of one.  The candidates
+    Edges are pairs of node indices, rows of the tables: e1 is one pair and
+    `candidates` a (k, 2) array, whose surviving rows are yielded.  e1's
+    levels come from the same walk as a batch of one.  The candidates
     walk together, one row each (see `_profile_walk`), and a row is dropped
     at its first level whose node count or sorted codes differ from e1's.
     A row whose walk ends at another depth than e1's is dropped at the last
     level both reach, where only one side has nodes with a step +1 edge.
-    Candidates are taken in the given order, in blocks whose distance table
-    stays under `_PROFILE_CELLS` cells (4 MiB of int32), so memory does not
+    Candidates are taken in the given order, in blocks whose depth table
+    stays under `_PROFILE_CELLS` cells (1 MiB of int8), so memory does not
     grow with the number of candidates; a block's survivors are yielded, in
     order, before the next block is walked.
     """
-    ref = [np.sort(codes) for _, codes in _profile_walk(t1, [e1], np.ones(1, dtype=bool))]
+    walk = _profile_walk(t1, np.reshape(e1, (1, 2)), np.ones(1, dtype=bool))
+    ref = [np.sort(codes) for _, codes in walk]
     span = 27 * (int(max(t1.base.max(), t2.base.max())) + 1)
-    block = max(1, _PROFILE_CELLS // (len(t2.index) + 1))
+    block = max(1, _PROFILE_CELLS // len(t2.nbr))
     for first in range(0, len(candidates), block):
         chunk = candidates[first : first + block]
         alive = np.ones(len(chunk), dtype=bool)
         for want, (rows, codes) in zip(ref, _profile_walk(t2, chunk, alive)):
-            alive &= np.bincount(rows, minlength=len(chunk)) == len(want)
-            sel = alive[rows]
-            got = np.sort(rows[sel] * span + codes[sel]) % span
+            alive &= np.bincount(rows, minlength=len(alive)) == len(want)
+            sel = alive.take(rows)
+            offset = rows[sel] * span  # rows come sorted, so sorting keeps them in place
+            got = np.sort(offset + codes[sel]) - offset
             alive[alive] = (got.reshape(np.count_nonzero(alive), len(want)) == want).all(axis=1)
-        yield from (e2 for e2, ok in zip(chunk, alive) if ok)
+        yield from chunk[alive]
 
 
 def _pretests_pass(g1: LabeledGraph, g2: LabeledGraph) -> bool:
     if g1.n_nodes != g2.n_nodes or g1.n_edges != g2.n_edges:
         return False
-    if g1.degree_sequence() != g2.degree_sequence():
-        return False
-    if sorted(g1.colors().values()) != sorted(g2.colors().values()):
-        return False
-    if sorted(g1.edges().values()) != sorted(g2.edges().values()):
-        return False
-    return True
+    a1, a2 = g1.arrays, g2.arrays
+    return all(
+        np.array_equal(np.sort(x), np.sort(y))
+        for x, y in ((a1.degrees, a2.degrees), (a1.colors, a2.colors), (a1.labels, a2.labels))
+    )
+
+
+def _first_edge_candidates(a1: GraphArrays, a2: GraphArrays):
+    """The first graph's smallest edge, and the second's edges of its label, sorted.
+
+    Edges are pairs of node indices of the array views, the first an array
+    of two, the others the rows of a (k, 2) array.
+    """
+    j = np.lexsort((a1.v, a1.u))[0]
+    same = np.flatnonzero(a2.labels == a1.labels[j])
+    same = same[np.lexsort((a2.v[same], a2.u[same]))]
+    return np.array([a1.u[j], a1.v[j]]), np.stack([a2.u[same], a2.v[same]], axis=1)
 
 
 def _extract_mapping(sp, witness: Permutation) -> dict[int, int]:
@@ -349,12 +385,11 @@ def is_isomorphic(
     if not _pretests_pass(g1, g2):
         return IsoResult(False)
 
-    e1 = g1.sorted_edges()[0]
-    lab1 = g1.label(*e1)
-    candidates = [e2 for e2 in g2.sorted_edges() if g2.label(*e2) == lab1]
+    e1, candidates = _first_edge_candidates(g1.arrays, g2.arrays)
     t1, t2 = _profile_tables(g1, g2)
+    split1 = tuple(t1.ids[e1].tolist())
     for e2 in _profile_filter(t1, e1, t2, candidates):
-        sp = build_x(g1, g2, e1, e2, validated=True)
+        sp = build_x(g1, g2, split1, tuple(t2.ids[e2].tolist()), validated=True)
         dec = layer_sequence(sp.graph, sp.e, validated=True)
         result = _run_tower(dec, swap=True)
         if result is None:

@@ -5,12 +5,25 @@ edge labels are small integers, with 0 meaning "uncolored"/"unlabeled".
 Negative colors and labels are reserved for internal constructions (the
 triangle gadget, arc-direction midpoints of the phylogenetic reduction):
 `validate` rejects them in user input, and the text format never parses them.
+
+A graph is stored as two dicts, node id -> color and sorted endpoint pair
+-> label.  The whole-graph passes (`validate`, the pretests, the choice of
+candidate edges, the layer-profile tables and the layer tower) read one
+array view instead, `LabeledGraph.arrays`: the node ids in increasing order,
+their colors, every edge as a pair of dense indices into those ids with its
+label (edges in insertion order), and the node degrees.  The view is built
+from the dicts on first use and cached; a graph is never changed after
+construction, so it never goes stale.  Ids, colors or labels beyond 64 bits
+are held with object dtype.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import chain
+from typing import Iterable, Mapping, NamedTuple
+
+import numpy as np
 
 # Reserved internal values; user graphs must stay non-negative.
 GADGET_LABEL = -1
@@ -41,7 +54,7 @@ class LabeledGraph:
     cannot be represented; loops can (and are reported by `validate`).
     """
 
-    __slots__ = ("_colors", "_edges", "_adj")
+    __slots__ = ("_colors", "_edges", "_adj", "_arrays")
 
     def __init__(
         self,
@@ -65,6 +78,14 @@ class LabeledGraph:
                     raise GraphError(f"edge endpoint {w} is not a declared node")
             self._edges[_norm_edge(u, v)] = lab
         self._adj: dict[int, list[tuple[int, int]]] | None = None
+        self._arrays: GraphArrays | None = None
+
+    @classmethod
+    def _of(cls, colors: dict[int, int], edges: dict[tuple[int, int], int]) -> "LabeledGraph":
+        """Adopt already converted dicts: int colors, sorted int pairs -> int labels."""
+        g = object.__new__(cls)
+        g._colors, g._edges, g._adj, g._arrays = colors, edges, None, None
+        return g
 
     # -- accessors ----------------------------------------------------------
 
@@ -114,11 +135,18 @@ class LabeledGraph:
             self._adj = adj
         return self._adj
 
+    @property
+    def arrays(self) -> "GraphArrays":
+        """The cached array view (module docstring)."""
+        if self._arrays is None:
+            self._arrays = _graph_arrays(self._colors, self._edges)
+        return self._arrays
+
     def degree(self, v: int) -> int:
         return len(self.adjacency()[v])
 
     def degree_sequence(self) -> list[int]:
-        return sorted(len(nbrs) for nbrs in self.adjacency().values())
+        return np.sort(self.arrays.degrees).tolist()
 
     def relabeled(self, mapping: Mapping[int, int]) -> "LabeledGraph":
         nodes = {mapping[v]: c for v, c in self._colors.items()}
@@ -134,6 +162,53 @@ class LabeledGraph:
         return f"LabeledGraph(n={self.n_nodes}, m={self.n_edges})"
 
 
+class GraphArrays(NamedTuple):
+    """Array view of a `LabeledGraph`.
+
+    Node i is `ids[i]`, the ids increasing, with color `colors[i]`.  Edge j
+    joins nodes `u[j]` <= `v[j]` and carries `labels[j]`; edges keep the
+    graph's insertion order.  `degrees[i]` counts node i's incident edges,
+    a loop once.
+    """
+
+    ids: np.ndarray
+    colors: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    labels: np.ndarray
+    degrees: np.ndarray
+
+
+def _graph_arrays(colors: dict, edges: dict) -> GraphArrays:
+    n, m = len(colors), len(edges)
+    ids = _ints(colors.keys(), n)
+    by_id = np.argsort(ids, kind="stable")
+    ids = ids[by_id]
+    ends = np.fromiter(chain.from_iterable(edges), dtype=ids.dtype, count=2 * m)
+    if n and ids[-1] - ids[0] == n - 1:  # consecutive ids: an index is an offset
+        index = (ends - ids[0]).astype(np.int64)
+    else:  # searchsorted is slow on unsorted needles, so only here
+        index = np.searchsorted(ids, ends)
+    u, v = index.reshape(m, 2).T
+    degrees = np.bincount(u, minlength=n) + np.bincount(v[u != v], minlength=n)
+    return GraphArrays(
+        ids=ids,
+        colors=_ints(colors.values(), n)[by_id],
+        u=u,
+        v=v,
+        labels=_ints(edges.values(), m),
+        degrees=degrees,
+    )
+
+
+def _ints(values, count: int) -> np.ndarray:
+    """int64 array of a re-iterable collection of ints; object dtype past 64 bits."""
+    try:
+        return np.fromiter(values, dtype=np.int64, count=count)
+    except OverflowError:
+        return np.fromiter(values, dtype=object, count=count)
+
+
 # -- validation ---------------------------------------------------------------
 
 
@@ -141,38 +216,55 @@ def validate(g: LabeledGraph, allow_reserved: bool = False) -> list[str]:
     """Report every violation of the ternary-graph contract (empty = ok).
 
     Checks: non-empty, no loops, all degrees <= 3, connectivity, and (for
-    user input) no reserved negative colors or labels.
+    user input) no reserved negative colors or labels.  Edge problems come
+    in edge insertion order, then node problems in id order.
     """
-    problems = []
     if g.n_nodes == 0:
         return ["graph has no nodes"]
-    for (u, v), lab in g.edges().items():
-        if u == v:
+    a = g.arrays
+    problems = []
+    loop = a.u == a.v
+    reserved = (a.labels < 0) & (not allow_reserved)
+    for j in np.flatnonzero(loop | reserved).tolist():
+        u, v = a.ids[a.u[j]], a.ids[a.v[j]]
+        if loop[j]:
             problems.append(f"loop at node {u}")
-        if lab < 0 and not allow_reserved:
-            problems.append(f"edge ({u},{v}) uses reserved label {lab}")
-    ids = g.node_ids
-    adj = g.adjacency()
-    for v in ids:
-        if g.color(v) < 0 and not allow_reserved:
-            problems.append(f"node {v} uses reserved color {g.color(v)}")
-        if len(adj[v]) > 3:
-            problems.append(f"node {v} has degree {len(adj[v])} > 3")
-    if len(ids) > 1:
-        seen = set()
-        start = ids[0]
-        stack = [start]
-        seen.add(start)
-        while stack:
-            x = stack.pop()
-            for y, _ in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != len(ids):
-            missing = sorted(set(ids) - seen)
-            problems.append(f"graph is disconnected ({len(missing)} unreachable nodes)")
+        if reserved[j]:
+            problems.append(f"edge ({u},{v}) uses reserved label {a.labels[j]}")
+    reserved = (a.colors < 0) & (not allow_reserved)
+    for i in np.flatnonzero(reserved | (a.degrees > 3)).tolist():
+        if reserved[i]:
+            problems.append(f"node {a.ids[i]} uses reserved color {a.colors[i]}")
+        if a.degrees[i] > 3:
+            problems.append(f"node {a.ids[i]} has degree {a.degrees[i]} > 3")
+    missing = g.n_nodes - np.count_nonzero(_component_roots(g.n_nodes, a.u, a.v) == 0)
+    if missing:
+        problems.append(f"graph is disconnected ({missing} unreachable nodes)")
     return problems
+
+
+def _component_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The smallest node index of every node's connected component.
+
+    Each round hooks every root onto the smallest smaller root that an edge
+    joins it to, then points every node straight at its root.  A tree that
+    meets another either hooks or, being the smallest around, is hooked onto
+    or meets a smaller root in the next round; so every tree with an edge
+    out merges within two rounds, and the rounds grow with log n, not with
+    the diameter.
+    """
+    root = np.arange(n)
+    while True:
+        ru, rv = root[u], root[v]
+        hook = ru != rv
+        if not hook.any():
+            return root
+        np.minimum.at(root, np.maximum(ru, rv)[hook], np.minimum(ru, rv)[hook])
+        while True:
+            up = root[root]
+            if (up == root).all():
+                break
+            root = up
 
 
 def require_valid(g: LabeledGraph, what: str = "graph", allow_reserved: bool = False) -> None:
@@ -195,37 +287,39 @@ def parse_graph_text(text: str) -> LabeledGraph:
     nodes: dict[int, int] = {}
     edges: dict[tuple[int, int], int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if "#" in raw:
+            raw = raw[: raw.index("#")]
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
-        kind, args = parts[0], parts[1:]
-        fields = "".join(args)
+        kind, arity = parts[0], len(parts) - 1
+        fields = "".join(parts[1:])
         if fields and not (fields.isascii() and fields.isdigit()):
-            raise GraphFormatError(f"non-numeric field in {line!r}", lineno)
+            raise GraphFormatError(f"non-numeric field in {raw.strip()!r}", lineno)
         if kind == "node":
-            if len(args) not in (1, 2):
+            if arity != 1 and arity != 2:
                 raise GraphFormatError("node takes <id> [<color>]", lineno)
-            v = int(args[0])
+            v = int(parts[1])
             if v in nodes:
                 raise GraphFormatError(f"duplicate node {v}", lineno)
-            nodes[v] = int(args[1]) if len(args) == 2 else 0
+            nodes[v] = int(parts[2]) if arity == 2 else 0
         elif kind == "edge":
-            if len(args) not in (2, 3):
+            if arity != 2 and arity != 3:
                 raise GraphFormatError("edge takes <id> <id> [<label>]", lineno)
-            u, v = int(args[0]), int(args[1])
-            key = _norm_edge(u, v)
+            u, v = int(parts[1]), int(parts[2])
+            key = (u, v) if u <= v else (v, u)
             if key in edges:
                 raise GraphFormatError(f"duplicate edge {u} {v}", lineno)
-            for w in (u, v):
-                if w not in nodes:
-                    raise GraphFormatError(f"edge references undeclared node {w}", lineno)
-            edges[key] = int(args[2]) if len(args) == 3 else 0
+            if u not in nodes:
+                raise GraphFormatError(f"edge references undeclared node {u}", lineno)
+            if v not in nodes:
+                raise GraphFormatError(f"edge references undeclared node {v}", lineno)
+            edges[key] = int(parts[3]) if arity == 3 else 0
         else:
             raise GraphFormatError(f"unknown directive {kind!r}", lineno)
     if not nodes:
         raise GraphFormatError("no nodes declared", 1)
-    return LabeledGraph(nodes, edges)
+    return LabeledGraph._of(nodes, edges)
 
 
 def format_graph_text(g: LabeledGraph, allow_reserved: bool = False) -> str:
@@ -319,7 +413,7 @@ def build_x(
     edges[_norm_edge(map2[e2[1]], v2)] = lab2
     edges[(v1, v2)] = 0
 
-    graph = LabeledGraph(nodes, edges)
+    graph = LabeledGraph._of(nodes, edges)
     return Splice(graph=graph, e=(v1, v2), v1=v1, v2=v2, map1=map1, map2=map2)
 
 

@@ -31,7 +31,6 @@ the dense rank of the sorted color multiset of its entering nodes (at most
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -226,7 +225,10 @@ class LayerDecomposition:
         entering at level r+1 and the cross-edge pairs of level r.  `images`
         is a (k, n) array of node images, one permutation per row.  The
         closure runs on keys, a whole frontier under all rows per round, so
-        the result is stable under the group they generate.
+        the result is stable under the group they generate.  Both the keys
+        found so far and each round's images are sorted and distinct, so
+        the new keys are found by one `searchsorted` and merged in by one
+        `np.insert`.
         """
         level = self.levels.get(r)
         seen = level.keys if level is not None else np.empty(0, dtype=np.int64)
@@ -234,8 +236,10 @@ class LayerDecomposition:
             frontier = seen
             while len(frontier):
                 moved = _sorted_distinct(self.move(images, frontier))
-                frontier = np.setdiff1d(moved, seen, assume_unique=True)
-                seen = np.sort(np.concatenate([seen, frontier]))
+                at = np.searchsorted(seen, moved)
+                new = seen[at.clip(max=len(seen) - 1)] != moved
+                frontier = moved[new]
+                seen = np.insert(seen, at[new], frontier)
         return seen
 
     # -- kernel of the level restriction --------------------------------------
@@ -339,14 +343,7 @@ def layer_sequence(
     if not g.has_edge(*e):
         raise GraphError(f"edge {e} not present in graph")
 
-    color_of, edge_of = g.colors(), g.edges()
-    ids = np.fromiter(color_of, dtype=np.int64, count=len(color_of))
-    by_id = np.argsort(ids)
-    ids = ids[by_id]
-    colors = np.fromiter(color_of.values(), dtype=np.int64, count=len(ids))[by_id]
-    ends = np.fromiter(chain.from_iterable(edge_of), dtype=np.int64, count=2 * len(edge_of))
-    u, v = np.searchsorted(ids, ends).reshape(-1, 2).T
-    lab = np.fromiter(edge_of.values(), dtype=np.int64, count=len(edge_of))
+    ids, colors, u, v, lab, _ = g.arrays
     a, b = np.searchsorted(ids, e).tolist()
 
     # Neighbor table over both edge directions, sorted by source.

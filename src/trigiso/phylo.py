@@ -43,6 +43,10 @@ class NewickError(NetworkError):
         self.column = column
 
 
+# Node kind by (in-degree, out-degree); every other pair is invalid.
+_KINDS = {(0, 2): "root", (1, 0): "leaf", (1, 2): "tree", (2, 1): "reticulate"}
+
+
 class PhyloNetwork:
     """A rooted directed network with node labels (taxa on the leaves)."""
 
@@ -111,10 +115,7 @@ class PhyloNetwork:
         return [v for v in self.nodes if self.in_degree(v) == 2]
 
     def kind(self, v: int) -> str:
-        pair = (self.in_degree(v), self.out_degree(v))
-        return {(0, 2): "root", (1, 0): "leaf", (1, 2): "tree", (2, 1): "reticulate"}.get(
-            pair, "invalid"
-        )
+        return _KINDS.get((len(self._parents[v]), len(self._children[v])), "invalid")
 
     def relabeled_nodes(self, mapping: Mapping[int, int]) -> "PhyloNetwork":
         return PhyloNetwork(
@@ -133,28 +134,32 @@ class PhyloNetwork:
 
 
 def validate_network(net: PhyloNetwork) -> list[str]:
-    """Report all violations of the fully resolved rooted network contract."""
-    problems = []
+    """Report all violations of the fully resolved rooted network contract.
+
+    One pass over the in- and out-degrees finds the roots, the invalid
+    degree pairs and the unlabeled leaves; Kahn's algorithm then finds
+    directed cycles.
+    """
     if net.n_nodes == 0:
         return ["network has no nodes"]
-    roots = net.roots
-    if len(roots) != 1:
-        problems.append(f"expected exactly one root, found {len(roots)}")
+    parents, children, labels = net._parents, net._children, net.labels
+    indeg = {}
+    node_problems = []
     for v in net.nodes:
-        if net.kind(v) == "invalid":
-            problems.append(
-                f"node {v} has degree pair ({net.in_degree(v)},{net.out_degree(v)})"
-            )
-        if net.out_degree(v) == 0 and net.in_degree(v) > 0 and net.label(v) is None:
-            problems.append(f"leaf {v} is unlabeled")
-    # cycle check (Kahn)
-    indeg = {v: net.in_degree(v) for v in net.nodes}
-    queue = [v for v in net.nodes if indeg[v] == 0]
+        indeg[v] = d_in = len(parents[v])
+        d_out = len(children[v])
+        if (d_in, d_out) not in _KINDS:
+            node_problems.append(f"node {v} has degree pair ({d_in},{d_out})")
+        if d_out == 0 and d_in > 0 and v not in labels:
+            node_problems.append(f"leaf {v} is unlabeled")
+    queue = [v for v, d in indeg.items() if d == 0]
+    problems = [] if len(queue) == 1 else [f"expected exactly one root, found {len(queue)}"]
+    problems += node_problems
     seen = 0
     while queue:
         v = queue.pop()
         seen += 1
-        for w in net.children(v):
+        for w in children[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
                 queue.append(w)
@@ -226,7 +231,7 @@ def reduce_to_colored(
         edges[(min(a, mid), max(a, mid))] = ARC_OUT_LABEL
         edges[(min(b, mid), max(b, mid))] = ARC_IN_LABEL
         mid += 1
-    return LabeledGraph(colors, edges), index[net.root]
+    return LabeledGraph._of(colors, edges), index[net.root]
 
 
 def _class_counts(net: PhyloNetwork) -> tuple[int, int, int]:
@@ -267,7 +272,7 @@ def phylo_isomorphic(
     edges.update({(u + shift, v + shift): lab for (u, v), lab in g2.edges().items()})
     e = (min(r1, r2 + shift), max(r1, r2 + shift))
     edges[e] = ROOT_JOIN_LABEL
-    joined = LabeledGraph(nodes, edges)
+    joined = LabeledGraph._of(nodes, edges)
 
     dec = layer_sequence(joined, e, validated=True)
     result = _run_tower(dec, swap=True)

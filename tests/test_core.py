@@ -22,6 +22,7 @@ from trigiso.layers import LayerDecomposition, layer_sequence
 from trigiso.perm import Coset, Permutation, enumerate_group, group_order, smoothness_violations
 from trigiso.phylo import phylo_isomorphic, random_network
 
+from graph_reference import reference_profile_tables
 from test_graphs import EX1_A, EX1_B, EX2_A, EX2_B, graph_from_edges
 from test_layers import decide_tower_cases, reference_b_set
 from tower_reference import written_out
@@ -470,7 +471,9 @@ def _candidates(g1, g2, e1):
 def filtered(g1, g2, e1=None):
     e1 = e1 or g1.sorted_edges()[0]
     t1, t2 = core._profile_tables(g1, g2)
-    return list(core._profile_filter(t1, e1, t2, _candidates(g1, g2, e1)))
+    candidates = np.searchsorted(t2.ids, np.reshape(_candidates(g1, g2, e1), (-1, 2)))
+    passed = core._profile_filter(t1, np.searchsorted(t1.ids, e1), t2, candidates)
+    return [tuple(t2.ids[e2].tolist()) for e2 in passed]
 
 
 def reference_filtered(g1, g2, e1=None):
@@ -579,6 +582,39 @@ def _profile_cases():
 @pytest.mark.parametrize("name,g1,g2", list(_profile_cases()))
 def test_profile_filter_matches_reference(name, g1, g2):
     assert filtered(g1, g2) == reference_filtered(g1, g2)
+
+
+def test_profile_tables_match_dict_reference():
+    # Byte for byte, over every case of the filter tests and graphs with
+    # scattered ids; the tables' only consumer is the walk, whose codes the
+    # filter tests check against the per-edge reference.
+    cases = [(g1, g2) for _, g1, g2 in _profile_cases()]
+    g = _recolored(random_ternary_graph(30, 1), 1, 3, 3)
+    cases.append((g, g.relabeled({v: 1000 - 7 * v for v in g.node_ids})))
+    for g1, g2 in cases:
+        for tab, (index, nbr, labels, base) in zip(core._profile_tables(g1, g2),
+                                                   reference_profile_tables(g1, g2)):
+            assert tab.ids.tolist() == list(index)
+            for got, want in ((tab.nbr, nbr), (tab.labels, labels), (tab.base, base)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
+def test_ids_and_colors_beyond_64_bits():
+    # The array views hold such values with object dtype; the decision and
+    # the generators are those of the same graph with small values.
+    g = _recolored(random_ternary_graph(24, 5), 5, 3, 2)
+    shift = {v: v + 2**64 for v in g.node_ids}
+    big = LabeledGraph(
+        {shift[v]: c * 2**70 for v, c in g.colors().items()},
+        {(shift[u], shift[v]): lab for (u, v), lab in g.edges().items()},
+    )
+    h, _ = random_relabeling(big, 6)
+    res = is_isomorphic(big, h, want_mapping=True)
+    assert res.isomorphic and is_graph_isomorphism(big, h, res.mapping)
+    e = g.sorted_edges()[0]
+    small_gens = aut_e_generators(g, e).generators
+    assert aut_e_generators(big, (shift[e[0]], shift[e[1]])).generators == small_gens
 
 
 def test_profile_filter_matches_reference_from_every_edge():

@@ -1,7 +1,14 @@
 """Tests for the graph container, the text format, and the splice."""
 
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import trigiso
 from trigiso.graphs import (
     GraphError,
     GraphFormatError,
@@ -12,6 +19,10 @@ from trigiso.graphs import (
     parse_graph_text,
     validate,
 )
+
+from graph_reference import reference_validate
+
+_SRC = Path(trigiso.__file__).resolve().parent.parent
 
 # Edge lists used throughout the suite (ten nodes each, max degree three).
 EX1_A = [(1, 7), (1, 10), (2, 3), (2, 4), (3, 4), (4, 9), (5, 6), (6, 8), (7, 8), (7, 9), (8, 9)]
@@ -84,6 +95,41 @@ def test_parse_rejects_duplicates_and_junk():
             parse_graph_text(f"node 0\nnode {field}\n")
 
 
+# (case, text, line, message): every error `parse_graph_text` raises.  The
+# first failing line wins, and within a line the numeric check comes first.
+PARSE_ERRORS = [
+    ("non-numeric", "node 0\nnode x\n", 2, "non-numeric field in 'node x'"),
+    ("non-numeric-sign", "node +3\n", 1, "non-numeric field in 'node +3'"),
+    ("non-numeric-before-arity", "node 0\nnode 1 x 3\n", 2, "non-numeric field in 'node 1 x 3'"),
+    ("non-numeric-before-directive", "vertex x\n", 1, "non-numeric field in 'vertex x'"),
+    ("non-numeric-comment-cut", "node 0\n  node 0x # note\n", 2, "non-numeric field in 'node 0x'"),
+    ("node-without-id", "node\n", 1, "node takes <id> [<color>]"),
+    ("node-three-fields", "node 0 1 2\n", 1, "node takes <id> [<color>]"),
+    ("edge-one-field", "node 0\nedge 0\n", 2, "edge takes <id> <id> [<label>]"),
+    ("edge-four-fields", "node 0\nnode 1\nedge 0 1 2 3\n", 3, "edge takes <id> <id> [<label>]"),
+    ("duplicate-node", "node 0\nnode 1\nnode 0 2\n", 3, "duplicate node 0"),
+    ("duplicate-edge", "node 0\nnode 1\nedge 0 1\nedge 0 1 5\n", 4, "duplicate edge 0 1"),
+    ("duplicate-edge-reversed", "node 0\nnode 1\nedge 0 1\nedge 1 0\n", 4, "duplicate edge 1 0"),
+    ("undeclared-first", "node 1\nedge 0 1\n", 2, "edge references undeclared node 0"),
+    ("undeclared-second", "node 0\nedge 0 1\n", 2, "edge references undeclared node 1"),
+    ("undeclared-both", "node 5\nedge 1 0\n", 2, "edge references undeclared node 1"),
+    ("unknown-directive", "node 0\nvertex 0\n", 2, "unknown directive 'vertex'"),
+    ("no-nodes-empty", "", 1, "no nodes declared"),
+    ("no-nodes-comments", "# only a comment\n\n   \n", 1, "no nodes declared"),
+    ("comments-and-blank-lines",
+     "# header\n\nnode 0 # the first\n   \nnode 1#x\n# node 0\nnode 0\n", 7, "duplicate node 0"),
+]
+
+
+@pytest.mark.parametrize("text,line,message", [c[1:] for c in PARSE_ERRORS],
+                         ids=[c[0] for c in PARSE_ERRORS])
+def test_parse_error_line_and_message(text, line, message):
+    with pytest.raises(GraphFormatError) as info:
+        parse_graph_text(text)
+    assert info.value.line == line
+    assert str(info.value) == f"line {line}: {message}"
+
+
 def test_parse_comments_and_colors():
     g = parse_graph_text("# a cherry\nnode 0 5\nnode 1\nnode 2 5\nedge 0 1 3\nedge 1 2 3\n")
     assert g.color(0) == 5 and g.color(1) == 0
@@ -139,3 +185,81 @@ def test_is_graph_isomorphism_rejects_bad_maps():
     colored = LabeledGraph({0: 1, 1: 0}, [(0, 1)])
     plain = LabeledGraph({0: 0, 1: 0}, [(0, 1)])
     assert not is_graph_isomorphism(colored, plain, {0: 0, 1: 1})
+
+
+# -- the array view and the array checks against the dict references ------
+
+
+def _random_graph(seed: int) -> LabeledGraph:
+    """Up to 12 scattered ids; loops, repeated edges, degree > 3 and reserved values occur."""
+    rng = random.Random(seed)
+    ids = rng.sample(range(-5, 40), rng.randrange(13))
+    edges = {}
+    for _ in range(rng.randrange(2 * len(ids) + 1) if ids else 0):
+        edges[(rng.choice(ids), rng.choice(ids))] = rng.randrange(-2, 4)
+    return LabeledGraph({v: rng.randrange(-2, 4) for v in ids}, edges)
+
+
+def test_validate_matches_dict_reference_on_random_graphs():
+    graphs = [_random_graph(seed) for seed in range(600)]
+    # The same graphs on consecutive ids, which the view maps by offset.
+    graphs += [g.relabeled({v: i - 3 for i, v in enumerate(g.node_ids)}) for g in graphs[:200]]
+    for g in graphs:
+        for allow in (False, True):
+            assert validate(g, allow_reserved=allow) == reference_validate(g, allow_reserved=allow)
+    # Every kind of problem occurred, and so did valid graphs.
+    problems = [p for g in graphs for p in validate(g)]
+    for kind in ("loop at", "reserved label", "reserved color", "has degree", "disconnected"):
+        assert any(kind in p for p in problems), kind
+    assert any(not validate(g) for g in graphs)
+
+
+def test_validate_matches_reference_on_sparse_and_large_ids():
+    path = LabeledGraph([2**70, 5, -3, 2**64], [(5, 2**70), (-3, 5)])
+    for g in (path, path.relabeled({2**70: 2**70, 5: 5, -3: -3, 2**64: 7})):
+        assert validate(g) == reference_validate(g)
+    assert validate(path) == ["graph is disconnected (1 unreachable nodes)"]
+
+
+def test_validate_finds_components_of_long_shuffled_paths():
+    rng = random.Random(3)
+    for n in (2, 3, 50, 2000):
+        order = rng.sample(range(n), n)
+        path = list(zip(order, order[1:]))
+        assert validate(LabeledGraph(range(n), path)) == []
+        if n > 3:
+            cut = path[: n // 3] + path[n // 3 + 1 :]
+            assert validate(LabeledGraph(range(n), cut)) == reference_validate(
+                LabeledGraph(range(n), cut)
+            )
+
+
+def test_array_view_matches_the_dicts():
+    g = LabeledGraph({7: 2, 3: 0, 10: -1, 5: 1}, {(10, 3): 4, (5, 7): 0, (3, 3): 2, (7, 10): 1})
+    a = g.arrays
+    assert a is g.arrays  # built once
+    assert a.ids.tolist() == g.node_ids
+    assert a.colors.tolist() == [g.color(v) for v in g.node_ids]
+    pairs = [(g.node_ids[u], g.node_ids[v]) for u, v in zip(a.u.tolist(), a.v.tolist())]
+    assert pairs == list(g.edges()) and a.labels.tolist() == list(g.edges().values())
+    assert a.degrees.tolist() == [g.degree(v) for v in g.node_ids]
+    assert g.degree_sequence() == sorted(g.degree(v) for v in g.node_ids)
+    big = LabeledGraph({2**70: 2**65, 0: 1}, {(0, 2**70): 2**64})
+    assert big.arrays.ids.tolist() == [0, 2**70] and big.arrays.labels.tolist() == [2**64]
+
+
+def test_graphs_build_no_array_view_until_asked():
+    g = parse_graph_text("node 0\nnode 1\nedge 0 1\n")
+    assert g._arrays is None and LabeledGraph([0, 1], [(0, 1)])._arrays is None
+    assert build_x(g, g, (0, 1), (0, 1), validated=True).graph._arrays is None
+
+
+def test_import_loads_neither_scipy_nor_networkx():
+    code = (
+        "import sys, trigiso; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'networkx'}))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "[]"

@@ -53,6 +53,55 @@ def test_validate_detects_cycles():
     assert any("cycle" in p for p in validate_network(cyclic))
 
 
+def reference_validate_network(net):
+    """`validate_network` written out with the per-node accessors."""
+    problems = []
+    if net.n_nodes == 0:
+        return ["network has no nodes"]
+    roots = net.roots
+    if len(roots) != 1:
+        problems.append(f"expected exactly one root, found {len(roots)}")
+    for v in net.nodes:
+        if net.kind(v) == "invalid":
+            problems.append(f"node {v} has degree pair ({net.in_degree(v)},{net.out_degree(v)})")
+        if net.out_degree(v) == 0 and net.in_degree(v) > 0 and net.label(v) is None:
+            problems.append(f"leaf {v} is unlabeled")
+    indeg = {v: net.in_degree(v) for v in net.nodes}
+    queue = [v for v in net.nodes if indeg[v] == 0]
+    seen = 0
+    while queue:
+        v = queue.pop()
+        seen += 1
+        for w in net.children(v):
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
+    if seen != net.n_nodes:
+        problems.append("network contains a directed cycle")
+    return problems
+
+
+def test_validate_network_matches_reference_on_mutants():
+    # Random networks with arcs dropped, added or reversed and labels
+    # removed: every kind of problem, in the reference's order.
+    kinds = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        net = random_network(5 + 2 * (seed % 8), seed=seed)
+        arcs = set(net.arcs)
+        for _ in range(rng.randrange(3)):
+            u, v = rng.choice(sorted(arcs))
+            arcs.discard((u, v))
+            arcs.add(rng.choice([(v, u), (u, rng.choice(net.nodes)), (v, rng.choice(net.nodes))]))
+        labels = {v: s for v, s in net.labels.items() if rng.random() < 0.9}
+        mutant = PhyloNetwork(arcs, labels, nodes=net.nodes)
+        problems = validate_network(mutant)
+        assert problems == reference_validate_network(mutant), seed
+        kinds.update(p.split()[0] for p in problems)
+    assert validate_network(PhyloNetwork([])) == ["network has no nodes"]
+    assert kinds == {"expected", "node", "leaf", "network"}
+
+
 def test_reduction_shape_and_colors():
     net = cherry()
     g, root = reduce_to_colored(net)
