@@ -226,10 +226,9 @@ def _profile_tables(g1: LabeledGraph, g2: LabeledGraph) -> list[_ProfileTables]:
         ]))
     kind = np.concatenate(kinds)
     order = np.lexsort(kind.T[::-1])
-    step = np.ones(len(kind), dtype=np.int64)
-    step[0] = 0
-    step[1:] = (kind[order][1:] != kind[order][:-1]).any(axis=1)
-    base = np.empty(len(kind), dtype=np.int64)
+    step = np.zeros(len(kind), dtype=np.int64)
+    step[1:] = (np.diff(kind[order], axis=0) != 0).any(axis=1)
+    base = np.empty_like(step)
     base[order] = np.cumsum(step)
     cut = len(slots[0])
     return [
