@@ -13,8 +13,9 @@ array view instead, `LabeledGraph.arrays`: the node ids in increasing order,
 their colors, every edge as a pair of dense indices into those ids with its
 label (edges in insertion order), and the node degrees.  The view is built
 from the dicts on first use and cached; a graph is never changed after
-construction, so it never goes stale.  Ids, colors or labels beyond 64 bits
-are held with object dtype.
+construction, so it never goes stale.  The arrays are shared by every caller
+and read-only: a pass that needs to modify one works on a copy.  Ids, colors
+or labels beyond 64 bits are held with object dtype.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ class GraphArrays(NamedTuple):
     Node i is `ids[i]`, the ids increasing, with color `colors[i]`.  Edge j
     joins nodes `u[j]` <= `v[j]` and carries `labels[j]`; edges keep the
     graph's insertion order.  `degrees[i]` counts node i's incident edges,
-    a loop once.
+    a loop once.  The arrays are read-only.
     """
 
     ids: np.ndarray
@@ -185,13 +186,9 @@ def _graph_arrays(colors: dict, edges: dict) -> GraphArrays:
     by_id = np.argsort(ids, kind="stable")
     ids = ids[by_id]
     ends = np.fromiter(chain.from_iterable(edges), dtype=ids.dtype, count=2 * m)
-    if n and ids[-1] - ids[0] == n - 1:  # consecutive ids: an index is an offset
-        index = (ends - ids[0]).astype(np.int64)
-    else:  # searchsorted is slow on unsorted needles, so only here
-        index = np.searchsorted(ids, ends)
-    u, v = index.reshape(m, 2).T
+    u, v = np.searchsorted(ids, ends).reshape(m, 2).T
     degrees = np.bincount(u, minlength=n) + np.bincount(v[u != v], minlength=n)
-    return GraphArrays(
+    view = GraphArrays(
         ids=ids,
         colors=_ints(colors.values(), n)[by_id],
         u=u,
@@ -199,6 +196,9 @@ def _graph_arrays(colors: dict, edges: dict) -> GraphArrays:
         labels=_ints(edges.values(), m),
         degrees=degrees,
     )
+    for array in view:
+        array.setflags(write=False)
+    return view
 
 
 def _ints(values, count: int) -> np.ndarray:
@@ -297,17 +297,17 @@ def parse_graph_text(text: str) -> LabeledGraph:
         if fields and not (fields.isascii() and fields.isdigit()):
             raise GraphFormatError(f"non-numeric field in {raw.strip()!r}", lineno)
         if kind == "node":
-            if arity != 1 and arity != 2:
+            if arity not in (1, 2):
                 raise GraphFormatError("node takes <id> [<color>]", lineno)
             v = int(parts[1])
             if v in nodes:
                 raise GraphFormatError(f"duplicate node {v}", lineno)
             nodes[v] = int(parts[2]) if arity == 2 else 0
         elif kind == "edge":
-            if arity != 2 and arity != 3:
+            if arity not in (2, 3):
                 raise GraphFormatError("edge takes <id> <id> [<label>]", lineno)
             u, v = int(parts[1]), int(parts[2])
-            key = (u, v) if u <= v else (v, u)
+            key = _norm_edge(u, v)
             if key in edges:
                 raise GraphFormatError(f"duplicate edge {u} {v}", lineno)
             if u not in nodes:

@@ -150,7 +150,7 @@ def validate_network(net: PhyloNetwork) -> list[str]:
         d_out = len(children[v])
         if (d_in, d_out) not in _KINDS:
             node_problems.append(f"node {v} has degree pair ({d_in},{d_out})")
-        if d_out == 0 and d_in > 0 and v not in labels:
+        if d_out == 0 and d_in > 0 and labels.get(v) is None:
             node_problems.append(f"leaf {v} is unlabeled")
     queue = [v for v, d in indeg.items() if d == 0]
     problems = [] if len(queue) == 1 else [f"expected exactly one root, found {len(queue)}"]

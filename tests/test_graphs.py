@@ -202,8 +202,6 @@ def _random_graph(seed: int) -> LabeledGraph:
 
 def test_validate_matches_dict_reference_on_random_graphs():
     graphs = [_random_graph(seed) for seed in range(600)]
-    # The same graphs on consecutive ids, which the view maps by offset.
-    graphs += [g.relabeled({v: i - 3 for i, v in enumerate(g.node_ids)}) for g in graphs[:200]]
     for g in graphs:
         for allow in (False, True):
             assert validate(g, allow_reserved=allow) == reference_validate(g, allow_reserved=allow)
@@ -238,6 +236,9 @@ def test_array_view_matches_the_dicts():
     g = LabeledGraph({7: 2, 3: 0, 10: -1, 5: 1}, {(10, 3): 4, (5, 7): 0, (3, 3): 2, (7, 10): 1})
     a = g.arrays
     assert a is g.arrays  # built once
+    for array in a:  # shared, so read-only
+        with pytest.raises(ValueError):
+            array[:1] = 0
     assert a.ids.tolist() == g.node_ids
     assert a.colors.tolist() == [g.color(v) for v in g.node_ids]
     pairs = [(g.node_ids[u], g.node_ids[v]) for u, v in zip(a.u.tolist(), a.v.tolist())]

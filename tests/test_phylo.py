@@ -100,6 +100,12 @@ def test_validate_network_matches_reference_on_mutants():
         kinds.update(p.split()[0] for p in problems)
     assert validate_network(PhyloNetwork([])) == ["network has no nodes"]
     assert kinds == {"expected", "node", "leaf", "network"}
+    # `labels` is a public dict: a label set to None later unlabels its leaf.
+    net = cherry()
+    leaf = min(net.labels)
+    net.labels[leaf] = None
+    assert validate_network(net) == reference_validate_network(net)
+    assert validate_network(net) == [f"leaf {leaf} is unlabeled"]
 
 
 def test_reduction_shape_and_colors():
