@@ -16,8 +16,10 @@ in sorted order.
 Inside the tower every permutation is a row of an int32 image array: the
 generators are one (k, n) array and the representative one row.  A level
 appends the B_r columns to every row in one concatenation, filters, keeps
-the first n columns and lifts all rows in one call.  `Permutation` objects
-appear only at the boundary, in `lift`, `_contract` and the results.
+the first n columns and lifts all rows in one call.  `_contract` maps rows
+back onto the input graph's nodes as another int array, through the
+decomposition's `owner` map (see `trigiso.layers`), so `Permutation` objects
+appear only at the boundary, in `lift` and the results.
 
 Two graphs are isomorphic exactly when, after splitting one edge of each and
 joining the split nodes, some automorphism of the joined graph fixing the
@@ -77,7 +79,7 @@ def _run_tower(dec: LayerDecomposition, swap: bool):
     """
     n = dec.n
     a, b = dec.base_edge
-    same_color = dec.colors[a] == dec.colors[b]
+    same_color = dec.node_colors[a] == dec.node_colors[b]
     if swap and not same_color:
         return None
     ident = np.arange(n, dtype=np.int32)
@@ -112,34 +114,28 @@ def _run_tower(dec: LayerDecomposition, swap: bool):
     return gens, rep
 
 
-def _original_positions(dec: LayerDecomposition):
-    ids = sorted(set(dec.index_of) | set(dec.gadget_triple))
-    pos = {v: i for i, v in enumerate(ids)}
-    return ids, pos
-
-
-def _contract(dec: LayerDecomposition, images: np.ndarray) -> list[Permutation]:
+def _contract(dec: LayerDecomposition, images: np.ndarray) -> np.ndarray:
     """Map working-graph automorphisms back onto the input graph's nodes.
 
-    `images` holds one automorphism per row.  Gadget corners collapse to
-    their parent node; the reserved triangle labels force corners onto
-    corners, so the parent map is well defined and the contraction is a
-    group isomorphism.
+    `images` holds one automorphism per row, and so does the result, over
+    the indices of the input's array view: input node `owner[i]` goes to
+    `owner[image of i]`.  The three corners of a replaced node share their
+    owner and move onto the corners of one node (see `trigiso.layers`), so
+    they write the same entry.
     """
-    ids, pos = _original_positions(dec)
-    entry = [dec.index_of[v] if v in dec.index_of else dec.gadget_triple[v][0] for v in ids]
-    owner = [oid if oid is not None else dec.gadget_parent[i] for i, oid in enumerate(dec.orig_id)]
-    owner_pos = np.array([pos[v] for v in owner], dtype=np.int32)
-    return [Permutation(row) for row in owner_pos[images[:, entry]]]
+    out = np.empty((len(images), int(dec.owner.max()) + 1), dtype=np.int32)
+    out[:, dec.owner] = dec.owner[images]
+    return out
 
 
 @dataclass(frozen=True)
 class AutResult:
     """Generators of the edge-fixing automorphism group of a graph.
 
-    `generators` act on positions into `node_order` (the sorted original
-    node ids); they form a smooth generating sequence.  `swap_witness`, when
-    present, is a generator exchanging the endpoints of the base edge.
+    `generators` act on positions into `node_order`, the sorted original
+    node ids of the graph's array view; they form a smooth generating
+    sequence.  `swap_witness`, when present, is a generator exchanging the
+    endpoints of the base edge.
     """
 
     generators: tuple[Permutation, ...]
@@ -152,18 +148,13 @@ def aut_e_generators(g: LabeledGraph, e: tuple[int, int]) -> AutResult:
     """Smooth generators of the automorphisms of g that fix e setwise."""
     dec = layer_sequence(g, e)
     gens, _ = _run_tower(dec, swap=False)
-    contracted = _contract(dec, gens)
-    ids, pos = _original_positions(dec)
-    a, b = min(e), max(e)
-    witness = next(
-        (s for s in contracted if s(pos[a]) == pos[b]),
-        None,
-    )
+    contracted = tuple(Permutation(row) for row in _contract(dec, gens))
+    a, b = dec.owner[list(dec.base_edge)].tolist()
     return AutResult(
-        generators=tuple(contracted),
-        node_order=tuple(ids),
-        base_edge=(a, b),
-        swap_witness=witness,
+        generators=contracted,
+        node_order=tuple(g.arrays.ids.tolist()),
+        base_edge=(min(e), max(e)),
+        swap_witness=next((s for s in contracted if s(a) == b), None),
     )
 
 
@@ -345,11 +336,6 @@ def _first_edge_candidates(a1: GraphArrays, a2: GraphArrays):
     return np.array([a1.u[j], a1.v[j]]), np.stack([a2.u[same], a2.v[same]], axis=1)
 
 
-def _extract_mapping(sp, witness: Permutation) -> dict[int, int]:
-    inv2 = {x: v for v, x in sp.map2.items()}
-    return {u: inv2[witness(sp.map1[u])] for u in sp.map1}
-
-
 def is_isomorphic(
     g1: LabeledGraph,
     g2: LabeledGraph,
@@ -393,8 +379,10 @@ def is_isomorphic(
         result = _run_tower(dec, swap=True)
         if result is None:
             continue
-        witness = _contract(dec, result[1][None])[0]
-        mapping = _extract_mapping(sp, witness)
+        # The splice's ids are dense, so they are also its indices.
+        witness = _contract(dec, result[1][None])[0].tolist()
+        inv2 = {x: v for v, x in sp.map2.items()}
+        mapping = {u: inv2[witness[x]] for u, x in sp.map1.items()}
         if not is_graph_isomorphism(g1, g2, mapping):
             raise AssertionError("internal error: witness failed verification")
         return IsoResult(True, mapping if want_mapping else None)

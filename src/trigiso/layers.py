@@ -15,6 +15,14 @@ bounds every neighbor set by 2 without changing the edge-fixing automorphism
 group.  The rewrite cannot cascade: a replaced node has no later neighbors,
 so levels of all other nodes are unaffected.
 
+The tower runs on the rewritten working graph, and one int array carries its
+results back to the input: `owner[i]` is the index, in the input's `arrays`
+view, of the input node that working node i is or replaces.  A working-graph
+automorphism contracts onto the input by sending input node `owner[i]` to
+`owner[image of i]`.  The reserved triangle labels force corners onto
+corners, so the three corners of a replaced node all move onto the corners
+of one node; the contraction is well defined and a group isomorphism.
+
 The tower is built by a few array passes over the edge list, with no loop
 over nodes or elements.  Nodes take dense indices in id order; BFS levels
 come from frontier expansion over a padded neighbor table; the rewritten
@@ -44,10 +52,13 @@ class LayerDecomposition:
 
     Node indices 0..n-1 refer to the gadget-rewritten working graph: the
     kept input nodes in id order, then the three corners of each replaced
-    node, in id order of the replaced nodes.  For a kept node `orig_id[i]`
-    is its original id; for a gadget corner it is None and
-    `gadget_parent[i]` names the replaced original node.  `levels[r]` holds
-    the integer-coded elements and fibers of level r, 1 <= r < N.
+    node, in id order of the replaced nodes.  `owner`, `level` and
+    `node_colors` are per working node: the input node it is or replaces
+    (module docstring), its tower level and its color.  Edge labels enter
+    the integer tables as ranks into `label_values`, the sorted distinct
+    labels of the working graph, so labels of any size build the same
+    tables.  `levels[r]` holds the integer-coded elements and fibers of
+    level r, 1 <= r < N.
     """
 
     def __init__(
@@ -55,24 +66,19 @@ class LayerDecomposition:
         colors: np.ndarray,
         level: np.ndarray,
         edges: np.ndarray,
+        label_values: np.ndarray,
         base_edge: tuple[int, int],
-        orig_id: list,
-        index_of: dict,
-        gadget_triple: dict,
-        gadget_parent: dict,
+        owner: np.ndarray,
     ):
-        """`colors` and `level` are per node; `edges` holds (u, v, label) rows, u < v."""
-        self.orig_id = orig_id
-        self.index_of = index_of
-        self.gadget_triple = gadget_triple
-        self.gadget_parent = gadget_parent
+        """`edges` holds (u, v, label rank) rows, u < v; the rest are attributes."""
+        self.owner = owner
         self.base_edge = base_edge
         self.n = n = len(colors)
         self.node_colors = colors
-        self.colors = colors.tolist()
-        self.level_of = level.tolist()
+        self.level = level
+        self.label_values = label_values
         self._edges = edges
-        u, v, lab = edges.T
+        u, v, rank = edges.T
         lu, lv = level[u], level[v]
         self.N = 1 if n == 2 else int(max(np.minimum(lu, lv).max() + 1, level.max()))
 
@@ -81,12 +87,10 @@ class LayerDecomposition:
         # repeats its half.  The key is kind·S² + smaller half·S + larger
         # half, kind 1 for pairs, so keys sort neighbor sets before pairs
         # and each kind like the sorted member tuples.
-        labels = _sorted_distinct(lab)
-        self._R = R = len(labels) + 1
+        self._R = R = len(label_values) + 1
         self._S = S = n * R
         if 2 * S * S >= 1 << 63:
             raise GraphError("graph too large for 64-bit tower element keys")
-        rank = np.searchsorted(labels, lab)
         palette = _sorted_distinct(colors)
         self.n_colors = C = len(palette)
         color_rank = np.searchsorted(palette, colors)
@@ -167,8 +171,9 @@ class LayerDecomposition:
     @cached_property
     def graph(self) -> LabeledGraph:
         """The gadget-rewritten working graph over node indices."""
-        u, v, lab = self._edges.T.tolist()
-        return LabeledGraph(dict(enumerate(self.colors)), dict(zip(zip(u, v), lab)))
+        u, v, rank = self._edges.T
+        edges = zip(zip(u.tolist(), v.tolist()), self.label_values[rank].tolist())
+        return LabeledGraph(dict(enumerate(self.node_colors.tolist())), dict(edges))
 
     # -- integer-coded elements ---------------------------------------------
 
@@ -353,43 +358,44 @@ def layer_sequence(
     deg = np.bincount(src, minlength=n)
     slot = np.arange(len(src)) - (np.cumsum(deg) - deg)[src[by_src]]
     nbr = np.full((n + 1, int(deg.max(initial=0))), n)
-    nbr_lab = np.zeros_like(nbr)
     nbr[src[by_src], slot] = dst[by_src]
-    nbr_lab[src[by_src], slot] = np.concatenate([lab, lab])[by_src]
     level = _bfs_levels(nbr, a, b)
     lower = level[nbr[:n]] < level[:n, None]
     gadget = lower.sum(axis=1) == 3
 
     kept, replaced = np.flatnonzero(~gadget), np.flatnonzero(gadget)
     nk, ng = len(kept), len(replaced)
+    # Every input edge survives, as itself or as a corner edge, so the
+    # working labels are the input's, plus the triangle label if needed.
+    label_values = _sorted_distinct(np.append(lab, GADGET_LABEL) if ng else lab)
+    rank = np.searchsorted(label_values, lab)
+    nbr_rank = np.zeros_like(nbr)
+    nbr_rank[src[by_src], slot] = np.concatenate([rank, rank])[by_src]
     index = np.zeros(n, dtype=np.int64)
     index[kept] = np.arange(nk)
     placed = index[nbr[replaced][lower[replaced]]].reshape(ng, 3)
-    placed_lab = nbr_lab[replaced][lower[replaced]].reshape(ng, 3)
+    placed_rank = nbr_rank[replaced][lower[replaced]].reshape(ng, 3)
     by_index = np.argsort(placed, axis=1)  # distinct neighbors: (index, label) order
     corners = nk + np.arange(3 * ng).reshape(ng, 3)
     # Per replaced node: its three corner edges, then the triangle.
     gadget_edges = np.empty((ng, 6, 3), dtype=np.int64)
     gadget_edges[:, :3, 0] = np.take_along_axis(placed, by_index, axis=1)
     gadget_edges[:, :3, 1] = corners
-    gadget_edges[:, :3, 2] = np.take_along_axis(placed_lab, by_index, axis=1)
+    gadget_edges[:, :3, 2] = np.take_along_axis(placed_rank, by_index, axis=1)
     gadget_edges[:, 3:, 0] = corners[:, [0, 0, 1]]
     gadget_edges[:, 3:, 1] = corners[:, [1, 2, 2]]
-    gadget_edges[:, 3:, 2] = GADGET_LABEL
+    gadget_edges[:, 3:, 2] = np.searchsorted(label_values, GADGET_LABEL)
     keep = ~(gadget[u] | gadget[v])
-    kept_edges = np.stack([index[u[keep]], index[v[keep]], lab[keep]], axis=1)
-    edges = np.concatenate([kept_edges, gadget_edges.reshape(-1, 3)])
+    kept_edges = np.stack([index[u[keep]], index[v[keep]], rank[keep]], axis=1)
 
-    kept_ids, replaced_ids = ids[kept].tolist(), ids[replaced].tolist()
+    owner = np.concatenate([kept, np.repeat(replaced, 3)])
     return LayerDecomposition(
-        colors=np.concatenate([colors[kept], np.repeat(colors[replaced], 3)]),
-        level=np.concatenate([level[kept], np.repeat(level[replaced], 3)]),
-        edges=edges,
+        colors=colors[owner],
+        level=level[owner],
+        edges=np.concatenate([kept_edges, gadget_edges.reshape(-1, 3)]),
+        label_values=label_values,
         base_edge=(int(index[a]), int(index[b])),
-        orig_id=kept_ids + [None] * (3 * ng),
-        index_of=dict(zip(kept_ids, range(nk))),
-        gadget_triple=dict(zip(replaced_ids, map(tuple, corners.tolist()))),
-        gadget_parent=dict(zip(range(nk, nk + 3 * ng), np.repeat(replaced_ids, 3).tolist())),
+        owner=owner,
     )
 
 
@@ -401,15 +407,11 @@ def triangle_gadget(g: LabeledGraph, e: tuple[int, int]) -> LabeledGraph:
     input id range.  Graphs with no such node are returned unchanged.
     """
     dec = layer_sequence(g, e)
-    if not dec.gadget_triple:
+    ids = g.arrays.ids
+    if dec.n == len(ids):
         return g
-    fresh_base = max(g.node_ids) + 1
-    rename: dict[int, int] = {}
-    counter = 0
-    for idx in range(dec.n):
-        if dec.orig_id[idx] is not None:
-            rename[idx] = dec.orig_id[idx]
-        else:
-            rename[idx] = fresh_base + counter
-            counter += 1
-    return dec.graph.relabeled(rename)
+    # Each replaced node adds two nodes; the kept ones come first.
+    kept = len(ids) - (dec.n - len(ids)) // 2
+    fresh = int(ids[-1]) + 1
+    names = ids[dec.owner[:kept]].tolist() + list(range(fresh, fresh + dec.n - kept))
+    return dec.graph.relabeled(dict(enumerate(names)))

@@ -198,40 +198,45 @@ def is_network_isomorphism(
 # ---------------------------------------------------------------------------
 
 
-def reduce_to_colored(
-    net: PhyloNetwork, intern: dict[str, int] | None = None, validated: bool = False
-) -> tuple[LabeledGraph, int]:
-    """Encode the network as an undirected colored graph, plus its root's id.
+def _append_reduction(
+    net: PhyloNetwork, intern: dict[str, int], colors: dict[int, int], edges: dict
+) -> int:
+    """Add the network's reduction to `colors` and `edges`; return its root's id.
 
-    Nodes keep interned taxon colors (equal strings get equal colors across
-    every network sharing the `intern` table); each arc becomes a reserved-
-    color midpoint whose two edges carry the reserved out/in labels.  The
-    result has |V| + |arcs| nodes and maximum degree 3, and two networks are
-    isomorphic exactly when their reductions admit a color- and label-
-    preserving isomorphism matching the roots.  Callers that already
-    validated the network pass validated=True.
+    The reduction takes the next len(colors) ids: the network's nodes in
+    sorted order, then one midpoint per arc in sorted arc order.  Nodes keep
+    interned taxon colors (equal strings get equal colors across every
+    network sharing the `intern` table); each arc becomes a reserved-color
+    midpoint whose two edges carry the reserved out/in labels.
     """
-    if not validated:
-        require_valid_network(net)
-    if intern is None:
-        intern = {}
-    index = {v: i for i, v in enumerate(net.nodes)}
-    colors: dict[int, int] = {}
+    base = len(colors)
+    index = {v: base + i for i, v in enumerate(net.nodes)}
     for v in net.nodes:
         lab = net.label(v)
-        if lab is None:
-            colors[index[v]] = 0
-        else:
-            colors[index[v]] = intern.setdefault(lab, len(intern) + 1)
-    edges: dict[tuple[int, int], int] = {}
-    mid = net.n_nodes
-    for u, v in sorted(net.arcs):
+        colors[index[v]] = 0 if lab is None else intern.setdefault(lab, len(intern) + 1)
+    for mid, (u, v) in enumerate(sorted(net.arcs), start=base + net.n_nodes):
         colors[mid] = MIDPOINT_COLOR
-        a, b = index[u], index[v]
-        edges[(min(a, mid), max(a, mid))] = ARC_OUT_LABEL
-        edges[(min(b, mid), max(b, mid))] = ARC_IN_LABEL
-        mid += 1
-    return LabeledGraph._of(colors, edges), index[net.root]
+        edges[(index[u], mid)] = ARC_OUT_LABEL
+        edges[(index[v], mid)] = ARC_IN_LABEL
+    return index[net.root]
+
+
+def reduce_to_colored(
+    net: PhyloNetwork, intern: dict[str, int] | None = None
+) -> tuple[LabeledGraph, int]:
+    """Encode one network as an undirected colored graph, plus its root's id.
+
+    The public, validating wrapper of the reduction that `phylo_isomorphic`
+    builds for both networks at once.  The result has |V| + |arcs| nodes
+    and maximum degree 3, and two networks are isomorphic exactly when
+    their reductions, colored through one shared `intern` table, admit a
+    color- and label-preserving isomorphism matching the roots.
+    """
+    require_valid_network(net)
+    colors: dict[int, int] = {}
+    edges: dict[tuple[int, int], int] = {}
+    root = _append_reduction(net, {} if intern is None else intern, colors, edges)
+    return LabeledGraph._of(colors, edges), root
 
 
 def _class_counts(net: PhyloNetwork) -> tuple[int, int, int]:
@@ -263,29 +268,22 @@ def phylo_isomorphic(
         return IsoResult(False)
 
     intern: dict[str, int] = {}
-    g1, r1 = reduce_to_colored(n1, intern, validated=True)
-    g2, r2 = reduce_to_colored(n2, intern, validated=True)
-    shift = g1.n_nodes
-    nodes = g1.colors()
-    nodes.update({v + shift: c for v, c in g2.colors().items()})
-    edges = g1.edges()
-    edges.update({(u + shift, v + shift): lab for (u, v), lab in g2.edges().items()})
-    e = (min(r1, r2 + shift), max(r1, r2 + shift))
+    colors: dict[int, int] = {}
+    edges: dict[tuple[int, int], int] = {}
+    r1 = _append_reduction(n1, intern, colors, edges)
+    shift = len(colors)
+    e = (r1, _append_reduction(n2, intern, colors, edges))
     edges[e] = ROOT_JOIN_LABEL
-    joined = LabeledGraph._of(nodes, edges)
-
-    dec = layer_sequence(joined, e, validated=True)
+    dec = layer_sequence(LabeledGraph._of(colors, edges), e, validated=True)
     result = _run_tower(dec, swap=True)
     if result is None:
         return IsoResult(False)
     if not want_mapping:
         return IsoResult(True)
 
-    _, rep = result
-    witness = _contract(dec, rep[None])[0]
-    index1 = {v: i for i, v in enumerate(n1.nodes)}
-    inv2 = {i + shift: v for i, v in enumerate(n2.nodes)}
-    mapping = {v: inv2[witness(index1[v])] for v in n1.nodes}
+    # The joined graph's ids are dense, so they are also its indices.
+    witness = _contract(dec, result[1][None])[0].tolist()
+    mapping = {v: n2.nodes[witness[i] - shift] for i, v in enumerate(n1.nodes)}
     if not is_network_isomorphism(n1, n2, mapping):
         raise AssertionError("internal error: witness failed network verification")
     return IsoResult(True, mapping)

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -82,6 +83,17 @@ def test_aut_prints_generators_in_original_ids(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "aut", str(p), "--edge", "5,7")
     assert code == 0
     assert out.strip().splitlines() == ["(3 9)(5 7)"]
+
+
+BIG_LABEL_PATH = str(Path(__file__).parent / "data" / "big_label_path.graph")
+
+
+def test_iso_and_aut_take_labels_past_64_bits(capsys):
+    code, out, err = run_cli(capsys, "iso", BIG_LABEL_PATH, BIG_LABEL_PATH, "--mapping")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["0 -> 0", "1 -> 1", "2 -> 2", "true"]
+    code, out, err = run_cli(capsys, "aut", BIG_LABEL_PATH, "--edge", "0,1")
+    assert (code, out, err) == (0, "()\n", "")
 
 
 def test_aut_bad_edge_flag(capsys, tmp_path):

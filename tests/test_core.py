@@ -336,8 +336,8 @@ def test_level_solve_over_elements_equals_solve_with_nodes(monkeypatch, tree_ref
         dec, r = levels[-1][:2]
         n = dec.n
         coset = _coset(gens, rep)
-        colors = [("n", c) for c in dec.colors] + colors[n:].tolist()
-        points = [v for v in range(n) if dec.level_of[v] <= r - 1] + points.tolist()
+        colors = [("n", c) for c in dec.node_colors.tolist()] + colors[n:].tolist()
+        points = [v for v in range(n) if dec.level[v] <= r - 1] + points.tolist()
         if tree_reference:
             root = build_structure_tree(points, coset.sub)
             annotate(root, colors, neutral=0)
@@ -354,17 +354,25 @@ def test_level_solve_over_elements_equals_solve_with_nodes(monkeypatch, tree_ref
 
 
 def test_node_color_check_raises():
-    # The check reads the decomposition's node colors; giving the base
-    # edge's endpoints different ones there makes the base swap (0 1), as
-    # a generator or as the representative, move a node onto a node of
-    # another color.
-    g = LabeledGraph({0: 0, 1: 0, 2: 1, 3: 2}, [(0, 1), (0, 2), (0, 3)])
+    # The check reads the decomposition's node colors.  In this tree both
+    # base endpoints have two children and each child one more, so level 1
+    # leaves the kernel swaps (2 3) and (4 5) of the nodes entering at
+    # level 2; recoloring node 3 there makes (2 3), a generator with
+    # swap=False and with swap=True alike, move a node onto a node of
+    # another color at level 2, while the base endpoints keep equal colors.
+    edges = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)] + [(c, c + 4) for c in range(2, 6)]
+    g = LabeledGraph(range(10), edges)
     dec = layer_sequence(g, (0, 1))
+    assert dec.N == 3 and dec.kernel_generators(1).tolist() == [
+        [0, 1, 3, 2, 4, 5, 6, 7, 8, 9],
+        [0, 1, 2, 3, 5, 4, 6, 7, 8, 9],
+    ]
+    assert core._run_tower(dec, swap=True) is not None
     core._run_tower(dec, swap=False)
-    dec.node_colors = np.array([0, 3, 1, 2])
-    with pytest.raises(AssertionError, match="color"):
+    dec.node_colors = np.array([0, 0, 0, 3, 0, 0, 0, 0, 0, 0])
+    with pytest.raises(AssertionError, match="level 2: .* color"):
         core._run_tower(dec, swap=False)
-    with pytest.raises(AssertionError, match="color"):
+    with pytest.raises(AssertionError, match="level 2: .* color"):
         core._run_tower(dec, swap=True)
 
 

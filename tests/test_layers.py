@@ -9,7 +9,14 @@ import pytest
 
 from trigiso import phylo
 from trigiso.core import aut_e_generators, is_isomorphic
-from trigiso.graphs import GADGET_LABEL, GraphError, LabeledGraph, build_x, validate
+from trigiso.graphs import (
+    GADGET_LABEL,
+    GraphError,
+    LabeledGraph,
+    build_x,
+    is_graph_isomorphism,
+    validate,
+)
 from trigiso.harness import random_relabeling, random_ternary_graph
 from trigiso.layers import LayerDecomposition, _Level, layer_sequence, triangle_gadget
 from trigiso.perm import Permutation, group_order
@@ -71,7 +78,7 @@ def test_single_edge_tower():
 def test_path_tower():
     dec = layer_sequence(path4(), (1, 2))
     assert dec.N == 2
-    assert dec.level_of == [2, 1, 1, 2]
+    assert dec.level.tolist() == [2, 1, 1, 2]
     tower = written_out(dec)
     nodes, edges = tower.layer(2)
     assert nodes == frozenset(range(4))
@@ -85,7 +92,7 @@ def test_six_cycle_tower():
     # neighbor set; the edge between them is a cross edge of level 3 and
     # completes the tower at N = 4.
     dec = layer_sequence(six_cycle(), (0, 1))
-    assert dec.level_of == [1, 1, 2, 3, 3, 2]
+    assert dec.level.tolist() == [1, 1, 2, 3, 3, 2]
     assert dec.N == 4
     tower = written_out(dec)
     assert tower.nbr_map[3] == frozenset({(2, 0)})
@@ -112,8 +119,8 @@ def test_layers_monotone_and_exhaustive():
             for pair in edges - prev_edges:
                 first_level[pair] = r
                 u, v = sorted(pair)
-                if dec.level_of[u] == dec.level_of[v] and r > 1:
-                    assert r == dec.level_of[u] + 1
+                if dec.level[u] == dec.level[v] and r > 1:
+                    assert r == dec.level[u] + 1
             prev_nodes, prev_edges = nodes, edges
         assert prev_nodes == frozenset(range(dec.n))
         assert len(prev_edges) == dec.graph.n_edges
@@ -127,7 +134,7 @@ def test_k4_has_no_gadget_nodes():
     k4 = LabeledGraph(range(4), [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     assert triangle_gadget(k4, (0, 1)) == k4
     dec = layer_sequence(k4, (0, 1))
-    assert dec.gadget_triple == {}
+    assert dec.owner.tolist() == [0, 1, 2, 3]
     tower = written_out(dec)
     assert all(len(f) <= 2 for f in tower.nbr_map.values())
     assert tower.cross.get(2) == {frozenset({2, 3}): 0}
@@ -144,12 +151,39 @@ def test_gadget_fires_and_is_valid():
     ]
     assert len(gadget_edges) == 3
     dec = layer_sequence(g, (0, 1))
-    assert set(dec.gadget_triple) == {5}
+    assert dec.owner.tolist() == [0, 1, 2, 3, 4, 5, 5, 5]
     assert all(len(f) <= 2 for f in written_out(dec).nbr_map.values())
     # corners inherit the replaced node's level and color
-    for c in dec.gadget_triple[5]:
-        assert dec.level_of[c] == 3
-        assert dec.colors[c] == g.color(5)
+    for c in (5, 6, 7):
+        assert dec.level[c] == 3
+        assert dec.node_colors[c] == g.color(5)
+
+
+def test_labels_past_64_bits_build_the_tower_of_their_ranks():
+    # Node 5's three corner edges carry labels of 2^64 and more; the same
+    # graph with those labels replaced by order-preserving small ones builds
+    # the same tower, while the working graph and the triangle rewrite
+    # report the original labels.
+    big = {e: 2**64 + lab for e, lab in {(2, 5): 2, (3, 5): 0, (4, 5): 1}.items()}
+    small = {e: lab - 2**64 + 1 for e, lab in big.items()}
+    plain = {e: 0 for e in gadget_example().sorted_edges() if 5 not in e}
+    g_big, g_small = LabeledGraph(range(6), plain | big), LabeledGraph(range(6), plain | small)
+    dec_big, dec_small = layer_sequence(g_big, (0, 1)), layer_sequence(g_small, (0, 1))
+    assert dec_big.n == 8 and dec_big.owner.tolist() == dec_small.owner.tolist()
+    for r in range(1, dec_big.N):
+        for a, b in zip(dec_big.levels[r], dec_small.levels[r]):
+            assert np.array_equal(a, b)
+    to_small = {lab: small[e] for e, lab in big.items()}
+    assert sorted(dec_big.graph.edges().values())[-3:] == sorted(big.values())
+    assert {e: to_small.get(lab, lab) for e, lab in dec_big.graph.edges().items()} == (
+        dec_small.graph.edges()
+    )
+    rewritten = triangle_gadget(g_big, (0, 1))
+    assert {lab for lab in rewritten.edges().values() if lab > 0} == set(big.values())
+    assert aut_e_generators(g_big, (0, 1)) == aut_e_generators(g_small, (0, 1))
+    h, _ = random_relabeling(g_big, 3)
+    res = is_isomorphic(g_big, h, want_mapping=True)
+    assert res.isomorphic and is_graph_isomorphism(g_big, h, res.mapping)
 
 
 def test_build_checks_raise():
@@ -172,7 +206,7 @@ def test_build_and_decision_leave_numpy_ma_unimported():
         "from trigiso.harness import random_relabeling, random_ternary_graph\n"
         "from trigiso.layers import layer_sequence\n"
         "g = random_ternary_graph(64, 0)\n"
-        "assert layer_sequence(g, g.sorted_edges()[0]).gadget_triple\n"
+        "assert layer_sequence(g, g.sorted_edges()[0]).n > g.n_nodes\n"
         "assert is_isomorphic(g, random_relabeling(g, 1)[0], want_mapping=True)\n"
         "print('numpy.ma' in sys.modules)\n"
     )
@@ -335,9 +369,9 @@ def assert_tower_equals_written_out(g: LabeledGraph, e) -> LayerDecomposition:
     dec = layer_sequence(g, e)
     ref = reference_layer_sequence(g, e)
     assert dec.graph == ref.graph
-    for name in ("base_edge", "level_of", "N", "orig_id", "index_of", "gadget_triple", "gadget_parent"):
-        assert getattr(dec, name) == getattr(ref, name), name
-    tower = WrittenOutTower(ref.graph, ref.level_of, ref.base_edge, ref.N)
+    assert (dec.base_edge, dec.N) == (ref.base_edge, ref.N)
+    assert (dec.level.tolist(), dec.owner.tolist()) == (ref.level, ref.owner)
+    tower = WrittenOutTower(ref.graph, ref.level, ref.base_edge, ref.N)
     assert (dec._R, dec._S, dec.n_colors) == (tower.R, tower.S, len(tower.color_rank))
     assert sorted(dec.levels) == list(range(1, dec.N))
     for r in range(1, dec.N):
@@ -372,7 +406,7 @@ def test_array_tower_equals_written_out_on_random_graphs(n, seed):
     for g in (random_ternary_graph(n, seed), _recolored(random_ternary_graph(n, seed), seed)):
         edges = g.sorted_edges()
         for e in (edges[0], edges[len(edges) // 2], edges[-1]):
-            fired += bool(assert_tower_equals_written_out(g, e).gadget_triple)
+            fired += assert_tower_equals_written_out(g, e).n > g.n_nodes
     assert fired
 
 
@@ -390,14 +424,14 @@ def test_array_tower_equals_written_out_on_small_graphs():
         (diamond_chain(40), (79, 80)),
     ]:
         assert_tower_equals_written_out(g, e)
-    assert assert_tower_equals_written_out(gadget_example(), (0, 1)).gadget_triple
+    assert assert_tower_equals_written_out(gadget_example(), (0, 1)).n > 6
 
 
 def test_towers_of_equal_shortest_path_chains_stay_small():
     # 2^40 shortest paths reach the end of the chain; a BFS that kept one
     # frontier entry per path would never finish.
     g = diamond_chain(40)
-    assert layer_sequence(g, (0, 1)).level_of[-1] == 2 + 3 * 39
+    assert layer_sequence(g, (0, 1)).level[-1] == 2 + 3 * 39
     h, _ = random_relabeling(g, 1)
     assert is_isomorphic(g, h)
     net = stacked_galls(40)

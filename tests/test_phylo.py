@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from trigiso.graphs import ARC_IN_LABEL, ARC_OUT_LABEL, MIDPOINT_COLOR, validate
+from trigiso.graphs import ARC_IN_LABEL, ARC_OUT_LABEL, MIDPOINT_COLOR, LabeledGraph, validate
 from trigiso.harness import oracle_network_isomorphic
 from trigiso.phylo import (
     NetworkError,
@@ -134,8 +134,6 @@ def test_reduction_validates_unless_told_the_network_is_valid():
     )
     with pytest.raises(NetworkError, match="cycle"):
         reduce_to_colored(cyclic)
-    net = random_network(15, seed=3)
-    assert reduce_to_colored(net, validated=True) == reduce_to_colored(net)
 
 
 def test_phylo_iso_reflexive_and_renamed():
@@ -145,6 +143,31 @@ def test_phylo_iso_reflexive_and_renamed():
     res = phylo_isomorphic(net, renamed, want_mapping=True)
     assert res.isomorphic
     assert is_network_isomorphism(net, renamed, res.mapping)
+
+
+def test_phylo_iso_builds_one_graph_per_decision(monkeypatch):
+    # The joined reduction of both networks is the only graph a decision
+    # constructs, for a twin and for a leaf swap that only the tower rejects.
+    net = random_network(33, seed=4)
+    twin = net.relabeled_nodes({v: 2 * v + 7 for v in net.nodes})
+    swapped = swap_two_leaf_labels(net, seed=4)
+    built = []
+    real_init, real_of = LabeledGraph.__init__, LabeledGraph._of.__func__
+
+    def init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    def of(cls, *args):
+        built.append(cls)
+        return real_of(cls, *args)
+
+    monkeypatch.setattr(LabeledGraph, "__init__", init)
+    monkeypatch.setattr(LabeledGraph, "_of", classmethod(of))
+    for other, want in ((twin, True), (swapped, False)):
+        built.clear()
+        assert phylo_isomorphic(net, other, want_mapping=True).isomorphic == want
+        assert len(built) == 1
 
 
 def test_phylo_iso_label_pretest():

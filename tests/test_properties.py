@@ -1,0 +1,101 @@
+"""Property tests of the decisions, the contraction and the eNewick round trip.
+
+Inputs come from the package's seeded generators, so a failing example is
+reproduced by its seeds.  Colors and labels are drawn from a palette that
+reaches past 64 bits, and ids are sometimes shifted past 64 bits, so the
+same properties cover the object-dtype array views.
+"""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from trigiso.core import aut_e_generators, is_isomorphic
+from trigiso.graphs import LabeledGraph, is_graph_isomorphism
+from trigiso.harness import random_relabeling, random_ternary_graph
+from trigiso.phylo import (
+    PhyloNetwork,
+    is_network_isomorphism,
+    parse_enewick,
+    phylo_isomorphic,
+    random_network,
+    write_enewick,
+)
+
+bounded = settings(derandomize=True, deadline=None, max_examples=30, database=None)
+seeds = st.integers(0, 2**32 - 1)
+PALETTE = (0, 1, 2, 2**63, 2**64 + 5)
+# Taxon names with the characters eNewick must quote.
+taxa = st.text("ab'(),: #;", min_size=1, max_size=3)
+
+
+def _painted(g: LabeledGraph, colors: list, labels: list, shift: int) -> LabeledGraph:
+    """g with ids shifted and colors and labels taken in sorted node and edge order."""
+    return LabeledGraph(
+        {v + shift: c for v, c in zip(g.node_ids, colors)},
+        {(u + shift, v + shift): lab for (u, v), lab in zip(g.sorted_edges(), labels)},
+    )
+
+
+@st.composite
+def graph_pairs(draw):
+    """Two graphs of one size, painted with the same color and label sequences."""
+    n = draw(st.integers(2, 24))
+    first, second = (random_ternary_graph(n, draw(seeds)) for _ in range(2))
+    colors = draw(st.lists(st.sampled_from(PALETTE[:3]), min_size=n, max_size=n))
+    m = max(first.n_edges, second.n_edges)
+    labels = draw(st.lists(st.sampled_from(PALETTE), min_size=m, max_size=m))
+    shift = draw(st.sampled_from((0, 2**64)))
+    return _painted(first, colors, labels, shift), _painted(second, colors, labels, shift)
+
+
+@bounded
+@given(graph_pairs(), seeds)
+def test_is_isomorphic_is_invariant_under_relabelling_and_symmetric(pair, seed):
+    g, k = pair
+    h, _ = random_relabeling(g, seed)
+    res = is_isomorphic(g, h, want_mapping=True)
+    assert res.isomorphic and is_graph_isomorphism(g, h, res.mapping)
+    verdict = is_isomorphic(g, k, want_mapping=True)
+    assert is_isomorphic(k, g).isomorphic == verdict.isomorphic
+    assert is_isomorphic(h, k).isomorphic == verdict.isomorphic
+    if verdict.isomorphic:
+        assert is_graph_isomorphism(g, k, verdict.mapping)
+
+
+@bounded
+@given(graph_pairs(), st.integers(0, 100))
+def test_aut_e_generators_are_automorphisms_fixing_the_edge(pair, pick):
+    g = pair[0]
+    e = g.sorted_edges()[pick % g.n_edges]
+    res = aut_e_generators(g, e)
+    ids = list(res.node_order)
+    assert ids == g.node_ids
+    for gen in res.generators:
+        mapping = {v: ids[gen(i)] for i, v in enumerate(ids)}
+        assert is_graph_isomorphism(g, g, mapping)
+        assert {mapping[e[0]], mapping[e[1]]} == set(e)
+    if res.swap_witness is not None:
+        assert ids[res.swap_witness(ids.index(e[0]))] == e[1]
+
+
+@bounded
+@given(st.integers(3, 65), st.sampled_from((0.0, 0.3, 1.0)), seeds, seeds)
+def test_relabelled_network_twins_give_verified_mappings(n, hybrid_prob, seed, relabel):
+    net = random_network(n, hybrid_prob=hybrid_prob, seed=seed)
+    names = random.Random(relabel).sample(range(10 * net.n_nodes), net.n_nodes)
+    twin = net.relabeled_nodes(dict(zip(net.nodes, names)))
+    res = phylo_isomorphic(net, twin, want_mapping=True)
+    assert res.isomorphic and is_network_isomorphism(net, twin, res.mapping)
+
+
+@bounded
+@given(st.integers(3, 41), seeds, st.lists(taxa, min_size=1))
+def test_write_then_parse_enewick_round_trips(n, seed, names):
+    net = random_network(n, seed=seed)
+    labels = {v: names[i % len(names)] for i, v in enumerate(net.leaves)}
+    net = PhyloNetwork(net.arcs, labels)
+    text = write_enewick(net)
+    back = parse_enewick(text)
+    res = phylo_isomorphic(net, back, want_mapping=True)
+    assert res.isomorphic and is_network_isomorphism(net, back, res.mapping)

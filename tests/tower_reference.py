@@ -3,7 +3,7 @@
 `written_out(dec)` rebuilds the tower's definitions (adjacency, fresh nodes,
 labeled neighbor sets, cross edges, the layers X_r, the element keys, the
 per-level tables and the kernel transpositions) from `dec.graph` and
-`dec.level_of` with dicts, frozensets and per-node loops.
+`dec.level` with dicts, frozensets and per-node loops.
 `reference_layer_sequence` is the per-node BFS and triangle rewrite.
 """
 
@@ -18,27 +18,27 @@ from trigiso.graphs import GADGET_LABEL, LabeledGraph, _norm_edge
 class WrittenOutTower:
     """Definitions of the tower of `graph` over its node levels."""
 
-    def __init__(self, graph: LabeledGraph, level_of: list, base_edge, N: int):
-        self.graph, self.level_of, self.base_edge, self.N = graph, level_of, base_edge, N
+    def __init__(self, graph: LabeledGraph, level: list, base_edge, N: int):
+        self.graph, self.level, self.base_edge, self.N = graph, level, base_edge, N
         self.n = graph.n_nodes
         self.colors = [graph.color(v) for v in range(self.n)]
         adj = graph.adjacency()
         self.adj = [adj[v] for v in range(self.n)]
         self.fresh: dict[int, list[int]] = {}
         for v in range(self.n):
-            self.fresh.setdefault(level_of[v], []).append(v)
+            self.fresh.setdefault(level[v], []).append(v)
         self.nbr_map: dict[int, frozenset] = {
-            v: frozenset((w, lab) for w, lab in self.adj[v] if level_of[w] < level_of[v])
+            v: frozenset((w, lab) for w, lab in self.adj[v] if level[w] < level[v])
             for v in range(self.n)
-            if level_of[v] > 1
+            if level[v] > 1
         }
         # Cross edges: both endpoints at the same level; they belong to the
         # next layer.  The base edge itself is level 1 by definition.
         self.cross: dict[int, dict] = {}
         base = frozenset(base_edge)
         for (u, v), lab in graph.edges().items():
-            if level_of[u] == level_of[v] and frozenset((u, v)) != base:
-                self.cross.setdefault(level_of[u], {})[frozenset((u, v))] = lab
+            if level[u] == level[v] and frozenset((u, v)) != base:
+                self.cross.setdefault(level[u], {})[frozenset((u, v))] = lab
         self.label_rank = {
             lab: i for i, lab in enumerate(sorted(set(graph.edges().values())))
         }
@@ -47,7 +47,7 @@ class WrittenOutTower:
         self.color_rank = {c: i for i, c in enumerate(sorted(set(self.colors)))}
 
     def nodes_at_most(self, r: int) -> list[int]:
-        return [v for v in range(self.n) if self.level_of[v] <= r]
+        return [v for v in range(self.n) if self.level[v] <= r]
 
     def layer(self, r: int) -> tuple[frozenset, frozenset]:
         """(nodes, edges) of X_r; edges as frozenset pairs of node indices."""
@@ -59,7 +59,7 @@ class WrittenOutTower:
         edges = frozenset(
             frozenset((u, v))
             for (u, v) in self.graph.edges()
-            if min(self.level_of[u], self.level_of[v]) <= r - 1
+            if min(self.level[u], self.level[v]) <= r - 1
         )
         return nodes, edges
 
@@ -134,11 +134,15 @@ class WrittenOutTower:
 
 
 def written_out(dec) -> WrittenOutTower:
-    return WrittenOutTower(dec.graph, dec.level_of, dec.base_edge, dec.N)
+    return WrittenOutTower(dec.graph, dec.level.tolist(), dec.base_edge, dec.N)
 
 
 def reference_layer_sequence(g: LabeledGraph, e) -> SimpleNamespace:
-    """The per-node build: BFS levels, the triangle rewrite and the depth N."""
+    """The per-node build: BFS levels, the triangle rewrite and the depth N.
+
+    `owner` gives each working node's input node as a position in the
+    sorted input ids.
+    """
     e = _norm_edge(*e)
     adj = g.adjacency()
     level_orig = {e[0]: 1, e[1]: 1}
@@ -158,44 +162,38 @@ def reference_layer_sequence(g: LabeledGraph, e) -> SimpleNamespace:
         if level_orig[v] > 1 and sum(level_orig[w] < level_orig[v] for w, _ in adj[v]) == 3
     ]
     kept = [v for v in g.node_ids if v not in set(gadget_nodes)]
-    index_of = {v: i for i, v in enumerate(kept)}
-    orig_id: list = list(kept)
-    nodes = {index_of[v]: g.color(v) for v in kept}
-    level_of = [level_orig[v] for v in kept]
-    gadget_triple: dict = {}
-    gadget_parent: dict = {}
+    new_index = {v: i for i, v in enumerate(kept)}
+    position = {v: i for i, v in enumerate(g.node_ids)}
+    owner = [position[v] for v in kept]
+    nodes = {new_index[v]: g.color(v) for v in kept}
+    level = [level_orig[v] for v in kept]
     edges = {}
     for (u, v), lab in g.edges().items():
-        if u in index_of and v in index_of:
-            edges[_norm_edge(index_of[u], index_of[v])] = lab
+        if u in new_index and v in new_index:
+            edges[_norm_edge(new_index[u], new_index[v])] = lab
     next_idx = len(kept)
     for v in sorted(gadget_nodes):
         placed = sorted(
-            (index_of[w], lab) for w, lab in adj[v] if level_orig[w] < level_orig[v]
+            (new_index[w], lab) for w, lab in adj[v] if level_orig[w] < level_orig[v]
         )
         corners = (next_idx, next_idx + 1, next_idx + 2)
         next_idx += 3
         for c, (w, lab) in zip(corners, placed):
             nodes[c] = g.color(v)
-            orig_id.append(None)
-            level_of.append(level_orig[v])
-            gadget_parent[c] = v
+            owner.append(position[v])
+            level.append(level_orig[v])
             edges[_norm_edge(c, w)] = lab
-        gadget_triple[v] = corners
         for i, j in combinations(range(3), 2):
             edges[_norm_edge(corners[i], corners[j])] = GADGET_LABEL
     working = LabeledGraph(nodes, edges)
     if working.n_nodes == 2:
         N = 1
     else:
-        N = max(max(min(level_of[u], level_of[v]) + 1 for u, v in working.edges()), max(level_of))
+        N = max(max(min(level[u], level[v]) + 1 for u, v in working.edges()), max(level))
     return SimpleNamespace(
         graph=working,
-        base_edge=(index_of[e[0]], index_of[e[1]]),
-        level_of=level_of,
+        base_edge=(new_index[e[0]], new_index[e[1]]),
+        level=level,
         N=N,
-        orig_id=orig_id,
-        index_of=index_of,
-        gadget_triple=gadget_triple,
-        gadget_parent=gadget_parent,
+        owner=owner,
     )
