@@ -146,7 +146,8 @@ class AutResult:
 
 def aut_e_generators(g: LabeledGraph, e: tuple[int, int]) -> AutResult:
     """Smooth generators of the automorphisms of g that fix e setwise."""
-    dec = layer_sequence(g, e)
+    require_valid(g)
+    dec = layer_sequence(g, e, validated=True)
     gens, _ = _run_tower(dec, swap=False)
     contracted = tuple(Permutation(row) for row in _contract(dec, gens))
     a, b = dec.owner[list(dec.base_edge)].tolist()

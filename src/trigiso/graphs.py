@@ -26,6 +26,8 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
+from .perm import _join
+
 # Reserved internal values; user graphs must stay non-negative.
 GADGET_LABEL = -1
 ARC_OUT_LABEL = -2
@@ -113,9 +115,6 @@ class LabeledGraph:
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self._edges)
-
-    def has_node(self, v: int) -> bool:
-        return v in self._colors
 
     def has_edge(self, u: int, v: int) -> bool:
         return _norm_edge(u, v) in self._edges
@@ -237,34 +236,10 @@ def validate(g: LabeledGraph, allow_reserved: bool = False) -> list[str]:
             problems.append(f"node {a.ids[i]} uses reserved color {a.colors[i]}")
         if a.degrees[i] > 3:
             problems.append(f"node {a.ids[i]} has degree {a.degrees[i]} > 3")
-    missing = g.n_nodes - np.count_nonzero(_component_roots(g.n_nodes, a.u, a.v) == 0)
+    missing = g.n_nodes - np.count_nonzero(_join(np.arange(g.n_nodes), a.u, a.v) == 0)
     if missing:
         problems.append(f"graph is disconnected ({missing} unreachable nodes)")
     return problems
-
-
-def _component_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The smallest node index of every node's connected component.
-
-    Each round hooks every root onto the smallest smaller root that an edge
-    joins it to, then points every node straight at its root.  A tree that
-    meets another either hooks or, being the smallest around, is hooked onto
-    or meets a smaller root in the next round; so every tree with an edge
-    out merges within two rounds, and the rounds grow with log n, not with
-    the diameter.
-    """
-    root = np.arange(n)
-    while True:
-        ru, rv = root[u], root[v]
-        hook = ru != rv
-        if not hook.any():
-            return root
-        np.minimum.at(root, np.maximum(ru, rv)[hook], np.minimum(ru, rv)[hook])
-        while True:
-            up = root[root]
-            if (up == root).all():
-                break
-            root = up
 
 
 def require_valid(g: LabeledGraph, what: str = "graph", allow_reserved: bool = False) -> None:
@@ -322,22 +297,21 @@ def parse_graph_text(text: str) -> LabeledGraph:
     return LabeledGraph._of(nodes, edges)
 
 
-def format_graph_text(g: LabeledGraph, allow_reserved: bool = False) -> str:
+def format_graph_text(g: LabeledGraph) -> str:
     """Canonical text form: sorted nodes, then sorted edges.
 
-    Graphs carrying reserved negative values (internal constructions) can be
-    dumped for debugging with allow_reserved=True, but such dumps are not
-    re-parseable.
+    Reserved negative values (internal constructions) raise GraphError: the
+    text format cannot hold them.
     """
     out = []
     for v in g.node_ids:
         c = g.color(v)
-        if c < 0 and not allow_reserved:
+        if c < 0:
             raise GraphError(f"node {v} carries reserved color {c}")
         out.append(f"node {v} {c}" if c else f"node {v}")
     for u, v in g.sorted_edges():
         lab = g.label(u, v)
-        if lab < 0 and not allow_reserved:
+        if lab < 0:
             raise GraphError(f"edge ({u},{v}) carries reserved label {lab}")
         out.append(f"edge {u} {v} {lab}" if lab else f"edge {u} {v}")
     return "\n".join(out) + "\n"

@@ -13,8 +13,10 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .graphs import LabeledGraph, require_valid
-from .perm import Permutation, compose, enumerate_group, inverse
+from .perm import Permutation, _join, compose, enumerate_group, inverse
 
 ORACLE_NODE_CAP = 12
 
@@ -258,27 +260,6 @@ def degree_sequence_graph(degrees: Sequence[int], seed: int) -> LabeledGraph | N
         return None
     rng = random.Random(f"degseq:{seed}")
 
-    def components(edges):
-        adj = {v: [] for v in range(n)}
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        seen, comps = set(), []
-        for s in range(n):
-            if s in seen:
-                continue
-            comp, stack = {s}, [s]
-            seen.add(s)
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        comp.add(y)
-                        stack.append(y)
-            comps.append(comp)
-        return comps
-
     for _attempt in range(60):
         stubs = [v for v in range(n) for _ in range(degrees[v])]
         rng.shuffle(stubs)
@@ -295,15 +276,19 @@ def degree_sequence_graph(degrees: Sequence[int], seed: int) -> LabeledGraph | N
             edges.add(key)
         if not ok:
             continue
-        # connectivity repair: swap endpoints across components
-        for _ in range(6 * n):
-            comps = components(edges)
-            if len(comps) == 1:
+        # connectivity repair: up to 6n rounds of swapping endpoints across
+        # components; comp0 marks node 0's, and no edge leaves a component
+        for swaps_left in range(6 * n, -1, -1):
+            ends = np.array(list(edges))
+            comp0 = (_join(np.arange(n), ends[:, 0], ends[:, 1]) == 0).tolist()
+            if all(comp0):
+                g = LabeledGraph(range(n), {e: 0 for e in edges})
+                if g.degree_sequence() == sorted(degrees):
+                    return g
                 break
-            comp0 = comps[0]
-            inside = [e for e in edges if e[0] in comp0 and e[1] in comp0]
-            outside = [e for e in edges if e[0] not in comp0 and e[1] not in comp0]
-            if not inside or not outside:
+            inside = [e for e in edges if comp0[e[0]]]
+            outside = [e for e in edges if not comp0[e[0]]]
+            if not swaps_left or not inside or not outside:
                 break
             a, b = rng.choice(inside)
             c, d = rng.choice(outside)
@@ -315,10 +300,6 @@ def degree_sequence_graph(degrees: Sequence[int], seed: int) -> LabeledGraph | N
             edges.discard((c, d) if c < d else (d, c))
             edges.add(e1)
             edges.add(e2)
-        if len(components(edges)) == 1:
-            g = LabeledGraph(range(n), {e: 0 for e in edges})
-            if g.degree_sequence() == sorted(degrees):
-                return g
     return None
 
 

@@ -222,9 +222,13 @@ def _join(lab: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     `lab` names each point's class by its smallest member, which is the
     class's root (lab[root] = root).  Each round hooks the larger root of
-    every split pair onto the smaller one, then jumps pointers until every
-    point names a root again.  Roots only ever point lower, so a class's
-    root stays its minimum.
+    every split pair onto the smaller one (the last write wins where pairs
+    disagree), then jumps pointers until every point names a root again.
+    Roots only ever point lower, so a class's root stays its minimum.  A
+    class with a split pair merges within two rounds: its root is hooked,
+    or is hooked onto, or meets a class with a new root next round; so the
+    rounds grow with log n, not with the diameter.  With `lab` = arange(n)
+    and the edges as (u, v), it labels connected components.
     """
     while True:
         lu, lv = lab[u], lab[v]

@@ -205,6 +205,15 @@ def test_invalid_inputs_raise():
         aut_e_generators(ok, (0, 5))
 
 
+def test_aut_rejects_reserved_labels():
+    # An input edge labelled like a triangle-gadget edge (-1) must be refused
+    # before the tower is built, not confused with the gadget's own edges.
+    plain = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 6), (3, 6), (4, 6), (2, 8), (3, 9), (5, 7)]
+    g = LabeledGraph(range(10), [(u, v, 0) for u, v in plain] + [(7, 8, -1), (7, 9, -1), (8, 9, -1)])
+    with pytest.raises(GraphError, match="reserved label -1"):
+        aut_e_generators(g, (0, 1))
+
+
 def test_colored_and_labeled_isomorphism():
     g1 = LabeledGraph({0: 1, 1: 0, 2: 2}, {(0, 1): 5, (1, 2): 6})
     same = LabeledGraph({10: 0, 11: 2, 12: 1}, {(10, 12): 5, (10, 11): 6})

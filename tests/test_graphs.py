@@ -264,3 +264,22 @@ def test_import_loads_neither_scipy_nor_networkx():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+def test_package_exports_only_the_public_surface():
+    assert sorted(trigiso.__all__) == [
+        "AutResult", "GraphError", "GraphFormatError", "IsoResult", "LabeledGraph",
+        "NetworkError", "NewickError", "Permutation", "PhyloNetwork", "aut_e_generators",
+        "cycle_string", "format_graph_text", "is_isomorphic", "parse_enewick",
+        "parse_graph_text", "phylo_isomorphic", "random_network", "random_ternary_graph",
+        "validate", "validate_network", "write_enewick",
+    ]
+    for name in trigiso.__all__:
+        assert getattr(trigiso, name) is not None
+
+
+def test_format_rejects_reserved_values():
+    with pytest.raises(GraphError, match="reserved color -1"):
+        format_graph_text(LabeledGraph({0: -1, 1: 0}, [(0, 1)]))
+    with pytest.raises(GraphError, match="reserved label -2"):
+        format_graph_text(LabeledGraph([0, 1], {(0, 1): -2}))

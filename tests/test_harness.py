@@ -1,10 +1,11 @@
 """Tests for the oracles, the random generators, and the bench runner."""
 
+import hashlib
 import random
 
 import pytest
 
-from trigiso.graphs import LabeledGraph
+from trigiso.graphs import LabeledGraph, format_graph_text
 from trigiso.harness import (
     bench_csv,
     bench_run,
@@ -89,6 +90,37 @@ def test_degree_sequence_graph_cases():
     assert degree_sequence_graph([3, 1], 0) is None
     big = degree_sequence_graph([3] * 20, 7)
     assert big is not None and big.degree_sequence() == [3] * 20
+
+
+def _mixed_degrees(n: int, seed: int) -> list[int]:
+    """A third each of degrees 1, 2 and 3, shuffled, with an even sum."""
+    degrees = [1] * (n // 3) + [2] * (n // 3) + [3] * (n - 2 * (n // 3))
+    random.Random(seed).shuffle(degrees)
+    if sum(degrees) % 2:
+        degrees[degrees.index(3)] = 2
+    return degrees
+
+
+# sha256 of format_graph_text(degree_sequence_graph(...)).  The cubic 512-node
+# cases are the benchmark's graph-switch bases at seed 1; the mixed sequences
+# leave the first pairing disconnected, so the connectivity repair loop runs
+# (5 to 41 rounds) before the graph is returned.
+_DEGREE_SEQUENCE_DIGESTS = [
+    ([3] * 512, 64, "244a491e8379e63143c9a57e867e3bd8e63a17b73ab9757e09be18e190eac9b9"),
+    ([3] * 512, 65, "454414349194dcada46529537a8f773107079507669cff758c0103d16751889d"),
+    ([3] * 512, 66, "bc1223f29128657665feaf934a49c98822af2a78e0bb93b247ed1e730ed0a19e"),
+    (_mixed_degrees(45, 0), 0, "9446a77dd57cb5cf8332a90d1d3b79616378edf6fa40a136a422a2207887ae36"),
+    (_mixed_degrees(45, 1), 1, "26550af8793cdb78a5ffccd02aa433e4f6d5d9aef45de8f16eb87135ef17a1ac"),
+    (_mixed_degrees(90, 2), 2, "02fbb0c37e9f8681992380e897039f848a39f2ade0b1ce7b35163ecde704aed1"),
+    (_mixed_degrees(120, 0), 0, "a31462e0d95f804f53126a832dba04f49060a4494ae2cd916a185f00941aa626"),
+    (_mixed_degrees(150, 1), 1, "5f6889792c14b1a3967cd5484b79d7e0c0dc42a9f861b89dab7a0037b6f0db1d"),
+]
+
+
+@pytest.mark.parametrize("degrees, seed, digest", _DEGREE_SEQUENCE_DIGESTS)
+def test_degree_sequence_graph_output_is_pinned(degrees, seed, digest):
+    g = degree_sequence_graph(degrees, seed)
+    assert hashlib.sha256(format_graph_text(g).encode()).hexdigest() == digest
 
 
 def test_random_smooth_2group_is_smooth():
