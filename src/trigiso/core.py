@@ -26,7 +26,9 @@ joining the split nodes, some automorphism of the joined graph fixing the
 join edge exchanges the two split nodes.  `is_isomorphic` searches for one
 directly: every level keeps only the coset of part-exchanging candidates
 over the part-preserving subgroup, so an edge pairing that admits no
-exchange dies at the first layer where the two sides differ.
+exchange dies at the first layer where the two sides differ.  Pairings are
+node-index pairs of the two array views, the joined graph is only a view
+(`build_x`), and a witness is read back onto the input ids with one gather.
 `aut_e_generators` runs the same tower over the whole edge-fixing group.
 """
 
@@ -147,7 +149,7 @@ class AutResult:
 def aut_e_generators(g: LabeledGraph, e: tuple[int, int]) -> AutResult:
     """Smooth generators of the automorphisms of g that fix e setwise."""
     require_valid(g)
-    dec = layer_sequence(g, e, validated=True)
+    dec = layer_sequence(g.arrays, e)
     gens, _ = _run_tower(dec, swap=False)
     contracted = tuple(Permutation(row) for row in _contract(dec, gens))
     a, b = dec.owner[list(dec.base_edge)].tolist()
@@ -358,32 +360,24 @@ def is_isomorphic(
     """
     require_valid(g1, "first graph")
     require_valid(g2, "second graph")
-    if g1.n_nodes == 1 or g2.n_nodes == 1:
-        same = (
-            g1.n_nodes == 1
-            and g2.n_nodes == 1
-            and g1.color(g1.node_ids[0]) == g2.color(g2.node_ids[0])
-        )
-        mapping = None
-        if same and want_mapping:
-            mapping = {g1.node_ids[0]: g2.node_ids[0]}
+    if 1 in (g1.n_nodes, g2.n_nodes):
+        same = g1.n_nodes == g2.n_nodes and np.array_equal(g1.arrays.colors, g2.arrays.colors)
+        mapping = dict(zip(g1.node_ids, g2.node_ids)) if same and want_mapping else None
         return IsoResult(same, mapping)
     if not _pretests_pass(g1, g2):
         return IsoResult(False)
 
-    e1, candidates = _first_edge_candidates(g1.arrays, g2.arrays)
+    a1, a2, n1 = g1.arrays, g2.arrays, g1.n_nodes
+    e1, candidates = _first_edge_candidates(a1, a2)
     t1, t2 = _profile_tables(g1, g2)
-    split1 = tuple(t1.ids[e1].tolist())
     for e2 in _profile_filter(t1, e1, t2, candidates):
-        sp = build_x(g1, g2, split1, tuple(t2.ids[e2].tolist()), validated=True)
-        dec = layer_sequence(sp.graph, sp.e, validated=True)
+        dec = layer_sequence(build_x(a1, a2, e1, e2), (n1, n1 + 1))
         result = _run_tower(dec, swap=True)
         if result is None:
             continue
-        # The splice's ids are dense, so they are also its indices.
-        witness = _contract(dec, result[1][None])[0].tolist()
-        inv2 = {x: v for v, x in sp.map2.items()}
-        mapping = {u: inv2[witness[x]] for u, x in sp.map1.items()}
+        # The splice's ids are its indices; the second graph starts at n1 + 2.
+        witness = _contract(dec, result[1][None])[0]
+        mapping = dict(zip(a1.ids.tolist(), a2.ids[witness[:n1] - (n1 + 2)].tolist()))
         if not is_graph_isomorphism(g1, g2, mapping):
             raise AssertionError("internal error: witness failed verification")
         return IsoResult(True, mapping if want_mapping else None)

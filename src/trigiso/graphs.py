@@ -16,11 +16,13 @@ from the dicts on first use and cached; a graph is never changed after
 construction, so it never goes stale.  The arrays are shared by every caller
 and read-only: a pass that needs to modify one works on a copy.  Ids, colors
 or labels beyond 64 bits are held with object dtype.
+The splice (`build_x`) joins two views into a third by concatenation, so a
+decision builds no graph beyond its inputs.  `validate` is strict, and only
+the public entry points call it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Mapping, NamedTuple
 
@@ -187,14 +189,17 @@ def _graph_arrays(colors: dict, edges: dict) -> GraphArrays:
     ends = np.fromiter(chain.from_iterable(edges), dtype=ids.dtype, count=2 * m)
     u, v = np.searchsorted(ids, ends).reshape(m, 2).T
     degrees = np.bincount(u, minlength=n) + np.bincount(v[u != v], minlength=n)
-    view = GraphArrays(
+    return _frozen(GraphArrays(
         ids=ids,
         colors=_ints(colors.values(), n)[by_id],
         u=u,
         v=v,
         labels=_ints(edges.values(), m),
         degrees=degrees,
-    )
+    ))
+
+
+def _frozen(view: GraphArrays) -> GraphArrays:
     for array in view:
         array.setflags(write=False)
     return view
@@ -211,11 +216,11 @@ def _ints(values, count: int) -> np.ndarray:
 # -- validation ---------------------------------------------------------------
 
 
-def validate(g: LabeledGraph, allow_reserved: bool = False) -> list[str]:
+def validate(g: LabeledGraph) -> list[str]:
     """Report every violation of the ternary-graph contract (empty = ok).
 
-    Checks: non-empty, no loops, all degrees <= 3, connectivity, and (for
-    user input) no reserved negative colors or labels.  Edge problems come
+    Checks: non-empty, no loops, all degrees <= 3, connectivity, and no
+    reserved negative colors or labels.  Edge problems come
     in edge insertion order, then node problems in id order.
     """
     if g.n_nodes == 0:
@@ -223,14 +228,14 @@ def validate(g: LabeledGraph, allow_reserved: bool = False) -> list[str]:
     a = g.arrays
     problems = []
     loop = a.u == a.v
-    reserved = (a.labels < 0) & (not allow_reserved)
+    reserved = a.labels < 0
     for j in np.flatnonzero(loop | reserved).tolist():
         u, v = a.ids[a.u[j]], a.ids[a.v[j]]
         if loop[j]:
             problems.append(f"loop at node {u}")
         if reserved[j]:
             problems.append(f"edge ({u},{v}) uses reserved label {a.labels[j]}")
-    reserved = (a.colors < 0) & (not allow_reserved)
+    reserved = a.colors < 0
     for i in np.flatnonzero(reserved | (a.degrees > 3)).tolist():
         if reserved[i]:
             problems.append(f"node {a.ids[i]} uses reserved color {a.colors[i]}")
@@ -242,8 +247,8 @@ def validate(g: LabeledGraph, allow_reserved: bool = False) -> list[str]:
     return problems
 
 
-def require_valid(g: LabeledGraph, what: str = "graph", allow_reserved: bool = False) -> None:
-    problems = validate(g, allow_reserved=allow_reserved)
+def require_valid(g: LabeledGraph, what: str = "graph") -> None:
+    problems = validate(g)
     if problems:
         raise GraphError(f"invalid {what}: " + "; ".join(problems))
 
@@ -320,75 +325,36 @@ def format_graph_text(g: LabeledGraph) -> str:
 # -- the splice construction ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Splice:
-    """Result of joining two graphs through split edges.
+def build_x(a1: GraphArrays, a2: GraphArrays, e1, e2) -> GraphArrays:
+    """Split edge e1 of the first view and e2 of the second, and join the splits.
 
-    `graph` has dense node ids 0..n1+n2+1: the first graph occupies 0..n1-1,
-    the two fresh split nodes are v1 = n1 and v2 = n1+1, and the second
-    graph is shifted to n1+2..n1+n2+1.  `map1`/`map2` send original node ids
-    into the combined graph.
-    """
-
-    graph: LabeledGraph
-    e: tuple[int, int]
-    v1: int
-    v2: int
-    map1: dict[int, int]
-    map2: dict[int, int]
-
-
-def build_x(
-    g1: LabeledGraph,
-    g2: LabeledGraph,
-    e1: tuple[int, int],
-    e2: tuple[int, int],
-    validated: bool = False,
-) -> Splice:
-    """Split e1 in g1 and e2 in g2 with fresh nodes v1, v2 and join them.
-
-    Each split edge {a,b} becomes a-v1 and v1-b carrying the original edge
+    e1 and e2 are edges of their views as pairs of node indices.  The result
+    is the joined graph's view, whose ids are its indices 0..n1+n2+1: the
+    first graph keeps 0..n1-1, the fresh split nodes are v1 = n1 and v2 =
+    n1+1, and the second graph is shifted to n1+2..n1+n2+1.  Each split edge
+    {a,b} becomes a-v and v-b, v its split node, carrying the original edge
     label; the joining edge {v1,v2} is unlabeled.  The original degrees are
-    preserved and v1, v2 get degree 3, so the result is again ternary.
-    Callers that already validated both inputs pass validated=True.
+    preserved and v1, v2 get degree 3, so the result is again ternary.  The
+    edges are the kept edges of both graphs, then the four stubs and the
+    join, each row with u <= v as in every view: the tower's cross-edge keys
+    rely on it.  A pair that is not an edge of its view raises GraphError.
     """
-    if not validated:
-        require_valid(g1, "first graph")
-        require_valid(g2, "second graph")
-    e1 = _norm_edge(*e1)
-    e2 = _norm_edge(*e2)
-    if not g1.has_edge(*e1):
-        raise GraphError(f"edge {e1} not present in first graph")
-    if not g2.has_edge(*e2):
-        raise GraphError(f"edge {e2} not present in second graph")
-
-    n1 = g1.n_nodes
-    map1 = {v: i for i, v in enumerate(g1.node_ids)}
-    v1, v2 = n1, n1 + 1
-    map2 = {v: n1 + 2 + i for i, v in enumerate(g2.node_ids)}
-
-    nodes = {map1[v]: g1.color(v) for v in g1.node_ids}
-    nodes[v1] = 0
-    nodes[v2] = 0
-    nodes.update({map2[v]: g2.color(v) for v in g2.node_ids})
-
-    edges: dict[tuple[int, int], int] = {}
-    for (u, v), lab in g1.edges().items():
-        if (u, v) != e1:
-            edges[_norm_edge(map1[u], map1[v])] = lab
-    for (u, v), lab in g2.edges().items():
-        if (u, v) != e2:
-            edges[_norm_edge(map2[u], map2[v])] = lab
-    lab1 = g1.label(*e1)
-    lab2 = g2.label(*e2)
-    edges[_norm_edge(map1[e1[0]], v1)] = lab1
-    edges[_norm_edge(map1[e1[1]], v1)] = lab1
-    edges[_norm_edge(map2[e2[0]], v2)] = lab2
-    edges[_norm_edge(map2[e2[1]], v2)] = lab2
-    edges[(v1, v2)] = 0
-
-    graph = LabeledGraph._of(nodes, edges)
-    return Splice(graph=graph, e=(v1, v2), v1=v1, v2=v2, map1=map1, map2=map2)
+    n1, shift = len(a1.ids), len(a1.ids) + 2
+    (x1, y1), (x2, y2) = _norm_edge(*e1), _norm_edge(*e2)
+    cut1, cut2 = (a1.u == x1) & (a1.v == y1), (a2.u == x2) & (a2.v == y2)
+    if not (cut1.any() and cut2.any()):
+        raise GraphError("a split edge is not present in its graph")
+    # The stubs a-v1, b-v1, v2-a', v2-b', then the join v1-v2.
+    stub_u, stub_v = [x1, y1, n1 + 1, n1 + 1, n1], [n1, n1, x2 + shift, y2 + shift, n1 + 1]
+    stub_labels = [a1.labels[cut1].repeat(2), a2.labels[cut2].repeat(2), [0]]
+    return _frozen(GraphArrays(
+        ids=np.arange(shift + len(a2.ids)),
+        colors=np.concatenate([a1.colors, [0, 0], a2.colors]),
+        u=np.concatenate([a1.u[~cut1], a2.u[~cut2] + shift, stub_u]),
+        v=np.concatenate([a1.v[~cut1], a2.v[~cut2] + shift, stub_v]),
+        labels=np.concatenate([a1.labels[~cut1], a2.labels[~cut2], *stub_labels]),
+        degrees=np.concatenate([a1.degrees, [3, 3], a2.degrees]),
+    ))
 
 
 # -- isomorphism verification ---------------------------------------------------

@@ -15,13 +15,14 @@ bounds every neighbor set by 2 without changing the edge-fixing automorphism
 group.  The rewrite cannot cascade: a replaced node has no later neighbors,
 so levels of all other nodes are unaffected.
 
-The tower runs on the rewritten working graph, and one int array carries its
-results back to the input: `owner[i]` is the index, in the input's `arrays`
-view, of the input node that working node i is or replaces.  A working-graph
-automorphism contracts onto the input by sending input node `owner[i]` to
-`owner[image of i]`.  The reserved triangle labels force corners onto
-corners, so the three corners of a replaced node all move onto the corners
-of one node; the contraction is well defined and a group isomorphism.
+The input is a graph's array view (`GraphArrays`).  The tower runs on the
+rewritten working graph, and one int array carries its results back to the
+input: `owner[i]` is the index, in the input view, of the input node that
+working node i is or replaces.  A working-graph automorphism contracts onto
+the input by sending input node `owner[i]` to `owner[image of i]`.  The
+reserved triangle labels force corners onto corners, so the three corners of
+a replaced node all move onto the corners of one node; the contraction is
+well defined and a group isomorphism.
 
 The tower is built by a few array passes over the edge list, with no loop
 over nodes or elements.  Nodes take dense indices in id order; BFS levels
@@ -43,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import GADGET_LABEL, GraphError, LabeledGraph, require_valid, _norm_edge
+from .graphs import GADGET_LABEL, GraphArrays, GraphError, LabeledGraph, require_valid, _norm_edge
 from .perm import _sorted_distinct
 
 
@@ -332,24 +333,21 @@ def _bfs_levels(nbr: np.ndarray, a: int, b: int) -> np.ndarray:
     return level
 
 
-def layer_sequence(
-    g: LabeledGraph, e: tuple[int, int], validated: bool = False
-) -> LayerDecomposition:
-    """Build the full tower for (g, e), applying the triangle rewrite.
+def layer_sequence(view: GraphArrays, e: tuple[int, int]) -> LayerDecomposition:
+    """Build the full tower for (view, e), applying the triangle rewrite.
 
-    Every node whose neighbor set would have size 3 is replaced by a labeled
-    triangle, so every neighbor set of the returned tower has size 1 or 2.
-    A replaced node's corners take its placed neighbors, sorted by (new
-    index, label), in corner order.
+    `view` is the array view of a valid graph, reserved values allowed, and e
+    one of its edges, by node ids.  Callers validate, this function does not;
+    an absent e raises GraphError.  Every node whose neighbor set would have
+    size 3 is replaced by a labeled triangle, so every neighbor set of the
+    returned tower has size 1 or 2.  A replaced node's corners take its
+    placed neighbors, sorted by (new index, label), in corner order.
     """
-    if not validated:
-        require_valid(g, allow_reserved=True)
+    ids, colors, u, v, lab, _ = view
     e = _norm_edge(*e)
-    if not g.has_edge(*e):
+    a, b = np.searchsorted(ids, e).clip(max=len(ids) - 1).tolist()
+    if ids[a] != e[0] or ids[b] != e[1] or not ((u == a) & (v == b)).any():
         raise GraphError(f"edge {e} not present in graph")
-
-    ids, colors, u, v, lab, _ = g.arrays
-    a, b = np.searchsorted(ids, e).tolist()
 
     # Neighbor table over both edge directions, sorted by source.
     n = len(ids)
@@ -406,7 +404,8 @@ def triangle_gadget(g: LabeledGraph, e: tuple[int, int]) -> LabeledGraph:
     are replaced by labeled triangles; corner nodes get fresh ids above the
     input id range.  Graphs with no such node are returned unchanged.
     """
-    dec = layer_sequence(g, e)
+    require_valid(g)
+    dec = layer_sequence(g.arrays, e)
     ids = g.arrays.ids
     if dec.n == len(ids):
         return g

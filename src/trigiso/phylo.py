@@ -28,6 +28,7 @@ from .graphs import (
     MIDPOINT_COLOR,
     ROOT_JOIN_LABEL,
     LabeledGraph,
+    _graph_arrays,
 )
 from .layers import layer_sequence
 
@@ -274,7 +275,7 @@ def phylo_isomorphic(
     shift = len(colors)
     e = (r1, _append_reduction(n2, intern, colors, edges))
     edges[e] = ROOT_JOIN_LABEL
-    dec = layer_sequence(LabeledGraph._of(colors, edges), e, validated=True)
+    dec = layer_sequence(_graph_arrays(colors, edges), e)
     result = _run_tower(dec, swap=True)
     if result is None:
         return IsoResult(False)

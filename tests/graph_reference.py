@@ -1,29 +1,36 @@
 """The graph checks written out over dicts, the references for the array view.
 
 `reference_validate` walks the edge dict, the node ids and the adjacency
-lists, with a depth-first search for connectivity.
+lists, with a depth-first search for connectivity.  `reference_splice` joins
+two graphs through split edges node by node, over dicts keyed by ids;
+`graph_of_view` turns an array view (a splice's, say) back into a graph, and
+`record_graph_builds` counts the graphs a call constructs.
 `reference_profile_tables` builds the layer-profile tables node by node,
 with per-node sorted slot lists and dict ranks of colors, labels and
-(color, label sequence) kinds.  Both read only the dict accessors of
-`LabeledGraph`.
+(color, label sequence) kinds.  The references read only the dict
+accessors of `LabeledGraph`.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
+from trigiso.graphs import GraphError, LabeledGraph, _norm_edge, require_valid
 
-def reference_validate(g, allow_reserved: bool = False) -> list[str]:
+
+def reference_validate(g) -> list[str]:
     problems = []
     if g.n_nodes == 0:
         return ["graph has no nodes"]
     for (u, v), lab in g.edges().items():
         if u == v:
             problems.append(f"loop at node {u}")
-        if lab < 0 and not allow_reserved:
+        if lab < 0:
             problems.append(f"edge ({u},{v}) uses reserved label {lab}")
     ids = g.node_ids
     adj = g.adjacency()
     for v in ids:
-        if g.color(v) < 0 and not allow_reserved:
+        if g.color(v) < 0:
             problems.append(f"node {v} uses reserved color {g.color(v)}")
         if len(adj[v]) > 3:
             problems.append(f"node {v} has degree {len(adj[v])} > 3")
@@ -39,6 +46,80 @@ def reference_validate(g, allow_reserved: bool = False) -> list[str]:
         if len(seen) != len(ids):
             problems.append(f"graph is disconnected ({len(ids) - len(seen)} unreachable nodes)")
     return problems
+
+
+def reference_splice(g1, g2, e1, e2) -> SimpleNamespace:
+    """Split e1 in g1 and e2 in g2 with fresh nodes v1, v2 and join them.
+
+    The joined `graph` has dense node ids 0..n1+n2+1: the first graph
+    occupies 0..n1-1, the split nodes are v1 = n1 and v2 = n1+1, and the
+    second graph is shifted to n1+2..n1+n2+1.  `map1`/`map2` send original
+    node ids into the joined graph, and `e` is the join edge (v1, v2).
+    """
+    require_valid(g1, "first graph")
+    require_valid(g2, "second graph")
+    e1 = _norm_edge(*e1)
+    e2 = _norm_edge(*e2)
+    if not g1.has_edge(*e1):
+        raise GraphError(f"edge {e1} not present in first graph")
+    if not g2.has_edge(*e2):
+        raise GraphError(f"edge {e2} not present in second graph")
+
+    n1 = g1.n_nodes
+    map1 = {v: i for i, v in enumerate(g1.node_ids)}
+    v1, v2 = n1, n1 + 1
+    map2 = {v: n1 + 2 + i for i, v in enumerate(g2.node_ids)}
+
+    nodes = {map1[v]: g1.color(v) for v in g1.node_ids}
+    nodes[v1] = 0
+    nodes[v2] = 0
+    nodes.update({map2[v]: g2.color(v) for v in g2.node_ids})
+
+    edges: dict[tuple[int, int], int] = {}
+    for (u, v), lab in g1.edges().items():
+        if (u, v) != e1:
+            edges[_norm_edge(map1[u], map1[v])] = lab
+    for (u, v), lab in g2.edges().items():
+        if (u, v) != e2:
+            edges[_norm_edge(map2[u], map2[v])] = lab
+    lab1 = g1.label(*e1)
+    lab2 = g2.label(*e2)
+    edges[_norm_edge(map1[e1[0]], v1)] = lab1
+    edges[_norm_edge(map1[e1[1]], v1)] = lab1
+    edges[_norm_edge(map2[e2[0]], v2)] = lab2
+    edges[_norm_edge(map2[e2[1]], v2)] = lab2
+    edges[(v1, v2)] = 0
+
+    graph = LabeledGraph(nodes, edges)
+    return SimpleNamespace(graph=graph, e=(v1, v2), map1=map1, map2=map2)
+
+
+def graph_of_view(view) -> LabeledGraph:
+    """The graph of an array view, its edges in the view's order."""
+    ids, labels = view.ids.tolist(), view.labels.tolist()
+    ends = zip(view.u.tolist(), view.v.tolist())
+    return LabeledGraph(
+        dict(zip(ids, view.colors.tolist())),
+        {(ids[u], ids[v]): lab for (u, v), lab in zip(ends, labels)},
+    )
+
+
+def record_graph_builds(monkeypatch) -> list:
+    """Patch `LabeledGraph` so that every graph constructed is appended to the returned list."""
+    built = []
+    real_init, real_of = LabeledGraph.__init__, LabeledGraph._of.__func__
+
+    def init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    def of(cls, *args):
+        built.append(cls)
+        return real_of(cls, *args)
+
+    monkeypatch.setattr(LabeledGraph, "__init__", init)
+    monkeypatch.setattr(LabeledGraph, "_of", classmethod(of))
+    return built
 
 
 def _ranks(values) -> dict:

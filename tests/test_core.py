@@ -18,11 +18,11 @@ from trigiso.harness import (
     random_relabeling,
     random_ternary_graph,
 )
-from trigiso.layers import LayerDecomposition, layer_sequence
+from trigiso.layers import LayerDecomposition, layer_sequence, triangle_gadget
 from trigiso.perm import Coset, Permutation, enumerate_group, group_order, smoothness_violations
 from trigiso.phylo import phylo_isomorphic, random_network
 
-from graph_reference import reference_profile_tables
+from graph_reference import record_graph_builds, reference_profile_tables, reference_splice
 from test_graphs import EX1_A, EX1_B, EX2_A, EX2_B, graph_from_edges
 from test_layers import decide_tower_cases, reference_b_set
 from tower_reference import written_out
@@ -89,7 +89,7 @@ def test_group_matches_oracle(seed):
 
 def test_lift_identity_and_determinism():
     g = LabeledGraph(range(4), [(0, 1), (0, 2), (0, 3)])
-    dec = layer_sequence(g, (0, 1))
+    dec = layer_sequence(g.arrays, (0, 1))
     ident = Permutation.identity(dec.n)
     assert lift(dec, 1, ident) == ident
     # two-leaf fiber, parent fixed: leaves map in sorted order (identically)
@@ -98,7 +98,7 @@ def test_lift_identity_and_determinism():
 
 def test_lift_path_flip():
     g = LabeledGraph(range(4), [(0, 1), (1, 2), (2, 3)])
-    dec = layer_sequence(g, (1, 2))
+    dec = layer_sequence(g.arrays, (1, 2))
     flip12 = Permutation.from_mapping(4, {1: 2, 2: 1})
     lifted = lift(dec, 1, flip12)
     assert lifted == Permutation([3, 2, 1, 0])
@@ -178,7 +178,7 @@ def test_swap_variant_agrees_with_full():
         full = any(
             aut_e_generators(sp.graph, sp.e).swap_witness is not None
             for sp in (
-                build_x(g1, g2, e1, e2)
+                reference_splice(g1, g2, e1, e2)
                 for e2 in g2.sorted_edges()
                 if g2.label(*e2) == g1.label(*e1)
             )
@@ -207,11 +207,65 @@ def test_invalid_inputs_raise():
 
 def test_aut_rejects_reserved_labels():
     # An input edge labelled like a triangle-gadget edge (-1) must be refused
-    # before the tower is built, not confused with the gadget's own edges.
+    # before the tower is built, not confused with the gadget's own edges:
+    # by the automorphism search and by the triangle rewrite.
     plain = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 6), (3, 6), (4, 6), (2, 8), (3, 9), (5, 7)]
     g = LabeledGraph(range(10), [(u, v, 0) for u, v in plain] + [(7, 8, -1), (7, 9, -1), (8, 9, -1)])
-    with pytest.raises(GraphError, match="reserved label -1"):
-        aut_e_generators(g, (0, 1))
+    for build in (aut_e_generators, triangle_gadget):
+        with pytest.raises(GraphError, match="reserved label -1"):
+            build(g, (0, 1))
+
+
+def _cfi_k4(twisted: bool) -> LabeledGraph:
+    """Uncolored CFI graph over K4, with base edge (0, 1) twisted or not.
+
+    Base vertex v becomes middle nodes 10v + k, one per even subset of its
+    three edge slots, and end nodes 10v + 4 + 2·slot + bit; a middle node is
+    joined to the end of each slot with bit 1 exactly for the slots in its
+    subset, and a base edge joins equal bits of its two ends, or opposite
+    bits when twisted.
+    """
+    base = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    incident = [[i for i, e in enumerate(base) if v in e] for v in range(4)]
+
+    def end(v, i, bit):  # the end node of base edge i at v
+        return 10 * v + 4 + 2 * incident[v].index(i) + bit
+
+    edges = [
+        (10 * v + k, end(v, i, int(slot in subset)))
+        for v in range(4)
+        for k, subset in enumerate([(), (0, 1), (0, 2), (1, 2)])
+        for slot, i in enumerate(incident[v])
+    ]
+    edges += [
+        (end(u, i, bit), end(w, i, bit ^ (twisted and i == 0)))
+        for i, (u, w) in enumerate(base)
+        for bit in (0, 1)
+    ]
+    return LabeledGraph(range(40), edges)
+
+
+def test_graph_decisions_build_no_graph(monkeypatch):
+    # Splices exist only as array views: no decision constructs a graph, for
+    # a relabelled positive and for a CFI negative whose pairings reach the
+    # tower and die there.
+    g = random_ternary_graph(64, 3)
+    cases = [(g, random_relabeling(g, 3)[0], True)]
+    cases.append((_cfi_k4(False), random_relabeling(_cfi_k4(True), 5)[0], False))
+    towers = []
+    real_build_x = core.build_x
+
+    def counted_build_x(*args):
+        towers.append(args)
+        return real_build_x(*args)
+
+    monkeypatch.setattr(core, "build_x", counted_build_x)
+    built = record_graph_builds(monkeypatch)
+    for g1, g2, want in cases:
+        built.clear()
+        towers.clear()
+        assert is_isomorphic(g1, g2, want_mapping=True).isomorphic == want
+        assert towers and not built
 
 
 def test_colored_and_labeled_isomorphism():
@@ -318,12 +372,12 @@ def test_lift_raises_on_fiber_mismatch():
     # Swapping the base endpoints of this path sends node 2's neighbor set
     # {(0, 7)} to {(1, 7)}, which no entering node has.
     g = LabeledGraph(range(4), {(0, 1): 0, (0, 2): 7, (1, 3): 8})
-    dec = layer_sequence(g, (0, 1))
+    dec = layer_sequence(g.arrays, (0, 1))
     with pytest.raises(GraphError):
         lift(dec, 1, Permutation.transposition(4, 0, 1))
     # Same neighbor-set shape, but fibers of sizes 2 and 1.
     g = LabeledGraph(range(5), {(0, 1): 0, (0, 2): 7, (0, 3): 7, (1, 4): 7})
-    dec = layer_sequence(g, (0, 1))
+    dec = layer_sequence(g.arrays, (0, 1))
     with pytest.raises(GraphError):
         lift(dec, 1, Permutation.transposition(5, 0, 1))
 
@@ -371,7 +425,7 @@ def test_node_color_check_raises():
     # another color at level 2, while the base endpoints keep equal colors.
     edges = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)] + [(c, c + 4) for c in range(2, 6)]
     g = LabeledGraph(range(10), edges)
-    dec = layer_sequence(g, (0, 1))
+    dec = layer_sequence(g.arrays, (0, 1))
     assert dec.N == 3 and dec.kernel_generators(1).tolist() == [
         [0, 1, 3, 2, 4, 5, 6, 7, 8, 9],
         [0, 1, 2, 3, 5, 4, 6, 7, 8, 9],
@@ -671,9 +725,9 @@ def test_is_isomorphic_runs_towers_block_by_block(monkeypatch):
     h, _ = random_relabeling(g, 30)
     towers = []
 
-    def recording_build_x(g1, g2, e1, e2, **kw):
-        towers.append(e2)
-        return build_x(g1, g2, e1, e2, **kw)
+    def recording_build_x(a1, a2, e1, e2):
+        towers.append(tuple(a2.ids[e2].tolist()))
+        return build_x(a1, a2, e1, e2)
 
     monkeypatch.setattr(core, "build_x", recording_build_x)
     calls = {}

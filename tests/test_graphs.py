@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import trigiso
@@ -19,8 +20,9 @@ from trigiso.graphs import (
     parse_graph_text,
     validate,
 )
+from trigiso.harness import random_ternary_graph
 
-from graph_reference import reference_validate
+from graph_reference import graph_of_view, reference_splice, reference_validate
 
 _SRC = Path(trigiso.__file__).resolve().parent.parent
 
@@ -58,7 +60,7 @@ def test_validate_reserved_values():
     problems = validate(g)
     assert any("reserved color" in p for p in problems)
     assert any("reserved label" in p for p in problems)
-    assert validate(g, allow_reserved=True) == []
+    assert all("reserved" in p for p in problems)
 
 
 def test_validate_example_graphs():
@@ -138,35 +140,76 @@ def test_parse_comments_and_colors():
 
 def test_build_x_smallest_case():
     g = LabeledGraph([0, 1], [(0, 1)])
-    sp = build_x(g, g, (0, 1), (0, 1))
-    x = sp.graph
-    assert x.n_nodes == 6 and x.n_edges == 5
-    assert x.has_edge(sp.v1, sp.v2)
-    assert x.degree(sp.v1) == 3 and x.degree(sp.v2) == 3
+    view = build_x(g.arrays, g.arrays, (0, 1), (0, 1))
+    x = graph_of_view(view)
+    assert view.ids.tolist() == list(range(6)) and x.n_edges == 5
+    assert x.has_edge(2, 3)  # the join v1-v2
+    assert x.degree(2) == 3 and x.degree(3) == 3
+    assert view.degrees.tolist() == [x.degree(v) for v in range(6)]
     assert sorted(x.degree_sequence()) == [1, 1, 1, 1, 3, 3]
     assert validate(x) == []
+    for array in view:
+        with pytest.raises(ValueError):
+            array[:1] = 0
 
 
 def test_build_x_preserves_degrees_and_counts():
     g1 = graph_from_edges(EX1_A)
-    g2 = graph_from_edges(EX1_B)
-    sp = build_x(g1, g2, (1, 7), (2, 3))
-    x = sp.graph
+    g2 = LabeledGraph(g1.node_ids, {(u, v): u + v for u, v in EX1_B})
+    a1, a2 = g1.arrays, g2.arrays
+    e1, e2 = np.searchsorted(a1.ids, (1, 7)), np.searchsorted(a2.ids, (2, 3))
+    view = build_x(a1, a2, e1, e2)
+    x = graph_of_view(view)
     assert x.n_nodes == g1.n_nodes + g2.n_nodes + 2
     assert validate(x) == []
-    for v in g1.node_ids:
-        assert x.degree(sp.map1[v]) == g1.degree(v)
-    for v in g2.node_ids:
-        assert x.degree(sp.map2[v]) == g2.degree(v)
+    assert view.degrees.tolist() == a1.degrees.tolist() + [3, 3] + a2.degrees.tolist()
+    assert view.degrees.tolist() == x.arrays.degrees.tolist()
+    assert (view.u <= view.v).all()
     # split-edge labels carried over to the stubs
-    a, b = 1, 7
-    assert x.label(sp.map1[a], sp.v1) == g1.label(1, 7)
+    v1, v2 = 10, 11
+    assert x.label(e1[0], v1) == x.label(e1[1], v1) == g1.label(1, 7)
+    assert x.label(v2, 12 + e2[0]) == x.label(v2, 12 + e2[1]) == g2.label(2, 3) == 5
+    assert not x.has_edge(*e1) and not x.has_edge(12 + e2[0], 12 + e2[1])
 
 
 def test_build_x_missing_edge():
-    g = LabeledGraph([0, 1, 2], [(0, 1), (1, 2)])
-    with pytest.raises(GraphError):
-        build_x(g, g, (0, 2), (0, 1))
+    g = LabeledGraph([0, 1, 2], [(0, 1), (1, 2)])  # ids 0..2 are also the indices
+    for e1, e2 in (((0, 2), (0, 1)), ((0, 1), (0, 2)), ((2, 2), (1, 0))):
+        with pytest.raises(GraphError, match="not present"):
+            build_x(g.arrays, g.arrays, e1, e2)
+
+
+def test_build_x_matches_reference_splice_on_random_pairs():
+    # Scattered ids, colors and labels, some past 2^64, and every edge of
+    # the first graph split against a random edge of the second.
+    rng = random.Random(5)
+    checked = 0
+    for seed in range(40):
+        graphs = []
+        for k in range(2):
+            base = random_ternary_graph(rng.randint(2, 12), 10 * seed + k)
+            big = 2**64 if rng.random() < 0.5 else 0
+            ids = dict(zip(base.node_ids, rng.sample(range(big, big + 100), base.n_nodes)))
+            graphs.append(LabeledGraph(
+                {ids[v]: rng.choice([0, 1, big + 2]) for v in base.node_ids},
+                {(ids[u], ids[v]): rng.choice([0, 3, big + 1]) for u, v in base.sorted_edges()},
+            ))
+        g1, g2 = graphs
+        for e1 in g1.sorted_edges():
+            e2 = rng.choice(g2.sorted_edges())
+            ref = reference_splice(g1, g2, e1, e2)
+            view = build_x(
+                g1.arrays, g2.arrays, np.searchsorted(g1.arrays.ids, e1),
+                np.searchsorted(g2.arrays.ids, e2),
+            )
+            assert view.ids.tolist() == ref.graph.node_ids
+            assert view.colors.tolist() == [ref.graph.color(v) for v in ref.graph.node_ids]
+            edges = zip(view.u.tolist(), view.v.tolist(), view.labels.tolist())
+            assert {((u, v), lab) for u, v, lab in edges} == set(ref.graph.edges().items())
+            assert view.degrees.tolist() == ref.graph.arrays.degrees.tolist()
+            assert (view.u <= view.v).all() and len(view.u) == ref.graph.n_edges
+            checked += 1
+    assert checked > 100
 
 
 def test_is_graph_isomorphism_accepts_published_witness():
@@ -203,8 +246,7 @@ def _random_graph(seed: int) -> LabeledGraph:
 def test_validate_matches_dict_reference_on_random_graphs():
     graphs = [_random_graph(seed) for seed in range(600)]
     for g in graphs:
-        for allow in (False, True):
-            assert validate(g, allow_reserved=allow) == reference_validate(g, allow_reserved=allow)
+        assert validate(g) == reference_validate(g)
     # Every kind of problem occurred, and so did valid graphs.
     problems = [p for g in graphs for p in validate(g)]
     for kind in ("loop at", "reserved label", "reserved color", "has degree", "disconnected"):
@@ -252,7 +294,6 @@ def test_array_view_matches_the_dicts():
 def test_graphs_build_no_array_view_until_asked():
     g = parse_graph_text("node 0\nnode 1\nedge 0 1\n")
     assert g._arrays is None and LabeledGraph([0, 1], [(0, 1)])._arrays is None
-    assert build_x(g, g, (0, 1), (0, 1), validated=True).graph._arrays is None
 
 
 def test_import_loads_neither_scipy_nor_networkx():

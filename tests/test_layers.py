@@ -22,6 +22,7 @@ from trigiso.layers import LayerDecomposition, _Level, layer_sequence, triangle_
 from trigiso.perm import Permutation, group_order
 from trigiso.phylo import PhyloNetwork, phylo_isomorphic, random_network
 
+from graph_reference import graph_of_view
 from tower_reference import WrittenOutTower, reference_layer_sequence, written_out
 
 
@@ -68,7 +69,7 @@ def gadget_example():
 
 def test_single_edge_tower():
     g = LabeledGraph([0, 1], [(0, 1)])
-    dec = layer_sequence(g, (0, 1))
+    dec = layer_sequence(g.arrays, (0, 1))
     assert dec.N == 1
     nodes, edges = written_out(dec).layer(1)
     assert nodes == frozenset({0, 1})
@@ -76,7 +77,7 @@ def test_single_edge_tower():
 
 
 def test_path_tower():
-    dec = layer_sequence(path4(), (1, 2))
+    dec = layer_sequence(path4().arrays, (1, 2))
     assert dec.N == 2
     assert dec.level.tolist() == [2, 1, 1, 2]
     tower = written_out(dec)
@@ -91,7 +92,7 @@ def test_six_cycle_tower():
     # Antipodal nodes 3 and 4 enter at level 3, each with a singleton
     # neighbor set; the edge between them is a cross edge of level 3 and
     # completes the tower at N = 4.
-    dec = layer_sequence(six_cycle(), (0, 1))
+    dec = layer_sequence(six_cycle().arrays, (0, 1))
     assert dec.level.tolist() == [1, 1, 2, 3, 3, 2]
     assert dec.N == 4
     tower = written_out(dec)
@@ -107,7 +108,7 @@ def test_six_cycle_tower():
 
 def test_layers_monotone_and_exhaustive():
     for g, e in [(six_cycle(), (0, 1)), (path4(), (0, 1)), (gadget_example(), (0, 1))]:
-        dec = layer_sequence(g, e)
+        dec = layer_sequence(g.arrays, e)
         tower = written_out(dec)
         prev_nodes, prev_edges = tower.layer(1)
         first_level = {}
@@ -133,7 +134,7 @@ def test_k4_has_no_gadget_nodes():
     # remaining edge is a cross edge.
     k4 = LabeledGraph(range(4), [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     assert triangle_gadget(k4, (0, 1)) == k4
-    dec = layer_sequence(k4, (0, 1))
+    dec = layer_sequence(k4.arrays, (0, 1))
     assert dec.owner.tolist() == [0, 1, 2, 3]
     tower = written_out(dec)
     assert all(len(f) <= 2 for f in tower.nbr_map.values())
@@ -144,13 +145,14 @@ def test_gadget_fires_and_is_valid():
     g = gadget_example()
     rewritten = triangle_gadget(g, (0, 1))
     assert rewritten.n_nodes == g.n_nodes + 2  # node 5 replaced by three corners
-    assert validate(rewritten, allow_reserved=True) == []
+    problems = validate(rewritten)
+    assert problems and all("reserved" in p for p in problems)
     assert max(rewritten.degree(v) for v in rewritten.node_ids) == 3
     gadget_edges = [
         e for e, lab in rewritten.edges().items() if lab == GADGET_LABEL
     ]
     assert len(gadget_edges) == 3
-    dec = layer_sequence(g, (0, 1))
+    dec = layer_sequence(g.arrays, (0, 1))
     assert dec.owner.tolist() == [0, 1, 2, 3, 4, 5, 5, 5]
     assert all(len(f) <= 2 for f in written_out(dec).nbr_map.values())
     # corners inherit the replaced node's level and color
@@ -168,7 +170,7 @@ def test_labels_past_64_bits_build_the_tower_of_their_ranks():
     small = {e: lab - 2**64 + 1 for e, lab in big.items()}
     plain = {e: 0 for e in gadget_example().sorted_edges() if 5 not in e}
     g_big, g_small = LabeledGraph(range(6), plain | big), LabeledGraph(range(6), plain | small)
-    dec_big, dec_small = layer_sequence(g_big, (0, 1)), layer_sequence(g_small, (0, 1))
+    dec_big, dec_small = layer_sequence(g_big.arrays, (0, 1)), layer_sequence(g_small.arrays, (0, 1))
     assert dec_big.n == 8 and dec_big.owner.tolist() == dec_small.owner.tolist()
     for r in range(1, dec_big.N):
         for a, b in zip(dec_big.levels[r], dec_small.levels[r]):
@@ -187,15 +189,19 @@ def test_labels_past_64_bits_build_the_tower_of_their_ranks():
 
 
 def test_build_checks_raise():
-    with pytest.raises(GraphError, match="disconnected"):
-        layer_sequence(LabeledGraph(range(4), [(0, 1), (2, 3)]), (0, 1))
-    with pytest.raises(GraphError, match="not present"):
-        layer_sequence(path4(), (0, 2))
+    # The tower does not validate; the entry points that build it do.
+    disconnected = LabeledGraph(range(4), [(0, 1), (2, 3)])
+    for build in (triangle_gadget, aut_e_generators):
+        with pytest.raises(GraphError, match="disconnected"):
+            build(disconnected, (0, 1))
+    for e in ((0, 2), (2, 0), (0, 7), (-1, 1), (3, 2**70)):
+        with pytest.raises(GraphError, match="not present"):
+            layer_sequence(path4().arrays, e)
     # 2^16 - 1 nodes and as many distinct labels: S = n·R passes 2^31.
     n = (1 << 16) - 1
     tree = LabeledGraph(range(n), {((c - 1) // 2, c): c for c in range(1, n)})
     with pytest.raises(GraphError, match="64-bit"):
-        layer_sequence(tree, (0, 1), validated=True)
+        layer_sequence(tree.arrays, (0, 1))
 
 
 def test_build_and_decision_leave_numpy_ma_unimported():
@@ -206,7 +212,7 @@ def test_build_and_decision_leave_numpy_ma_unimported():
         "from trigiso.harness import random_relabeling, random_ternary_graph\n"
         "from trigiso.layers import layer_sequence\n"
         "g = random_ternary_graph(64, 0)\n"
-        "assert layer_sequence(g, g.sorted_edges()[0]).n > g.n_nodes\n"
+        "assert layer_sequence(g.arrays, g.sorted_edges()[0]).n > g.n_nodes\n"
         "assert is_isomorphic(g, random_relabeling(g, 1)[0], want_mapping=True)\n"
         "print('numpy.ma' in sys.modules)\n"
     )
@@ -220,7 +226,7 @@ def test_gadget_untouched_graph_returned_as_is():
 
 
 def test_b_set_materializes_and_closes():
-    dec = layer_sequence(path4(), (1, 2))
+    dec = layer_sequence(path4().arrays, (1, 2))
     ident = Permutation.identity(dec.n)
     b = dec.b_set(1, ident.image[None])
     # r=1: no cross edges, two neighbor-set elements.
@@ -234,7 +240,7 @@ def test_b_set_materializes_and_closes():
 
 
 def test_b_set_closure_adds_orbit_images():
-    dec = layer_sequence(six_cycle(), (0, 1))
+    dec = layer_sequence(six_cycle().arrays, (0, 1))
     cross_pair = int(written_out(dec).encode([frozenset({3, 4})])[0])
     swap = Permutation([1, 0, 5, 4, 3, 2])  # the reflection fixing the base edge
     assert cross_pair in dec.b_set(3, swap.image[None]).tolist()
@@ -246,14 +252,14 @@ def test_b_set_adds_unmaterialized_images():
     # Node 2 enters with neighbor set {(0, 5)}; moving 0 onto 1 gives the
     # unmaterialized set {(1, 5)}, which the closure adds.
     g = LabeledGraph(range(3), {(0, 1): 0, (0, 2): 5})
-    dec = layer_sequence(g, (0, 1))
+    dec = layer_sequence(g.arrays, (0, 1))
     swap = Permutation.transposition(3, 0, 1)
     want = written_out(dec).encode([frozenset({(0, 5)}), frozenset({(1, 5)})])
     assert dec.b_set(1, swap.image[None]).tolist() == sorted(want.tolist())
 
 
 def test_encode_orders_like_sorted_member_tuples():
-    dec = layer_sequence(gadget_example(), (0, 1))
+    dec = layer_sequence(gadget_example().arrays, (0, 1))
     labeled = [
         frozenset({(2, 0)}),
         frozenset({(1, 0), (3, 0)}),
@@ -331,7 +337,7 @@ def test_b_set_matches_frozenset_reference(monkeypatch, n, seed):
 def test_kernel_generators():
     # Star with center 0: the two leaves beyond the base edge share a fiber.
     star = LabeledGraph(range(4), [(0, 1), (0, 2), (0, 3)])
-    dec = layer_sequence(star, (0, 1))
+    dec = layer_sequence(star.arrays, (0, 1))
     ker = dec.kernel_generators(1)
     assert len(ker) == 1
     assert Permutation(ker[0]) == Permutation.transposition(4, 2, 3)
@@ -341,10 +347,10 @@ def test_kernel_generators():
         assert group_order((k,)) == 2
 
     colored = LabeledGraph({0: 0, 1: 0, 2: 1, 3: 2}, [(0, 1), (0, 2), (0, 3)])
-    dec_c = layer_sequence(colored, (0, 1))
+    dec_c = layer_sequence(colored.arrays, (0, 1))
     assert dec_c.kernel_generators(1).tolist() == []
 
-    dec_p = layer_sequence(path4(), (1, 2))
+    dec_p = layer_sequence(path4().arrays, (1, 2))
     assert dec_p.kernel_generators(1).tolist() == []  # distinct fibers
     with pytest.raises(ValueError):
         dec_p.kernel_generators(5)
@@ -353,7 +359,7 @@ def test_kernel_generators():
 def test_kernel_respects_edge_labels():
     # Same neighbor, same color, different edge labels: not interchangeable.
     g = LabeledGraph(range(4), {(0, 1): 0, (0, 2): 1, (0, 3): 2})
-    dec = layer_sequence(g, (0, 1))
+    dec = layer_sequence(g.arrays, (0, 1))
     assert dec.kernel_generators(1).tolist() == []
 
 
@@ -366,7 +372,7 @@ def _equality_pattern(colors) -> list[int]:
 
 
 def assert_tower_equals_written_out(g: LabeledGraph, e) -> LayerDecomposition:
-    dec = layer_sequence(g, e)
+    dec = layer_sequence(g.arrays, e)
     ref = reference_layer_sequence(g, e)
     assert dec.graph == ref.graph
     assert (dec.base_edge, dec.N) == (ref.base_edge, ref.N)
@@ -431,7 +437,7 @@ def test_towers_of_equal_shortest_path_chains_stay_small():
     # 2^40 shortest paths reach the end of the chain; a BFS that kept one
     # frontier entry per path would never finish.
     g = diamond_chain(40)
-    assert layer_sequence(g, (0, 1)).level[-1] == 2 + 3 * 39
+    assert layer_sequence(g.arrays, (0, 1)).level[-1] == 2 + 3 * 39
     h, _ = random_relabeling(g, 1)
     assert is_isomorphic(g, h)
     net = stacked_galls(40)
@@ -442,9 +448,9 @@ def test_array_tower_equals_written_out_on_joined_graphs(monkeypatch):
     joined = []
     real = phylo.layer_sequence
 
-    def spy(g, e, validated=False):
-        joined.append((g, e))
-        return real(g, e, validated)
+    def spy(view, e):
+        joined.append((graph_of_view(view), e))
+        return real(view, e)
 
     monkeypatch.setattr(phylo, "layer_sequence", spy)
     for net in [random_network(33, seed=seed) for seed in range(3)] + [stacked_galls(8)]:
@@ -452,7 +458,10 @@ def test_array_tower_equals_written_out_on_joined_graphs(monkeypatch):
     for seed in range(3):
         g = random_ternary_graph(40, seed)
         h, _ = random_relabeling(g, seed)
-        sp = build_x(g, h, g.sorted_edges()[0], h.sorted_edges()[seed])
-        joined.append((sp.graph, sp.e))
+        e1, e2 = g.sorted_edges()[0], h.sorted_edges()[seed]
+        view = build_x(
+            g.arrays, h.arrays, np.searchsorted(g.arrays.ids, e1), np.searchsorted(h.arrays.ids, e2)
+        )
+        joined.append((graph_of_view(view), (g.n_nodes, g.n_nodes + 1)))
     for g, e in joined:
         assert_tower_equals_written_out(g, e)
