@@ -13,6 +13,14 @@ every permutation reaching a level already preserves their colors, which
 each level re-checks.  Surviving generators are lifted by matching fibers
 in sorted order.
 
+Each tower is built on the color-refined view of its graph
+(`trigiso.layers.refine`), with the base edge's endpoints individualized.
+The refined colors are invariant under every automorphism fixing the base
+edge setwise and refine the input colors, so the edge-fixing group and
+every verdict are those of the input, and every witness is an isomorphism
+of the inputs.  What shrinks are the level groups of the partial graphs,
+towards that final group.
+
 Inside the tower every permutation is a row of an int32 image array: the
 generators are one (k, n) array and the representative one row.  A level
 appends the B_r columns to every row in one concatenation, filters, keeps
@@ -43,7 +51,7 @@ import numpy as np
 # because perfbench/tracing.py patches them in this module.
 from .coloraut import annotate, build_structure_tree, cb, cb_images, cb_tree
 from .graphs import GraphArrays, LabeledGraph, build_x, is_graph_isomorphism, require_valid
-from .layers import LayerDecomposition, layer_sequence
+from .layers import LayerDecomposition, layer_sequence, refine
 from .perm import Permutation, _sorted_distinct
 
 
@@ -149,7 +157,7 @@ class AutResult:
 def aut_e_generators(g: LabeledGraph, e: tuple[int, int]) -> AutResult:
     """Smooth generators of the automorphisms of g that fix e setwise."""
     require_valid(g)
-    dec = layer_sequence(g.arrays, e)
+    dec = layer_sequence(refine(g.arrays, e), e)
     gens, _ = _run_tower(dec, swap=False)
     contracted = tuple(Permutation(row) for row in _contract(dec, gens))
     a, b = dec.owner[list(dec.base_edge)].tolist()
@@ -354,7 +362,7 @@ def is_isomorphic(
     candidates together, in blocks of bounded memory.  For each surviving
     pairing, block by block, the exchange coset of the joined graph
     (automorphisms fixing the join edge that swap the two split nodes) is
-    searched along the tower.  The first pairing whose coset survives
+    searched along the tower of its color-refined view.  The first pairing whose coset survives
     yields the witness, and no later block is walked; any returned mapping
     is re-verified before being surfaced.
     """
@@ -371,7 +379,8 @@ def is_isomorphic(
     e1, candidates = _first_edge_candidates(a1, a2)
     t1, t2 = _profile_tables(g1, g2)
     for e2 in _profile_filter(t1, e1, t2, candidates):
-        dec = layer_sequence(build_x(a1, a2, e1, e2), (n1, n1 + 1))
+        joined, e = build_x(a1, a2, e1, e2), (n1, n1 + 1)
+        dec = layer_sequence(refine(joined, e), e)
         result = _run_tower(dec, swap=True)
         if result is None:
             continue

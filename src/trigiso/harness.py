@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import LabeledGraph, require_valid
+from .graphs import LabeledGraph
 from .perm import Permutation, _join, compose, enumerate_group, inverse
 
 ORACLE_NODE_CAP = 12

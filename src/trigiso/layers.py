@@ -35,6 +35,17 @@ element colors only for equality, so any coding that gives equal colors to
 exactly the equal classes yields the same tower: a neighbor set's color is
 the dense rank of the sorted color multiset of its entering nodes (at most
 3), and a cross edge's color is ranked apart from those, by its label.
+
+Every decision builds its tower on `refine(view, e)`, not on the view
+itself: the node colors are replaced by the stable classes of color
+refinement (1-dimensional Weisfeiler-Leman) with e's endpoints
+individualized.  This is exact.  The classes refine the input colors, and
+refinement commutes with every automorphism that fixes e setwise, so both
+views have the same edge-fixing automorphisms.  On most graphs the classes
+are nearly singletons, so the partial graphs X_r of the middle levels lose
+the symmetries that only their unplaced remainder would break.
+`layer_sequence` itself does not refine: it builds the tower of the colors
+it is given.
 """
 
 from __future__ import annotations
@@ -44,7 +55,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import GADGET_LABEL, GraphArrays, GraphError, LabeledGraph, require_valid, _norm_edge
+from .graphs import (
+    GADGET_LABEL,
+    GraphArrays,
+    GraphError,
+    LabeledGraph,
+    _frozen,
+    _norm_edge,
+    require_valid,
+)
 from .perm import _sorted_distinct
 
 
@@ -333,6 +352,76 @@ def _bfs_levels(nbr: np.ndarray, a: int, b: int) -> np.ndarray:
     return level
 
 
+def _base_indices(view: GraphArrays, e: tuple[int, int]) -> tuple[int, int]:
+    """Dense indices of e's endpoints in `view`; an absent e raises GraphError."""
+    ids = view.ids
+    e = _norm_edge(*e)
+    a, b = np.searchsorted(ids, e).clip(max=len(ids) - 1).tolist()
+    if ids[a] != e[0] or ids[b] != e[1] or not ((view.u == a) & (view.v == b)).any():
+        raise GraphError(f"edge {e} not present in graph")
+    return a, b
+
+
+def _incidence(u: np.ndarray, v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Padded (n+1, D) tables of every node's neighbors and incident edges.
+
+    Row i lists node i's edges in edge order, as the neighbor and the index
+    of the edge; absent slots, and row n, hold neighbor n and edge -1.
+    """
+    src, dst = np.concatenate([u, v]), np.concatenate([v, u])
+    by_src = np.argsort(src, kind="stable")
+    deg = np.bincount(src, minlength=n)
+    slot = np.arange(len(src)) - (np.cumsum(deg) - deg)[src[by_src]]
+    nbr = np.full((n + 1, int(deg.max(initial=0))), n)
+    edge = np.full_like(nbr, -1)
+    nbr[src[by_src], slot] = dst[by_src]
+    edge[src[by_src], slot] = by_src % len(u)
+    return nbr, edge
+
+
+def refine(view: GraphArrays, e: tuple[int, int]) -> GraphArrays:
+    """`view` with its colors replaced by the stable color-refinement classes.
+
+    1-dimensional Weisfeiler-Leman refinement with e's endpoints
+    individualized: the initial class of a node is 2·(rank of its color) +
+    [it is an endpoint of e], and each round splits a class by the sorted
+    (edge label, neighbor class) slots of its nodes.  Rounds stop when the
+    number of classes stops growing; the new colors are the dense class
+    ranks.  Ranks are taken in sorted order of the classes' defining
+    values, so relabelling the graph permutes the result with it.  The
+    classes refine the input colors, and every automorphism fixing e
+    setwise preserves them, so that group is the same for both views.
+    Callers validate, this function does not; an absent e raises
+    GraphError.
+    """
+    a, b = _base_indices(view, e)
+    ids, colors, u, v, lab, _ = view
+    n = len(ids)
+    nbr, edge = (table[:n] for table in _incidence(u, v, n))
+    # A slot codes (label rank, neighbor class) as label rank·n + class, and
+    # no edge as -1: classes are ranks below n, and the padding node n keeps
+    # class 0 under the -1 of every absent slot.
+    rank = np.searchsorted(_sorted_distinct(lab), lab)
+    label = np.where(edge < 0, -1, rank[edge] * n)
+    start = 2 * np.searchsorted(_sorted_distinct(colors), colors)
+    start[[a, b]] += 1
+    cls = np.append(np.searchsorted(_sorted_distinct(start), start), 0)
+    count = int(cls.max()) + 1
+    while count < n:
+        slots = label + cls[nbr]
+        slots.sort(axis=1)
+        key = np.column_stack([cls[:n], slots])
+        order = np.lexsort(key.T[::-1])
+        key = key[order]
+        step = np.zeros(n, dtype=np.int64)
+        step[1:] = (key[1:] != key[:-1]).any(axis=1)
+        cls[order] = np.cumsum(step)
+        count, last = int(step.sum()) + 1, count
+        if count == last:
+            break
+    return _frozen(view._replace(colors=cls[:n]))
+
+
 def layer_sequence(view: GraphArrays, e: tuple[int, int]) -> LayerDecomposition:
     """Build the full tower for (view, e), applying the triangle rewrite.
 
@@ -343,20 +432,10 @@ def layer_sequence(view: GraphArrays, e: tuple[int, int]) -> LayerDecomposition:
     returned tower has size 1 or 2.  A replaced node's corners take its
     placed neighbors, sorted by (new index, label), in corner order.
     """
+    a, b = _base_indices(view, e)
     ids, colors, u, v, lab, _ = view
-    e = _norm_edge(*e)
-    a, b = np.searchsorted(ids, e).clip(max=len(ids) - 1).tolist()
-    if ids[a] != e[0] or ids[b] != e[1] or not ((u == a) & (v == b)).any():
-        raise GraphError(f"edge {e} not present in graph")
-
-    # Neighbor table over both edge directions, sorted by source.
     n = len(ids)
-    src, dst = np.concatenate([u, v]), np.concatenate([v, u])
-    by_src = np.argsort(src, kind="stable")
-    deg = np.bincount(src, minlength=n)
-    slot = np.arange(len(src)) - (np.cumsum(deg) - deg)[src[by_src]]
-    nbr = np.full((n + 1, int(deg.max(initial=0))), n)
-    nbr[src[by_src], slot] = dst[by_src]
+    nbr, edge = _incidence(u, v, n)
     level = _bfs_levels(nbr, a, b)
     lower = level[nbr[:n]] < level[:n, None]
     gadget = lower.sum(axis=1) == 3
@@ -367,12 +446,10 @@ def layer_sequence(view: GraphArrays, e: tuple[int, int]) -> LayerDecomposition:
     # working labels are the input's, plus the triangle label if needed.
     label_values = _sorted_distinct(np.append(lab, GADGET_LABEL) if ng else lab)
     rank = np.searchsorted(label_values, lab)
-    nbr_rank = np.zeros_like(nbr)
-    nbr_rank[src[by_src], slot] = np.concatenate([rank, rank])[by_src]
     index = np.zeros(n, dtype=np.int64)
     index[kept] = np.arange(nk)
     placed = index[nbr[replaced][lower[replaced]]].reshape(ng, 3)
-    placed_rank = nbr_rank[replaced][lower[replaced]].reshape(ng, 3)
+    placed_rank = rank[edge[replaced][lower[replaced]]].reshape(ng, 3)
     by_index = np.argsort(placed, axis=1)  # distinct neighbors: (index, label) order
     corners = nk + np.arange(3 * ng).reshape(ng, 3)
     # Per replaced node: its three corner edges, then the triangle.

@@ -18,7 +18,6 @@ exactly when some automorphism fixing the joining edge exchanges the roots.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .core import IsoResult, _contract, _run_tower
@@ -30,7 +29,7 @@ from .graphs import (
     LabeledGraph,
     _graph_arrays,
 )
-from .layers import layer_sequence
+from .layers import layer_sequence, refine
 
 
 class NetworkError(ValueError):
@@ -275,7 +274,7 @@ def phylo_isomorphic(
     shift = len(colors)
     e = (r1, _append_reduction(n2, intern, colors, edges))
     edges[e] = ROOT_JOIN_LABEL
-    dec = layer_sequence(_graph_arrays(colors, edges), e)
+    dec = layer_sequence(refine(_graph_arrays(colors, edges), e), e)
     result = _run_tower(dec, swap=True)
     if result is None:
         return IsoResult(False)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from trigiso.cli import main
-from trigiso.graphs import LabeledGraph, format_graph_text, is_graph_isomorphism, parse_graph_text
+from trigiso.graphs import format_graph_text, is_graph_isomorphism, parse_graph_text
 
 from test_graphs import EX1_A, EX1_B, EX2_A, EX2_B, graph_from_edges
 

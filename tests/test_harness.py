@@ -17,7 +17,7 @@ from trigiso.harness import (
     random_smooth_2group,
     random_ternary_graph,
 )
-from trigiso.perm import enumerate_group, group_order, smoothness_violations
+from trigiso.perm import group_order, smoothness_violations
 
 from test_graphs import EX1_A, EX1_B, EX2_A, EX2_B, graph_from_edges
 

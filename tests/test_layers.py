@@ -18,12 +18,12 @@ from trigiso.graphs import (
     validate,
 )
 from trigiso.harness import random_relabeling, random_ternary_graph
-from trigiso.layers import LayerDecomposition, _Level, layer_sequence, triangle_gadget
+from trigiso.layers import LayerDecomposition, _Level, layer_sequence, refine, triangle_gadget
 from trigiso.perm import Permutation, group_order
 from trigiso.phylo import PhyloNetwork, phylo_isomorphic, random_network
 
 from graph_reference import graph_of_view
-from tower_reference import WrittenOutTower, reference_layer_sequence, written_out
+from tower_reference import WrittenOutTower, reference_layer_sequence, reference_refine, written_out
 
 
 def path4():
@@ -195,8 +195,9 @@ def test_build_checks_raise():
         with pytest.raises(GraphError, match="disconnected"):
             build(disconnected, (0, 1))
     for e in ((0, 2), (2, 0), (0, 7), (-1, 1), (3, 2**70)):
-        with pytest.raises(GraphError, match="not present"):
-            layer_sequence(path4().arrays, e)
+        for build in (layer_sequence, refine):
+            with pytest.raises(GraphError, match="not present"):
+                build(path4().arrays, e)
     # 2^16 - 1 nodes and as many distinct labels: S = n·R passes 2^31.
     n = (1 << 16) - 1
     tree = LabeledGraph(range(n), {((c - 1) // 2, c): c for c in range(1, n)})
@@ -399,6 +400,12 @@ def assert_tower_equals_written_out(g: LabeledGraph, e) -> LayerDecomposition:
     return dec
 
 
+def assert_towers_equal_written_out(g: LabeledGraph, e) -> LayerDecomposition:
+    """The written-out check on g's tower and on the tower of its refined view."""
+    assert_tower_equals_written_out(graph_of_view(refine(g.arrays, e)), e)
+    return assert_tower_equals_written_out(g, e)
+
+
 def _recolored(g: LabeledGraph, seed: int) -> LabeledGraph:
     rng = random.Random(seed)
     colors = {v: rng.randrange(3) for v in g.node_ids}
@@ -412,7 +419,7 @@ def test_array_tower_equals_written_out_on_random_graphs(n, seed):
     for g in (random_ternary_graph(n, seed), _recolored(random_ternary_graph(n, seed), seed)):
         edges = g.sorted_edges()
         for e in (edges[0], edges[len(edges) // 2], edges[-1]):
-            fired += assert_tower_equals_written_out(g, e).n > g.n_nodes
+            fired += assert_towers_equal_written_out(g, e).n > g.n_nodes
     assert fired
 
 
@@ -429,7 +436,7 @@ def test_array_tower_equals_written_out_on_small_graphs():
         (diamond_chain(40), (0, 1)),
         (diamond_chain(40), (79, 80)),
     ]:
-        assert_tower_equals_written_out(g, e)
+        assert_towers_equal_written_out(g, e)
     assert assert_tower_equals_written_out(gadget_example(), (0, 1)).n > 6
 
 
@@ -445,6 +452,7 @@ def test_towers_of_equal_shortest_path_chains_stay_small():
 
 
 def test_array_tower_equals_written_out_on_joined_graphs(monkeypatch):
+    # The networks' joins reach the spy refined; the graph splices do not.
     joined = []
     real = phylo.layer_sequence
 
@@ -462,6 +470,64 @@ def test_array_tower_equals_written_out_on_joined_graphs(monkeypatch):
         view = build_x(
             g.arrays, h.arrays, np.searchsorted(g.arrays.ids, e1), np.searchsorted(h.arrays.ids, e2)
         )
-        joined.append((graph_of_view(view), (g.n_nodes, g.n_nodes + 1)))
+        e = (g.n_nodes, g.n_nodes + 1)
+        joined += [(graph_of_view(view), e), (graph_of_view(refine(view, e)), e)]
     for g, e in joined:
         assert_tower_equals_written_out(g, e)
+
+
+# -- color refinement ---------------------------------------------------------
+
+
+def _refine_cases():
+    for n, seed in ((24, 0), (40, 1), (64, 2), (128, 0)):
+        for g in (random_ternary_graph(n, seed), _recolored(random_ternary_graph(n, seed), seed)):
+            edges = g.sorted_edges()
+            yield from ((g, edges[0]), (g, edges[len(edges) // 2]), (g, edges[-1]))
+    k4 = LabeledGraph(range(4), [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    yield from [
+        (k4, (2, 3)),
+        (gadget_example(), (0, 1)),
+        (path4(), (0, 1)),
+        (six_cycle(), (0, 1)),
+        (LabeledGraph([0, 1], [(0, 1)]), (0, 1)),
+        (diamond_chain(10), (0, 1)),
+        (LabeledGraph({0: 1, 1: 2, 2: 0, 3: 0}, [(0, 1), (0, 2), (1, 3)]), (0, 1)),
+    ]
+
+
+def test_refine_matches_written_out_refinement():
+    for g, e in _refine_cases():
+        view = g.arrays
+        got = refine(view, e)
+        assert got.colors.tolist() == reference_refine(g, e)
+        assert not got.colors.flags.writeable
+        assert all(x is y for x, y in zip(got, view) if x is not got.colors)
+
+
+def test_refine_splits_colors_and_individualizes_the_base_edge():
+    for g, e in _refine_cases():
+        view = g.arrays
+        got = refine(view, e).colors
+        # Equal classes have equal input colors.
+        assert len(set(zip(got.tolist(), view.colors.tolist()))) == len(set(got.tolist()))
+        a, b = np.searchsorted(view.ids, e)
+        assert set(np.flatnonzero(np.isin(got, got[[a, b]])).tolist()) == {a, b}
+        if view.colors[a] != view.colors[b]:
+            assert got[a] != got[b]
+
+
+def test_one_more_round_splits_nothing():
+    for g, e in _refine_cases():
+        once = refine(g.arrays, e)
+        assert reference_refine(graph_of_view(once), e) == once.colors.tolist()
+        assert refine(once, e).colors.tolist() == once.colors.tolist()
+
+
+def test_refine_commutes_with_relabelling():
+    for g, e in _refine_cases():
+        h, mapping = random_relabeling(g, 7)
+        got = refine(g.arrays, e).colors
+        moved = refine(h.arrays, (mapping[e[0]], mapping[e[1]])).colors
+        at = np.searchsorted(h.arrays.ids, [mapping[v] for v in g.node_ids])
+        assert moved[at].tolist() == got.tolist()

@@ -254,6 +254,14 @@ def test_deep_caterpillar_roundtrip_without_recursion():
     assert write_enewick(back) == written
 
 
+def test_large_relabelled_network_twins_are_isomorphic():
+    net = random_network(2049, seed=3)
+    names = random.Random(4).sample(range(10 * net.n_nodes), net.n_nodes)
+    twin = net.relabeled_nodes(dict(zip(net.nodes, names)))
+    res = phylo_isomorphic(net, twin, want_mapping=True)
+    assert res.isomorphic and is_network_isomorphism(net, twin, res.mapping)
+
+
 def test_random_network_basics():
     net = random_network(21, seed=5)
     assert validate_network(net) == []

@@ -8,11 +8,13 @@ same properties cover the object-dtype array views.
 
 import random
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from trigiso.core import aut_e_generators, is_isomorphic
 from trigiso.graphs import LabeledGraph, is_graph_isomorphism
 from trigiso.harness import random_relabeling, random_ternary_graph
+from trigiso.layers import refine
 from trigiso.phylo import (
     PhyloNetwork,
     is_network_isomorphism,
@@ -77,6 +79,25 @@ def test_aut_e_generators_are_automorphisms_fixing_the_edge(pair, pick):
         assert {mapping[e[0]], mapping[e[1]]} == set(e)
     if res.swap_witness is not None:
         assert ids[res.swap_witness(ids.index(e[0]))] == e[1]
+
+
+@bounded
+@given(graph_pairs(), st.integers(0, 100), seeds)
+def test_refine_splits_colors_is_stable_and_commutes_with_relabelling(pair, pick, seed):
+    g = pair[0]
+    e = g.sorted_edges()[pick % g.n_edges]
+    view = g.arrays
+    got = refine(view, e).colors.tolist()
+    # Equal classes have equal input colors; e's endpoints share no class with another node.
+    assert len(set(zip(got, view.colors.tolist()))) == len(set(got))
+    a, b = np.searchsorted(view.ids, e).tolist()
+    assert {i for i, c in enumerate(got) if c in (got[a], got[b])} == {a, b}
+    if view.colors[a] != view.colors[b]:
+        assert got[a] != got[b]
+    assert refine(refine(view, e), e).colors.tolist() == got
+    h, mapping = random_relabeling(g, seed)
+    moved = refine(h.arrays, (mapping[e[0]], mapping[e[1]])).colors
+    assert moved[np.searchsorted(h.arrays.ids, [mapping[v] for v in g.node_ids])].tolist() == got
 
 
 @bounded

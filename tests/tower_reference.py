@@ -4,7 +4,8 @@
 labeled neighbor sets, cross edges, the layers X_r, the element keys, the
 per-level tables and the kernel transpositions) from `dec.graph` and
 `dec.level` with dicts, frozensets and per-node loops.
-`reference_layer_sequence` is the per-node BFS and triangle rewrite.
+`reference_layer_sequence` is the per-node BFS and triangle rewrite, and
+`reference_refine` the per-node color refinement.
 """
 
 from itertools import combinations
@@ -197,3 +198,32 @@ def reference_layer_sequence(g: LabeledGraph, e) -> SimpleNamespace:
         N=N,
         owner=owner,
     )
+
+
+def reference_refine(g: LabeledGraph, e) -> list[int]:
+    """Color refinement of g with e's endpoints individualized, node by node.
+
+    Returns every node's class rank, nodes in id order.  A node starts in
+    class (color, is an endpoint of e); a round gives it the pair of its
+    class and the sorted (label rank, neighbor class) list of its edges,
+    padded to three entries with (-1, -1) in front, and ranks the distinct
+    pairs in sorted order.  Rounds stop when the number of classes stops
+    growing.
+    """
+    e = _norm_edge(*e)
+    adj = g.adjacency()
+    label_rank = {lab: i for i, lab in enumerate(sorted(set(g.edges().values())))}
+
+    def ranked(keys: dict) -> dict:
+        rank = {k: i for i, k in enumerate(sorted(set(keys.values())))}
+        return {v: rank[k] for v, k in keys.items()}
+
+    cls = ranked({v: (g.color(v), v in e) for v in g.node_ids})
+    while True:
+        slots = {v: [(-1, -1)] * (3 - len(adj[v])) for v in g.node_ids}
+        for v in g.node_ids:
+            slots[v] += [(label_rank[lab], cls[w]) for w, lab in adj[v]]
+        new = ranked({v: (cls[v], tuple(sorted(slots[v]))) for v in g.node_ids})
+        if len(set(new.values())) == len(set(cls.values())):
+            return [cls[v] for v in g.node_ids]
+        cls = new
