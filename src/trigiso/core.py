@@ -38,6 +38,16 @@ exchange dies at the first layer where the two sides differ.  Pairings are
 node-index pairs of the two array views, the joined graph is only a view
 (`build_x`), and a witness is read back onto the input ids with one gather.
 `aut_e_generators` runs the same tower over the whole edge-fixing group.
+
+Pairings are pruned by automorphisms of the second graph.  If e2 admits no
+isomorphism carrying e1 onto it, neither does σ(e2) for any automorphism σ
+of the second graph, since composing with σ would give one.  So once a
+pairing fails, `is_isomorphic` computes generators of the automorphisms
+fixing one far edge of the second graph, with the same tower, and skips
+every later pairing in the orbit of a failed one.  Any subgroup of the
+automorphism group makes this exact: only failing towers are skipped, so
+the first pairing that succeeds, its witness and every verdict are those of
+the unpruned loop.
 """
 
 from __future__ import annotations
@@ -51,8 +61,8 @@ import numpy as np
 # because perfbench/tracing.py patches them in this module.
 from .coloraut import annotate, build_structure_tree, cb, cb_images, cb_tree
 from .graphs import GraphArrays, LabeledGraph, build_x, is_graph_isomorphism, require_valid
-from .layers import LayerDecomposition, layer_sequence, refine
-from .perm import Permutation, _sorted_distinct
+from .layers import LayerDecomposition, _bfs_levels, _incidence, layer_sequence, refine
+from .perm import Permutation, _join, _sorted_distinct
 
 
 def lift(dec: LayerDecomposition, r: int, sigma: Permutation) -> Permutation:
@@ -154,13 +164,23 @@ class AutResult:
     swap_witness: Permutation | None
 
 
+def _edge_fixing_rows(view: GraphArrays, e: tuple[int, int]) -> np.ndarray:
+    """Generators of the automorphisms of `view` fixing its edge e setwise.
+
+    e is a pair of node ids; the generators are the rows of a (k, n) int32
+    array over the view's indices, a smooth generating sequence.  Callers
+    validate, this function does not.
+    """
+    dec = layer_sequence(refine(view, e), e)
+    gens, _ = _run_tower(dec, swap=False)
+    return _contract(dec, gens)
+
+
 def aut_e_generators(g: LabeledGraph, e: tuple[int, int]) -> AutResult:
     """Smooth generators of the automorphisms of g that fix e setwise."""
     require_valid(g)
-    dec = layer_sequence(refine(g.arrays, e), e)
-    gens, _ = _run_tower(dec, swap=False)
-    contracted = tuple(Permutation(row) for row in _contract(dec, gens))
-    a, b = dec.owner[list(dec.base_edge)].tolist()
+    contracted = tuple(Permutation(row) for row in _edge_fixing_rows(g.arrays, e))
+    a, b = np.searchsorted(g.arrays.ids, e).tolist()
     return AutResult(
         generators=contracted,
         node_order=tuple(g.arrays.ids.tolist()),
@@ -287,7 +307,7 @@ def _profile_walk(tab: _ProfileTables, ends: np.ndarray, alive: np.ndarray):
 
 
 def _profile_filter(t1: _ProfileTables, e1, t2: _ProfileTables, candidates):
-    """Yield the candidate edges of the second graph whose layer profile matches e1's.
+    """Yield the indices of the candidate edges whose layer profile matches e1's.
 
     Level d of an edge's profile is the multiset of signatures of the nodes
     at BFS depth d from its endpoints; a node's signature is its color and,
@@ -298,9 +318,10 @@ def _profile_filter(t1: _ProfileTables, e1, t2: _ProfileTables, candidates):
     pairing out before any group machinery runs.
 
     Edges are pairs of node indices, rows of the tables: e1 is one pair and
-    `candidates` a (k, 2) array, whose surviving rows are yielded.  e1's
-    levels come from the same walk as a batch of one.  The candidates
-    walk together, one row each (see `_profile_walk`), and a row is dropped
+    `candidates` a (k, 2) array of the second graph's edges, whose surviving
+    row indices are yielded.  e1's levels come from the same walk as a batch
+    of one.  The candidates walk together, one row each (see
+    `_profile_walk`), and a row is dropped
     at its first level whose node count or sorted codes differ from e1's.
     A row whose walk ends at another depth than e1's is dropped at the last
     level both reach, where only one side has nodes with a step +1 edge.
@@ -322,7 +343,7 @@ def _profile_filter(t1: _ProfileTables, e1, t2: _ProfileTables, candidates):
             offset = rows[sel] * span  # rows come sorted, so sorting keeps them in place
             got = np.sort(offset + codes[sel]) - offset
             alive[alive] = (got.reshape(np.count_nonzero(alive), len(want)) == want).all(axis=1)
-        yield from chunk[alive]
+        yield from first + np.flatnonzero(alive)
 
 
 def _pretests_pass(g1: LabeledGraph, g2: LabeledGraph) -> bool:
@@ -347,6 +368,57 @@ def _first_edge_candidates(a1: GraphArrays, a2: GraphArrays):
     return np.array([a1.u[j], a1.v[j]]), np.stack([a2.u[same], a2.v[same]], axis=1)
 
 
+def _check_automorphisms(view: GraphArrays, rows: np.ndarray) -> None:
+    """Raise AssertionError unless every row is an automorphism of `view`.
+
+    Each row must keep every node's color and map the edge rows, coded as
+    sorted (min, max, label rank), onto themselves.  On a connected graph
+    that also makes the row a bijection: a node it misses would have no
+    incident edge left to be the image of.
+    """
+    n = len(view.ids)
+    labels = _sorted_distinct(view.labels)
+    rank = np.searchsorted(labels, view.labels)
+
+    def codes(u, v):
+        return (np.minimum(u, v) * n + np.maximum(u, v)) * len(labels) + rank
+
+    rows = rows.astype(np.int64)
+    moved = np.sort(codes(rows[:, view.u], rows[:, view.v]), axis=1)
+    same_edges = (moved == np.sort(codes(view.u, view.v))).all()
+    if not (same_edges and (view.colors[rows] == view.colors).all()):
+        raise AssertionError("a pruning generator is not an automorphism of the second graph")
+
+
+def _candidate_orbits(a2: GraphArrays, candidates: np.ndarray, tried: np.ndarray) -> np.ndarray:
+    """Orbit labels of the candidate edges under automorphisms of the second graph.
+
+    The automorphisms are those fixing the edge deepest from the tried
+    candidate: greatest level sum of its endpoints in the BFS from the
+    tried edge, then lowest (u, v).  Fixing a far edge leaves the group
+    free to move the edges near the tried one.  `candidates` are the rows
+    of a (k, 2) array of node indices sorted by (u, v); candidate i's label
+    is the smallest index in its orbit.  The generators are checked to be
+    automorphisms, and every mapped candidate to be a candidate, before
+    they are used.
+    """
+    n = len(a2.ids)
+    level = _bfs_levels(_incidence(a2.u, a2.v, n)[0], *tried)
+    depth = level[a2.u] + level[a2.v]
+    far = np.flatnonzero(depth == depth.max())
+    j = far[np.lexsort((a2.v[far], a2.u[far]))[0]]
+    rows = _edge_fixing_rows(a2, (a2.ids[a2.u[j]], a2.ids[a2.v[j]]))
+    _check_automorphisms(a2, rows)
+    keys = candidates[:, 0] * n + candidates[:, 1]
+    x, y = rows[:, candidates[:, 0]].astype(np.int64), rows[:, candidates[:, 1]].astype(np.int64)
+    moved = np.minimum(x, y) * n + np.maximum(x, y)
+    pos = np.searchsorted(keys, moved).clip(max=len(keys) - 1)
+    if not (keys[pos] == moved).all():
+        raise AssertionError("a pruning generator maps a candidate edge onto a non-candidate")
+    k = len(keys)
+    return _join(np.arange(k), np.tile(np.arange(k), len(rows)), pos.ravel())
+
+
 def is_isomorphic(
     g1: LabeledGraph,
     g2: LabeledGraph,
@@ -362,9 +434,16 @@ def is_isomorphic(
     candidates together, in blocks of bounded memory.  For each surviving
     pairing, block by block, the exchange coset of the joined graph
     (automorphisms fixing the join edge that swap the two split nodes) is
-    searched along the tower of its color-refined view.  The first pairing whose coset survives
-    yields the witness, and no later block is walked; any returned mapping
-    is re-verified before being surfaced.
+    searched along the tower of its color-refined view.  The first pairing
+    whose coset survives yields the witness, and no later block is walked;
+    any returned mapping is re-verified before being surfaced.
+
+    After the first failed pairing, the candidates are split into orbits of
+    the second graph's automorphisms fixing one edge (`_candidate_orbits`),
+    and a pairing in the orbit of a failed one is skipped: an automorphism
+    carries one onto the other, so it would fail as well.  Only failing
+    towers are skipped, so verdicts and witnesses are those of the unpruned
+    loop.
     """
     require_valid(g1, "first graph")
     require_valid(g2, "second graph")
@@ -378,11 +457,18 @@ def is_isomorphic(
     a1, a2, n1 = g1.arrays, g2.arrays, g1.n_nodes
     e1, candidates = _first_edge_candidates(a1, a2)
     t1, t2 = _profile_tables(g1, g2)
-    for e2 in _profile_filter(t1, e1, t2, candidates):
-        joined, e = build_x(a1, a2, e1, e2), (n1, n1 + 1)
+    failed, orbit = [], None
+    for i in _profile_filter(t1, e1, t2, candidates):
+        if failed:
+            if orbit is None:
+                orbit = _candidate_orbits(a2, candidates, candidates[failed[0]])
+            if orbit[i] in orbit[failed]:
+                continue
+        joined, e = build_x(a1, a2, e1, candidates[i]), (n1, n1 + 1)
         dec = layer_sequence(refine(joined, e), e)
         result = _run_tower(dec, swap=True)
         if result is None:
+            failed.append(i)
             continue
         # The splice's ids are its indices; the second graph starts at n1 + 2.
         witness = _contract(dec, result[1][None])[0]

@@ -8,7 +8,9 @@ import pytest
 
 from trigiso.cli import main
 from trigiso.graphs import format_graph_text, is_graph_isomorphism, parse_graph_text
+from trigiso.harness import random_relabeling
 
+from test_core import CUBE, _cfi
 from test_graphs import EX1_A, EX1_B, EX2_A, EX2_B, graph_from_edges
 
 
@@ -94,6 +96,19 @@ def test_iso_and_aut_take_labels_past_64_bits(capsys):
     assert out.splitlines() == ["0 -> 0", "1 -> 1", "2 -> 2", "true"]
     code, out, err = run_cli(capsys, "aut", BIG_LABEL_PATH, "--edge", "0,1")
     assert (code, out, err) == (0, "()\n", "")
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_cfi_cube_files_are_the_uncolored_cube_pair(capsys):
+    # The CI job runs the console script on these files; they are the
+    # colour-0 CFI graph over the 3-cube and its relabelled one-twist variant.
+    plain, twisted = DATA / "cfi_cube.graph", DATA / "cfi_cube_twist1.graph"
+    assert plain.read_text() == format_graph_text(_cfi(CUBE))
+    assert twisted.read_text() == format_graph_text(random_relabeling(_cfi(CUBE, {0}), 9)[0])
+    assert run_cli(capsys, "iso", str(plain), str(twisted)) == (0, "false\n", "")
+    assert run_cli(capsys, "iso", str(plain), str(plain)) == (0, "true\n", "")
 
 
 def test_aut_bad_edge_flag(capsys, tmp_path):

@@ -19,7 +19,7 @@ from trigiso.harness import (
     random_relabeling,
     random_ternary_graph,
 )
-from trigiso.layers import LayerDecomposition, layer_sequence, triangle_gadget
+from trigiso.layers import LayerDecomposition, layer_sequence, refine, triangle_gadget
 from trigiso.perm import Coset, Permutation, enumerate_group, group_order, smoothness_violations
 from trigiso.phylo import phylo_isomorphic, random_network
 
@@ -582,7 +582,7 @@ def filtered(g1, g2, e1=None):
     t1, t2 = core._profile_tables(g1, g2)
     candidates = np.searchsorted(t2.ids, np.reshape(_candidates(g1, g2, e1), (-1, 2)))
     passed = core._profile_filter(t1, np.searchsorted(t1.ids, e1), t2, candidates)
-    return [tuple(t2.ids[e2].tolist()) for e2 in passed]
+    return [tuple(t2.ids[candidates[i]].tolist()) for i in passed]
 
 
 def reference_filtered(g1, g2, e1=None):
@@ -777,3 +777,128 @@ def test_is_isomorphic_runs_towers_block_by_block(monkeypatch):
         calls[cells] = list(towers)
     first, rowwise = calls.values()
     assert first == rowwise == reference_filtered(g, h)[:3]
+
+
+# -- orbit pruning of the candidate pairings against the unpruned loop --------
+
+
+def unpruned_decision(g1: LabeledGraph, g2: LabeledGraph):
+    """(verdict, mapping) of `is_isomorphic` with no orbit pruning.
+
+    Every pairing the per-edge reference filter keeps runs its splice tower,
+    in sorted order, until one succeeds; the witness is read back as
+    `is_isomorphic` reads it.
+    """
+    if not core._pretests_pass(g1, g2):
+        return False, None
+    a1, a2, n1 = g1.arrays, g2.arrays, g1.n_nodes
+    e1 = g1.sorted_edges()[0]
+    for e2 in reference_filtered(g1, g2, e1):
+        joined = build_x(a1, a2, np.searchsorted(a1.ids, e1), np.searchsorted(a2.ids, e2))
+        e = (n1, n1 + 1)
+        dec = layer_sequence(refine(joined, e), e)
+        result = core._run_tower(dec, swap=True)
+        if result is not None:
+            witness = core._contract(dec, result[1][None])[0]
+            return True, dict(zip(a1.ids.tolist(), a2.ids[witness[:n1] - (n1 + 2)].tolist()))
+    return False, None
+
+
+def _bridged_cfi(base: list, twisted) -> LabeledGraph:
+    """The plain and the `twisted` CFI graph over `base`, joined by one edge.
+
+    The first edge of each part is subdivided and the two new nodes are
+    joined.  The parts are not isomorphic, yet an edge of one and its
+    counterpart in the other share their layer profile, so a pairing into
+    the wrong part passes the filter and fails its tower.
+    """
+    plain, other = _cfi(base), _cfi(base, twisted)
+    shift = plain.n_nodes
+    edges = [
+        [(u + k, v + k) for u, v in part.sorted_edges()] for k, part in ((0, plain), (shift, other))
+    ]
+    s, t = 2 * shift, 2 * shift + 1
+    (u1, v1), (u2, v2) = edges[0].pop(0), edges[1].pop(0)
+    joins = [(u1, s), (s, v1), (u2, t), (t, v2), (s, t)]
+    return LabeledGraph(range(2 * shift + 2), edges[0] + edges[1] + joins)
+
+
+def _pruning_cases():
+    for name, base in (("k4", K4), ("cube", CUBE)):
+        for twists in (1, 2, 3, 4):
+            twisted = _cfi(base, random.Random(twists).sample(range(len(base)), twists))
+            yield f"cfi-{name}-{twists}", _cfi(base), random_relabeling(twisted, 9)[0]
+    for seed in (2, 3):
+        bridged = _bridged_cfi(K4, {5})
+        yield f"bridged-{seed}", bridged, random_relabeling(bridged, seed)[0]
+    # Ids, colors and labels past 64 bits: object-dtype views reach the pruning.
+    big = [
+        LabeledGraph({v + 2**64: 2**70 for v in g.node_ids},
+                     {(u + 2**64, v + 2**64): 2**65 for u, v in g.sorted_edges()})
+        for g in (_cfi(K4), random_relabeling(_cfi(K4, {0}), 5)[0])
+    ]
+    yield "cfi-k4-1-big", *big
+    for n_nodes in (15, 31, 63):
+        tree = complete_binary_tree(n_nodes)
+        yield f"tree-{n_nodes}", tree, random_relabeling(tree, n_nodes)[0]
+    for seed in range(4):
+        cubic = degree_sequence_graph([3] * (10 + 2 * seed), seed)
+        yield f"cubic-{seed}", cubic, random_relabeling(cubic, seed)[0]
+        yield f"cubic-other-{seed}", cubic, degree_sequence_graph([3] * (10 + 2 * seed), seed + 50)
+
+
+@pytest.mark.parametrize("g1,g2", [pytest.param(*pair, id=name) for name, *pair in _pruning_cases()])
+def test_pruned_decision_equals_unpruned_loop(g1, g2):
+    res = is_isomorphic(g1, g2, want_mapping=True)
+    assert (res.isomorphic, res.mapping) == unpruned_decision(g1, g2)
+
+
+def test_cube_negative_builds_at_most_24_towers(monkeypatch):
+    # One tower per orbit of the candidate edges, not one per candidate:
+    # the unpruned loop builds 96 here.
+    towers = []
+    real_build_x = core.build_x
+
+    def counted_build_x(*args):
+        towers.append(args)
+        return real_build_x(*args)
+
+    monkeypatch.setattr(core, "build_x", counted_build_x)
+    twisted = random_relabeling(_cfi(CUBE, {0}), 9)[0]
+    assert not is_isomorphic(_cfi(CUBE), twisted).isomorphic
+    assert 0 < len(towers) <= 24
+
+
+def test_pruning_skips_a_failed_orbit_before_the_witness(monkeypatch):
+    # The unpruned loop builds three towers here: two pairings into the
+    # twisted part fail, then the witness.  The two failures share an
+    # orbit, so the pruned decision builds only the first of them.
+    bridged = _bridged_cfi(K4, {5})
+    h = random_relabeling(bridged, 3)[0]
+    towers = []
+    real_build_x = core.build_x
+    monkeypatch.setattr(core, "build_x", lambda *args: towers.append(args) or real_build_x(*args))
+    assert is_isomorphic(bridged, h).isomorphic
+    assert len(towers) == 2 and len(reference_filtered(bridged, h)) > 2
+
+
+@pytest.mark.parametrize("check", ["automorphism", "candidate"])
+def test_corrupted_pruning_generator_raises(monkeypatch, check):
+    # A generator that is not an automorphism would merge orbits that differ
+    # and skip a pairing that might succeed, a false negative no witness
+    # check sees; the pruning refuses it.  With the automorphism check off,
+    # the candidate check still catches this one.
+    real_rows = core._edge_fixing_rows
+
+    def corrupted_rows(view, e):
+        rows = real_rows(view, e)
+        bad = np.arange(rows.shape[1], dtype=np.int32)
+        bad[[0, 1]] = 1, 0
+        return np.vstack([rows, bad])
+
+    monkeypatch.setattr(core, "_edge_fixing_rows", corrupted_rows)
+    if check == "candidate":
+        monkeypatch.setattr(core, "_check_automorphisms", lambda view, rows: None)
+    twisted = random_relabeling(_cfi(K4, {0}), 5)[0]
+    with pytest.raises(AssertionError, match=check):
+        is_isomorphic(_cfi(K4), twisted)

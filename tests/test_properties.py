@@ -9,11 +9,11 @@ same properties cover the object-dtype array views.
 import random
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from trigiso.core import aut_e_generators, is_isomorphic
-from trigiso.graphs import LabeledGraph, is_graph_isomorphism
-from trigiso.harness import random_relabeling, random_ternary_graph
+from trigiso.graphs import LabeledGraph, is_graph_isomorphism, validate
+from trigiso.harness import degree_sequence_graph, random_relabeling, random_ternary_graph
 from trigiso.layers import refine
 from trigiso.phylo import (
     PhyloNetwork,
@@ -23,6 +23,8 @@ from trigiso.phylo import (
     random_network,
     write_enewick,
 )
+
+from test_core import unpruned_decision
 
 bounded = settings(derandomize=True, deadline=None, max_examples=30, database=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -98,6 +100,34 @@ def test_refine_splits_colors_is_stable_and_commutes_with_relabelling(pair, pick
     h, mapping = random_relabeling(g, seed)
     moved = refine(h.arrays, (mapping[e[0]], mapping[e[1]])).colors
     assert moved[np.searchsorted(h.arrays.ids, [mapping[v] for v in g.node_ids])].tolist() == got
+
+
+def _switched(g: LabeledGraph, seed: int) -> LabeledGraph | None:
+    """g after one connected degree-preserving switch ab, cd -> ac, bd, if any."""
+    edges = g.sorted_edges()
+    pairs = [(p, q) for i, p in enumerate(edges) for q in edges[i + 1 :]]
+    random.Random(seed).shuffle(pairs)
+    for (a, b), (c, d) in pairs:
+        if len({a, b, c, d}) < 4 or g.has_edge(*sorted((a, c))) or g.has_edge(*sorted((b, d))):
+            continue
+        out = sorted(set(edges) - {(a, b), (c, d)} | {tuple(sorted(p)) for p in ((a, c), (b, d))})
+        h = LabeledGraph(g.node_ids, out)
+        if not validate(h):
+            return h
+    return None
+
+
+# About one draw in ten reaches a second pairing, where the pruning starts.
+@settings(bounded, max_examples=150)
+@given(st.integers(2, 10), st.booleans(), st.booleans(), seeds, seeds)
+def test_orbit_pruning_keeps_verdict_and_mapping(half, cubic, switch, seed, relabel):
+    n = 2 * half
+    g = degree_sequence_graph([3] * n, seed) if cubic else random_ternary_graph(n, seed)
+    h = _switched(g, seed) if switch else g
+    assume(h is not None)
+    h, _ = random_relabeling(h, relabel)
+    res = is_isomorphic(g, h, want_mapping=True)
+    assert (res.isomorphic, res.mapping) == unpruned_decision(g, h)
 
 
 @bounded
