@@ -29,6 +29,17 @@ back onto the input graph's nodes as another int array, through the
 decomposition's `owner` map (see `trigiso.layers`), so `Permutation` objects
 appear only at the boundary, in `lift` and the results.
 
+Most refined towers become rigid early: from some level on, the coset has
+no generators and no level has a kernel (`LayerDecomposition.rigid_from`),
+so each later coset holds at most one element, the lift of the one before.
+The tower then stops filtering, as a search stops once refinement leaves
+nothing to choose (McKay & Piperno, "Practical graph isomorphism, II",
+J. Symb. Comput. 2014): the lone representative is lifted through the
+remaining levels and checked once, as an automorphism of the working graph
+(`_rigid_tail`).  That check keeps exactly the elements the skipped level
+filters would keep, so the result is the same, row for row; `_run_tower`
+gives the argument.
+
 Two graphs are isomorphic exactly when, after splitting one edge of each and
 joining the split nodes, some automorphism of the joined graph fixing the
 join edge exchanges the two split nodes.  `is_isomorphic` searches for one
@@ -96,6 +107,33 @@ def _run_tower(dec: LayerDecomposition, swap: bool):
     preserves their colors, so a filter over them could remove nothing.
     That premise is checked on every row at every level, and a violation
     raises AssertionError.
+
+    The loop stops at the first level r where the coset has no generators
+    and r >= `dec.rigid_from`, so that no level from r on has a kernel.
+    With swap=False the coset is then the identity alone and is returned
+    as it is.  With swap=True `_rigid_tail` lifts the representative
+    through levels r .. N-1 and keeps it only if it is an automorphism of
+    the working graph.  This is the loop's own result, row for row:
+
+    - From level r on the kernels are trivial, so each later coset has at
+      most one element, the lift of the previous one, and no generators.
+    - Level s's filter keeps that element exactly when it preserves the
+      colors of the level's neighbor sets and cross edges: it maps them
+      onto materialized elements of equal color.  Over all levels from r
+      on, with the edges of X_r kept already, that is exactly "maps every
+      labeled edge of the working graph onto one", and the lifts keep
+      node colors by construction.
+    - A lift that finds no target fiber, or one of another size, means the
+      image of some neighbor set is not materialized or has another color
+      multiset, so that level's filter would already have emptied the
+      coset.  Conversely a lift that succeeds matches every fiber of a
+      bijective level, so the color multisets agree and it is the lift the
+      loop would make.
+
+    So a dead lift or a failed edge check gives None, where the loop dies
+    at some level of the tail, and otherwise the lone element is the
+    loop's representative.  Its node colors are asserted once, on the
+    final row.
     """
     n = dec.n
     a, b = dec.base_edge
@@ -108,6 +146,10 @@ def _run_tower(dec: LayerDecomposition, swap: bool):
     gens = flip[None] if same_color and not swap else np.empty((0, n), dtype=np.int32)
     rep = flip if swap else ident
     for r in range(1, dec.N):
+        if not len(gens) and r >= dec.rigid_from:
+            if swap:
+                rep = _rigid_tail(dec, r, rep)
+            return None if rep is None else (gens, rep)
         rows = np.vstack([gens, rep])
         if not (dec.node_colors[rows] == dec.node_colors).all():
             raise AssertionError(
@@ -132,6 +174,42 @@ def _run_tower(dec: LayerDecomposition, swap: bool):
         moving = (lifted[:-1] != ident).any(axis=1)
         gens = np.concatenate([dec.kernel_generators(r), lifted[:-1][moving]])
     return gens, rep
+
+
+def _rigid_tail(dec: LayerDecomposition, r: int, rep: np.ndarray) -> np.ndarray | None:
+    """The lone coset element lifted from level r to the top, or None.
+
+    None when a lift finds no matching fiber or the lifted row does not map
+    the working graph's labeled edges onto themselves (see `_run_tower`).
+    A row that moves a node onto a node of another color raises
+    AssertionError: the lifts keep colors by construction.
+    """
+    for s in range(r, dec.N):
+        rep = dec.lift_or_none(s, rep)
+        if rep is None:
+            return None
+    if not (dec.node_colors[rep] == dec.node_colors).all():
+        raise AssertionError("tail: a permutation moves a node onto a node of another color")
+    u, v, rank = dec._edges.T
+    return rep if _keeps_edges(rep[None], u, v, rank).all() else None
+
+
+def _keeps_edges(rows: np.ndarray, u: np.ndarray, v: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """Whether each row maps the labeled edges (u, v, rank) onto themselves.
+
+    `rows` is a (k, n) array of node images; u, v and the dense label ranks
+    `rank` are int64.  An edge is coded as one int from (min, max, label
+    rank); a row keeps the edges when the sorted codes of their images
+    equal the sorted codes of the edges.  Returns one bool per row.
+    """
+    n, labels = rows.shape[1], int(rank.max(initial=0)) + 1
+
+    def codes(x, y):
+        return (np.minimum(x, y) * n + np.maximum(x, y)) * labels + rank
+
+    rows = rows.astype(np.int64)
+    moved = np.sort(codes(rows[:, u], rows[:, v]), axis=1)
+    return (moved == np.sort(codes(u, v))).all(axis=1)
 
 
 def _contract(dec: LayerDecomposition, images: np.ndarray) -> np.ndarray:
@@ -371,22 +449,14 @@ def _first_edge_candidates(a1: GraphArrays, a2: GraphArrays):
 def _check_automorphisms(view: GraphArrays, rows: np.ndarray) -> None:
     """Raise AssertionError unless every row is an automorphism of `view`.
 
-    Each row must keep every node's color and map the edge rows, coded as
-    sorted (min, max, label rank), onto themselves.  On a connected graph
-    that also makes the row a bijection: a node it misses would have no
-    incident edge left to be the image of.
+    Each row must keep every node's color and map the labeled edges onto
+    themselves (`_keeps_edges`).  On a connected graph that also makes the
+    row a bijection: a node it misses would have no incident edge left to
+    be the image of.
     """
-    n = len(view.ids)
-    labels = _sorted_distinct(view.labels)
-    rank = np.searchsorted(labels, view.labels)
-
-    def codes(u, v):
-        return (np.minimum(u, v) * n + np.maximum(u, v)) * len(labels) + rank
-
-    rows = rows.astype(np.int64)
-    moved = np.sort(codes(rows[:, view.u], rows[:, view.v]), axis=1)
-    same_edges = (moved == np.sort(codes(view.u, view.v))).all()
-    if not (same_edges and (view.colors[rows] == view.colors).all()):
+    rank = np.searchsorted(_sorted_distinct(view.labels), view.labels)
+    same_colors = (view.colors[rows] == view.colors).all()
+    if not (same_colors and _keeps_edges(rows, view.u, view.v, rank).all()):
         raise AssertionError("a pruning generator is not an automorphism of the second graph")
 
 

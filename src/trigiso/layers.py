@@ -78,7 +78,10 @@ class LayerDecomposition:
     the integer tables as ranks into `label_values`, the sorted distinct
     labels of the working graph, so labels of any size build the same
     tables.  `levels[r]` holds the integer-coded elements and fibers of
-    level r, 1 <= r < N.
+    level r, 1 <= r < N.  `rigid_from` is the first level r from which no
+    level has a fiber of more than one node, so no level r' >= r has kernel
+    generators: one more than the last level with such a fiber, or 1 if
+    there is none.
     """
 
     def __init__(
@@ -151,6 +154,9 @@ class LayerDecomposition:
         fiber_nodes, fiber_ranks = np.divmod(fiber_halves, R)
         start = fiber_first - m_at[fiber_level - 2]
         size = np.diff(np.append(fiber_first, len(members)))
+        # A fiber of two or more nodes entering at level r+1 gives level r
+        # its kernel generators.
+        self.rigid_from = int(fiber_level[size > 1].max(initial=1))
 
         # Element colors: a set's sorted color-rank multiset, ranked densely
         # from 1; cross edges (same level, not the base edge, which is the
@@ -224,6 +230,13 @@ class LayerDecomposition:
         and the same color.  A missing target fiber, or one of another size,
         raises GraphError.
         """
+        img = self.lift_or_none(r, images)
+        if img is None:
+            raise GraphError("fiber mismatch while lifting: permutation was not certified")
+        return img
+
+    def lift_or_none(self, r: int, images: np.ndarray) -> np.ndarray | None:
+        """`lift_image`, but None where that raises GraphError."""
         img = np.array(images, dtype=np.int32)
         level = self.levels.get(r)
         if level is None or not len(level.members):
@@ -236,7 +249,7 @@ class LayerDecomposition:
         if not ((level.set_keys[at] == moved) & (level.fiber_keys[j] == target)).all() or (
             level.size[j] != level.size
         ).any():
-            raise GraphError("fiber mismatch while lifting: permutation was not certified")
+            return None
         shift = np.repeat(level.start[j] - level.start, level.size, axis=-1)
         img[..., level.members] = level.members[shift + np.arange(len(level.members))]
         return img

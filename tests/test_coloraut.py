@@ -36,6 +36,9 @@ from trigiso.perm import (
     two_block_system,
 )
 
+import tower_reference
+from tower_cases import every_level, recorded_towers
+
 
 def T(m, a, b):
     return Permutation.transposition(m, a, b)
@@ -471,9 +474,9 @@ def test_structure_tree_matches_per_node_orbits(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_structure_tree_matches_per_node_orbits_on_towers(seed, monkeypatch):
-    # Record every level coset the tower solves, for the full edge-fixing
-    # group and for a relabelled positive, and build each one's tree both
-    # ways.
+    # Record every level coset the towers solve, for the full edge-fixing
+    # group and for a relabelled positive, both in the decisions and on
+    # every level of the same towers, and build each one's tree both ways.
     inputs = []
     real = core.cb_images
 
@@ -482,10 +485,15 @@ def test_structure_tree_matches_per_node_orbits_on_towers(seed, monkeypatch):
         return real(gens, rep, points, colors)
 
     monkeypatch.setattr(core, "cb_images", spy)
+    monkeypatch.setattr(tower_reference, "cb_images", spy)
     g = random_ternary_graph(24, seed)
-    core.aut_e_generators(g, g.sorted_edges()[0])
     h, _ = random_relabeling(g, seed)
-    assert core.is_isomorphic(g, h).isomorphic
+
+    def decide():
+        core.aut_e_generators(g, g.sorted_edges()[0])
+        assert core.is_isomorphic(g, h).isomorphic
+
+    every_level({"graph": recorded_towers(decide)})
     assert inputs
     for points, gens in inputs:
         _assert_same_tree(build_structure_tree(points, gens), _reference_tree(points, gens))

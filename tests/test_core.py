@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from functools import partial
 
 import networkx as nx
 import numpy as np
@@ -20,13 +21,35 @@ from trigiso.harness import (
     random_ternary_graph,
 )
 from trigiso.layers import LayerDecomposition, layer_sequence, refine, triangle_gadget
-from trigiso.perm import Coset, Permutation, enumerate_group, group_order, smoothness_violations
-from trigiso.phylo import phylo_isomorphic, random_network
+from trigiso.perm import (
+    Coset,
+    Permutation,
+    coset_elements,
+    enumerate_group,
+    group_order,
+    smoothness_violations,
+)
+from trigiso.phylo import (
+    phylo_isomorphic,
+    random_network,
+    reversed_arc_network,
+    swap_two_leaf_labels,
+)
 
 from graph_reference import record_graph_builds, reference_profile_tables, reference_splice
 from test_graphs import EX1_A, EX1_B, EX2_A, EX2_B, graph_from_edges
-from test_layers import decide_tower_cases, reference_b_set
-from tower_reference import written_out
+from test_layers import reference_b_set
+from tower_cases import (
+    CUBE,
+    K4,
+    _cfi,
+    complete_binary_tree,
+    decide_tower_cases,
+    every_level,
+    recorded_towers,
+)
+import tower_reference
+from tower_reference import reference_run_tower, written_out
 
 
 def _group(res: AutResult, n):
@@ -139,13 +162,6 @@ def test_large_relabelled_graph_is_isomorphic():
     assert res.isomorphic and is_graph_isomorphism(g, h, res.mapping)
 
 
-def complete_binary_tree(n_nodes):
-    return LabeledGraph(
-        range(n_nodes),
-        [(i, c) for i in range(n_nodes) for c in (2 * i + 1, 2 * i + 2) if c < n_nodes],
-    )
-
-
 @pytest.mark.parametrize("n_nodes", [127, 255, 511])
 def test_relabelled_complete_binary_trees_are_isomorphic(n_nodes):
     # A positive with a large automorphism 2-group: every tower level splits
@@ -224,41 +240,6 @@ def test_aut_rejects_reserved_labels():
     for build in (aut_e_generators, triangle_gadget):
         with pytest.raises(GraphError, match="reserved label -1"):
             build(g, (0, 1))
-
-
-K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-CUBE = [(v, v ^ bit) for v in range(8) for bit in (1, 2, 4) if v < v ^ bit]
-
-
-def _cfi(base: list, twisted=()) -> LabeledGraph:
-    """Uncolored CFI graph over a cubic base graph, the base edges `twisted` twisted.
-
-    Base vertex v becomes middle nodes 10v + k, one per even subset of its
-    three edge slots, and end nodes 10v + 4 + 2·slot + bit; a middle node is
-    joined to the end of each slot with bit 1 exactly for the slots in its
-    subset, and a base edge joins equal bits of its two ends, or opposite
-    bits when twisted.  Over a connected base, two such graphs are
-    isomorphic exactly when their twist counts have equal parity, and color
-    refinement cannot tell them apart.
-    """
-    n = 1 + max(map(max, base))
-    incident = [[i for i, e in enumerate(base) if v in e] for v in range(n)]
-
-    def end(v, i, bit):  # the end node of base edge i at v
-        return 10 * v + 4 + 2 * incident[v].index(i) + bit
-
-    edges = [
-        (10 * v + k, end(v, i, int(slot in subset)))
-        for v in range(n)
-        for k, subset in enumerate([(), (0, 1), (0, 2), (1, 2)])
-        for slot, i in enumerate(incident[v])
-    ]
-    edges += [
-        (end(u, i, bit), end(w, i, bit ^ (i in twisted)))
-        for i, (u, w) in enumerate(base)
-        for bit in (0, 1)
-    ]
-    return LabeledGraph(range(10 * n), edges)
 
 
 @pytest.mark.parametrize("base", [K4, CUBE], ids=["k4", "cube"])
@@ -362,12 +343,16 @@ def _same_coset(a, b) -> bool:
     )
 
 
+def _elements(coset) -> set:
+    return set() if coset is None else coset_elements(coset)
+
+
 def _coset(gens, rep) -> Coset:
     return Coset(Permutation(rep), tuple(Permutation(g) for g in gens))
 
 
 def _spy_levels(monkeypatch) -> list:
-    """Record (decomposition, r, input rows) of every level the tower runs."""
+    """Record (decomposition, r, input rows) of every level that closes B_r."""
     levels = []
     real = LayerDecomposition.b_set
 
@@ -379,12 +364,21 @@ def _spy_levels(monkeypatch) -> list:
     return levels
 
 
+def _patch_solve(monkeypatch, solve) -> None:
+    """Route the level solve of `_run_tower` and of `reference_run_tower` through `solve`."""
+    monkeypatch.setattr(core, "cb_images", solve)
+    monkeypatch.setattr(tower_reference, "cb_images", solve)
+
+
 @pytest.mark.parametrize("n", [24, 40, 64])
 @pytest.mark.parametrize("seed", range(3))
 def test_extend_and_lift_match_frozenset_references(monkeypatch, n, seed):
+    # Checked on the levels the decisions run, the rigid tails' lifts
+    # included, then on every level of the same towers.
     levels = _spy_levels(monkeypatch)
     real_solve = core.cb_images
-    real_lift = LayerDecomposition.lift_image
+    real_lift = LayerDecomposition.lift_or_none
+    lifts = []
 
     def checked_solve(gens, rep, points, colors):
         dec, r, images = levels[-1]
@@ -396,13 +390,22 @@ def test_extend_and_lift_match_frozenset_references(monkeypatch, n, seed):
 
     def checked_lift(dec, r, images):
         out = real_lift(dec, r, images)
-        for row, sigma in zip(out, images):
-            assert Permutation(row) == reference_lift(dec, r, Permutation(sigma))
+        rows = np.reshape(images, (-1, dec.n))
+        if out is None:
+            with pytest.raises(GraphError):
+                for sigma in rows:
+                    reference_lift(dec, r, Permutation(sigma))
+        else:
+            for row, sigma in zip(np.reshape(out, (-1, dec.n)), rows):
+                assert Permutation(row) == reference_lift(dec, r, Permutation(sigma))
+        lifts.append(r)
         return out
 
-    monkeypatch.setattr(core, "cb_images", checked_solve)
-    monkeypatch.setattr(LayerDecomposition, "lift_image", checked_lift)
-    decide_tower_cases(n, seed)
+    _patch_solve(monkeypatch, checked_solve)
+    monkeypatch.setattr(LayerDecomposition, "lift_or_none", checked_lift)
+    towers = decide_tower_cases(n, seed)
+    assert levels and lifts
+    every_level(towers)
     assert len(levels) > 3
 
 
@@ -426,7 +429,9 @@ def test_level_solve_over_elements_equals_solve_with_nodes(monkeypatch, tree_ref
     # The nodes of X_{r-1}, given non-neutral colors and added to the
     # points, change no level's coset: rep and every generator agree with
     # `cb` over the enlarged points, or with the tree-guided reference
-    # `cb_tree` when `tree_reference` is set.
+    # `cb_tree` when `tree_reference` is set.  On the CFI splices `cb_tree`
+    # returns another generating sequence of the same coset, so there the
+    # cosets are compared as sets of elements.
     levels = _spy_levels(monkeypatch)
     solved = []
     real = core.cb_images
@@ -445,13 +450,19 @@ def test_level_solve_over_elements_equals_solve_with_nodes(monkeypatch, tree_ref
             want = cb_tree(coset, root, colors)
         else:
             want = cb(coset, points, colors)
-        assert _same_coset(got, want)
-        solved.append(r)
+        solved.append((dec, got, want))
         return out, changed
 
-    monkeypatch.setattr(core, "cb_images", checked)
-    decide_tower_cases(40, seed)
+    _patch_solve(monkeypatch, checked)
+    cases = decide_tower_cases(40, seed)
     assert solved
+    every_level(cases)
+    cfi = {id(dec) for dec, _ in cases["cfi"]}
+    for dec, got, want in solved:
+        if tree_reference and id(dec) in cfi:
+            assert _elements(got) == _elements(want)
+        else:
+            assert _same_coset(got, want)
 
 
 def test_node_color_check_raises():
@@ -474,6 +485,147 @@ def test_node_color_check_raises():
     with pytest.raises(AssertionError, match="level 2: .* color"):
         core._run_tower(dec, swap=False)
     with pytest.raises(AssertionError, match="level 2: .* color"):
+        core._run_tower(dec, swap=True)
+
+
+def same_tower_result(got, want) -> bool:
+    """Both None, or generators and representative equal in dtype, shape and value."""
+    if got is None or want is None:
+        return got is want
+    return all(
+        x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+        for x, y in zip(got, want)
+    )
+
+
+def _splice_towers(g1: LabeledGraph, g2: LabeledGraph) -> list:
+    """Towers of g1's first edge spliced against every edge of g2.
+
+    Each splice gives the tower of its view and of its refined view.
+    """
+    a1, a2 = g1.arrays, g2.arrays
+    e1, e = np.array([a1.u[0], a1.v[0]]), (g1.n_nodes, g1.n_nodes + 1)
+    towers = []
+    for u, v in zip(a2.u, a2.v):
+        joined = build_x(a1, a2, e1, np.array([u, v]))
+        towers += [(layer_sequence(view, e), True) for view in (joined, refine(joined, e))]
+    return towers
+
+
+def _aut_towers(g: LabeledGraph) -> list:
+    """Towers of every third edge of g, on g's view and on the refined view."""
+    return [
+        (layer_sequence(view, e), True)
+        for e in g.sorted_edges()[::3]
+        for view in (g.arrays, refine(g.arrays, e))
+    ]
+
+
+def _decisions(g: LabeledGraph, others: list, aut: bool = False) -> None:
+    """Decide g against each of `others` (graphs or networks), after its aut group."""
+    if aut:
+        aut_e_generators(g, g.sorted_edges()[0])
+    decide = is_isomorphic if isinstance(g, LabeledGraph) else phylo_isomorphic
+    for other in others:
+        if other is not None:
+            decide(g, other)
+
+
+def _differential_cases():
+    """(name, build): random graphs, positives, trees, networks and CFI pairs.
+
+    `build()` returns the towers, built only when the test runs.
+    """
+    for n, seed in ((12, 0), (30, 1), (64, 2)):
+        g = random_ternary_graph(n, seed)
+        yield f"aut-{n}", partial(_aut_towers, g)
+        if n < 64:
+            yield f"relabel-{n}", partial(_splice_towers, g, random_relabeling(g, seed + 7)[0])
+            yield f"random-pair-{n}", partial(
+                _splice_towers, g, random_ternary_graph(n, seed + 100)
+            )
+    # Pairs whose unrefined splices have tails that die: at a lift (5 nodes)
+    # and at the edge check (9 and 10 nodes).
+    for n, seed, other in ((5, 6, 8), (9, 0, 23), (10, 0, 26)):
+        pair = random_ternary_graph(n, seed), random_ternary_graph(n, other)
+        yield f"tail-deaths-{n}", partial(_splice_towers, *pair)
+    for n_nodes in (15, 31, 63):
+        tree = complete_binary_tree(n_nodes)
+        others = [random_relabeling(tree, n_nodes)[0]]
+        yield f"tree-{n_nodes}", partial(recorded_towers, partial(_decisions, tree, others, True))
+    for seed in range(3):
+        net = random_network(33, seed=seed)
+        others = [
+            net.relabeled_nodes({v: 500 + v for v in net.nodes}),
+            swap_two_leaf_labels(net, seed=seed),
+            reversed_arc_network(net, seed=seed),
+        ]
+        yield f"networks-{seed}", partial(recorded_towers, partial(_decisions, net, others))
+    for name, base, twists in (("k4", K4, 1), ("k4", K4, 2), ("cube", CUBE, 2)):
+        others = [random_relabeling(_cfi(base, set(range(twists))), 9)[0]]
+        yield f"cfi-{name}-{twists}", partial(
+            recorded_towers, partial(_decisions, _cfi(base), others)
+        )
+
+
+@pytest.mark.parametrize(
+    "build", [pytest.param(build, id=name) for name, build in _differential_cases()]
+)
+def test_rigid_tail_equals_reference_loop(build):
+    # The tail is the level loop's result, row for row, for both swap values.
+    towers = build()
+    assert towers
+    for dec, _ in towers:
+        for swap in (False, True):
+            assert same_tower_result(core._run_tower(dec, swap), reference_run_tower(dec, swap))
+
+
+# Both graphs are rigid from level 1: every fiber is one node, so the
+# exchange coset goes straight into the tail.  In the first, swapping the
+# base endpoints sends node 4's neighbor set {(2, 1)} to {(3, 1)}, which no
+# node has, so the level-2 lift dies.  In the second, the lifts pair nodes
+# 2, 3 with 4, 5, but only 2 and 3 are joined: only the edge check fails.
+_LIFT_DIES = LabeledGraph(range(6), {(0, 1): 0, (0, 2): 0, (1, 3): 0, (2, 4): 1, (3, 5): 2})
+_EDGE_CHECK_FAILS = LabeledGraph(
+    range(6), {(0, 1): 0, (0, 2): 5, (0, 3): 6, (1, 4): 5, (1, 5): 6, (2, 3): 0}
+)
+
+
+@pytest.mark.parametrize(
+    "g,dead_lifts", [(_LIFT_DIES, [2]), (_EDGE_CHECK_FAILS, [])], ids=["lift", "edge-check"]
+)
+def test_rigid_tail_dies_where_the_loop_dies(monkeypatch, g, dead_lifts):
+    dec = layer_sequence(g.arrays, (0, 1))
+    assert dec.rigid_from == 1
+    tails, dead = [], []
+    real_tail, real_lift = core._rigid_tail, LayerDecomposition.lift_or_none
+
+    def tail(dec, r, rep):
+        tails.append(r)
+        return real_tail(dec, r, rep)
+
+    def lift(dec, r, images):
+        out = real_lift(dec, r, images)
+        if out is None:
+            dead.append(r)
+        return out
+
+    monkeypatch.setattr(core, "_rigid_tail", tail)
+    monkeypatch.setattr(LayerDecomposition, "lift_or_none", lift)
+    assert core._run_tower(dec, swap=True) is None
+    assert (tails, dead) == ([1], dead_lifts)
+    for swap in (False, True):
+        assert same_tower_result(core._run_tower(dec, swap), reference_run_tower(dec, swap))
+
+
+def test_rigid_tail_checks_node_colors_once():
+    # The lifts keep the colors they were built with; recoloring node 3
+    # afterwards makes the tail's final row move node 2 onto another color.
+    g = LabeledGraph(range(4), [(0, 1), (0, 2), (1, 3)])
+    dec = layer_sequence(g.arrays, (0, 1))
+    assert dec.rigid_from == 1 and core._run_tower(dec, swap=True)[1].tolist() == [1, 0, 3, 2]
+    dec.node_colors = np.array([0, 0, 0, 3])
+    with pytest.raises(AssertionError, match="tail: .* color"):
         core._run_tower(dec, swap=True)
 
 

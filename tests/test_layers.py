@@ -23,6 +23,7 @@ from trigiso.perm import Permutation, group_order
 from trigiso.phylo import PhyloNetwork, phylo_isomorphic, random_network
 
 from graph_reference import graph_of_view
+from tower_cases import decide_tower_cases, every_level
 from tower_reference import WrittenOutTower, reference_layer_sequence, reference_refine, written_out
 
 
@@ -306,20 +307,11 @@ def reference_b_set(dec, r, images) -> list:
     )
 
 
-def decide_tower_cases(n: int, seed: int):
-    """Full-group towers, exchange-coset towers and a network twin."""
-    g = random_ternary_graph(n, seed)
-    aut_e_generators(g, g.sorted_edges()[0])
-    h, _ = random_relabeling(g, seed)
-    assert is_isomorphic(g, h)
-    net = random_network(n // 2 + 1, seed=seed)
-    twin = net.relabeled_nodes({v: 1000 + v for v in net.nodes})
-    assert phylo_isomorphic(net, twin)
-
-
 @pytest.mark.parametrize("n", [24, 40, 64])
 @pytest.mark.parametrize("seed", range(3))
 def test_b_set_matches_frozenset_reference(monkeypatch, n, seed):
+    # Checked on the levels the decisions run, then on every level of the
+    # same towers, which the rigid tail no longer closes.
     calls = []
     real = LayerDecomposition.b_set
 
@@ -331,7 +323,9 @@ def test_b_set_matches_frozenset_reference(monkeypatch, n, seed):
         return keys
 
     monkeypatch.setattr(LayerDecomposition, "b_set", checked)
-    decide_tower_cases(n, seed)
+    towers = decide_tower_cases(n, seed)
+    assert calls
+    every_level(towers)
     assert len(calls) > 3
 
 
@@ -381,6 +375,7 @@ def assert_tower_equals_written_out(g: LabeledGraph, e) -> LayerDecomposition:
     tower = WrittenOutTower(ref.graph, ref.level, ref.base_edge, ref.N)
     assert (dec._R, dec._S, dec.n_colors) == (tower.R, tower.S, len(tower.color_rank))
     assert sorted(dec.levels) == list(range(1, dec.N))
+    last_kernel = 0
     for r in range(1, dec.N):
         got, want = dec.levels[r], tower.level_table(r)
         for name in _Level._fields:
@@ -395,6 +390,8 @@ def assert_tower_equals_written_out(g: LabeledGraph, e) -> LayerDecomposition:
             assert np.array_equal(field, want[name]), (r, name)
         kernel = dec.kernel_generators(r)
         assert kernel.dtype == np.int32 and np.array_equal(kernel, tower.kernel(r))
+        last_kernel = r if len(kernel) else last_kernel
+    assert dec.rigid_from == last_kernel + 1
     with pytest.raises(ValueError):
         dec.kernel_generators(dec.N)
     return dec

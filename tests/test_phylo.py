@@ -242,16 +242,31 @@ def test_write_then_parse_roundtrip():
         assert phylo_isomorphic(net, back).isomorphic, text
 
 
-def test_deep_caterpillar_roundtrip_without_recursion():
+def deep_caterpillar() -> PhyloNetwork:
+    """The caterpillar ((…(l0,l1),…),l1500): 3,001 nodes, 1,500 levels deep."""
     text = "l0"
     for i in range(1, 1501):
         text = f"({text},l{i})"
-    net = parse_enewick(text + ";")
+    return parse_enewick(text + ";")
+
+
+def test_deep_caterpillar_roundtrip_without_recursion():
+    net = deep_caterpillar()
     assert net.n_nodes == 3001
     written = write_enewick(net)
     back = parse_enewick(written)
     assert back.arcs == net.arcs and back.labels == net.labels
     assert write_enewick(back) == written
+
+
+def test_deep_caterpillar_twin_is_isomorphic():
+    # Every level of this tower is rigid, so the exchange coset runs the
+    # rigid tail over about 3,000 levels.
+    net = deep_caterpillar()
+    names = random.Random(5).sample(range(10 * net.n_nodes), net.n_nodes)
+    twin = net.relabeled_nodes(dict(zip(net.nodes, names)))
+    res = phylo_isomorphic(net, twin, want_mapping=True)
+    assert res.isomorphic and is_network_isomorphism(net, twin, res.mapping)
 
 
 def test_large_relabelled_network_twins_are_isomorphic():

@@ -11,10 +11,10 @@ import random
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from trigiso.core import aut_e_generators, is_isomorphic
-from trigiso.graphs import LabeledGraph, is_graph_isomorphism, validate
+from trigiso.core import _run_tower, aut_e_generators, is_isomorphic
+from trigiso.graphs import LabeledGraph, build_x, is_graph_isomorphism, validate
 from trigiso.harness import degree_sequence_graph, random_relabeling, random_ternary_graph
-from trigiso.layers import refine
+from trigiso.layers import layer_sequence, refine
 from trigiso.phylo import (
     PhyloNetwork,
     is_network_isomorphism,
@@ -24,7 +24,8 @@ from trigiso.phylo import (
     write_enewick,
 )
 
-from test_core import unpruned_decision
+from test_core import same_tower_result, unpruned_decision
+from tower_reference import reference_run_tower
 
 bounded = settings(derandomize=True, deadline=None, max_examples=30, database=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -128,6 +129,24 @@ def test_orbit_pruning_keeps_verdict_and_mapping(half, cubic, switch, seed, rela
     h, _ = random_relabeling(h, relabel)
     res = is_isomorphic(g, h, want_mapping=True)
     assert (res.isomorphic, res.mapping) == unpruned_decision(g, h)
+
+
+@settings(bounded, max_examples=100)
+@given(graph_pairs(), st.booleans(), st.booleans(), st.integers(0, 100), seeds)
+def test_rigid_tail_equals_reference_loop(pair, relabel, refined, pick, seed):
+    # A splice of g's first edge with an edge of a relabelled copy or of
+    # another graph, towered with or without refinement: `_run_tower`
+    # returns the reference loop's result, row for row, for both swap values.
+    g, k = pair
+    if relabel:
+        k, _ = random_relabeling(g, seed)
+    a1, a2 = g.arrays, k.arrays
+    j = pick % len(a2.u)
+    joined = build_x(a1, a2, np.array([a1.u[0], a1.v[0]]), np.array([a2.u[j], a2.v[j]]))
+    e = (g.n_nodes, g.n_nodes + 1)
+    dec = layer_sequence(refine(joined, e) if refined else joined, e)
+    for swap in (False, True):
+        assert same_tower_result(_run_tower(dec, swap), reference_run_tower(dec, swap))
 
 
 @bounded

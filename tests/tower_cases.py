@@ -1,0 +1,114 @@
+"""Inputs whose towers the reference tests run level by level.
+
+`decide_tower_cases` runs a few decisions and returns every tower they ran,
+by case, as (decomposition, swap) pairs recorded at `_run_tower`;
+`every_level` runs those towers again through `reference_run_tower`, which
+filters and lifts at every level, rigid or not.  The symmetric inputs (a
+complete binary tree and an uncolored CFI pair over K4) keep generators in
+the coset, so the decisions themselves reach the general level loop too.
+"""
+
+import pytest
+
+from trigiso import core, phylo
+from trigiso.core import aut_e_generators, is_isomorphic
+from trigiso.graphs import LabeledGraph
+from trigiso.harness import random_relabeling, random_ternary_graph
+from trigiso.phylo import phylo_isomorphic, random_network
+
+from tower_reference import reference_run_tower
+
+K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+CUBE = [(v, v ^ bit) for v in range(8) for bit in (1, 2, 4) if v < v ^ bit]
+
+
+def complete_binary_tree(n_nodes):
+    return LabeledGraph(
+        range(n_nodes),
+        [(i, c) for i in range(n_nodes) for c in (2 * i + 1, 2 * i + 2) if c < n_nodes],
+    )
+
+
+def _cfi(base: list, twisted=()) -> LabeledGraph:
+    """Uncolored CFI graph over a cubic base graph, the base edges `twisted` twisted.
+
+    Base vertex v becomes middle nodes 10v + k, one per even subset of its
+    three edge slots, and end nodes 10v + 4 + 2·slot + bit; a middle node is
+    joined to the end of each slot with bit 1 exactly for the slots in its
+    subset, and a base edge joins equal bits of its two ends, or opposite
+    bits when twisted.  Over a connected base, two such graphs are
+    isomorphic exactly when their twist counts have equal parity, and color
+    refinement cannot tell them apart.
+    """
+    n = 1 + max(map(max, base))
+    incident = [[i for i, e in enumerate(base) if v in e] for v in range(n)]
+
+    def end(v, i, bit):  # the end node of base edge i at v
+        return 10 * v + 4 + 2 * incident[v].index(i) + bit
+
+    edges = [
+        (10 * v + k, end(v, i, int(slot in subset)))
+        for v in range(n)
+        for k, subset in enumerate([(), (0, 1), (0, 2), (1, 2)])
+        for slot, i in enumerate(incident[v])
+    ]
+    edges += [
+        (end(u, i, bit), end(w, i, bit ^ (i in twisted)))
+        for i, (u, w) in enumerate(base)
+        for bit in (0, 1)
+    ]
+    return LabeledGraph(range(10 * n), edges)
+
+
+def recorded_towers(decide) -> list:
+    """Call `decide()`; return the (decomposition, swap) of every tower it ran."""
+    towers = []
+    real = core._run_tower
+
+    def spy(dec, swap):
+        towers.append((dec, swap))
+        return real(dec, swap)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_run_tower", spy)
+        mp.setattr(phylo, "_run_tower", spy)
+        decide()
+    return towers
+
+
+def decide_tower_cases(n: int, seed: int) -> dict[str, list]:
+    """The towers a few decisions run, by case (`recorded_towers`).
+
+    "graph": the full edge-fixing group and a relabelled positive of a
+    random graph; "network": a network twin; "tree": both for a complete
+    binary tree; "cfi": an uncolored CFI pair over K4 with two twists, an
+    isomorphic pair whose one tower keeps a 2-group in the coset.
+    """
+    g = random_ternary_graph(n, seed)
+    net = random_network(n // 2 + 1, seed=seed)
+    tree = complete_binary_tree(2 ** (seed % 3 + 3) - 1)
+    twisted = random_relabeling(_cfi(K4, {seed % 5, seed % 5 + 1}), seed)[0]
+
+    def decide_graph(g):
+        aut_e_generators(g, g.sorted_edges()[0])
+        assert is_isomorphic(g, random_relabeling(g, seed)[0])
+
+    def decide_network():
+        assert phylo_isomorphic(net, net.relabeled_nodes({v: 1000 + v for v in net.nodes}))
+
+    def decide_cfi():
+        assert is_isomorphic(_cfi(K4), twisted)
+
+    return {
+        "graph": recorded_towers(lambda: decide_graph(g)),
+        "network": recorded_towers(decide_network),
+        "tree": recorded_towers(lambda: decide_graph(tree)),
+        "cfi": recorded_towers(decide_cfi),
+    }
+
+
+def every_level(cases: dict[str, list]) -> None:
+    """Run each recorded tower through `reference_run_tower`, every level filtered."""
+    for towers in cases.values():
+        for dec, swap in towers:
+            reference_run_tower(dec, swap)

@@ -4,8 +4,9 @@
 labeled neighbor sets, cross edges, the layers X_r, the element keys, the
 per-level tables and the kernel transpositions) from `dec.graph` and
 `dec.level` with dicts, frozensets and per-node loops.
-`reference_layer_sequence` is the per-node BFS and triangle rewrite, and
-`reference_refine` the per-node color refinement.
+`reference_layer_sequence` is the per-node BFS and triangle rewrite,
+`reference_refine` the per-node color refinement, and `reference_run_tower`
+the tower's level loop run at every level, with no rigid tail.
 """
 
 from itertools import combinations
@@ -13,6 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from trigiso.coloraut import cb_images
 from trigiso.graphs import GADGET_LABEL, LabeledGraph, _norm_edge
 
 
@@ -227,3 +229,49 @@ def reference_refine(g: LabeledGraph, e) -> list[int]:
         if len(set(new.values())) == len(set(cls.values())):
             return [cls[v] for v in g.node_ids]
         cls = new
+
+
+def reference_run_tower(dec, swap: bool):
+    """`trigiso.core._run_tower` without the rigid tail: every level filters.
+
+    Each level stacks the generators and the representative, checks their
+    node colors, closes B_r (`dec.b_set`), filters the coset with
+    `cb_images` and lifts the survivors (`dec.lift_image`), then adds the
+    level's kernel.  Returns (generators, representative) or None, as
+    `_run_tower` does.
+    """
+    n = dec.n
+    a, b = dec.base_edge
+    same_color = dec.node_colors[a] == dec.node_colors[b]
+    if swap and not same_color:
+        return None
+    ident = np.arange(n, dtype=np.int32)
+    flip = ident.copy()
+    flip[[a, b]] = b, a
+    gens = flip[None] if same_color and not swap else np.empty((0, n), dtype=np.int32)
+    rep = flip if swap else ident
+    for r in range(1, dec.N):
+        rows = np.vstack([gens, rep])
+        if not (dec.node_colors[rows] == dec.node_colors).all():
+            raise AssertionError(
+                f"level {r}: a permutation moves a node onto a node of another color"
+            )
+        keys = dec.b_set(r, rows)
+        if len(keys):
+            moved = dec.move(rows, keys)
+            pos = np.searchsorted(keys, moved).clip(max=len(keys) - 1)
+            if not (keys[pos] == moved).all():
+                raise AssertionError(f"level {r}: B_r is not closed")
+            ext = np.concatenate([rows, (n + pos).astype(np.int32)], axis=1)
+            colors = np.concatenate([np.zeros(n, dtype=np.int64), dec.element_colors(r, keys)])
+            out, _ = cb_images(ext[:-1], ext[-1], np.arange(n, ext.shape[1]), colors)
+            if out is None:
+                if swap:
+                    return None
+                raise AssertionError("identity coset filtered to empty")
+            rows = np.vstack(out)[:, :n]
+        lifted = dec.lift_image(r, rows)
+        rep = lifted[-1]
+        moving = (lifted[:-1] != ident).any(axis=1)
+        gens = np.concatenate([dec.kernel_generators(r), lifted[:-1][moving]])
+    return gens, rep
