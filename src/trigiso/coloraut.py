@@ -43,7 +43,8 @@ point are skipped, which is sound whenever the coset representative maps B
 onto itself, and chains of "facile" nodes are collapsed through their delta
 links.  Where filtering has made a stored transitive split intransitive, it
 falls back to `cb`'s recursion on the active points.  Both solvers return
-identical cosets.
+the same coset as a set of elements, but the generators may differ: on CFI
+splices `cb_tree` can return another generating sequence of the same group.
 """
 
 from __future__ import annotations
@@ -499,7 +500,10 @@ def _cbt(coset, node: StructureTreeNode, colors: ColorSeq):
 def cb_tree(
     coset: Coset | None, root: StructureTreeNode, colors: ColorSeq
 ) -> Coset | None:
-    """Tree-guided version of `cb`; identical result by contract.
+    """Tree-guided version of `cb`: the same coset, as a set of elements.
+
+    Its generators may differ from `cb`'s: on CFI splices it can return
+    another generating sequence of the same group.
 
     Requires an annotated tree built for a group containing the coset's
     subgroup, and a representative that maps the tree's point set onto

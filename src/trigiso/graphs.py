@@ -86,10 +86,18 @@ class LabeledGraph:
         self._arrays: GraphArrays | None = None
 
     @classmethod
-    def _of(cls, colors: dict[int, int], edges: dict[tuple[int, int], int]) -> "LabeledGraph":
-        """Adopt already converted dicts: int colors, sorted int pairs -> int labels."""
+    def _of(
+        cls,
+        colors: dict[int, int],
+        edges: dict[tuple[int, int], int],
+        arrays: "GraphArrays | None" = None,
+    ) -> "LabeledGraph":
+        """Adopt already converted dicts, and their array view if it is given.
+
+        Colors are ints; edges map sorted int pairs to int labels.
+        """
         g = object.__new__(cls)
-        g._colors, g._edges, g._adj, g._arrays = colors, edges, None, None
+        g._colors, g._edges, g._adj, g._arrays = colors, edges, None, arrays
         return g
 
     # -- accessors ----------------------------------------------------------

@@ -184,8 +184,8 @@ class LayerDecomposition:
             self.levels[r] = _Level(
                 keys=elem_keys[e],
                 colors=elem_colors[e],
-                set_keys=np.append(set_keys[s_at[r - 1] : s_at[r]], _PAST_ALL_KEYS),
-                fiber_keys=np.append(fiber_keys[f], _PAST_ALL_KEYS),
+                set_keys=set_keys[s_at[r - 1] : s_at[r]],
+                fiber_keys=fiber_keys[f],
                 fiber_nodes=fiber_nodes[f],
                 fiber_ranks=fiber_ranks[f],
                 fiber_colors=fiber_rank[f],
@@ -243,9 +243,11 @@ class LayerDecomposition:
             return img
         halves = img[..., level.fiber_nodes].astype(np.int64) * self._R + level.fiber_ranks
         moved = halves.min(axis=-1) * self._S + halves.max(axis=-1)
-        at = np.searchsorted(level.set_keys, moved)
+        # Clipped, a searchsorted index past the last key reads a smaller key,
+        # so it fails its comparison just as a missing key does.
+        at = np.searchsorted(level.set_keys, moved).clip(max=len(level.set_keys) - 1)
         target = at * self.n_colors + level.fiber_colors
-        j = np.searchsorted(level.fiber_keys, target)
+        j = np.searchsorted(level.fiber_keys, target).clip(max=len(level.fiber_keys) - 1)
         if not ((level.set_keys[at] == moved) & (level.fiber_keys[j] == target)).all() or (
             level.size[j] != level.size
         ).any():
@@ -309,8 +311,6 @@ class LayerDecomposition:
         return out
 
 
-# Ends the lookup tables of `lift_image`, so a searchsorted index is always valid.
-_PAST_ALL_KEYS = np.iinfo(np.int64).max
 # Level of the padding node of the neighbor table: never reached, never lower.
 _FAR = np.iinfo(np.int64).max
 
@@ -324,12 +324,11 @@ class _Level(NamedTuple):
     color.  `set_keys` are the sorted distinct neighbor-set keys; fiber i is
     keyed `fiber_keys[i]` = (position of its neighbor set in `set_keys`) · C
     + `fiber_colors[i]`, C the number of node colors and the color a rank,
-    and fibers are sorted by that key.  Both key tables end with
-    `_PAST_ALL_KEYS`.  `fiber_nodes` and `fiber_ranks` hold the two halves
-    of each fiber's neighbor set, node and label rank.  `members` lists the
-    nodes of every fiber, fiber by fiber and each in index order; fiber i
-    takes `size[i]` entries from `start[i]`.  Apart from the appended
-    sentinels, every field is a slice of one array over all levels.
+    and fibers are sorted by that key.  `fiber_nodes` and `fiber_ranks` hold
+    the two halves of each fiber's neighbor set, node and label rank.
+    `members` lists the nodes of every fiber, fiber by fiber and each in
+    index order; fiber i takes `size[i]` entries from `start[i]`.  Every
+    field is a slice of one array over all levels.
     """
 
     keys: np.ndarray

@@ -6,6 +6,23 @@ by a taxon (inner labels and repeated labels are tolerated and treated as
 plain colors).  Two networks are isomorphic when a directed-graph
 isomorphism maps root to root and preserves all labels.
 
+A `PhyloNetwork` has three public attributes: `nodes`, its node ids in
+increasing order; `arcs`, a frozenset of (tail, head) id pairs; and
+`labels`, a dict from node id to label.  Nodes and arcs are never changed
+after construction.  The whole-network passes read `structure`, an array
+view of the arcs built once and cached (`NetworkStructure`): arc j runs
+from node index `tail[j]` to `head[j]`, indices into `nodes`, with arcs in
+increasing (tail, head) order; it holds the in- and out-degrees, the
+root, the counts of leaves, tree and reticulate nodes, and the structural
+half of validation (degree pairs, root count, directed cycles).  The
+parser supplies the view directly; a network built from arcs derives it on
+first use.  `labels` is not cached: it is a live, mutable dict, and
+validation (unlabeled leaves), the pretests, the reduction and the mapping
+check read it each time they run.  `roots`, `leaves` and `reticulations`
+read the structure; the per-node accessors (`children`, `parents`,
+`in_degree`, `kind`, ...) read adjacency lists built from `arcs` on first
+use.
+
 The isomorphism test reduces each network to an undirected ternary graph:
 every arc u->v is subdivided by a midpoint of a reserved color, with the two
 halves carrying reserved "out" and "in" edge labels, so that arc direction
@@ -13,12 +30,27 @@ survives as local edge-label structure.  Joining the two reductions by an
 edge between their roots reduces network isomorphism to a single edge-fixing
 automorphism computation on the joined graph: the networks are isomorphic
 exactly when some automorphism fixing the joining edge exchanges the roots.
+The joined reduction is built directly as one array view from both
+structures.
+
+eNewick (Cardona, Rosselló & Valiente, BMC Bioinformatics 9:532, 2008) is
+read by one scan with a compiled token regex: the tokens are the four
+delimiters ( ) , ;, runs of whitespace, unquoted and quoted labels, and `#`
+or `:` with the run of label characters after it.  A loop with a stack of
+open groups turns them into each node occurrence's parent, then one pass of
+array operations merges the hybrid tags' occurrences and builds the arcs and
+the structure (`parse_enewick` gives the grammar).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, Mapping
+import re
+from itertools import chain
+from operator import itemgetter, ne
+from typing import Iterable, Iterator, Mapping, NamedTuple
+
+import numpy as np
 
 from .core import IsoResult, _contract, _run_tower
 from .graphs import (
@@ -26,8 +58,10 @@ from .graphs import (
     ARC_OUT_LABEL,
     MIDPOINT_COLOR,
     ROOT_JOIN_LABEL,
+    GraphArrays,
     LabeledGraph,
-    _graph_arrays,
+    _frozen,
+    _ints,
 )
 from .layers import layer_sequence, refine
 
@@ -47,10 +81,83 @@ class NewickError(NetworkError):
 _KINDS = {(0, 2): "root", (1, 0): "leaf", (1, 2): "tree", (2, 1): "reticulate"}
 
 
+class NetworkStructure(NamedTuple):
+    """Array view of a network's nodes and arcs (module docstring); no labels.
+
+    Node i is `ids[i]`, the ids increasing (int64, object past 64 bits).
+    Arc j runs from node `tail[j]` to node `head[j]`, arcs in increasing
+    (tail, head) order.  `n_roots` counts the nodes of in-degree 0, and
+    `root` is the index of the only one, or -1.  `classes` counts the
+    leaves, tree nodes and reticulate nodes.  `leaves` are the ids of the
+    nodes of in-degree > 0 and out-degree 0, which validation requires to
+    be labeled, and `invalid` the indices of the nodes whose degree pair is
+    not a root's, leaf's, tree node's or reticulate node's.  `cyclic` is
+    whether the arcs contain a directed cycle.  The arrays are read-only.
+    """
+
+    ids: np.ndarray
+    tail: np.ndarray
+    head: np.ndarray
+    indeg: np.ndarray
+    outdeg: np.ndarray
+    n_roots: int
+    root: int
+    classes: tuple[int, int, int]
+    leaves: tuple
+    invalid: tuple[int, ...]
+    cyclic: bool
+
+
+# Degree pairs coded min(in, 3)·4 + min(out, 3): the root (0,2) is 2, a leaf
+# (1,0) 4, a tree node (1,2) 6 and a reticulate node (2,1) 9; a node of
+# in-degree > 0 and out-degree 0 is 4, 8 or 12.
+_VALID_PAIR = np.bincount([2, 4, 6, 9], minlength=16).astype(bool)
+_SINK = np.bincount([4, 8, 12], minlength=16).astype(bool)
+
+
+def _structure(ids: np.ndarray, tail: np.ndarray, head: np.ndarray) -> NetworkStructure:
+    """The structure of the network on `ids` with sorted arcs tail -> head.
+
+    Kahn's algorithm over the children lists (slices of `head`, whose arcs
+    are sorted by tail) finds directed cycles: a node joins `order` when its
+    last parent has, and all nodes join exactly when there is no cycle.
+    """
+    n = len(ids)
+    indeg, outdeg = np.bincount(head, minlength=n), np.bincount(tail, minlength=n)
+    pair = np.minimum(indeg, 3) * 4 + np.minimum(outdeg, 3)
+    counts = np.bincount(pair, minlength=16).tolist()
+    sources = np.flatnonzero(indeg == 0).tolist()
+    left, heads, ends = indeg.tolist(), head.tolist(), np.cumsum(outdeg).tolist()
+    starts = [0] + ends[:-1]
+    order = list(sources)
+    for i in order:
+        for w in heads[starts[i] : ends[i]]:
+            d = left[w] - 1
+            left[w] = d
+            if not d:
+                order.append(w)
+    view = NetworkStructure(
+        ids=ids,
+        tail=tail,
+        head=head,
+        indeg=indeg,
+        outdeg=outdeg,
+        n_roots=len(sources),
+        root=sources[0] if len(sources) == 1 else -1,
+        classes=(counts[4], counts[6], counts[9]),
+        leaves=tuple(ids[_SINK[pair]].tolist()),
+        invalid=tuple(np.flatnonzero(~_VALID_PAIR[pair]).tolist()),
+        cyclic=len(order) != n,
+    )
+    for array in view[:5]:
+        array.setflags(write=False)
+    return view
+
+
 class PhyloNetwork:
     """A rooted directed network with node labels (taxa on the leaves)."""
 
-    __slots__ = ("nodes", "arcs", "labels", "_children", "_parents")
+    __slots__ = ("nodes", "arcs", "labels", "_structure", "_children", "_parents")
 
     def __init__(
         self,
@@ -65,13 +172,26 @@ class PhyloNetwork:
         }
         node_set |= set(self.labels)
         self.nodes = tuple(sorted(node_set))
-        children: dict[int, list[int]] = {v: [] for v in self.nodes}
-        parents: dict[int, list[int]] = {v: [] for v in self.nodes}
-        for u, v in sorted(self.arcs):
-            children[u].append(v)
-            parents[v].append(u)
-        self._children = children
-        self._parents = parents
+        self._structure = self._children = self._parents = None
+
+    @classmethod
+    def _of(cls, nodes: tuple, arcs: frozenset, labels: dict, structure: NetworkStructure):
+        """Adopt converted parts: sorted int ids, int arc pairs, str labels, their view."""
+        net = object.__new__(cls)
+        net.nodes, net.arcs, net.labels, net._structure = nodes, arcs, labels, structure
+        net._children = net._parents = None
+        return net
+
+    @property
+    def structure(self) -> NetworkStructure:
+        """The cached array view of nodes and arcs (module docstring)."""
+        if self._structure is None:
+            ids = _ints(self.nodes, self.n_nodes)
+            ends = np.fromiter(chain.from_iterable(self.arcs), ids.dtype, 2 * self.n_arcs)
+            tail, head = np.searchsorted(ids, ends).reshape(-1, 2).T
+            order = np.lexsort((head, tail))
+            self._structure = _structure(ids, tail[order], head[order])
+        return self._structure
 
     @property
     def n_nodes(self) -> int:
@@ -81,24 +201,39 @@ class PhyloNetwork:
     def n_arcs(self) -> int:
         return len(self.arcs)
 
+    def _adjacency(self) -> None:
+        children: dict[int, list[int]] = {v: [] for v in self.nodes}
+        parents: dict[int, list[int]] = {v: [] for v in self.nodes}
+        for u, v in sorted(self.arcs):
+            children[u].append(v)
+            parents[v].append(u)
+        self._children, self._parents = children, parents
+
     def children(self, v: int) -> list[int]:
+        if self._children is None:
+            self._adjacency()
         return self._children[v]
 
     def parents(self, v: int) -> list[int]:
+        if self._parents is None:
+            self._adjacency()
         return self._parents[v]
 
     def in_degree(self, v: int) -> int:
-        return len(self._parents[v])
+        return len(self.parents(v))
 
     def out_degree(self, v: int) -> int:
-        return len(self._children[v])
+        return len(self.children(v))
 
     def label(self, v: int) -> str | None:
         return self.labels.get(v)
 
+    def _where(self, mask: np.ndarray) -> list[int]:
+        return [self.nodes[i] for i in np.flatnonzero(mask).tolist()]
+
     @property
     def roots(self) -> list[int]:
-        return [v for v in self.nodes if self.in_degree(v) == 0]
+        return self._where(self.structure.indeg == 0)
 
     @property
     def root(self) -> int:
@@ -109,13 +244,13 @@ class PhyloNetwork:
 
     @property
     def leaves(self) -> list[int]:
-        return [v for v in self.nodes if self.out_degree(v) == 0]
+        return self._where(self.structure.outdeg == 0)
 
     def reticulations(self) -> list[int]:
-        return [v for v in self.nodes if self.in_degree(v) == 2]
+        return self._where(self.structure.indeg == 2)
 
     def kind(self, v: int) -> str:
-        return _KINDS.get((len(self._parents[v]), len(self._children[v])), "invalid")
+        return _KINDS.get((self.in_degree(v), self.out_degree(v)), "invalid")
 
     def relabeled_nodes(self, mapping: Mapping[int, int]) -> "PhyloNetwork":
         return PhyloNetwork(
@@ -136,34 +271,21 @@ class PhyloNetwork:
 def validate_network(net: PhyloNetwork) -> list[str]:
     """Report all violations of the fully resolved rooted network contract.
 
-    One pass over the in- and out-degrees finds the roots, the invalid
-    degree pairs and the unlabeled leaves; Kahn's algorithm then finds
-    directed cycles.
+    The root count, the invalid degree pairs and the directed cycles come
+    from the cached structure; the unlabeled leaves are read from `labels`
+    now.  Problems come in that order, node problems by node id, a node's
+    degree pair before its missing label.
     """
     if net.n_nodes == 0:
         return ["network has no nodes"]
-    parents, children, labels = net._parents, net._children, net.labels
-    indeg = {}
-    node_problems = []
-    for v in net.nodes:
-        indeg[v] = d_in = len(parents[v])
-        d_out = len(children[v])
-        if (d_in, d_out) not in _KINDS:
-            node_problems.append(f"node {v} has degree pair ({d_in},{d_out})")
-        if d_out == 0 and d_in > 0 and labels.get(v) is None:
-            node_problems.append(f"leaf {v} is unlabeled")
-    queue = [v for v, d in indeg.items() if d == 0]
-    problems = [] if len(queue) == 1 else [f"expected exactly one root, found {len(queue)}"]
-    problems += node_problems
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for w in children[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    if seen != net.n_nodes:
+    s, ids, labels = net.structure, net.nodes, net.labels
+    problems = [] if s.n_roots == 1 else [f"expected exactly one root, found {s.n_roots}"]
+    node_problems = [
+        (ids[i], f"node {ids[i]} has degree pair ({s.indeg[i]},{s.outdeg[i]})") for i in s.invalid
+    ]
+    node_problems += [(v, f"leaf {v} is unlabeled") for v in s.leaves if labels.get(v) is None]
+    problems += [p for _, p in sorted(node_problems, key=itemgetter(0))]
+    if s.cyclic:
         problems.append("network contains a directed cycle")
     return problems
 
@@ -177,20 +299,24 @@ def require_valid_network(net: PhyloNetwork, what: str = "network") -> None:
 def is_network_isomorphism(
     n1: PhyloNetwork, n2: PhyloNetwork, mapping: Mapping[int, int]
 ) -> bool:
-    """Check a node bijection for arc direction and label preservation."""
-    if set(mapping.keys()) != set(n1.nodes):
+    """Check a node bijection for arc direction and label preservation.
+
+    Arcs are compared as sorted codes tail·n + head over node indices: the
+    images of the first network's arcs must be exactly the second's.
+    """
+    if mapping.keys() != set(n1.nodes):
         return False
-    if sorted(mapping.values()) != sorted(n2.nodes):
+    images = [mapping[v] for v in n1.nodes]
+    if sorted(images) != list(n2.nodes):
         return False
     if n1.n_arcs != n2.n_arcs:
         return False
-    for u, v in n1.arcs:
-        if (mapping[u], mapping[v]) not in n2.arcs:
-            return False
-    for v in n1.nodes:
-        if n1.label(v) != n2.label(mapping[v]):
-            return False
-    return True
+    s1, s2 = n1.structure, n2.structure
+    index = np.searchsorted(s2.ids, np.array(images, dtype=s2.ids.dtype))
+    n = len(s2.ids)
+    if not np.array_equal(np.sort(index[s1.tail] * n + index[s1.head]), s2.tail * n + s2.head):
+        return False
+    return not any(map(ne, map(n1.labels.get, n1.nodes), map(n2.labels.get, images)))
 
 
 # ---------------------------------------------------------------------------
@@ -198,27 +324,55 @@ def is_network_isomorphism(
 # ---------------------------------------------------------------------------
 
 
-def _append_reduction(
-    net: PhyloNetwork, intern: dict[str, int], colors: dict[int, int], edges: dict
-) -> int:
-    """Add the network's reduction to `colors` and `edges`; return its root's id.
+def _reduction(
+    nets: Iterable[PhyloNetwork], intern: dict[str, int]
+) -> tuple[GraphArrays, list[int]]:
+    """The array view of one network's reduction, or of two joined; with the roots' ids.
 
-    The reduction takes the next len(colors) ids: the network's nodes in
-    sorted order, then one midpoint per arc in sorted arc order.  Nodes keep
-    interned taxon colors (equal strings get equal colors across every
-    network sharing the `intern` table); each arc becomes a reserved-color
-    midpoint whose two edges carry the reserved out/in labels.
+    Ids are indices.  Each network in turn takes the next ids: its nodes in
+    sorted order, then one midpoint per arc in sorted arc order.  Nodes
+    take interned label colors, 0 if unlabeled (equal strings get equal
+    colors across every network sharing the `intern` table, codes from 1 in
+    order of first appearance); midpoints take the reserved color.  Edges
+    come arc by arc, tail-midpoint with the out label, then head-midpoint
+    with the in label; two networks are joined by a last, root-to-root edge.
+    The networks must be valid.
     """
-    base = len(colors)
-    index = {v: base + i for i, v in enumerate(net.nodes)}
-    for v in net.nodes:
-        lab = net.label(v)
-        colors[index[v]] = 0 if lab is None else intern.setdefault(lab, len(intern) + 1)
-    for mid, (u, v) in enumerate(sorted(net.arcs), start=base + net.n_nodes):
-        colors[mid] = MIDPOINT_COLOR
-        edges[(index[u], mid)] = ARC_OUT_LABEL
-        edges[(index[v], mid)] = ARC_IN_LABEL
-    return index[net.root]
+    colors, u, v, degrees, roots = [], [], [], [], []
+    base = 0
+    for net in nets:
+        s = net.structure
+        n, m = len(s.ids), len(s.tail)
+        taxa = map(net.labels.get, net.nodes)
+        colors += [
+            np.fromiter(
+                (0 if lab is None else intern.setdefault(lab, len(intern) + 1) for lab in taxa),
+                dtype=np.int64,
+                count=n,
+            ),
+            np.full(m, MIDPOINT_COLOR),
+        ]
+        u.append(np.stack([s.tail, s.head], axis=1).ravel() + base)
+        v.append(np.arange(base + n, base + n + m).repeat(2))
+        degrees += [s.indeg + s.outdeg, np.full(m, 2)]
+        roots.append(base + s.root)
+        base += n + m
+    labels = np.tile([ARC_OUT_LABEL, ARC_IN_LABEL], sum(map(len, v)) // 2)
+    degrees = np.concatenate(degrees)
+    if len(roots) == 2:
+        u.append(roots[:1])
+        v.append(roots[1:])
+        labels = np.append(labels, ROOT_JOIN_LABEL)
+        degrees[roots] += 1
+    view = GraphArrays(
+        ids=np.arange(base),
+        colors=np.concatenate(colors),
+        u=np.concatenate(u),
+        v=np.concatenate(v),
+        labels=labels,
+        degrees=degrees,
+    )
+    return _frozen(view), roots
 
 
 def reduce_to_colored(
@@ -233,15 +387,10 @@ def reduce_to_colored(
     color- and label-preserving isomorphism matching the roots.
     """
     require_valid_network(net)
-    colors: dict[int, int] = {}
-    edges: dict[tuple[int, int], int] = {}
-    root = _append_reduction(net, {} if intern is None else intern, colors, edges)
-    return LabeledGraph._of(colors, edges), root
-
-
-def _class_counts(net: PhyloNetwork) -> tuple[int, int, int]:
-    kinds = [net.kind(v) for v in net.nodes]
-    return kinds.count("leaf"), kinds.count("tree"), kinds.count("reticulate")
+    view, (root,) = _reduction([net], {} if intern is None else intern)
+    colors = dict(enumerate(view.colors.tolist()))
+    edges = dict(zip(zip(view.u.tolist(), view.v.tolist()), view.labels.tolist()))
+    return LabeledGraph._of(colors, edges, view), root
 
 
 def phylo_isomorphic(
@@ -258,23 +407,20 @@ def phylo_isomorphic(
     """
     require_valid_network(n1, "first network")
     require_valid_network(n2, "second network")
+    s1, s2 = n1.structure, n2.structure
+    l1, l2 = n1.labels, n2.labels
     if (
         n1.n_nodes != n2.n_nodes
         or n1.n_arcs != n2.n_arcs
-        or _class_counts(n1) != _class_counts(n2)
-        or sorted(n1.labels.values()) != sorted(n2.labels.values())
-        or sorted(n1.label(v) for v in n1.leaves) != sorted(n2.label(v) for v in n2.leaves)
+        or s1.classes != s2.classes
+        or sorted(l1.values()) != sorted(l2.values())
+        or sorted(map(l1.get, s1.leaves)) != sorted(map(l2.get, s2.leaves))
     ):
         return IsoResult(False)
 
-    intern: dict[str, int] = {}
-    colors: dict[int, int] = {}
-    edges: dict[tuple[int, int], int] = {}
-    r1 = _append_reduction(n1, intern, colors, edges)
-    shift = len(colors)
-    e = (r1, _append_reduction(n2, intern, colors, edges))
-    edges[e] = ROOT_JOIN_LABEL
-    dec = layer_sequence(refine(_graph_arrays(colors, edges), e), e)
+    view, roots = _reduction([n1, n2], {})
+    e = tuple(roots)
+    dec = layer_sequence(refine(view, e), e)
     result = _run_tower(dec, swap=True)
     if result is None:
         return IsoResult(False)
@@ -282,8 +428,9 @@ def phylo_isomorphic(
         return IsoResult(True)
 
     # The joined graph's ids are dense, so they are also its indices.
-    witness = _contract(dec, result[1][None])[0].tolist()
-    mapping = {v: n2.nodes[witness[i] - shift] for i, v in enumerate(n1.nodes)}
+    witness = _contract(dec, result[1][None])[0, : n1.n_nodes]
+    images = s2.ids[witness - (n1.n_nodes + n1.n_arcs)].tolist()
+    mapping = dict(zip(n1.nodes, images))
     if not is_network_isomorphism(n1, n2, mapping):
         raise AssertionError("internal error: witness failed network verification")
     return IsoResult(True, mapping)
@@ -293,193 +440,215 @@ def phylo_isomorphic(
 # eNewick
 # ---------------------------------------------------------------------------
 
+# The whitespace, and all characters that end an unquoted label.
+_SPACE = " \t\r\n"
+_SPECIALS = "(),:;#'" + _SPACE
+_RUN = f"[^{re.escape(_SPECIALS)}]"
+# The tokens, most frequent first.  Every character starts one, so the
+# matches of `findall` tile the text and a token's position is the length of
+# the tokens before it.  A quoted label ends at the first quote that is not
+# doubled; a lone quote is an unterminated label.  `#` and `:` take the whole
+# run of label characters after them, which the scan then checks.
+_TOKEN = re.compile(
+    rf"[(),]|{_RUN}+|#{_RUN}*|[{re.escape(_SPACE)}]+|;|:{_RUN}*|'[^']*(?:''[^']*)*'(?!')|'"
+)
+_EMPTY_NODE = "empty node: expected a label, a group, or a hybrid tag"
 
-class _Occurrence:
-    __slots__ = ("node_id", "name", "tag", "children")
+# Scanner states.  A node's suffix (label, hybrid tag, branch length, each
+# optional, in this order and with no whitespace between them) is read in
+# states _LABEL to _SUFFIXED, by what it has so far.
+_NODE = 0  # a node starts: '(' opens a group, anything else is a leaf's suffix
+_LABEL = 1  # nothing of the suffix yet; whitespace is skipped
+_TAG = 2  # after a label
+_LENGTH = 3  # after a hybrid tag
+_SUFFIXED = 4  # after a branch length
+_AFTER = 5  # a node inside a group ended: ',' or ')' follows
+_END = 6  # the root ended: ';' follows
+_DONE = 7  # after ';': only whitespace
 
-    def __init__(self, node_id):
-        self.node_id = node_id
-        self.name: str | None = None
-        self.tag: str | None = None
-        self.children: list[int] = []
+
+def _error(text: str, pos: int, message: str) -> NewickError:
+    line = text.count("\n", 0, pos) + 1
+    return NewickError(message, line, pos - text.rfind("\n", 0, pos))
 
 
-class _Parser:
-    """Parser for the eNewick subset used here.
+def _start(text: str, tok: str, rest: Iterator[str]) -> int:
+    """Position of `tok`, the token before the unread tokens `rest` (consumed)."""
+    return len(text) - len(tok) - sum(map(len, rest))
 
-    Supported: nested parenthesized groups, unquoted and single-quoted
-    labels, branch lengths (accepted, discarded), and hybrid tags #H<k>
-    whose two occurrences merge into one reticulate node.
+
+def _unexpected(groups: list) -> str:
+    return "expected ')'" if groups else "expected ';' at end of network"
+
+
+def _prefix(run: str, extra: str) -> int:
+    """Length of the longest prefix of `run` of `str.isdigit` characters or `extra`."""
+    return next((i for i, c in enumerate(run) if not (c.isdigit() or c in extra)), len(run))
+
+
+def _tag_error(text: str, tok: str, rest: Iterator[str], groups: list) -> NewickError:
+    """The error of a `#` token that is not H<digits>."""
+    at = _start(text, tok, rest) + 1
+    if tok[1:2] != "H":
+        return _error(text, at, "only hybrid tags of the form #H<number> are supported")
+    digits = _prefix(tok[2:], "")
+    if not digits:
+        return _error(text, at + 1, "hybrid tag is missing its number")
+    # The tag ends inside the run, at a character that no suffix takes.
+    return _error(text, at + 1 + digits, _unexpected(groups))
+
+
+def _check_length(text: str, tok: str, rest: Iterator[str], groups: list, bare: bool) -> None:
+    """Check a `:` token; `bare` is whether its node has neither label nor tag."""
+    run = tok[1:]
+    size = _prefix(run, ".+-eE")
+    try:
+        float(run[:size])
+    except ValueError:
+        raise _error(text, _start(text, tok, rest) + 1 + size, "malformed branch length") from None
+    if size < len(run):
+        at = _start(text, tok, rest) + 1 + size
+        raise _error(text, at, _EMPTY_NODE if bare else _unexpected(groups))
+
+
+def _scan(text: str) -> tuple[list[int], dict[int, str], list[tuple[int, str]]]:
+    """One pass over the tokens: every occurrence's parent, the labels and the tags.
+
+    Occurrences are numbered in the order their nodes start; the root is 0,
+    with parent -1.  Open groups wait on a stack, so depth is unbounded.
     """
-
-    _SPECIALS = set("(),:;#'\t\r\n ")
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.occurrences: list[_Occurrence] = []
-
-    def error(self, message: str):
-        upto = self.text[: self.pos]
-        line = upto.count("\n") + 1
-        column = self.pos - (upto.rfind("\n") + 1) + 1
-        raise NewickError(message, line, column)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def parse(self) -> "PhyloNetwork":
-        self.skip_ws()
-        root = self.parse_subtree()
-        self.skip_ws()
-        if self.peek() != ";":
-            self.error("expected ';' at end of network")
-        self.pos += 1
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error("trailing characters after ';'")
-        return self.build(root)
-
-    def parse_subtree(self) -> int:
-        """Parse one subtree; open groups wait on a stack, so depth is unbounded."""
-        open_groups: list[_Occurrence] = []
-        while True:
-            occ = _Occurrence(len(self.occurrences))
-            self.occurrences.append(occ)
-            self.skip_ws()
-            if self.peek() == "(":
-                self.pos += 1
-                open_groups.append(occ)
+    tokens = iter(_TOKEN.findall(text))
+    parent = [-1]
+    names: dict[int, str] = {}
+    tags: list[tuple[int, str]] = []
+    groups: list[int] = []
+    occ, state, bare = 0, _NODE, True
+    for tok in tokens:
+        if state == _NODE:
+            if tok == "(":
+                groups.append(occ)
+                occ = len(parent)
+                parent.append(groups[-1])
                 continue
-            self.parse_suffix(occ)
-            while True:
-                if not open_groups:
-                    return occ.node_id
-                group = open_groups[-1]
-                group.children.append(occ.node_id)
-                self.skip_ws()
-                if self.peek() == ",":
-                    self.pos += 1
-                    break
-                self.expect(")")
-                open_groups.pop()
-                self.parse_suffix(group)
-                occ = group
-
-    def parse_suffix(self, occ: _Occurrence):
-        """Label, hybrid tag and branch length after a leaf or a closed group."""
-        self.skip_ws()
-        if self.peek() == "'" or (self.peek() and self.peek() not in self._SPECIALS):
-            occ.name = self.parse_name()
-        if self.peek() == "#":
-            occ.tag = self.parse_tag()
-        if self.peek() == ":":
-            self.pos += 1
-            self.parse_number()
-        if occ.name is None and occ.tag is None and not occ.children:
-            self.error("empty node: expected a label, a group, or a hybrid tag")
-
-    def parse_name(self) -> str:
-        if self.peek() == "'":
-            self.pos += 1
-            out = []
-            while True:
-                if self.pos >= len(self.text):
-                    self.error("unterminated quoted label")
-                ch = self.text[self.pos]
-                if ch == "'":
-                    if self.text[self.pos : self.pos + 2] == "''":
-                        out.append("'")
-                        self.pos += 2
-                        continue
-                    self.pos += 1
-                    break
-                out.append(ch)
-                self.pos += 1
-            return "".join(out)
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] not in self._SPECIALS:
-            self.pos += 1
-        return self.text[start : self.pos]
-
-    def parse_tag(self) -> str:
-        self.expect("#")
-        if self.peek() != "H":
-            self.error("only hybrid tags of the form #H<number> are supported")
-        self.pos += 1
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.error("hybrid tag is missing its number")
-        return "H" + self.text[start : self.pos]
-
-    def parse_number(self):
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isdigit() or self.text[self.pos] in ".+-eE"
-        ):
-            self.pos += 1
-        try:
-            float(self.text[start : self.pos])
-        except ValueError:
-            self.error("malformed branch length")
-
-    def build(self, root_id: int) -> "PhyloNetwork":
-        by_tag: dict[str, list[_Occurrence]] = {}
-        for occ in self.occurrences:
-            if occ.tag is not None:
-                by_tag.setdefault(occ.tag, []).append(occ)
-        merged: dict[int, int] = {}
-        for tag, occs in sorted(by_tag.items()):
-            if len(occs) != 2:
-                self.error(f"hybrid tag #{tag} appears {len(occs)} times, expected 2")
-            names = {o.name for o in occs if o.name is not None}
-            if len(names) > 1:
-                self.error(f"hybrid tag #{tag} carries conflicting labels")
-            keep, drop = occs[0], occs[1]
-            merged[drop.node_id] = keep.node_id
-            keep.children = keep.children + drop.children
-            if keep.name is None and drop.name is not None:
-                keep.name = drop.name
-
-        def resolve(i: int) -> int:
-            return merged.get(i, i)
-
-        arcs = []
-        labels = {}
-        for occ in self.occurrences:
-            if occ.node_id in merged:
+            if tok[0] in _SPACE:
                 continue
-            if occ.name is not None:
-                labels[occ.node_id] = occ.name
-            for c in occ.children:
-                arcs.append((occ.node_id, resolve(c)))
-        net = PhyloNetwork(arcs, labels, nodes=[resolve(root_id)])
-        problems = validate_network(net)
-        if problems:
-            raise NetworkError(
-                "parsed network is not fully resolved: " + "; ".join(problems)
-            )
-        return net
+            state, bare = _LABEL, True
+        if state < _AFTER:
+            c = tok[0]
+            if c not in _SPECIALS:
+                if state == _LABEL:
+                    names[occ] = tok
+                    state, bare = _TAG, False
+                    continue
+            elif c == "#":
+                if state <= _TAG:
+                    if tok[1:2] != "H" or not tok[2:].isdigit():
+                        raise _tag_error(text, tok, tokens, groups)
+                    tags.append((occ, tok[1:]))
+                    state, bare = _LENGTH, False
+                    continue
+            elif c == ":":
+                if state <= _LENGTH:
+                    _check_length(text, tok, tokens, groups, bare)
+                    state = _SUFFIXED
+                    continue
+            elif c == "'":
+                if state == _LABEL:
+                    if tok == "'":
+                        raise _error(text, len(text), "unterminated quoted label")
+                    names[occ] = tok[1:-1].replace("''", "'")
+                    state, bare = _TAG, False
+                    continue
+            elif c in _SPACE and state == _LABEL:
+                continue
+            # The suffix ends before this token.
+            if bare:
+                raise _error(text, _start(text, tok, tokens), _EMPTY_NODE)
+            state = _AFTER if groups else _END
+        if state == _AFTER:
+            if tok == ",":
+                occ = len(parent)
+                parent.append(groups[-1])
+                state = _NODE
+            elif tok == ")":
+                occ = groups.pop()
+                state, bare = _LABEL, False
+            elif tok[0] not in _SPACE:
+                raise _error(text, _start(text, tok, tokens), "expected ')'")
+        elif state == _END and tok == ";":
+            state = _DONE
+        elif tok[0] not in _SPACE:
+            message = "expected ';' at end of network" if state == _END else (
+                "trailing characters after ';'")
+            raise _error(text, _start(text, tok, tokens), message)
+    if state < _AFTER:
+        if state == _NODE or bare:
+            raise _error(text, len(text), _EMPTY_NODE)
+        state = _AFTER if groups else _END
+    if state != _DONE:
+        raise _error(text, len(text), _unexpected(groups))
+    return parent, names, tags
 
 
 def parse_enewick(text: str) -> PhyloNetwork:
-    """Parse an eNewick description into a validated network."""
-    return _Parser(text).parse()
+    """Parse an eNewick description into a validated network.
+
+    One scan with a compiled token regex reads this grammar, where ws is a
+    run of spaces, tabs, CRs and LFs:
+
+        network := ws? node ws? ';' ws?
+        node    := '(' ws? node (ws? ',' ws? node)* ws? ')' suffix | suffix
+        suffix  := ws? label? tag? (':' length)?
+        label   := one or more characters other than ( ) , : ; # ' and ws
+                 | "'" (any character but "'", or "''" for one quote)* "'"
+        tag     := '#H' and one or more digits (str.isdigit)
+        length  := digits and . + - e E, accepted by float(); discarded
+
+    A leaf's suffix needs a label or a tag.  Nodes are numbered in the order
+    they start in the text, from 0 for the root; the two occurrences of a
+    hybrid tag merge into the first, a reticulate node whose children are
+    those of both, so its number is that of the first.  A syntax error
+    raises NewickError with its line and column; a text that parses into
+    an invalid network raises NetworkError.  The network's structure
+    (module docstring) is built here from the arcs' index arrays.
+    """
+    parent, names, tags = _scan(text)
+    count = len(parent)
+    by_tag: dict[str, list[int]] = {}
+    for occ, tag in tags:
+        by_tag.setdefault(tag, []).append(occ)
+    rep = np.arange(count)
+    for tag, occs in sorted(by_tag.items()):
+        if len(occs) != 2:
+            raise _error(text, len(text), f"hybrid tag #{tag} appears {len(occs)} times, expected 2")
+        keep, drop = sorted(occs)
+        name = names.pop(drop, None)
+        if name is not None and names.setdefault(keep, name) != name:
+            raise _error(text, len(text), f"hybrid tag #{tag} carries conflicting labels")
+        rep[drop] = keep
+    # Occurrence k > 0 is entered by one arc from its parent; both ends are
+    # resolved to their tag's first occurrence, and repeated arcs merge.
+    arcs = np.sort(rep[np.fromiter(parent, np.int64, count)[1:]] * count + rep[1:])
+    distinct = np.ones(len(arcs), dtype=bool)
+    np.not_equal(arcs[1:], arcs[:-1], out=distinct[1:])
+    tail, head = np.divmod(arcs[distinct], count)
+    kept = rep == np.arange(count)
+    ids = np.flatnonzero(kept)
+    index = np.cumsum(kept) - 1
+    net = PhyloNetwork._of(
+        tuple(ids.tolist()),
+        frozenset(zip(tail.tolist(), head.tolist())),
+        dict(sorted(names.items())),
+        _structure(ids, index[tail], index[head]),
+    )
+    problems = validate_network(net)
+    if problems:
+        raise NetworkError("parsed network is not fully resolved: " + "; ".join(problems))
+    return net
 
 
 def _quote_label(label: str) -> str:
-    if label and all(c not in _Parser._SPECIALS for c in label):
+    if label and all(c not in _SPECIALS for c in label):
         return label
     return "'" + label.replace("'", "''") + "'"
 
@@ -589,10 +758,8 @@ def random_network(
             children[next_id + 1] = []
             next_id += 2
 
-    arcs = arcs_list()
-    net0 = PhyloNetwork(arcs, {})
-    labels = {v: f"t{i}" for i, v in enumerate(sorted(net0.leaves))}
-    net = PhyloNetwork(arcs, labels)
+    leaves = sorted(v for v, kids in children.items() if not kids)
+    net = PhyloNetwork(arcs_list(), {v: f"t{i}" for i, v in enumerate(leaves)})
     require_valid_network(net, "generated network")
     return net
 

@@ -145,6 +145,20 @@ def test_phylo_iso_negative(capsys, tmp_path):
     assert code == 0 and out.strip() == "false"
 
 
+def test_hand_written_enewick_files(capsys):
+    # The CI job runs the console script on these files: quoted labels with
+    # spaces and '', branch lengths, line breaks and one hybrid tag, the same
+    # network with its children reordered, and a truncated copy.
+    plain, reordered = DATA / "quoted.enwk", DATA / "quoted_reordered.enwk"
+    truncated = DATA / "truncated.enwk"
+    code, out, _ = run_cli(capsys, "phylo-iso", str(plain), str(reordered), "--mapping")
+    assert code == 0 and out.splitlines()[-1] == "true"
+    assert len(out.splitlines()) == 10  # nine nodes, then the verdict
+    code, out, err = run_cli(capsys, "phylo-iso", str(plain), str(truncated))
+    assert (code, out) == (3, "")
+    assert err == f"error: {truncated}: line 2, column 33: expected ')'\n"
+
+
 def test_phylo_iso_bad_newick(capsys, tmp_path):
     p1 = tmp_path / "n1.enwk"
     p1.write_text("(a,b,c);")

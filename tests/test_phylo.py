@@ -22,6 +22,7 @@ from trigiso.phylo import (
 )
 
 from graph_reference import record_graph_builds
+from phylo_reference import reference_validate_network
 
 
 def cherry():
@@ -53,34 +54,6 @@ def test_validate_detects_cycles():
         {2: "a", 5: "b", 6: "c"},
     )
     assert any("cycle" in p for p in validate_network(cyclic))
-
-
-def reference_validate_network(net):
-    """`validate_network` written out with the per-node accessors."""
-    problems = []
-    if net.n_nodes == 0:
-        return ["network has no nodes"]
-    roots = net.roots
-    if len(roots) != 1:
-        problems.append(f"expected exactly one root, found {len(roots)}")
-    for v in net.nodes:
-        if net.kind(v) == "invalid":
-            problems.append(f"node {v} has degree pair ({net.in_degree(v)},{net.out_degree(v)})")
-        if net.out_degree(v) == 0 and net.in_degree(v) > 0 and net.label(v) is None:
-            problems.append(f"leaf {v} is unlabeled")
-    indeg = {v: net.in_degree(v) for v in net.nodes}
-    queue = [v for v in net.nodes if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for w in net.children(v):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    if seen != net.n_nodes:
-        problems.append("network contains a directed cycle")
-    return problems
 
 
 def test_validate_network_matches_reference_on_mutants():
