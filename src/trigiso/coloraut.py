@@ -33,8 +33,16 @@ rep(S) have one and the same color, every element preserves colors on S,
 and the recursion would return its input unchanged: by induction no branch
 of it reports a change.  The call then returns its input at once.  Both
 are exactly what the full recursion returns, and the same cut runs on
-every orbit of an intransitive call, all orbits at once.  On a transitive
-pair of points, one color comparison then picks the surviving branch.
+every orbit of an intransitive call, all orbits at once.
+
+Most calls are on two or four points, so these skip the general steps.
+`_pair_step` filters a pair in scalars: the cuts, the rows that swap the
+two points, one index-2 gather and the choice of rep or rep·tau.  Four
+points read their orbits and the first pairing that every row keeps from
+lookup tables, in one pass over the rows' codes.  A transitive four-point
+split runs its two branches through the two pairs together, since what a
+surviving branch does to the generators on a pair does not depend on its
+representative: one gather per pair serves both branches.
 
 `cb_tree` is a reference kept to be compared against `cb`: the same filter
 guided by a precomputed structure tree, a binary tree over B to which the
@@ -49,6 +57,7 @@ splices `cb_tree` can return another generating sequence of the same group.
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 import numpy as np
@@ -71,7 +80,10 @@ ColorSeq = Sequence  # ground-indexed sequence of hashable color values
 
 # The kernel calls its array primitives through these names, where the
 # benchmark's tracer patches them to time the orbit, block and index-2 stages
-# (as perm.orbit_partition, perm.two_block_system, perm.index2_sgs).
+# (as perm.orbit_partition, perm.two_block_system, perm.index2_sgs).  Every
+# index-2 gather, the small-set steps' too, goes through `index2_sgs`, so the
+# tracer counts them all; `orbit_partition` and `two_block_system` no longer
+# see a 2-group's sets of four points or fewer, read from tables instead.
 orbit_partition = perm.orbit_labels
 two_block_system = perm.block_halves
 index2_sgs = perm.index2_images
@@ -95,6 +107,11 @@ def _cb(coset, points: np.ndarray, colors: np.ndarray):
     if not s:
         return coset, False
     gens, rep = coset
+    if s == 2:
+        h, (r,), changed = _pair_step(gens, (rep,), *points.tolist(), colors)
+        if r is None:
+            return None, True
+        return ((h, r), True) if changed else (coset, False)
     here, there = colors[points], colors[rep[points]]
     a, b = np.sort(here), np.sort(there)
     if a[0] == a[-1] == b[0] == b[-1]:
@@ -102,34 +119,46 @@ def _cb(coset, points: np.ndarray, colors: np.ndarray):
     if (a != b).any():
         return None, True
     images = restricted(gens, points)
-    lab = orbit_partition(images)
+    if s == 4:
+        code = int(np.bitwise_or.reduce(_ROW4[images @ _BASE4]))
+        lab, left = _ORBITS4[code & 63], _KEPT_PAIRING[code >> 6]
+    else:
+        lab, left = orbit_partition(images), None
     if not lab.any():
-        return _split(coset, points, images, colors)
+        return _split(coset, points, images, left, colors)
     # The cut on every orbit at once; orbits of one color on both sides pass.
     if (np.sort(here * s + lab) != np.sort(there * s + lab)).any():
         return None, True
     varied = np.zeros(s, dtype=bool)
     varied[lab[here != here[lab]]] = True
+    # Orbits in order of their minima, each one sorted, by one stable sort.
+    grouped = points[np.argsort(lab, kind="stable")]
+    size = np.bincount(lab, minlength=s)
+    end = np.cumsum(size).tolist()
     cur, changed = coset, False
-    for root in np.flatnonzero(varied):
-        orb = points[lab == root]
-        cur, ch = _cb(cur, orb, colors)
+    for root in np.flatnonzero(varied).tolist():
+        cur, ch = _cb(cur, grouped[end[root] - size[root] : end[root]], colors)
         changed |= ch
         if cur is None:
             return None, True
     return cur, changed
 
 
-def _split(coset, points, images, colors):
+def _split(coset, points, images, left, colors):
     """Index-2 split of a transitive orbit: filter rep·H and rep·tau·H, then merge.
 
-    H is the setwise stabilizer of the block of the smallest point, tau the
-    first generator that moves that block.  On two points one color
-    comparison picks the branch that survives, as the recursion on the two
-    singleton halves would.
+    `left` marks the block of the smallest point, or is None for
+    `two_block_system` to find it; H is the block's setwise stabilizer, tau
+    the first generator that moves it.  Four points split into two pairs,
+    and the two branches run through them together: on a pair, the
+    generators a surviving branch leaves depend only on the generators and
+    the colors of the two points, never on the representative
+    (`_pair_step`).  So each pair makes one gather for both branches, and
+    only the representatives and the merge link rep1^-1 rep2 are per branch.
     """
     gens, rep = coset
-    left = two_block_system(images)
+    if left is None:
+        left = two_block_system(images)
     keep = left[images[:, 0]]
     moves = np.flatnonzero(~keep)
     if not len(moves):
@@ -140,16 +169,19 @@ def _split(coset, points, images, colors):
         moved = np.searchsorted(points, h[moves, points[0]])
         assert left[moved].all(), "index2_sgs precondition violated"
     reps = (rep, rep[gens[moves[0]]])
-    if len(points) == 2:
-        # The cut in `_cb` left the two points two different colors, which
-        # rep(points) also has, so exactly one branch preserves them.
-        p = points[0]
-        return (h, reps[int(colors[rep[p]] != colors[p])]), True
     halves = points[left], points[~left]
-    (c1, ch1), (c2, ch2) = (_filter_halves((h, r), halves, colors) for r in reps)
+    if len(points) == 4:
+        changed = False
+        for half in halves:
+            h, reps, ch = _pair_step(h, reps, *half.tolist(), colors)
+            changed |= ch
+        c1, c2 = (None if r is None else (h, r) for r in reps)
+    else:
+        (c1, ch1), (c2, ch2) = (_filter_halves((h, r), halves, colors) for r in reps)
+        changed = ch1 or ch2
     if c1 is None or c2 is None:
         return (c2 if c1 is None else c1), True
-    if not ch1 and not ch2:
+    if not changed:
         return coset, False
     (h1, rep1), (_, rep2) = c1, c2
     link = inverse_image(rep1)[rep2]  # rep1^-1 rep2
@@ -167,6 +199,56 @@ def _filter_halves(coset, halves, colors):
         if coset is None:
             return None, True
     return coset, changed
+
+
+def _pair_step(gens, reps, p, q, colors):
+    """Filter the cosets r·<gens>, r in `reps`, over two points p < q at once.
+
+    Returns (generators, representatives, changed); a representative whose
+    coset has no color-preserving element on {p, q} becomes None.  When p
+    and q have one color, or no generator swaps them, a coset passes whole
+    or not at all.  Otherwise H = <gens> ∩ Stab(p), by one `index2_sgs`
+    gather, and r·<gens> keeps r·H or r·tau·H, tau the first generator that
+    swaps them: the branch whose image of p has p's color.  So the new
+    generators depend on `gens` and the colors of p and q alone.
+    """
+    cp, cq = colors[p], colors[q]
+    seen = [None if r is None else (colors[r[p]], colors[r[q]]) for r in reps]
+    keep = gens[:, p] == p
+    if cp == cq or keep.all():
+        return gens, [r if c == (cp, cq) else None for r, c in zip(reps, seen)], False
+    tau = gens[keep.argmin()]
+    reps = [r if c == (cp, cq) else r[tau] if c == (cq, cp) else None for r, c in zip(reps, seen)]
+    if all(r is None for r in reps):  # every coset is empty: no gather
+        return gens, reps, True
+    h = index2_sgs(gens, keep)
+    assert (h[:, p] == p).all(), "index2_sgs precondition violated"
+    return h, reps, True
+
+
+def _four_point_tables():
+    """`_cb`'s tables for four points, indexed by a row's base-4 code.
+
+    A row g sets bit i for each pair i of _PAIRS4 that some x -- g(x)
+    joins, and bit 6 + j for each pairing j of `perm.block_halves` that g
+    breaks; OR over the rows, the low six bits give the orbits (each
+    point's orbit minimum), the high three the block of 0 in the first
+    pairing that every row keeps, or None.
+    """
+    row = np.zeros(4**4, dtype=np.int64)
+    for g in map(np.array, itertools.permutations(range(4))):
+        edges = [_PAIRS4.index((min(x, y), max(x, y))) for x, y in enumerate(g.tolist()) if x != y]
+        broken = [6 + j for j, mate in enumerate(perm._PAIRINGS) if (mate[g] != g[mate]).any()]
+        row[g @ _BASE4] = sum(1 << i for i in set(edges + broken))
+    joined = ([(0, 0)] + [e for i, e in enumerate(_PAIRS4) if mask >> i & 1] for mask in range(64))
+    orbits = np.array([perm._join(np.arange(4), *np.array(e).T) for e in joined])
+    kept = [[j for j in range(3) if not broken >> j & 1] for broken in range(8)]
+    return row, orbits, [perm._PAIRING_LEFT[j[0]] if j else None for j in kept]
+
+
+_PAIRS4 = list(itertools.combinations(range(4), 2))
+_BASE4 = np.array([64, 16, 4, 1])
+_ROW4, _ORBITS4, _KEPT_PAIRING = _four_point_tables()
 
 
 def _color_codes(colors: ColorSeq, idx: np.ndarray) -> np.ndarray:

@@ -321,11 +321,13 @@ def index2_images(images: np.ndarray, keep: np.ndarray) -> np.ndarray:
     tau^-1 g, so tau's own row by the identity; kept rows stay.  At least
     one row must not be kept.
     """
-    tau, *rest = np.flatnonzero(~keep)
+    moved = np.flatnonzero(~keep)
+    tau, rest = moved[0], moved[1:]
     out = images.copy()
     out[tau] = np.arange(images.shape[1], dtype=images.dtype)
-    if rest:
-        out[rest] = inverse_image(images[tau])[images[rest]]
+    if len(rest):
+        # `take` gathers by int32 indices as they are; `[]` converts them first.
+        out[rest] = inverse_image(images[tau]).take(images[rest])
     return out
 
 

@@ -11,6 +11,7 @@ from trigiso.graphs import format_graph_text, is_graph_isomorphism, parse_graph_
 from trigiso.harness import random_relabeling
 
 from test_core import CUBE, _cfi
+from tower_cases import PETERSEN
 from test_graphs import EX1_A, EX1_B, EX2_A, EX2_B, graph_from_edges
 
 
@@ -101,14 +102,24 @@ def test_iso_and_aut_take_labels_past_64_bits(capsys):
 DATA = Path(__file__).parent / "data"
 
 
+def _check_cfi_files(capsys, base, stem):
+    plain, twisted = DATA / f"{stem}.graph", DATA / f"{stem}_twist1.graph"
+    assert plain.read_text() == format_graph_text(_cfi(base))
+    assert twisted.read_text() == format_graph_text(random_relabeling(_cfi(base, {0}), 9)[0])
+    assert run_cli(capsys, "iso", str(plain), str(twisted)) == (0, "false\n", "")
+    assert run_cli(capsys, "iso", str(plain), str(plain)) == (0, "true\n", "")
+
+
 def test_cfi_cube_files_are_the_uncolored_cube_pair(capsys):
     # The CI job runs the console script on these files; they are the
     # colour-0 CFI graph over the 3-cube and its relabelled one-twist variant.
-    plain, twisted = DATA / "cfi_cube.graph", DATA / "cfi_cube_twist1.graph"
-    assert plain.read_text() == format_graph_text(_cfi(CUBE))
-    assert twisted.read_text() == format_graph_text(random_relabeling(_cfi(CUBE, {0}), 9)[0])
-    assert run_cli(capsys, "iso", str(plain), str(twisted)) == (0, "false\n", "")
-    assert run_cli(capsys, "iso", str(plain), str(plain)) == (0, "true\n", "")
+    _check_cfi_files(capsys, CUBE, "cfi_cube")
+
+
+def test_cfi_petersen_files_are_the_uncolored_petersen_pair(capsys):
+    # The same for the Petersen graph: 100 nodes, and the CI job's CFI
+    # negative that runs the most towers.
+    _check_cfi_files(capsys, PETERSEN, "cfi_petersen")
 
 
 def test_aut_bad_edge_flag(capsys, tmp_path):

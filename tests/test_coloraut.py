@@ -25,19 +25,23 @@ from trigiso.harness import (
 from trigiso.perm import (
     Coset,
     Permutation,
+    block_halves,
     compose,
     coset_elements,
     enumerate_group,
     index2_sgs,
     inverse,
     is_transitive,
+    orbit_labels,
     orbit_partition,
     smoothness_violations,
     two_block_system,
 )
 
 import tower_reference
-from tower_cases import every_level, recorded_towers
+from test_core import same_tower_result
+from tower_cases import cfi_tower_cases, decide_tower_cases, every_level, recorded_towers
+from tower_reference import reference_cb_images
 
 
 def T(m, a, b):
@@ -186,9 +190,11 @@ def test_small_case_list_is_complete():
 @pytest.mark.parametrize("case", range(len(_SMALL_CASES)))
 def test_cb_exact_on_every_small_transitive_2group(case):
     # Every representative in S_4 (some send the points elsewhere) and every
-    # coloring with at most three colors.
+    # coloring with at most three colors; the array kernel also returns the
+    # general recursion's arrays exactly.
     points, sgs = _SMALL_CASES[case]
     group = enumerate_group(sgs)
+    gens = np.array([g.image for g in sgs], dtype=np.int32)
     for rep in _S4:
         elements = {compose(rep, h) for h in group}
         coset = Coset(rep, sgs)
@@ -198,6 +204,7 @@ def test_cb_exact_on_every_small_transitive_2group(case):
             assert _as_set(got) == want, (points, sgs, rep, colors)
             if want == elements:
                 assert got is coset
+            solved_like_the_reference(gens, rep.image, np.array(points), np.array(colors))
 
 
 # The Klein group on {0, 1, 2, 3} of 8 points, and a representative that
@@ -212,7 +219,9 @@ _SHIFT_BY_4 = Permutation.from_cycles(8, [(0, 4), (1, 5), (2, 6), (3, 7)])
 def test_multiset_cut_returns_none_before_recursing(monkeypatch):
     # rep sends S = {0..3} onto {4..7}, where one color 1 became a 2.
     calls = []
-    monkeypatch.setattr(coloraut, "orbit_partition", lambda images: calls.append(1))
+    # `restricted` is the first step after the cuts, for the tables and the
+    # orbit search alike.
+    monkeypatch.setattr(coloraut, "restricted", lambda *args: calls.append(1))
     gens, rep = _KLEIN_ON_4_OF_8, _SHIFT_BY_4
     colors = [1, 1, 2, 2, 1, 2, 2, 2]
     coset = Coset(rep, gens)
@@ -223,7 +232,7 @@ def test_multiset_cut_returns_none_before_recursing(monkeypatch):
 
 def test_one_color_returns_the_input_coset(monkeypatch):
     calls = []
-    monkeypatch.setattr(coloraut, "orbit_partition", lambda images: calls.append(1))
+    monkeypatch.setattr(coloraut, "restricted", lambda *args: calls.append(1))
     gens, rep = _KLEIN_ON_4_OF_8, _SHIFT_BY_4
     coset = Coset(rep, gens)
     assert cb(coset, range(4), [3, 3, 3, 3, 3, 3, 3, 3]) is coset
@@ -341,6 +350,87 @@ def test_cb_merges_branches_like_the_reference():
             want, _ = _reference_cb(Coset(rep, gens), list(range(8)), colors)
             got = cb(Coset(rep, gens), range(8), colors)
             assert (got is None) if want is None else (got.rep, got.sub) == (want.rep, want.sub)
+
+
+def solved_like_the_reference(gens, rep, points, colors):
+    """`cb_images` on these arrays, checked against `reference_cb_images`.
+
+    Both report the same changed flag and return arrays equal in dtype,
+    shape and value; when nothing changed, `cb_images` hands back the input
+    arrays themselves.
+    """
+    out, changed = coloraut.cb_images(gens, rep, points, colors)
+    want, want_changed = reference_cb_images(gens, rep, points, colors)
+    assert changed == want_changed
+    if not changed:
+        assert out[0] is gens and out[1] is rep
+    assert (out is want) if out is None or want is None else same_tower_result(out, want)
+    return out, changed
+
+
+@pytest.mark.parametrize("case", ["decisions-0", "decisions-1", "cfi"])
+def test_cb_images_equals_the_reference_on_every_level_solve(monkeypatch, case):
+    # Every level coset that the recorded towers solve, in the decisions and
+    # on every level of the same towers.  The uncolored CFI pairs over K4
+    # and the cube, negatives included, split four points into two pairs
+    # with both branches alive.
+    solves, shared = [], []
+    real_step = coloraut._pair_step
+
+    def checked(gens, rep, points, colors):
+        solves.append(len(points))
+        return solved_like_the_reference(gens, rep, points, colors)
+
+    def step(gens, reps, p, q, colors):
+        out = real_step(gens, reps, p, q, colors)
+        shared.append(len(reps) == 2 and all(r is not None for r in out[1]))
+        return out
+
+    monkeypatch.setattr(core, "cb_images", checked)
+    monkeypatch.setattr(tower_reference, "cb_images", checked)
+    monkeypatch.setattr(coloraut, "_pair_step", step)
+    every_level(cfi_tower_cases() if case == "cfi" else decide_tower_cases(40, int(case[-1])))
+    assert solves
+    if case == "cfi":
+        assert any(shared)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_cb_images_equals_the_reference_on_random_cosets(seed):
+    # Smooth 2-groups on 8 to 64 points behind three node columns that ride
+    # along, over every point or a stable union of orbits.
+    rng = random.Random(f"arrays:{seed}")
+    m = 8 << seed % 4
+    sgs = random_smooth_2group(m, 1 << rng.randrange(2, 9), seed)
+    gens = np.array([rng.sample(range(3), 3) + [3 + x for x in g.image] for g in sgs], dtype=np.int32)
+    gens = gens.reshape(len(sgs), m + 3)
+    rep = np.array(rng.sample(range(3), 3) + [3 + x for x in compose(*rng.choices(sgs, k=2)).image])
+    if seed % 3 == 0:
+        rep = np.array(rng.sample(range(m + 3), m + 3))
+    orbits = orbit_partition(sgs, range(m))
+    chosen = rng.sample(orbits, rng.randrange(1, len(orbits) + 1)) if seed % 2 else orbits
+    points = 3 + np.array(sorted(set().union(*chosen)))
+    colors = np.array([rng.choice([0, 0, 1, 2]) for _ in range(m + 3)])
+    solved_like_the_reference(gens, rep.astype(np.int32), points, colors)
+
+
+def test_four_point_tables_match_orbit_labels_and_block_halves():
+    # One or two rows of any permutations of four points: the orbits, and on
+    # a transitive action the block of 0 or, with no kept pairing, the error.
+    perms = list(itertools.permutations(range(4)))
+    for rows in itertools.chain(itertools.combinations(perms, 1), itertools.product(perms, repeat=2)):
+        images = np.array(rows)
+        code = int(np.bitwise_or.reduce(coloraut._ROW4[images @ coloraut._BASE4]))
+        lab = coloraut._ORBITS4[code & 63]
+        assert lab.tolist() == orbit_labels(images).tolist()
+        if lab.any():
+            continue
+        left = coloraut._KEPT_PAIRING[code >> 6]
+        if left is None:
+            with pytest.raises(ValueError):
+                block_halves(images)
+        else:
+            assert left.tolist() == block_halves(images).tolist()
 
 
 @pytest.mark.parametrize("n_points", [32, 64])

@@ -1,4 +1,4 @@
-"""Property tests of the decisions, the contraction and the eNewick round trip.
+"""Property tests of the decisions, the color filter, the contraction and the eNewick round trip.
 
 Inputs come from the package's seeded generators, so a failing example is
 reproduced by its seeds.  Colors and labels are drawn from a palette that
@@ -24,6 +24,7 @@ from trigiso.phylo import (
     write_enewick,
 )
 
+from test_coloraut import solved_like_the_reference
 from test_core import same_tower_result, unpruned_decision
 from tower_reference import reference_run_tower
 
@@ -169,3 +170,56 @@ def test_write_then_parse_enewick_round_trips(n, seed, names):
     back = parse_enewick(text)
     res = phylo_isomorphic(net, back, want_mapping=True)
     assert res.isomorphic and is_network_isomorphism(net, back, res.mapping)
+
+
+# Generators of Z2 on a pair and of C4, V4 and D4 on four points, as images.
+SMALL_2GROUPS = {
+    "Z2": [[1, 0]],
+    "C4": [[1, 2, 3, 0]],
+    "V4": [[1, 0, 3, 2], [2, 3, 0, 1]],
+    "D4": [[1, 2, 3, 0], [1, 0, 3, 2]],
+}
+
+
+@st.composite
+def small_orbit_cosets(draw):
+    """(gens, rep, points, colors): a 2-group coset on 2- and 4-point orbits.
+
+    Each orbit carries one group of SMALL_2GROUPS on its points in a drawn
+    order.  Up to three node columns come first, off the points; every row
+    permutes them as drawn, so they ride along.  The generators may be
+    replaced by products of neighbours, which generate a subgroup, and a row
+    that fixes every point may join them.  The representative permutes each
+    orbit, or all points, or all columns, so the filter cuts neither branch
+    of a split, one or both.
+    """
+    n = draw(st.integers(0, 3))
+    kinds = draw(st.lists(st.sampled_from(sorted(SMALL_2GROUPS)), min_size=1, max_size=4))
+    m = n + sum(len(SMALL_2GROUPS[k][0]) for k in kinds)
+    rows, orbits = [], []
+    for kind in kinds:
+        start = n + sum(map(len, orbits))
+        orbit = draw(st.permutations(range(start, start + len(SMALL_2GROUPS[kind][0]))))
+        for g in SMALL_2GROUPS[kind]:
+            row = np.arange(m)
+            row[orbit] = np.array(orbit)[g]
+            rows.append(row)
+        orbits.append(orbit)
+    if draw(st.booleans()):
+        rows = [a[b] for a, b in zip(rows, rows[1:] + rows[:1])]
+    rows += [np.arange(m) for _ in range(draw(st.integers(0, 1)))]
+    for row in rows:
+        row[:n] = draw(st.permutations(range(n)))
+    rep = np.arange(m)
+    scope = draw(st.sampled_from(("orbits", "points", "columns")))
+    for part in orbits if scope == "orbits" else [range(n, m)] if scope == "points" else [range(m)]:
+        rep[list(part)] = draw(st.permutations(list(part)))
+    colors = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+    gens = np.array(draw(st.permutations(rows)), dtype=np.int32).reshape(len(rows), m)
+    return gens, rep.astype(np.int32), np.arange(n, m), np.array(colors)
+
+
+@settings(bounded, max_examples=300)
+@given(small_orbit_cosets())
+def test_cb_images_equals_the_reference_on_small_orbits(case):
+    solved_like_the_reference(*case)

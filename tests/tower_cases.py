@@ -2,10 +2,12 @@
 
 `decide_tower_cases` runs a few decisions and returns every tower they ran,
 by case, as (decomposition, swap) pairs recorded at `_run_tower`;
-`every_level` runs those towers again through `reference_run_tower`, which
-filters and lifts at every level, rigid or not.  The symmetric inputs (a
-complete binary tree and an uncolored CFI pair over K4) keep generators in
-the coset, so the decisions themselves reach the general level loop too.
+`cfi_tower_cases` does the same for uncolored CFI pairs over K4 and the
+cube, negatives included.  `every_level` runs those towers again through
+`reference_run_tower`, which filters and lifts at every level, rigid or
+not.  The symmetric inputs (a complete binary tree and an uncolored CFI
+pair over K4) keep generators in the coset, so the decisions themselves
+reach the general level loop too.
 """
 
 import pytest
@@ -20,6 +22,9 @@ from tower_reference import reference_run_tower
 
 K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 CUBE = [(v, v ^ bit) for v in range(8) for bit in (1, 2, 4) if v < v ^ bit]
+# The outer 5-cycle, its spokes, and the inner pentagram.
+PETERSEN = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+PETERSEN += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
 
 
 def complete_binary_tree(n_nodes):
@@ -105,6 +110,22 @@ def decide_tower_cases(n: int, seed: int) -> dict[str, list]:
         "tree": recorded_towers(lambda: decide_graph(tree)),
         "cfi": recorded_towers(decide_cfi),
     }
+
+
+def cfi_tower_cases() -> dict[str, list]:
+    """The towers of uncolored CFI decisions over K4 and the cube, by case.
+
+    The plain graph against a relabelled copy with one twist (a negative)
+    and with two twists (a positive).
+    """
+    cases = {}
+    for name, base in (("k4", K4), ("cube", CUBE)):
+        for twists in (1, 2):
+            other = random_relabeling(_cfi(base, set(range(twists))), 9)[0]
+            cases[f"cfi-{name}-{twists}"] = recorded_towers(
+                lambda: is_isomorphic(_cfi(base), other)
+            )
+    return cases
 
 
 def every_level(cases: dict[str, list]) -> None:

@@ -7,6 +7,8 @@ per-level tables and the kernel transpositions) from `dec.graph` and
 `reference_layer_sequence` is the per-node BFS and triangle rewrite,
 `reference_refine` the per-node color refinement, and `reference_run_tower`
 the tower's level loop run at every level, with no rigid tail.
+`reference_cb_images` is the color filter's general recursion run on every
+point set, small ones included.
 """
 
 from itertools import combinations
@@ -16,6 +18,7 @@ import numpy as np
 
 from trigiso.coloraut import cb_images
 from trigiso.graphs import GADGET_LABEL, LabeledGraph, _norm_edge
+from trigiso.perm import block_halves, index2_images, inverse_image, orbit_labels, restricted
 
 
 class WrittenOutTower:
@@ -275,3 +278,89 @@ def reference_run_tower(dec, swap: bool):
         moving = (lifted[:-1] != ident).any(axis=1)
         gens = np.concatenate([dec.kernel_generators(r), lifted[:-1][moving]])
     return gens, rep
+
+
+def _reference_cb(coset, points, colors):
+    """The color filter's recursion on any point set; (coset or None, changed).
+
+    The color-multiset cut on the whole set; then the orbits, each cut and
+    filtered in turn, or, on a transitive set, the index-2 split.
+    """
+    s = len(points)
+    if not s:
+        return coset, False
+    gens, rep = coset
+    here, there = colors[points], colors[rep[points]]
+    a, b = np.sort(here), np.sort(there)
+    if a[0] == a[-1] == b[0] == b[-1]:
+        return coset, False
+    if (a != b).any():
+        return None, True
+    images = restricted(gens, points)
+    lab = orbit_labels(images)
+    if not lab.any():
+        return _reference_split(coset, points, images, colors)
+    if (np.sort(here * s + lab) != np.sort(there * s + lab)).any():
+        return None, True
+    varied = np.zeros(s, dtype=bool)
+    varied[lab[here != here[lab]]] = True
+    cur, changed = coset, False
+    for root in np.flatnonzero(varied):
+        cur, ch = _reference_cb(cur, points[lab == root], colors)
+        changed |= ch
+        if cur is None:
+            return None, True
+    return cur, changed
+
+
+def _reference_split(coset, points, images, colors):
+    """Filter rep·H and rep·tau·H over the two blocks of `block_halves`, then merge."""
+    gens, rep = coset
+    left = block_halves(images)
+    keep = left[images[:, 0]]
+    moves = np.flatnonzero(~keep)
+    h = index2_images(gens, keep)
+    reps = (rep, rep[gens[moves[0]]])
+    if len(points) == 2:
+        p = points[0]
+        return (h, reps[int(colors[rep[p]] != colors[p])]), True
+    halves = points[left], points[~left]
+    (c1, ch1), (c2, ch2) = (_reference_halves((h, r), halves, colors) for r in reps)
+    if c1 is None or c2 is None:
+        return (c2 if c1 is None else c1), True
+    if not ch1 and not ch2:
+        return coset, False
+    (h1, rep1), (_, rep2) = c1, c2
+    link = inverse_image(rep1)[rep2]
+    if (link == np.arange(len(link))).all():
+        return c1, True
+    return (np.concatenate([h1, link[None]]), rep1), True
+
+
+def _reference_halves(coset, halves, colors):
+    changed = False
+    for half in halves:
+        coset, ch = _reference_cb(coset, half, colors)
+        changed |= ch
+        if coset is None:
+            return None, True
+    return coset, changed
+
+
+def reference_cb_images(gens, rep, points, colors):
+    """`trigiso.coloraut.cb_images` by the general recursion alone.
+
+    Generators that fix every point keep their rows, as in `cb_images`;
+    returns (coset or None, changed), the input pair itself when nothing
+    changed.
+    """
+    moving = np.flatnonzero((gens[:, points] != points).any(axis=1))
+    out, changed = _reference_cb((gens[moving], rep), points, colors)
+    if not changed:
+        return (gens, rep), False
+    if out is None:
+        return None, True
+    new, new_rep = out
+    sub = gens.copy()
+    sub[moving] = new[: len(moving)]
+    return (np.concatenate([sub, new[len(moving) :]]), new_rep), True
