@@ -12,11 +12,11 @@ Includes an adaptation to fully resolved rooted phylogenetic networks
 The package exports the three decisions (`is_isomorphic`, `aut_e_generators`,
 `phylo_isomorphic`) with their results, the graph and network types with
 their text formats, validators and errors, and two seeded input generators.
-Everything else is imported from its module: the layer tower in `layers`,
-its colour solver in `coloraut`, permutations and 2-groups in `perm`, the
-lift in `core`, the splice and the mapping check in `graphs`, the network
-reduction and test mutations in `phylo`, and the brute-force oracles and
-benchmark runner in `harness`.
+Everything else is imported from its module: the layer tower and its lift
+in `layers`, its colour solver in `coloraut`, permutations and 2-groups in
+`perm`, the one tower call that every decision makes in `core`, the splice
+and the mapping check in `graphs`, the network reduction and test mutations
+in `phylo`, and the brute-force oracles and benchmark runner in `harness`.
 """
 
 from .core import AutResult, IsoResult, aut_e_generators, is_isomorphic

@@ -4,9 +4,10 @@ Exit codes: 0 = the command ran (for the isomorphism commands the verdict is
 the last stdout line, `true` or `false`); 2 = usage error; 3 = unreadable or
 invalid input; 4 = internal error: one of the pipeline's own self-checks
 failed (a witness that does not verify, an identity coset filtered to empty,
-a level permutation that does not preserve node colors), reported as one
-`error: internal: ...` line on stderr.  Output is plain text with no color,
-and all randomness comes from explicit --seed flags.
+a level permutation that does not preserve node colors, a filtered level
+permutation that does not lift), reported as one `error: internal: ...`
+line on stderr.  Output is plain text with no color, and all randomness
+comes from explicit --seed flags.
 """
 
 from __future__ import annotations
@@ -122,12 +123,18 @@ def _seed_ok(seed: int):
         raise InputError("seeds are 64-bit unsigned integers")
 
 
-def _cmd_iso(args) -> int:
-    g1 = _load_graph(args.first)
-    g2 = _load_graph(args.second)
+def _cmd_pair(args) -> int:
+    """`iso` on two graph files or `phylo-iso` on two eNewick files."""
+    # The decision is looked up here, when the command runs, so that the
+    # module's name can be patched.
+    if args.command == "iso":
+        load, decide, error = _load_graph, is_isomorphic, GraphError
+    else:
+        load, decide, error = _load_network, phylo_isomorphic, NetworkError
+    first, second = load(args.first), load(args.second)
     try:
-        res = is_isomorphic(g1, g2, want_mapping=args.mapping)
-    except GraphError as exc:
+        res = decide(first, second, want_mapping=args.mapping)
+    except error as exc:
         raise InputError(str(exc)) from exc
     if args.mapping and res.mapping is not None:
         for u in sorted(res.mapping):
@@ -147,20 +154,6 @@ def _cmd_aut(args) -> int:
         print(cycle_string(gen, res.node_order))
     if not res.generators:
         print("()")
-    return EXIT_OK
-
-
-def _cmd_phylo(args) -> int:
-    n1 = _load_network(args.first)
-    n2 = _load_network(args.second)
-    try:
-        res = phylo_isomorphic(n1, n2, want_mapping=args.mapping)
-    except NetworkError as exc:
-        raise InputError(str(exc)) from exc
-    if args.mapping and res.mapping is not None:
-        for u in sorted(res.mapping):
-            print(f"{u} -> {res.mapping[u]}")
-    print("true" if res.isomorphic else "false")
     return EXIT_OK
 
 
@@ -194,9 +187,9 @@ def _cmd_bench(args) -> int:
 
 
 _COMMANDS = {
-    "iso": _cmd_iso,
+    "iso": _cmd_pair,
     "aut": _cmd_aut,
-    "phylo-iso": _cmd_phylo,
+    "phylo-iso": _cmd_pair,
     "gen": _cmd_gen,
     "bench": _cmd_bench,
 }

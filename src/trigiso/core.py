@@ -19,7 +19,9 @@ The refined colors are invariant under every automorphism fixing the base
 edge setwise and refine the input colors, so the edge-fixing group and
 every verdict are those of the input, and every witness is an isomorphism
 of the inputs.  What shrinks are the level groups of the partial graphs,
-towards that final group.
+towards that final group.  `_tower` is the one place that refines, builds
+the tower, runs the level loop and contracts the result; every decision
+on graphs and on networks runs its towers through it.
 
 Inside the tower every permutation is a row of an int32 image array: the
 generators are one (k, n) array and the representative one row.  A level
@@ -71,9 +73,11 @@ import numpy as np
 # The tower runs `cb_images`; `cb` and the tree names are bound here only
 # because perfbench/tracing.py patches them in this module.
 from .coloraut import annotate, build_structure_tree, cb, cb_images, cb_tree
-from .graphs import GraphArrays, LabeledGraph, build_x, is_graph_isomorphism, require_valid
+from .graphs import (
+    GraphArrays, GraphError, LabeledGraph, build_x, is_graph_isomorphism, require_valid
+)
 from .layers import LayerDecomposition, _bfs_levels, _incidence, layer_sequence, refine
-from .perm import Permutation, _join, _sorted_distinct
+from .perm import Permutation, _join, _row_ranks, _sorted_distinct
 
 
 def lift(dec: LayerDecomposition, r: int, sigma: Permutation) -> Permutation:
@@ -82,9 +86,13 @@ def lift(dec: LayerDecomposition, r: int, sigma: Permutation) -> Permutation:
     Each node entering at level r+1 is sent to the node at the matching
     position (sorted by index) of the image fiber: same labeled neighbor set
     pushed through sigma, same color.  The restriction of the result back to
-    level r is sigma again.
+    level r is sigma again.  A missing target fiber, or one of another size,
+    raises GraphError.
     """
-    return Permutation(dec.lift_image(r, sigma.image), _checked=True)
+    image = dec.lift_or_none(r, sigma.image)
+    if image is None:
+        raise GraphError("fiber mismatch while lifting: permutation was not certified")
+    return Permutation(image, _checked=True)
 
 
 def _run_tower(dec: LayerDecomposition, swap: bool):
@@ -106,7 +114,9 @@ def _run_tower(dec: LayerDecomposition, swap: bool):
     are not part of B_r: every permutation that reaches level r already
     preserves their colors, so a filter over them could remove nothing.
     That premise is checked on every row at every level, and a violation
-    raises AssertionError.
+    raises AssertionError.  So does a filtered row that does not lift: the
+    filter kept it because it maps the level's neighbor sets onto
+    materialized ones of equal color, which is what the lift matches.
 
     The loop stops at the first level r where the coset has no generators
     and r >= `dec.rigid_from`, so that no level from r on has a kernel.
@@ -169,7 +179,9 @@ def _run_tower(dec: LayerDecomposition, swap: bool):
                     return None
                 raise AssertionError("identity coset filtered to empty")
             rows = np.vstack(out)[:, :n]
-        lifted = dec.lift_image(r, rows)
+        lifted = dec.lift_or_none(r, rows)
+        if lifted is None:
+            raise AssertionError(f"level {r}: a filtered permutation does not lift")
         rep = lifted[-1]
         moving = (lifted[:-1] != ident).any(axis=1)
         gens = np.concatenate([dec.kernel_generators(r), lifted[:-1][moving]])
@@ -226,6 +238,24 @@ def _contract(dec: LayerDecomposition, images: np.ndarray) -> np.ndarray:
     return out
 
 
+def _tower(view: GraphArrays, e: tuple[int, int], swap: bool) -> np.ndarray | None:
+    """One tower of `view` rooted at its edge e, contracted onto the view.
+
+    Refines the view (`refine`), builds the layer tower, runs the level
+    loop and maps its rows back onto the view's indices.  e is a pair of
+    node ids.  With swap=False returns the generators of the automorphisms
+    fixing e setwise, the rows of a (k, n) int32 array and a smooth
+    generating sequence.  With swap=True returns one row, an automorphism
+    exchanging e's endpoints, or None if there is none.  Callers validate,
+    this function does not.
+    """
+    dec = layer_sequence(refine(view, e), e)
+    result = _run_tower(dec, swap)
+    if result is None:
+        return None
+    return _contract(dec, result[1][None])[0] if swap else _contract(dec, result[0])
+
+
 @dataclass(frozen=True)
 class AutResult:
     """Generators of the edge-fixing automorphism group of a graph.
@@ -242,22 +272,10 @@ class AutResult:
     swap_witness: Permutation | None
 
 
-def _edge_fixing_rows(view: GraphArrays, e: tuple[int, int]) -> np.ndarray:
-    """Generators of the automorphisms of `view` fixing its edge e setwise.
-
-    e is a pair of node ids; the generators are the rows of a (k, n) int32
-    array over the view's indices, a smooth generating sequence.  Callers
-    validate, this function does not.
-    """
-    dec = layer_sequence(refine(view, e), e)
-    gens, _ = _run_tower(dec, swap=False)
-    return _contract(dec, gens)
-
-
 def aut_e_generators(g: LabeledGraph, e: tuple[int, int]) -> AutResult:
     """Smooth generators of the automorphisms of g that fix e setwise."""
     require_valid(g)
-    contracted = tuple(Permutation(row) for row in _edge_fixing_rows(g.arrays, e))
+    contracted = tuple(Permutation(row) for row in _tower(g.arrays, e, swap=False))
     a, b = np.searchsorted(g.arrays.ids, e).tolist()
     return AutResult(
         generators=contracted,
@@ -311,10 +329,8 @@ def _profile_tables(g1: LabeledGraph, g2: LabeledGraph) -> list[_ProfileTables]:
     for a in views:
         n = len(a.ids)
         rank = np.searchsorted(label_palette, a.labels)
-        back = a.u != a.v  # a loop is one slot of its node, as in `adjacency`
-        src = np.concatenate([a.u, a.v[back]])
-        dst = np.concatenate([a.v, a.u[back]])
-        lab = np.concatenate([rank, rank[back]])
+        src, dst = np.concatenate([a.u, a.v]), np.concatenate([a.v, a.u])
+        lab = np.concatenate([rank, rank])
         order = np.lexsort((dst, lab, src))
         src, dst, lab = src[order], dst[order], lab[order]
         col = 3 - a.degrees[src] + np.arange(len(src)) - np.searchsorted(src, src)
@@ -324,12 +340,7 @@ def _profile_tables(g1: LabeledGraph, g2: LabeledGraph) -> list[_ProfileTables]:
         kinds.append(np.column_stack([
             np.append(np.searchsorted(palette, a.colors), -1), table[:, :, 0]
         ]))
-    kind = np.concatenate(kinds)
-    order = np.lexsort(kind.T[::-1])
-    step = np.zeros(len(kind), dtype=np.int64)
-    step[1:] = (np.diff(kind[order], axis=0) != 0).any(axis=1)
-    base = np.empty_like(step)
-    base[order] = np.cumsum(step)
+    base = _row_ranks(np.concatenate(kinds))
     cut = len(slots[0])
     return [
         _ProfileTables(a.ids, table[:, :, 1], table[:, :, 0], b)
@@ -477,7 +488,7 @@ def _candidate_orbits(a2: GraphArrays, candidates: np.ndarray, tried: np.ndarray
     depth = level[a2.u] + level[a2.v]
     far = np.flatnonzero(depth == depth.max())
     j = far[np.lexsort((a2.v[far], a2.u[far]))[0]]
-    rows = _edge_fixing_rows(a2, (a2.ids[a2.u[j]], a2.ids[a2.v[j]]))
+    rows = _tower(a2, (a2.ids[a2.u[j]], a2.ids[a2.v[j]]), swap=False)
     _check_automorphisms(a2, rows)
     keys = candidates[:, 0] * n + candidates[:, 1]
     x, y = rows[:, candidates[:, 0]].astype(np.int64), rows[:, candidates[:, 1]].astype(np.int64)
@@ -534,14 +545,11 @@ def is_isomorphic(
                 orbit = _candidate_orbits(a2, candidates, candidates[failed[0]])
             if orbit[i] in orbit[failed]:
                 continue
-        joined, e = build_x(a1, a2, e1, candidates[i]), (n1, n1 + 1)
-        dec = layer_sequence(refine(joined, e), e)
-        result = _run_tower(dec, swap=True)
-        if result is None:
+        witness = _tower(build_x(a1, a2, e1, candidates[i]), (n1, n1 + 1), swap=True)
+        if witness is None:
             failed.append(i)
             continue
         # The splice's ids are its indices; the second graph starts at n1 + 2.
-        witness = _contract(dec, result[1][None])[0]
         mapping = dict(zip(a1.ids.tolist(), a2.ids[witness[:n1] - (n1 + 2)].tolist()))
         if not is_graph_isomorphism(g1, g2, mapping):
             raise AssertionError("internal error: witness failed verification")

@@ -64,7 +64,7 @@ from .graphs import (
     _norm_edge,
     require_valid,
 )
-from .perm import _sorted_distinct
+from .perm import _row_ranks, _sorted_distinct
 
 
 class LayerDecomposition:
@@ -164,11 +164,7 @@ class LayerDecomposition:
         width = int(np.diff(np.append(set_first, len(members))).max(initial=1))
         sig = np.full((len(set_first), width), -1)
         sig[set_of, np.arange(len(members)) - set_first[set_of]] = m_rank
-        order = np.lexsort(sig.T[::-1])
-        step = np.ones(len(sig), dtype=bool)
-        step[1:] = (sig[order][1:] != sig[order][:-1]).any(axis=1)
-        set_color = np.empty(len(sig), dtype=np.int64)
-        set_color[order] = np.cumsum(step)
+        set_color = _row_ranks(sig) + 1
         cross = (lu == lv) & (lu > 1)
         cu, cv = u[cross], v[cross]
         elem_level = np.concatenate([set_level - 1, lu[cross]])
@@ -221,22 +217,15 @@ class LayerDecomposition:
         at = np.searchsorted(level.keys, keys).clip(max=len(level.keys) - 1)
         return np.where(level.keys[at] == keys, level.colors[at], 0)
 
-    def lift_image(self, r: int, images: np.ndarray) -> np.ndarray:
-        """Node images of the lifts of level-r automorphisms to level r+1.
+    def lift_or_none(self, r: int, images: np.ndarray) -> np.ndarray | None:
+        """Node images of the lifts of level-r automorphisms to level r+1, or None.
 
         `images` holds node images in its last axis, one automorphism per
         row.  Each node entering at level r+1 goes to the node at its own
         position (in index order) of the fiber with the image neighbor set
-        and the same color.  A missing target fiber, or one of another size,
-        raises GraphError.
+        and the same color.  None if some row finds no target fiber, or one
+        of another size.
         """
-        img = self.lift_or_none(r, images)
-        if img is None:
-            raise GraphError("fiber mismatch while lifting: permutation was not certified")
-        return img
-
-    def lift_or_none(self, r: int, images: np.ndarray) -> np.ndarray | None:
-        """`lift_image`, but None where that raises GraphError."""
         img = np.array(images, dtype=np.int32)
         level = self.levels.get(r)
         if level is None or not len(level.members):
@@ -422,13 +411,8 @@ def refine(view: GraphArrays, e: tuple[int, int]) -> GraphArrays:
     while count < n:
         slots = label + cls[nbr]
         slots.sort(axis=1)
-        key = np.column_stack([cls[:n], slots])
-        order = np.lexsort(key.T[::-1])
-        key = key[order]
-        step = np.zeros(n, dtype=np.int64)
-        step[1:] = (key[1:] != key[:-1]).any(axis=1)
-        cls[order] = np.cumsum(step)
-        count, last = int(step.sum()) + 1, count
+        cls[:n] = _row_ranks(np.column_stack([cls[:n], slots]))
+        count, last = int(cls.max()) + 1, count
         if count == last:
             break
     return _frozen(view._replace(colors=cls[:n]))

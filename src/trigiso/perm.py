@@ -196,6 +196,20 @@ def _sorted_distinct(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
+def _row_ranks(table: np.ndarray) -> np.ndarray:
+    """Dense ranks, from 0, of a 2-D table's rows in lexicographic order.
+
+    Equal rows get equal ranks.  The table is gathered in sorted order once.
+    """
+    order = np.lexsort(table.T[::-1])
+    rows = table[order]
+    step = np.zeros(len(rows), dtype=np.int64)
+    step[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    ranks = np.empty_like(step)
+    ranks[order] = np.cumsum(step)
+    return ranks
+
+
 def point_array(points: Iterable[int], m: int) -> np.ndarray:
     """Sorted distinct points as an int array; a point outside [0, m) raises ValueError."""
     pts = _sorted_distinct(np.fromiter(points, dtype=np.int64))
@@ -251,8 +265,6 @@ def orbit_labels(images: np.ndarray) -> np.ndarray:
     all rows at once.
     """
     s = images.shape[1]
-    if s == 2:
-        return np.array([0, 0 if images[:, 0].any() else 1])
     return _join(np.arange(s), np.arange(images.size) % s, images.ravel())
 
 

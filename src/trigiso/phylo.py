@@ -52,7 +52,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .core import IsoResult, _contract, _run_tower
+from .core import IsoResult, _tower
 from .graphs import (
     ARC_IN_LABEL,
     ARC_OUT_LABEL,
@@ -63,7 +63,9 @@ from .graphs import (
     _frozen,
     _ints,
 )
-from .layers import layer_sequence, refine
+# The towers run through `core._tower`; `layer_sequence` is bound here only
+# because perfbench/tracing.py patches it in this module.
+from .layers import layer_sequence
 
 
 class NetworkError(ValueError):
@@ -400,8 +402,9 @@ def phylo_isomorphic(
 ) -> IsoResult:
     """Isomorphism of rooted binary networks, as directed labeled graphs.
 
-    The two reductions are joined by a root-to-root edge and the pipeline
-    runs once, restricted to the coset of part-exchanging candidates; the
+    The two reductions are joined by a root-to-root edge and one tower
+    (`trigiso.core._tower`) runs, restricted to the coset of
+    part-exchanging candidates; the
     networks are isomorphic exactly when that coset survives to the last
     layer.  A requested mapping is re-verified before being returned.
     """
@@ -419,17 +422,14 @@ def phylo_isomorphic(
         return IsoResult(False)
 
     view, roots = _reduction([n1, n2], {})
-    e = tuple(roots)
-    dec = layer_sequence(refine(view, e), e)
-    result = _run_tower(dec, swap=True)
-    if result is None:
+    witness = _tower(view, tuple(roots), swap=True)
+    if witness is None:
         return IsoResult(False)
     if not want_mapping:
         return IsoResult(True)
 
     # The joined graph's ids are dense, so they are also its indices.
-    witness = _contract(dec, result[1][None])[0, : n1.n_nodes]
-    images = s2.ids[witness - (n1.n_nodes + n1.n_arcs)].tolist()
+    images = s2.ids[witness[: n1.n_nodes] - (n1.n_nodes + n1.n_arcs)].tolist()
     mapping = dict(zip(n1.nodes, images))
     if not is_network_isomorphism(n1, n2, mapping):
         raise AssertionError("internal error: witness failed network verification")

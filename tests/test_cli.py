@@ -4,11 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from trigiso.cli import main
 from trigiso.graphs import format_graph_text, is_graph_isomorphism, parse_graph_text
 from trigiso.harness import random_relabeling
+from trigiso.layers import LayerDecomposition
 
 from test_core import CUBE, _cfi
 from tower_cases import PETERSEN
@@ -159,7 +161,8 @@ def test_phylo_iso_negative(capsys, tmp_path):
 def test_hand_written_enewick_files(capsys):
     # The CI job runs the console script on these files: quoted labels with
     # spaces and '', branch lengths, line breaks and one hybrid tag, the same
-    # network with its children reordered, and a truncated copy.
+    # network with its children reordered, and a truncated copy; and a
+    # network whose two halves carry the same labels, reordered too.
     plain, reordered = DATA / "quoted.enwk", DATA / "quoted_reordered.enwk"
     truncated = DATA / "truncated.enwk"
     code, out, _ = run_cli(capsys, "phylo-iso", str(plain), str(reordered), "--mapping")
@@ -168,6 +171,37 @@ def test_hand_written_enewick_files(capsys):
     code, out, err = run_cli(capsys, "phylo-iso", str(plain), str(truncated))
     assert (code, out) == (3, "")
     assert err == f"error: {truncated}: line 2, column 33: expected ')'\n"
+    repeated = [str(DATA / "repeated.enwk"), str(DATA / "repeated_reordered.enwk")]
+    code, out, _ = run_cli(capsys, "phylo-iso", *repeated, "--mapping")
+    assert code == 0 and out.splitlines()[-1] == "true"
+    assert len(out.splitlines()) == 16  # fifteen nodes, then the verdict
+
+
+@pytest.mark.parametrize("command", ["iso", "aut", "phylo-iso"])
+def test_failed_level_lift_is_an_internal_error(capsys, monkeypatch, command):
+    # The level filter keeps a row only if it maps the level's neighbor sets
+    # onto materialized ones of equal color, so the lift of a kept row
+    # cannot fail; if it does, a self-check broke: exit 4, neither an input
+    # error nor a traceback.  The loop lifts a 2-D array of rows; the rigid
+    # tail lifts one row, where None is a dead coset, so it is left alone.
+    # Each input is symmetric enough for its towers to reach the loop.
+    real = LayerDecomposition.lift_or_none
+
+    def lift(dec, r, images):
+        return None if np.ndim(images) == 2 else real(dec, r, images)
+
+    monkeypatch.setattr(LayerDecomposition, "lift_or_none", lift)
+    cube = DATA / "cfi_cube.graph"
+    # Its first edge, as the CI job reads it with awk.
+    edge = next(",".join(ln.split()[1:3]) for ln in cube.read_text().splitlines() if ln[:5] == "edge ")
+    argv = {
+        "iso": ["iso", str(cube), str(cube)],
+        "aut": ["aut", str(cube), "--edge", edge],
+        "phylo-iso": ["phylo-iso", str(DATA / "repeated.enwk"), str(DATA / "repeated_reordered.enwk")],
+    }[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err.count("\n") == 1 and err.startswith("error: internal: level ")
 
 
 def test_phylo_iso_bad_newick(capsys, tmp_path):

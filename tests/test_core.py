@@ -1040,15 +1040,17 @@ def test_corrupted_pruning_generator_raises(monkeypatch, check):
     # and skip a pairing that might succeed, a false negative no witness
     # check sees; the pruning refuses it.  With the automorphism check off,
     # the candidate check still catches this one.
-    real_rows = core._edge_fixing_rows
+    real_tower = core._tower
 
-    def corrupted_rows(view, e):
-        rows = real_rows(view, e)
+    def corrupted_tower(view, e, swap):
+        rows = real_tower(view, e, swap)
+        if swap:
+            return rows
         bad = np.arange(rows.shape[1], dtype=np.int32)
         bad[[0, 1]] = 1, 0
         return np.vstack([rows, bad])
 
-    monkeypatch.setattr(core, "_edge_fixing_rows", corrupted_rows)
+    monkeypatch.setattr(core, "_tower", corrupted_tower)
     if check == "candidate":
         monkeypatch.setattr(core, "_check_automorphisms", lambda view, rows: None)
     twisted = random_relabeling(_cfi(K4, {0}), 5)[0]

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from trigiso import phylo
+from trigiso import core
 from trigiso.core import aut_e_generators, is_isomorphic
 from trigiso.graphs import (
     GADGET_LABEL,
@@ -448,15 +448,17 @@ def test_towers_of_equal_shortest_path_chains_stay_small():
 def test_array_tower_equals_written_out_on_joined_graphs(monkeypatch):
     # The networks' joins reach the spy refined; the graph splices do not.
     joined = []
-    real = phylo.layer_sequence
+    real = core.layer_sequence
 
     def spy(view, e):
         joined.append((graph_of_view(view), e))
         return real(view, e)
 
-    monkeypatch.setattr(phylo, "layer_sequence", spy)
-    for net in [random_network(33, seed=seed) for seed in range(3)] + [stacked_galls(8)]:
+    monkeypatch.setattr(core, "layer_sequence", spy)
+    nets = [random_network(33, seed=seed) for seed in range(3)] + [stacked_galls(8)]
+    for net in nets:
         assert phylo_isomorphic(net, net.relabeled_nodes({v: 500 + v for v in net.nodes}))
+    assert len(joined) == len(nets)
     for seed in range(3):
         g = random_ternary_graph(40, seed)
         h, _ = random_relabeling(g, seed)

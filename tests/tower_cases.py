@@ -12,7 +12,7 @@ reach the general level loop too.
 
 import pytest
 
-from trigiso import core, phylo
+from trigiso import core
 from trigiso.core import aut_e_generators, is_isomorphic
 from trigiso.graphs import LabeledGraph
 from trigiso.harness import random_relabeling, random_ternary_graph
@@ -76,7 +76,6 @@ def recorded_towers(decide) -> list:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_run_tower", spy)
-        mp.setattr(phylo, "_run_tower", spy)
         decide()
     return towers
 

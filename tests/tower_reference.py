@@ -239,7 +239,7 @@ def reference_run_tower(dec, swap: bool):
 
     Each level stacks the generators and the representative, checks their
     node colors, closes B_r (`dec.b_set`), filters the coset with
-    `cb_images` and lifts the survivors (`dec.lift_image`), then adds the
+    `cb_images` and lifts the survivors (`dec.lift_or_none`), then adds the
     level's kernel.  Returns (generators, representative) or None, as
     `_run_tower` does.
     """
@@ -273,7 +273,9 @@ def reference_run_tower(dec, swap: bool):
                     return None
                 raise AssertionError("identity coset filtered to empty")
             rows = np.vstack(out)[:, :n]
-        lifted = dec.lift_image(r, rows)
+        lifted = dec.lift_or_none(r, rows)
+        if lifted is None:
+            raise AssertionError(f"level {r}: a filtered permutation does not lift")
         rep = lifted[-1]
         moving = (lifted[:-1] != ident).any(axis=1)
         gens = np.concatenate([dec.kernel_generators(r), lifted[:-1][moving]])
