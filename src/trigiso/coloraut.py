@@ -112,7 +112,7 @@ def _cb(coset, points: np.ndarray, colors: np.ndarray):
         if r is None:
             return None, True
         return ((h, r), True) if changed else (coset, False)
-    here, there = colors[points], colors[rep[points]]
+    here, there = colors[points], colors.take(rep[points])
     a, b = np.sort(here), np.sort(there)
     if a[0] == a[-1] == b[0] == b[-1]:
         return coset, False
@@ -168,7 +168,7 @@ def _split(coset, points, images, left, colors):
         # h maps the points onto themselves, so each image is found in them.
         moved = np.searchsorted(points, h[moves, points[0]])
         assert left[moved].all(), "index2_sgs precondition violated"
-    reps = (rep, rep[gens[moves[0]]])
+    reps = (rep, rep.take(gens[moves[0]]))
     halves = points[left], points[~left]
     if len(points) == 4:
         changed = False
@@ -184,7 +184,7 @@ def _split(coset, points, images, left, colors):
     if not changed:
         return coset, False
     (h1, rep1), (_, rep2) = c1, c2
-    link = inverse_image(rep1)[rep2]  # rep1^-1 rep2
+    link = inverse_image(rep1).take(rep2)  # rep1^-1 rep2
     if (link == np.arange(len(link))).all():
         return c1, True
     return (np.concatenate([h1, link[None]]), rep1), True

@@ -25,11 +25,15 @@ on graphs and on networks runs its towers through it.
 
 Inside the tower every permutation is a row of an int32 image array: the
 generators are one (k, n) array and the representative one row.  A level
-appends the B_r columns to every row in one concatenation, filters, keeps
-the first n columns and lifts all rows in one call.  `_contract` maps rows
-back onto the input graph's nodes as another int array, through the
-decomposition's `owner` map (see `trigiso.layers`), so `Permutation` objects
-appear only at the boundary, in `lift` and the results.
+closes B_r under all rows in one call (`LayerDecomposition.b_set`), which
+hands back the position of every element's image under every row and the
+element colors with the keys, so the level never moves an element twice.
+It appends those positions to every row as the B_r columns in one
+concatenation, filters, keeps the first n columns and lifts all rows in one
+call.  `_contract` maps rows back onto the input graph's nodes as another
+int array, through the decomposition's `owner` map (see `trigiso.layers`),
+so `Permutation` objects appear only at the boundary, in `lift` and the
+results.
 
 Most refined towers become rigid early: from some level on, the coset has
 no generators and no level has a kernel (`LayerDecomposition.rigid_from`),
@@ -110,13 +114,17 @@ def _run_tower(dec: LayerDecomposition, swap: bool):
     Level r filters the coset over B_r only: the materialized elements of
     level r, the labeled neighbor sets of the nodes entering at r+1 and the
     cross-edge pairs of level r, closed under the level's permutations.
-    They take the ground points [n, m) in key order.  The nodes of X_{r-1}
-    are not part of B_r: every permutation that reaches level r already
-    preserves their colors, so a filter over them could remove nothing.
-    That premise is checked on every row at every level, and a violation
-    raises AssertionError.  So does a filtered row that does not lift: the
-    filter kept it because it maps the level's neighbor sets onto
-    materialized ones of equal color, which is what the lift matches.
+    They take the ground points [n, m) in key order.  `dec.b_set` returns
+    them closed, with every row's image positions, which become the rows'
+    B_r columns as they are, and their colors; it returns only once every
+    image is found, so the closure is checked for every row and element.
+    The nodes of X_{r-1} are not part of B_r: every permutation that
+    reaches level r already preserves their colors, so a filter over them
+    could remove nothing.  That premise is checked on every row at every
+    level, and a violation raises AssertionError.  So does a filtered row
+    that does not lift: the filter kept it because it maps the level's
+    neighbor sets onto materialized ones of equal color, which is what the
+    lift matches.
 
     The loop stops at the first level r where the coset has no generators
     and r >= `dec.rigid_from`, so that no level from r on has a kernel.
@@ -161,18 +169,14 @@ def _run_tower(dec: LayerDecomposition, swap: bool):
                 rep = _rigid_tail(dec, r, rep)
             return None if rep is None else (gens, rep)
         rows = np.vstack([gens, rep])
-        if not (dec.node_colors[rows] == dec.node_colors).all():
+        if not (dec.node_colors.take(rows) == dec.node_colors).all():
             raise AssertionError(
                 f"level {r}: a permutation moves a node onto a node of another color"
             )
-        keys = dec.b_set(r, rows)
+        keys, pos, elem_colors = dec.b_set(r, rows)
         if len(keys):  # else nothing is materialized: the whole coset survives
-            moved = dec.move(rows, keys)
-            pos = np.searchsorted(keys, moved).clip(max=len(keys) - 1)
-            if not (keys[pos] == moved).all():
-                raise AssertionError(f"level {r}: B_r is not closed")
             ext = np.concatenate([rows, (n + pos).astype(np.int32)], axis=1)
-            colors = np.concatenate([np.zeros(n, dtype=np.int64), dec.element_colors(r, keys)])
+            colors = np.concatenate([np.zeros(n, dtype=np.int64), elem_colors])
             out, _ = cb_images(ext[:-1], ext[-1], np.arange(n, ext.shape[1]), colors)
             if out is None:
                 if swap:
@@ -200,7 +204,7 @@ def _rigid_tail(dec: LayerDecomposition, r: int, rep: np.ndarray) -> np.ndarray 
         rep = dec.lift_or_none(s, rep)
         if rep is None:
             return None
-    if not (dec.node_colors[rep] == dec.node_colors).all():
+    if not (dec.node_colors.take(rep) == dec.node_colors).all():
         raise AssertionError("tail: a permutation moves a node onto a node of another color")
     u, v, rank = dec._edges.T
     return rep if _keeps_edges(rep[None], u, v, rank).all() else None
@@ -234,7 +238,7 @@ def _contract(dec: LayerDecomposition, images: np.ndarray) -> np.ndarray:
     they write the same entry.
     """
     out = np.empty((len(images), int(dec.owner.max()) + 1), dtype=np.int32)
-    out[:, dec.owner] = dec.owner[images]
+    out[:, dec.owner] = dec.owner.take(images)
     return out
 
 

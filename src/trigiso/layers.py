@@ -211,12 +211,6 @@ class LayerDecomposition:
         moved = halves + (images[:, node] - node) * R
         return (keys - rest) + moved.min(axis=-1) * S + moved.max(axis=-1)
 
-    def element_colors(self, r: int, keys: np.ndarray) -> np.ndarray:
-        """Color ids of level-r elements; 0, the neutral color, if unmaterialized."""
-        level = self.levels[r]
-        at = np.searchsorted(level.keys, keys).clip(max=len(level.keys) - 1)
-        return np.where(level.keys[at] == keys, level.colors[at], 0)
-
     def lift_or_none(self, r: int, images: np.ndarray) -> np.ndarray | None:
         """Node images of the lifts of level-r automorphisms to level r+1, or None.
 
@@ -247,29 +241,41 @@ class LayerDecomposition:
 
     # -- ground elements for the per-level solve ------------------------------
 
-    def b_set(self, r: int, images: np.ndarray) -> np.ndarray:
-        """Sorted keys of B_r: the materialized elements of level r, closed.
+    def b_set(self, r: int, images: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """B_r closed under node maps: (keys, positions, colors).
 
-        The materialized elements are the labeled neighbor sets of the nodes
-        entering at level r+1 and the cross-edge pairs of level r.  `images`
-        is a (k, n) array of node images, one permutation per row.  The
-        closure runs on keys, a whole frontier under all rows per round, so
-        the result is stable under the group they generate.  Both the keys
-        found so far and each round's images are sorted and distinct, so
-        the new keys are found by one `searchsorted` and merged in by one
-        `np.insert`.
+        B_r starts as the materialized elements of level r, the labeled
+        neighbor sets of the nodes entering at level r+1 and the cross-edge
+        pairs of level r.  `images` is a (k, n) array of node images, one
+        permutation per row.  Returns the sorted keys of B_r closed under
+        the rows, so stable under the group they generate; the (k, |B_r|)
+        positions in those keys of every key's image under every row; and
+        the element colors, the level's color ids for materialized keys and
+        0, the neutral color, for keys the closure added.
+
+        The level's keys are moved once and their images looked up by one
+        `searchsorted`.  Images not found are the closure's next keys: they
+        are taken sorted and distinct, moved in turn and inserted into the
+        keys, the image table and the colors, until every image is found.
+        So the result is returned only once `keys[positions]` equals every
+        moved key, for every row and key.
         """
         level = self.levels.get(r)
-        seen = level.keys if level is not None else np.empty(0, dtype=np.int64)
-        if len(images) and len(seen):
-            frontier = seen
-            while len(frontier):
-                moved = _sorted_distinct(self.move(images, frontier))
-                at = np.searchsorted(seen, moved)
-                new = seen[at.clip(max=len(seen) - 1)] != moved
-                frontier = moved[new]
-                seen = np.insert(seen, at[new], frontier)
-        return seen
+        if level is None:
+            keys = colors = np.empty(0, dtype=np.int64)
+        else:
+            keys, colors = level.keys, level.colors
+        moved = self.move(images, keys)
+        while True:
+            pos = np.searchsorted(keys, moved)
+            missing = keys[pos.clip(max=len(keys) - 1)] != moved
+            if not missing.any():
+                return keys, pos, colors
+            new = _sorted_distinct(moved[missing])
+            at = np.searchsorted(keys, new)
+            keys = np.insert(keys, at, new)
+            colors = np.insert(colors, at, 0)
+            moved = np.insert(moved, at, self.move(images, new), axis=1)
 
     # -- kernel of the level restriction --------------------------------------
 
@@ -286,7 +292,7 @@ class LayerDecomposition:
         if r + 1 > self.N:
             raise ValueError(f"level {r + 1} beyond tower depth {self.N}")
         level = self.levels.get(r)
-        if level is None:
+        if level is None or not (level.size > 1).any():
             return np.empty((0, self.n), dtype=np.int32)
         # Each member pairs with the later members of its fiber.
         fiber = np.repeat(np.arange(len(level.size)), level.size)

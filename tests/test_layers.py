@@ -23,8 +23,14 @@ from trigiso.perm import Permutation, group_order
 from trigiso.phylo import PhyloNetwork, phylo_isomorphic, random_network
 
 from graph_reference import graph_of_view
-from tower_cases import decide_tower_cases, every_level
-from tower_reference import WrittenOutTower, reference_layer_sequence, reference_refine, written_out
+from tower_cases import cfi_tower_cases, decide_tower_cases, every_level
+from tower_reference import (
+    WrittenOutTower,
+    reference_layer_sequence,
+    reference_refine,
+    two_pass_b_set,
+    written_out,
+)
 
 
 def path4():
@@ -230,24 +236,26 @@ def test_gadget_untouched_graph_returned_as_is():
 def test_b_set_materializes_and_closes():
     dec = layer_sequence(path4().arrays, (1, 2))
     ident = Permutation.identity(dec.n)
-    b = dec.b_set(1, ident.image[None])
+    b, pos, colors = dec.b_set(1, ident.image[None])
     # r=1: no cross edges, two neighbor-set elements.
     want = written_out(dec).encode([frozenset({(1, 0)}), frozenset({(2, 0)})])
     assert b.tolist() == want.tolist()
+    assert pos.tolist() == [[0, 1]] and colors.tolist() == dec.levels[1].colors.tolist()
     flip = Permutation([3, 2, 1, 0])
-    b2 = dec.b_set(1, flip.image[None])
+    b2, pos2, colors2 = dec.b_set(1, flip.image[None])
     assert b2.tolist() == b.tolist()  # the flip permutes the two elements
     # closure property: applying any generator keeps us inside B
     assert set(dec.move(flip.image[None], b2)[0].tolist()) == set(b2.tolist())
+    assert pos2.tolist() == [[1, 0]] and colors2.tolist() == colors.tolist()
 
 
 def test_b_set_closure_adds_orbit_images():
     dec = layer_sequence(six_cycle().arrays, (0, 1))
     cross_pair = int(written_out(dec).encode([frozenset({3, 4})])[0])
     swap = Permutation([1, 0, 5, 4, 3, 2])  # the reflection fixing the base edge
-    assert cross_pair in dec.b_set(3, swap.image[None]).tolist()
+    assert cross_pair in dec.b_set(3, swap.image[None])[0].tolist()
     rogue = Permutation([0, 1, 2, 4, 3, 5])
-    assert cross_pair in dec.b_set(3, rogue.image[None]).tolist()
+    assert cross_pair in dec.b_set(3, rogue.image[None])[0].tolist()
 
 
 def test_b_set_adds_unmaterialized_images():
@@ -257,7 +265,57 @@ def test_b_set_adds_unmaterialized_images():
     dec = layer_sequence(g.arrays, (0, 1))
     swap = Permutation.transposition(3, 0, 1)
     want = written_out(dec).encode([frozenset({(0, 5)}), frozenset({(1, 5)})])
-    assert dec.b_set(1, swap.image[None]).tolist() == sorted(want.tolist())
+    keys, pos, colors = dec.b_set(1, swap.image[None])
+    assert keys.tolist() == sorted(want.tolist())
+    # The swap exchanges the two sets; the added one has the neutral color.
+    assert pos.tolist() == [[1, 0]]
+    assert colors.tolist() == [dec.levels[1].colors[0], 0]
+
+
+def like_two_pass(got, dec, r, rows) -> bool:
+    """Assert b_set's `got` equals `two_pass_b_set`, dtypes too; whether the closure grew."""
+    want = two_pass_b_set(dec, r, rows)
+    for x, y in zip(got, want, strict=True):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert (x == y).all()
+    level = dec.levels.get(r)
+    return len(got[0]) > (0 if level is None else len(level.keys))
+
+
+def test_b_set_equals_two_pass_on_rogue_rows():
+    # The six-cycle's reflection and two rows that are no automorphisms:
+    # one swaps the level-3 nodes, one moves node 2 onto 3, so the closure
+    # adds the neighbor set {(3, 0)} to level 2 and the pair {2, 4} to
+    # level 3, elements that the tower does not have.
+    dec = layer_sequence(six_cycle().arrays, (0, 1))
+    swap = [1, 0, 5, 4, 3, 2]
+    rogue = [0, 1, 2, 4, 3, 5]
+    grows = [0, 1, 3, 2, 4, 5]
+    for r in range(1, dec.N):
+        for perms in ([swap], [rogue], [swap, rogue], [grows], [swap, grows]):
+            rows = np.array(perms, dtype=np.int32)
+            grew = like_two_pass(dec.b_set(r, rows), dec, r, rows)
+            assert grew == (r >= 2 and grows in perms)
+    none = np.empty((0, dec.n), dtype=np.int32)
+    assert like_two_pass(dec.b_set(2, none), dec, 2, none) is False
+
+
+@pytest.mark.parametrize("case", ["decisions-0", "decisions-1", "cfi"])
+def test_b_set_equals_two_pass_on_every_level_solve(monkeypatch, case):
+    # The level solves of the decisions, then every level of their towers.
+    # The CFI towers grow about half their closures.
+    calls = []
+    real = LayerDecomposition.b_set
+
+    def checked(self, r, images):
+        out = real(self, r, images)
+        calls.append(like_two_pass(out, self, r, images))
+        return out
+
+    monkeypatch.setattr(LayerDecomposition, "b_set", checked)
+    every_level(cfi_tower_cases() if case == "cfi" else decide_tower_cases(40, int(case[-1])))
+    assert len(calls) > 3
+    assert any(calls)
 
 
 def test_encode_orders_like_sorted_member_tuples():
@@ -316,11 +374,11 @@ def test_b_set_matches_frozenset_reference(monkeypatch, n, seed):
     real = LayerDecomposition.b_set
 
     def checked(self, r, images):
-        keys = real(self, r, images)
+        out = real(self, r, images)
         want = written_out(self).encode(reference_b_set(self, r, images))
-        assert keys.tolist() == want.tolist()
+        assert out[0].tolist() == want.tolist()
         calls.append(r)
-        return keys
+        return out
 
     monkeypatch.setattr(LayerDecomposition, "b_set", checked)
     towers = decide_tower_cases(n, seed)

@@ -5,7 +5,8 @@ labeled neighbor sets, cross edges, the layers X_r, the element keys, the
 per-level tables and the kernel transpositions) from `dec.graph` and
 `dec.level` with dicts, frozensets and per-node loops.
 `reference_layer_sequence` is the per-node BFS and triangle rewrite,
-`reference_refine` the per-node color refinement, and `reference_run_tower`
+`reference_refine` the per-node color refinement, `two_pass_b_set` the
+closure of B_r and its image table in two passes, and `reference_run_tower`
 the tower's level loop run at every level, with no rigid tail.
 `reference_cb_images` is the color filter's general recursion run on every
 point set, small ones included.
@@ -234,14 +235,53 @@ def reference_refine(g: LabeledGraph, e) -> list[int]:
         cls = new
 
 
+def reference_closure(dec, r: int, rows) -> np.ndarray:
+    """Sorted keys of level r's materialized elements, closed under `rows`.
+
+    A frontier closure: each round moves the keys found in the last one
+    under every row and adds the images not seen yet.
+    """
+    level = dec.levels.get(r)
+    seen = level.keys if level is not None else np.empty(0, dtype=np.int64)
+    frontier = seen if len(rows) else seen[:0]
+    while len(frontier):
+        moved = np.unique(dec.move(rows, frontier))
+        frontier = moved[~np.isin(moved, seen)]
+        seen = np.union1d(seen, frontier)
+    return seen
+
+
+def image_table(dec, r: int, rows, keys) -> tuple[np.ndarray, np.ndarray]:
+    """The second pass over closed keys: (positions of their images, colors).
+
+    Moves every key under every row and finds each image's position in
+    `keys`, which must hold it (else AssertionError: B_r is not closed).  A
+    key's color is its level color if the key is materialized, else 0.
+    """
+    moved = dec.move(rows, keys)
+    pos = np.searchsorted(keys, moved).clip(max=len(keys) - 1)
+    if not (keys[pos] == moved).all():
+        raise AssertionError(f"level {r}: B_r is not closed")
+    level = dec.levels[r]
+    at = np.searchsorted(level.keys, keys).clip(max=len(level.keys) - 1)
+    return pos, np.where(level.keys[at] == keys, level.colors[at], 0)
+
+
+def two_pass_b_set(dec, r: int, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`LayerDecomposition.b_set` in two passes: the closure, then the image table."""
+    keys = reference_closure(dec, r, rows)
+    return (keys, *image_table(dec, r, rows, keys))
+
+
 def reference_run_tower(dec, swap: bool):
     """`trigiso.core._run_tower` without the rigid tail: every level filters.
 
     Each level stacks the generators and the representative, checks their
-    node colors, closes B_r (`dec.b_set`), filters the coset with
-    `cb_images` and lifts the survivors (`dec.lift_or_none`), then adds the
-    level's kernel.  Returns (generators, representative) or None, as
-    `_run_tower` does.
+    node colors, closes B_r (the keys of `dec.b_set`), moves every key
+    again for its image table and looks up the colors (`image_table`),
+    filters the coset with `cb_images` and lifts the survivors
+    (`dec.lift_or_none`), then adds the level's kernel.  Returns
+    (generators, representative) or None, as `_run_tower` does.
     """
     n = dec.n
     a, b = dec.base_edge
@@ -259,14 +299,11 @@ def reference_run_tower(dec, swap: bool):
             raise AssertionError(
                 f"level {r}: a permutation moves a node onto a node of another color"
             )
-        keys = dec.b_set(r, rows)
+        keys = dec.b_set(r, rows)[0]
         if len(keys):
-            moved = dec.move(rows, keys)
-            pos = np.searchsorted(keys, moved).clip(max=len(keys) - 1)
-            if not (keys[pos] == moved).all():
-                raise AssertionError(f"level {r}: B_r is not closed")
+            pos, elem_colors = image_table(dec, r, rows, keys)
             ext = np.concatenate([rows, (n + pos).astype(np.int32)], axis=1)
-            colors = np.concatenate([np.zeros(n, dtype=np.int64), dec.element_colors(r, keys)])
+            colors = np.concatenate([np.zeros(n, dtype=np.int64), elem_colors])
             out, _ = cb_images(ext[:-1], ext[-1], np.arange(n, ext.shape[1]), colors)
             if out is None:
                 if swap:
