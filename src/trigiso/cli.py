@@ -5,9 +5,10 @@ the last stdout line, `true` or `false`); 2 = usage error; 3 = unreadable or
 invalid input; 4 = internal error: one of the pipeline's own self-checks
 failed (a witness that does not verify, an identity coset filtered to empty,
 a level permutation that does not preserve node colors, a filtered level
-permutation that does not lift), reported as one `error: internal: ...`
-line on stderr.  Output is plain text with no color, and all randomness
-comes from explicit --seed flags.
+permutation that does not lift, a tower fiber of more than two nodes),
+reported as one `error: internal: ...` line on stderr; 5 = out of memory,
+one `error: out of memory: ...` line.  Output is plain text with no color,
+and all randomness comes from explicit --seed flags.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_INTERNAL = 4
+EXIT_MEMORY = 5
 
 
 class InputError(Exception):
@@ -178,8 +180,10 @@ def _cmd_bench(args) -> int:
         sizes = [int(x) for x in args.sizes.split(",") if x]
     except ValueError as exc:
         raise InputError(f"--sizes must be comma-separated integers: {exc}") from exc
-    if not sizes:
-        raise InputError("--sizes must name at least one size")
+    if not sizes or min(sizes) < 2:
+        raise InputError("--sizes must name sizes of at least 2 nodes")
+    if args.trials < 1:
+        raise InputError("--trials must be at least 1")
     records = bench_run(args.mode, sizes, trials=args.trials, seed=args.seed)
     _emit(bench_csv(records), args.out)
     print(bench_summary(records), file=sys.stderr)
@@ -210,6 +214,10 @@ def main(argv=None) -> int:
         detail = " ".join(str(exc).split()) or "assertion failed"
         print(f"error: internal: {detail}", file=sys.stderr)
         return EXIT_INTERNAL
+    except MemoryError as exc:
+        detail = " ".join(str(exc).split()) or "no detail"
+        print(f"error: out of memory: {detail}", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 def console_main() -> None:

@@ -135,13 +135,8 @@ def _cb(coset, points: np.ndarray, colors: np.ndarray):
     grouped = points[np.argsort(lab, kind="stable")]
     size = np.bincount(lab, minlength=s)
     end = np.cumsum(size).tolist()
-    cur, changed = coset, False
-    for root in np.flatnonzero(varied).tolist():
-        cur, ch = _cb(cur, grouped[end[root] - size[root] : end[root]], colors)
-        changed |= ch
-        if cur is None:
-            return None, True
-    return cur, changed
+    roots = np.flatnonzero(varied).tolist()
+    return _filter_each(coset, (grouped[end[i] - size[i] : end[i]] for i in roots), colors)
 
 
 def _split(coset, points, images, left, colors):
@@ -177,7 +172,7 @@ def _split(coset, points, images, left, colors):
             changed |= ch
         c1, c2 = (None if r is None else (h, r) for r in reps)
     else:
-        (c1, ch1), (c2, ch2) = (_filter_halves((h, r), halves, colors) for r in reps)
+        (c1, ch1), (c2, ch2) = (_filter_each((h, r), halves, colors) for r in reps)
         changed = ch1 or ch2
     if c1 is None or c2 is None:
         return (c2 if c1 is None else c1), True
@@ -190,11 +185,11 @@ def _split(coset, points, images, left, colors):
     return (np.concatenate([h1, link[None]]), rep1), True
 
 
-def _filter_halves(coset, halves, colors):
-    """Filter a coset over each half in turn; (coset or None, changed)."""
+def _filter_each(coset, point_sets, colors):
+    """Filter a coset over each stable point set in turn; (coset or None, changed)."""
     changed = False
-    for half in halves:
-        coset, ch = _cb(coset, half, colors)
+    for points in point_sets:
+        coset, ch = _cb(coset, points, colors)
         changed |= ch
         if coset is None:
             return None, True

@@ -13,16 +13,17 @@ materialized: each such v is replaced by a labeled triangle v1, v2, v3 (one
 corner per placed neighbor, triangle edges carrying a reserved label), which
 bounds every neighbor set by 2 without changing the edge-fixing automorphism
 group.  The rewrite cannot cascade: a replaced node has no later neighbors,
-so levels of all other nodes are unaffected.
+so levels of all other nodes are unaffected.  Maximum degree 3 also bounds
+every fiber by two nodes (`LayerDecomposition.kernel_generators`).
 
 The input is a graph's array view (`GraphArrays`).  The tower runs on the
-rewritten working graph, and one int array carries its results back to the
-input: `owner[i]` is the index, in the input view, of the input node that
-working node i is or replaces.  A working-graph automorphism contracts onto
-the input by sending input node `owner[i]` to `owner[image of i]`.  The
-reserved triangle labels force corners onto corners, so the three corners of
-a replaced node all move onto the corners of one node; the contraction is
-well defined and a group isomorphism.
+rewritten working graph, held only as arrays, and one int array carries its
+results back to the input: `owner[i]` is the index, in the input view, of
+the input node that working node i is or replaces.  A working-graph
+automorphism contracts onto the input by sending input node `owner[i]` to
+`owner[image of i]`.  The reserved triangle labels force corners onto
+corners, so the three corners of a replaced node all move onto the corners
+of one node; the contraction is well defined and a group isomorphism.
 
 The tower is built by a few array passes over the edge list, with no loop
 over nodes or elements.  Nodes take dense indices in id order; BFS levels
@@ -50,20 +51,11 @@ it is given.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import (
-    GADGET_LABEL,
-    GraphArrays,
-    GraphError,
-    LabeledGraph,
-    _frozen,
-    _norm_edge,
-    require_valid,
-)
+from .graphs import GADGET_LABEL, GraphArrays, GraphError, _frozen, _norm_edge
 from .perm import _row_ranks, _sorted_distinct
 
 
@@ -72,16 +64,17 @@ class LayerDecomposition:
 
     Node indices 0..n-1 refer to the gadget-rewritten working graph: the
     kept input nodes in id order, then the three corners of each replaced
-    node, in id order of the replaced nodes.  `owner`, `level` and
-    `node_colors` are per working node: the input node it is or replaces
-    (module docstring), its tower level and its color.  Edge labels enter
-    the integer tables as ranks into `label_values`, the sorted distinct
-    labels of the working graph, so labels of any size build the same
-    tables.  `levels[r]` holds the integer-coded elements and fibers of
-    level r, 1 <= r < N.  `rigid_from` is the first level r from which no
-    level has a fiber of more than one node, so no level r' >= r has kernel
-    generators: one more than the last level with such a fiber, or 1 if
-    there is none.
+    node, in id order of the replaced nodes.  The tower holds that graph
+    only as arrays.  Per working node, `owner` is the input node it is or
+    replaces (module docstring), `level` its tower level and `node_colors`
+    its color; `_edges` holds the edges as (u, v, label rank) rows, ranks
+    into `label_values`, the sorted distinct labels of the working graph,
+    so labels of any size build the same tables.  `levels[r]` holds the
+    integer-coded elements and fibers of level r, 1 <= r < N; a fiber of
+    more than two nodes raises AssertionError.  `rigid_from` is the first
+    level r from which no level has a two-node fiber, so no level r' >= r
+    has kernel generators: one more than the last level with such a fiber,
+    or 1 if there is none.
     """
 
     def __init__(
@@ -154,9 +147,11 @@ class LayerDecomposition:
         fiber_nodes, fiber_ranks = np.divmod(fiber_halves, R)
         start = fiber_first - m_at[fiber_level - 2]
         size = np.diff(np.append(fiber_first, len(members)))
-        # A fiber of two or more nodes entering at level r+1 gives level r
-        # its kernel generators.
-        self.rigid_from = int(fiber_level[size > 1].max(initial=1))
+        if (size > 2).any():
+            at = int(fiber_level[size > 2][0])
+            raise AssertionError(f"a fiber of more than two nodes enters at level {at}")
+        # A two-node fiber entering at level r+1 gives level r a kernel swap.
+        self.rigid_from = int(fiber_level[size == 2].max(initial=1))
 
         # Element colors: a set's sorted color-rank multiset, ranked densely
         # from 1; cross edges (same level, not the base edge, which is the
@@ -189,13 +184,6 @@ class LayerDecomposition:
                 size=size[f],
                 members=members[m_at[r - 1] : m_at[r]],
             )
-
-    @cached_property
-    def graph(self) -> LabeledGraph:
-        """The gadget-rewritten working graph over node indices."""
-        u, v, rank = self._edges.T
-        edges = zip(zip(u.tolist(), v.tolist()), self.label_values[rank].tolist())
-        return LabeledGraph(dict(enumerate(self.node_colors.tolist())), dict(edges))
 
     # -- integer-coded elements ---------------------------------------------
 
@@ -280,29 +268,24 @@ class LayerDecomposition:
     # -- kernel of the level restriction --------------------------------------
 
     def kernel_generators(self, r: int) -> np.ndarray:
-        """Transpositions of same-fiber, same-color nodes entering at level r+1.
+        """Transpositions of the two-node fibers entering at level r+1.
 
         These generate the kernel of the restriction of the edge-fixing
         automorphisms of X_{r+1} to X_r.  Fibers compare the labeled neighbor
-        sets, so the swaps preserve edge labels as well as node colors.
-        Returns a (t, n) array of node images, one transposition per row:
-        fiber by fiber, the pairs of members in `itertools.combinations`
-        order.
+        sets, so the swaps preserve edge labels as well as node colors.  A
+        fiber has one or two nodes: each member is a neighbor of some node x
+        placed lower, and x has a neighbor not above it (a lower one, or the
+        other base endpoint), so at most two of its three are above it.
+        Returns a (t, n) array of node images, one row per two-node fiber.
         """
         if r + 1 > self.N:
             raise ValueError(f"level {r + 1} beyond tower depth {self.N}")
         level = self.levels.get(r)
-        if level is None or not (level.size > 1).any():
+        if level is None or not (level.size == 2).any():
             return np.empty((0, self.n), dtype=np.int32)
-        # Each member pairs with the later members of its fiber.
-        fiber = np.repeat(np.arange(len(level.size)), level.size)
-        later = level.size[fiber] - 1 - (np.arange(len(fiber)) - level.start[fiber])
-        first = np.repeat(np.arange(len(fiber)), later)
-        second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
-        u, v = level.members[first], level.members[second]
-        out = np.tile(np.arange(self.n, dtype=np.int32), (len(first), 1))
-        rows = np.arange(len(first))
-        out[rows, u], out[rows, v] = v, u
+        pair = level.members[level.start[level.size == 2, None] + [0, 1]]
+        out = np.tile(np.arange(self.n, dtype=np.int32), (len(pair), 1))
+        out[np.arange(len(pair))[:, None], pair] = pair[:, ::-1]
         return out
 
 
@@ -316,14 +299,14 @@ class _Level(NamedTuple):
     `keys` are the sorted keys of the materialized elements and `colors`
     their color ids (ids from 1, equal exactly for equal colors).  A fiber
     is the set of nodes entering at level r+1 with one neighbor set and one
-    color.  `set_keys` are the sorted distinct neighbor-set keys; fiber i is
-    keyed `fiber_keys[i]` = (position of its neighbor set in `set_keys`) · C
-    + `fiber_colors[i]`, C the number of node colors and the color a rank,
-    and fibers are sorted by that key.  `fiber_nodes` and `fiber_ranks` hold
-    the two halves of each fiber's neighbor set, node and label rank.
-    `members` lists the nodes of every fiber, fiber by fiber and each in
-    index order; fiber i takes `size[i]` entries from `start[i]`.  Every
-    field is a slice of one array over all levels.
+    color, one or two nodes.  `set_keys` are the sorted distinct neighbor-set
+    keys; fiber i is keyed `fiber_keys[i]` = (position of its neighbor set
+    in `set_keys`) · C + `fiber_colors[i]`, C the number of node colors and
+    the color a rank, and fibers are sorted by that key.  `fiber_nodes` and
+    `fiber_ranks` hold the two halves of each fiber's neighbor set, node and
+    label rank.  `members` lists the nodes of every fiber, fiber by fiber and
+    each in index order; fiber i takes `size[i]` entries from `start[i]`.
+    Every field is a slice of one array over all levels.
     """
 
     keys: np.ndarray
@@ -474,22 +457,3 @@ def layer_sequence(view: GraphArrays, e: tuple[int, int]) -> LayerDecomposition:
         base_edge=(int(index[a]), int(index[b])),
         owner=owner,
     )
-
-
-def triangle_gadget(g: LabeledGraph, e: tuple[int, int]) -> LabeledGraph:
-    """The gadget-rewritten graph with original node ids preserved.
-
-    Nodes whose neighbor set (relative to the tower rooted at e) has size 3
-    are replaced by labeled triangles; corner nodes get fresh ids above the
-    input id range.  Graphs with no such node are returned unchanged.
-    """
-    require_valid(g)
-    dec = layer_sequence(g.arrays, e)
-    ids = g.arrays.ids
-    if dec.n == len(ids):
-        return g
-    # Each replaced node adds two nodes; the kept ones come first.
-    kept = len(ids) - (dec.n - len(ids)) // 2
-    fresh = int(ids[-1]) + 1
-    names = ids[dec.owner[:kept]].tolist() + list(range(fresh, fresh + dec.n - kept))
-    return dec.graph.relabeled(dict(enumerate(names)))

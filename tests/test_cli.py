@@ -1,5 +1,6 @@
 """Golden tests for the command-line surface: exit codes and verdict lines."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ from trigiso.harness import random_relabeling
 from trigiso.layers import LayerDecomposition
 
 from test_core import CUBE, _cfi
-from tower_cases import PETERSEN
+from tower_cases import PETERSEN, complete_binary_tree
 from test_graphs import EX1_A, EX1_B, EX2_A, EX2_B, graph_from_edges
 
 
@@ -238,7 +239,56 @@ def test_bench_writes_csv(capsys, tmp_path):
 
 
 def test_bench_bad_sizes(capsys):
-    assert run_cli(capsys, "bench", "--mode", "isomorphic", "--sizes", "a,b")[0] == 3
+    # Sizes below a two-node graph and trial counts below one are input
+    # errors, before any pair is drawn.
+    for flags in (
+        ("--sizes", "a,b"),
+        ("--sizes", ","),
+        ("--sizes", "1"),
+        ("--sizes", "0"),
+        ("--sizes", "8,1"),
+        ("--sizes", "8", "--trials", "-1"),
+        ("--sizes", "8", "--trials", "0"),
+    ):
+        code, out, err = run_cli(capsys, "bench", "--mode", "isomorphic", *flags)
+        assert (code, out) == (3, ""), flags
+        assert err.count("\n") == 1 and err.startswith("error: --"), flags
+
+
+def test_out_of_memory_exit_code(capsys, monkeypatch, example_files):
+    def starved(*args, **kwargs):
+        raise MemoryError("Unable to allocate 96 MiB for\nan array")
+
+    monkeypatch.setattr("trigiso.cli.is_isomorphic", starved)
+    code, out, err = run_cli(capsys, "iso", example_files["1a"], example_files["1b"])
+    assert (code, out) == (5, "")
+    assert err == "error: out of memory: Unable to allocate 96 MiB for an array\n"
+
+
+def test_iso_under_a_memory_cap_exits_5(tmp_path):
+    # The 8,191-node complete binary tree against a relabelled copy: the
+    # tower's generator rows over the 16,384 working nodes outgrow a 512 MiB
+    # address space.  numpy's import fits with one BLAS thread.
+    resource = pytest.importorskip("resource")
+    g = complete_binary_tree(8191)
+    paths = [tmp_path / "tree.graph", tmp_path / "relabelled.graph"]
+    for path, graph in zip(paths, (g, random_relabeling(g, 1)[0])):
+        path.write_text(format_graph_text(graph), encoding="utf-8")
+    cap = 512 << 20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "trigiso", "iso", *map(str, paths)],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+    )
+    assert (proc.returncode, proc.stdout) == (5, "")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: out of memory: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_console_entry_point_runs():

@@ -20,7 +20,7 @@ from trigiso.harness import (
     random_relabeling,
     random_ternary_graph,
 )
-from trigiso.layers import LayerDecomposition, layer_sequence, refine, triangle_gadget
+from trigiso.layers import LayerDecomposition, layer_sequence, refine
 from trigiso.perm import (
     Coset,
     Permutation,
@@ -233,13 +233,12 @@ def test_invalid_inputs_raise():
 
 def test_aut_rejects_reserved_labels():
     # An input edge labelled like a triangle-gadget edge (-1) must be refused
-    # before the tower is built, not confused with the gadget's own edges:
-    # by the automorphism search and by the triangle rewrite.
+    # by the automorphism search before the tower is built, not confused with
+    # the gadget's own edges.
     plain = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 6), (3, 6), (4, 6), (2, 8), (3, 9), (5, 7)]
     g = LabeledGraph(range(10), [(u, v, 0) for u, v in plain] + [(7, 8, -1), (7, 9, -1), (8, 9, -1)])
-    for build in (aut_e_generators, triangle_gadget):
-        with pytest.raises(GraphError, match="reserved label -1"):
-            build(g, (0, 1))
+    with pytest.raises(GraphError, match="reserved label -1"):
+        aut_e_generators(g, (0, 1))
 
 
 @pytest.mark.parametrize("base", [K4, CUBE], ids=["k4", "cube"])

@@ -18,7 +18,7 @@ from trigiso.graphs import (
     validate,
 )
 from trigiso.harness import random_relabeling, random_ternary_graph
-from trigiso.layers import LayerDecomposition, _Level, layer_sequence, refine, triangle_gadget
+from trigiso.layers import LayerDecomposition, _Level, layer_sequence, refine
 from trigiso.perm import Permutation, group_order
 from trigiso.phylo import PhyloNetwork, phylo_isomorphic, random_network
 
@@ -29,6 +29,7 @@ from tower_reference import (
     reference_layer_sequence,
     reference_refine,
     two_pass_b_set,
+    working_graph,
     written_out,
 )
 
@@ -131,8 +132,8 @@ def test_layers_monotone_and_exhaustive():
                     assert r == dec.level[u] + 1
             prev_nodes, prev_edges = nodes, edges
         assert prev_nodes == frozenset(range(dec.n))
-        assert len(prev_edges) == dec.graph.n_edges
-        assert len(first_level) == dec.graph.n_edges
+        assert len(prev_edges) == len(dec._edges)
+        assert len(first_level) == len(dec._edges)
 
 
 def test_k4_has_no_gadget_nodes():
@@ -140,8 +141,8 @@ def test_k4_has_no_gadget_nodes():
     # endpoints already placed, so no neighbor set reaches size 3; the
     # remaining edge is a cross edge.
     k4 = LabeledGraph(range(4), [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-    assert triangle_gadget(k4, (0, 1)) == k4
     dec = layer_sequence(k4.arrays, (0, 1))
+    assert working_graph(dec) == k4
     assert dec.owner.tolist() == [0, 1, 2, 3]
     tower = written_out(dec)
     assert all(len(f) <= 2 for f in tower.nbr_map.values())
@@ -150,7 +151,8 @@ def test_k4_has_no_gadget_nodes():
 
 def test_gadget_fires_and_is_valid():
     g = gadget_example()
-    rewritten = triangle_gadget(g, (0, 1))
+    dec = layer_sequence(g.arrays, (0, 1))
+    rewritten = working_graph(dec)
     assert rewritten.n_nodes == g.n_nodes + 2  # node 5 replaced by three corners
     problems = validate(rewritten)
     assert problems and all("reserved" in p for p in problems)
@@ -158,8 +160,7 @@ def test_gadget_fires_and_is_valid():
     gadget_edges = [
         e for e, lab in rewritten.edges().items() if lab == GADGET_LABEL
     ]
-    assert len(gadget_edges) == 3
-    dec = layer_sequence(g.arrays, (0, 1))
+    assert gadget_edges == [(5, 6), (5, 7), (6, 7)]
     assert dec.owner.tolist() == [0, 1, 2, 3, 4, 5, 5, 5]
     assert all(len(f) <= 2 for f in written_out(dec).nbr_map.values())
     # corners inherit the replaced node's level and color
@@ -171,8 +172,7 @@ def test_gadget_fires_and_is_valid():
 def test_labels_past_64_bits_build_the_tower_of_their_ranks():
     # Node 5's three corner edges carry labels of 2^64 and more; the same
     # graph with those labels replaced by order-preserving small ones builds
-    # the same tower, while the working graph and the triangle rewrite
-    # report the original labels.
+    # the same tower, while the working graph reports the original labels.
     big = {e: 2**64 + lab for e, lab in {(2, 5): 2, (3, 5): 0, (4, 5): 1}.items()}
     small = {e: lab - 2**64 + 1 for e, lab in big.items()}
     plain = {e: 0 for e in gadget_example().sorted_edges() if 5 not in e}
@@ -183,11 +183,11 @@ def test_labels_past_64_bits_build_the_tower_of_their_ranks():
         for a, b in zip(dec_big.levels[r], dec_small.levels[r]):
             assert np.array_equal(a, b)
     to_small = {lab: small[e] for e, lab in big.items()}
-    assert sorted(dec_big.graph.edges().values())[-3:] == sorted(big.values())
-    assert {e: to_small.get(lab, lab) for e, lab in dec_big.graph.edges().items()} == (
-        dec_small.graph.edges()
+    rewritten = working_graph(dec_big)
+    assert sorted(rewritten.edges().values())[-3:] == sorted(big.values())
+    assert {e: to_small.get(lab, lab) for e, lab in rewritten.edges().items()} == (
+        working_graph(dec_small).edges()
     )
-    rewritten = triangle_gadget(g_big, (0, 1))
     assert {lab for lab in rewritten.edges().values() if lab > 0} == set(big.values())
     assert aut_e_generators(g_big, (0, 1)) == aut_e_generators(g_small, (0, 1))
     h, _ = random_relabeling(g_big, 3)
@@ -198,9 +198,8 @@ def test_labels_past_64_bits_build_the_tower_of_their_ranks():
 def test_build_checks_raise():
     # The tower does not validate; the entry points that build it do.
     disconnected = LabeledGraph(range(4), [(0, 1), (2, 3)])
-    for build in (triangle_gadget, aut_e_generators):
-        with pytest.raises(GraphError, match="disconnected"):
-            build(disconnected, (0, 1))
+    with pytest.raises(GraphError, match="disconnected"):
+        aut_e_generators(disconnected, (0, 1))
     for e in ((0, 2), (2, 0), (0, 7), (-1, 1), (3, 2**70)):
         for build in (layer_sequence, refine):
             with pytest.raises(GraphError, match="not present"):
@@ -229,8 +228,11 @@ def test_build_and_decision_leave_numpy_ma_unimported():
 
 
 def test_gadget_untouched_graph_returned_as_is():
+    # No node of the six-cycle has three placed neighbors: the working graph
+    # is the input itself.
     g = six_cycle()
-    assert triangle_gadget(g, (0, 1)) is g
+    dec = layer_sequence(g.arrays, (0, 1))
+    assert working_graph(dec) == g and dec.owner.tolist() == list(range(6))
 
 
 def test_b_set_materializes_and_closes():
@@ -409,6 +411,19 @@ def test_kernel_generators():
         dec_p.kernel_generators(5)
 
 
+def test_fiber_of_three_nodes_raises():
+    # Maximum degree 3 bounds every fiber by two nodes.  An unvalidated
+    # degree-4 star breaks the bound: its three leaves beyond the base edge
+    # share one neighbor set and one color, a fiber entering at level 2.
+    star = LabeledGraph(range(5), [(0, 1), (0, 2), (0, 3), (0, 4)])
+    with pytest.raises(AssertionError, match="more than two nodes enters at level 2"):
+        layer_sequence(star.arrays, (0, 1))
+    colored = LabeledGraph({0: 0, 1: 0, 2: 0, 3: 0, 4: 1}, star.edges())
+    assert layer_sequence(colored.arrays, (0, 1)).kernel_generators(1).tolist() == [
+        [0, 1, 3, 2, 4]
+    ]
+
+
 def test_kernel_respects_edge_labels():
     # Same neighbor, same color, different edge labels: not interchangeable.
     g = LabeledGraph(range(4), {(0, 1): 0, (0, 2): 1, (0, 3): 2})
@@ -427,7 +442,7 @@ def _equality_pattern(colors) -> list[int]:
 def assert_tower_equals_written_out(g: LabeledGraph, e) -> LayerDecomposition:
     dec = layer_sequence(g.arrays, e)
     ref = reference_layer_sequence(g, e)
-    assert dec.graph == ref.graph
+    assert working_graph(dec) == ref.graph
     assert (dec.base_edge, dec.N) == (ref.base_edge, ref.N)
     assert (dec.level.tolist(), dec.owner.tolist()) == (ref.level, ref.owner)
     tower = WrittenOutTower(ref.graph, ref.level, ref.base_edge, ref.N)

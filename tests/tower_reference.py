@@ -1,8 +1,10 @@
 """The layer tower written out node by node, the reference for the array build.
 
+`working_graph(dec)` builds the gadget-rewritten working graph, which the
+tower holds only as arrays, from its edge rows, node colors and label values.
 `written_out(dec)` rebuilds the tower's definitions (adjacency, fresh nodes,
 labeled neighbor sets, cross edges, the layers X_r, the element keys, the
-per-level tables and the kernel transpositions) from `dec.graph` and
+per-level tables and the kernel transpositions) from that graph and
 `dec.level` with dicts, frozensets and per-node loops.
 `reference_layer_sequence` is the per-node BFS and triangle rewrite,
 `reference_refine` the per-node color refinement, `two_pass_b_set` the
@@ -140,8 +142,15 @@ class WrittenOutTower:
         return out
 
 
+def working_graph(dec) -> LabeledGraph:
+    """The working graph of a `LayerDecomposition` over its node indices."""
+    u, v, rank = dec._edges.T
+    edges = zip(zip(u.tolist(), v.tolist()), dec.label_values[rank].tolist())
+    return LabeledGraph(dict(enumerate(dec.node_colors.tolist())), dict(edges))
+
+
 def written_out(dec) -> WrittenOutTower:
-    return WrittenOutTower(dec.graph, dec.level.tolist(), dec.base_edge, dec.N)
+    return WrittenOutTower(working_graph(dec), dec.level.tolist(), dec.base_edge, dec.N)
 
 
 def reference_layer_sequence(g: LabeledGraph, e) -> SimpleNamespace:
