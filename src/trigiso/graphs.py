@@ -6,16 +6,19 @@ Negative colors and labels are reserved for internal constructions (the
 triangle gadget, arc-direction midpoints of the phylogenetic reduction):
 `validate` rejects them in user input, and the text format never parses them.
 
-A graph is stored as two dicts, node id -> color and sorted endpoint pair
--> label.  The whole-graph passes (`validate`, the pretests, the choice of
-candidate edges, the layer-profile tables and the layer tower) read one
-array view instead, `LabeledGraph.arrays`: the node ids in increasing order,
-their colors, every edge as a pair of dense indices into those ids with its
-label (edges in insertion order), and the node degrees.  The view is built
-from the dicts on first use and cached; a graph is never changed after
-construction, so it never goes stale.  The arrays are shared by every caller
-and read-only: a pass that needs to modify one works on a copy.  Ids, colors
-or labels beyond 64 bits are held with object dtype.
+Every pass over a whole graph (`validate`, the pretests, the choice of
+candidate edges, the layer-profile tables, the layer tower and the check of
+a witness) reads one array view, `LabeledGraph.arrays`: the node ids in
+increasing order, their colors, every edge as a pair of dense indices into
+those ids with its label (edges in insertion order), and the node degrees.
+A graph read from text (`parse_graph_text`) holds only that view, built by
+one scan of the text.  A graph built from Python objects holds two dicts,
+node id -> color and sorted endpoint pair -> label, and builds its view on
+first use.  Either form builds the other only when an accessor asks for it,
+and caches it; a graph is never changed after construction, so neither goes
+stale.  The arrays are shared by every caller and read-only: a pass that
+needs to modify one works on a copy.  Ids, colors or labels beyond 64 bits
+are held with object dtype.
 The splice (`build_x`) joins two views into a third by concatenation, so a
 decision builds no graph beyond its inputs.  `validate` is strict, and only
 the public entry points call it.
@@ -23,6 +26,7 @@ the public entry points call it.
 
 from __future__ import annotations
 
+import re
 from itertools import chain
 from typing import Iterable, Mapping, NamedTuple
 
@@ -57,6 +61,8 @@ class LabeledGraph:
 
     The edge store is keyed by the sorted endpoint pair, so parallel edges
     cannot be represented; loops can (and are reported by `validate`).
+    The counts and `node_ids` read whichever form the graph holds; the
+    other accessors read the dicts (module docstring).
     """
 
     __slots__ = ("_colors", "_edges", "_adj", "_arrays")
@@ -71,7 +77,7 @@ class LabeledGraph:
             self._colors = {int(v): int(c) for v, c in nodes.items()}
         else:
             self._colors = {int(v): 0 for v in nodes}
-        self._edges: dict[tuple[int, int], int] = {}
+        self._edges: dict[tuple[int, int], int] | None = {}
         if isinstance(edges, Mapping):
             items = [(u, v, lab) for (u, v), lab in edges.items()]
         else:
@@ -86,57 +92,64 @@ class LabeledGraph:
         self._arrays: GraphArrays | None = None
 
     @classmethod
-    def _of(
-        cls,
-        colors: dict[int, int],
-        edges: dict[tuple[int, int], int],
-        arrays: "GraphArrays | None" = None,
-    ) -> "LabeledGraph":
-        """Adopt already converted dicts, and their array view if it is given.
-
-        Colors are ints; edges map sorted int pairs to int labels.
-        """
+    def _of(cls, arrays: "GraphArrays") -> "LabeledGraph":
+        """A graph that holds only its read-only array view."""
         g = object.__new__(cls)
-        g._colors, g._edges, g._adj, g._arrays = colors, edges, None, arrays
+        g._colors, g._edges, g._adj, g._arrays = None, None, None, arrays
         return g
+
+    def _dicts(self) -> tuple[dict[int, int], dict[tuple[int, int], int]]:
+        """The color and edge dicts; a graph read from text builds them here.
+
+        Nodes come in id order and edges in the view's order.
+        """
+        if self._colors is None:
+            a = self._arrays
+            ends = zip(a.ids[a.u].tolist(), a.ids[a.v].tolist())
+            self._colors = dict(zip(a.ids.tolist(), a.colors.tolist()))
+            self._edges = dict(zip(ends, a.labels.tolist()))
+        return self._colors, self._edges
 
     # -- accessors ----------------------------------------------------------
 
     @property
     def node_ids(self) -> list[int]:
-        return sorted(self._colors)
+        if self._arrays is None:
+            return sorted(self._colors)
+        return self._arrays.ids.tolist()
 
     @property
     def n_nodes(self) -> int:
-        return len(self._colors)
+        return len(self._colors) if self._arrays is None else len(self._arrays.ids)
 
     @property
     def n_edges(self) -> int:
-        return len(self._edges)
+        return len(self._edges) if self._arrays is None else len(self._arrays.u)
 
     def color(self, v: int) -> int:
-        return self._colors[v]
+        return self._dicts()[0][v]
 
     def colors(self) -> dict[int, int]:
-        return dict(self._colors)
+        return dict(self._dicts()[0])
 
     def edges(self) -> dict[tuple[int, int], int]:
-        return dict(self._edges)
+        return dict(self._dicts()[1])
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self._edges)
+        return sorted(self._dicts()[1])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return _norm_edge(u, v) in self._edges
+        return _norm_edge(u, v) in self._dicts()[1]
 
     def label(self, u: int, v: int) -> int:
-        return self._edges[_norm_edge(u, v)]
+        return self._dicts()[1][_norm_edge(u, v)]
 
     def adjacency(self) -> dict[int, list[tuple[int, int]]]:
         """Node -> sorted list of (neighbor, edge label)."""
         if self._adj is None:
-            adj: dict[int, list[tuple[int, int]]] = {v: [] for v in self._colors}
-            for (u, v), lab in self._edges.items():
+            colors, edges = self._dicts()
+            adj: dict[int, list[tuple[int, int]]] = {v: [] for v in colors}
+            for (u, v), lab in edges.items():
                 adj[u].append((v, lab))
                 if u != v:
                     adj[v].append((u, lab))
@@ -159,14 +172,15 @@ class LabeledGraph:
         return np.sort(self.arrays.degrees).tolist()
 
     def relabeled(self, mapping: Mapping[int, int]) -> "LabeledGraph":
-        nodes = {mapping[v]: c for v, c in self._colors.items()}
-        edges = {_norm_edge(mapping[u], mapping[v]): lab for (u, v), lab in self._edges.items()}
+        colors, edges = self._dicts()
+        nodes = {mapping[v]: c for v, c in colors.items()}
+        edges = {_norm_edge(mapping[u], mapping[v]): lab for (u, v), lab in edges.items()}
         return LabeledGraph(nodes, edges)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabeledGraph):
             return NotImplemented
-        return self._colors == other._colors and self._edges == other._edges
+        return self._dicts() == other._dicts()
 
     def __repr__(self) -> str:
         return f"LabeledGraph(n={self.n_nodes}, m={self.n_edges})"
@@ -196,15 +210,18 @@ def _graph_arrays(colors: dict, edges: dict) -> GraphArrays:
     ids = ids[by_id]
     ends = np.fromiter(chain.from_iterable(edges), dtype=ids.dtype, count=2 * m)
     u, v = np.searchsorted(ids, ends).reshape(m, 2).T
+    return _view(ids, _ints(colors.values(), n)[by_id], u, v, _ints(edges.values(), m))
+
+
+def _view(ids, colors, u, v, labels) -> GraphArrays:
+    """The frozen view of sorted ids, their colors, and edges as index pairs u <= v.
+
+    An object-dtype column is narrowed to int64 where its values fit.
+    """
+    ids, colors, labels = (_ints(x, len(x)) if x.dtype == object else x for x in (ids, colors, labels))
+    n = len(ids)
     degrees = np.bincount(u, minlength=n) + np.bincount(v[u != v], minlength=n)
-    return _frozen(GraphArrays(
-        ids=ids,
-        colors=_ints(colors.values(), n)[by_id],
-        u=u,
-        v=v,
-        labels=_ints(edges.values(), m),
-        degrees=degrees,
-    ))
+    return _frozen(GraphArrays(ids, colors, u, v, labels, degrees))
 
 
 def _frozen(view: GraphArrays) -> GraphArrays:
@@ -267,47 +284,124 @@ def require_valid(g: LabeledGraph, what: str = "graph") -> None:
 #   node <id> [<color>]
 #   edge <id> <id> [<label>]
 #
-# ids, colors and labels are non-negative integers in ASCII decimal;
-# duplicate edges are rejected.
+# One directive per line.  Ids, colors and labels are non-negative integers
+# in ASCII decimal digits, of any length, leading zeros allowed; no sign.
+# Lines are those of `str.splitlines`: they end at \n, \r\n, \r, \v, \f,
+# \x1c-\x1e, \x85, \u2028 or \u2029.  A '#' comments out the rest of its
+# line, also right after a field (`node 1#x`).  Fields are separated by any
+# run of `str.split` whitespace, tabs and Unicode spaces included, and lines
+# that hold only whitespace or a comment are skipped.  A node is declared
+# once, before any edge that names it; an edge is given once, in either
+# orientation.  Faults are reported for the first bad line, with its number.
+
+# Every other line break, and every other `str.split` whitespace character,
+# as `str.translate` maps them once \r\n is \n.
+_BLANKS = str.maketrans(
+    dict.fromkeys("\v\f\r\x1c\x1d\x1e\x85\u2028\u2029", "\n")
+    | dict.fromkeys("\t\x1f\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007"
+                    "\u2008\u2009\u200a\u202f\u205f\u3000", " ")
+)
+_COMMENT = re.compile("#[^\n]*")
+# The grammar of a text once every break is '\n', every line ends in one,
+# comments are cut and every other whitespace character is a space.  The
+# quantifiers are possessive (Python 3.11): a greedy match would keep a
+# backtracking entry per line, about 0.7 KB a line, for nothing, since
+# spaces, digits and directives are disjoint.
+_LINES = re.compile(r"(?: *+(?:node(?: ++[0-9]++){1,2}+ *+|edge(?: ++[0-9]++){2,3}+ *+|)\n)*+")
+# `np.fromstring` saturates at this value: a field that reads it is read again exactly.
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def parse_graph_text(text: str) -> LabeledGraph:
-    nodes: dict[int, int] = {}
-    edges: dict[tuple[int, int], int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if "#" in raw:
-            raw = raw[: raw.index("#")]
-        parts = raw.split()
-        if not parts:
-            continue
-        kind, arity = parts[0], len(parts) - 1
-        fields = "".join(parts[1:])
-        if fields and not (fields.isascii() and fields.isdigit()):
-            raise GraphFormatError(f"non-numeric field in {raw.strip()!r}", lineno)
-        if kind == "node":
-            if arity not in (1, 2):
-                raise GraphFormatError("node takes <id> [<color>]", lineno)
-            v = int(parts[1])
-            if v in nodes:
-                raise GraphFormatError(f"duplicate node {v}", lineno)
-            nodes[v] = int(parts[2]) if arity == 2 else 0
-        elif kind == "edge":
-            if arity not in (2, 3):
-                raise GraphFormatError("edge takes <id> <id> [<label>]", lineno)
-            u, v = int(parts[1]), int(parts[2])
-            key = _norm_edge(u, v)
-            if key in edges:
-                raise GraphFormatError(f"duplicate edge {u} {v}", lineno)
-            if u not in nodes:
-                raise GraphFormatError(f"edge references undeclared node {u}", lineno)
-            if v not in nodes:
-                raise GraphFormatError(f"edge references undeclared node {v}", lineno)
-            edges[key] = int(parts[3]) if arity == 3 else 0
-        else:
-            raise GraphFormatError(f"unknown directive {kind!r}", lineno)
-    if not nodes:
+    """Read the text format (above) into a graph that holds only its array view.
+
+    The text is normalised by three C-level passes that keep the lines of
+    `str.splitlines` and the fields of `str.split`, and one regex match
+    checks the grammar of every line.  `_scan` then reads every number at
+    once and checks declarations and duplicates on the arrays.  A fault
+    raises GraphFormatError for the first bad line, with its number.
+    """
+    plain = _COMMENT.sub("", text.replace("\r\n", "\n").translate(_BLANKS)) + "\n"
+    end = _LINES.match(plain).end()
+    view = _scan(plain[:end])
+    if end < len(plain):
+        line = plain.count("\n", 0, end) + 1
+        raise GraphFormatError(_line_fault(text.splitlines()[line - 1]), line)
+    if view is None:
         raise GraphFormatError("no nodes declared", 1)
-    return LabeledGraph._of(nodes, edges)
+    return LabeledGraph._of(view)
+
+
+def _scan(body: str) -> "GraphArrays | None":
+    """The view of a text whose every line passed the grammar; None if it has no lines.
+
+    The directives become the markers -1 (node) and -2 (edge), and a
+    marker -3 closes the text, so one `np.fromstring` reads it as records:
+    a marker and its fields.  Where a record has no optional last field,
+    the next marker stands in its place and, being negative, reads as 0.
+    Fields past 2^63 - 1, which `np.fromstring` saturates, are read again
+    as exact ints.  The first record that declares a node again, repeats an
+    edge in either orientation, or names a node not declared by an earlier
+    record raises GraphFormatError with the line of that record.
+    """
+    marked = body.replace("node", "-1").replace("edge", "-2") + " -3"
+    vals = np.fromstring(marked, dtype=np.int64, sep=" ")
+    if (vals == _INT64_MAX).any():
+        vals = np.array([int(t) for t in marked.split()], dtype=object)
+    starts = np.flatnonzero(vals < 0)[:-1]
+    node = vals[starts] == -1
+    record = np.arange(len(starts))
+    at = starts[node]
+    ids, colors = vals[at + 1], np.maximum(vals[at + 2], 0)
+    at = starts[~node]
+    ends = np.stack([vals[at + 1], vals[at + 2]])
+    labels = np.maximum(vals[at + 3], 0)
+    edge_record, n = record[~node], len(ids)
+    if not n:  # no nodes at all: the first record, if any, is an edge
+        if len(starts):
+            raise _fault(body, 0, f"edge references undeclared node {ends[0, 0]}")
+        return None
+    by_id = np.argsort(ids, kind="stable")
+    ids, declared = ids[by_id], record[node][by_id]
+    pos = np.searchsorted(ids, ends).clip(max=n - 1)
+    named = ids[pos] == ends
+    known = named & (declared[pos] < edge_record)
+    u, v = np.minimum(*pos), np.maximum(*pos)
+    key = np.where(named.all(axis=0), u * n + v, -1 - np.arange(len(u)))
+    order = np.argsort(key, kind="stable")
+    again = order[1:][key[order[1:]] == key[order[:-1]]]
+    repeated = np.flatnonzero(ids[1:] == ids[:-1]) + 1
+    bad = np.concatenate([declared[repeated], edge_record[again], edge_record[~known.all(axis=0)]])
+    if not len(bad):
+        return _view(ids, colors[by_id], u, v, labels)
+    first = int(bad.min())
+    if node[first]:
+        raise _fault(body, first, f"duplicate node {vals[starts[first] + 1]}")
+    j = first - int(np.count_nonzero(node[:first]))
+    a, b = ends[:, j].tolist()
+    if j in again:
+        raise _fault(body, first, f"duplicate edge {a} {b}")
+    raise _fault(body, first, f"edge references undeclared node {a if not known[0, j] else b}")
+
+
+def _fault(body: str, record: int, message: str) -> GraphFormatError:
+    """The error for a record, counted over the non-blank lines of `body` from 0."""
+    nonblank = [i for i, line in enumerate(body.split("\n"), 1) if line.strip()]
+    return GraphFormatError(message, nonblank[record])
+
+
+def _line_fault(line: str) -> str:
+    """The message for a line that fails the grammar, read from its own text."""
+    raw = line.split("#", 1)[0]
+    parts = raw.split()
+    kind, fields = parts[0], "".join(parts[1:])
+    if fields and not (fields.isascii() and fields.isdigit()):
+        return f"non-numeric field in {raw.strip()!r}"
+    if kind == "node":
+        return "node takes <id> [<color>]"
+    if kind == "edge":
+        return "edge takes <id> <id> [<label>]"
+    return f"unknown directive {kind!r}"
 
 
 def format_graph_text(g: LabeledGraph) -> str:
@@ -371,18 +465,37 @@ def build_x(a1: GraphArrays, a2: GraphArrays, e1, e2) -> GraphArrays:
 def is_graph_isomorphism(
     g1: LabeledGraph, g2: LabeledGraph, mapping: Mapping[int, int]
 ) -> bool:
-    """Check that `mapping` is a color- and label-preserving isomorphism."""
-    if set(mapping.keys()) != set(g1.node_ids):
+    """Check that `mapping` is a color- and label-preserving isomorphism.
+
+    Reads the array views only.  The keys must be the first graph's ids and
+    the values the second's, each exactly once, as ints; every node keeps
+    its color; and the images of the first graph's labeled edges, as
+    sorted index pairs, are exactly the second graph's.
+    """
+    a1, a2 = g1.arrays, g2.arrays
+    n = len(a1.ids)
+    if not len(mapping) == len(a2.ids) == n or len(a1.u) != len(a2.u):
         return False
-    if sorted(mapping.values()) != g2.node_ids:
+    keys, values = _exact_ints(mapping.keys(), n), _exact_ints(mapping.values(), n)
+    if keys is None or values is None:
         return False
-    for v in g1.node_ids:
-        if g1.color(v) != g2.color(mapping[v]):
-            return False
-    if g1.n_edges != g2.n_edges:
+    by_key = np.argsort(keys, kind="stable")
+    image = values[by_key]
+    if not (np.array_equal(keys[by_key], a1.ids) and np.array_equal(np.sort(image), a2.ids)):
         return False
-    for (u, v), lab in g1.edges().items():
-        mu, mv = mapping[u], mapping[v]
-        if not g2.has_edge(mu, mv) or g2.label(mu, mv) != lab:
-            return False
-    return True
+    p = np.searchsorted(a2.ids, image)
+    if not (a2.colors[p] == a1.colors).all():
+        return False
+    x, y = p[a1.u], p[a1.v]
+    k1, k2 = np.minimum(x, y) * n + np.maximum(x, y), a2.u * n + a2.v
+    by1, by2 = np.argsort(k1), np.argsort(k2)
+    return bool(np.array_equal(k1[by1], k2[by2]) and (a1.labels[by1] == a2.labels[by2]).all())
+
+
+def _exact_ints(values, count: int) -> np.ndarray | None:
+    """`_ints` of a collection that holds only ints, else None."""
+    try:
+        out = _ints(values, count)
+    except (TypeError, ValueError):
+        return None
+    return out if out.tolist() == list(values) else None

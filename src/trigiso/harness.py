@@ -423,11 +423,17 @@ def bench_run(
 
     Pairs are relabeled copies, so their verdicts are all true.  Verdicts
     (and hence the CSV apart from `elapsed`) are stable for a fixed seed.
+    Sizes below 2 and negative trial counts raise ValueError; zero trials
+    run nothing.
     """
     if mode not in BENCH_MODES:
         raise ValueError(f"unknown bench mode {mode!r}; pick one of {BENCH_MODES}")
     if not sizes:
         raise ValueError("need at least one size")
+    if min(sizes) < 2:
+        raise ValueError(f"sizes must be at least 2 nodes, got {min(sizes)}")
+    if trials < 0:
+        raise ValueError(f"trials must not be negative, got {trials}")
     records = [_bench_case(mode, n, t, seed) for n in sizes for t in range(trials)]
     return sorted(records, key=lambda r: (r.mode, r.n, r.trial))
 

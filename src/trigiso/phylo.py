@@ -390,9 +390,7 @@ def reduce_to_colored(
     """
     require_valid_network(net)
     view, (root,) = _reduction([net], {} if intern is None else intern)
-    colors = dict(enumerate(view.colors.tolist()))
-    edges = dict(zip(zip(view.u.tolist(), view.v.tolist()), view.labels.tolist()))
-    return LabeledGraph._of(colors, edges, view), root
+    return LabeledGraph._of(view), root
 
 
 def phylo_isomorphic(

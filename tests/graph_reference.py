@@ -1,5 +1,8 @@
 """The graph checks written out over dicts, the references for the array view.
 
+`reference_parse_graph_text` reads the text format line by line into two
+dicts, with the messages and lines that `parse_graph_text` must give, and
+`reference_is_graph_isomorphism` checks a mapping over the dict accessors.
 `reference_validate` walks the edge dict, the node ids and the adjacency
 lists, with a depth-first search for connectivity.  `reference_splice` joins
 two graphs through split edges node by node, over dicts keyed by ids;
@@ -15,7 +18,66 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from trigiso.graphs import GraphError, LabeledGraph, _norm_edge, require_valid
+from trigiso.graphs import (
+    GraphError, GraphFormatError, LabeledGraph, _norm_edge, require_valid
+)
+
+
+def reference_parse_graph_text(text: str) -> LabeledGraph:
+    nodes: dict[int, int] = {}
+    edges: dict[tuple[int, int], int] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if "#" in raw:
+            raw = raw[: raw.index("#")]
+        parts = raw.split()
+        if not parts:
+            continue
+        kind, arity = parts[0], len(parts) - 1
+        fields = "".join(parts[1:])
+        if fields and not (fields.isascii() and fields.isdigit()):
+            raise GraphFormatError(f"non-numeric field in {raw.strip()!r}", lineno)
+        if kind == "node":
+            if arity not in (1, 2):
+                raise GraphFormatError("node takes <id> [<color>]", lineno)
+            v = int(parts[1])
+            if v in nodes:
+                raise GraphFormatError(f"duplicate node {v}", lineno)
+            nodes[v] = int(parts[2]) if arity == 2 else 0
+        elif kind == "edge":
+            if arity not in (2, 3):
+                raise GraphFormatError("edge takes <id> <id> [<label>]", lineno)
+            u, v = int(parts[1]), int(parts[2])
+            key = _norm_edge(u, v)
+            if key in edges:
+                raise GraphFormatError(f"duplicate edge {u} {v}", lineno)
+            if u not in nodes:
+                raise GraphFormatError(f"edge references undeclared node {u}", lineno)
+            if v not in nodes:
+                raise GraphFormatError(f"edge references undeclared node {v}", lineno)
+            edges[key] = int(parts[3]) if arity == 3 else 0
+        else:
+            raise GraphFormatError(f"unknown directive {kind!r}", lineno)
+    if not nodes:
+        raise GraphFormatError("no nodes declared", 1)
+    return LabeledGraph(nodes, edges)
+
+
+def reference_is_graph_isomorphism(g1, g2, mapping) -> bool:
+    """Check that `mapping` is a color- and label-preserving isomorphism."""
+    if set(mapping.keys()) != set(g1.node_ids):
+        return False
+    if sorted(mapping.values()) != g2.node_ids:
+        return False
+    for v in g1.node_ids:
+        if g1.color(v) != g2.color(mapping[v]):
+            return False
+    if g1.n_edges != g2.n_edges:
+        return False
+    for (u, v), lab in g1.edges().items():
+        mu, mv = mapping[u], mapping[v]
+        if not g2.has_edge(mu, mv) or g2.label(mu, mv) != lab:
+            return False
+    return True
 
 
 def reference_validate(g) -> list[str]:

@@ -1,5 +1,6 @@
 """Tests for the graph container, the text format, and the splice."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import trigiso
 from trigiso.graphs import (
@@ -20,11 +22,19 @@ from trigiso.graphs import (
     parse_graph_text,
     validate,
 )
-from trigiso.harness import random_ternary_graph
+from trigiso.core import is_isomorphic
+from trigiso.harness import random_relabeling, random_ternary_graph
 
-from graph_reference import graph_of_view, reference_splice, reference_validate
+from graph_reference import (
+    graph_of_view,
+    reference_is_graph_isomorphism,
+    reference_parse_graph_text,
+    reference_splice,
+    reference_validate,
+)
 
 _SRC = Path(trigiso.__file__).resolve().parent.parent
+_DATA = Path(__file__).resolve().parent / "data"
 
 # Edge lists used throughout the suite (ten nodes each, max degree three).
 EX1_A = [(1, 7), (1, 10), (2, 3), (2, 4), (3, 4), (4, 9), (5, 6), (6, 8), (7, 8), (7, 9), (8, 9)]
@@ -120,6 +130,31 @@ PARSE_ERRORS = [
     ("no-nodes-comments", "# only a comment\n\n   \n", 1, "no nodes declared"),
     ("comments-and-blank-lines",
      "# header\n\nnode 0 # the first\n   \nnode 1#x\n# node 0\nnode 0\n", 7, "duplicate node 0"),
+    ("comment-glued-to-number", "node 1#x\nnode 2#\nnode 1\n", 3, "duplicate node 1"),
+    ("comment-glued-to-directive", "node 0\nnode#1\n", 2, "node takes <id> [<color>]"),
+    ("crlf", "node 0\r\nnode 1\r\nedge 0 2\r\n", 3, "edge references undeclared node 2"),
+    ("lone-cr", "node 0\rnode 0\r", 2, "duplicate node 0"),
+    ("splitlines-breaks",
+     "node 0\vnode 1\fnode 2\x1cnode 3\x1dnode 4\x1enode 5\x85node 6\u2028node 7\u2029node 3\n",
+     9, "duplicate node 3"),
+    ("break-ends-comment", "node 0 # a\x85node 0\n", 2, "duplicate node 0"),
+    ("tab-separators", "node\t0\nnode\t1\t2\nedge\t0\t1\t2\t3\n", 3, "edge takes <id> <id> [<label>]"),
+    ("unicode-spaces", "node\u30000\nnode\xa01\u2009\nedge 0\u2009 1 x\n", 3,
+     "non-numeric field in 'edge 0\\u2009 1 x'"),
+    ("unit-separator-is-a-space", "node\x1f0\nnode 0\n", 2, "duplicate node 0"),
+    ("directive-glued-to-field", "node 0\nnode5\n", 2, "unknown directive 'node5'"),
+    ("plural-directive", "node 0\nnodes 1\n", 2, "unknown directive 'nodes'"),
+    ("plus-sign-in-edge", "node 0\nnode 6\nedge 0 +6\n", 3, "non-numeric field in 'edge 0 +6'"),
+    ("leading-zeros", "node 007\nnode 7\n", 2, "duplicate node 7"),
+    ("19-digit", "node 9223372036854775807\nnode 09223372036854775807\n", 2,
+     "duplicate node 9223372036854775807"),
+    ("20-digit", "node 18446744073709551616\nedge 18446744073709551616 18446744073709551617\n", 2,
+     "edge references undeclared node 18446744073709551617"),
+    ("duplicate-after-20-digit-label", "node 0\nnode 1\nedge 0 1 99999999999999999999\nedge 1 0\n", 4,
+     "duplicate edge 1 0"),
+    ("edge-before-node", "node 0\nedge 0 1\nnode 1\n", 2, "edge references undeclared node 1"),
+    ("no-nodes-breaks-only", "\r\n\u2028\x85 \t", 1, "no nodes declared"),
+    ("no-nodes-comments-only", "#node 0\n# edge 0 1", 1, "no nodes declared"),
 ]
 
 
@@ -130,6 +165,85 @@ def test_parse_error_line_and_message(text, line, message):
         parse_graph_text(text)
     assert info.value.line == line
     assert str(info.value) == f"line {line}: {message}"
+
+
+# Pieces of generated texts: every line break of `str.splitlines`, `str.split`
+# whitespace that is not a break, and fields that the format takes or rejects.
+_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_SPACES = [" ", "  ", "\t", "\x1f", "\xa0", "\u2009", "\u3000"]
+_FIELDS = ["007", "00", "9223372036854775807", "09223372036854775808", "18446744073709551616",
+           "99999999999999999999", "+6", "-1", "\u0663", "\u00b2", "x", "1#x"]
+_DIRECTIVES = ["nodes", "node5", "vertex", "Node", "#", ""]
+
+
+@st.composite
+def graph_texts(draw):
+    """Texts that mix valid lines with every feature and fault of the format.
+
+    Most lines are well formed, over the ids 0..4, and most texts start by
+    declaring nodes, so that many texts are accepted and the others fail on
+    duplicates and declarations as well as on fields, arities and directives.
+    """
+    odd = st.integers(0, 15).map(lambda k: k == 0)
+    sep = st.sampled_from(_SPACES)
+    lines = []
+    heads = draw(st.integers(0, 4))  # the first lines declare nodes, when well formed
+    for i in range(heads + draw(st.integers(0, 5))):
+        kind = "node" if i < heads else draw(st.sampled_from(["node", "edge", "edge", "edge"]))
+        kind = draw(st.sampled_from(_DIRECTIVES)) if draw(odd) else kind
+        arity = draw(st.integers(0, 4)) if draw(odd) else draw(st.integers(1, 2)) + (kind == "edge")
+        fields = [draw(st.sampled_from(_FIELDS)) if draw(odd) else str(draw(st.integers(0, heads)))
+                  for _ in range(arity)]
+        if i < heads and fields and not draw(odd):
+            fields[0] = str(i)
+        line = kind + "".join(draw(sep) + f for f in fields)
+        if draw(st.booleans()):
+            line = draw(sep) + line + draw(sep)
+        if draw(st.integers(0, 3)) == 0:
+            line += draw(st.sampled_from(["#c", " # node 0", "#"]))
+        lines.append(line)
+    breaks = [draw(st.sampled_from(_BREAKS)) for _ in lines]
+    return "".join(a + b for a, b in zip(lines, breaks)) + draw(st.sampled_from(["", "\n"]))
+
+
+def _parse_outcome(parse, text):
+    """(message, line) of a rejected text; the dicts and view of an accepted one."""
+    try:
+        g = parse(text)
+    except GraphFormatError as exc:
+        return str(exc), exc.line
+    return g.colors(), list(g.edges().items()), [(a.dtype, a.tolist()) for a in g.arrays]
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000, database=None)
+@given(graph_texts())
+def test_parser_matches_the_line_by_line_reference(text):
+    assert _parse_outcome(parse_graph_text, text) == _parse_outcome(reference_parse_graph_text, text)
+
+
+@pytest.mark.parametrize("text", [
+    "node 1#x\nnode 2#\nedge 1 2#y",
+    "node 0\r\nnode 1 5\r\nedge 1 0 3\r\n",
+    "node\t0\x1f\vnode 1\fnode\u30002\u2028edge 0\xa01\x85edge\u20092 1 7\u2029",
+    "node 007 0010\nnode 8\nedge 8 7 000\n",
+    "node 9223372036854775807\nnode 09223372036854775808\n"
+    "edge 9223372036854775807 9223372036854775808 18446744073709551616\n",
+    "node 5 99999999999999999999\nnode 4\nedge 4 5\n",
+    "  \n# header\n\nnode 0\n   \n",
+], ids=["comments", "crlf", "breaks-and-spaces", "leading-zeros", "19-and-20-digit",
+        "20-digit-color", "blank-lines"])
+def test_parser_accepts_what_the_reference_accepts(text):
+    want = _parse_outcome(reference_parse_graph_text, text)
+    assert not isinstance(want[0], str)
+    assert _parse_outcome(parse_graph_text, text) == want
+
+
+def test_parser_reads_every_whitespace_character_as_the_reference_does():
+    spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    for c in spaces:
+        for text in (f"node{c}0{c}1\nnode 1\nedge 0 1", f"node 0{c}node 1{c}edge{c}0 1"):
+            assert (_parse_outcome(parse_graph_text, text)
+                    == _parse_outcome(reference_parse_graph_text, text)), repr(c)
 
 
 def test_parse_comments_and_colors():
@@ -230,6 +344,51 @@ def test_is_graph_isomorphism_rejects_bad_maps():
     assert not is_graph_isomorphism(colored, plain, {0: 0, 1: 1})
 
 
+def _witness_cases(shift: int):
+    """(case, g1, g2, mapping, verdict) around the published witness, ids shifted by `shift`."""
+    g1 = LabeledGraph({v + shift: v % 2 for v in range(1, 11)},
+                      {(u + shift, v + shift): u for u, v in EX1_A})
+    witness = {1: 2, 2: 1, 3: 7, 4: 4, 5: 5, 6: 6, 7: 3, 8: 8, 9: 9, 10: 10}
+    g2 = g1.relabeled({v + shift: witness[v] + shift for v in witness})
+    good = {v + shift: witness[v] + shift for v in witness}
+    a, b = 5 + shift, 6 + shift  # an edge of both graphs, fixed by the witness
+    swapped_labels = LabeledGraph(g2.colors(), {**g2.edges(), (a, b): 99})
+    recolored = LabeledGraph({**g2.colors(), a: 7}, g2.edges())
+    missing = dict(list(good.items())[1:])
+    extra = {**good, 11 + shift: 11 + shift}
+    twice = {**good, a: good[b]}
+    same_color_swap = {**good, 4 + shift: good[10 + shift], 10 + shift: good[4 + shift]}
+    return [
+        ("witness", g1, g2, good, True),
+        ("missing-key", g1, g2, missing, False),
+        ("extra-key", g1, g2, extra, False),
+        ("non-bijective", g1, g2, twice, False),
+        ("color-mismatch", g1, recolored, good, False),
+        ("label-mismatch", g1, swapped_labels, good, False),
+        ("non-edge-image", g1, g2, same_color_swap, False),
+        ("float-key", g1, g2, {**missing, 1.5 + shift: good[1 + shift]}, False),
+    ]
+
+
+@pytest.mark.parametrize("shift", [0, 2**63, 2**64 + 3])
+def test_is_graph_isomorphism_on_views_rejects_what_the_dict_reference_rejects(shift):
+    for case, g1, g2, mapping, want in _witness_cases(shift):
+        parsed = [parse_graph_text(format_graph_text(g)) for g in (g1, g2)]
+        for x1, x2 in ((g1, g2), parsed):
+            assert reference_is_graph_isomorphism(x1, x2, mapping) is want, case
+            assert is_graph_isomorphism(x1, x2, mapping) is want, case
+    # Every bijection between two small graphs, against the reference.
+    g1 = LabeledGraph({shift: 1, shift + 1: 0, shift + 2: 1, shift + 3: 0},
+                      {(shift, shift + 1): 2, (shift + 1, shift + 2): 2, (shift + 2, shift + 3): 0})
+    g2 = g1.relabeled({v: 2 * shift + 10 - v for v in g1.node_ids})
+    verdicts = []
+    for image in itertools.permutations(g2.node_ids):
+        mapping = dict(zip(g1.node_ids, image))
+        verdicts.append(is_graph_isomorphism(g1, g2, mapping))
+        assert verdicts[-1] == reference_is_graph_isomorphism(g1, g2, mapping), mapping
+    assert sum(verdicts) == 1
+
+
 # -- the array view and the array checks against the dict references ------
 
 
@@ -291,9 +450,25 @@ def test_array_view_matches_the_dicts():
     assert big.arrays.ids.tolist() == [0, 2**70] and big.arrays.labels.tolist() == [2**64]
 
 
-def test_graphs_build_no_array_view_until_asked():
+def test_parsed_graphs_hold_the_view_and_build_dicts_only_when_asked():
+    # A graph read from text holds its view and no dicts until a dict
+    # accessor asks; a decision on parsed graphs never asks, for a positive
+    # and for a negative.  A graph built from Python objects builds no view
+    # until asked.
     g = parse_graph_text("node 0\nnode 1\nedge 0 1\n")
-    assert g._arrays is None and LabeledGraph([0, 1], [(0, 1)])._arrays is None
+    assert g._arrays is not None and g._colors is None and g._edges is None
+    assert (g.n_nodes, g.n_edges, g.node_ids) == (2, 1, [0, 1])
+    assert g._colors is None and g._edges is None
+    assert g.label(0, 1) == 0 and g._colors == {0: 0, 1: 0} and g._edges == {(0, 1): 0}
+    built = LabeledGraph([0, 1], [(0, 1)])
+    assert built._arrays is None and built.node_ids == [0, 1] and built._arrays is None
+    cube = (_DATA / "cfi_cube.graph").read_text()
+    relabeled = format_graph_text(random_relabeling(parse_graph_text(cube), 3)[0])
+    twisted = (_DATA / "cfi_cube_twist1.graph").read_text()
+    for other, want in ((relabeled, True), (twisted, False)):
+        g1, g2 = parse_graph_text(cube), parse_graph_text(other)
+        assert is_isomorphic(g1, g2, want_mapping=True).isomorphic == want
+        assert all(x._colors is None and x._edges is None for x in (g1, g2))
 
 
 def test_import_loads_neither_scipy_nor_networkx():

@@ -148,6 +148,18 @@ def test_bench_rejects_bad_mode():
         bench_run("isomorphic", [], trials=1, seed=0)
 
 
+@pytest.mark.parametrize("sizes", [[1], [8, 1], [0], [-4]])
+def test_bench_rejects_sizes_below_two(sizes):
+    with pytest.raises(ValueError, match="sizes must be at least 2 nodes"):
+        bench_run("isomorphic", sizes, trials=1, seed=0)
+
+
+@pytest.mark.parametrize("trials", [-1, -5])
+def test_bench_rejects_negative_trials(trials):
+    with pytest.raises(ValueError, match="trials must not be negative"):
+        bench_run("isomorphic", [8], trials=trials, seed=0)
+
+
 def test_bench_csv_shape_and_determinism():
     a = bench_csv(bench_run("isomorphic", [6, 8], trials=2, seed=7))
     b = bench_csv(bench_run("isomorphic", [6, 8], trials=2, seed=7))
