@@ -78,7 +78,8 @@ import numpy as np
 # because perfbench/tracing.py patches them in this module.
 from .coloraut import annotate, build_structure_tree, cb, cb_images, cb_tree
 from .graphs import (
-    GraphArrays, GraphError, LabeledGraph, build_x, is_graph_isomorphism, require_valid
+    GraphArrays, GraphError, LabeledGraph, _maps_edges, build_x, is_graph_isomorphism,
+    require_valid,
 )
 from .layers import LayerDecomposition, _bfs_levels, _incidence, layer_sequence, refine
 from .perm import Permutation, _join, _row_ranks, _sorted_distinct
@@ -153,9 +154,9 @@ def _run_tower(dec: LayerDecomposition, swap: bool):
     loop's representative.  Its node colors are asserted once, on the
     final row.
     """
-    n = dec.n
+    n, node_colors = dec.n, dec.view.colors
     a, b = dec.base_edge
-    same_color = dec.node_colors[a] == dec.node_colors[b]
+    same_color = node_colors[a] == node_colors[b]
     if swap and not same_color:
         return None
     ident = np.arange(n, dtype=np.int32)
@@ -169,7 +170,7 @@ def _run_tower(dec: LayerDecomposition, swap: bool):
                 rep = _rigid_tail(dec, r, rep)
             return None if rep is None else (gens, rep)
         rows = np.vstack([gens, rep])
-        if not (dec.node_colors.take(rows) == dec.node_colors).all():
+        if not (node_colors.take(rows) == node_colors).all():
             raise AssertionError(
                 f"level {r}: a permutation moves a node onto a node of another color"
             )
@@ -196,36 +197,17 @@ def _rigid_tail(dec: LayerDecomposition, r: int, rep: np.ndarray) -> np.ndarray 
     """The lone coset element lifted from level r to the top, or None.
 
     None when a lift finds no matching fiber or the lifted row does not map
-    the working graph's labeled edges onto themselves (see `_run_tower`).
-    A row that moves a node onto a node of another color raises
-    AssertionError: the lifts keep colors by construction.
+    the working graph's labeled edges onto themselves (`_maps_edges`, see
+    `_run_tower`).  A row that moves a node onto a node of another color
+    raises AssertionError: the lifts keep colors by construction.
     """
     for s in range(r, dec.N):
         rep = dec.lift_or_none(s, rep)
         if rep is None:
             return None
-    if not (dec.node_colors.take(rep) == dec.node_colors).all():
+    if not (dec.view.colors.take(rep) == dec.view.colors).all():
         raise AssertionError("tail: a permutation moves a node onto a node of another color")
-    u, v, rank = dec._edges.T
-    return rep if _keeps_edges(rep[None], u, v, rank).all() else None
-
-
-def _keeps_edges(rows: np.ndarray, u: np.ndarray, v: np.ndarray, rank: np.ndarray) -> np.ndarray:
-    """Whether each row maps the labeled edges (u, v, rank) onto themselves.
-
-    `rows` is a (k, n) array of node images; u, v and the dense label ranks
-    `rank` are int64.  An edge is coded as one int from (min, max, label
-    rank); a row keeps the edges when the sorted codes of their images
-    equal the sorted codes of the edges.  Returns one bool per row.
-    """
-    n, labels = rows.shape[1], int(rank.max(initial=0)) + 1
-
-    def codes(x, y):
-        return (np.minimum(x, y) * n + np.maximum(x, y)) * labels + rank
-
-    rows = rows.astype(np.int64)
-    moved = np.sort(codes(rows[:, u], rows[:, v]), axis=1)
-    return (moved == np.sort(codes(u, v))).all(axis=1)
+    return rep if _maps_edges(rep[None], dec.view, dec.view)[0] else None
 
 
 def _contract(dec: LayerDecomposition, images: np.ndarray) -> np.ndarray:
@@ -465,13 +447,12 @@ def _check_automorphisms(view: GraphArrays, rows: np.ndarray) -> None:
     """Raise AssertionError unless every row is an automorphism of `view`.
 
     Each row must keep every node's color and map the labeled edges onto
-    themselves (`_keeps_edges`).  On a connected graph that also makes the
+    themselves (`_maps_edges`).  On a connected graph that also makes the
     row a bijection: a node it misses would have no incident edge left to
     be the image of.
     """
-    rank = np.searchsorted(_sorted_distinct(view.labels), view.labels)
     same_colors = (view.colors[rows] == view.colors).all()
-    if not (same_colors and _keeps_edges(rows, view.u, view.v, rank).all()):
+    if not (same_colors and _maps_edges(rows, view, view).all()):
         raise AssertionError("a pruning generator is not an automorphism of the second graph")
 
 

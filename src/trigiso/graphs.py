@@ -19,9 +19,11 @@ and caches it; a graph is never changed after construction, so neither goes
 stale.  The arrays are shared by every caller and read-only: a pass that
 needs to modify one works on a copy.  Ids, colors or labels beyond 64 bits
 are held with object dtype.
-The splice (`build_x`) joins two views into a third by concatenation, so a
-decision builds no graph beyond its inputs.  `validate` is strict, and only
-the public entry points call it.
+The graphs a decision builds are views too: the splice (`build_x`) joins
+two views by concatenation, and the tower's working graph (`trigiso.layers`)
+and the network reduction are built as views.  `_maps_edges` is the one
+check that a node map carries one view's labeled edges onto another's.
+`validate` is strict, and only the public entry points call it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .perm import _join
+from .perm import _join, _sorted_distinct
 
 # Reserved internal values; user graphs must stay non-negative.
 GADGET_LABEL = -1
@@ -469,12 +471,12 @@ def is_graph_isomorphism(
 
     Reads the array views only.  The keys must be the first graph's ids and
     the values the second's, each exactly once, as ints; every node keeps
-    its color; and the images of the first graph's labeled edges, as
-    sorted index pairs, are exactly the second graph's.
+    its color; and the first graph's labeled edges map onto exactly the
+    second's (`_maps_edges`).
     """
     a1, a2 = g1.arrays, g2.arrays
     n = len(a1.ids)
-    if not len(mapping) == len(a2.ids) == n or len(a1.u) != len(a2.u):
+    if not len(mapping) == len(a2.ids) == n:
         return False
     keys, values = _exact_ints(mapping.keys(), n), _exact_ints(mapping.values(), n)
     if keys is None or values is None:
@@ -484,12 +486,29 @@ def is_graph_isomorphism(
     if not (np.array_equal(keys[by_key], a1.ids) and np.array_equal(np.sort(image), a2.ids)):
         return False
     p = np.searchsorted(a2.ids, image)
-    if not (a2.colors[p] == a1.colors).all():
-        return False
-    x, y = p[a1.u], p[a1.v]
-    k1, k2 = np.minimum(x, y) * n + np.maximum(x, y), a2.u * n + a2.v
-    by1, by2 = np.argsort(k1), np.argsort(k2)
-    return bool(np.array_equal(k1[by1], k2[by2]) and (a1.labels[by1] == a2.labels[by2]).all())
+    return bool((a2.colors[p] == a1.colors).all() and _maps_edges(p[None], a1, a2)[0])
+
+
+def _maps_edges(rows: np.ndarray, a1: GraphArrays, a2: GraphArrays) -> np.ndarray:
+    """Whether each row carries the labeled edges of `a1` onto exactly those of `a2`.
+
+    Row i sends node j of `a1` to node `rows[i, j]` of `a2`, by index.  An
+    edge is coded as one int from its sorted endpoints and its label's rank
+    among both views' labels, so labels of any size compare as ints; a row
+    maps the edges when the sorted codes of the images equal `a2`'s.  Node
+    colors and bijectivity are the caller's to check.
+    """
+    if len(a1.u) != len(a2.u):
+        return np.zeros(len(rows), dtype=bool)
+    palette = _sorted_distinct(np.concatenate([a1.labels, a2.labels]))
+    n, labels = len(a2.ids), len(palette)
+
+    def codes(x, y, lab):
+        return (np.minimum(x, y) * n + np.maximum(x, y)) * labels + np.searchsorted(palette, lab)
+
+    rows = rows.astype(np.int64)
+    moved = np.sort(codes(rows[:, a1.u], rows[:, a1.v], a1.labels), axis=1)
+    return (moved == np.sort(codes(a2.u, a2.v, a2.labels))).all(axis=1)
 
 
 def _exact_ints(values, count: int) -> np.ndarray | None:

@@ -16,10 +16,10 @@ group.  The rewrite cannot cascade: a replaced node has no later neighbors,
 so levels of all other nodes are unaffected.  Maximum degree 3 also bounds
 every fiber by two nodes (`LayerDecomposition.kernel_generators`).
 
-The input is a graph's array view (`GraphArrays`).  The tower runs on the
-rewritten working graph, held only as arrays, and one int array carries its
-results back to the input: `owner[i]` is the index, in the input view, of
-the input node that working node i is or replaces.  A working-graph
+The input is a graph's array view (`GraphArrays`), and so is the rewritten
+working graph, `LayerDecomposition.view`.  One int array carries the
+tower's results back to the input: `owner[i]` is the index, in the input
+view, of the input node that working node i is or replaces.  A working-graph
 automorphism contracts onto the input by sending input node `owner[i]` to
 `owner[image of i]`.  The reserved triangle labels force corners onto
 corners, so the three corners of a replaced node all move onto the corners
@@ -55,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import GADGET_LABEL, GraphArrays, GraphError, _frozen, _norm_edge
+from .graphs import GADGET_LABEL, GraphArrays, GraphError, _frozen, _norm_edge, _view
 from .perm import _row_ranks, _sorted_distinct
 
 
@@ -64,37 +64,31 @@ class LayerDecomposition:
 
     Node indices 0..n-1 refer to the gadget-rewritten working graph: the
     kept input nodes in id order, then the three corners of each replaced
-    node, in id order of the replaced nodes.  The tower holds that graph
-    only as arrays.  Per working node, `owner` is the input node it is or
-    replaces (module docstring), `level` its tower level and `node_colors`
-    its color; `_edges` holds the edges as (u, v, label rank) rows, ranks
-    into `label_values`, the sorted distinct labels of the working graph,
-    so labels of any size build the same tables.  `levels[r]` holds the
-    integer-coded elements and fibers of level r, 1 <= r < N; a fiber of
-    more than two nodes raises AssertionError.  `rigid_from` is the first
-    level r from which no level has a two-node fiber, so no level r' >= r
-    has kernel generators: one more than the last level with such a fiber,
-    or 1 if there is none.
+    node, in id order of the replaced nodes.  `view` is that graph's frozen
+    array view: ids equal to indices, u < v on every edge, `GADGET_LABEL` on
+    the triangle edges.  Per working node, `owner` is the input node it is
+    or replaces (module docstring) and `level` its tower level.  `levels[r]`
+    holds the integer-coded elements and fibers of level r, 1 <= r < N; a
+    fiber of more than two nodes raises AssertionError.  `rigid_from` is
+    the first level r from which no level has a two-node fiber, so no level
+    r' >= r has kernel generators: one more than the last level with such a
+    fiber, or 1 if there is none.
     """
 
     def __init__(
         self,
-        colors: np.ndarray,
+        view: GraphArrays,
         level: np.ndarray,
-        edges: np.ndarray,
-        label_values: np.ndarray,
         base_edge: tuple[int, int],
         owner: np.ndarray,
     ):
-        """`edges` holds (u, v, label rank) rows, u < v; the rest are attributes."""
+        """`view` is the working graph (`layer_sequence`); the rest are attributes."""
+        self.view = view
         self.owner = owner
         self.base_edge = base_edge
-        self.n = n = len(colors)
-        self.node_colors = colors
+        self.n = n = len(view.ids)
         self.level = level
-        self.label_values = label_values
-        self._edges = edges
-        u, v, rank = edges.T
+        u, v = view.u, view.v
         lu, lv = level[u], level[v]
         self.N = 1 if n == 2 else int(max(np.minimum(lu, lv).max() + 1, level.max()))
 
@@ -102,14 +96,17 @@ class LayerDecomposition:
         # halves node·R + label rank, a pair's node·R + R - 1; a singleton
         # repeats its half.  The key is kind·S² + smaller half·S + larger
         # half, kind 1 for pairs, so keys sort neighbor sets before pairs
-        # and each kind like the sorted member tuples.
+        # and each kind like the sorted member tuples.  Labels enter only as
+        # dense ranks, so labels of any size build the same tables.
+        label_values = _sorted_distinct(view.labels)
+        rank = np.searchsorted(label_values, view.labels)
         self._R = R = len(label_values) + 1
         self._S = S = n * R
         if 2 * S * S >= 1 << 63:
             raise GraphError("graph too large for 64-bit tower element keys")
-        palette = _sorted_distinct(colors)
+        palette = _sorted_distinct(view.colors)
         self.n_colors = C = len(palette)
-        color_rank = np.searchsorted(palette, colors)
+        color_rank = np.searchsorted(palette, view.colors)
 
         # Every node's neighbor-set key from its edges to lower levels.
         src, dst = np.concatenate([u, v]), np.concatenate([v, u])
@@ -427,33 +424,27 @@ def layer_sequence(view: GraphArrays, e: tuple[int, int]) -> LayerDecomposition:
 
     kept, replaced = np.flatnonzero(~gadget), np.flatnonzero(gadget)
     nk, ng = len(kept), len(replaced)
-    # Every input edge survives, as itself or as a corner edge, so the
-    # working labels are the input's, plus the triangle label if needed.
-    label_values = _sorted_distinct(np.append(lab, GADGET_LABEL) if ng else lab)
-    rank = np.searchsorted(label_values, lab)
     index = np.zeros(n, dtype=np.int64)
     index[kept] = np.arange(nk)
     placed = index[nbr[replaced][lower[replaced]]].reshape(ng, 3)
-    placed_rank = rank[edge[replaced][lower[replaced]]].reshape(ng, 3)
+    placed_labels = lab[edge[replaced][lower[replaced]]].reshape(ng, 3)
     by_index = np.argsort(placed, axis=1)  # distinct neighbors: (index, label) order
     corners = nk + np.arange(3 * ng).reshape(ng, 3)
-    # Per replaced node: its three corner edges, then the triangle.
-    gadget_edges = np.empty((ng, 6, 3), dtype=np.int64)
-    gadget_edges[:, :3, 0] = np.take_along_axis(placed, by_index, axis=1)
-    gadget_edges[:, :3, 1] = corners
-    gadget_edges[:, :3, 2] = np.take_along_axis(placed_rank, by_index, axis=1)
-    gadget_edges[:, 3:, 0] = corners[:, [0, 0, 1]]
-    gadget_edges[:, 3:, 1] = corners[:, [1, 2, 2]]
-    gadget_edges[:, 3:, 2] = np.searchsorted(label_values, GADGET_LABEL)
+    # Per replaced node: its three corner edges, then the triangle.  A
+    # placed neighbor is a kept node, so its index is below every corner.
+    gadget_u = np.hstack([np.take_along_axis(placed, by_index, axis=1), corners[:, [0, 0, 1]]])
+    gadget_v = np.hstack([corners, corners[:, [1, 2, 2]]])
+    gadget_labels = np.hstack(
+        [np.take_along_axis(placed_labels, by_index, axis=1), np.full((ng, 3), GADGET_LABEL)]
+    )
     keep = ~(gadget[u] | gadget[v])
-    kept_edges = np.stack([index[u[keep]], index[v[keep]], rank[keep]], axis=1)
 
     owner = np.concatenate([kept, np.repeat(replaced, 3)])
-    return LayerDecomposition(
-        colors=colors[owner],
-        level=level[owner],
-        edges=np.concatenate([kept_edges, gadget_edges.reshape(-1, 3)]),
-        label_values=label_values,
-        base_edge=(int(index[a]), int(index[b])),
-        owner=owner,
+    working = _view(
+        np.arange(len(owner)),
+        colors[owner],
+        np.concatenate([index[u[keep]], gadget_u.ravel()]),
+        np.concatenate([index[v[keep]], gadget_v.ravel()]),
+        np.concatenate([lab[keep], gadget_labels.ravel()]),
     )
+    return LayerDecomposition(working, level[owner], (int(index[a]), int(index[b])), owner)

@@ -441,7 +441,7 @@ def test_level_solve_over_elements_equals_solve_with_nodes(monkeypatch, tree_ref
         dec, r = levels[-1][:2]
         n = dec.n
         coset = _coset(gens, rep)
-        colors = [("n", c) for c in dec.node_colors.tolist()] + colors[n:].tolist()
+        colors = [("n", c) for c in dec.view.colors.tolist()] + colors[n:].tolist()
         points = [v for v in range(n) if dec.level[v] <= r - 1] + points.tolist()
         if tree_reference:
             root = build_structure_tree(points, coset.sub)
@@ -480,7 +480,7 @@ def test_node_color_check_raises():
     ]
     assert core._run_tower(dec, swap=True) is not None
     core._run_tower(dec, swap=False)
-    dec.node_colors = np.array([0, 0, 0, 3, 0, 0, 0, 0, 0, 0])
+    dec.view = dec.view._replace(colors=np.array([0, 0, 0, 3, 0, 0, 0, 0, 0, 0]))
     with pytest.raises(AssertionError, match="level 2: .* color"):
         core._run_tower(dec, swap=False)
     with pytest.raises(AssertionError, match="level 2: .* color"):
@@ -623,7 +623,7 @@ def test_rigid_tail_checks_node_colors_once():
     g = LabeledGraph(range(4), [(0, 1), (0, 2), (1, 3)])
     dec = layer_sequence(g.arrays, (0, 1))
     assert dec.rigid_from == 1 and core._run_tower(dec, swap=True)[1].tolist() == [1, 0, 3, 2]
-    dec.node_colors = np.array([0, 0, 0, 3])
+    dec.view = dec.view._replace(colors=np.array([0, 0, 0, 3]))
     with pytest.raises(AssertionError, match="tail: .* color"):
         core._run_tower(dec, swap=True)
 

@@ -16,13 +16,14 @@ from trigiso.graphs import (
     GraphError,
     GraphFormatError,
     LabeledGraph,
+    _maps_edges,
     build_x,
     format_graph_text,
     is_graph_isomorphism,
     parse_graph_text,
     validate,
 )
-from trigiso.core import is_isomorphic
+from trigiso.core import aut_e_generators, is_isomorphic
 from trigiso.harness import random_relabeling, random_ternary_graph
 
 from graph_reference import (
@@ -32,6 +33,7 @@ from graph_reference import (
     reference_splice,
     reference_validate,
 )
+from tower_cases import complete_binary_tree
 
 _SRC = Path(trigiso.__file__).resolve().parent.parent
 _DATA = Path(__file__).resolve().parent / "data"
@@ -387,6 +389,65 @@ def test_is_graph_isomorphism_on_views_rejects_what_the_dict_reference_rejects(s
         verdicts.append(is_graph_isomorphism(g1, g2, mapping))
         assert verdicts[-1] == reference_is_graph_isomorphism(g1, g2, mapping), mapping
     assert sum(verdicts) == 1
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_maps_edges_agrees_with_the_dict_reference(seed):
+    # Rows of several kinds, checked in one call against each second graph:
+    # the relabelling, the relabelling composed with the first graph's
+    # edge-fixing automorphisms, two nodes swapped, two nodes sent to one
+    # node, and a random map.  The second graphs are the relabelled copy,
+    # the copy with two labels of different edges swapped, with an edge
+    # dropped, and with its labels moved past 2^64 (of another dtype when
+    # the first graph's labels fit in int64).  Labels start at 0, 2^63 or
+    # 2^64 + 3.  Random graphs take random colors and labels; complete
+    # binary trees take them by depth and keep many automorphisms.  A row
+    # is an isomorphism exactly when it keeps the colors and maps the
+    # edges; the graphs are connected and of equal size, so a row that maps
+    # the edges is a bijection.
+    rng = random.Random(seed)
+    shift = (0, 2**63, 2**64 + 3)[seed % 3]
+    if seed % 2:
+        base = random_ternary_graph(10 + 3 * seed, seed)
+        colors = {v: rng.randrange(2) for v in base.node_ids}
+        labels = {e: shift + rng.randrange(3) for e in base.sorted_edges()}
+    else:
+        base = complete_binary_tree(2 ** (seed % 3 + 3) - 1)
+        colors = {v: (v + 1).bit_length() % 2 for v in base.node_ids}
+        labels = {(u, v): shift + (u + 1).bit_length() % 3 for u, v in base.sorted_edges()}
+    g = LabeledGraph(colors, labels)
+    h, to_h = random_relabeling(g, seed + 1)
+    edges = h.edges()
+    e, f = next((e, f) for e, f in itertools.combinations(edges, 2) if edges[e] != edges[f])
+    others = [
+        h,
+        LabeledGraph(h.colors(), {**edges, e: edges[f], f: edges[e]}),
+        LabeledGraph(h.colors(), {k: lab for k, lab in edges.items() if k != e}),
+        LabeledGraph(h.colors(), {k: lab + 2**64 for k, lab in edges.items()}),
+    ]
+    n = g.n_nodes
+    iso = np.searchsorted(h.arrays.ids, [to_h[v] for v in g.node_ids])
+    auts = aut_e_generators(g, g.sorted_edges()[0]).generators
+    swapped, merged = iso.copy(), iso.copy()
+    swapped[[0, 1]] = iso[[1, 0]]
+    merged[0] = iso[1]
+    rows = np.array(
+        [iso, *(iso[p.image] for p in auts), swapped, merged, rng.sample(range(n), n)],
+        dtype=np.int32,
+    )
+    verdicts = []
+    for other in others:
+        a1, a2 = g.arrays, other.arrays
+        got = _maps_edges(rows, a1, a2) & (a2.colors[rows] == a1.colors).all(axis=1)
+        want = [
+            reference_is_graph_isomorphism(g, other, dict(zip(g.node_ids, a2.ids[row].tolist())))
+            for row in rows
+        ]
+        assert got.tolist() == want
+        verdicts.append(want)
+    assert all(verdicts[0][: 1 + len(auts)]) and not any(verdicts[0][-3:-1])
+    assert seed % 2 or len(auts) > 1
+    assert not any(map(any, verdicts[1:]))
 
 
 # -- the array view and the array checks against the dict references ------

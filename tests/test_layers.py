@@ -23,7 +23,7 @@ from trigiso.perm import Permutation, group_order
 from trigiso.phylo import PhyloNetwork, phylo_isomorphic, random_network
 
 from graph_reference import graph_of_view
-from tower_cases import cfi_tower_cases, decide_tower_cases, every_level
+from tower_cases import cfi_tower_cases, decide_tower_cases, every_level, recorded_towers
 from tower_reference import (
     WrittenOutTower,
     reference_layer_sequence,
@@ -132,8 +132,8 @@ def test_layers_monotone_and_exhaustive():
                     assert r == dec.level[u] + 1
             prev_nodes, prev_edges = nodes, edges
         assert prev_nodes == frozenset(range(dec.n))
-        assert len(prev_edges) == len(dec._edges)
-        assert len(first_level) == len(dec._edges)
+        assert len(prev_edges) == len(dec.view.u)
+        assert len(first_level) == len(dec.view.u)
 
 
 def test_k4_has_no_gadget_nodes():
@@ -166,7 +166,36 @@ def test_gadget_fires_and_is_valid():
     # corners inherit the replaced node's level and color
     for c in (5, 6, 7):
         assert dec.level[c] == 3
-        assert dec.node_colors[c] == g.color(5)
+        assert dec.view.colors[c] == g.color(5)
+
+
+def assert_working_view(dec: LayerDecomposition) -> None:
+    """`dec.view` is a frozen view over ids 0..n-1 whose triangles carry `GADGET_LABEL`."""
+    view, n = dec.view, dec.n
+    assert not any(array.flags.writeable for array in view)
+    assert np.array_equal(view.ids, np.arange(n))
+    assert (view.u < view.v).all()
+    assert np.array_equal(view.degrees, np.bincount(np.concatenate([view.u, view.v]), minlength=n))
+    assert view.degrees.max() <= 3
+    # Corners share their owner with two others; a triangle edge joins two
+    # corners of one replaced node.
+    corner = np.bincount(dec.owner)[dec.owner] == 3
+    triangle = corner[view.u] & corner[view.v] & (dec.owner[view.u] == dec.owner[view.v])
+    assert np.array_equal(view.labels == GADGET_LABEL, triangle)
+    assert all("reserved" in p for p in validate(LabeledGraph._of(view)))
+
+
+def test_working_graph_is_a_frozen_view():
+    # Every tower of the recorded decisions, the CFI decisions and a few
+    # network joins, refined splices included; the rewrite fires on some.
+    cases = [cfi_tower_cases()] + [decide_tower_cases(40, seed) for seed in range(3)]
+    for net in [random_network(33, seed=seed) for seed in range(3)] + [stacked_galls(8)]:
+        twin = net.relabeled_nodes({v: 500 + v for v in net.nodes})
+        cases.append({"network": recorded_towers(lambda: phylo_isomorphic(net, twin))})
+    towers = [dec for case in cases for towers in case.values() for dec, _ in towers]
+    for dec in towers:
+        assert_working_view(dec)
+    assert len(towers) > 60 and any(dec.n > dec.owner.max() + 1 for dec in towers)
 
 
 def test_labels_past_64_bits_build_the_tower_of_their_ranks():

@@ -1,7 +1,7 @@
 """The layer tower written out node by node, the reference for the array build.
 
-`working_graph(dec)` builds the gadget-rewritten working graph, which the
-tower holds only as arrays, from its edge rows, node colors and label values.
+`working_graph(dec)` builds the gadget-rewritten working graph from the
+array view the tower holds, `dec.view`.
 `written_out(dec)` rebuilds the tower's definitions (adjacency, fresh nodes,
 labeled neighbor sets, cross edges, the layers X_r, the element keys, the
 per-level tables and the kernel transpositions) from that graph and
@@ -22,6 +22,8 @@ import numpy as np
 from trigiso.coloraut import cb_images
 from trigiso.graphs import GADGET_LABEL, LabeledGraph, _norm_edge
 from trigiso.perm import block_halves, index2_images, inverse_image, orbit_labels, restricted
+
+from graph_reference import graph_of_view
 
 
 class WrittenOutTower:
@@ -143,10 +145,8 @@ class WrittenOutTower:
 
 
 def working_graph(dec) -> LabeledGraph:
-    """The working graph of a `LayerDecomposition` over its node indices."""
-    u, v, rank = dec._edges.T
-    edges = zip(zip(u.tolist(), v.tolist()), dec.label_values[rank].tolist())
-    return LabeledGraph(dict(enumerate(dec.node_colors.tolist())), dict(edges))
+    """The working graph of a `LayerDecomposition`, whose view's ids are its indices."""
+    return graph_of_view(dec.view)
 
 
 def written_out(dec) -> WrittenOutTower:
@@ -294,7 +294,8 @@ def reference_run_tower(dec, swap: bool):
     """
     n = dec.n
     a, b = dec.base_edge
-    same_color = dec.node_colors[a] == dec.node_colors[b]
+    node_colors = dec.view.colors
+    same_color = node_colors[a] == node_colors[b]
     if swap and not same_color:
         return None
     ident = np.arange(n, dtype=np.int32)
@@ -304,7 +305,7 @@ def reference_run_tower(dec, swap: bool):
     rep = flip if swap else ident
     for r in range(1, dec.N):
         rows = np.vstack([gens, rep])
-        if not (dec.node_colors[rows] == dec.node_colors).all():
+        if not (node_colors[rows] == node_colors).all():
             raise AssertionError(
                 f"level {r}: a permutation moves a node onto a node of another color"
             )
