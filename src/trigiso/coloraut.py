@@ -17,11 +17,12 @@ tower level it is B_r = [n, m), a slice of every row.  Every other column
 by every composition and inverse: the level's action on B need not be
 faithful, so two elements that agree on B can still differ on the nodes,
 and the result must be exact on the whole ground set.  A generator that
-fixes every point of B passes every filter unchanged, so it stays out of
-the kernel and keeps its place in the result.  Colors enter as int codes,
-compared only for equality: a tower level passes its element color ids
-as they are, and `cb` codes the colors of the points and of their images
-under the representative, hashable values of any kind, to dense ints.
+fixes every point of B keeps its row: every split keeps it in the index-2
+subgroup, and the gather leaves kept rows as they are.  Colors enter as
+int codes, compared only for equality: a tower level passes its element
+color ids as they are, and `cb` codes the colors of the points and of
+their images under the representative, hashable values of any kind, to
+dense ints.
 
 Each recursive call first makes the color-multiset cut.  Let S be the
 call's point set, stable under the coset's subgroup H.  Every h in H maps S
@@ -35,14 +36,15 @@ of it reports a change.  The call then returns its input at once.  Both
 are exactly what the full recursion returns, and the same cut runs on
 every orbit of an intransitive call, all orbits at once.
 
-Most calls are on two or four points, so these skip the general steps.
-`_pair_step` filters a pair in scalars: the cuts, the rows that swap the
-two points, one index-2 gather and the choice of rep or rep·tau.  Four
-points read their orbits and the first pairing that every row keeps from
-lookup tables, in one pass over the rows' codes.  A transitive four-point
-split runs its two branches through the two pairs together, since what a
-surviving branch does to the generators on a pair does not depend on its
-representative: one gather per pair serves both branches.
+Most calls are on four points, and two fast paths serve them; each stays
+because the benchmark's CFI workload runs slower without it.  Four points
+read their orbits and the first pairing that every row keeps from lookup
+tables, in one pass over the rows' codes.  A transitive four-point split
+runs its two branches through the two pairs together (`_pair_step`),
+since what a surviving branch does to the generators on a pair does not
+depend on its representative: one gather per pair serves both branches.
+Both give the general recursion's result, row for row.  Two-point sets,
+a few per tower, take the general steps.
 
 `cb_tree` is a reference kept to be compared against `cb`: the same filter
 guided by a precomputed structure tree, a binary tree over B to which the
@@ -82,8 +84,8 @@ ColorSeq = Sequence  # ground-indexed sequence of hashable color values
 # benchmark's tracer patches them to time the orbit, block and index-2 stages
 # (as perm.orbit_partition, perm.two_block_system, perm.index2_sgs).  Every
 # index-2 gather, the small-set steps' too, goes through `index2_sgs`, so the
-# tracer counts them all; `orbit_partition` and `two_block_system` no longer
-# see a 2-group's sets of four points or fewer, read from tables instead.
+# tracer counts them all; `orbit_partition` and `two_block_system` see every
+# set but those of four points, whose orbits and blocks come from tables.
 orbit_partition = perm.orbit_labels
 two_block_system = perm.block_halves
 index2_sgs = perm.index2_images
@@ -107,11 +109,6 @@ def _cb(coset, points: np.ndarray, colors: np.ndarray):
     if not s:
         return coset, False
     gens, rep = coset
-    if s == 2:
-        h, (r,), changed = _pair_step(gens, (rep,), *points.tolist(), colors)
-        if r is None:
-            return None, True
-        return ((h, r), True) if changed else (coset, False)
     here, there = colors[points], colors.take(rep[points])
     a, b = np.sort(here), np.sort(there)
     if a[0] == a[-1] == b[0] == b[-1]:
@@ -205,7 +202,9 @@ def _pair_step(gens, reps, p, q, colors):
     or not at all.  Otherwise H = <gens> ∩ Stab(p), by one `index2_sgs`
     gather, and r·<gens> keeps r·H or r·tau·H, tau the first generator that
     swaps them: the branch whose image of p has p's color.  So the new
-    generators depend on `gens` and the colors of p and q alone.
+    generators depend on `gens` and the colors of p and q alone, and
+    `_split` runs both branches of a four-point split through each half
+    with one gather.
     """
     cp, cq = colors[p], colors[q]
     seen = [None if r is None else (colors[r[p]], colors[r[q]]) for r in reps]
@@ -233,15 +232,19 @@ def _four_point_tables():
     row = np.zeros(4**4, dtype=np.int64)
     for g in map(np.array, itertools.permutations(range(4))):
         edges = [_PAIRS4.index((min(x, y), max(x, y))) for x, y in enumerate(g.tolist()) if x != y]
-        broken = [6 + j for j, mate in enumerate(perm._PAIRINGS) if (mate[g] != g[mate]).any()]
+        broken = [6 + j for j, mate in enumerate(_PAIRINGS) if (mate[g] != g[mate]).any()]
         row[g @ _BASE4] = sum(1 << i for i in set(edges + broken))
     joined = ([(0, 0)] + [e for i, e in enumerate(_PAIRS4) if mask >> i & 1] for mask in range(64))
     orbits = np.array([perm._join(np.arange(4), *np.array(e).T) for e in joined])
     kept = [[j for j in range(3) if not broken >> j & 1] for broken in range(8)]
-    return row, orbits, [perm._PAIRING_LEFT[j[0]] if j else None for j in kept]
+    return row, orbits, [_PAIRING_LEFT[j[0]] if j else None for j in kept]
 
 
 _PAIRS4 = list(itertools.combinations(range(4), 2))
+# Partner of each point under the three pairings of four points, and the
+# block of 0 in each: {0, 1}, {0, 2}, {0, 3}.
+_PAIRINGS = np.array([[1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_PAIRING_LEFT = np.array([[1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]], dtype=bool)
 _BASE4 = np.array([64, 16, 4, 1])
 _ROW4, _ORBITS4, _KEPT_PAIRING = _four_point_tables()
 
@@ -262,21 +265,11 @@ def cb_images(gens: np.ndarray, rep: np.ndarray, points: np.ndarray, colors: np.
     None, changed), the coset a pair (generators, representative) of arrays;
     when nothing changed it is the input pair itself.
 
-    A generator that fixes every point passes every filter unchanged, so
-    only the others enter the kernel, and the rest keep their rows in the
-    result.
+    A generator that fixes every point keeps its row in the result, as the
+    module docstring says, so the rows need no partition first.
     """
     assert maps_into(gens, points), "B not stable"
-    moving = np.flatnonzero((gens[:, points] != points).any(axis=1))
-    out, changed = _cb((gens[moving], rep), points, colors)
-    if not changed:
-        return (gens, rep), False
-    if out is None:
-        return None, True
-    new, new_rep = out
-    sub = gens.copy()
-    sub[moving] = new[: len(moving)]
-    return (np.concatenate([sub, new[len(moving) :]]), new_rep), True
+    return _cb((gens, rep), points, colors)
 
 
 def _filter(coset: Coset | None, points, colors: ColorSeq):

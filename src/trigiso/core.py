@@ -23,17 +23,19 @@ towards that final group.  `_tower` is the one place that refines, builds
 the tower, runs the level loop and contracts the result; every decision
 on graphs and on networks runs its towers through it.
 
-Inside the tower every permutation is a row of an int32 image array: the
-generators are one (k, n) array and the representative one row.  A level
-closes B_r under all rows in one call (`LayerDecomposition.b_set`), which
-hands back the position of every element's image under every row and the
-element colors with the keys, so the level never moves an element twice.
-It appends those positions to every row as the B_r columns in one
-concatenation, filters, keeps the first n columns and lifts all rows in one
-call.  `_contract` maps rows back onto the input graph's nodes as another
-int array, through the decomposition's `owner` map (see `trigiso.layers`),
-so `Permutation` objects appear only at the boundary, in `lift` and the
-results.
+Inside the tower every permutation is a row of an int32 image array, and
+a level's coset is one (k+1, n) array: the k generators, then the
+representative as the last row.  A level closes B_r under all rows in one
+call (`LayerDecomposition.b_set`), which hands back the position of every
+element's image under every row and the element colors with the keys, so
+the level never moves an element twice.  It appends those positions to
+every row as the B_r columns in one concatenation, filters, keeps the first
+n columns and lifts all rows in one call; the next level's array is the
+kernel rows, then the lifted rows that move a node and the lifted
+representative.  `_contract` maps rows back onto the input graph's nodes
+as another int array, through the decomposition's `owner` map (see
+`trigiso.layers`), so `Permutation` objects appear only at the boundary,
+in `lift` and the results.
 
 Most refined towers become rigid early: from some level on, the coset has
 no generators and no level has a kernel (`LayerDecomposition.rigid_from`),
@@ -103,14 +105,15 @@ def lift(dec: LayerDecomposition, r: int, sigma: Permutation) -> Permutation:
 def _run_tower(dec: LayerDecomposition, swap: bool):
     """Run the level loop; returns (generators, representative) or None.
 
-    Generators are a (k, n) int32 array of node images, one per row, and the
-    representative is one such row.  With swap=False the generators
-    generate the full edge-fixing automorphism group of the working graph
-    and the representative stays the identity.  With swap=True the
-    generators generate the part-preserving subgroup and the representative
-    tracks a part-exchanging coset element; returns None as soon as the
-    exchange coset dies, which certifies that no automorphism exchanges the
-    base edge's endpoints.
+    The loop holds each level's coset as one (k+1, n) int32 array of node
+    images: the k generators, one per row, then the representative.  It
+    returns the two parts of the last one, as views.  With swap=False the
+    generators generate the full edge-fixing automorphism group of the
+    working graph and the representative stays the identity.  With
+    swap=True the generators generate the part-preserving subgroup and the
+    representative tracks a part-exchanging coset element; returns None as
+    soon as the exchange coset dies, which certifies that no automorphism
+    exchanges the base edge's endpoints.
 
     Level r filters the coset over B_r only: the materialized elements of
     level r, the labeled neighbor sets of the nodes entering at r+1 and the
@@ -162,14 +165,18 @@ def _run_tower(dec: LayerDecomposition, swap: bool):
     ident = np.arange(n, dtype=np.int32)
     flip = ident.copy()
     flip[[a, b]] = b, a
-    gens = flip[None] if same_color and not swap else np.empty((0, n), dtype=np.int32)
-    rep = flip if swap else ident
+    # The coset as one row array, the generators and then the representative:
+    # the identity over <flip>, or over no generator when a and b differ in
+    # color; with swap=True, flip alone.
+    rows = np.stack([flip, flip if swap else ident])
+    if swap or not same_color:
+        rows = rows[1:]
     for r in range(1, dec.N):
-        if not len(gens) and r >= dec.rigid_from:
-            if swap:
-                rep = _rigid_tail(dec, r, rep)
-            return None if rep is None else (gens, rep)
-        rows = np.vstack([gens, rep])
+        if len(rows) == 1 and r >= dec.rigid_from:
+            if not swap:
+                break
+            rep = _rigid_tail(dec, r, rows[0])
+            return None if rep is None else (rows[:0], rep)
         if not (node_colors.take(rows) == node_colors).all():
             raise AssertionError(
                 f"level {r}: a permutation moves a node onto a node of another color"
@@ -183,14 +190,16 @@ def _run_tower(dec: LayerDecomposition, swap: bool):
                 if swap:
                     return None
                 raise AssertionError("identity coset filtered to empty")
-            rows = np.vstack(out)[:, :n]
+            rows = np.vstack([out[0][:, :n], out[1][:n]])
+            # The lift is where a level peaks: free the wide arrays first.
+            del ext, out, pos
         lifted = dec.lift_or_none(r, rows)
         if lifted is None:
             raise AssertionError(f"level {r}: a filtered permutation does not lift")
-        rep = lifted[-1]
-        moving = (lifted[:-1] != ident).any(axis=1)
-        gens = np.concatenate([dec.kernel_generators(r), lifted[:-1][moving]])
-    return gens, rep
+        keep = (lifted != ident).any(axis=1)
+        keep[-1] = True  # the representative, even where it is the identity
+        rows = np.concatenate([dec.kernel_generators(r), lifted[keep]])
+    return rows[:-1], rows[-1]
 
 
 def _rigid_tail(dec: LayerDecomposition, r: int, rep: np.ndarray) -> np.ndarray | None:

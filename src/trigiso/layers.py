@@ -374,11 +374,12 @@ def refine(view: GraphArrays, e: tuple[int, int]) -> GraphArrays:
     [it is an endpoint of e], and each round splits a class by the sorted
     (edge label, neighbor class) slots of its nodes.  Rounds stop when the
     number of classes stops growing; the new colors are the dense class
-    ranks.  Ranks are taken in sorted order of the classes' defining
-    values, so relabelling the graph permutes the result with it.  The
-    classes refine the input colors, and every automorphism fixing e
-    setwise preserves them, so that group is the same for both views.
-    Callers validate, this function does not; an absent e raises
+    ranks, int32 like the tower's rows, so the tower's node-color check
+    gathers four bytes a cell.  Ranks are taken in sorted order of the
+    classes' defining values, so relabelling the graph permutes the result
+    with it.  The classes refine the input colors, and every automorphism
+    fixing e setwise preserves them, so that group is the same for both
+    views.  Callers validate, this function does not; an absent e raises
     GraphError.
     """
     a, b = _base_indices(view, e)
@@ -401,7 +402,7 @@ def refine(view: GraphArrays, e: tuple[int, int]) -> GraphArrays:
         count, last = int(cls.max()) + 1, count
         if count == last:
             break
-    return _frozen(view._replace(colors=cls[:n]))
+    return _frozen(view._replace(colors=cls[:n].astype(np.int32)))
 
 
 def layer_sequence(view: GraphArrays, e: tuple[int, int]) -> LayerDecomposition:

@@ -22,9 +22,8 @@ permutation per row, and work on all rows at once:
   [0, s), the local coordinates the primitives below work in;
 - `orbit_labels` names each point's orbit by its minimum, by min-label
   propagation with pointer jumping over every row's edges x -- g(x);
-- `block_halves` finds the two-block system of a transitive 2-group action:
-  closed forms on two and four points, pair collapse by the same label
-  propagation otherwise;
+- `block_halves` finds the two-block system of a transitive 2-group action
+  by pair collapse, with the same label propagation;
 - `index2_images` passes to an index-2 subgroup by one gather.
 
 The color solver in `coloraut` calls them on its image arrays directly.
@@ -284,24 +283,17 @@ def _block_labels(images: np.ndarray, b: int) -> np.ndarray:
         lab = _join(lab, u, v)
 
 
-# Partner of each point under the three pairings of four points, and the
-# block of 0 in each: {0, 1}, {0, 2}, {0, 3}.
-_PAIRINGS = np.array([[1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
-_PAIRING_LEFT = np.array([[1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]], dtype=bool)
-
-
 def block_halves(images: np.ndarray) -> np.ndarray:
     """Two-block system of a transitive 2-group action on [0, s), as a mask.
 
     The mask marks the block of point 0.  Two points split into singletons.
-    Four points split along the first of the pairings {0,1}|{2,3},
-    {0,2}|{1,3}, {0,3}|{1,2} that every row preserves, which is the block
-    system the general search below finds on them.  Otherwise the first b
-    in increasing order whose finest block system joining 0 and b is
-    nontrivial gives the blocks; when there are more than two, the action
-    on the blocks, numbered by their minima, is split the same way and
-    pulled back.  An odd point count, or no nontrivial block system (the
-    group is not a 2-group), raises ValueError.
+    Otherwise the first b in increasing order whose finest block system
+    joining 0 and b is nontrivial gives the blocks; when there are more
+    than two, the action on the blocks, numbered by their minima, is split
+    the same way and pulled back.  On four points that is the first of the
+    pairings {0,1}|{2,3}, {0,2}|{1,3}, {0,3}|{1,2} that every row keeps.
+    An odd point count, or no nontrivial block system (the group is not a
+    2-group), raises ValueError.
     """
     s = images.shape[1]
     if s < 2:
@@ -310,19 +302,14 @@ def block_halves(images: np.ndarray) -> np.ndarray:
         raise ValueError("transitive 2-group orbits have even size")
     if s == 2:
         return np.array([True, False])
-    if s == 4:
-        for partner, left in zip(_PAIRINGS, _PAIRING_LEFT):
-            if (partner[images] == images[:, partner]).all():
-                return left.copy()
-    else:
-        for b in range(1, s):
-            lab = _block_labels(images, b)
-            leaders = np.flatnonzero(lab == np.arange(s))
-            if len(leaders) == 2:
-                return lab == 0
-            if len(leaders) > 2:
-                block = np.searchsorted(leaders, lab)
-                return block_halves(block[images[:, leaders]])[block]
+    for b in range(1, s):
+        lab = _block_labels(images, b)
+        leaders = np.flatnonzero(lab == np.arange(s))
+        if len(leaders) == 2:
+            return lab == 0
+        if len(leaders) > 2:
+            block = np.searchsorted(leaders, lab)
+            return block_halves(block[images[:, leaders]])[block]
     raise ValueError("no nontrivial block system found; group is not a 2-group")
 
 

@@ -404,7 +404,8 @@ def phylo_isomorphic(
     (`trigiso.core._tower`) runs, restricted to the coset of
     part-exchanging candidates; the
     networks are isomorphic exactly when that coset survives to the last
-    layer.  A requested mapping is re-verified before being returned.
+    layer.  The witness is re-verified, whether or not a mapping is asked
+    for.
     """
     require_valid_network(n1, "first network")
     require_valid_network(n2, "second network")
@@ -423,15 +424,12 @@ def phylo_isomorphic(
     witness = _tower(view, tuple(roots), swap=True)
     if witness is None:
         return IsoResult(False)
-    if not want_mapping:
-        return IsoResult(True)
-
     # The joined graph's ids are dense, so they are also its indices.
     images = s2.ids[witness[: n1.n_nodes] - (n1.n_nodes + n1.n_arcs)].tolist()
     mapping = dict(zip(n1.nodes, images))
     if not is_network_isomorphism(n1, n2, mapping):
         raise AssertionError("internal error: witness failed network verification")
-    return IsoResult(True, mapping)
+    return IsoResult(True, mapping if want_mapping else None)
 
 
 # ---------------------------------------------------------------------------

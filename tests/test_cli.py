@@ -16,6 +16,7 @@ from trigiso.layers import LayerDecomposition
 from test_core import CUBE, _cfi
 from tower_cases import PETERSEN, complete_binary_tree
 from test_graphs import EX1_A, EX1_B, EX2_A, EX2_B, graph_from_edges
+from test_phylo import patch_wrong_witness
 
 
 @pytest.fixture
@@ -125,6 +126,23 @@ def test_cfi_petersen_files_are_the_uncolored_petersen_pair(capsys):
     _check_cfi_files(capsys, PETERSEN, "cfi_petersen")
 
 
+def test_tree_63_file_is_the_complete_binary_tree():
+    # CI pins this tree's aut output on edge (0, 1): 30 generators, the
+    # sibling swap below every inner node but the root.
+    assert (DATA / "tree_63.graph").read_text() == format_graph_text(complete_binary_tree(63))
+
+
+@pytest.mark.parametrize("stem", ["cfi_cube", "cfi_petersen", "tree_63"])
+def test_aut_output_matches_the_pinned_file(capsys, stem):
+    # The CI job compares the console script's output with these files byte
+    # for byte, on the first edge of each graph file as awk reads it.
+    graph = DATA / f"{stem}.graph"
+    edge = next(",".join(ln.split()[1:3]) for ln in graph.read_text().splitlines() if ln[:5] == "edge ")
+    code, out, err = run_cli(capsys, "aut", str(graph), "--edge", edge)
+    assert (code, err) == (0, "")
+    assert out == (DATA / f"{stem}.aut").read_text()
+
+
 def test_aut_bad_edge_flag(capsys, tmp_path):
     p = tmp_path / "k2.graph"
     p.write_text("node 0\nnode 1\nedge 0 1\n")
@@ -203,6 +221,18 @@ def test_failed_level_lift_is_an_internal_error(capsys, monkeypatch, command):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (4, "")
     assert err.count("\n") == 1 and err.startswith("error: internal: level ")
+
+
+@pytest.mark.parametrize("flags", [[], ["--mapping"]])
+def test_phylo_iso_wrong_witness_is_an_internal_error(capsys, monkeypatch, flags):
+    # Without --mapping too, the witness is verified before `true` is printed.
+    quoted = [str(DATA / "quoted.enwk"), str(DATA / "quoted_reordered.enwk")]
+    code, out, _ = run_cli(capsys, "phylo-iso", *quoted, *flags)
+    assert code == 0 and out.splitlines()[-1] == "true"
+    patch_wrong_witness(monkeypatch)
+    code, out, err = run_cli(capsys, "phylo-iso", *quoted, *flags)
+    assert (code, out) == (4, "")
+    assert err.count("\n") == 1 and err.startswith("error: internal: ")
 
 
 def test_phylo_iso_bad_newick(capsys, tmp_path):

@@ -8,7 +8,11 @@ from functools import partial
 import networkx as nx
 import numpy as np
 import pytest
-from networkx.algorithms.isomorphism import GraphMatcher
+from networkx.algorithms.isomorphism import (
+    GraphMatcher,
+    categorical_edge_match,
+    categorical_node_match,
+)
 
 from trigiso import core
 from trigiso.coloraut import annotate, build_structure_tree, cb, cb_tree
@@ -43,6 +47,7 @@ from tower_cases import (
     CUBE,
     K4,
     _cfi,
+    cfi_tower_cases,
     complete_binary_tree,
     decide_tower_cases,
     every_level,
@@ -261,6 +266,15 @@ def test_uncolored_cfi_pairs_decide_by_twist_parity(base, twists):
         single = _cfi(base, {0})
         res = is_isomorphic(single, h, want_mapping=True)
         assert res.isomorphic and is_graph_isomorphism(single, h, res.mapping)
+
+
+def test_every_tower_has_int32_node_colors():
+    # `refine` ranks its classes as int32, the dtype of the tower's rows, so
+    # the level's node-color check gathers four bytes a cell.
+    cases = {**decide_tower_cases(40, 1), **cfi_tower_cases()}
+    decs = [dec for towers in cases.values() for dec, _ in towers]
+    assert len(decs) > 10
+    assert {dec.view.colors.dtype for dec in decs} == {np.dtype(np.int32)}
 
 
 def test_graph_decisions_build_no_graph(monkeypatch):
@@ -754,17 +768,56 @@ def _recolored(g: LabeledGraph, seed: int, colors: int, labels: int) -> LabeledG
 
 
 def _two_switch(g: LabeledGraph, seed: int) -> LabeledGraph:
-    """A connected degree-preserving switch ab, cd -> ac, bd of g."""
+    """A connected degree-preserving switch ab, cd -> ac, bd of g.
+
+    Colors stay, ab's label moves to ac and cd's to bd.
+    """
     rng = random.Random(seed)
-    edges = g.sorted_edges()
+    edges = g.edges()
+    keys = sorted(edges)
     while True:
-        (a, b), (c, d) = rng.sample(edges, 2)
+        (a, b), (c, d) = rng.sample(keys, 2)
         if len({a, b, c, d}) < 4 or g.has_edge(a, c) or g.has_edge(b, d):
             continue
-        out = set(edges) - {(a, b), (c, d)} | {tuple(sorted(p)) for p in ((a, c), (b, d))}
-        h = LabeledGraph(g.node_ids, out)
+        new = dict(edges)
+        new[min(a, c), max(a, c)] = new.pop((a, b))
+        new[min(b, d), max(b, d)] = new.pop((c, d))
+        h = LabeledGraph(g.colors(), new)
         if not validate(h):
             return h
+
+
+def _vf2_isomorphic(g: LabeledGraph, h: LabeledGraph) -> bool:
+    def graph(x):
+        out = nx.Graph()
+        out.add_nodes_from((v, {"color": c}) for v, c in x.colors().items())
+        out.add_edges_from((u, v, {"label": lab}) for (u, v), lab in x.edges().items())
+        return out
+
+    node_match = categorical_node_match("color", None)
+    edge_match = categorical_edge_match("label", None)
+    return GraphMatcher(graph(g), graph(h), node_match, edge_match).is_isomorphic()
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_verdicts_agree_with_vf2_on_two_colored_graphs(block):
+    # A differential oracle at mid sizes: 25 seeds per block, each giving a
+    # relabelled positive and a relabelled connected 2-switch, which keeps
+    # degrees, colors and labels and is mostly a negative, on 13 to 150
+    # nodes; 200 pairs in all.  Two colors and two labels leave refinement
+    # work to do.  VF2 decides these quickly; on uncolored 150-node
+    # negatives it does not.
+    verdicts = []
+    for seed in range(25 * block, 25 * block + 25):
+        n = random.Random(seed).randint(13, 150)
+        g = _recolored(random_ternary_graph(n, seed), seed, 2, 2)
+        for other in (g, _two_switch(g, seed)):
+            h = random_relabeling(other, seed)[0]
+            got = is_isomorphic(g, h, want_mapping=True)
+            assert got.isomorphic == _vf2_isomorphic(g, h), seed
+            assert not got.isomorphic or is_graph_isomorphism(g, h, got.mapping)
+            verdicts.append(got.isomorphic)
+    assert verdicts.count(False) >= 20
 
 
 def _path(n: int) -> LabeledGraph:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from trigiso import phylo
 from trigiso.graphs import ARC_IN_LABEL, ARC_OUT_LABEL, MIDPOINT_COLOR, validate
 from trigiso.harness import oracle_network_isomorphic
 from trigiso.phylo import (
@@ -133,6 +134,30 @@ def test_phylo_iso_builds_no_graph(monkeypatch):
         built.clear()
         assert phylo_isomorphic(net, other, want_mapping=True).isomorphic == want
         assert len(built) == 0
+
+
+def patch_wrong_witness(monkeypatch) -> None:
+    """Make `phylo._tower` swap the images of the first network's first two nodes."""
+    real = phylo._tower
+
+    def tower(view, e, swap):
+        witness = real(view, e, swap).copy()
+        witness[[0, 1]] = witness[[1, 0]]
+        return witness
+
+    monkeypatch.setattr(phylo, "_tower", tower)
+
+
+@pytest.mark.parametrize("want_mapping", [False, True])
+def test_phylo_iso_verifies_its_witness_with_or_without_a_mapping(monkeypatch, want_mapping):
+    # The witness is checked as a network isomorphism whether or not the
+    # caller asks for the mapping, as `is_isomorphic` checks its own.
+    net = random_network(33, seed=4)
+    twin = net.relabeled_nodes({v: 2 * v + 7 for v in net.nodes})
+    assert phylo_isomorphic(net, twin, want_mapping=want_mapping).isomorphic
+    patch_wrong_witness(monkeypatch)
+    with pytest.raises(AssertionError, match="witness failed network verification"):
+        phylo_isomorphic(net, twin, want_mapping=want_mapping)
 
 
 def test_phylo_iso_label_pretest():

@@ -399,9 +399,10 @@ def _reference_halves(coset, halves, colors):
 def reference_cb_images(gens, rep, points, colors):
     """`trigiso.coloraut.cb_images` by the general recursion alone.
 
-    Generators that fix every point keep their rows, as in `cb_images`;
-    returns (coset or None, changed), the input pair itself when nothing
-    changed.
+    The rows that fix every point are set aside and the others filtered,
+    as `cb_images` once did; it now filters all rows, and a row that fixes
+    every point keeps its place, so both give the same rows.  Returns
+    (coset or None, changed), the input pair itself when nothing changed.
     """
     moving = np.flatnonzero((gens[:, points] != points).any(axis=1))
     out, changed = _reference_cb((gens[moving], rep), points, colors)
