@@ -335,7 +335,7 @@ def _profile_tables(g1: LabeledGraph, g2: LabeledGraph) -> list[_ProfileTables]:
         kinds.append(np.column_stack([
             np.append(np.searchsorted(palette, a.colors), -1), table[:, :, 0]
         ]))
-    base = _row_ranks(np.concatenate(kinds))
+    base, _ = _row_ranks(np.concatenate(kinds).T)
     cut = len(slots[0])
     return [
         _ProfileTables(a.ids, table[:, :, 1], table[:, :, 0], b)
@@ -404,24 +404,33 @@ def _profile_filter(t1: _ProfileTables, e1, t2: _ProfileTables, candidates):
     Edges are pairs of node indices, rows of the tables: e1 is one pair and
     `candidates` a (k, 2) array of the second graph's edges, whose surviving
     row indices are yielded.  e1's levels come from the same walk as a batch
-    of one.  The candidates walk together, one row each (see
-    `_profile_walk`), and a row is dropped
-    at its first level whose node count or sorted codes differ from e1's.
-    A row whose walk ends at another depth than e1's is dropped at the last
-    level both reach, where only one side has nodes with a step +1 edge.
+    of one, taken on demand: level d of e1 is walked only once some block's
+    candidates reach level d, and is kept for the later blocks, so the
+    levels past the one where every candidate died are never walked.  The
+    candidates walk together, one row each (see `_profile_walk`), and a
+    row is dropped at its first level whose node count or sorted codes
+    differ from e1's.  A row whose walk ends at another depth than e1's is
+    dropped at the last level both reach, where only one side has nodes
+    with a step +1 edge.
     Candidates are taken in the given order, in blocks whose depth table
     stays under `_PROFILE_CELLS` cells (1 MiB of int8), so memory does not
     grow with the number of candidates; a block's survivors are yielded, in
     order, before the next block is walked.
     """
     walk = _profile_walk(t1, np.reshape(e1, (1, 2)), np.ones(1, dtype=bool))
-    ref = [np.sort(codes) for _, codes in walk]
+    ref = []
     span = 27 * (int(max(t1.base.max(), t2.base.max())) + 1)
     block = max(1, _PROFILE_CELLS // len(t2.nbr))
     for first in range(0, len(candidates), block):
         chunk = candidates[first : first + block]
         alive = np.ones(len(chunk), dtype=bool)
-        for want, (rows, codes) in zip(ref, _profile_walk(t2, chunk, alive)):
+        for d, (rows, codes) in enumerate(_profile_walk(t2, chunk, alive)):
+            if d == len(ref):
+                level = next(walk, None)
+                if level is None:
+                    break
+                ref.append(np.sort(level[1]))
+            want = ref[d]
             alive &= np.bincount(rows, minlength=len(alive)) == len(want)
             sel = alive.take(rows)
             offset = rows[sel] * span  # rows come sorted, so sorting keeps them in place

@@ -489,14 +489,21 @@ def is_graph_isomorphism(
     return bool((a2.colors[p] == a1.colors).all() and _maps_edges(p[None], a1, a2)[0])
 
 
+# Cells of the (row, edge) code table that one block of `_maps_edges` fills.
+_EDGE_CHECK_CELLS = 1 << 16
+
+
 def _maps_edges(rows: np.ndarray, a1: GraphArrays, a2: GraphArrays) -> np.ndarray:
     """Whether each row carries the labeled edges of `a1` onto exactly those of `a2`.
 
     Row i sends node j of `a1` to node `rows[i, j]` of `a2`, by index.  An
     edge is coded as one int from its sorted endpoints and its label's rank
     among both views' labels, so labels of any size compare as ints; a row
-    maps the edges when the sorted codes of the images equal `a2`'s.  Node
-    colors and bijectivity are the caller's to check.
+    maps the edges when the sorted codes of the images equal `a2`'s.  Rows
+    are checked in blocks of at most `_EDGE_CHECK_CELLS` (row, edge) cells,
+    so the int64 codes of a block, not of all rows, bound the memory; a
+    single row is always one block.  Node colors and bijectivity are the
+    caller's to check.
     """
     if len(a1.u) != len(a2.u):
         return np.zeros(len(rows), dtype=bool)
@@ -506,9 +513,16 @@ def _maps_edges(rows: np.ndarray, a1: GraphArrays, a2: GraphArrays) -> np.ndarra
     def codes(x, y, lab):
         return (np.minimum(x, y) * n + np.maximum(x, y)) * labels + np.searchsorted(palette, lab)
 
-    rows = rows.astype(np.int64)
-    moved = np.sort(codes(rows[:, a1.u], rows[:, a1.v], a1.labels), axis=1)
-    return (moved == np.sort(codes(a2.u, a2.v, a2.labels))).all(axis=1)
+    want = np.sort(codes(a2.u, a2.v, a2.labels))
+    out = np.empty(len(rows), dtype=bool)
+    step = max(1, _EDGE_CHECK_CELLS // max(1, len(want)))
+    for first in range(0, len(rows), step):
+        block = rows[first : first + step]
+        x, y = (block.take(ends, axis=1).astype(np.int64, copy=False) for ends in (a1.u, a1.v))
+        moved = codes(x, y, a1.labels)
+        moved.sort(axis=1)
+        out[first : first + step] = (moved == want).all(axis=1)
+    return out
 
 
 def _exact_ints(values, count: int) -> np.ndarray | None:

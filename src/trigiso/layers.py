@@ -46,7 +46,12 @@ views have the same edge-fixing automorphisms.  On most graphs the classes
 are nearly singletons, so the partial graphs X_r of the middle levels lose
 the symmetries that only their unplaced remainder would break.
 `layer_sequence` itself does not refine: it builds the tower of the colors
-it is given.
+it is given.  A refinement round sorts one int64 key per node: a node's
+class and its three sorted slot values are digits of one mixed-radix
+number, ranked by one `argsort` (`perm._row_ranks`).  The digits stay
+below their radices, so the packing preserves the lexicographic order of
+the (class, slots) tuples and the new classes are exactly their dense
+ranks; a key that would pass 2^63 is ranked part way and packed on.
 """
 
 from __future__ import annotations
@@ -156,7 +161,7 @@ class LayerDecomposition:
         width = int(np.diff(np.append(set_first, len(members))).max(initial=1))
         sig = np.full((len(set_first), width), -1)
         sig[set_of, np.arange(len(members)) - set_first[set_of]] = m_rank
-        set_color = _row_ranks(sig) + 1
+        set_color = _row_ranks(sig.T)[0] + 1
         cross = (lu == lv) & (lu > 1)
         cu, cv = u[cross], v[cross]
         elem_level = np.concatenate([set_level - 1, lu[cross]])
@@ -381,25 +386,43 @@ def refine(view: GraphArrays, e: tuple[int, int]) -> GraphArrays:
     fixing e setwise preserves them, so that group is the same for both
     views.  Callers validate, this function does not; an absent e raises
     GraphError.
+
+    The slot tables are built once.  A slot's value, label rank·n + 1 +
+    neighbor class for an edge and 0 for an absent slot, lies in [0, R),
+    R = L·n + 1 for L distinct labels, and orders slots as (label, class)
+    pairs with absent ones first.  A round gathers the three slot values
+    with one `take`, sorts them with a three-input min/max network, and
+    ranks the rows (class, low, mid, top) with `_row_ranks`, passing the
+    radices (count, R, R, R) it knows, so no column is reduced.  With
+    count·R³ below 2^63 that is one packed int64 key and one `argsort` a
+    round; above, `_row_ranks` ranks the partial key first.  Either way
+    the ranks are the rows' lexicographic dense ranks, those of the sorted
+    slot tuples.
     """
     a, b = _base_indices(view, e)
     ids, colors, u, v, lab, _ = view
     n = len(ids)
-    nbr, edge = (table[:n] for table in _incidence(u, v, n))
-    # A slot codes (label rank, neighbor class) as label rank·n + class, and
-    # no edge as -1: classes are ranks below n, and the padding node n keeps
-    # class 0 under the -1 of every absent slot.
-    rank = np.searchsorted(_sorted_distinct(lab), lab)
-    label = np.where(edge < 0, -1, rank[edge] * n)
+    # (3, n) slot tables; an absent slot has code 0 and the padding node n,
+    # whose class stays 0.
+    nbr, edge = (table[:n].T for table in _incidence(u, v, n))
+    label_values = _sorted_distinct(lab)
+    rank = np.searchsorted(label_values, lab)
+    R = len(label_values) * n + 1
+    slot_nbr = np.full((3, n), n)
+    slot_code = np.zeros((3, n), dtype=np.int64)
+    slot_nbr[: len(nbr)] = nbr
+    slot_code[: len(nbr)] = np.where(edge < 0, 0, rank[edge] * n + 1)
     start = 2 * np.searchsorted(_sorted_distinct(colors), colors)
     start[[a, b]] += 1
-    cls = np.append(np.searchsorted(_sorted_distinct(start), start), 0)
-    count = int(cls.max()) + 1
+    classes = _sorted_distinct(start)
+    cls, count = np.append(np.searchsorted(classes, start), 0), len(classes)
     while count < n:
-        slots = label + cls[nbr]
-        slots.sort(axis=1)
-        cls[:n] = _row_ranks(np.column_stack([cls[:n], slots]))
-        count, last = int(cls.max()) + 1, count
+        x, y, z = slot_code + cls.take(slot_nbr)
+        lo, hi = np.minimum(x, y), np.maximum(x, y)
+        mid, top = np.minimum(hi, z), np.maximum(hi, z)
+        low, mid = np.minimum(lo, mid), np.maximum(lo, mid)
+        last = count
+        cls[:n], count = _row_ranks((cls[:n], low, mid, top), (count, R, R, R))
         if count == last:
             break
     return _frozen(view._replace(colors=cls[:n].astype(np.int32)))

@@ -195,18 +195,60 @@ def _sorted_distinct(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-def _row_ranks(table: np.ndarray) -> np.ndarray:
-    """Dense ranks, from 0, of a 2-D table's rows in lexicographic order.
+# Packed row keys stay below this bound, so every partial key is an int64.
+_KEY_BOUND = 1 << 63
 
-    Equal rows get equal ranks.  The table is gathered in sorted order once.
-    """
-    order = np.lexsort(table.T[::-1])
-    rows = table[order]
-    step = np.zeros(len(rows), dtype=np.int64)
-    step[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+
+def _dense_ranks(key: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense ranks, from 0, of a 1-D int64 array, and the number of distinct values."""
+    order = key.argsort()
+    ordered = key.take(order)
+    new = np.empty(len(key), dtype=bool)
+    new[:1] = False
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    step = new.cumsum()
     ranks = np.empty_like(step)
-    ranks[order] = np.cumsum(step)
-    return ranks
+    ranks[order] = step
+    return ranks, int(step[-1]) + 1 if len(step) else 0
+
+
+def _row_ranks(columns, radices=None) -> tuple[np.ndarray, int]:
+    """Dense ranks, from 0, of a table's rows in lexicographic order, and their number.
+
+    `columns` holds the table column by column: a sequence of equal-length
+    int arrays, or a 2-D table's transpose `table.T`.  Equal rows get equal
+    ranks.  The columns are packed in mixed radix into one int64 key per
+    row, so one `argsort` ranks them all.  Column i contributes digits in
+    [0, radices[i]): given radices promise that range for the values as
+    they are; without, each column is shifted by its minimum and its radix
+    is its span.  Digits below their radices make the packing strictly
+    order-preserving, so the ranks are exactly those of the rows in
+    lexicographic order.  A key must stay below 2^63: when the next radix
+    would push it past that, the partial key is first replaced by its
+    dense rank, which keeps its order and is below the row count; and a
+    column so wide that even that would not fit is replaced by its own
+    dense rank first.
+    """
+    n = len(columns[0]) if len(columns) else np.shape(columns)[-1]
+    if not n:
+        return np.zeros(0, dtype=np.int64), 0
+    key, bound = np.zeros(n, dtype=np.int64), 1
+    for i, col in enumerate(columns):
+        if radices is None:
+            low = int(col.min())
+            radix = int(col.max()) - low + 1
+        else:
+            low, radix = 0, radices[i]
+        if radix * n >= _KEY_BOUND:
+            col, radix = _dense_ranks(np.asarray(col, dtype=np.int64))
+        elif low:
+            col = col.astype(np.int64) - low
+        if bound * radix > _KEY_BOUND:
+            key, bound = _dense_ranks(key)
+        key *= radix
+        key += col
+        bound *= radix
+    return _dense_ranks(key)
 
 
 def point_array(points: Iterable[int], m: int) -> np.ndarray:

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from trigiso.graphs import (
     GraphError,
     GraphFormatError,
     LabeledGraph,
+    _EDGE_CHECK_CELLS,
     _maps_edges,
     build_x,
     format_graph_text,
@@ -23,6 +25,7 @@ from trigiso.graphs import (
     parse_graph_text,
     validate,
 )
+from trigiso import core
 from trigiso.core import aut_e_generators, is_isomorphic
 from trigiso.harness import random_relabeling, random_ternary_graph
 
@@ -448,6 +451,39 @@ def test_maps_edges_agrees_with_the_dict_reference(seed):
     assert all(verdicts[0][: 1 + len(auts)]) and not any(verdicts[0][-3:-1])
     assert seed % 2 or len(auts) > 1
     assert not any(map(any, verdicts[1:]))
+
+
+def test_check_automorphisms_memory_is_one_row_block():
+    # The 510 swap=False tower rows of the 1,023-node complete binary tree
+    # fill eight blocks of `_maps_edges`.  The check holds the node-color
+    # gather, about twice the int32 rows, and then one block's codes, a
+    # few int64 per cell; checked in one pass the codes peaked at ten
+    # times the rows.  The blocks give the one-pass result, also on rows
+    # broken every 37th row, so that several blocks hold failing rows.
+    view = complete_binary_tree(1023).arrays
+    rows = core._tower(view, (0, 1), swap=False)
+    assert len(rows) * len(view.u) > 4 * _EDGE_CHECK_CELLS
+    tracemalloc.start()
+    try:
+        core._check_automorphisms(view, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * rows.nbytes + 64 * _EDGE_CHECK_CELLS
+    bad = rows.copy()
+    bad[::37, [5, 700]] = bad[::37, [700, 5]]  # an inner node and a leaf
+    both = np.concatenate([rows, bad]).astype(np.int64)
+    n = len(view.ids)
+
+    def codes(x, y):
+        return np.minimum(x, y) * n + np.maximum(x, y)  # every label is 0
+
+    want = np.sort(codes(view.u, view.v))
+    one_pass = (np.sort(codes(both[:, view.u], both[:, view.v]), axis=1) == want).all(axis=1)
+    assert one_pass.sum() == len(rows) + len(bad) - len(bad[::37])
+    assert _maps_edges(both, view, view).tolist() == one_pass.tolist()
+    with pytest.raises(AssertionError):
+        core._check_automorphisms(view, bad)
 
 
 # -- the array view and the array checks against the dict references ------

@@ -3,21 +3,23 @@
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trigiso import core
+from trigiso import core, perm
 from trigiso.core import aut_e_generators, is_isomorphic
 from trigiso.graphs import (
     GADGET_LABEL,
     GraphError,
     LabeledGraph,
     build_x,
+    format_graph_text,
     is_graph_isomorphism,
     validate,
 )
-from trigiso.harness import random_relabeling, random_ternary_graph
+from trigiso.harness import degree_sequence_graph, random_relabeling, random_ternary_graph
 from trigiso.layers import LayerDecomposition, _Level, layer_sequence, refine
 from trigiso.perm import Permutation, group_order
 from trigiso.phylo import PhyloNetwork, phylo_isomorphic, random_network
@@ -629,3 +631,40 @@ def test_refine_commutes_with_relabelling():
         moved = refine(h.arrays, (mapping[e[0]], mapping[e[1]])).colors
         at = np.searchsorted(h.arrays.ids, [mapping[v] for v in g.node_ids])
         assert moved[at].tolist() == got.tolist()
+
+
+def distinct_label_cubic() -> LabeledGraph:
+    """The graph of `tests/data/cubic_512_distinct_labels.graph`.
+
+    A 512-node cubic graph whose 768 edge labels are all distinct, with
+    node colors drawn from 256 values (222 of them occur).
+    """
+    g = degree_sequence_graph([3] * 512, 1)
+    rng = random.Random("distinct-labels:1")
+    edges = g.sorted_edges()
+    labels = rng.sample(range(1, 10**6), len(edges))
+    return LabeledGraph({v: rng.randrange(256) for v in range(512)}, dict(zip(edges, labels)))
+
+
+def test_refine_ranks_rounds_too_wide_for_one_key(monkeypatch):
+    # A round's digits (class, three slots) span count·R^3, R = L·n + 1.
+    # Here R^3 alone is 6.1e16, and the first round starts from 223 or 224
+    # classes, so its packed key would pass 2^63: `_row_ranks` must rank
+    # the partial key before the last slot.  Without colors a graph with
+    # distinct labels is discrete after one round from two classes, and
+    # its key fits.  CI decides the same file against a relabelling.
+    g = distinct_label_cubic()
+    path = Path(__file__).parent / "data" / "cubic_512_distinct_labels.graph"
+    assert path.read_text() == format_graph_text(g)
+    n, L = g.n_nodes, len(set(g.edges().values()))
+    assert (n, L) == (512, 768) and set(g.arrays.degrees.tolist()) == {3}
+    assert n * (L * n + 1) ** 3 > 2**63
+    ranked, dense_ranks = [], perm._dense_ranks
+    monkeypatch.setattr(perm, "_dense_ranks", lambda key: ranked.append(len(key)) or dense_ranks(key))
+    for e in (g.sorted_edges()[0], g.sorted_edges()[-1]):
+        ranked.clear()
+        assert refine(g.arrays, e).colors.tolist() == reference_refine(g, e)
+        assert len(ranked) > 1  # a partial key was ranked, not only the final one
+    h, _ = random_relabeling(g, 1)
+    res = is_isomorphic(g, h, want_mapping=True)
+    assert res.isomorphic and is_graph_isomorphism(g, h, res.mapping)

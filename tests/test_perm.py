@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trigiso.harness import random_smooth_2group
 from trigiso.perm import (
@@ -22,7 +23,10 @@ from trigiso.perm import (
     orbit_partition,
     smoothness_violations,
     two_block_system,
+    _row_ranks,
 )
+
+from tower_reference import reference_row_ranks
 
 
 def T(m, a, b):
@@ -351,3 +355,38 @@ def test_block_choice_on_regular_elementary_abelian_groups(bits, seed):
         for i in range(bits)
     ]
     assert two_block_system(gens, range(size)) == _reference_two_block_system(gens, range(size))
+
+
+# Tables of 0-6 columns and 0-80 rows, values within ±2^62.  Each column
+# draws its values around an offset of 0 or ±2^61, from a span of a few
+# values up to one too wide to pack beside another, so the packing must
+# shift narrow columns far from 0 and rank wide ones.  Some rows repeat
+# earlier ones.
+_COLUMNS = st.tuples(st.sampled_from([0, 1 << 61, -(1 << 61)]),
+                     st.sampled_from([1, 3, 1 << 20, 1 << 61]))
+
+
+@st.composite
+def _tables(draw):
+    columns = draw(st.lists(_COLUMNS, max_size=6))
+    rows = draw(st.lists(
+        st.tuples(*(st.integers(at - span, at + span) for at, span in columns)), max_size=60,
+    ))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=20))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(columns))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(_tables())
+def test_row_ranks_equal_the_lexsort_ranks(table):
+    want = reference_row_ranks(table)
+    ranks, count = _row_ranks(table.T)
+    assert ranks.tolist() == want.tolist()
+    assert count == len(set(map(tuple, table.tolist())))
+    # Radices that bound each column give the same ranks, unshifted.
+    low = table.min(axis=0, initial=0)
+    shifted = table - low
+    radices = [int(x) + 1 for x in shifted.max(axis=0, initial=0)]
+    ranks, count = _row_ranks(shifted.T, radices)
+    assert ranks.tolist() == want.tolist()

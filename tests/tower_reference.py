@@ -11,7 +11,8 @@ per-level tables and the kernel transpositions) from that graph and
 closure of B_r and its image table in two passes, and `reference_run_tower`
 the tower's level loop run at every level, with no rigid tail.
 `reference_cb_images` is the color filter's general recursion run on every
-point set, small ones included.
+point set, small ones included.  `reference_row_ranks` is the lexsort row
+ranking that `perm._row_ranks` replaced with packed keys.
 """
 
 from itertools import combinations
@@ -414,3 +415,19 @@ def reference_cb_images(gens, rep, points, colors):
     sub = gens.copy()
     sub[moving] = new[: len(moving)]
     return (np.concatenate([sub, new[len(moving) :]]), new_rep), True
+
+
+def reference_row_ranks(table: np.ndarray) -> np.ndarray:
+    """Dense ranks, from 0, of a 2-D table's rows in lexicographic order.
+
+    Equal rows get equal ranks; a table without columns has one row class.
+    """
+    if not table.shape[1]:
+        return np.zeros(len(table), dtype=np.int64)
+    order = np.lexsort(table.T[::-1])
+    rows = table[order]
+    step = np.zeros(len(rows), dtype=np.int64)
+    step[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    ranks = np.empty_like(step)
+    ranks[order] = np.cumsum(step)
+    return ranks
