@@ -29,11 +29,11 @@ representative as the last row.  A level closes B_r under all rows in one
 call (`LayerDecomposition.b_set`), which hands back the position of every
 element's image under every row and the element colors with the keys, so
 the level never moves an element twice.  It appends those positions to
-every row as the B_r columns in one concatenation, filters, keeps the first
-n columns and lifts all rows in one call; the next level's array is the
-kernel rows, then the lifted rows that move a node and the lifted
-representative.  `_contract` maps rows back onto the input graph's nodes
-as another int array, through the decomposition's `owner` map (see
+every row as the B_r columns in one concatenation, filters, keeps the
+first n columns and lifts all rows in one call, in place; the next level's
+array is the kernel rows, then the lifted rows that move a node and the
+lifted representative.  `_contract` maps rows back onto the input graph's
+nodes as another int array, through the decomposition's `owner` map (see
 `trigiso.layers`), so `Permutation` objects appear only at the boundary,
 in `lift` and the results.
 
@@ -46,7 +46,13 @@ J. Symb. Comput. 2014): the lone representative is lifted through the
 remaining levels and checked once, as an automorphism of the working graph
 (`_rigid_tail`).  That check keeps exactly the elements the skipped level
 filters would keep, so the result is the same, row for row; `_run_tower`
-gives the argument.
+gives the argument.  The tail costs what that argument says it costs: it
+copies the representative once into a row of its own, and each level's
+lift writes the nodes entering at the next level into that row in place,
+by a few gathers over the level's fibers, so a level costs what enters at
+it and not n.  It closes no B_r, so a tower that is rigid from level 1
+never builds the element tables (`LayerDecomposition` builds them on its
+first `b_set`).
 
 Two graphs are isomorphic exactly when, after splitting one edge of each and
 joining the split nodes, some automorphism of the joined graph fixing the
@@ -80,10 +86,11 @@ import numpy as np
 # because perfbench/tracing.py patches them in this module.
 from .coloraut import annotate, build_structure_tree, cb, cb_images, cb_tree
 from .graphs import (
-    GraphArrays, GraphError, LabeledGraph, _maps_edges, build_x, is_graph_isomorphism,
-    require_valid,
+    GraphArrays, GraphError, LabeledGraph, _maps_edges, _row_blocks, build_x,
+    is_graph_isomorphism, require_valid,
 )
-from .layers import LayerDecomposition, _bfs_levels, _incidence, layer_sequence, refine
+from .layers import LayerDecomposition, _bfs_levels, _edge_tables, _incidence
+from .layers import layer_sequence, refine
 from .perm import Permutation, _join, _row_ranks, _sorted_distinct
 
 
@@ -96,7 +103,7 @@ def lift(dec: LayerDecomposition, r: int, sigma: Permutation) -> Permutation:
     level r is sigma again.  A missing target fiber, or one of another size,
     raises GraphError.
     """
-    image = dec.lift_or_none(r, sigma.image)
+    image = dec.lift_or_none(r, sigma.image.astype(np.int32))
     if image is None:
         raise GraphError("fiber mismatch while lifting: permutation was not certified")
     return Permutation(image, _checked=True)
@@ -179,8 +186,7 @@ def _run_tower(dec: LayerDecomposition, swap: bool):
             return None if rep is None else (rows[:0], rep)
         if not (node_colors.take(rows) == node_colors).all():
             raise AssertionError(
-                f"level {r}: a permutation moves a node onto a node of another color"
-            )
+                f"level {r}: a permutation moves a node onto a node of another color")
         keys, pos, elem_colors = dec.b_set(r, rows)
         if len(keys):  # else nothing is materialized: the whole coset survives
             ext = np.concatenate([rows, (n + pos).astype(np.int32)], axis=1)
@@ -208,12 +214,12 @@ def _rigid_tail(dec: LayerDecomposition, r: int, rep: np.ndarray) -> np.ndarray 
     None when a lift finds no matching fiber or the lifted row does not map
     the working graph's labeled edges onto themselves (`_maps_edges`, see
     `_run_tower`).  A row that moves a node onto a node of another color
-    raises AssertionError: the lifts keep colors by construction.
+    raises AssertionError: the lifts keep colors by construction.  Every
+    level lifts in place, into the one row the tail allocates.
     """
-    for s in range(r, dec.N):
-        rep = dec.lift_or_none(s, rep)
-        if rep is None:
-            return None
+    rep = rep.astype(np.int32)
+    if any(dec.lift_or_none(s, rep) is None for s in range(r, dec.N)):
+        return None
     if not (dec.view.colors.take(rep) == dec.view.colors).all():
         raise AssertionError("tail: a permutation moves a node onto a node of another color")
     return rep if _maps_edges(rep[None], dec.view, dec.view)[0] else None
@@ -237,14 +243,16 @@ def _tower(view: GraphArrays, e: tuple[int, int], swap: bool) -> np.ndarray | No
     """One tower of `view` rooted at its edge e, contracted onto the view.
 
     Refines the view (`refine`), builds the layer tower, runs the level
-    loop and maps its rows back onto the view's indices.  e is a pair of
-    node ids.  With swap=False returns the generators of the automorphisms
-    fixing e setwise, the rows of a (k, n) int32 array and a smooth
-    generating sequence.  With swap=True returns one row, an automorphism
-    exchanging e's endpoints, or None if there is none.  Callers validate,
-    this function does not.
+    loop and maps its rows back onto the view's indices.  The refined view
+    keeps the view's edges, so both steps share its `_edge_tables`.  e is
+    a pair of node ids.  With swap=False returns the generators of the
+    automorphisms fixing e setwise, the rows of a (k, n) int32 array and a
+    smooth generating sequence.  With swap=True returns one row, an
+    automorphism exchanging e's endpoints, or None if there is none.
+    Callers validate, this function does not.
     """
-    dec = layer_sequence(refine(view, e), e)
+    tables = _edge_tables(view, e)
+    dec = layer_sequence(refine(view, e, tables), e, tables)
     result = _run_tower(dec, swap)
     if result is None:
         return None
@@ -467,9 +475,11 @@ def _check_automorphisms(view: GraphArrays, rows: np.ndarray) -> None:
     Each row must keep every node's color and map the labeled edges onto
     themselves (`_maps_edges`).  On a connected graph that also makes the
     row a bijection: a node it misses would have no incident edge left to
-    be the image of.
+    be the image of.  Colors are compared in the row blocks `_maps_edges`
+    uses, so neither check gathers all rows at once.
     """
-    same_colors = (view.colors[rows] == view.colors).all()
+    blocks = _row_blocks(rows, len(view.u))
+    same_colors = all((view.colors.take(rows[at]) == view.colors).all() for at in blocks)
     if not (same_colors and _maps_edges(rows, view, view).all()):
         raise AssertionError("a pruning generator is not an automorphism of the second graph")
 

@@ -515,14 +515,19 @@ def _maps_edges(rows: np.ndarray, a1: GraphArrays, a2: GraphArrays) -> np.ndarra
 
     want = np.sort(codes(a2.u, a2.v, a2.labels))
     out = np.empty(len(rows), dtype=bool)
-    step = max(1, _EDGE_CHECK_CELLS // max(1, len(want)))
-    for first in range(0, len(rows), step):
-        block = rows[first : first + step]
-        x, y = (block.take(ends, axis=1).astype(np.int64, copy=False) for ends in (a1.u, a1.v))
-        moved = codes(x, y, a1.labels)
-        moved.sort(axis=1)
-        out[first : first + step] = (moved == want).all(axis=1)
+    for at in _row_blocks(rows, len(want)):
+        x, y = (rows[at].take(ends, axis=1).astype(np.int64, copy=False) for ends in (a1.u, a1.v))
+        out[at] = (np.sort(codes(x, y, a1.labels), axis=1) == want).all(axis=1)
     return out
+
+
+def _row_blocks(rows: np.ndarray, width: int):
+    """Slices of `rows` that fill at most `_EDGE_CHECK_CELLS` cells of `width` a row.
+
+    Every block holds one row at least.
+    """
+    step = max(1, _EDGE_CHECK_CELLS // max(1, width))
+    return (slice(first, first + step) for first in range(0, len(rows), step))
 
 
 def _exact_ints(values, count: int) -> np.ndarray | None:

@@ -29,13 +29,18 @@ The tower is built by a few array passes over the edge list, with no loop
 over nodes or elements.  Nodes take dense indices in id order; BFS levels
 come from frontier expansion over a padded neighbor table; the rewritten
 nodes are one mask (three neighbors at a lower level).  Every node's
-neighbor-set key is computed at once, and one stable `np.lexsort` on (level,
-neighbor-set key, color rank) groups the fibers of all levels; each level's
-`_Level` is slices of these global arrays.  The colour solver compares
-element colors only for equality, so any coding that gives equal colors to
-exactly the equal classes yields the same tower: a neighbor set's color is
-the dense rank of the sorted color multiset of its entering nodes (at most
-3), and a cross edge's color is ranked apart from those, by its label.
+neighbor-set key is computed at once.  The fibers of all levels are grouped
+by one stable `argsort` of one packed int64 key per entering node, its
+(level, neighbor-set key, color rank) as digits of a mixed-radix number
+(`perm._row_key`), and the elements of all levels likewise by (level,
+key); a key that would pass 2^63 is ranked part way and packed on, so the
+order is exactly that of the tuples.  Each level is a span of these global
+arrays, and the element tables, which only the per-level solve reads, are
+built on the tower's first `b_set`.  The colour solver compares element
+colors only for equality, so any coding that gives equal colors to exactly
+the equal classes yields the same tower: a neighbor set's color is the
+dense rank of the sorted color multiset of its entering nodes (at most 3),
+and a cross edge's color is ranked apart from those, by its label.
 
 Every decision builds its tower on `refine(view, e)`, not on the view
 itself: the node colors are replaced by the stable classes of color
@@ -56,12 +61,13 @@ ranks; a key that would pass 2^63 is ranked part way and packed on.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .graphs import GADGET_LABEL, GraphArrays, GraphError, _frozen, _norm_edge, _view
-from .perm import _row_ranks, _sorted_distinct
+from .perm import _row_key, _row_ranks, _sorted_distinct
 
 
 class LayerDecomposition:
@@ -72,12 +78,20 @@ class LayerDecomposition:
     node, in id order of the replaced nodes.  `view` is that graph's frozen
     array view: ids equal to indices, u < v on every edge, `GADGET_LABEL` on
     the triangle edges.  Per working node, `owner` is the input node it is
-    or replaces (module docstring) and `level` its tower level.  `levels[r]`
-    holds the integer-coded elements and fibers of level r, 1 <= r < N; a
-    fiber of more than two nodes raises AssertionError.  `rigid_from` is
-    the first level r from which no level has a two-node fiber, so no level
-    r' >= r has kernel generators: one more than the last level with such a
-    fiber, or 1 if there is none.
+    or replaces (module docstring) and `level` its tower level.  A fiber of
+    more than two nodes raises AssertionError.  `rigid_from` is the first
+    level r from which no level has a two-node fiber, so no level r' >= r
+    has kernel generators: one more than the last level with such a fiber,
+    or 1 if there is none.
+
+    What is built when.  The constructor builds the fibers of all levels
+    as global arrays, with each level's bounds in them (`_spans`): that is
+    what `lift_or_none` and `kernel_generators` read.  The element keys and
+    colors, which only `b_set` reads, are built on the tower's first
+    `b_set` (`_elements`); a tower that is rigid from level 1 never builds
+    them.  `levels[r]` holds level r's integer-coded elements and fibers as
+    a `_Level`, 1 <= r < N, built with the element tables on first access;
+    the level loop does not read it.
     """
 
     def __init__(
@@ -88,14 +102,10 @@ class LayerDecomposition:
         owner: np.ndarray,
     ):
         """`view` is the working graph (`layer_sequence`); the rest are attributes."""
-        self.view = view
-        self.owner = owner
-        self.base_edge = base_edge
+        self.view, self.owner, self.base_edge, self.level = view, owner, base_edge, level
         self.n = n = len(view.ids)
-        self.level = level
         u, v = view.u, view.v
-        lu, lv = level[u], level[v]
-        self.N = 1 if n == 2 else int(max(np.minimum(lu, lv).max() + 1, level.max()))
+        self.N = N = 1 if n == 2 else int(max(np.minimum(level[u], level[v]).max() + 1, level.max()))
 
         # Integer codes of the tower elements.  A neighbor set's members are
         # halves node·R + label rank, a pair's node·R + R - 1; a singleton
@@ -104,7 +114,7 @@ class LayerDecomposition:
         # and each kind like the sorted member tuples.  Labels enter only as
         # dense ranks, so labels of any size build the same tables.
         label_values = _sorted_distinct(view.labels)
-        rank = np.searchsorted(label_values, view.labels)
+        self._label_rank = rank = np.searchsorted(label_values, view.labels)
         self._R = R = len(label_values) + 1
         self._S = S = n * R
         if 2 * S * S >= 1 << 63:
@@ -123,69 +133,76 @@ class LayerDecomposition:
         set_key = lo * S + hi
 
         # The fibers of every level: entering nodes sorted by (level, set
-        # key, color rank), and by index within a fiber (lexsort is stable).
+        # key, color rank), one packed key and one stable argsort, so each
+        # fiber lists its nodes in index order.
         entering = np.flatnonzero(level > 1)
-        members = entering[
-            np.lexsort((color_rank[entering], set_key[entering], level[entering]))
-        ]
-        m_level, m_set, m_rank = level[members], set_key[members], color_rank[members]
-        new_set = np.ones(len(members), dtype=bool)
+        m_level, m_set, m_rank = level[entering], set_key[entering], color_rank[entering]
+        order = _row_key((m_level, m_set, m_rank), (N + 1, S * S, C)).argsort(kind="stable")
+        m_level, m_set, m_rank = (x.take(order) for x in (m_level, m_set, m_rank))
+        self._members, self._member_ranks = entering.take(order), m_rank
+        new_set = np.ones(len(order), dtype=bool)
         new_set[1:] = (m_level[1:] != m_level[:-1]) | (m_set[1:] != m_set[:-1])
         new_fiber = new_set.copy()
         new_fiber[1:] |= m_rank[1:] != m_rank[:-1]
-        set_first, fiber_first = np.flatnonzero(new_set), np.flatnonzero(new_fiber)
-        set_of = np.cumsum(new_set) - 1
-        set_keys, set_level = m_set[set_first], m_level[set_first]
-        fiber_set, fiber_level = set_of[fiber_first], m_level[fiber_first]
-        fiber_rank = m_rank[fiber_first]
-        # Where the nodes entering at level r+1 begin, for r = 1 .. N.
-        bounds = np.arange(2, self.N + 2)
-        m_at = np.searchsorted(m_level, bounds)
-        s_at = np.searchsorted(set_level, bounds)
-        f_at = np.searchsorted(fiber_level, bounds)
-        local_set = np.arange(len(set_first)) - s_at[set_level - 2]
-        fiber_keys = local_set[fiber_set] * C + fiber_rank
-        fiber_halves = np.stack([set_keys[fiber_set] // S, set_keys[fiber_set] % S], axis=-1)
-        fiber_nodes, fiber_ranks = np.divmod(fiber_halves, R)
-        start = fiber_first - m_at[fiber_level - 2]
-        size = np.diff(np.append(fiber_first, len(members)))
+        self._set_first = set_first = np.flatnonzero(new_set)
+        self._fiber_first = fiber_first = np.flatnonzero(new_fiber)
+        self._set_keys, self._set_level = m_set.take(set_first), m_level.take(set_first)
+        fiber_set = set_first.searchsorted(fiber_first, side="right") - 1
+        fiber_level, self._fiber_colors = m_level.take(fiber_first), m_rank.take(fiber_first)
+        # Row r - 1 of `_spans` is where the members, sets and fibers of
+        # level r begin, the nodes entering at level r+1, for r = 1 .. N+1;
+        # so level r spans rows r - 1 and r.
+        at = [x.searchsorted(np.arange(2, N + 3)) for x in (m_level, self._set_level, fiber_level)]
+        self._spans = np.stack(at, axis=1).tolist()
+        self._fiber_keys = (fiber_set - at[1].take(fiber_level - 2)) * C + self._fiber_colors
+        halves = np.stack(np.divmod(self._set_keys.take(fiber_set), S), axis=-1)
+        self._fiber_nodes, self._fiber_ranks = np.divmod(halves, R)
+        self._size = size = np.diff(np.append(fiber_first, len(order)))
         if (size > 2).any():
             at = int(fiber_level[size > 2][0])
             raise AssertionError(f"a fiber of more than two nodes enters at level {at}")
         # A two-node fiber entering at level r+1 gives level r a kernel swap.
         self.rigid_from = int(fiber_level[size == 2].max(initial=1))
 
-        # Element colors: a set's sorted color-rank multiset, ranked densely
-        # from 1; cross edges (same level, not the base edge, which is the
-        # only edge inside level 1) after those, by label.
-        width = int(np.diff(np.append(set_first, len(members))).max(initial=1))
-        sig = np.full((len(set_first), width), -1)
-        sig[set_of, np.arange(len(members)) - set_first[set_of]] = m_rank
-        set_color = _row_ranks(sig.T)[0] + 1
-        cross = (lu == lv) & (lu > 1)
-        cu, cv = u[cross], v[cross]
-        elem_level = np.concatenate([set_level - 1, lu[cross]])
-        elem_keys = np.concatenate([set_keys, S * S + (cu * R + R - 1) * S + cv * R + R - 1])
-        elem_colors = np.concatenate([set_color, len(sig) + 1 + rank[cross]])
-        order = np.lexsort((elem_keys, elem_level))
-        elem_keys, elem_colors = elem_keys[order], elem_colors[order]
-        e_at = np.searchsorted(elem_level[order], np.arange(1, self.N + 1))
+    @cached_property
+    def _elements(self) -> tuple[np.ndarray, np.ndarray, list]:
+        """Keys and colors of every level's materialized elements, and level bounds.
 
-        self.levels = {}
+        Sorted by (level, key), one packed key and one stable argsort;
+        level r's elements take [bounds[r-1], bounds[r]).  A set's color is
+        its sorted color-rank multiset, ranked densely from 1; cross edges
+        (same level, not the base edge, which is the only edge inside level
+        1) are colored after those, by label.
+        """
+        S, R, N = self._S, self._R, self.N
+        first, ranks = self._set_first, self._member_ranks
+        size = np.diff(np.append(first, len(ranks)))
+        sets = np.repeat(np.arange(len(first)), size)
+        sig = np.full((int(size.max(initial=1)), len(first)), -1)
+        sig[np.arange(len(ranks)) - first[sets], sets] = ranks
+        set_color = _row_ranks(sig)[0] + 1
+        u, v, lu = self.view.u, self.view.v, self.level[self.view.u]
+        cross = (lu == self.level[v]) & (lu > 1)
+        pairs = S * S + (u[cross] * R + R - 1) * S + v[cross] * R + R - 1
+        elem_level = np.concatenate([self._set_level - 1, lu[cross]])
+        keys = np.concatenate([self._set_keys, pairs])
+        colors = np.concatenate([set_color, len(first) + 1 + self._label_rank[cross]])
+        order = _row_key((elem_level, keys), (N + 1, 2 * S * S)).argsort(kind="stable")
+        bounds = np.searchsorted(elem_level.take(order), np.arange(1, N + 2)).tolist()
+        return keys.take(order), colors.take(order), bounds
+
+    @cached_property
+    def levels(self) -> dict[int, _Level]:
+        """Level r's tables as a `_Level`, for 1 <= r < N, built on first access."""
+        keys, colors, e_at = self._elements
+        fibers = (self._fiber_keys, self._fiber_nodes, self._fiber_ranks, self._fiber_colors)
+        out = {}
         for r in range(1, self.N):
-            e, f = slice(e_at[r - 1], e_at[r]), slice(f_at[r - 1], f_at[r])
-            self.levels[r] = _Level(
-                keys=elem_keys[e],
-                colors=elem_colors[e],
-                set_keys=set_keys[s_at[r - 1] : s_at[r]],
-                fiber_keys=fiber_keys[f],
-                fiber_nodes=fiber_nodes[f],
-                fiber_ranks=fiber_ranks[f],
-                fiber_colors=fiber_rank[f],
-                start=start[f],
-                size=size[f],
-                members=members[m_at[r - 1] : m_at[r]],
-            )
+            (m0, s0, f0), (m1, s1, f1) = self._spans[r - 1 : r + 1]
+            e, f = slice(e_at[r - 1], e_at[r]), slice(f0, f1)
+            out[r] = _Level(keys[e], colors[e], self._set_keys[s0:s1], *(x[f] for x in fibers),
+                            self._fiber_first[f] - m0, self._size[f], self._members[m0:m1])
+        return out
 
     # -- integer-coded elements ---------------------------------------------
 
@@ -208,25 +225,32 @@ class LayerDecomposition:
         row.  Each node entering at level r+1 goes to the node at its own
         position (in index order) of the fiber with the image neighbor set
         and the same color.  None if some row finds no target fiber, or one
-        of another size.
+        of another size.  The lift is written into `images` itself when it
+        is an int32 array, which is then returned; other input is copied
+        first.  A None leaves `images` as it was.
         """
-        img = np.array(images, dtype=np.int32)
-        level = self.levels.get(r)
-        if level is None or not len(level.members):
-            return img
-        halves = img[..., level.fiber_nodes].astype(np.int64) * self._R + level.fiber_ranks
-        moved = halves.min(axis=-1) * self._S + halves.max(axis=-1)
-        # Clipped, a searchsorted index past the last key reads a smaller key,
-        # so it fails its comparison just as a missing key does.
-        at = np.searchsorted(level.set_keys, moved).clip(max=len(level.set_keys) - 1)
-        target = at * self.n_colors + level.fiber_colors
-        j = np.searchsorted(level.fiber_keys, target).clip(max=len(level.fiber_keys) - 1)
-        if not ((level.set_keys[at] == moved) & (level.fiber_keys[j] == target)).all() or (
-            level.size[j] != level.size
-        ).any():
+        img = np.asarray(images, dtype=np.int32)
+        (m0, s0, f0), (m1, s1, f1) = self._spans[r - 1 : r + 1]
+        set_keys, fiber_keys = self._set_keys[s0:s1], self._fiber_keys[f0:f1]
+        halves = img.take(self._fiber_nodes[f0:f1], axis=-1).astype(np.int64) * self._R
+        halves += self._fiber_ranks[f0:f1]
+        x, y = halves[..., 0], halves[..., 1]
+        moved = np.minimum(x, y) * self._S + np.maximum(x, y)
+        at = set_keys.searchsorted(moved)
+        target = at * self.n_colors + self._fiber_colors[f0:f1]
+        j = fiber_keys.searchsorted(target)
+        # A searchsorted index past the last key reads the last, smaller
+        # key under mode="clip", so it fails its comparison as a missing key does.
+        missed = set_keys.take(at, mode="clip") != moved
+        if np.count_nonzero(missed | (fiber_keys.take(j, mode="clip") != target)):
             return None
-        shift = np.repeat(level.start[j] - level.start, level.size, axis=-1)
-        img[..., level.members] = level.members[shift + np.arange(len(level.members))]
+        first, size = self._fiber_first[f0:f1], self._size[f0:f1]
+        source = first.take(j)
+        if m1 - m0 > f1 - f0:  # a two-node fiber: check sizes, shift within fibers
+            if np.count_nonzero(size.take(j) != size):
+                return None
+            source = (source - first).repeat(size, axis=-1) + np.arange(m0, m1)
+        img[..., self._members[m0:m1]] = self._members.take(source)
         return img
 
     # -- ground elements for the per-level solve ------------------------------
@@ -250,15 +274,12 @@ class LayerDecomposition:
         So the result is returned only once `keys[positions]` equals every
         moved key, for every row and key.
         """
-        level = self.levels.get(r)
-        if level is None:
-            keys = colors = np.empty(0, dtype=np.int64)
-        else:
-            keys, colors = level.keys, level.colors
+        keys, colors, at = self._elements
+        keys, colors = keys[at[r - 1] : at[r]], colors[at[r - 1] : at[r]]
         moved = self.move(images, keys)
         while True:
             pos = np.searchsorted(keys, moved)
-            missing = keys[pos.clip(max=len(keys) - 1)] != moved
+            missing = keys.take(pos, mode="clip") != moved
             if not missing.any():
                 return keys, pos, colors
             new = _sorted_distinct(moved[missing])
@@ -282,11 +303,10 @@ class LayerDecomposition:
         """
         if r + 1 > self.N:
             raise ValueError(f"level {r + 1} beyond tower depth {self.N}")
-        level = self.levels.get(r)
-        if level is None or not (level.size == 2).any():
-            return np.empty((0, self.n), dtype=np.int32)
-        pair = level.members[level.start[level.size == 2, None] + [0, 1]]
-        out = np.tile(np.arange(self.n, dtype=np.int32), (len(pair), 1))
+        (_, _, f0), (_, _, f1) = self._spans[r - 1 : r + 1]
+        first = self._fiber_first[f0:f1][self._size[f0:f1] == 2]
+        pair = self._members.take(first[:, None] + [0, 1])
+        out = np.arange(self.n, dtype=np.int32)[None].repeat(len(pair), axis=0)
         out[np.arange(len(pair))[:, None], pair] = pair[:, ::-1]
         return out
 
@@ -308,7 +328,7 @@ class _Level(NamedTuple):
     `fiber_ranks` hold the two halves of each fiber's neighbor set, node and
     label rank.  `members` lists the nodes of every fiber, fiber by fiber and
     each in index order; fiber i takes `size[i]` entries from `start[i]`.
-    Every field is a slice of one array over all levels.
+    Every field but `start` is a slice of one array over all levels.
     """
 
     keys: np.ndarray
@@ -328,8 +348,11 @@ def _bfs_levels(nbr: np.ndarray, a: int, b: int) -> np.ndarray:
 
     `nbr` is the (n+1, D) neighbor table padded with node n, whose level is
     `_FAR`; frontiers expand one level per round.  Each frontier is made
-    distinct: a node reached from several lower neighbors would otherwise
-    appear once per shortest path from the base edge.
+    distinct, with no sort: a node reached from several lower neighbors
+    would otherwise appear once per shortest path from the base edge.  Each
+    occurrence writes the complement of its position, a negative number,
+    into the node's level, and only the occurrence whose value stays is
+    kept; the frontier's level is written after.
     """
     n = len(nbr) - 1
     level = np.zeros(n + 1, dtype=np.int64)
@@ -337,21 +360,28 @@ def _bfs_levels(nbr: np.ndarray, a: int, b: int) -> np.ndarray:
     level[[a, b]] = 1
     frontier, r = np.array([a, b]), 1
     while len(frontier):
-        reached = nbr[frontier].ravel()
-        frontier = _sorted_distinct(reached[level[reached] == 0])
+        reached = nbr.take(frontier, axis=0).ravel()
+        reached = reached[level.take(reached) == 0]
+        mark = ~np.arange(len(reached))
+        level[reached] = mark
+        frontier = reached[level.take(reached) == mark]
         r += 1
         level[frontier] = r
     return level
 
 
-def _base_indices(view: GraphArrays, e: tuple[int, int]) -> tuple[int, int]:
-    """Dense indices of e's endpoints in `view`; an absent e raises GraphError."""
+def _edge_tables(view: GraphArrays, e: tuple[int, int]):
+    """(a, b, nbr, edge): e's endpoint indices in `view`, then `_incidence`'s tables.
+
+    An absent e raises GraphError.  `refine` and `layer_sequence` take the
+    result as `tables`, so a tower that refines computes it once.
+    """
     ids = view.ids
     e = _norm_edge(*e)
     a, b = np.searchsorted(ids, e).clip(max=len(ids) - 1).tolist()
     if ids[a] != e[0] or ids[b] != e[1] or not ((view.u == a) & (view.v == b)).any():
         raise GraphError(f"edge {e} not present in graph")
-    return a, b
+    return a, b, *_incidence(view.u, view.v, len(ids))
 
 
 def _incidence(u: np.ndarray, v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -371,7 +401,7 @@ def _incidence(u: np.ndarray, v: np.ndarray, n: int) -> tuple[np.ndarray, np.nda
     return nbr, edge
 
 
-def refine(view: GraphArrays, e: tuple[int, int]) -> GraphArrays:
+def refine(view: GraphArrays, e: tuple[int, int], tables=None) -> GraphArrays:
     """`view` with its colors replaced by the stable color-refinement classes.
 
     1-dimensional Weisfeiler-Leman refinement with e's endpoints
@@ -385,7 +415,7 @@ def refine(view: GraphArrays, e: tuple[int, int]) -> GraphArrays:
     with it.  The classes refine the input colors, and every automorphism
     fixing e setwise preserves them, so that group is the same for both
     views.  Callers validate, this function does not; an absent e raises
-    GraphError.
+    GraphError.  `tables`, when given, are `_edge_tables(view, e)`.
 
     The slot tables are built once.  A slot's value, label rank·n + 1 +
     neighbor class for an edge and 0 for an absent slot, lies in [0, R),
@@ -399,12 +429,12 @@ def refine(view: GraphArrays, e: tuple[int, int]) -> GraphArrays:
     the ranks are the rows' lexicographic dense ranks, those of the sorted
     slot tuples.
     """
-    a, b = _base_indices(view, e)
+    a, b, *incidence = tables or _edge_tables(view, e)
     ids, colors, u, v, lab, _ = view
     n = len(ids)
     # (3, n) slot tables; an absent slot has code 0 and the padding node n,
     # whose class stays 0.
-    nbr, edge = (table[:n].T for table in _incidence(u, v, n))
+    nbr, edge = (table[:n].T for table in incidence)
     label_values = _sorted_distinct(lab)
     rank = np.searchsorted(label_values, lab)
     R = len(label_values) * n + 1
@@ -428,7 +458,7 @@ def refine(view: GraphArrays, e: tuple[int, int]) -> GraphArrays:
     return _frozen(view._replace(colors=cls[:n].astype(np.int32)))
 
 
-def layer_sequence(view: GraphArrays, e: tuple[int, int]) -> LayerDecomposition:
+def layer_sequence(view: GraphArrays, e: tuple[int, int], tables=None) -> LayerDecomposition:
     """Build the full tower for (view, e), applying the triangle rewrite.
 
     `view` is the array view of a valid graph, reserved values allowed, and e
@@ -437,11 +467,12 @@ def layer_sequence(view: GraphArrays, e: tuple[int, int]) -> LayerDecomposition:
     size 3 is replaced by a labeled triangle, so every neighbor set of the
     returned tower has size 1 or 2.  A replaced node's corners take its
     placed neighbors, sorted by (new index, label), in corner order.
+    `tables`, when given, are `_edge_tables` of a view with the same edges,
+    such as the one `refine` was given.
     """
-    a, b = _base_indices(view, e)
+    a, b, nbr, edge = tables or _edge_tables(view, e)
     ids, colors, u, v, lab, _ = view
     n = len(ids)
-    nbr, edge = _incidence(u, v, n)
     level = _bfs_levels(nbr, a, b)
     lower = level[nbr[:n]] < level[:n, None]
     gadget = lower.sum(axis=1) == 3

@@ -212,27 +212,26 @@ def _dense_ranks(key: np.ndarray) -> tuple[np.ndarray, int]:
     return ranks, int(step[-1]) + 1 if len(step) else 0
 
 
-def _row_ranks(columns, radices=None) -> tuple[np.ndarray, int]:
-    """Dense ranks, from 0, of a table's rows in lexicographic order, and their number.
+def _row_key(columns, radices=None) -> np.ndarray:
+    """One int64 key per row of a table, ordered as the rows are lexicographically.
 
     `columns` holds the table column by column: a sequence of equal-length
-    int arrays, or a 2-D table's transpose `table.T`.  Equal rows get equal
-    ranks.  The columns are packed in mixed radix into one int64 key per
-    row, so one `argsort` ranks them all.  Column i contributes digits in
+    int arrays, or a 2-D table's transpose `table.T`.  The columns are
+    packed in mixed radix, so equal rows get equal keys and a stable
+    `argsort` of the keys orders the rows.  Column i contributes digits in
     [0, radices[i]): given radices promise that range for the values as
     they are; without, each column is shifted by its minimum and its radix
     is its span.  Digits below their radices make the packing strictly
-    order-preserving, so the ranks are exactly those of the rows in
-    lexicographic order.  A key must stay below 2^63: when the next radix
+    order-preserving.  A key must stay below 2^63: when the next radix
     would push it past that, the partial key is first replaced by its
     dense rank, which keeps its order and is below the row count; and a
     column so wide that even that would not fit is replaced by its own
     dense rank first.
     """
     n = len(columns[0]) if len(columns) else np.shape(columns)[-1]
-    if not n:
-        return np.zeros(0, dtype=np.int64), 0
     key, bound = np.zeros(n, dtype=np.int64), 1
+    if not n:
+        return key
     for i, col in enumerate(columns):
         if radices is None:
             low = int(col.min())
@@ -248,7 +247,16 @@ def _row_ranks(columns, radices=None) -> tuple[np.ndarray, int]:
         key *= radix
         key += col
         bound *= radix
-    return _dense_ranks(key)
+    return key
+
+
+def _row_ranks(columns, radices=None) -> tuple[np.ndarray, int]:
+    """Dense ranks, from 0, of a table's rows in lexicographic order, and their number.
+
+    Equal rows get equal ranks.  One `argsort` ranks the packed keys of
+    `_row_key`, which takes the same arguments.
+    """
+    return _dense_ranks(_row_key(columns, radices))
 
 
 def point_array(points: Iterable[int], m: int) -> np.ndarray:

@@ -642,6 +642,85 @@ def test_rigid_tail_checks_node_colors_once():
         core._run_tower(dec, swap=True)
 
 
+def _lift_or_none_reference(dec, r, row) -> list | None:
+    try:
+        return reference_lift(dec, r, Permutation(row)).image.tolist()
+    except GraphError:
+        return None
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_row_lift_equals_array_lift_and_reference(seed):
+    # On every level of recorded towers, each row lifted alone equals its
+    # fiber-by-fiber reference lift, and the 2-D lift of all rows equals the
+    # rows lifted alone: None as soon as one row finds no matching fiber.
+    # The rows are the identity, the base edge's swap, the tower's
+    # edge-fixing generators, and the nodes up to level r shuffled.
+    rng = np.random.default_rng(seed)
+    seen = set()
+    for towers in decide_tower_cases(40, seed).values():
+        for dec, _ in towers:
+            ident = np.arange(dec.n, dtype=np.int32)
+            flip = ident.copy()
+            flip[list(dec.base_edge)] = dec.base_edge[::-1]
+            gens, _ = reference_run_tower(dec, swap=False)
+            for r in range(1, dec.N):
+                low = np.flatnonzero(dec.level <= r)
+                shuffled = ident.copy()
+                shuffled[low] = rng.permutation(low)
+                rows = np.array([ident, flip, *gens, shuffled], dtype=np.int32)
+                alone = [dec.lift_or_none(r, row.copy()) for row in rows]
+                assert [None if x is None else x.tolist() for x in alone] == [
+                    _lift_or_none_reference(dec, r, row) for row in rows
+                ]
+                lifted = [x for x in alone if x is not None]
+                whole = dec.lift_or_none(r, rows.copy())
+                assert (whole is None) == (len(lifted) < len(rows))
+                kept = rows[[x is not None for x in alone]]
+                assert dec.lift_or_none(r, kept).tolist() == [x.tolist() for x in lifted]
+                seen.add("pairs" if len(dec.kernel_generators(r)) else "singletons")
+                seen.add("dead" if whole is None else "lifted")
+    assert seen == {"pairs", "singletons", "dead", "lifted"}
+
+
+@pytest.mark.parametrize("nodes", [65, 129, 193])
+def test_network_twin_tower_lifts_one_row_from_level_one(monkeypatch, nodes):
+    # Refinement leaves a network twin's join rigid from level 1, so its
+    # one tower goes straight into the rigid tail.  Its cost is pinned in
+    # units that do not depend on the host: no B_r closure, no element
+    # tables, and one lift per level above level 1, N - 1 in all, each
+    # written into the one row the tail allocated.
+    lifts, closures = [], []
+    real_lift, real_b_set = LayerDecomposition.lift_or_none, LayerDecomposition.b_set
+
+    def lift(dec, r, images):
+        out = real_lift(dec, r, images)
+        lifts.append((r, images, out))
+        return out
+
+    def b_set(dec, r, images):
+        closures.append(r)
+        return real_b_set(dec, r, images)
+
+    monkeypatch.setattr(LayerDecomposition, "lift_or_none", lift)
+    monkeypatch.setattr(LayerDecomposition, "b_set", b_set)
+    for seed in range(3):
+        net = random_network(nodes, seed=seed)
+        ids = list(net.nodes)
+        random.Random(seed).shuffle(ids)
+        twin = net.relabeled_nodes(dict(zip(net.nodes, ids)))
+        lifts.clear()
+        towers = recorded_towers(lambda: phylo_isomorphic(net, twin).isomorphic or pytest.fail())
+        assert len(towers) == 1
+        (dec, swap), = towers
+        assert swap and dec.rigid_from == 1
+        assert "_elements" not in vars(dec) and "levels" not in vars(dec)
+        assert [r for r, _, _ in lifts] == list(range(1, dec.N))
+        row = lifts[0][1]
+        assert row.shape == (dec.n,) and all(x is row and y is row for _, x, y in lifts)
+    assert closures == []
+
+
 # sha256 of the JSON outputs below.  Any change to a generator sequence or a
 # mapping changes them, even one that keeps every verdict.
 _PINNED_DIGESTS = {

@@ -486,6 +486,50 @@ def test_check_automorphisms_memory_is_one_row_block():
         core._check_automorphisms(view, bad)
 
 
+def _subtree_swaps(n_nodes: int) -> np.ndarray:
+    """Rows swapping the two child subtrees of every node 1, 2, ... of a complete binary tree.
+
+    Nodes are heap indices; the descendants of c at depth d below it are
+    the 2^d nodes from (c + 1)·2^d - 1 on.
+    """
+    inner = range(1, (n_nodes - 1) // 2)
+    rows = np.tile(np.arange(n_nodes, dtype=np.int32), (len(inner), 1))
+    for row, i in zip(rows, inner):
+        c1, c2, width = 2 * i + 1, 2 * i + 2, 1
+        while (c2 + 1) * width - 1 < n_nodes:
+            a, b = (c1 + 1) * width - 1, (c2 + 1) * width - 1
+            row[a : a + width] = np.arange(b, b + width)
+            row[b : b + width] = np.arange(a, a + width)
+            width *= 2
+    return rows
+
+
+def test_check_automorphisms_colors_in_row_blocks():
+    # The 4,095-node tree's 2,046 subtree swaps are 32 MiB of int32 rows.
+    # Gathered at once, their int64 node colors alone took 64 MiB; compared
+    # block by block the check peaks far below the rows themselves.
+    tree = complete_binary_tree(4095)
+    view = tree.arrays
+    rows = _subtree_swaps(4095)
+    assert rows.shape == (2046, 4095) and view.colors.dtype == np.int64
+    tracemalloc.start()
+    try:
+        core._check_automorphisms(view, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    # Leaf 4094 recolored: the swaps at its ancestors move it onto a leaf
+    # of another color and keep every edge.  One of them, last behind the
+    # 2,036 rows that fix it, must still fail the check.
+    recolored = view._replace(colors=np.where(view.ids == 4094, 1, 0))
+    fixing = rows[rows[:, 4094] == 4094]
+    assert len(fixing) == 2036 and _maps_edges(rows[-1:], view, view).all()
+    core._check_automorphisms(recolored, fixing)
+    with pytest.raises(AssertionError, match="not an automorphism"):
+        core._check_automorphisms(recolored, np.concatenate([fixing, rows[-1:]]))
+
+
 # -- the array view and the array checks against the dict references ------
 
 

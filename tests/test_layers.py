@@ -17,6 +17,7 @@ from trigiso.graphs import (
     build_x,
     format_graph_text,
     is_graph_isomorphism,
+    parse_graph_text,
     validate,
 )
 from trigiso.harness import degree_sequence_graph, random_relabeling, random_ternary_graph
@@ -28,6 +29,7 @@ from graph_reference import graph_of_view
 from tower_cases import cfi_tower_cases, decide_tower_cases, every_level, recorded_towers
 from tower_reference import (
     WrittenOutTower,
+    lexsort_order,
     reference_layer_sequence,
     reference_refine,
     two_pass_b_set,
@@ -554,9 +556,9 @@ def test_array_tower_equals_written_out_on_joined_graphs(monkeypatch):
     joined = []
     real = core.layer_sequence
 
-    def spy(view, e):
+    def spy(view, e, tables=None):
         joined.append((graph_of_view(view), e))
-        return real(view, e)
+        return real(view, e, tables)
 
     monkeypatch.setattr(core, "layer_sequence", spy)
     nets = [random_network(33, seed=seed) for seed in range(3)] + [stacked_galls(8)]
@@ -633,17 +635,18 @@ def test_refine_commutes_with_relabelling():
         assert moved[at].tolist() == got.tolist()
 
 
-def distinct_label_cubic() -> LabeledGraph:
-    """The graph of `tests/data/cubic_512_distinct_labels.graph`.
+def distinct_label_cubic(n: int = 512) -> LabeledGraph:
+    """An n-node cubic graph whose edge labels are all distinct.
 
-    A 512-node cubic graph whose 768 edge labels are all distinct, with
-    node colors drawn from 256 values (222 of them occur).
+    Node colors are drawn from 256 values.  With n = 512 this is the graph
+    of `tests/data/cubic_512_distinct_labels.graph`: 768 labels, 222 colors
+    occurring.
     """
-    g = degree_sequence_graph([3] * 512, 1)
+    g = degree_sequence_graph([3] * n, 1)
     rng = random.Random("distinct-labels:1")
     edges = g.sorted_edges()
     labels = rng.sample(range(1, 10**6), len(edges))
-    return LabeledGraph({v: rng.randrange(256) for v in range(512)}, dict(zip(edges, labels)))
+    return LabeledGraph({v: rng.randrange(256) for v in range(n)}, dict(zip(edges, labels)))
 
 
 def test_refine_ranks_rounds_too_wide_for_one_key(monkeypatch):
@@ -668,3 +671,73 @@ def test_refine_ranks_rounds_too_wide_for_one_key(monkeypatch):
     h, _ = random_relabeling(g, 1)
     res = is_isomorphic(g, h, want_mapping=True)
     assert res.isomorphic and is_graph_isomorphism(g, h, res.mapping)
+
+
+# -- the packed fiber and element order against two lexsorts -----------------
+
+
+def assert_packed_order_is_exact(dec: LayerDecomposition, ranked: list) -> int:
+    """Rebuild `dec`, compare its order with `lexsort_order`; keys ranked in the build.
+
+    `ranked` is the list the test's `_dense_ranks` spy appends to.
+    """
+    want = lexsort_order(dec)
+    ranked.clear()
+    got = LayerDecomposition(dec.view, dec.level, dec.base_edge, dec.owner)
+    staged = len(ranked)
+    assert np.array_equal(got._members, want.members)
+    assert np.array_equal(got._fiber_first, want.fiber_first)
+    assert np.array_equal(got._size, want.size) and got.rigid_from == want.rigid_from
+    keys, colors, e_at = got._elements
+    assert np.array_equal(keys, want.keys) and np.array_equal(colors, want.colors)
+    assert e_at == want.e_at.tolist()
+    return staged
+
+
+def _spy_dense_ranks(monkeypatch) -> list:
+    """Record the length of every key `perm._dense_ranks` ranks."""
+    ranked, dense_ranks = [], perm._dense_ranks
+    monkeypatch.setattr(perm, "_dense_ranks", lambda key: ranked.append(len(key)) or dense_ranks(key))
+    return ranked
+
+
+def _order_cases() -> list:
+    """Towers of decisions, of network joins, and of `cubic_512_distinct_labels.graph`."""
+    towers = [
+        dec for seed in range(3) for case in decide_tower_cases(40, seed).values()
+        for dec, _ in case
+    ]
+    for seed in range(3):
+        net = random_network(65, seed=seed)
+        twin = net.relabeled_nodes({v: 1000 + v for v in net.nodes})
+        towers += [dec for dec, _ in recorded_towers(lambda: phylo_isomorphic(net, twin))]
+    path = Path(__file__).parent / "data" / "cubic_512_distinct_labels.graph"
+    g = parse_graph_text(path.read_text())
+    for e in (g.sorted_edges()[0], g.sorted_edges()[-1]):
+        towers += [layer_sequence(g.arrays, e), layer_sequence(refine(g.arrays, e), e)]
+    return towers
+
+
+@pytest.mark.parametrize("bound", [None, 1 << 40], ids=["2^63", "2^40"])
+def test_packed_order_equals_two_lexsorts(monkeypatch, bound):
+    # Under 2^63 no build here stages a key.  With the bound lowered to
+    # 2^40, the towers of the 512-node distinct-label graph do: S^2 alone
+    # is 1.5e11 there.
+    towers = _order_cases()
+    ranked = _spy_dense_ranks(monkeypatch)
+    if bound is not None:
+        monkeypatch.setattr(perm, "_KEY_BOUND", bound)
+    staged = [assert_packed_order_is_exact(dec, ranked) for dec in towers]
+    assert len(towers) > 20 and any(dec.rigid_from > 1 for dec in towers)
+    assert any(staged) == (bound is not None)
+
+
+def test_packed_order_stages_keys_past_63_bits(monkeypatch):
+    # 4,096 nodes and 6,144 distinct labels: the entering nodes' (level,
+    # neighbor-set key, color rank) digits span more than 2^63, so the
+    # build ranks the partial key before the color digit.
+    g = distinct_label_cubic(4096)
+    e = g.sorted_edges()[0]
+    dec = layer_sequence(refine(g.arrays, e), e)
+    assert (dec.N + 1) * dec._S**2 * dec.n_colors > 2**63
+    assert assert_packed_order_is_exact(dec, _spy_dense_ranks(monkeypatch)) == 1

@@ -12,7 +12,9 @@ closure of B_r and its image table in two passes, and `reference_run_tower`
 the tower's level loop run at every level, with no rigid tail.
 `reference_cb_images` is the color filter's general recursion run on every
 point set, small ones included.  `reference_row_ranks` is the lexsort row
-ranking that `perm._row_ranks` replaced with packed keys.
+ranking that `perm._row_ranks` replaced with packed keys, and
+`lexsort_order` the two-lexsort order of the tower's fibers and elements
+that `LayerDecomposition` replaced with packed keys.
 """
 
 from itertools import combinations
@@ -431,3 +433,55 @@ def reference_row_ranks(table: np.ndarray) -> np.ndarray:
     ranks = np.empty_like(step)
     ranks[order] = np.cumsum(step)
     return ranks
+
+
+def lexsort_order(dec) -> SimpleNamespace:
+    """The fiber and element order of `dec`'s tower by two `np.lexsort` calls.
+
+    Entering nodes sorted by (level, neighbor-set key, color rank), stably,
+    so by index within a fiber; fibers start where any of the three
+    changes.  Elements are sorted by (level, key).  Returns the `members`,
+    the fibers' first positions and sizes, `rigid_from`, and the element
+    keys and colors with `e_at`, where each level's elements begin.
+    """
+    view, level, n = dec.view, dec.level, dec.n
+    u, v = view.u, view.v
+    lu, lv = level[u], level[v]
+    rank = np.searchsorted(np.unique(view.labels), view.labels)
+    R = int(rank.max(initial=-1)) + 2
+    S = n * R
+    color_rank = np.searchsorted(np.unique(view.colors), view.colors)
+    src, dst = np.concatenate([u, v]), np.concatenate([v, u])
+    half = dst * R + np.concatenate([rank, rank])
+    low = level[dst] < level[src]
+    lo, hi = np.full(n, S), np.zeros(n, dtype=np.int64)
+    np.minimum.at(lo, src[low], half[low])
+    np.maximum.at(hi, src[low], half[low])
+    set_key = lo * S + hi
+    entering = np.flatnonzero(level > 1)
+    members = entering[np.lexsort((color_rank[entering], set_key[entering], level[entering]))]
+    m_level, m_set, m_rank = level[members], set_key[members], color_rank[members]
+    new_set = np.ones(len(members), dtype=bool)
+    new_set[1:] = (m_level[1:] != m_level[:-1]) | (m_set[1:] != m_set[:-1])
+    new_fiber = new_set.copy()
+    new_fiber[1:] |= m_rank[1:] != m_rank[:-1]
+    set_first, fiber_first = np.flatnonzero(new_set), np.flatnonzero(new_fiber)
+    size = np.diff(np.append(fiber_first, len(members)))
+    set_size = np.diff(np.append(set_first, len(members)))
+    sig = [tuple(m_rank[f : f + z]) for f, z in zip(set_first, set_size)]
+    color_of = {s: i + 1 for i, s in enumerate(sorted(set(sig)))}
+    cross = (lu == lv) & (lu > 1)
+    cu, cv = u[cross], v[cross]
+    elem_level = np.concatenate([m_level[set_first] - 1, lu[cross]])
+    keys = np.concatenate([m_set[set_first], S * S + (cu * R + R - 1) * S + cv * R + R - 1])
+    colors = np.concatenate([[color_of[s] for s in sig], len(sig) + 1 + rank[cross]])
+    order = np.lexsort((keys, elem_level))
+    return SimpleNamespace(
+        members=members,
+        fiber_first=fiber_first,
+        size=size,
+        rigid_from=int(m_level[fiber_first][size == 2].max(initial=1)),
+        keys=keys[order],
+        colors=colors[order].astype(np.int64),
+        e_at=np.searchsorted(elem_level[order], np.arange(1, dec.N + 2)),
+    )
