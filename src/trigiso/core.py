@@ -64,6 +64,23 @@ node-index pairs of the two array views, the joined graph is only a view
 (`build_x`), and a witness is read back onto the input ids with one gather.
 `aut_e_generators` runs the same tower over the whole edge-fixing group.
 
+The first edge and its candidates come from color refinement of both
+graphs at once, on their disjoint union (`_first_edge_candidates`).  An
+isomorphism of the two graphs, together with its inverse, is an
+automorphism of the union, and the union's stable classes are invariant
+under every automorphism, so the isomorphism maps each node onto a node of
+its own class and each edge onto an edge of its own class (endpoint
+classes and label).  Hence:
+
+- where the two sides' class histograms differ there is no isomorphism,
+  which is the 1-WL test;
+- e1, an edge of the first graph in the second graph's smallest edge
+  class, can only map onto the second graph's edges of that class, so
+  those are all the pairings to try.  Choosing the smallest class is
+  target-cell selection (McKay & Piperno 2014).  Class ranks follow sorted
+  defining values, so the class and the candidates do not depend on node
+  ids.
+
 Pairings are pruned by automorphisms of the second graph.  If e2 admits no
 isomorphism carrying e1 onto it, neither does σ(e2) for any automorphism σ
 of the second graph, since composing with σ would give one.  So once a
@@ -72,7 +89,10 @@ fixing one far edge of the second graph, with the same tower, and skips
 every later pairing in the orbit of a failed one.  Any subgroup of the
 automorphism group makes this exact: only failing towers are skipped, so
 the first pairing that succeeds, its witness and every verdict are those of
-the unpruned loop.
+the unpruned loop over the same candidates.  An automorphism of the second
+graph extends, by the identity on the first, to one of the union, so it
+keeps the union's classes and maps the candidates onto candidates, which
+`_candidate_orbits` checks.
 """
 
 from __future__ import annotations
@@ -89,9 +109,9 @@ from .graphs import (
     GraphArrays, GraphError, LabeledGraph, _maps_edges, _row_blocks, build_x,
     is_graph_isomorphism, require_valid,
 )
-from .layers import LayerDecomposition, _bfs_levels, _edge_tables, _incidence
+from .layers import LayerDecomposition, _bfs_levels, _edge_tables, _incidence, _refine_rounds
 from .layers import layer_sequence, refine
-from .perm import Permutation, _join, _row_ranks, _sorted_distinct
+from .perm import Permutation, _join, _row_key, _row_ranks, _sorted_distinct
 
 
 def lift(dec: LayerDecomposition, r: int, sigma: Permutation) -> Permutation:
@@ -334,8 +354,8 @@ def _profile_tables(g1: LabeledGraph, g2: LabeledGraph) -> list[_ProfileTables]:
         rank = np.searchsorted(label_palette, a.labels)
         src, dst = np.concatenate([a.u, a.v]), np.concatenate([a.v, a.u])
         lab = np.concatenate([rank, rank])
-        order = np.lexsort((dst, lab, src))
-        src, dst, lab = src[order], dst[order], lab[order]
+        order = _row_key((src, lab, dst), (n, len(label_palette), n)).argsort(kind="stable")
+        src, dst, lab = src.take(order), dst.take(order), lab.take(order)
         col = 3 - a.degrees[src] + np.arange(len(src)) - np.searchsorted(src, src)
         table = np.full((n + 1, 3, 2), (-1, n), dtype=np.int32)
         table[src, col] = np.stack([lab, dst], axis=1)
@@ -457,16 +477,51 @@ def _pretests_pass(g1: LabeledGraph, g2: LabeledGraph) -> bool:
     )
 
 
-def _first_edge_candidates(a1: GraphArrays, a2: GraphArrays):
-    """The first graph's smallest edge, and the second's edges of its label, sorted.
+def _first_edge_candidates(t1: _ProfileTables, t2: _ProfileTables):
+    """e1 and its candidate edges, chosen by refining both graphs at once; or None.
 
-    Edges are pairs of node indices of the array views, the first an array
-    of two, the others the rows of a (k, 2) array.
+    Refines the disjoint union of the two graphs (`_refine_rounds`), from
+    the tables' `base` ranks: the first graph's nodes are indices 0..n1-1,
+    the second's follow, and both padding rows become the union's one.  An
+    edge's class is (its endpoint classes, sorted, and its label rank).
+    Returns None when the two sides' node class histograms differ.
+    Otherwise the target is the second graph's smallest edge class, ties by
+    smallest class key; e1 is the first graph's lowest-(u, v) edge in it,
+    an array of two node indices, and the candidates are the class's edges
+    of the second graph, the rows of a (k, 2) array of node indices sorted
+    by (u, v).  Every key is packed (`_row_key`) over both graphs' edges
+    at once, so keys past 2^63 are ranked alike on both sides.
     """
-    j = np.lexsort((a1.v, a1.u))[0]
-    same = np.flatnonzero(a2.labels == a1.labels[j])
-    same = same[np.lexsort((a2.v[same], a2.u[same]))]
-    return np.array([a1.u[j], a1.v[j]]), np.stack([a2.u[same], a2.v[same]], axis=1)
+    n1, n2 = len(t1.ids), len(t2.ids)
+    n = n1 + n2
+    nbr = np.concatenate([np.where(t1.nbr[:n1] == n1, n, t1.nbr[:n1]), t2.nbr[:n2] + n1])
+    labels = np.concatenate([t1.labels[:n1], t2.labels[:n2]]).astype(np.int64)
+    n_labels = int(labels.max()) + 1
+    # The padding rows alone hold base rank 0, so the nodes' ranks are dense from 1.
+    base = np.concatenate([t1.base[:n1], t2.base[:n2]]) - 1
+    code = np.where(labels < 0, 0, labels * n + 1)
+    cls, count = _refine_rounds(base, int(base.max()) + 1, nbr.T, code.T, n_labels * n + 1)
+    if not np.array_equal(np.bincount(cls[:n1], minlength=count),
+                          np.bincount(cls[n1:], minlength=count)):
+        return None
+    # Each edge once, as the slot of its smaller end.  Rows run by node and
+    # a row's slots by (label, neighbor), and a class has one label, so each
+    # side's edges of one class come in (u, v) order.
+    src = np.arange(n).repeat(3)
+    dst = nbr.ravel()
+    edge = np.flatnonzero((src < dst) & (dst < n))
+    src, dst, lab = src.take(edge), dst.take(edge), labels.ravel().take(edge)
+    x, y = cls.take(src), cls.take(dst)
+    key = _row_key((np.minimum(x, y), np.maximum(x, y), lab), (count, count, n_labels))
+    first = int(src.searchsorted(n1))
+    ordered = np.sort(key[first:])
+    new = np.ones(len(ordered), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(new)
+    target = ordered[starts[np.diff(starts, append=len(ordered)).argmin()]]
+    j = int(np.argmax(key[:first] == target))
+    theirs = first + np.flatnonzero(key[first:] == target)
+    return np.array([src[j], dst[j]]), np.stack([src.take(theirs), dst.take(theirs)], axis=1) - n1
 
 
 def _check_automorphisms(view: GraphArrays, rows: np.ndarray) -> None:
@@ -521,23 +576,30 @@ def is_isomorphic(
     """Label- and color-preserving isomorphism test.
 
     Cheap pre-tests (node and edge counts, degree sequence, color and label
-    multisets) short-circuit obvious mismatches.  Otherwise one edge e1 of
-    the first graph is split against the same-label edges e2 of the second,
-    in sorted order.  The layer-profile filter (`_profile_filter`) drops
-    every e2 whose BFS level signatures differ from e1's; it walks the
-    candidates together, in blocks of bounded memory.  For each surviving
-    pairing, block by block, the exchange coset of the joined graph
-    (automorphisms fixing the join edge that swap the two split nodes) is
-    searched along the tower of its color-refined view.  The first pairing
-    whose coset survives yields the witness, and no later block is walked;
-    any returned mapping is re-verified before being surfaced.
+    multisets) short-circuit obvious mismatches.  Then both graphs are
+    color-refined together, as one disjoint union.  Any isomorphism keeps the
+    union's stable classes, so different per-side class histograms return
+    False, and an edge can only map onto an edge of its own class (endpoint
+    classes, label).  So e1, the first graph's lowest edge in the second
+    graph's smallest edge class, is split against exactly the second graph's
+    edges e2 of that class, in sorted order (`_first_edge_candidates`).  The
+    layer-profile filter (`_profile_filter`) drops every e2 whose BFS level
+    signatures differ from e1's; it walks the candidates together, in blocks
+    of bounded memory.  A lone candidate skips the walk, since its tower
+    decides it exactly as well.  For each surviving pairing, block by block,
+    the exchange coset of the joined graph (automorphisms fixing the join
+    edge that swap the two split nodes) is searched along the tower of its
+    color-refined view.  The first pairing whose coset survives yields the
+    witness, and no later block is walked; any returned mapping is
+    re-verified before being surfaced.
 
     After the first failed pairing, the candidates are split into orbits of
     the second graph's automorphisms fixing one edge (`_candidate_orbits`),
     and a pairing in the orbit of a failed one is skipped: an automorphism
-    carries one onto the other, so it would fail as well.  Only failing
-    towers are skipped, so verdicts and witnesses are those of the unpruned
-    loop.
+    carries one onto the other, so it would fail as well.  Those
+    automorphisms keep the union's classes, so they map candidates onto
+    candidates.  Only failing towers are skipped, so verdicts and witnesses
+    are those of the unpruned loop over the same candidates.
     """
     require_valid(g1, "first graph")
     require_valid(g2, "second graph")
@@ -549,10 +611,16 @@ def is_isomorphic(
         return IsoResult(False)
 
     a1, a2, n1 = g1.arrays, g2.arrays, g1.n_nodes
-    e1, candidates = _first_edge_candidates(a1, a2)
     t1, t2 = _profile_tables(g1, g2)
+    selected = _first_edge_candidates(t1, t2)
+    if selected is None:
+        return IsoResult(False)
+    e1, candidates = selected
     failed, orbit = [], None
-    for i in _profile_filter(t1, e1, t2, candidates):
+    # A lone candidate goes straight to its tower, which dies at the first
+    # level where the two sides differ.
+    survivors = range(1) if len(candidates) == 1 else _profile_filter(t1, e1, t2, candidates)
+    for i in survivors:
         if failed:
             if orbit is None:
                 orbit = _candidate_orbits(a2, candidates, candidates[failed[0]])

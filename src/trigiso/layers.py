@@ -299,11 +299,14 @@ class LayerDecomposition:
         fiber has one or two nodes: each member is a neighbor of some node x
         placed lower, and x has a neighbor not above it (a lower one, or the
         other base endpoint), so at most two of its three are above it.
-        Returns a (t, n) array of node images, one row per two-node fiber.
+        Returns a (t, n) array of node images, one row per two-node fiber;
+        a level whose fibers are all single nodes returns (0, n) at once.
         """
         if r + 1 > self.N:
             raise ValueError(f"level {r + 1} beyond tower depth {self.N}")
-        (_, _, f0), (_, _, f1) = self._spans[r - 1 : r + 1]
+        (m0, _, f0), (m1, _, f1) = self._spans[r - 1 : r + 1]
+        if m1 - m0 == f1 - f0:  # every fiber is a single node
+            return np.empty((0, self.n), dtype=np.int32)
         first = self._fiber_first[f0:f1][self._size[f0:f1] == 2]
         pair = self._members.take(first[:, None] + [0, 1])
         out = np.arange(self.n, dtype=np.int32)[None].repeat(len(pair), axis=0)
@@ -417,17 +420,11 @@ def refine(view: GraphArrays, e: tuple[int, int], tables=None) -> GraphArrays:
     views.  Callers validate, this function does not; an absent e raises
     GraphError.  `tables`, when given, are `_edge_tables(view, e)`.
 
-    The slot tables are built once.  A slot's value, label rank·n + 1 +
-    neighbor class for an edge and 0 for an absent slot, lies in [0, R),
-    R = L·n + 1 for L distinct labels, and orders slots as (label, class)
-    pairs with absent ones first.  A round gathers the three slot values
-    with one `take`, sorts them with a three-input min/max network, and
-    ranks the rows (class, low, mid, top) with `_row_ranks`, passing the
-    radices (count, R, R, R) it knows, so no column is reduced.  With
-    count·R³ below 2^63 that is one packed int64 key and one `argsort` a
-    round; above, `_row_ranks` ranks the partial key first.  Either way
-    the ranks are the rows' lexicographic dense ranks, those of the sorted
-    slot tuples.
+    The slot tables are built once and the rounds run in `_refine_rounds`,
+    which `core` also runs on the union of two graphs.  A slot's value,
+    label rank·n + 1 + neighbor class for an edge and 0 for an absent
+    slot, lies in [0, R), R = L·n + 1 for L distinct labels, and orders
+    slots as (label, class) pairs with absent ones first.
     """
     a, b, *incidence = tables or _edge_tables(view, e)
     ids, colors, u, v, lab, _ = view
@@ -445,7 +442,36 @@ def refine(view: GraphArrays, e: tuple[int, int], tables=None) -> GraphArrays:
     start = 2 * np.searchsorted(_sorted_distinct(colors), colors)
     start[[a, b]] += 1
     classes = _sorted_distinct(start)
-    cls, count = np.append(np.searchsorted(classes, start), 0), len(classes)
+    cls, _ = _refine_rounds(np.searchsorted(classes, start), len(classes), slot_nbr, slot_code, R)
+    return _frozen(view._replace(colors=cls.astype(np.int32)))
+
+
+def _refine_rounds(
+    cls: np.ndarray, count: int, slot_nbr: np.ndarray, slot_code: np.ndarray, R: int
+) -> tuple[np.ndarray, int]:
+    """Refinement rounds from dense classes until a round splits nothing.
+
+    `cls` holds the n nodes' classes, dense ranks 0..count-1.  `slot_nbr`
+    and `slot_code` are (3, n) tables: slot s of node v is an edge to node
+    `slot_nbr[s, v]`, with value `slot_code[s, v]` + that node's class, or
+    absent, with neighbor n, the padding node of class 0, and code 0.  Edge
+    codes are at least 1 and every value lies below R.  Each round ranks the
+    rows (class, sorted slot values) with `_row_ranks` under the radices
+    (count, R, R, R); rounds stop when the number of classes stops growing
+    or reaches n.  Returns the stable classes, dense ranks again, and their
+    number.  The ranks follow the sorted order of the defining values, so
+    permuting the nodes permutes the result with them.
+
+    A round gathers the three slot values with one `take`, sorts them with
+    a three-input min/max network, and ranks the rows (class, low, mid,
+    top), passing the radices it knows, so no column is reduced.  With
+    count·R³ below 2^63 that is one packed int64 key and one `argsort` a
+    round; above, `_row_ranks` ranks the partial key first.  Either way the
+    ranks are the rows' lexicographic dense ranks, those of the sorted slot
+    tuples.
+    """
+    n = len(cls)
+    cls = np.append(cls, 0)
     while count < n:
         x, y, z = slot_code + cls.take(slot_nbr)
         lo, hi = np.minimum(x, y), np.maximum(x, y)
@@ -455,7 +481,7 @@ def refine(view: GraphArrays, e: tuple[int, int], tables=None) -> GraphArrays:
         cls[:n], count = _row_ranks((cls[:n], low, mid, top), (count, R, R, R))
         if count == last:
             break
-    return _frozen(view._replace(colors=cls[:n].astype(np.int32)))
+    return cls[:n], count
 
 
 def layer_sequence(view: GraphArrays, e: tuple[int, int], tables=None) -> LayerDecomposition:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from trigiso import core
 from trigiso.cli import main
 from trigiso.graphs import format_graph_text, is_graph_isomorphism, parse_graph_text
 from trigiso.harness import random_relabeling
@@ -124,6 +125,17 @@ def test_cfi_petersen_files_are_the_uncolored_petersen_pair(capsys):
     # The same for the Petersen graph: 100 nodes, and the CI job's CFI
     # negative that runs the most towers.
     _check_cfi_files(capsys, PETERSEN, "cfi_petersen")
+
+
+def test_spider_files_are_a_negative_only_refinement_separates(capsys):
+    # The CI job's 1-WL negative: the spiders pass every pretest, and the
+    # joint color refinement of both decides them with no tower.
+    paths = [str(DATA / f"spider_{legs}.graph") for legs in ("113", "122")]
+    g, h = (parse_graph_text(Path(p).read_text()) for p in paths)
+    assert core._pretests_pass(g, h)
+    assert core._first_edge_candidates(*core._profile_tables(g, h)) is None
+    assert run_cli(capsys, "iso", *paths) == (0, "false\n", "")
+    assert run_cli(capsys, "iso", paths[1], paths[1]) == (0, "true\n", "")
 
 
 def test_tree_63_file_is_the_complete_binary_tree():

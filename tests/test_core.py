@@ -1068,16 +1068,23 @@ def test_is_isomorphic_runs_towers_block_by_block(monkeypatch):
 def unpruned_decision(g1: LabeledGraph, g2: LabeledGraph):
     """(verdict, mapping) of `is_isomorphic` with no orbit pruning.
 
-    Every pairing the per-edge reference filter keeps runs its splice tower,
-    in sorted order, until one succeeds; the witness is read back as
-    `is_isomorphic` reads it.
+    e1 and its candidates come from the joint refinement
+    (`core._first_edge_candidates`).  Every candidate the per-edge reference
+    filter keeps runs its splice tower, in sorted order, until one
+    succeeds; the witness is read back as `is_isomorphic` reads it.
     """
     if not core._pretests_pass(g1, g2):
         return False, None
     a1, a2, n1 = g1.arrays, g2.arrays, g1.n_nodes
-    e1 = g1.sorted_edges()[0]
-    for e2 in reference_filtered(g1, g2, e1):
-        joined = build_x(a1, a2, np.searchsorted(a1.ids, e1), np.searchsorted(a2.ids, e2))
+    selected = core._first_edge_candidates(*core._profile_tables(g1, g2))
+    if selected is None:
+        return False, None
+    e1, candidates = selected
+    p1 = ReferenceLayerProfile(g1, tuple(a1.ids[e1].tolist()))
+    for e2 in candidates:
+        if not reference_profiles_match(p1, ReferenceLayerProfile(g2, tuple(a2.ids[e2].tolist()))):
+            continue
+        joined = build_x(a1, a2, e1, e2)
         e = (n1, n1 + 1)
         dec = layer_sequence(refine(joined, e), e)
         result = core._run_tower(dec, swap=True)
@@ -1187,3 +1194,76 @@ def test_corrupted_pruning_generator_raises(monkeypatch, check):
     twisted = random_relabeling(_cfi(K4, {0}), 5)[0]
     with pytest.raises(AssertionError, match=check):
         is_isomorphic(_cfi(K4), twisted)
+
+
+# -- the first edge and its candidates from the joint refinement ---------------
+
+
+def _selection(g1: LabeledGraph, g2: LabeledGraph):
+    """`core._first_edge_candidates` on ids: e1 and the set of candidate edges."""
+    e1, candidates = core._first_edge_candidates(*core._profile_tables(g1, g2))
+    ids1, ids2 = g1.arrays.ids, g2.arrays.ids
+    return tuple(ids1[e1].tolist()), {tuple(ids2[e2].tolist()) for e2 in candidates}
+
+
+def test_joint_histograms_decide_a_colored_negative(monkeypatch):
+    # Same degrees, colors and labels, but only in h is a color-1 end next
+    # to a color-1 node: refinement of the union separates the two sides,
+    # so no profile is walked and no tower is built.
+    edges = [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5)]
+    g = LabeledGraph({0: 1, 1: 0, 2: 0, 3: 1, 4: 2, 5: 1}, edges)
+    h, _ = random_relabeling(LabeledGraph({0: 1, 1: 1, 2: 0, 3: 0, 4: 2, 5: 1}, edges), 4)
+    assert core._pretests_pass(g, h)
+    assert core._first_edge_candidates(*core._profile_tables(g, h)) is None
+
+    def refuse(*args):
+        raise AssertionError("the joint histograms decide this pair")
+
+    monkeypatch.setattr(core, "_profile_filter", refuse)
+    monkeypatch.setattr(core, "_tower", refuse)
+    assert not is_isomorphic(g, h).isomorphic
+    assert not is_isomorphic(h, g).isomorphic
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_uniform_cubic_candidates_are_every_same_label_edge(seed):
+    # One color and one label: refinement splits nothing, so e1 is the
+    # smallest edge and every edge of the second graph is a candidate.
+    degrees = [3] * (10 + 2 * seed)
+    g = degree_sequence_graph(degrees, seed)
+    for h in (random_relabeling(g, seed)[0], degree_sequence_graph(degrees, seed + 50)):
+        e1, candidates = core._first_edge_candidates(*core._profile_tables(g, h))
+        assert tuple(g.arrays.ids[e1].tolist()) == g.sorted_edges()[0]
+        assert [tuple(h.arrays.ids[e2].tolist()) for e2 in candidates] == h.sorted_edges()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_selected_class_is_invariant_under_relabeling(seed):
+    # The class depends on the graphs, not on their ids: relabelling the
+    # second graph moves the candidates with it and keeps e1, and
+    # relabelling the first keeps the candidates and picks e1 in the class.
+    g = _recolored(random_ternary_graph(30, seed), seed, 2, 2)
+    h, mapping = random_relabeling(g, seed)
+    e1, cls = _selection(g, g)
+    assert e1 in cls
+
+    def moved(e, to):
+        return tuple(sorted(to[v] for v in e))
+
+    assert _selection(g, h) == (e1, {moved(e, mapping) for e in cls})
+    first, same = _selection(h, g)
+    assert same == cls and moved(first, {y: x for x, y in mapping.items()}) in cls
+
+
+def test_lone_candidate_skips_the_profile_walk(monkeypatch):
+    # Refinement leaves one candidate here: its tower runs with no walk and
+    # finds the witness.
+    g = random_ternary_graph(128, 1)
+    h, _ = random_relabeling(g, 1001)
+    assert len(_selection(g, h)[1]) == 1
+    towers = []
+    real_build_x = core.build_x
+    monkeypatch.setattr(core, "build_x", lambda *args: towers.append(args) or real_build_x(*args))
+    monkeypatch.setattr(core, "_profile_filter", lambda *args: pytest.fail("walked one candidate"))
+    res = is_isomorphic(g, h, want_mapping=True)
+    assert res.isomorphic and is_graph_isomorphism(g, h, res.mapping) and len(towers) == 1

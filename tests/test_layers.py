@@ -444,6 +444,28 @@ def test_kernel_generators():
         dec_p.kernel_generators(5)
 
 
+def test_kernel_generators_on_every_recorded_level():
+    # A (t, n) int32 array with one transposition per two-node fiber, in
+    # fiber order, on every level of the recorded towers; (0, n) where all
+    # fibers are single nodes.
+    shapes = set()
+    for seed in range(3):
+        for towers in decide_tower_cases(40, seed).values():
+            for dec, _ in towers:
+                for r in range(1, dec.N):
+                    lev = dec.levels[r]
+                    starts = lev.start[lev.size == 2]
+                    want = np.arange(dec.n, dtype=np.int32)[None].repeat(len(starts), axis=0)
+                    for row, at in zip(want, starts):
+                        x, y = lev.members[at : at + 2]
+                        row[[x, y]] = y, x
+                    got = dec.kernel_generators(r)
+                    assert got.dtype == np.int32 and got.shape == want.shape
+                    assert np.array_equal(got, want)
+                    shapes.add(len(got) > 0)
+    assert shapes == {False, True}
+
+
 def test_fiber_of_three_nodes_raises():
     # Maximum degree 3 bounds every fiber by two nodes.  An unvalidated
     # degree-4 star breaks the bound: its three leaves beyond the base edge

@@ -9,6 +9,7 @@ same properties cover the object-dtype array views.
 import random
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from trigiso.core import _run_tower, aut_e_generators, is_isomorphic
@@ -25,7 +26,8 @@ from trigiso.phylo import (
 )
 
 from test_coloraut import solved_like_the_reference
-from test_core import same_tower_result, unpruned_decision
+from test_core import _recolored, same_tower_result, unpruned_decision
+from tower_cases import CUBE, K4, PETERSEN, _cfi
 from tower_reference import reference_run_tower
 
 bounded = settings(derandomize=True, deadline=None, max_examples=30, database=None)
@@ -105,15 +107,20 @@ def test_refine_splits_colors_is_stable_and_commutes_with_relabelling(pair, pick
 
 
 def _switched(g: LabeledGraph, seed: int) -> LabeledGraph | None:
-    """g after one connected degree-preserving switch ab, cd -> ac, bd, if any."""
+    """g after one connected degree-preserving switch ab, cd -> ac, bd, if any.
+
+    Colors stay, ab's label moves to ac and cd's to bd.
+    """
     edges = g.sorted_edges()
     pairs = [(p, q) for i, p in enumerate(edges) for q in edges[i + 1 :]]
     random.Random(seed).shuffle(pairs)
     for (a, b), (c, d) in pairs:
         if len({a, b, c, d}) < 4 or g.has_edge(*sorted((a, c))) or g.has_edge(*sorted((b, d))):
             continue
-        out = sorted(set(edges) - {(a, b), (c, d)} | {tuple(sorted(p)) for p in ((a, c), (b, d))})
-        h = LabeledGraph(g.node_ids, out)
+        out = g.edges()
+        out[min(a, c), max(a, c)] = out.pop((a, b))
+        out[min(b, d), max(b, d)] = out.pop((c, d))
+        h = LabeledGraph(g.colors(), out)
         if not validate(h):
             return h
     return None
@@ -130,6 +137,36 @@ def test_orbit_pruning_keeps_verdict_and_mapping(half, cubic, switch, seed, rela
     h, _ = random_relabeling(h, relabel)
     res = is_isomorphic(g, h, want_mapping=True)
     assert (res.isomorphic, res.mapping) == unpruned_decision(g, h)
+
+
+def _colored_cfi(base: list, twisted) -> LabeledGraph:
+    """`_cfi` with each node colored by its base vertex, as in the CFI benchmark."""
+    g = _cfi(base, twisted)
+    return LabeledGraph({v: v // 10 for v in g.node_ids}, g.sorted_edges())
+
+
+@pytest.mark.parametrize("kind", ["colored", "switch", "cfi"])
+@settings(bounded, max_examples=30)
+@given(st.integers(3, 12), st.integers(1, 3), seeds, seeds)
+def test_joint_selection_keeps_verdict_and_mapping(kind, half, palette, seed, relabel):
+    # Colored graphs against a relabelled copy or a relabelled 2-switch, and
+    # CFI pairs colored by base vertex: the decision equals the unpruned
+    # loop over the per-edge reference filter, from the same e1 and
+    # candidates, and a positive's witness verifies.
+    if kind == "cfi":
+        base = (K4, CUBE, PETERSEN)[half % 3]
+        twisted = random.Random(seed).sample(range(len(base)), palette)
+        g, h = _colored_cfi(base, ()), _colored_cfi(base, twisted)
+    else:
+        g = _recolored(random_ternary_graph(2 * half, seed), seed, palette, palette)
+        h = _switched(g, seed) if kind == "switch" else g
+        assume(h is not None)
+    h, _ = random_relabeling(h, relabel)
+    res = is_isomorphic(g, h, want_mapping=True)
+    assert (res.isomorphic, res.mapping) == unpruned_decision(g, h)
+    assert not res.isomorphic or is_graph_isomorphism(g, h, res.mapping)
+    if kind != "switch":
+        assert res.isomorphic == (kind == "colored" or palette % 2 == 0)
 
 
 @settings(bounded, max_examples=100)
