@@ -145,10 +145,12 @@ def _run_tower(dec: LayerDecomposition, swap: bool):
     Level r filters the coset over B_r only: the materialized elements of
     level r, the labeled neighbor sets of the nodes entering at r+1 and the
     cross-edge pairs of level r, closed under the level's permutations.
-    They take the ground points [n, m) in key order.  `dec.b_set` returns
-    them closed, with every row's image positions, which become the rows'
-    B_r columns as they are, and their colors; it returns only once every
-    image is found, so the closure is checked for every row and element.
+    They take the ground points [n, m) in key order.  B_r is never empty:
+    nodes enter at r+1 below the top BFS level, and N passes that level only
+    when cross edges sit on it.  `dec.b_set` returns them closed, with every
+    row's image positions, which become the rows' B_r columns as they are,
+    and their colors; it returns only once every image is found, so the
+    closure is checked for every row and element.
     The nodes of X_{r-1} are not part of B_r: every permutation that
     reaches level r already preserves their colors, so a filter over them
     could remove nothing.  That premise is checked on every row at every
@@ -193,11 +195,9 @@ def _run_tower(dec: LayerDecomposition, swap: bool):
     flip = ident.copy()
     flip[[a, b]] = b, a
     # The coset as one row array, the generators and then the representative:
-    # the identity over <flip>, or over no generator when a and b differ in
-    # color; with swap=True, flip alone.
-    rows = np.stack([flip, flip if swap else ident])
-    if swap or not same_color:
-        rows = rows[1:]
+    # with swap=True, flip alone; else the identity over <flip>, or over no
+    # generator when a and b differ in color.
+    rows = flip[None] if swap else np.stack([flip, ident]) if same_color else ident[None]
     for r in range(1, dec.N):
         if len(rows) == 1 and r >= dec.rigid_from:
             if not swap:
@@ -207,18 +207,17 @@ def _run_tower(dec: LayerDecomposition, swap: bool):
         if not (node_colors.take(rows) == node_colors).all():
             raise AssertionError(
                 f"level {r}: a permutation moves a node onto a node of another color")
-        keys, pos, elem_colors = dec.b_set(r, rows)
-        if len(keys):  # else nothing is materialized: the whole coset survives
-            ext = np.concatenate([rows, (n + pos).astype(np.int32)], axis=1)
-            colors = np.concatenate([np.zeros(n, dtype=np.int64), elem_colors])
-            out, _ = cb_images(ext[:-1], ext[-1], np.arange(n, ext.shape[1]), colors)
-            if out is None:
-                if swap:
-                    return None
-                raise AssertionError("identity coset filtered to empty")
-            rows = np.vstack([out[0][:, :n], out[1][:n]])
-            # The lift is where a level peaks: free the wide arrays first.
-            del ext, out, pos
+        _, pos, elem_colors = dec.b_set(r, rows)
+        ext = np.concatenate([rows, (n + pos).astype(np.int32)], axis=1)
+        colors = np.concatenate([np.zeros(n, dtype=np.int64), elem_colors])
+        out, _ = cb_images(ext[:-1], ext[-1], np.arange(n, ext.shape[1]), colors)
+        if out is None:
+            if swap:
+                return None
+            raise AssertionError("identity coset filtered to empty")
+        rows = np.vstack([out[0][:, :n], out[1][:n]])
+        # The lift is where a level peaks: free the wide arrays first.
+        del ext, out, pos
         lifted = dec.lift_or_none(r, rows)
         if lifted is None:
             raise AssertionError(f"level {r}: a filtered permutation does not lift")

@@ -62,7 +62,6 @@ ranks; a key that would pass 2^63 is ranked part way and packed on.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -84,14 +83,11 @@ class LayerDecomposition:
     has kernel generators: one more than the last level with such a fiber,
     or 1 if there is none.
 
-    What is built when.  The constructor builds the fibers of all levels
-    as global arrays, with each level's bounds in them (`_spans`): that is
-    what `lift_or_none` and `kernel_generators` read.  The element keys and
-    colors, which only `b_set` reads, are built on the tower's first
-    `b_set` (`_elements`); a tower that is rigid from level 1 never builds
-    them.  `levels[r]` holds level r's integer-coded elements and fibers as
-    a `_Level`, 1 <= r < N, built with the element tables on first access;
-    the level loop does not read it.
+    What is built when.  The constructor builds the fibers of all levels as
+    global arrays, with each level's bounds in them (`_spans`): that is what
+    `lift_or_none` and `kernel_generators` read.  The element keys and
+    colors, which only `b_set` reads, are built on the tower's first `b_set`
+    (`_elements`); a tower that is rigid from level 1 never builds them.
     """
 
     def __init__(
@@ -190,19 +186,6 @@ class LayerDecomposition:
         order = _row_key((elem_level, keys), (N + 1, 2 * S * S)).argsort(kind="stable")
         bounds = np.searchsorted(elem_level.take(order), np.arange(1, N + 2)).tolist()
         return keys.take(order), colors.take(order), bounds
-
-    @cached_property
-    def levels(self) -> dict[int, _Level]:
-        """Level r's tables as a `_Level`, for 1 <= r < N, built on first access."""
-        keys, colors, e_at = self._elements
-        fibers = (self._fiber_keys, self._fiber_nodes, self._fiber_ranks, self._fiber_colors)
-        out = {}
-        for r in range(1, self.N):
-            (m0, s0, f0), (m1, s1, f1) = self._spans[r - 1 : r + 1]
-            e, f = slice(e_at[r - 1], e_at[r]), slice(f0, f1)
-            out[r] = _Level(keys[e], colors[e], self._set_keys[s0:s1], *(x[f] for x in fibers),
-                            self._fiber_first[f] - m0, self._size[f], self._members[m0:m1])
-        return out
 
     # -- integer-coded elements ---------------------------------------------
 
@@ -316,34 +299,6 @@ class LayerDecomposition:
 
 # Level of the padding node of the neighbor table: never reached, never lower.
 _FAR = np.iinfo(np.int64).max
-
-
-class _Level(NamedTuple):
-    """Integer-coded elements and fibers of one tower level r.
-
-    `keys` are the sorted keys of the materialized elements and `colors`
-    their color ids (ids from 1, equal exactly for equal colors).  A fiber
-    is the set of nodes entering at level r+1 with one neighbor set and one
-    color, one or two nodes.  `set_keys` are the sorted distinct neighbor-set
-    keys; fiber i is keyed `fiber_keys[i]` = (position of its neighbor set
-    in `set_keys`) · C + `fiber_colors[i]`, C the number of node colors and
-    the color a rank, and fibers are sorted by that key.  `fiber_nodes` and
-    `fiber_ranks` hold the two halves of each fiber's neighbor set, node and
-    label rank.  `members` lists the nodes of every fiber, fiber by fiber and
-    each in index order; fiber i takes `size[i]` entries from `start[i]`.
-    Every field but `start` is a slice of one array over all levels.
-    """
-
-    keys: np.ndarray
-    colors: np.ndarray
-    set_keys: np.ndarray
-    fiber_keys: np.ndarray
-    fiber_nodes: np.ndarray
-    fiber_ranks: np.ndarray
-    fiber_colors: np.ndarray
-    start: np.ndarray
-    size: np.ndarray
-    members: np.ndarray
 
 
 def _bfs_levels(nbr: np.ndarray, a: int, b: int) -> np.ndarray:

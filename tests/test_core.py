@@ -714,7 +714,7 @@ def test_network_twin_tower_lifts_one_row_from_level_one(monkeypatch, nodes):
         assert len(towers) == 1
         (dec, swap), = towers
         assert swap and dec.rigid_from == 1
-        assert "_elements" not in vars(dec) and "levels" not in vars(dec)
+        assert "_elements" not in vars(dec)
         assert [r for r, _, _ in lifts] == list(range(1, dec.N))
         row = lifts[0][1]
         assert row.shape == (dec.n,) and all(x is row and y is row for _, x, y in lifts)

@@ -21,14 +21,19 @@ from trigiso.graphs import (
     validate,
 )
 from trigiso.harness import degree_sequence_graph, random_relabeling, random_ternary_graph
-from trigiso.layers import LayerDecomposition, _Level, layer_sequence, refine
+from trigiso.layers import LayerDecomposition, layer_sequence, refine
 from trigiso.perm import Permutation, group_order
 from trigiso.phylo import PhyloNetwork, phylo_isomorphic, random_network
 
 from graph_reference import graph_of_view
-from tower_cases import cfi_tower_cases, decide_tower_cases, every_level, recorded_towers
+from tower_cases import (
+    cfi_tower_cases, complete_binary_tree, decide_tower_cases, every_level, recorded_towers,
+)
 from tower_reference import (
+    Level,
     WrittenOutTower,
+    level_table,
+    level_tables,
     lexsort_order,
     reference_layer_sequence,
     reference_refine,
@@ -212,8 +217,9 @@ def test_labels_past_64_bits_build_the_tower_of_their_ranks():
     g_big, g_small = LabeledGraph(range(6), plain | big), LabeledGraph(range(6), plain | small)
     dec_big, dec_small = layer_sequence(g_big.arrays, (0, 1)), layer_sequence(g_small.arrays, (0, 1))
     assert dec_big.n == 8 and dec_big.owner.tolist() == dec_small.owner.tolist()
+    big_levels, small_levels = level_tables(dec_big), level_tables(dec_small)
     for r in range(1, dec_big.N):
-        for a, b in zip(dec_big.levels[r], dec_small.levels[r]):
+        for a, b in zip(big_levels[r], small_levels[r]):
             assert np.array_equal(a, b)
     to_small = {lab: small[e] for e, lab in big.items()}
     rewritten = working_graph(dec_big)
@@ -275,7 +281,7 @@ def test_b_set_materializes_and_closes():
     # r=1: no cross edges, two neighbor-set elements.
     want = written_out(dec).encode([frozenset({(1, 0)}), frozenset({(2, 0)})])
     assert b.tolist() == want.tolist()
-    assert pos.tolist() == [[0, 1]] and colors.tolist() == dec.levels[1].colors.tolist()
+    assert pos.tolist() == [[0, 1]] and colors.tolist() == level_table(dec, 1).colors.tolist()
     flip = Permutation([3, 2, 1, 0])
     b2, pos2, colors2 = dec.b_set(1, flip.image[None])
     assert b2.tolist() == b.tolist()  # the flip permutes the two elements
@@ -304,7 +310,7 @@ def test_b_set_adds_unmaterialized_images():
     assert keys.tolist() == sorted(want.tolist())
     # The swap exchanges the two sets; the added one has the neutral color.
     assert pos.tolist() == [[1, 0]]
-    assert colors.tolist() == [dec.levels[1].colors[0], 0]
+    assert colors.tolist() == [level_table(dec, 1).colors[0], 0]
 
 
 def like_two_pass(got, dec, r, rows) -> bool:
@@ -313,8 +319,7 @@ def like_two_pass(got, dec, r, rows) -> bool:
     for x, y in zip(got, want, strict=True):
         assert x.dtype == y.dtype and x.shape == y.shape
         assert (x == y).all()
-    level = dec.levels.get(r)
-    return len(got[0]) > (0 if level is None else len(level.keys))
+    return len(got[0]) > len(level_table(dec, r).keys)
 
 
 def test_b_set_equals_two_pass_on_rogue_rows():
@@ -444,25 +449,39 @@ def test_kernel_generators():
         dec_p.kernel_generators(5)
 
 
+def _recorded_level_towers() -> list:
+    """Towers of decisions, CFI pairs, network twins, trees and two small graphs."""
+    cases = [cfi_tower_cases()] + [decide_tower_cases(40, seed) for seed in range(3)]
+    for seed in range(3):
+        net = random_network(65, seed=seed)
+        twin = net.relabeled_nodes({v: 1000 + v for v in net.nodes})
+        cases.append({"network": recorded_towers(lambda: phylo_isomorphic(net, twin))})
+    for depth in range(3, 8):
+        tree = complete_binary_tree(2**depth - 1)
+        cases.append({"tree": recorded_towers(lambda: aut_e_generators(tree, (0, 1)))})
+    towers = [dec for case in cases for towers in case.values() for dec, _ in towers]
+    path3 = LabeledGraph(range(3), [(0, 1), (1, 2)])
+    return towers + [layer_sequence(g.arrays, (0, 1)) for g in (gadget_example(), path3)]
+
+
 def test_kernel_generators_on_every_recorded_level():
     # A (t, n) int32 array with one transposition per two-node fiber, in
     # fiber order, on every level of the recorded towers; (0, n) where all
-    # fibers are single nodes.
+    # fibers are single nodes.  Every level r < N materializes an element,
+    # so B_r never starts empty.
     shapes = set()
-    for seed in range(3):
-        for towers in decide_tower_cases(40, seed).values():
-            for dec, _ in towers:
-                for r in range(1, dec.N):
-                    lev = dec.levels[r]
-                    starts = lev.start[lev.size == 2]
-                    want = np.arange(dec.n, dtype=np.int32)[None].repeat(len(starts), axis=0)
-                    for row, at in zip(want, starts):
-                        x, y = lev.members[at : at + 2]
-                        row[[x, y]] = y, x
-                    got = dec.kernel_generators(r)
-                    assert got.dtype == np.int32 and got.shape == want.shape
-                    assert np.array_equal(got, want)
-                    shapes.add(len(got) > 0)
+    for dec in _recorded_level_towers():
+        for r, lev in level_tables(dec).items():
+            assert len(lev.keys), (r, dec.N)
+            starts = lev.start[lev.size == 2]
+            want = np.arange(dec.n, dtype=np.int32)[None].repeat(len(starts), axis=0)
+            for row, at in zip(want, starts):
+                x, y = lev.members[at : at + 2]
+                row[[x, y]] = y, x
+            got = dec.kernel_generators(r)
+            assert got.dtype == np.int32 and got.shape == want.shape
+            assert np.array_equal(got, want)
+            shapes.add(len(got) > 0)
     assert shapes == {False, True}
 
 
@@ -502,11 +521,12 @@ def assert_tower_equals_written_out(g: LabeledGraph, e) -> LayerDecomposition:
     assert (dec.level.tolist(), dec.owner.tolist()) == (ref.level, ref.owner)
     tower = WrittenOutTower(ref.graph, ref.level, ref.base_edge, ref.N)
     assert (dec._R, dec._S, dec.n_colors) == (tower.R, tower.S, len(tower.color_rank))
-    assert sorted(dec.levels) == list(range(1, dec.N))
+    levels = level_tables(dec)
+    assert sorted(levels) == list(range(1, dec.N))
     last_kernel = 0
     for r in range(1, dec.N):
-        got, want = dec.levels[r], tower.level_table(r)
-        for name in _Level._fields:
+        got, want = levels[r], tower.level_table(r)
+        for name in Level._fields:
             field = getattr(got, name)
             if name == "colors":
                 assert (field >= 1).all()

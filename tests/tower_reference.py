@@ -6,6 +6,8 @@ array view the tower holds, `dec.view`.
 labeled neighbor sets, cross edges, the layers X_r, the element keys, the
 per-level tables and the kernel transpositions) from that graph and
 `dec.level` with dicts, frozensets and per-node loops.
+`level_table(dec, r)` slices the tower's own global arrays into the same
+per-level tables as a `Level`, and `level_tables(dec)` does so for every level.
 `reference_layer_sequence` is the per-node BFS and triangle rewrite,
 `reference_refine` the per-node color refinement, `two_pass_b_set` the
 closure of B_r and its image table in two passes, and `reference_run_tower`
@@ -19,6 +21,7 @@ that `LayerDecomposition` replaced with packed keys.
 
 from itertools import combinations
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +30,53 @@ from trigiso.graphs import GADGET_LABEL, LabeledGraph, _norm_edge
 from trigiso.perm import block_halves, index2_images, inverse_image, orbit_labels, restricted
 
 from graph_reference import graph_of_view
+
+
+class Level(NamedTuple):
+    """Integer-coded elements and fibers of one tower level r.
+
+    `keys` are the sorted keys of the materialized elements and `colors`
+    their color ids (ids from 1, equal exactly for equal colors).  A fiber
+    is the set of nodes entering at level r+1 with one neighbor set and one
+    color, one or two nodes.  `set_keys` are the sorted distinct neighbor-set
+    keys; fiber i is keyed `fiber_keys[i]` = (position of its neighbor set
+    in `set_keys`) · C + `fiber_colors[i]`, C the number of node colors and
+    the color a rank, and fibers are sorted by that key.  `fiber_nodes` and
+    `fiber_ranks` hold the two halves of each fiber's neighbor set, node and
+    label rank.  `members` lists the nodes of every fiber, fiber by fiber and
+    each in index order; fiber i takes `size[i]` entries from `start[i]`.
+    Every field but `start` is a slice of one array over all levels.
+    """
+
+    keys: np.ndarray
+    colors: np.ndarray
+    set_keys: np.ndarray
+    fiber_keys: np.ndarray
+    fiber_nodes: np.ndarray
+    fiber_ranks: np.ndarray
+    fiber_colors: np.ndarray
+    start: np.ndarray
+    size: np.ndarray
+    members: np.ndarray
+
+
+def level_table(dec, r: int) -> Level:
+    """Level r's tables, sliced from `dec`'s global arrays.
+
+    Level r's elements take [bounds[r-1], bounds[r]) of `dec._elements`, and
+    its sets, fibers and members take rows r-1 to r of `dec._spans`.
+    """
+    keys, colors, e_at = dec._elements
+    fibers = (dec._fiber_keys, dec._fiber_nodes, dec._fiber_ranks, dec._fiber_colors)
+    (m0, s0, f0), (m1, s1, f1) = dec._spans[r - 1 : r + 1]
+    e, f = slice(e_at[r - 1], e_at[r]), slice(f0, f1)
+    return Level(keys[e], colors[e], dec._set_keys[s0:s1], *(x[f] for x in fibers),
+                 dec._fiber_first[f] - m0, dec._size[f], dec._members[m0:m1])
+
+
+def level_tables(dec) -> dict[int, Level]:
+    """Every level's tables, `level_table(dec, r)` for 1 <= r < N."""
+    return {r: level_table(dec, r) for r in range(1, dec.N)}
 
 
 class WrittenOutTower:
@@ -102,7 +152,7 @@ class WrittenOutTower:
         return kind * S * S + halves.min(axis=1) * S + halves.max(axis=1)
 
     def level_table(self, r: int) -> dict:
-        """The fields of `_Level` for level r; `colors` as (color, ...) classes."""
+        """The fields of `Level` for level r; `colors` as (color, ...) classes."""
         entering = self.fresh.get(r + 1, [])
         set_keys, set_index = np.unique(
             self.encode([self.nbr_map[v] for v in entering]), return_inverse=True
@@ -253,8 +303,7 @@ def reference_closure(dec, r: int, rows) -> np.ndarray:
     A frontier closure: each round moves the keys found in the last one
     under every row and adds the images not seen yet.
     """
-    level = dec.levels.get(r)
-    seen = level.keys if level is not None else np.empty(0, dtype=np.int64)
+    seen = level_table(dec, r).keys
     frontier = seen if len(rows) else seen[:0]
     while len(frontier):
         moved = np.unique(dec.move(rows, frontier))
@@ -274,7 +323,7 @@ def image_table(dec, r: int, rows, keys) -> tuple[np.ndarray, np.ndarray]:
     pos = np.searchsorted(keys, moved).clip(max=len(keys) - 1)
     if not (keys[pos] == moved).all():
         raise AssertionError(f"level {r}: B_r is not closed")
-    level = dec.levels[r]
+    level = level_table(dec, r)
     at = np.searchsorted(level.keys, keys).clip(max=len(level.keys) - 1)
     return pos, np.where(level.keys[at] == keys, level.colors[at], 0)
 
