@@ -54,6 +54,25 @@ it and not n.  It closes no B_r, so a tower that is rigid from level 1
 never builds the element tables (`LayerDecomposition` builds them on its
 first `b_set`).
 
+The same argument, applied at level 1, lets a swap tower that is rigid
+from level 1 skip even the tail when refinement has paired every node
+(`_class_swap`).  Key each node of the working graph by its color and the
+sum of its neighbors' colors; every automorphism keeps the key.  (Color
+alone rarely pairs the nodes: the triangle rewrite gives a replaced node's
+three corners one color, and the neighbor sum tells them apart.)  If every
+key class holds exactly two nodes, let σ swap the two nodes of each class.
+σ is accepted when it sends the base endpoint a to b and maps the labeled
+edges onto themselves, so it is an automorphism exchanging a and b, and
+it is then the only one.  Two such automorphisms differ by one that fixes
+a and b, and with no two-node fiber at any level that one sends each node
+entering at level 2, 3, ... in turn into its own one-node fiber, so it is
+the identity.  The tail's row, when it survives, is such an automorphism,
+so σ is the loop's result, row for row; a σ that is not accepted leaves
+the tower to the tail.  On a splice or a network join the base edge is a
+bridge, so an exchanging automorphism maps one side onto the other, and
+where the classes pair it is σ: that is where refinement leaves the tower
+nothing to choose.
+
 Two graphs are isomorphic exactly when, after splitting one edge of each and
 joining the split nodes, some automorphism of the joined graph fixing the
 join edge exchanges the two split nodes.  `is_isomorphic` searches for one
@@ -185,6 +204,14 @@ def _run_tower(dec: LayerDecomposition, swap: bool):
     at some level of the tail, and otherwise the lone element is the
     loop's representative.  Its node colors are asserted once, on the
     final row.
+
+    With swap=True and `dec.rigid_from` == 1 the loop would enter the tail
+    at level 1, with the base swap as its one row.  Before that, the class
+    swap σ (`_class_swap`) is tried, and when it is accepted the result is
+    no generators and σ.  This too is the loop's result: σ is an
+    automorphism that exchanges a and b, no level has a kernel, so no
+    other automorphism does (module docstring), and the tail's lifted row,
+    when it survives, is such an automorphism.
     """
     n, node_colors = dec.n, dec.view.colors
     a, b = dec.base_edge
@@ -198,6 +225,10 @@ def _run_tower(dec: LayerDecomposition, swap: bool):
     # with swap=True, flip alone; else the identity over <flip>, or over no
     # generator when a and b differ in color.
     rows = flip[None] if swap else np.stack([flip, ident]) if same_color else ident[None]
+    if swap and dec.rigid_from == 1:
+        sigma = _class_swap(dec)
+        if sigma is not None:
+            return rows[:0], sigma
     for r in range(1, dec.N):
         if len(rows) == 1 and r >= dec.rigid_from:
             if not swap:
@@ -239,9 +270,42 @@ def _rigid_tail(dec: LayerDecomposition, r: int, rep: np.ndarray) -> np.ndarray 
     rep = rep.astype(np.int32)
     if any(dec.lift_or_none(s, rep) is None for s in range(r, dec.N)):
         return None
-    if not (dec.view.colors.take(rep) == dec.view.colors).all():
-        raise AssertionError("tail: a permutation moves a node onto a node of another color")
-    return rep if _maps_edges(rep[None], dec.view, dec.view)[0] else None
+    return _automorphism_or_none(dec.view, rep, "tail")
+
+
+def _class_swap(dec: LayerDecomposition) -> np.ndarray | None:
+    """The involution swapping the two nodes of every class, when it exchanges a and b.
+
+    A node's class is its color and the sum of its neighbors' colors, by
+    color rank.  Returns that involution as an int32 row when every class
+    holds exactly two nodes, it sends the base edge's a to b and it maps the
+    working graph's labeled edges onto themselves; otherwise None.  It keeps
+    node colors by construction, which is asserted
+    (`_automorphism_or_none`).
+    """
+    view, n, rank = dec.view, dec.n, dec.color_rank
+    ends = np.concatenate([view.u, view.v])
+    sums = np.bincount(ends, rank.take(np.concatenate([view.v, view.u])), n)
+    key = rank * (3 * dec.n_colors) + sums.astype(np.int64)
+    order = key.argsort()
+    ordered = key.take(order)
+    if n % 2 or (ordered[::2] != ordered[1::2]).any() or (ordered[1:-1:2] == ordered[2::2]).any():
+        return None
+    sigma = np.empty(n, dtype=np.int32)
+    sigma[order[::2]], sigma[order[1::2]] = order[1::2], order[::2]
+    a, b = dec.base_edge
+    return _automorphism_or_none(view, sigma, "class swap") if sigma[a] == b else None
+
+
+def _automorphism_or_none(view: GraphArrays, row: np.ndarray, where: str) -> np.ndarray | None:
+    """`row` if it maps the labeled edges of `view` onto themselves (`_maps_edges`), else None.
+
+    The callers' rows keep node colors by construction; one that moves a
+    node onto a node of another color raises AssertionError, naming `where`.
+    """
+    if not (view.colors.take(row) == view.colors).all():
+        raise AssertionError(f"{where}: a permutation moves a node onto a node of another color")
+    return row if _maps_edges(row[None], view, view)[0] else None
 
 
 def _contract(dec: LayerDecomposition, images: np.ndarray) -> np.ndarray:

@@ -499,25 +499,29 @@ def _maps_edges(rows: np.ndarray, a1: GraphArrays, a2: GraphArrays) -> np.ndarra
     Row i sends node j of `a1` to node `rows[i, j]` of `a2`, by index.  An
     edge is coded as one int from its sorted endpoints and its label's rank
     among both views' labels, so labels of any size compare as ints; a row
-    maps the edges when the sorted codes of the images equal `a2`'s.  Rows
-    are checked in blocks of at most `_EDGE_CHECK_CELLS` (row, edge) cells,
-    so the int64 codes of a block, not of all rows, bound the memory; a
-    single row is always one block.  Node colors and bijectivity are the
-    caller's to check.
+    maps the edges when the sorted codes of the images equal `a2`'s.  When
+    `a1` is `a2`, as in an automorphism check, its labels are ranked once.
+    Rows are checked in blocks of at most `_EDGE_CHECK_CELLS` (row, edge)
+    cells, so the int64 codes of a block, not of all rows, bound the
+    memory; a single row is always one block.  Node colors and bijectivity
+    are the caller's to check.
     """
     if len(a1.u) != len(a2.u):
         return np.zeros(len(rows), dtype=bool)
-    palette = _sorted_distinct(np.concatenate([a1.labels, a2.labels]))
+    same = a1 is a2
+    palette = _sorted_distinct(a2.labels if same else np.concatenate([a1.labels, a2.labels]))
     n, labels = len(a2.ids), len(palette)
+    rank2 = np.searchsorted(palette, a2.labels)
+    rank1 = rank2 if same else np.searchsorted(palette, a1.labels)
 
-    def codes(x, y, lab):
-        return (np.minimum(x, y) * n + np.maximum(x, y)) * labels + np.searchsorted(palette, lab)
+    def codes(x, y, rank):
+        return (np.minimum(x, y) * n + np.maximum(x, y)) * labels + rank
 
-    want = np.sort(codes(a2.u, a2.v, a2.labels))
+    want = np.sort(codes(a2.u, a2.v, rank2))
     out = np.empty(len(rows), dtype=bool)
     for at in _row_blocks(rows, len(want)):
         x, y = (rows[at].take(ends, axis=1).astype(np.int64, copy=False) for ends in (a1.u, a1.v))
-        out[at] = (np.sort(codes(x, y, a1.labels), axis=1) == want).all(axis=1)
+        out[at] = (np.sort(codes(x, y, rank1), axis=1) == want).all(axis=1)
     return out
 
 

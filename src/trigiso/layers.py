@@ -77,7 +77,8 @@ class LayerDecomposition:
     node, in id order of the replaced nodes.  `view` is that graph's frozen
     array view: ids equal to indices, u < v on every edge, `GADGET_LABEL` on
     the triangle edges.  Per working node, `owner` is the input node it is
-    or replaces (module docstring) and `level` its tower level.  A fiber of
+    or replaces (module docstring), `level` its tower level and `color_rank`
+    the dense rank of its color among the `n_colors` colors.  A fiber of
     more than two nodes raises AssertionError.  `rigid_from` is the first
     level r from which no level has a two-node fiber, so no level r' >= r
     has kernel generators: one more than the last level with such a fiber,
@@ -115,9 +116,13 @@ class LayerDecomposition:
         self._S = S = n * R
         if 2 * S * S >= 1 << 63:
             raise GraphError("graph too large for 64-bit tower element keys")
-        palette = _sorted_distinct(view.colors)
-        self.n_colors = C = len(palette)
-        color_rank = np.searchsorted(palette, view.colors)
+        colors = view.colors
+        if 0 <= colors.min() and colors.max() < n and np.bincount(colors).all():
+            color_rank = colors.astype(np.int64)  # refined colors are their own dense ranks
+        else:
+            color_rank = np.searchsorted(_sorted_distinct(colors), colors)
+        self.color_rank = color_rank
+        self.n_colors = C = int(color_rank.max()) + 1
 
         # Every node's neighbor-set key from its edges to lower levels.
         src, dst = np.concatenate([u, v]), np.concatenate([v, u])

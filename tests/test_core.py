@@ -52,6 +52,7 @@ from tower_cases import (
     decide_tower_cases,
     every_level,
     recorded_towers,
+    without_class_swap,
 )
 import tower_reference
 from tower_reference import reference_run_tower, written_out
@@ -511,6 +512,19 @@ def same_tower_result(got, want) -> bool:
     )
 
 
+def tower_equals_reference(dec) -> bool:
+    """Whether `_run_tower` equals the reference loop, for both swap values.
+
+    Each is checked with the class swap and without it.
+    """
+    for swap in (False, True):
+        want = reference_run_tower(dec, swap)
+        for got in (core._run_tower(dec, swap), without_class_swap(core._run_tower, dec, swap)):
+            if not same_tower_result(got, want):
+                return False
+    return True
+
+
 def _splice_towers(g1: LabeledGraph, g2: LabeledGraph) -> list:
     """Towers of g1's first edge spliced against every edge of g2.
 
@@ -585,12 +599,28 @@ def _differential_cases():
     "build", [pytest.param(build, id=name) for name, build in _differential_cases()]
 )
 def test_rigid_tail_equals_reference_loop(build):
-    # The tail is the level loop's result, row for row, for both swap values.
+    # The tail and the class swap are the level loop's result, row for row,
+    # for both swap values.
     towers = build()
     assert towers
     for dec, _ in towers:
-        for swap in (False, True):
-            assert same_tower_result(core._run_tower(dec, swap), reference_run_tower(dec, swap))
+        assert tower_equals_reference(dec)
+
+
+@pytest.mark.parametrize("case", ["seed-0", "seed-1", "seed-2", "cfi"])
+def test_class_swap_equals_reference_loop(case):
+    # Every tower the recorded decisions ran, with the class swap and
+    # without it.  The swap towers of the relabelled random graph and of
+    # the network twin take the class swap; those of the tree and the CFI
+    # pairs keep kernels and never reach it.
+    cases = cfi_tower_cases() if case == "cfi" else decide_tower_cases(40, int(case[-1]))
+    taken = set()
+    for name, towers in cases.items():
+        for dec, swap in towers:
+            assert tower_equals_reference(dec)
+            if swap and dec.rigid_from == 1 and core._class_swap(dec) is not None:
+                taken.add(name)
+    assert taken == (set() if case == "cfi" else {"graph", "network"})
 
 
 # Both graphs are rigid from level 1: every fiber is one node, so the
@@ -627,8 +657,7 @@ def test_rigid_tail_dies_where_the_loop_dies(monkeypatch, g, dead_lifts):
     monkeypatch.setattr(LayerDecomposition, "lift_or_none", lift)
     assert core._run_tower(dec, swap=True) is None
     assert (tails, dead) == ([1], dead_lifts)
-    for swap in (False, True):
-        assert same_tower_result(core._run_tower(dec, swap), reference_run_tower(dec, swap))
+    assert tower_equals_reference(dec)
 
 
 def test_rigid_tail_checks_node_colors_once():
@@ -639,6 +668,66 @@ def test_rigid_tail_checks_node_colors_once():
     assert dec.rigid_from == 1 and core._run_tower(dec, swap=True)[1].tolist() == [1, 0, 3, 2]
     dec.view = dec.view._replace(colors=np.array([0, 0, 0, 3]))
     with pytest.raises(AssertionError, match="tail: .* color"):
+        core._run_tower(dec, swap=True)
+
+
+# Both graphs are rigid from level 1, their base endpoints share a color
+# and every (color, neighbor color sum) class holds two nodes, so the class
+# swap is tried and found wanting.  On the path 2-0-1-3 it is (0 1)(2 3),
+# which sends the edge {0, 2} of label 1 onto {1, 3} of label 2.  On the
+# path 0-1-2-3-4-5 the classes are {0, 5}, {1, 4} and {2, 3}, so it is the
+# path's reversal: an automorphism, but one that sends the base endpoint 0
+# to 5, not to 1.
+_SWAP_MAPS_NO_EDGES = LabeledGraph({0: 0, 1: 0, 2: 5, 3: 5}, {(0, 1): 0, (0, 2): 1, (1, 3): 2})
+_SWAP_MISSES_B = LabeledGraph({0: 1, 1: 1, 2: 2, 3: 2, 4: 1, 5: 1}, [(v, v + 1) for v in range(5)])
+
+
+@pytest.mark.parametrize(
+    "g", [_SWAP_MAPS_NO_EDGES, _SWAP_MISSES_B], ids=["edge-check", "base-edge"]
+)
+def test_failed_class_swap_falls_into_the_loop(monkeypatch, g):
+    dec = layer_sequence(g.arrays, (0, 1))
+    assert dec.rigid_from == 1 and core._class_swap(dec) is None
+    tails = []
+    real_tail = core._rigid_tail
+
+    def tail(dec, r, rep):
+        tails.append(r)
+        return real_tail(dec, r, rep)
+
+    monkeypatch.setattr(core, "_rigid_tail", tail)
+    assert core._run_tower(dec, swap=True) is None
+    assert tails == [1]
+    assert tower_equals_reference(dec)
+
+
+def test_class_swap_only_where_no_level_has_a_kernel():
+    # The base edge {0, 1} lies on the cycle 0-2-4-3-1, so it is no bridge.
+    # The class swap (0 1)(2 3)(4 5) is an automorphism exchanging 0 and 1,
+    # but so is (0 1)(2 3): nodes 4 and 5 form a two-node fiber, the kernel
+    # swap (4 5) survives to the top, and the loop returns it as a
+    # generator beside the representative (0 1)(2 3).  So the class swap
+    # is not tried.
+    g = LabeledGraph(
+        {0: 0, 1: 0, 2: 0, 3: 0, 4: 1, 5: 1},
+        [(0, 1), (0, 2), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5)],
+    )
+    dec = layer_sequence(g.arrays, (0, 1))
+    assert dec.rigid_from > 1 and core._class_swap(dec).tolist() == [1, 0, 3, 2, 5, 4]
+    gens, rep = core._run_tower(dec, swap=True)
+    assert gens.tolist() == [[0, 1, 2, 3, 5, 4]] and rep.tolist() == [1, 0, 3, 2, 4, 5]
+    assert tower_equals_reference(dec)
+
+
+def test_class_swap_checks_node_colors():
+    # The classes are ranked from the colors the tower was built with;
+    # recoloring node 3 afterwards makes the class swap (0 1)(2 3) move
+    # node 2 onto another color.
+    g = LabeledGraph({0: 0, 1: 0, 2: 5, 3: 5}, [(0, 1), (0, 2), (1, 3)])
+    dec = layer_sequence(g.arrays, (0, 1))
+    assert core._class_swap(dec).tolist() == [1, 0, 3, 2]
+    dec.view = dec.view._replace(colors=np.array([0, 0, 5, 7]))
+    with pytest.raises(AssertionError, match="class swap: .* color"):
         core._run_tower(dec, swap=True)
 
 
@@ -684,41 +773,47 @@ def test_row_lift_equals_array_lift_and_reference(seed):
 
 
 @pytest.mark.parametrize("nodes", [65, 129, 193])
-def test_network_twin_tower_lifts_one_row_from_level_one(monkeypatch, nodes):
-    # Refinement leaves a network twin's join rigid from level 1, so its
-    # one tower goes straight into the rigid tail.  Its cost is pinned in
-    # units that do not depend on the host: no B_r closure, no element
-    # tables, and one lift per level above level 1, N - 1 in all, each
-    # written into the one row the tail allocated.
-    lifts, closures = [], []
-    real_lift, real_b_set = LayerDecomposition.lift_or_none, LayerDecomposition.b_set
+def test_network_twin_tower_is_one_class_swap(monkeypatch, nodes):
+    # Refinement pairs every node of a network twin's join, so its one
+    # tower is decided by the class swap.  Its cost is pinned in units that
+    # do not depend on the host: no lift, no B_r closure and no element
+    # tables.  Its witness is the one the rigid tail lifts through the
+    # N - 1 levels above level 1 when the class swap is turned off.
+    calls, swaps = [], []
+    real_swap = core._class_swap
 
-    def lift(dec, r, images):
-        out = real_lift(dec, r, images)
-        lifts.append((r, images, out))
-        return out
+    def class_swap(dec):
+        swaps.append(real_swap(dec))
+        return swaps[-1]
 
-    def b_set(dec, r, images):
-        closures.append(r)
-        return real_b_set(dec, r, images)
+    def spy(name):
+        real = getattr(LayerDecomposition, name)
 
-    monkeypatch.setattr(LayerDecomposition, "lift_or_none", lift)
-    monkeypatch.setattr(LayerDecomposition, "b_set", b_set)
+        def counted(dec, *args):
+            calls.append(name)
+            return real(dec, *args)
+
+        monkeypatch.setattr(LayerDecomposition, name, counted)
+
+    spy("lift_or_none")
+    spy("b_set")
+    monkeypatch.setattr(core, "_class_swap", class_swap)
     for seed in range(3):
         net = random_network(nodes, seed=seed)
         ids = list(net.nodes)
         random.Random(seed).shuffle(ids)
         twin = net.relabeled_nodes(dict(zip(net.nodes, ids)))
-        lifts.clear()
+        swaps.clear()
         towers = recorded_towers(lambda: phylo_isomorphic(net, twin).isomorphic or pytest.fail())
         assert len(towers) == 1
         (dec, swap), = towers
-        assert swap and dec.rigid_from == 1
-        assert "_elements" not in vars(dec)
-        assert [r for r, _, _ in lifts] == list(range(1, dec.N))
-        row = lifts[0][1]
-        assert row.shape == (dec.n,) and all(x is row and y is row for _, x, y in lifts)
-    assert closures == []
+        assert swap and len(swaps) == 1 and swaps[0] is not None
+        assert calls == [] and "_elements" not in vars(dec)
+        got = core._run_tower(dec, swap)
+        tail = without_class_swap(core._run_tower, dec, swap)
+        assert calls == ["lift_or_none"] * (dec.N - 1)
+        calls.clear()
+        assert same_tower_result(got, tail)
 
 
 # sha256 of the JSON outputs below.  Any change to a generator sequence or a

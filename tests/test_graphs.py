@@ -451,6 +451,13 @@ def test_maps_edges_agrees_with_the_dict_reference(seed):
     assert all(verdicts[0][: 1 + len(auts)]) and not any(verdicts[0][-3:-1])
     assert seed % 2 or len(auts) > 1
     assert not any(map(any, verdicts[1:]))
+    # One view against itself ranks its labels once; an equal view that is
+    # another object takes the two-view path, with the same verdicts.
+    a1 = g.arrays
+    own = np.array([range(n), *(p.image for p in auts), rng.sample(range(n), n)], dtype=np.int32)
+    same = _maps_edges(own, a1, a1)
+    assert same.tolist() == _maps_edges(own, a1, a1._replace()).tolist()
+    assert same[: 1 + len(auts)].all()
 
 
 def test_check_automorphisms_memory_is_one_row_block():

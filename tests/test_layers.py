@@ -234,6 +234,20 @@ def test_labels_past_64_bits_build_the_tower_of_their_ranks():
     assert res.isomorphic and is_graph_isomorphism(g_big, h, res.mapping)
 
 
+@pytest.mark.parametrize(
+    "colors", [[0, 0, 1, 1], [0, 0, 3, 3], [5, 5, 0, 0], [2**70, 2**70, 7, 7]],
+    ids=["dense", "gap", "past-n", "past-64-bits"],
+)
+def test_color_ranks_are_dense(colors):
+    # Colors dense from 0, as refinement gives them, are their own ranks;
+    # colors with a gap, past the node count or past 64 bits are ranked.
+    g = LabeledGraph(dict(enumerate(colors)), [(0, 1), (0, 2), (1, 3)])
+    dec = layer_sequence(g.arrays, (0, 1))
+    distinct = sorted(set(colors))
+    assert dec.color_rank.tolist() == [distinct.index(c) for c in colors]
+    assert dec.color_rank.dtype == np.int64 and dec.n_colors == len(distinct)
+
+
 def test_build_checks_raise():
     # The tower does not validate; the entry points that build it do.
     disconnected = LabeledGraph(range(4), [(0, 1), (2, 3)])

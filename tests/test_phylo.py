@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from trigiso import phylo
+from trigiso import core, phylo
 from trigiso.graphs import ARC_IN_LABEL, ARC_OUT_LABEL, MIDPOINT_COLOR, validate
 from trigiso.harness import oracle_network_isomorphic
 from trigiso.phylo import (
@@ -258,13 +258,35 @@ def test_deep_caterpillar_roundtrip_without_recursion():
 
 
 def test_deep_caterpillar_twin_is_isomorphic():
-    # Every level of this tower is rigid, so the exchange coset runs the
-    # rigid tail over about 3,000 levels.
+    # Refinement pairs every node of the join, so the class swap decides
+    # this tower of about 3,000 levels.
     net = deep_caterpillar()
     names = random.Random(5).sample(range(10 * net.n_nodes), net.n_nodes)
     twin = net.relabeled_nodes(dict(zip(net.nodes, names)))
     res = phylo_isomorphic(net, twin, want_mapping=True)
     assert res.isomorphic and is_network_isomorphism(net, twin, res.mapping)
+
+
+def test_deep_caterpillar_twin_through_the_rigid_tail(monkeypatch):
+    # With the class swap turned off, every level of this tower is rigid,
+    # so the exchange coset runs the rigid tail over about 3,000 levels,
+    # and the mapping is the same.
+    net = deep_caterpillar()
+    names = random.Random(5).sample(range(10 * net.n_nodes), net.n_nodes)
+    twin = net.relabeled_nodes(dict(zip(net.nodes, names)))
+    want = phylo_isomorphic(net, twin, want_mapping=True).mapping
+    tails = []
+    real_tail = core._rigid_tail
+
+    def tail(dec, r, rep):
+        tails.append((dec.N, r))
+        return real_tail(dec, r, rep)
+
+    monkeypatch.setattr(core, "_class_swap", lambda dec: None)
+    monkeypatch.setattr(core, "_rigid_tail", tail)
+    res = phylo_isomorphic(net, twin, want_mapping=True)
+    assert res.isomorphic and res.mapping == want
+    assert len(tails) == 1 and tails[0][0] > 3000 and tails[0][1] == 1
 
 
 def test_large_relabelled_network_twins_are_isomorphic():

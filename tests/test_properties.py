@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from trigiso.core import _run_tower, aut_e_generators, is_isomorphic
+from trigiso.core import aut_e_generators, is_isomorphic
 from trigiso.graphs import LabeledGraph, build_x, is_graph_isomorphism, validate
 from trigiso.harness import degree_sequence_graph, random_relabeling, random_ternary_graph
 from trigiso.layers import layer_sequence, refine
@@ -26,9 +26,8 @@ from trigiso.phylo import (
 )
 
 from test_coloraut import solved_like_the_reference
-from test_core import _recolored, same_tower_result, unpruned_decision
+from test_core import _recolored, tower_equals_reference, unpruned_decision
 from tower_cases import CUBE, K4, PETERSEN, _cfi
-from tower_reference import reference_run_tower
 
 bounded = settings(derandomize=True, deadline=None, max_examples=30, database=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -173,8 +172,9 @@ def test_joint_selection_keeps_verdict_and_mapping(kind, half, palette, seed, re
 @given(graph_pairs(), st.booleans(), st.booleans(), st.integers(0, 100), seeds)
 def test_rigid_tail_equals_reference_loop(pair, relabel, refined, pick, seed):
     # A splice of g's first edge with an edge of a relabelled copy or of
-    # another graph, towered with or without refinement: `_run_tower`
-    # returns the reference loop's result, row for row, for both swap values.
+    # another graph, towered with or without refinement: `_run_tower`, with
+    # the class swap and without it, returns the reference loop's result,
+    # row for row, for both swap values.
     g, k = pair
     if relabel:
         k, _ = random_relabeling(g, seed)
@@ -183,8 +183,7 @@ def test_rigid_tail_equals_reference_loop(pair, relabel, refined, pick, seed):
     joined = build_x(a1, a2, np.array([a1.u[0], a1.v[0]]), np.array([a2.u[j], a2.v[j]]))
     e = (g.n_nodes, g.n_nodes + 1)
     dec = layer_sequence(refine(joined, e) if refined else joined, e)
-    for swap in (False, True):
-        assert same_tower_result(_run_tower(dec, swap), reference_run_tower(dec, swap))
+    assert tower_equals_reference(dec)
 
 
 @bounded

@@ -7,7 +7,8 @@ cube, negatives included.  `every_level` runs those towers again through
 `reference_run_tower`, which filters and lifts at every level, rigid or
 not.  The symmetric inputs (a complete binary tree and an uncolored CFI
 pair over K4) keep generators in the coset, so the decisions themselves
-reach the general level loop too.
+reach the general level loop too.  `without_class_swap` makes one call
+with the swap tower's class swap turned off.
 """
 
 import pytest
@@ -78,6 +79,13 @@ def recorded_towers(decide) -> list:
         mp.setattr(core, "_run_tower", spy)
         decide()
     return towers
+
+
+def without_class_swap(run, *args):
+    """`run(*args)` with `core._class_swap` finding nothing, so swap towers take the level loop."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_class_swap", lambda dec: None)
+        return run(*args)
 
 
 def decide_tower_cases(n: int, seed: int) -> dict[str, list]:
