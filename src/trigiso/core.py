@@ -128,7 +128,7 @@ from .graphs import (
     GraphArrays, GraphError, LabeledGraph, _maps_edges, _row_blocks, build_x,
     is_graph_isomorphism, require_valid,
 )
-from .layers import LayerDecomposition, _bfs_levels, _edge_tables, _incidence, _refine_rounds
+from .layers import LayerDecomposition, _bfs_levels, _edge_tables, _refine_rounds, _slots
 from .layers import layer_sequence, refine
 from .perm import Permutation, _join, _row_key, _row_ranks, _sorted_distinct
 
@@ -235,7 +235,7 @@ def _run_tower(dec: LayerDecomposition, swap: bool):
                 break
             rep = _rigid_tail(dec, r, rows[0])
             return None if rep is None else (rows[:0], rep)
-        if not (node_colors.take(rows) == node_colors).all():
+        if not _colors_kept(node_colors, rows):
             raise AssertionError(
                 f"level {r}: a permutation moves a node onto a node of another color")
         _, pos, elem_colors = dec.b_set(r, rows)
@@ -303,9 +303,19 @@ def _automorphism_or_none(view: GraphArrays, row: np.ndarray, where: str) -> np.
     The callers' rows keep node colors by construction; one that moves a
     node onto a node of another color raises AssertionError, naming `where`.
     """
-    if not (view.colors.take(row) == view.colors).all():
+    if not _colors_kept(view.colors, row[None]):
         raise AssertionError(f"{where}: a permutation moves a node onto a node of another color")
     return row if _maps_edges(row[None], view, view)[0] else None
+
+
+def _colors_kept(colors: np.ndarray, rows: np.ndarray) -> bool:
+    """Whether every row of node images sends each node onto a node of its own color.
+
+    The rows are compared in the blocks of `_row_blocks`, so the gathered
+    colors of one block, not of all rows, bound the memory.  Each caller
+    raises its own AssertionError when this fails.
+    """
+    return all((colors.take(rows[at]) == colors).all() for at in _row_blocks(rows, len(colors)))
 
 
 def _contract(dec: LayerDecomposition, images: np.ndarray) -> np.ndarray:
@@ -394,10 +404,11 @@ class _ProfileTables(NamedTuple):
     """One graph's integer tables for the layer-profile filter.
 
     Row i is node `ids[i]`, the dense index of the graph's array view; row
-    n is a padding node.  Row v of `nbr` and `labels` holds v's incident
-    edges as (neighbor, label rank) slots sorted by label rank and then
-    neighbor, absent slots first with neighbor n and rank -1.  `base` ranks
-    v's color together with its label sequence.
+    n is a padding node.  `nbr` and `labels` are the view's slot tables
+    (`trigiso.layers._slots`), label ranks taken over both graphs' labels:
+    row v holds v's incident edges as (neighbor, label rank) slots sorted
+    by label rank and then neighbor, absent slots first with neighbor n
+    and rank -1.  `base` ranks v's color together with its label sequence.
     """
 
     ids: np.ndarray
@@ -411,26 +422,16 @@ def _profile_tables(g1: LabeledGraph, g2: LabeledGraph) -> list[_ProfileTables]:
     views = (g1.arrays, g2.arrays)
     palette = _sorted_distinct(np.concatenate([a.colors for a in views]))
     label_palette = _sorted_distinct(np.concatenate([a.labels for a in views]))
-    slots, kinds = [], []
-    for a in views:
-        n = len(a.ids)
-        rank = np.searchsorted(label_palette, a.labels)
-        src, dst = np.concatenate([a.u, a.v]), np.concatenate([a.v, a.u])
-        lab = np.concatenate([rank, rank])
-        order = _row_key((src, lab, dst), (n, len(label_palette), n)).argsort(kind="stable")
-        src, dst, lab = src.take(order), dst.take(order), lab.take(order)
-        col = 3 - a.degrees[src] + np.arange(len(src)) - np.searchsorted(src, src)
-        table = np.full((n + 1, 3, 2), (-1, n), dtype=np.int32)
-        table[src, col] = np.stack([lab, dst], axis=1)
-        slots.append(table)
-        kinds.append(np.column_stack([
-            np.append(np.searchsorted(palette, a.colors), -1), table[:, :, 0]
-        ]))
+    slots = [_slots(a, label_palette) for a in views]
+    kinds = [
+        np.column_stack([np.append(np.searchsorted(palette, a.colors), -1), labels])
+        for a, (_, labels) in zip(views, slots)
+    ]
     base, _ = _row_ranks(np.concatenate(kinds).T)
-    cut = len(slots[0])
+    cut = len(kinds[0])
     return [
-        _ProfileTables(a.ids, table[:, :, 1], table[:, :, 0], b)
-        for a, table, b in zip(views, slots, (base[:cut], base[cut:]))
+        _ProfileTables(a.ids, nbr, labels, b)
+        for a, (nbr, labels), b in zip(views, slots, (base[:cut], base[cut:]))
     ]
 
 
@@ -558,12 +559,11 @@ def _first_edge_candidates(t1: _ProfileTables, t2: _ProfileTables):
     n1, n2 = len(t1.ids), len(t2.ids)
     n = n1 + n2
     nbr = np.concatenate([np.where(t1.nbr[:n1] == n1, n, t1.nbr[:n1]), t2.nbr[:n2] + n1])
-    labels = np.concatenate([t1.labels[:n1], t2.labels[:n2]]).astype(np.int64)
+    labels = np.concatenate([t1.labels[:n1], t2.labels[:n2]])
     n_labels = int(labels.max()) + 1
     # The padding rows alone hold base rank 0, so the nodes' ranks are dense from 1.
     base = np.concatenate([t1.base[:n1], t2.base[:n2]]) - 1
-    code = np.where(labels < 0, 0, labels * n + 1)
-    cls, count = _refine_rounds(base, int(base.max()) + 1, nbr.T, code.T, n_labels * n + 1)
+    cls, count = _refine_rounds(base, int(base.max()) + 1, nbr, labels)
     if not np.array_equal(np.bincount(cls[:n1], minlength=count),
                           np.bincount(cls[n1:], minlength=count)):
         return None
@@ -593,29 +593,26 @@ def _check_automorphisms(view: GraphArrays, rows: np.ndarray) -> None:
     Each row must keep every node's color and map the labeled edges onto
     themselves (`_maps_edges`).  On a connected graph that also makes the
     row a bijection: a node it misses would have no incident edge left to
-    be the image of.  Colors are compared in the row blocks `_maps_edges`
-    uses, so neither check gathers all rows at once.
+    be the image of.  Both checks run over row blocks (`_colors_kept`,
+    `_maps_edges`), so neither gathers all rows at once.
     """
-    blocks = _row_blocks(rows, len(view.u))
-    same_colors = all((view.colors.take(rows[at]) == view.colors).all() for at in blocks)
-    if not (same_colors and _maps_edges(rows, view, view).all()):
+    if not (_colors_kept(view.colors, rows) and _maps_edges(rows, view, view).all()):
         raise AssertionError("a pruning generator is not an automorphism of the second graph")
 
 
-def _candidate_orbits(a2: GraphArrays, candidates: np.ndarray, tried: np.ndarray) -> np.ndarray:
+def _candidate_orbits(a2: GraphArrays, candidates: np.ndarray, level: np.ndarray) -> np.ndarray:
     """Orbit labels of the candidate edges under automorphisms of the second graph.
 
-    The automorphisms are those fixing the edge deepest from the tried
-    candidate: greatest level sum of its endpoints in the BFS from the
-    tried edge, then lowest (u, v).  Fixing a far edge leaves the group
-    free to move the edges near the tried one.  `candidates` are the rows
-    of a (k, 2) array of node indices sorted by (u, v); candidate i's label
-    is the smallest index in its orbit.  The generators are checked to be
-    automorphisms, and every mapped candidate to be a candidate, before
-    they are used.
+    `level` holds the BFS levels of the second graph's nodes from a tried
+    candidate (`_bfs_levels`).  The automorphisms are those fixing the edge
+    deepest from it: greatest level sum of its endpoints, then lowest
+    (u, v).  Fixing a far edge leaves the group free to move the edges
+    near the tried one.  `candidates` are the rows of a (k, 2) array of
+    node indices sorted by (u, v); candidate i's label is the smallest
+    index in its orbit.  The generators are checked to be automorphisms,
+    and every mapped candidate to be a candidate, before they are used.
     """
     n = len(a2.ids)
-    level = _bfs_levels(_incidence(a2.u, a2.v, n)[0], *tried)
     depth = level[a2.u] + level[a2.v]
     far = np.flatnonzero(depth == depth.max())
     j = far[np.lexsort((a2.v[far], a2.u[far]))[0]]
@@ -686,7 +683,8 @@ def is_isomorphic(
     for i in survivors:
         if failed:
             if orbit is None:
-                orbit = _candidate_orbits(a2, candidates, candidates[failed[0]])
+                level = _bfs_levels(t2.nbr, *candidates[failed[0]])
+                orbit = _candidate_orbits(a2, candidates, level)
             if orbit[i] in orbit[failed]:
                 continue
         witness = _tower(build_x(a1, a2, e1, candidates[i]), (n1, n1 + 1), swap=True)

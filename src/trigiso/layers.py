@@ -26,15 +26,19 @@ corners, so the three corners of a replaced node all move onto the corners
 of one node; the contraction is well defined and a group isomorphism.
 
 The tower is built by a few array passes over the edge list, with no loop
-over nodes or elements.  Nodes take dense indices in id order; BFS levels
-come from frontier expansion over a padded neighbor table; the rewritten
-nodes are one mask (three neighbors at a lower level).  Every node's
-neighbor-set key is computed at once.  The fibers of all levels are grouped
-by one stable `argsort` of one packed int64 key per entering node, its
-(level, neighbor-set key, color rank) as digits of a mixed-radix number
-(`perm._row_key`), and the elements of all levels likewise by (level,
-key); a key that would pass 2^63 is ranked part way and packed on, so the
-order is exactly that of the tuples.  Each level is a span of these global
+over nodes or elements.  Nodes take dense indices in id order.  Every
+node's incident edges are read from one adjacency format, three (neighbor,
+label rank) slots per node sorted by label, padded with a node n
+(`_slots`); it is the only one, built once per tower for the BFS, color
+refinement and the rewrite, and by `core` for both inputs of a decision.
+BFS levels come from frontier expansion over its neighbor table; the
+rewritten nodes are one mask (three neighbors at a lower level).  Every
+node's neighbor-set key is computed at once.  The fibers of all levels are
+grouped by one stable `argsort` of one packed int64 key per entering node,
+its (level, neighbor-set key, color rank) as digits of a mixed-radix number
+(`perm._row_key`), and the elements of all levels likewise by (level, key);
+a key that would pass 2^63 is ranked part way and packed on, so the order
+is exactly that of the tuples.  Each level is a span of these global
 arrays, and the element tables, which only the per-level solve reads, are
 built on the tower's first `b_set`.  The colour solver compares element
 colors only for equality, so any coding that gives equal colors to exactly
@@ -302,22 +306,24 @@ class LayerDecomposition:
         return out
 
 
-# Level of the padding node of the neighbor table: never reached, never lower.
+# Level of the padding node of the slot tables: never reached, never lower.
 _FAR = np.iinfo(np.int64).max
 
 
 def _bfs_levels(nbr: np.ndarray, a: int, b: int) -> np.ndarray:
     """Level of every node: 1 for a and b, else 1 + min neighbor level.
 
-    `nbr` is the (n+1, D) neighbor table padded with node n, whose level is
-    `_FAR`; frontiers expand one level per round.  Each frontier is made
+    `nbr` is a neighbor table of `_slots`, padded with node n, whose level
+    is `_FAR`; frontiers expand one level per round.  Each frontier is made
     distinct, with no sort: a node reached from several lower neighbors
     would otherwise appear once per shortest path from the base edge.  Each
     occurrence writes the complement of its position, a negative number,
     into the node's level, and only the occurrence whose value stays is
-    kept; the frontier's level is written after.
+    kept; the frontier's level is written after.  The table is widened to
+    int64 once, so no gather converts its indices.
     """
     n = len(nbr) - 1
+    nbr = nbr.astype(np.int64)
     level = np.zeros(n + 1, dtype=np.int64)
     level[n] = _FAR
     level[[a, b]] = 1
@@ -333,9 +339,35 @@ def _bfs_levels(nbr: np.ndarray, a: int, b: int) -> np.ndarray:
     return level
 
 
-def _edge_tables(view: GraphArrays, e: tuple[int, int]):
-    """(a, b, nbr, edge): e's endpoint indices in `view`, then `_incidence`'s tables.
+def _slots(view: GraphArrays, palette: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every node's incident edges as three (neighbor, label rank) slots: (nbr, lab).
 
+    Two contiguous (n+1, 3) int32 tables.  Row v holds v's edges sorted by
+    (label rank, neighbor), a label's rank being its index in `palette`,
+    sorted distinct values that hold every label of the view.  Absent
+    slots come first as neighbor n, label rank -1, and row n, the padding
+    node, holds only absent slots.  This is the one adjacency table: the
+    BFS, color refinement of a view and of two views' union, the tower's
+    triangle rewrite and the layer-profile walk all read it.
+    """
+    n = len(view.ids)
+    rank = np.searchsorted(palette, view.labels)
+    src, dst = np.concatenate([view.u, view.v]), np.concatenate([view.v, view.u])
+    lab = np.concatenate([rank, rank])
+    order = _row_key((src, lab, dst), (n, len(palette), n)).argsort(kind="stable")
+    src, dst, lab = src.take(order), dst.take(order), lab.take(order)
+    # Node v's edges take the last degree(v) slots of its row.
+    col = np.arange(3, len(src) + 3) - np.cumsum(view.degrees).take(src)
+    nbr = np.full((n + 1, 3), n, dtype=np.int32)
+    labels = np.full((n + 1, 3), -1, dtype=np.int32)
+    nbr[src, col], labels[src, col] = dst, lab
+    return nbr, labels
+
+
+def _edge_tables(view: GraphArrays, e: tuple[int, int]):
+    """(a, b, nbr, lab, palette): e's endpoint indices in `view`, then its `_slots`.
+
+    `palette` is the view's sorted distinct labels, which the slots rank.
     An absent e raises GraphError.  `refine` and `layer_sequence` take the
     result as `tables`, so a tower that refines computes it once.
     """
@@ -344,24 +376,8 @@ def _edge_tables(view: GraphArrays, e: tuple[int, int]):
     a, b = np.searchsorted(ids, e).clip(max=len(ids) - 1).tolist()
     if ids[a] != e[0] or ids[b] != e[1] or not ((view.u == a) & (view.v == b)).any():
         raise GraphError(f"edge {e} not present in graph")
-    return a, b, *_incidence(view.u, view.v, len(ids))
-
-
-def _incidence(u: np.ndarray, v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Padded (n+1, D) tables of every node's neighbors and incident edges.
-
-    Row i lists node i's edges in edge order, as the neighbor and the index
-    of the edge; absent slots, and row n, hold neighbor n and edge -1.
-    """
-    src, dst = np.concatenate([u, v]), np.concatenate([v, u])
-    by_src = np.argsort(src, kind="stable")
-    deg = np.bincount(src, minlength=n)
-    slot = np.arange(len(src)) - (np.cumsum(deg) - deg)[src[by_src]]
-    nbr = np.full((n + 1, int(deg.max(initial=0))), n)
-    edge = np.full_like(nbr, -1)
-    nbr[src[by_src], slot] = dst[by_src]
-    edge[src[by_src], slot] = by_src % len(u)
-    return nbr, edge
+    palette = _sorted_distinct(view.labels)
+    return a, b, *_slots(view, palette), palette
 
 
 def refine(view: GraphArrays, e: tuple[int, int], tables=None) -> GraphArrays:
@@ -378,59 +394,52 @@ def refine(view: GraphArrays, e: tuple[int, int], tables=None) -> GraphArrays:
     with it.  The classes refine the input colors, and every automorphism
     fixing e setwise preserves them, so that group is the same for both
     views.  Callers validate, this function does not; an absent e raises
-    GraphError.  `tables`, when given, are `_edge_tables(view, e)`.
-
-    The slot tables are built once and the rounds run in `_refine_rounds`,
-    which `core` also runs on the union of two graphs.  A slot's value,
-    label rank·n + 1 + neighbor class for an edge and 0 for an absent
-    slot, lies in [0, R), R = L·n + 1 for L distinct labels, and orders
-    slots as (label, class) pairs with absent ones first.
+    GraphError.  `tables`, when given, are `_edge_tables(view, e)`, whose
+    slot tables the rounds read (`_refine_rounds`, which `core` also runs
+    on the union of two graphs).
     """
-    a, b, *incidence = tables or _edge_tables(view, e)
-    ids, colors, u, v, lab, _ = view
-    n = len(ids)
-    # (3, n) slot tables; an absent slot has code 0 and the padding node n,
-    # whose class stays 0.
-    nbr, edge = (table[:n].T for table in incidence)
-    label_values = _sorted_distinct(lab)
-    rank = np.searchsorted(label_values, lab)
-    R = len(label_values) * n + 1
-    slot_nbr = np.full((3, n), n)
-    slot_code = np.zeros((3, n), dtype=np.int64)
-    slot_nbr[: len(nbr)] = nbr
-    slot_code[: len(nbr)] = np.where(edge < 0, 0, rank[edge] * n + 1)
+    a, b, nbr, lab, _ = tables or _edge_tables(view, e)
+    colors = view.colors
     start = 2 * np.searchsorted(_sorted_distinct(colors), colors)
     start[[a, b]] += 1
     classes = _sorted_distinct(start)
-    cls, _ = _refine_rounds(np.searchsorted(classes, start), len(classes), slot_nbr, slot_code, R)
+    cls, _ = _refine_rounds(np.searchsorted(classes, start), len(classes), nbr, lab)
     return _frozen(view._replace(colors=cls.astype(np.int32)))
 
 
 def _refine_rounds(
-    cls: np.ndarray, count: int, slot_nbr: np.ndarray, slot_code: np.ndarray, R: int
+    cls: np.ndarray, count: int, nbr: np.ndarray, lab: np.ndarray
 ) -> tuple[np.ndarray, int]:
     """Refinement rounds from dense classes until a round splits nothing.
 
-    `cls` holds the n nodes' classes, dense ranks 0..count-1.  `slot_nbr`
-    and `slot_code` are (3, n) tables: slot s of node v is an edge to node
-    `slot_nbr[s, v]`, with value `slot_code[s, v]` + that node's class, or
-    absent, with neighbor n, the padding node of class 0, and code 0.  Edge
-    codes are at least 1 and every value lies below R.  Each round ranks the
-    rows (class, sorted slot values) with `_row_ranks` under the radices
-    (count, R, R, R); rounds stop when the number of classes stops growing
-    or reaches n.  Returns the stable classes, dense ranks again, and their
-    number.  The ranks follow the sorted order of the defining values, so
-    permuting the nodes permutes the result with them.
+    `cls` holds the n nodes' classes, dense ranks 0..count-1.  `nbr` and
+    `lab` are slot tables as `_slots` builds them, of n rows or more: slot
+    s of node v is an edge to node `nbr[v, s]` with label rank
+    `lab[v, s]`, or absent, with neighbor n, the padding node of class 0,
+    and rank -1.  A slot's value is label rank·n + 1 + neighbor class for
+    an edge and 0 for an absent slot; with L = the largest rank + 1, it
+    lies in [0, R), R = L·n + 1, and orders slots as (label, class) pairs
+    with absent ones first.  Each round ranks the rows (class, sorted slot
+    values) with `_row_ranks` under the radices (count, R, R, R); rounds
+    stop when the number of classes stops growing or reaches n.  Returns
+    the stable classes, dense ranks again, and their number.  The ranks
+    follow the sorted order of the defining values, so permuting the nodes
+    permutes the result with them.
 
-    A round gathers the three slot values with one `take`, sorts them with
-    a three-input min/max network, and ranks the rows (class, low, mid,
-    top), passing the radices it knows, so no column is reduced.  With
-    count·R³ below 2^63 that is one packed int64 key and one `argsort` a
-    round; above, `_row_ranks` ranks the partial key first.  Either way the
-    ranks are the rows' lexicographic dense ranks, those of the sorted slot
-    tuples.
+    The slot neighbors and codes are laid out once as contiguous (3, n)
+    arrays.  A round gathers the three slot values with one `take`, sorts
+    them with a three-input min/max network, and ranks the rows (class,
+    low, mid, top), passing the radices it knows, so no column is reduced.
+    With count·R³ below 2^63 that is one packed int64 key and one `argsort`
+    a round; above, `_row_ranks` ranks the partial key first.  Either way
+    the ranks are the rows' lexicographic dense ranks, those of the sorted
+    slot tuples.
     """
     n = len(cls)
+    lab = lab[:n].astype(np.int64)
+    R = (int(lab.max()) + 1) * n + 1
+    slot_nbr = np.ascontiguousarray(nbr[:n].T)
+    slot_code = np.ascontiguousarray(np.where(lab < 0, 0, lab * n + 1).T)
     cls = np.append(cls, 0)
     while count < n:
         x, y, z = slot_code + cls.take(slot_nbr)
@@ -454,9 +463,10 @@ def layer_sequence(view: GraphArrays, e: tuple[int, int], tables=None) -> LayerD
     returned tower has size 1 or 2.  A replaced node's corners take its
     placed neighbors, sorted by (new index, label), in corner order.
     `tables`, when given, are `_edge_tables` of a view with the same edges,
-    such as the one `refine` was given.
+    such as the one `refine` was given; the replaced nodes' corner edges
+    take their labels from its slots, through its palette.
     """
-    a, b, nbr, edge = tables or _edge_tables(view, e)
+    a, b, nbr, slot_labels, palette = tables or _edge_tables(view, e)
     ids, colors, u, v, lab, _ = view
     n = len(ids)
     level = _bfs_levels(nbr, a, b)
@@ -468,7 +478,7 @@ def layer_sequence(view: GraphArrays, e: tuple[int, int], tables=None) -> LayerD
     index = np.zeros(n, dtype=np.int64)
     index[kept] = np.arange(nk)
     placed = index[nbr[replaced][lower[replaced]]].reshape(ng, 3)
-    placed_labels = lab[edge[replaced][lower[replaced]]].reshape(ng, 3)
+    placed_labels = palette.take(slot_labels[replaced][lower[replaced]]).reshape(ng, 3)
     by_index = np.argsort(placed, axis=1)  # distinct neighbors: (index, label) order
     corners = nk + np.arange(3 * ng).reshape(ng, 3)
     # Per replaced node: its three corner edges, then the triangle.  A

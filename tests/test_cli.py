@@ -85,6 +85,24 @@ def test_non_ascii_digit_is_input_error(capsys, tmp_path):
     assert err.startswith("error:") and err.count("\n") == 1 and "non-numeric" in err
 
 
+@pytest.mark.parametrize("command", ["iso", "aut", "phylo-iso"])
+def test_file_that_is_not_utf8_is_input_error(capsys, tmp_path, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe")
+    graph = tmp_path / "one.graph"
+    graph.write_text("node 0\nnode 1\nedge 0 1\n", encoding="utf-8")
+    net = tmp_path / "one.enwk"
+    net.write_text("(a,b);\n", encoding="utf-8")
+    argv = {
+        "iso": ["iso", str(bad), str(graph)],
+        "aut": ["aut", str(bad), "--edge", "0,1"],
+        "phylo-iso": ["phylo-iso", str(net), str(bad)],
+    }[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1 and "UTF-8" in err
+
+
 def test_aut_prints_generators_in_original_ids(capsys, tmp_path):
     p = tmp_path / "path.graph"
     p.write_text("node 3\nnode 5\nnode 7\nnode 9\nedge 3 5\nedge 5 7\nedge 7 9\n")

@@ -23,7 +23,7 @@ from trigiso.graphs import (
 from trigiso.harness import degree_sequence_graph, random_relabeling, random_ternary_graph
 from trigiso.layers import LayerDecomposition, layer_sequence, refine
 from trigiso.perm import Permutation, group_order
-from trigiso.phylo import PhyloNetwork, phylo_isomorphic, random_network
+from trigiso.phylo import PhyloNetwork, phylo_isomorphic, random_network, reduce_to_colored
 
 from graph_reference import graph_of_view
 from tower_cases import (
@@ -638,10 +638,22 @@ def test_array_tower_equals_written_out_on_joined_graphs(monkeypatch):
 
 
 def _refine_cases():
-    for n, seed in ((24, 0), (40, 1), (64, 2), (128, 0)):
-        for g in (random_ternary_graph(n, seed), _recolored(random_ternary_graph(n, seed), seed)):
-            edges = g.sorted_edges()
-            yield from ((g, edges[0]), (g, edges[len(edges) // 2]), (g, edges[-1]))
+    graphs = [
+        g
+        for n, seed in ((24, 0), (40, 1), (64, 2), (128, 0))
+        for g in (random_ternary_graph(n, seed), _recolored(random_ternary_graph(n, seed), seed))
+    ]
+    # Network reductions hold the reserved labels and midpoint color -1.
+    graphs += [reduce_to_colored(random_network(33, seed=seed))[0] for seed in range(3)]
+    # Colors and labels past 2^63: the view holds them with object dtype.
+    base = _recolored(random_ternary_graph(40, 3), 3)
+    graphs.append(LabeledGraph(
+        {v: 2**64 + c * 2**70 for v, c in base.colors().items()},
+        {e: 2**63 + lab * 2**66 for e, lab in base.edges().items()},
+    ))
+    for g in graphs:
+        edges = g.sorted_edges()
+        yield from ((g, edges[0]), (g, edges[len(edges) // 2]), (g, edges[-1]))
     k4 = LabeledGraph(range(4), [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     yield from [
         (k4, (2, 3)),
