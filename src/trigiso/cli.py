@@ -2,13 +2,17 @@
 
 Exit codes: 0 = the command ran (for the isomorphism commands the verdict is
 the last stdout line, `true` or `false`); 2 = usage error; 3 = unreadable or
-invalid input; 4 = internal error: one of the pipeline's own self-checks
-failed (a witness that does not verify, an identity coset filtered to empty,
-a level permutation that does not preserve node colors, a filtered level
-permutation that does not lift, a tower fiber of more than two nodes),
-reported as one `error: internal: ...` line on stderr; 5 = out of memory,
-one `error: out of memory: ...` line.  Output is plain text with no color,
-and all randomness comes from explicit --seed flags.
+invalid input; 4 = internal error: any AssertionError, that is one of the
+pipeline's own self-checks failed (a witness that does not verify; in the
+tower an identity coset filtered to empty, a permutation that moves a node
+onto another color, a filtered level permutation that does not lift, a
+fiber of more than two nodes; a pruning generator that is not an
+automorphism of the second graph or maps a candidate edge onto a
+non-candidate; the color solver's preconditions "B not stable" and
+"index2_sgs precondition violated"), reported as one `error: internal: ...`
+line on stderr; 5 = out of memory, one `error: out of memory: ...` line.
+Output is plain text with no color, and all randomness comes from explicit
+--seed flags.
 """
 
 from __future__ import annotations

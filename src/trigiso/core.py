@@ -56,22 +56,22 @@ first `b_set`).
 
 The same argument, applied at level 1, lets a swap tower that is rigid
 from level 1 skip even the tail when refinement has paired every node
-(`_class_swap`).  Key each node of the working graph by its color and the
-sum of its neighbors' colors; every automorphism keeps the key.  (Color
-alone rarely pairs the nodes: the triangle rewrite gives a replaced node's
-three corners one color, and the neighbor sum tells them apart.)  If every
-key class holds exactly two nodes, let σ swap the two nodes of each class.
-σ is accepted when it sends the base endpoint a to b and maps the labeled
-edges onto themselves, so it is an automorphism exchanging a and b, and
-it is then the only one.  Two such automorphisms differ by one that fixes
-a and b, and with no two-node fiber at any level that one sends each node
-entering at level 2, 3, ... in turn into its own one-node fiber, so it is
-the identity.  The tail's row, when it survives, is such an automorphism,
-so σ is the loop's result, row for row; a σ that is not accepted leaves
-the tower to the tail.  On a splice or a network join the base edge is a
-bridge, so an exchanging automorphism maps one side onto the other, and
-where the classes pair it is σ: that is where refinement leaves the tower
-nothing to choose.
+(`_class_swap`).  `_tower` tries it on the refined view, before the
+triangle rewrite.  If every color class holds exactly two nodes, let σ
+swap the two nodes of each class.  σ is accepted when it sends the base
+endpoint a to b and maps the labeled edges onto themselves, so it is an
+automorphism exchanging a and b, and it is then the only one.  Two such
+automorphisms of the working graph differ by one that fixes a and b, and
+with no two-node fiber at any level that one sends each node entering at
+level 2, 3, ... in turn into its own one-node fiber, so it is the
+identity; the working graph's edge-fixing automorphisms contract one to
+one onto the view's, so the view has no other either.  The tail's row,
+when it survives, contracts to such an automorphism, so σ is the tower's
+result, row for row, and already over the view's indices; a σ that is not
+accepted leaves the tower to the loop.  On a splice or a network join the
+base edge is a bridge, so an exchanging automorphism maps one side onto
+the other, and where the classes pair it is σ: that is where refinement
+leaves the tower nothing to choose.
 
 Two graphs are isomorphic exactly when, after splitting one edge of each and
 joining the split nodes, some automorphism of the joined graph fixing the
@@ -204,14 +204,6 @@ def _run_tower(dec: LayerDecomposition, swap: bool):
     at some level of the tail, and otherwise the lone element is the
     loop's representative.  Its node colors are asserted once, on the
     final row.
-
-    With swap=True and `dec.rigid_from` == 1 the loop would enter the tail
-    at level 1, with the base swap as its one row.  Before that, the class
-    swap σ (`_class_swap`) is tried, and when it is accepted the result is
-    no generators and σ.  This too is the loop's result: σ is an
-    automorphism that exchanges a and b, no level has a kernel, so no
-    other automorphism does (module docstring), and the tail's lifted row,
-    when it survives, is such an automorphism.
     """
     n, node_colors = dec.n, dec.view.colors
     a, b = dec.base_edge
@@ -225,10 +217,6 @@ def _run_tower(dec: LayerDecomposition, swap: bool):
     # with swap=True, flip alone; else the identity over <flip>, or over no
     # generator when a and b differ in color.
     rows = flip[None] if swap else np.stack([flip, ident]) if same_color else ident[None]
-    if swap and dec.rigid_from == 1:
-        sigma = _class_swap(dec)
-        if sigma is not None:
-            return rows[:0], sigma
     for r in range(1, dec.N):
         if len(rows) == 1 and r >= dec.rigid_from:
             if not swap:
@@ -273,27 +261,24 @@ def _rigid_tail(dec: LayerDecomposition, r: int, rep: np.ndarray) -> np.ndarray 
     return _automorphism_or_none(dec.view, rep, "tail")
 
 
-def _class_swap(dec: LayerDecomposition) -> np.ndarray | None:
-    """The involution swapping the two nodes of every class, when it exchanges a and b.
+def _class_swap(view: GraphArrays, a: int, b: int) -> np.ndarray | None:
+    """The involution swapping the two nodes of every color class, when it exchanges a and b.
 
-    A node's class is its color and the sum of its neighbors' colors, by
-    color rank.  Returns that involution as an int32 row when every class
-    holds exactly two nodes, it sends the base edge's a to b and it maps the
-    working graph's labeled edges onto themselves; otherwise None.  It keeps
-    node colors by construction, which is asserted
-    (`_automorphism_or_none`).
+    `view` is a refined view (`refine`), whose colors are dense class
+    ranks, and a, b are the base edge's endpoints, by index.  Returns that
+    involution as an int32 row when every class holds exactly two nodes,
+    it sends a to b and it maps the view's labeled edges onto themselves
+    (`_automorphism_or_none`); otherwise None.  On a refined view the last
+    two hold wherever the classes pair: a and b, individualized together,
+    form a class, and the stable classes are equitable, so the edges of
+    one label between two two-node classes, or within one, are none, a
+    matching or all of them, which σ keeps.  They are checked all the same.
     """
-    view, n, rank = dec.view, dec.n, dec.color_rank
-    ends = np.concatenate([view.u, view.v])
-    sums = np.bincount(ends, rank.take(np.concatenate([view.v, view.u])), n)
-    key = rank * (3 * dec.n_colors) + sums.astype(np.int64)
-    order = key.argsort()
-    ordered = key.take(order)
-    if n % 2 or (ordered[::2] != ordered[1::2]).any() or (ordered[1:-1:2] == ordered[2::2]).any():
+    if (np.bincount(view.colors) != 2).any():
         return None
-    sigma = np.empty(n, dtype=np.int32)
+    order = view.colors.argsort()
+    sigma = np.empty(len(order), dtype=np.int32)
     sigma[order[::2]], sigma[order[1::2]] = order[1::2], order[::2]
-    a, b = dec.base_edge
     return _automorphism_or_none(view, sigma, "class swap") if sigma[a] == b else None
 
 
@@ -337,15 +322,23 @@ def _tower(view: GraphArrays, e: tuple[int, int], swap: bool) -> np.ndarray | No
 
     Refines the view (`refine`), builds the layer tower, runs the level
     loop and maps its rows back onto the view's indices.  The refined view
-    keeps the view's edges, so both steps share its `_edge_tables`.  e is
-    a pair of node ids.  With swap=False returns the generators of the
-    automorphisms fixing e setwise, the rows of a (k, n) int32 array and a
-    smooth generating sequence.  With swap=True returns one row, an
-    automorphism exchanging e's endpoints, or None if there is none.
-    Callers validate, this function does not.
+    keeps the view's edges, so both steps share its `_edge_tables`.  A
+    swap tower rigid from level 1 first tries the class swap on the
+    refined view (`_class_swap`): an accepted σ is the loop's result
+    (module docstring), already over the view's indices, and the loop is
+    not run.  e is a pair of node ids.  With swap=False returns the
+    generators of the automorphisms fixing e setwise, the rows of a (k, n)
+    int32 array and a smooth generating sequence.  With swap=True returns
+    one row, an automorphism exchanging e's endpoints, or None if there is
+    none.  Callers validate, this function does not.
     """
     tables = _edge_tables(view, e)
-    dec = layer_sequence(refine(view, e, tables), e, tables)
+    refined = refine(view, e, tables)
+    dec = layer_sequence(refined, e, tables)
+    if swap and dec.rigid_from == 1:
+        sigma = _class_swap(refined, *tables[:2])
+        if sigma is not None:
+            return sigma
     result = _run_tower(dec, swap)
     if result is None:
         return None

@@ -42,7 +42,7 @@ from trigiso.phylo import (
 
 from graph_reference import record_graph_builds, reference_profile_tables, reference_splice
 from test_graphs import EX1_A, EX1_B, EX2_A, EX2_B, graph_from_edges
-from test_layers import reference_b_set
+from test_layers import reference_b_set, stacked_galls
 from tower_cases import (
     CUBE,
     K4,
@@ -52,6 +52,7 @@ from tower_cases import (
     decide_tower_cases,
     every_level,
     recorded_towers,
+    tower_calls,
     without_class_swap,
 )
 import tower_reference
@@ -513,16 +514,34 @@ def same_tower_result(got, want) -> bool:
 
 
 def tower_equals_reference(dec) -> bool:
-    """Whether `_run_tower` equals the reference loop, for both swap values.
+    """Whether `_run_tower` equals the reference loop, for both swap values."""
+    return all(
+        same_tower_result(core._run_tower(dec, swap), reference_run_tower(dec, swap))
+        for swap in (False, True)
+    )
 
-    Each is checked with the class swap and without it.
+
+def class_swap_taken(view, e) -> bool:
+    """Whether `_class_swap` decides the swap tower of (view, e), whose e is a bridge.
+
+    Asserts that `_tower(view, e, swap=True)`, with the class swap and
+    without it, is the reference loop's witness on the refined view's
+    tower, contracted onto the view.  σ is accepted exactly where every
+    refined class holds two nodes (the `_class_swap` docstring); there it
+    asserts the premise of the `core` module docstring, that the tower is
+    rigid from level 1, and that σ is that witness.
     """
-    for swap in (False, True):
-        want = reference_run_tower(dec, swap)
-        for got in (core._run_tower(dec, swap), without_class_swap(core._run_tower, dec, swap)):
-            if not same_tower_result(got, want):
-                return False
-    return True
+    refined = refine(view, e)
+    dec = layer_sequence(refined, e)
+    want = reference_run_tower(dec, swap=True)
+    want = want and (core._contract(dec, want[1][None])[0],)
+    for got in (core._tower(view, e, True), without_class_swap(core._tower, view, e, True)):
+        assert same_tower_result(got if got is None else (got,), want)
+    sigma = core._class_swap(refined, *dec.owner[list(dec.base_edge)].tolist())
+    assert (sigma is not None) == (np.bincount(refined.colors) == 2).all()
+    if sigma is not None:
+        assert dec.rigid_from == 1 and same_tower_result((sigma,), want)
+    return sigma is not None
 
 
 def _splice_towers(g1: LabeledGraph, g2: LabeledGraph) -> list:
@@ -599,8 +618,7 @@ def _differential_cases():
     "build", [pytest.param(build, id=name) for name, build in _differential_cases()]
 )
 def test_rigid_tail_equals_reference_loop(build):
-    # The tail and the class swap are the level loop's result, row for row,
-    # for both swap values.
+    # The tail is the level loop's result, row for row, for both swap values.
     towers = build()
     assert towers
     for dec, _ in towers:
@@ -609,18 +627,42 @@ def test_rigid_tail_equals_reference_loop(build):
 
 @pytest.mark.parametrize("case", ["seed-0", "seed-1", "seed-2", "cfi"])
 def test_class_swap_equals_reference_loop(case):
-    # Every tower the recorded decisions ran, with the class swap and
-    # without it.  The swap towers of the relabelled random graph and of
-    # the network twin take the class swap; those of the tree and the CFI
-    # pairs keep kernels and never reach it.
-    cases = cfi_tower_cases() if case == "cfi" else decide_tower_cases(40, int(case[-1]))
+    # Every swap tower the recorded decisions ran, each a splice or a join,
+    # through `_tower` with the class swap and without it
+    # (`class_swap_taken`); every tower's level loop as well.  The swap
+    # towers of the relabelled random graph and of the network twin take
+    # the class swap; those of the tree and the CFI pairs keep kernels and
+    # never reach it.
+    if case == "cfi":
+        cases = cfi_tower_cases(tower_calls)
+    else:
+        cases = decide_tower_cases(40, int(case[-1]), tower_calls)
     taken = set()
-    for name, towers in cases.items():
-        for dec, swap in towers:
+    for name, calls in cases.items():
+        for view, e, swap, dec in calls:
             assert tower_equals_reference(dec)
-            if swap and dec.rigid_from == 1 and core._class_swap(dec) is not None:
+            if swap and class_swap_taken(view, e):
                 taken.add(name)
     assert taken == (set() if case == "cfi" else {"graph", "network"})
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, "galls"])
+def test_class_swap_on_network_joins_equals_reference_loop(seed):
+    # The join of a network with a relabelled twin, with a copy whose two
+    # leaf labels are swapped and with one whose arcs are reversed.  σ is
+    # accepted on every twin, and wherever it is accepted the tower is
+    # rigid from level 1 and σ is the loop's witness (`class_swap_taken`).
+    net = stacked_galls(8) if seed == "galls" else random_network(33, seed=seed)
+    others = [
+        net.relabeled_nodes({v: 500 + v for v in net.nodes}),
+        swap_two_leaf_labels(net, seed=0),
+        reversed_arc_network(net, seed=0),
+    ]
+    taken = []
+    for other in others:
+        (view, e, swap, _), = tower_calls(lambda: phylo_isomorphic(net, other))
+        taken.append(swap and class_swap_taken(view, e))
+    assert taken[0]
 
 
 # Both graphs are rigid from level 1: every fiber is one node, so the
@@ -671,64 +713,59 @@ def test_rigid_tail_checks_node_colors_once():
         core._run_tower(dec, swap=True)
 
 
-# Both graphs are rigid from level 1, their base endpoints share a color
-# and every (color, neighbor color sum) class holds two nodes, so the class
-# swap is tried and found wanting.  On the path 2-0-1-3 it is (0 1)(2 3),
-# which sends the edge {0, 2} of label 1 onto {1, 3} of label 2.  On the
-# path 0-1-2-3-4-5 the classes are {0, 5}, {1, 4} and {2, 3}, so it is the
-# path's reversal: an automorphism, but one that sends the base endpoint 0
-# to 5, not to 1.
-_SWAP_MAPS_NO_EDGES = LabeledGraph({0: 0, 1: 0, 2: 5, 3: 5}, {(0, 1): 0, (0, 2): 1, (1, 3): 2})
-_SWAP_MISSES_B = LabeledGraph({0: 1, 1: 1, 2: 2, 3: 2, 4: 1, 5: 1}, [(v, v + 1) for v in range(5)])
+# Both graphs are rigid from level 1 and their colors pair every node, as
+# refined colors would, so the class swap is tried and found wanting.  On
+# the path 2-0-1-3 it is (0 1)(2 3), which sends the edge {0, 2} of label 1
+# onto {1, 3} of label 2; the exchange coset then runs the rigid tail from
+# level 1 and dies.  On the path 0-1-2-3-4-5 the classes are {0, 5},
+# {1, 4} and {2, 3}, so it is the path's reversal: an automorphism, but
+# one that sends the base endpoint 0 to 5, not to 1; the level loop then
+# finds 0 and 1 in different classes at once.  Refined views never get
+# this far: where their classes pair, σ is accepted (`_class_swap`).
+_SWAP_MAPS_NO_EDGES = LabeledGraph({0: 0, 1: 0, 2: 1, 3: 1}, {(0, 1): 0, (0, 2): 1, (1, 3): 2})
+_SWAP_MISSES_B = LabeledGraph({0: 0, 1: 1, 2: 2, 3: 2, 4: 1, 5: 0}, [(v, v + 1) for v in range(5)])
 
 
 @pytest.mark.parametrize(
-    "g", [_SWAP_MAPS_NO_EDGES, _SWAP_MISSES_B], ids=["edge-check", "base-edge"]
+    "g,tails", [(_SWAP_MAPS_NO_EDGES, [1]), (_SWAP_MISSES_B, [])], ids=["edge-check", "base-edge"]
 )
-def test_failed_class_swap_falls_into_the_loop(monkeypatch, g):
+def test_failed_class_swap_falls_into_the_loop(monkeypatch, g, tails):
     dec = layer_sequence(g.arrays, (0, 1))
-    assert dec.rigid_from == 1 and core._class_swap(dec) is None
-    tails = []
+    assert dec.rigid_from == 1 and core._class_swap(g.arrays, 0, 1) is None
+    seen = []
     real_tail = core._rigid_tail
 
     def tail(dec, r, rep):
-        tails.append(r)
+        seen.append(r)
         return real_tail(dec, r, rep)
 
     monkeypatch.setattr(core, "_rigid_tail", tail)
-    assert core._run_tower(dec, swap=True) is None
-    assert tails == [1]
+    # `_tower` on the view as it is, its colors standing in for refined ones.
+    monkeypatch.setattr(core, "refine", lambda view, e, tables=None: view)
+    assert core._tower(g.arrays, (0, 1), swap=True) is None
+    assert seen == tails
     assert tower_equals_reference(dec)
 
 
 def test_class_swap_only_where_no_level_has_a_kernel():
     # The base edge {0, 1} lies on the cycle 0-2-4-3-1, so it is no bridge.
-    # The class swap (0 1)(2 3)(4 5) is an automorphism exchanging 0 and 1,
+    # The refined classes {0, 1}, {2, 3} and {4, 5} pair every node, and
+    # the class swap (0 1)(2 3)(4 5) is an automorphism exchanging 0 and 1,
     # but so is (0 1)(2 3): nodes 4 and 5 form a two-node fiber, the kernel
     # swap (4 5) survives to the top, and the loop returns it as a
     # generator beside the representative (0 1)(2 3).  So the class swap
-    # is not tried.
+    # is not tried, and `_tower` returns that representative.
     g = LabeledGraph(
         {0: 0, 1: 0, 2: 0, 3: 0, 4: 1, 5: 1},
         [(0, 1), (0, 2), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5)],
     )
-    dec = layer_sequence(g.arrays, (0, 1))
-    assert dec.rigid_from > 1 and core._class_swap(dec).tolist() == [1, 0, 3, 2, 5, 4]
+    refined = refine(g.arrays, (0, 1))
+    dec = layer_sequence(refined, (0, 1))
+    assert dec.rigid_from > 1 and core._class_swap(refined, 0, 1).tolist() == [1, 0, 3, 2, 5, 4]
     gens, rep = core._run_tower(dec, swap=True)
     assert gens.tolist() == [[0, 1, 2, 3, 5, 4]] and rep.tolist() == [1, 0, 3, 2, 4, 5]
+    assert core._tower(g.arrays, (0, 1), swap=True).tolist() == [1, 0, 3, 2, 4, 5]
     assert tower_equals_reference(dec)
-
-
-def test_class_swap_checks_node_colors():
-    # The classes are ranked from the colors the tower was built with;
-    # recoloring node 3 afterwards makes the class swap (0 1)(2 3) move
-    # node 2 onto another color.
-    g = LabeledGraph({0: 0, 1: 0, 2: 5, 3: 5}, [(0, 1), (0, 2), (1, 3)])
-    dec = layer_sequence(g.arrays, (0, 1))
-    assert core._class_swap(dec).tolist() == [1, 0, 3, 2]
-    dec.view = dec.view._replace(colors=np.array([0, 0, 5, 7]))
-    with pytest.raises(AssertionError, match="class swap: .* color"):
-        core._run_tower(dec, swap=True)
 
 
 def _lift_or_none_reference(dec, r, row) -> list | None:
@@ -778,12 +815,12 @@ def test_network_twin_tower_is_one_class_swap(monkeypatch, nodes):
     # tower is decided by the class swap.  Its cost is pinned in units that
     # do not depend on the host: no lift, no B_r closure and no element
     # tables.  Its witness is the one the rigid tail lifts through the
-    # N - 1 levels above level 1 when the class swap is turned off.
+    # N - 1 levels above level 1, contracted onto the join.
     calls, swaps = [], []
     real_swap = core._class_swap
 
-    def class_swap(dec):
-        swaps.append(real_swap(dec))
+    def class_swap(view, a, b):
+        swaps.append(real_swap(view, a, b))
         return swaps[-1]
 
     def spy(name):
@@ -809,11 +846,10 @@ def test_network_twin_tower_is_one_class_swap(monkeypatch, nodes):
         (dec, swap), = towers
         assert swap and len(swaps) == 1 and swaps[0] is not None
         assert calls == [] and "_elements" not in vars(dec)
-        got = core._run_tower(dec, swap)
-        tail = without_class_swap(core._run_tower, dec, swap)
+        gens, tail = core._run_tower(dec, swap=True)
         assert calls == ["lift_or_none"] * (dec.N - 1)
         calls.clear()
-        assert same_tower_result(got, tail)
+        assert not len(gens) and np.array_equal(core._contract(dec, tail[None])[0], swaps[0])
 
 
 # sha256 of the JSON outputs below.  Any change to a generator sequence or a

@@ -2,7 +2,9 @@
 
 import random
 
+import networkx as nx
 import pytest
+from networkx.algorithms.isomorphism import DiGraphMatcher, categorical_node_match
 
 from trigiso import core, phylo
 from trigiso.graphs import ARC_IN_LABEL, ARC_OUT_LABEL, MIDPOINT_COLOR, validate
@@ -192,6 +194,41 @@ def test_phylo_iso_matches_oracle(seed):
     assert phylo_isomorphic(a, b).isomorphic == oracle_network_isomorphic(a, b)
 
 
+def _digraph(net: PhyloNetwork) -> nx.DiGraph:
+    out = nx.DiGraph()
+    out.add_nodes_from((v, {"label": net.labels.get(v)}) for v in net.nodes)
+    out.add_edges_from(net.arcs)
+    return out
+
+
+@pytest.mark.parametrize("hybrid_prob", [0.0, 0.3, 0.5, 0.9])
+def test_verdicts_agree_with_digraph_matcher(hybrid_prob):
+    # A differential oracle for networks: 18 networks of 9 to 65 nodes per
+    # hybrid probability, each against a twin with shuffled ids, its
+    # leaf-label swap, its arc reversal (none on a tree) and an unrelated
+    # network of the same size; over 200 pairs in all.  networkx VF2 on
+    # the digraphs, matching leaf labels, is independent of the reduction.
+    same_label = categorical_node_match("label", None)
+    verdicts = []
+    for seed in range(18):
+        rng = random.Random(seed)
+        net = random_network(rng.randint(9, 65), hybrid_prob=hybrid_prob, seed=seed)
+        ids = rng.sample(range(10 * net.n_nodes), net.n_nodes)
+        others = [
+            net.relabeled_nodes(dict(zip(net.nodes, ids))),
+            swap_two_leaf_labels(net, seed=seed),
+            reversed_arc_network(net, seed=seed),
+            random_network(net.n_nodes, hybrid_prob=hybrid_prob, seed=seed + 1000),
+        ]
+        for other in filter(None, others):
+            got = phylo_isomorphic(net, other, want_mapping=True)
+            vf2 = DiGraphMatcher(_digraph(net), _digraph(other), same_label)
+            assert got.isomorphic == vf2.is_isomorphic(), seed
+            assert not got.isomorphic or is_network_isomorphism(net, other, got.mapping)
+            verdicts.append(got.isomorphic)
+    assert len(verdicts) >= 50 and 18 <= verdicts.count(True) < len(verdicts)
+
+
 def test_parse_cherry_and_inner_taxa():
     net = parse_enewick("(a,b)r;")
     assert validate_network(net) == []
@@ -282,7 +319,7 @@ def test_deep_caterpillar_twin_through_the_rigid_tail(monkeypatch):
         tails.append((dec.N, r))
         return real_tail(dec, r, rep)
 
-    monkeypatch.setattr(core, "_class_swap", lambda dec: None)
+    monkeypatch.setattr(core, "_class_swap", lambda view, a, b: None)
     monkeypatch.setattr(core, "_rigid_tail", tail)
     res = phylo_isomorphic(net, twin, want_mapping=True)
     assert res.isomorphic and res.mapping == want

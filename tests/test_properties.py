@@ -26,7 +26,7 @@ from trigiso.phylo import (
 )
 
 from test_coloraut import solved_like_the_reference
-from test_core import _recolored, tower_equals_reference, unpruned_decision
+from test_core import _recolored, class_swap_taken, tower_equals_reference, unpruned_decision
 from tower_cases import CUBE, K4, PETERSEN, _cfi
 
 bounded = settings(derandomize=True, deadline=None, max_examples=30, database=None)
@@ -172,9 +172,10 @@ def test_joint_selection_keeps_verdict_and_mapping(kind, half, palette, seed, re
 @given(graph_pairs(), st.booleans(), st.booleans(), st.integers(0, 100), seeds)
 def test_rigid_tail_equals_reference_loop(pair, relabel, refined, pick, seed):
     # A splice of g's first edge with an edge of a relabelled copy or of
-    # another graph, towered with or without refinement: `_run_tower`, with
-    # the class swap and without it, returns the reference loop's result,
-    # row for row, for both swap values.
+    # another graph, towered with or without refinement: `_run_tower`
+    # returns the reference loop's result, row for row, for both swap
+    # values.  So does `_tower`, with the class swap and without it, and
+    # where σ is accepted the tower is rigid from level 1 (`class_swap_taken`).
     g, k = pair
     if relabel:
         k, _ = random_relabeling(g, seed)
@@ -184,6 +185,7 @@ def test_rigid_tail_equals_reference_loop(pair, relabel, refined, pick, seed):
     e = (g.n_nodes, g.n_nodes + 1)
     dec = layer_sequence(refine(joined, e) if refined else joined, e)
     assert tower_equals_reference(dec)
+    class_swap_taken(joined, e)
 
 
 @bounded

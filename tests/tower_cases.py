@@ -1,7 +1,8 @@
 """Inputs whose towers the reference tests run level by level.
 
 `decide_tower_cases` runs a few decisions and returns every tower they ran,
-by case, as (decomposition, swap) pairs recorded at `_run_tower`;
+by case, as the (decomposition, swap) of every call to `core._tower`
+(`recorded_towers`), or as those calls (`tower_calls`);
 `cfi_tower_cases` does the same for uncolored CFI pairs over K4 and the
 cube, negatives included.  `every_level` runs those towers again through
 `reference_run_tower`, which filters and lifts at every level, rigid or
@@ -13,7 +14,7 @@ with the swap tower's class swap turned off.
 
 import pytest
 
-from trigiso import core
+from trigiso import core, phylo
 from trigiso.core import aut_e_generators, is_isomorphic
 from trigiso.graphs import LabeledGraph
 from trigiso.harness import random_relabeling, random_ternary_graph
@@ -66,30 +67,45 @@ def _cfi(base: list, twisted=()) -> LabeledGraph:
     return LabeledGraph(range(10 * n), edges)
 
 
-def recorded_towers(decide) -> list:
-    """Call `decide()`; return the (decomposition, swap) of every tower it ran."""
-    towers = []
-    real = core._run_tower
+def tower_calls(decide) -> list:
+    """Call `decide()`; return the (view, e, swap, decomposition) of every call to `core._tower`.
 
-    def spy(dec, swap):
-        towers.append((dec, swap))
-        return real(dec, swap)
+    The decomposition is the tower `_tower` built on the refined view,
+    whichever path then decided it.
+    """
+    calls = []
+    real_tower, real_layers = core._tower, core.layer_sequence
+
+    def tower(view, e, swap):
+        calls.append([view, e, swap])
+        return real_tower(view, e, swap)
+
+    def layers(*args):
+        calls[-1].append(real_layers(*args))
+        return calls[-1][-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "_run_tower", spy)
+        for module in (core, phylo):
+            mp.setattr(module, "_tower", tower)
+        mp.setattr(core, "layer_sequence", layers)
         decide()
-    return towers
+    return [tuple(call) for call in calls]
+
+
+def recorded_towers(decide) -> list:
+    """Call `decide()`; return the (decomposition, swap) of every tower it ran (`tower_calls`)."""
+    return [(dec, swap) for _, _, swap, dec in tower_calls(decide)]
 
 
 def without_class_swap(run, *args):
     """`run(*args)` with `core._class_swap` finding nothing, so swap towers take the level loop."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "_class_swap", lambda dec: None)
+        mp.setattr(core, "_class_swap", lambda view, a, b: None)
         return run(*args)
 
 
-def decide_tower_cases(n: int, seed: int) -> dict[str, list]:
-    """The towers a few decisions run, by case (`recorded_towers`).
+def decide_tower_cases(n: int, seed: int, record=recorded_towers) -> dict[str, list]:
+    """The towers a few decisions run, by case, as `record` returns them.
 
     "graph": the full edge-fixing group and a relabelled positive of a
     random graph; "network": a network twin; "tree": both for a complete
@@ -112,15 +128,15 @@ def decide_tower_cases(n: int, seed: int) -> dict[str, list]:
         assert is_isomorphic(_cfi(K4), twisted)
 
     return {
-        "graph": recorded_towers(lambda: decide_graph(g)),
-        "network": recorded_towers(decide_network),
-        "tree": recorded_towers(lambda: decide_graph(tree)),
-        "cfi": recorded_towers(decide_cfi),
+        "graph": record(lambda: decide_graph(g)),
+        "network": record(decide_network),
+        "tree": record(lambda: decide_graph(tree)),
+        "cfi": record(decide_cfi),
     }
 
 
-def cfi_tower_cases() -> dict[str, list]:
-    """The towers of uncolored CFI decisions over K4 and the cube, by case.
+def cfi_tower_cases(record=recorded_towers) -> dict[str, list]:
+    """The towers of uncolored CFI decisions over K4 and the cube, by case, as `record` gives them.
 
     The plain graph against a relabelled copy with one twist (a negative)
     and with two twists (a positive).
@@ -129,9 +145,7 @@ def cfi_tower_cases() -> dict[str, list]:
     for name, base in (("k4", K4), ("cube", CUBE)):
         for twists in (1, 2):
             other = random_relabeling(_cfi(base, set(range(twists))), 9)[0]
-            cases[f"cfi-{name}-{twists}"] = recorded_towers(
-                lambda: is_isomorphic(_cfi(base), other)
-            )
+            cases[f"cfi-{name}-{twists}"] = record(lambda: is_isomorphic(_cfi(base), other))
     return cases
 
 
