@@ -37,41 +37,28 @@ nodes as another int array, through the decomposition's `owner` map (see
 `trigiso.layers`), so `Permutation` objects appear only at the boundary,
 in `lift` and the results.
 
-Most refined towers become rigid early: from some level on, the coset has
-no generators and no level has a kernel (`LayerDecomposition.rigid_from`),
-so each later coset holds at most one element, the lift of the one before.
-The tower then stops filtering, as a search stops once refinement leaves
-nothing to choose (McKay & Piperno, "Practical graph isomorphism, II",
-J. Symb. Comput. 2014): the lone representative is lifted through the
-remaining levels and checked once, as an automorphism of the working graph
-(`_rigid_tail`).  That check keeps exactly the elements the skipped level
-filters would keep, so the result is the same, row for row; `_run_tower`
-gives the argument.  The tail costs what that argument says it costs: it
-copies the representative once into a row of its own, and each level's
-lift writes the nodes entering at the next level into that row in place,
-by a few gathers over the level's fibers, so a level costs what enters at
-it and not n.  It closes no B_r, so a tower that is rigid from level 1
-never builds the element tables (`LayerDecomposition` builds them on its
-first `b_set`).
-
-The same argument, applied at level 1, lets a swap tower that is rigid
-from level 1 skip even the tail when refinement has paired every node
-(`_class_swap`).  `_tower` tries it on the refined view, before the
-triangle rewrite.  If every color class holds exactly two nodes, let σ
-swap the two nodes of each class.  σ is accepted when it sends the base
-endpoint a to b and maps the labeled edges onto themselves, so it is an
-automorphism exchanging a and b, and it is then the only one.  Two such
-automorphisms of the working graph differ by one that fixes a and b, and
-with no two-node fiber at any level that one sends each node entering at
-level 2, 3, ... in turn into its own one-node fiber, so it is the
-identity; the working graph's edge-fixing automorphisms contract one to
-one onto the view's, so the view has no other either.  The tail's row,
-when it survives, contracts to such an automorphism, so σ is the tower's
-result, row for row, and already over the view's indices; a σ that is not
-accepted leaves the tower to the loop.  On a splice or a network join the
-base edge is a bridge, so an exchanging automorphism maps one side onto
-the other, and where the classes pair it is σ: that is where refinement
-leaves the tower nothing to choose.
+A swap tower is decided without the loop where refinement has paired every
+node (`_class_swap`), as a search stops once refinement leaves nothing to
+choose (McKay & Piperno, "Practical graph isomorphism, II", J. Symb.
+Comput. 2014).  `_tower` tries it on the refined view, before the triangle
+rewrite, when the tower is rigid from level 1: no level has a two-node
+fiber, so no level has a kernel (`LayerDecomposition.rigid_from`).  If
+every color class holds exactly two nodes, let σ swap the two nodes of
+each class.  σ is accepted when it sends the base endpoint a to b and maps
+the labeled edges onto themselves, so it is an automorphism exchanging a
+and b, and it is then the only one.  Two such automorphisms of the working
+graph differ by one that fixes a and b, and with no two-node fiber at any
+level that one sends each node entering at level 2, 3, ... in turn into
+its own one-node fiber, so it is the identity; the working graph's
+edge-fixing automorphisms contract one to one onto the view's, so the view
+has no other either.  The loop's last coset is every automorphism of the
+working graph that exchanges a and b, and with no kernel at any level it
+keeps no generators, so it is that one automorphism: its representative,
+contracted, is σ, row for row, and σ is already over the view's indices.
+A σ that is not accepted leaves the tower to the loop, which then runs
+every level.  On a splice or a network join the base edge is a bridge, so
+an exchanging automorphism maps one side onto the other, and where the
+classes pair it is σ.
 
 Two graphs are isomorphic exactly when, after splitting one edge of each and
 joining the split nodes, some automorphism of the joined graph fixing the
@@ -178,32 +165,11 @@ def _run_tower(dec: LayerDecomposition, swap: bool):
     neighbor sets onto materialized ones of equal color, which is what the
     lift matches.
 
-    The loop stops at the first level r where the coset has no generators
-    and r >= `dec.rigid_from`, so that no level from r on has a kernel.
-    With swap=False the coset is then the identity alone and is returned
-    as it is.  With swap=True `_rigid_tail` lifts the representative
-    through levels r .. N-1 and keeps it only if it is an automorphism of
-    the working graph.  This is the loop's own result, row for row:
-
-    - From level r on the kernels are trivial, so each later coset has at
-      most one element, the lift of the previous one, and no generators.
-    - Level s's filter keeps that element exactly when it preserves the
-      colors of the level's neighbor sets and cross edges: it maps them
-      onto materialized elements of equal color.  Over all levels from r
-      on, with the edges of X_r kept already, that is exactly "maps every
-      labeled edge of the working graph onto one", and the lifts keep
-      node colors by construction.
-    - A lift that finds no target fiber, or one of another size, means the
-      image of some neighbor set is not materialized or has another color
-      multiset, so that level's filter would already have emptied the
-      coset.  Conversely a lift that succeeds matches every fiber of a
-      bijective level, so the color multisets agree and it is the lift the
-      loop would make.
-
-    So a dead lift or a failed edge check gives None, where the loop dies
-    at some level of the tail, and otherwise the lone element is the
-    loop's representative.  Its node colors are asserted once, on the
-    final row.
+    Only the aut tower stops early: at the first level r where the coset
+    has no generators and r >= `dec.rigid_from`, no level from r on has a
+    kernel, so the coset stays the identity alone, which every later level
+    keeps and lifts onto the identity; it is returned as it is.  A swap
+    tower runs every level, or dies at one.
     """
     n, node_colors = dec.n, dec.view.colors
     a, b = dec.base_edge
@@ -218,11 +184,8 @@ def _run_tower(dec: LayerDecomposition, swap: bool):
     # generator when a and b differ in color.
     rows = flip[None] if swap else np.stack([flip, ident]) if same_color else ident[None]
     for r in range(1, dec.N):
-        if len(rows) == 1 and r >= dec.rigid_from:
-            if not swap:
-                break
-            rep = _rigid_tail(dec, r, rows[0])
-            return None if rep is None else (rows[:0], rep)
+        if not swap and len(rows) == 1 and r >= dec.rigid_from:
+            break
         if not _colors_kept(node_colors, rows):
             raise AssertionError(
                 f"level {r}: a permutation moves a node onto a node of another color")
@@ -246,21 +209,6 @@ def _run_tower(dec: LayerDecomposition, swap: bool):
     return rows[:-1], rows[-1]
 
 
-def _rigid_tail(dec: LayerDecomposition, r: int, rep: np.ndarray) -> np.ndarray | None:
-    """The lone coset element lifted from level r to the top, or None.
-
-    None when a lift finds no matching fiber or the lifted row does not map
-    the working graph's labeled edges onto themselves (`_maps_edges`, see
-    `_run_tower`).  A row that moves a node onto a node of another color
-    raises AssertionError: the lifts keep colors by construction.  Every
-    level lifts in place, into the one row the tail allocates.
-    """
-    rep = rep.astype(np.int32)
-    if any(dec.lift_or_none(s, rep) is None for s in range(r, dec.N)):
-        return None
-    return _automorphism_or_none(dec.view, rep, "tail")
-
-
 def _class_swap(view: GraphArrays, a: int, b: int) -> np.ndarray | None:
     """The involution swapping the two nodes of every color class, when it exchanges a and b.
 
@@ -268,29 +216,24 @@ def _class_swap(view: GraphArrays, a: int, b: int) -> np.ndarray | None:
     ranks, and a, b are the base edge's endpoints, by index.  Returns that
     involution as an int32 row when every class holds exactly two nodes,
     it sends a to b and it maps the view's labeled edges onto themselves
-    (`_automorphism_or_none`); otherwise None.  On a refined view the last
-    two hold wherever the classes pair: a and b, individualized together,
-    form a class, and the stable classes are equitable, so the edges of
-    one label between two two-node classes, or within one, are none, a
-    matching or all of them, which σ keeps.  They are checked all the same.
+    (`_maps_edges`); otherwise None.  On a refined view the last two hold
+    wherever the classes pair: a and b, individualized together, form a
+    class, and the stable classes are equitable, so the edges of one label
+    between two two-node classes, or within one, are none, a matching or
+    all of them, which σ keeps.  They are checked all the same.  σ swaps
+    nodes of one color by construction; a σ that moves a node onto a node
+    of another color raises AssertionError.
     """
     if (np.bincount(view.colors) != 2).any():
         return None
     order = view.colors.argsort()
     sigma = np.empty(len(order), dtype=np.int32)
     sigma[order[::2]], sigma[order[1::2]] = order[1::2], order[::2]
-    return _automorphism_or_none(view, sigma, "class swap") if sigma[a] == b else None
-
-
-def _automorphism_or_none(view: GraphArrays, row: np.ndarray, where: str) -> np.ndarray | None:
-    """`row` if it maps the labeled edges of `view` onto themselves (`_maps_edges`), else None.
-
-    The callers' rows keep node colors by construction; one that moves a
-    node onto a node of another color raises AssertionError, naming `where`.
-    """
-    if not _colors_kept(view.colors, row[None]):
-        raise AssertionError(f"{where}: a permutation moves a node onto a node of another color")
-    return row if _maps_edges(row[None], view, view)[0] else None
+    if sigma[a] != b:
+        return None
+    if not _colors_kept(view.colors, sigma[None]):
+        raise AssertionError("class swap: a permutation moves a node onto a node of another color")
+    return sigma if _maps_edges(sigma[None], view, view)[0] else None
 
 
 def _colors_kept(colors: np.ndarray, rows: np.ndarray) -> bool:

@@ -92,7 +92,7 @@ class LayerDecomposition:
     global arrays, with each level's bounds in them (`_spans`): that is what
     `lift_or_none` and `kernel_generators` read.  The element keys and
     colors, which only `b_set` reads, are built on the tower's first `b_set`
-    (`_elements`); a tower that is rigid from level 1 never builds them.
+    (`_elements`); a tower the class swap decides never builds them.
     """
 
     def __init__(

@@ -1,11 +1,12 @@
 """Golden tests for the command-line surface: exit codes and verdict lines."""
 
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from trigiso import core
@@ -231,15 +232,9 @@ def test_failed_level_lift_is_an_internal_error(capsys, monkeypatch, command):
     # The level filter keeps a row only if it maps the level's neighbor sets
     # onto materialized ones of equal color, so the lift of a kept row
     # cannot fail; if it does, a self-check broke: exit 4, neither an input
-    # error nor a traceback.  The loop lifts a 2-D array of rows; the rigid
-    # tail lifts one row, where None is a dead coset, so it is left alone.
-    # Each input is symmetric enough for its towers to reach the loop.
-    real = LayerDecomposition.lift_or_none
-
-    def lift(dec, r, images):
-        return None if np.ndim(images) == 2 else real(dec, r, images)
-
-    monkeypatch.setattr(LayerDecomposition, "lift_or_none", lift)
+    # error nor a traceback.  Each input is symmetric enough for its towers
+    # to reach the loop.
+    monkeypatch.setattr(LayerDecomposition, "lift_or_none", lambda dec, r, images: None)
     cube = DATA / "cfi_cube.graph"
     # Its first edge, as the CI job reads it with awk.
     edge = next(",".join(ln.split()[1:3]) for ln in cube.read_text().splitlines() if ln[:5] == "edge ")
@@ -349,6 +344,71 @@ def test_iso_under_a_memory_cap_exits_5(tmp_path):
     assert (proc.returncode, proc.stdout) == (5, "")
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: out of memory: ")
     assert "Traceback" not in proc.stderr
+
+
+_FUZZ_SOURCES = {
+    "iso": ["spider_113.graph", "big_label_path.graph", "cfi_cube.graph", "tree_63.graph"],
+    "phylo-iso": ["quoted.enwk", "repeated.enwk"],
+}
+_FUZZ_SOURCES["aut"] = _FUZZ_SOURCES["iso"]
+_FUZZ_NUMBERS = [str((1 << 63) - 1), str(1 << 63), str(1 << 64), str(10**30)]
+_FUZZ_EDGES = ["0,0", "1,2,3", "a,b", "18446744073709551616,1"]
+
+
+def _mutant(text: str, rng: random.Random) -> str:
+    """`text` truncated, with one character replaced, a line dropped or doubled,
+    a delimiter inserted, or one number replaced by a wide or zero-padded one."""
+    at = rng.randrange(len(text) + 1)
+    lines = text.splitlines(keepends=True)
+    line = rng.randrange(len(lines))
+    kind = rng.randrange(6)
+    if kind == 0:
+        return text[:at]
+    if kind == 1:
+        return text[:at] + rng.choice("0 9-x#(),;:'\n\t") + text[at + 1 :]
+    if kind == 2:
+        return "".join(lines[:line] + lines[line + 1 :])
+    if kind == 3:
+        return "".join(lines[: line + 1] + lines[line:])
+    if kind == 4:
+        return text[:at] + rng.choice(" \t\n,;:()#'") + text[at:]
+    numbers = list(re.finditer(r"\d+", text))
+    if not numbers:
+        return text[:at]
+    m = rng.choice(numbers)
+    wide = rng.choice(_FUZZ_NUMBERS + ["000" + m.group()])
+    return text[: m.start()] + wide + text[m.end() :]
+
+
+@pytest.mark.parametrize("command", ["iso", "phylo-iso", "aut"])
+def test_fuzzed_inputs_end_in_a_documented_exit_code(capsys, tmp_path, command):
+    # Mutants of the committed inputs, decided in-process against the
+    # original, and for `aut` with the original's first edge or a malformed
+    # or absent one.  Every call returns 0, 2 or 3 and raises nothing; an
+    # input error prints exactly one `error: ` line and nothing on stdout.
+    rng = random.Random(f"fuzz-{command}")
+    sources = [DATA / name for name in _FUZZ_SOURCES[command]]
+    texts = [path.read_text(encoding="utf-8") for path in sources]
+    mutant = tmp_path / "mutant"
+    codes = set()
+    for i in range(150 if command == "aut" else 200):
+        k = rng.randrange(len(sources))
+        mutant.write_text(_mutant(texts[k], rng), encoding="utf-8")
+        if command == "aut":
+            first = next(ln.split()[1:3] for ln in texts[k].splitlines() if ln[:5] == "edge ")
+            edge = rng.choice(_FUZZ_EDGES + [",".join(first)] * 2)
+            argv = ["aut", str(mutant), "--edge", edge]
+        else:
+            pair = [str(mutant), str(sources[k])]
+            argv = [command, *(pair if i % 2 else pair[::-1])]
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 2, 3), (argv, err)
+        if code == 3:
+            assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: "), err
+        if code == 0 and command != "aut":
+            assert out.splitlines()[-1] in ("true", "false")
+        codes.add(code)
+    assert {0, 3} <= codes
 
 
 def test_console_entry_point_runs():

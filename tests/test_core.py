@@ -48,6 +48,7 @@ from tower_cases import (
     K4,
     _cfi,
     cfi_tower_cases,
+    class_swap_work,
     complete_binary_tree,
     decide_tower_cases,
     every_level,
@@ -388,8 +389,8 @@ def _patch_solve(monkeypatch, solve) -> None:
 @pytest.mark.parametrize("n", [24, 40, 64])
 @pytest.mark.parametrize("seed", range(3))
 def test_extend_and_lift_match_frozenset_references(monkeypatch, n, seed):
-    # Checked on the levels the decisions run, the rigid tails' lifts
-    # included, then on every level of the same towers.
+    # Checked on the levels the decisions run, then on every level of the
+    # same towers.
     levels = _spy_levels(monkeypatch)
     real_solve = core.cb_images
     real_lift = LayerDecomposition.lift_or_none
@@ -590,8 +591,8 @@ def _differential_cases():
             yield f"random-pair-{n}", partial(
                 _splice_towers, g, random_ternary_graph(n, seed + 100)
             )
-    # Pairs whose unrefined splices have tails that die: at a lift (5 nodes)
-    # and at the edge check (9 and 10 nodes).
+    # Pairs whose unrefined splices are rigid swap towers that die in the
+    # loop (5, 9 and 10 nodes).
     for n, seed, other in ((5, 6, 8), (9, 0, 23), (10, 0, 26)):
         pair = random_ternary_graph(n, seed), random_ternary_graph(n, other)
         yield f"tail-deaths-{n}", partial(_splice_towers, *pair)
@@ -618,7 +619,8 @@ def _differential_cases():
     "build", [pytest.param(build, id=name) for name, build in _differential_cases()]
 )
 def test_rigid_tail_equals_reference_loop(build):
-    # The tail is the level loop's result, row for row, for both swap values.
+    # `_run_tower` is the reference loop's result, row for row, for both
+    # swap values, rigid towers included.
     towers = build()
     assert towers
     for dec, _ in towers:
@@ -666,58 +668,46 @@ def test_class_swap_on_network_joins_equals_reference_loop(seed):
 
 
 # Both graphs are rigid from level 1: every fiber is one node, so the
-# exchange coset goes straight into the tail.  In the first, swapping the
-# base endpoints sends node 4's neighbor set {(2, 1)} to {(3, 1)}, which no
-# node has, so the level-2 lift dies.  In the second, the lifts pair nodes
-# 2, 3 with 4, 5, but only 2 and 3 are joined: only the edge check fails.
+# exchange coset holds one element at every level.  In the first, swapping
+# the base endpoints sends node 4's neighbor set {(2, 1)} to {(3, 1)},
+# which no node has, so the level-2 filter empties the coset.  In the
+# second, the lifts pair nodes 2, 3 with 4, 5, but only 2 and 3 are
+# joined: the level-2 filter finds that cross edge's image missing.
 _LIFT_DIES = LabeledGraph(range(6), {(0, 1): 0, (0, 2): 0, (1, 3): 0, (2, 4): 1, (3, 5): 2})
 _EDGE_CHECK_FAILS = LabeledGraph(
     range(6), {(0, 1): 0, (0, 2): 5, (0, 3): 6, (1, 4): 5, (1, 5): 6, (2, 3): 0}
 )
 
 
-@pytest.mark.parametrize(
-    "g,dead_lifts", [(_LIFT_DIES, [2]), (_EDGE_CHECK_FAILS, [])], ids=["lift", "edge-check"]
-)
-def test_rigid_tail_dies_where_the_loop_dies(monkeypatch, g, dead_lifts):
+@pytest.mark.parametrize("g", [_LIFT_DIES, _EDGE_CHECK_FAILS], ids=["lift", "edge-check"])
+def test_rigid_tail_dies_where_the_loop_dies(monkeypatch, g):
     dec = layer_sequence(g.arrays, (0, 1))
     assert dec.rigid_from == 1
-    tails, dead = [], []
-    real_tail, real_lift = core._rigid_tail, LayerDecomposition.lift_or_none
-
-    def tail(dec, r, rep):
-        tails.append(r)
-        return real_tail(dec, r, rep)
-
-    def lift(dec, r, images):
-        out = real_lift(dec, r, images)
-        if out is None:
-            dead.append(r)
-        return out
-
-    monkeypatch.setattr(core, "_rigid_tail", tail)
-    monkeypatch.setattr(LayerDecomposition, "lift_or_none", lift)
+    levels = _spy_levels(monkeypatch)
     assert core._run_tower(dec, swap=True) is None
-    assert (tails, dead) == ([1], dead_lifts)
+    assert [r for _, r, _ in levels] == [1, 2]
     assert tower_equals_reference(dec)
 
 
-def test_rigid_tail_checks_node_colors_once():
-    # The lifts keep the colors they were built with; recoloring node 3
-    # afterwards makes the tail's final row move node 2 onto another color.
-    g = LabeledGraph(range(4), [(0, 1), (0, 2), (1, 3)])
+def test_loop_checks_node_colors_at_every_level():
+    # The lifts keep the colors they were built with.  On the path
+    # 4-2-0-1-3-5 the exchange coset is (0 1), then (0 1)(2 3), then
+    # (0 1)(2 3)(4 5); recoloring node 3 afterwards passes level 1, which
+    # moves only 0 and 1, and fails the check at level 2.
+    g = LabeledGraph(range(6), [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5)])
     dec = layer_sequence(g.arrays, (0, 1))
-    assert dec.rigid_from == 1 and core._run_tower(dec, swap=True)[1].tolist() == [1, 0, 3, 2]
-    dec.view = dec.view._replace(colors=np.array([0, 0, 0, 3]))
-    with pytest.raises(AssertionError, match="tail: .* color"):
+    assert dec.rigid_from == 1 and dec.N >= 3
+    assert core._run_tower(dec, swap=True)[1].tolist() == [1, 0, 3, 2, 5, 4]
+    dec.view = dec.view._replace(colors=np.array([0, 0, 0, 3, 0, 0]))
+    with pytest.raises(AssertionError, match="level 2: .* color"):
         core._run_tower(dec, swap=True)
 
 
 # Both graphs are rigid from level 1 and their colors pair every node, as
 # refined colors would, so the class swap is tried and found wanting.  On
 # the path 2-0-1-3 it is (0 1)(2 3), which sends the edge {0, 2} of label 1
-# onto {1, 3} of label 2; the exchange coset then runs the rigid tail from
-# level 1 and dies.  On the path 0-1-2-3-4-5 the classes are {0, 5},
+# onto {1, 3} of label 2; the exchange coset then runs the level loop and
+# dies at level 1.  On the path 0-1-2-3-4-5 the classes are {0, 5},
 # {1, 4} and {2, 3}, so it is the path's reversal: an automorphism, but
 # one that sends the base endpoint 0 to 5, not to 1; the level loop then
 # finds 0 and 1 in different classes at once.  Refined views never get
@@ -727,23 +717,16 @@ _SWAP_MISSES_B = LabeledGraph({0: 0, 1: 1, 2: 2, 3: 2, 4: 1, 5: 0}, [(v, v + 1) 
 
 
 @pytest.mark.parametrize(
-    "g,tails", [(_SWAP_MAPS_NO_EDGES, [1]), (_SWAP_MISSES_B, [])], ids=["edge-check", "base-edge"]
+    "g,levels", [(_SWAP_MAPS_NO_EDGES, [1]), (_SWAP_MISSES_B, [])], ids=["edge-check", "base-edge"]
 )
-def test_failed_class_swap_falls_into_the_loop(monkeypatch, g, tails):
+def test_failed_class_swap_falls_into_the_loop(monkeypatch, g, levels):
     dec = layer_sequence(g.arrays, (0, 1))
     assert dec.rigid_from == 1 and core._class_swap(g.arrays, 0, 1) is None
-    seen = []
-    real_tail = core._rigid_tail
-
-    def tail(dec, r, rep):
-        seen.append(r)
-        return real_tail(dec, r, rep)
-
-    monkeypatch.setattr(core, "_rigid_tail", tail)
+    seen = _spy_levels(monkeypatch)
     # `_tower` on the view as it is, its colors standing in for refined ones.
     monkeypatch.setattr(core, "refine", lambda view, e, tables=None: view)
     assert core._tower(g.arrays, (0, 1), swap=True) is None
-    assert seen == tails
+    assert [r for _, r, _ in seen] == levels
     assert tower_equals_reference(dec)
 
 
@@ -810,46 +793,26 @@ def test_row_lift_equals_array_lift_and_reference(seed):
 
 
 @pytest.mark.parametrize("nodes", [65, 129, 193])
-def test_network_twin_tower_is_one_class_swap(monkeypatch, nodes):
+def test_network_twin_tower_is_one_class_swap(nodes):
     # Refinement pairs every node of a network twin's join, so its one
     # tower is decided by the class swap.  Its cost is pinned in units that
     # do not depend on the host: no lift, no B_r closure and no element
-    # tables.  Its witness is the one the rigid tail lifts through the
-    # N - 1 levels above level 1, contracted onto the join.
-    calls, swaps = [], []
-    real_swap = core._class_swap
-
-    def class_swap(view, a, b):
-        swaps.append(real_swap(view, a, b))
-        return swaps[-1]
-
-    def spy(name):
-        real = getattr(LayerDecomposition, name)
-
-        def counted(dec, *args):
-            calls.append(name)
-            return real(dec, *args)
-
-        monkeypatch.setattr(LayerDecomposition, name, counted)
-
-    spy("lift_or_none")
-    spy("b_set")
-    monkeypatch.setattr(core, "_class_swap", class_swap)
+    # tables.  Its witness is the level loop's representative, contracted
+    # onto the join.
     for seed in range(3):
         net = random_network(nodes, seed=seed)
         ids = list(net.nodes)
         random.Random(seed).shuffle(ids)
         twin = net.relabeled_nodes(dict(zip(net.nodes, ids)))
-        swaps.clear()
-        towers = recorded_towers(lambda: phylo_isomorphic(net, twin).isomorphic or pytest.fail())
+        towers, swaps, calls = class_swap_work(
+            lambda: phylo_isomorphic(net, twin).isomorphic or pytest.fail()
+        )
         assert len(towers) == 1
         (dec, swap), = towers
         assert swap and len(swaps) == 1 and swaps[0] is not None
         assert calls == [] and "_elements" not in vars(dec)
-        gens, tail = core._run_tower(dec, swap=True)
-        assert calls == ["lift_or_none"] * (dec.N - 1)
-        calls.clear()
-        assert not len(gens) and np.array_equal(core._contract(dec, tail[None])[0], swaps[0])
+        gens, rep = core._run_tower(dec, swap=True)
+        assert not len(gens) and np.array_equal(core._contract(dec, rep[None])[0], swaps[0])
 
 
 # sha256 of the JSON outputs below.  Any change to a generator sequence or a

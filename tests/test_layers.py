@@ -423,7 +423,7 @@ def reference_b_set(dec, r, images) -> list:
 @pytest.mark.parametrize("seed", range(3))
 def test_b_set_matches_frozenset_reference(monkeypatch, n, seed):
     # Checked on the levels the decisions run, then on every level of the
-    # same towers, which the rigid tail no longer closes.
+    # same towers, which the class swap and the aut tower's rigid exit skip.
     calls = []
     real = LayerDecomposition.b_set
 

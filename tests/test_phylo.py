@@ -26,6 +26,7 @@ from trigiso.phylo import (
 
 from graph_reference import record_graph_builds
 from phylo_reference import reference_validate_network
+from tower_cases import class_swap_work
 
 
 def cherry():
@@ -294,36 +295,51 @@ def test_deep_caterpillar_roundtrip_without_recursion():
     assert write_enewick(back) == written
 
 
+def _deep_caterpillar_twin() -> tuple[PhyloNetwork, PhyloNetwork]:
+    net = deep_caterpillar()
+    names = random.Random(5).sample(range(10 * net.n_nodes), net.n_nodes)
+    return net, net.relabeled_nodes(dict(zip(net.nodes, names)))
+
+
 def test_deep_caterpillar_twin_is_isomorphic():
     # Refinement pairs every node of the join, so the class swap decides
     # this tower of about 3,000 levels.
-    net = deep_caterpillar()
-    names = random.Random(5).sample(range(10 * net.n_nodes), net.n_nodes)
-    twin = net.relabeled_nodes(dict(zip(net.nodes, names)))
+    net, twin = _deep_caterpillar_twin()
     res = phylo_isomorphic(net, twin, want_mapping=True)
     assert res.isomorphic and is_network_isomorphism(net, twin, res.mapping)
 
 
-def test_deep_caterpillar_twin_through_the_rigid_tail(monkeypatch):
-    # With the class swap turned off, every level of this tower is rigid,
-    # so the exchange coset runs the rigid tail over about 3,000 levels,
-    # and the mapping is the same.
-    net = deep_caterpillar()
-    names = random.Random(5).sample(range(10 * net.n_nodes), net.n_nodes)
-    twin = net.relabeled_nodes(dict(zip(net.nodes, names)))
-    want = phylo_isomorphic(net, twin, want_mapping=True).mapping
-    tails = []
-    real_tail = core._rigid_tail
+def test_deep_caterpillar_twin_tower_is_one_class_swap():
+    # The class swap's work pinned in units that do not depend on the host:
+    # one tower, σ accepted, and no B_r closure and no lift.  The level
+    # loop decides this tower as well, but about ten times slower.
+    net, twin = _deep_caterpillar_twin()
+    towers, swaps, calls = class_swap_work(
+        lambda: phylo_isomorphic(net, twin).isomorphic or pytest.fail()
+    )
+    assert len(towers) == 1 and towers[0][1] and towers[0][0].N > 3000
+    assert len(swaps) == 1 and swaps[0] is not None
+    assert calls == []
 
-    def tail(dec, r, rep):
-        tails.append((dec.N, r))
-        return real_tail(dec, r, rep)
+
+def test_deep_caterpillar_twin_through_the_level_loop(monkeypatch):
+    # With the class swap turned off, this tower of about 3,000 levels,
+    # rigid from level 1, runs the level loop to the top, and the mapping
+    # is the same.
+    net, twin = _deep_caterpillar_twin()
+    want = phylo_isomorphic(net, twin, want_mapping=True).mapping
+    loops = []
+    real_run = core._run_tower
+
+    def run(dec, swap):
+        loops.append((dec.N, dec.rigid_from, swap))
+        return real_run(dec, swap)
 
     monkeypatch.setattr(core, "_class_swap", lambda view, a, b: None)
-    monkeypatch.setattr(core, "_rigid_tail", tail)
+    monkeypatch.setattr(core, "_run_tower", run)
     res = phylo_isomorphic(net, twin, want_mapping=True)
     assert res.isomorphic and res.mapping == want
-    assert len(tails) == 1 and tails[0][0] > 3000 and tails[0][1] == 1
+    assert len(loops) == 1 and loops[0][0] > 3000 and loops[0][1:] == (1, True)
 
 
 def test_large_relabelled_network_twins_are_isomorphic():

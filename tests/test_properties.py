@@ -170,7 +170,7 @@ def test_joint_selection_keeps_verdict_and_mapping(kind, half, palette, seed, re
 
 @settings(bounded, max_examples=100)
 @given(graph_pairs(), st.booleans(), st.booleans(), st.integers(0, 100), seeds)
-def test_rigid_tail_equals_reference_loop(pair, relabel, refined, pick, seed):
+def test_splice_tower_equals_reference_loop(pair, relabel, refined, pick, seed):
     # A splice of g's first edge with an edge of a relabelled copy or of
     # another graph, towered with or without refinement: `_run_tower`
     # returns the reference loop's result, row for row, for both swap

@@ -9,7 +9,8 @@ cube, negatives included.  `every_level` runs those towers again through
 not.  The symmetric inputs (a complete binary tree and an uncolored CFI
 pair over K4) keep generators in the coset, so the decisions themselves
 reach the general level loop too.  `without_class_swap` makes one call
-with the swap tower's class swap turned off.
+with the swap tower's class swap turned off, and `class_swap_work` records
+what a decision's class swaps did and what tower work they left.
 """
 
 import pytest
@@ -18,6 +19,7 @@ from trigiso import core, phylo
 from trigiso.core import aut_e_generators, is_isomorphic
 from trigiso.graphs import LabeledGraph
 from trigiso.harness import random_relabeling, random_ternary_graph
+from trigiso.layers import LayerDecomposition
 from trigiso.phylo import phylo_isomorphic, random_network
 
 from tower_reference import reference_run_tower
@@ -102,6 +104,33 @@ def without_class_swap(run, *args):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_class_swap", lambda view, a, b: None)
         return run(*args)
+
+
+def class_swap_work(decide) -> tuple[list, list, list]:
+    """Call `decide()`; return its towers (`recorded_towers`), every `core._class_swap` result,
+    and the names of the `LayerDecomposition.b_set` and `lift_or_none` calls, in order."""
+    swaps, calls = [], []
+    real_swap = core._class_swap
+
+    def class_swap(view, a, b):
+        swaps.append(real_swap(view, a, b))
+        return swaps[-1]
+
+    def counted(name):
+        real = getattr(LayerDecomposition, name)
+
+        def call(dec, *args):
+            calls.append(name)
+            return real(dec, *args)
+
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_class_swap", class_swap)
+        for name in ("b_set", "lift_or_none"):
+            mp.setattr(LayerDecomposition, name, counted(name))
+        towers = recorded_towers(decide)
+    return towers, swaps, calls
 
 
 def decide_tower_cases(n: int, seed: int, record=recorded_towers) -> dict[str, list]:

@@ -11,7 +11,7 @@ per-level tables as a `Level`, and `level_tables(dec)` does so for every level.
 `reference_layer_sequence` is the per-node BFS and triangle rewrite,
 `reference_refine` the per-node color refinement, `two_pass_b_set` the
 closure of B_r and its image table in two passes, and `reference_run_tower`
-the tower's level loop run at every level, with no rigid tail.
+the tower's level loop run at every level, with no early exit.
 `reference_cb_images` is the color filter's general recursion run on every
 point set, small ones included.  `reference_row_ranks` is the lexsort row
 ranking that `perm._row_ranks` replaced with packed keys, and
@@ -335,7 +335,7 @@ def two_pass_b_set(dec, r: int, rows) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def reference_run_tower(dec, swap: bool):
-    """`trigiso.core._run_tower` without the rigid tail: every level filters.
+    """`trigiso.core._run_tower` without the aut tower's rigid exit: every level filters.
 
     Each level stacks the generators and the representative, checks their
     node colors, closes B_r (the keys of `dec.b_set`), moves every key
