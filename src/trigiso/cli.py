@@ -2,7 +2,9 @@
 
 Exit codes: 0 = the command ran (for the isomorphism commands the verdict is
 the last stdout line, `true` or `false`); 2 = usage error; 3 = unreadable or
-invalid input; 4 = internal error: any AssertionError, that is one of the
+invalid input, or a valid graph whose tower element keys would pass 64 bits
+("graph too large for 64-bit tower element keys": nodes times distinct edge
+labels too large); 4 = internal error: any AssertionError, that is one of the
 pipeline's own self-checks failed (a witness that does not verify; in the
 tower an identity coset filtered to empty, a permutation that moves a node
 onto another color, a filtered level permutation that does not lift, a

@@ -40,25 +40,25 @@ in `lift` and the results.
 A swap tower is decided without the loop where refinement has paired every
 node (`_class_swap`), as a search stops once refinement leaves nothing to
 choose (McKay & Piperno, "Practical graph isomorphism, II", J. Symb.
-Comput. 2014).  `_tower` tries it on the refined view, before the triangle
-rewrite, when the tower is rigid from level 1: no level has a two-node
-fiber, so no level has a kernel (`LayerDecomposition.rigid_from`).  If
-every color class holds exactly two nodes, let σ swap the two nodes of
-each class.  σ is accepted when it sends the base endpoint a to b and maps
-the labeled edges onto themselves, so it is an automorphism exchanging a
-and b, and it is then the only one.  Two such automorphisms of the working
-graph differ by one that fixes a and b, and with no two-node fiber at any
-level that one sends each node entering at level 2, 3, ... in turn into
-its own one-node fiber, so it is the identity; the working graph's
-edge-fixing automorphisms contract one to one onto the view's, so the view
-has no other either.  The loop's last coset is every automorphism of the
-working graph that exchanges a and b, and with no kernel at any level it
-keeps no generators, so it is that one automorphism: its representative,
-contracted, is σ, row for row, and σ is already over the view's indices.
-A σ that is not accepted leaves the tower to the loop, which then runs
-every level.  On a splice or a network join the base edge is a bridge, so
-an exchanging automorphism maps one side onto the other, and where the
-classes pair it is σ.
+Comput. 2014).  `_tower` tries it on every swap tower, on the refined
+view.  If every color class holds exactly two nodes, let σ swap the two
+nodes of each class.  σ is accepted when it sends the base endpoint a to b
+and maps the labeled edges onto themselves, so it is an automorphism
+exchanging a and b.  Every swap tower starts at a bridge: the join edge of
+a splice, or of two networks' reductions, is the only edge between its
+two sides.  So any automorphism exchanging a and b maps a's side onto
+b's; it keeps the refined classes, so each class holds one node of each
+side and it swaps them: it is σ.  Hence σ is the only such automorphism
+of the view, and of the working graph, whose edge-fixing automorphisms
+contract one to one onto the view's.  The loop's last coset is every
+automorphism of the working graph that exchanges a and b, so its
+representative, contracted, is σ, row for row, and σ is already over the
+view's indices.  Such a tower has no two-node fiber either: a fiber's
+nodes share a lower neighbor, so a side, and a color, so an owner, and the
+corners of one replaced node have distinct lower neighbors.  A σ that is
+not accepted leaves the tower to the loop, which then runs every level.
+Off a bridge an accepted σ is still an automorphism exchanging a and b,
+but the loop might have returned another.
 
 Two graphs are isomorphic exactly when, after splitting one edge of each and
 joining the split nodes, some automorphism of the joined graph fixing the
@@ -165,11 +165,9 @@ def _run_tower(dec: LayerDecomposition, swap: bool):
     neighbor sets onto materialized ones of equal color, which is what the
     lift matches.
 
-    Only the aut tower stops early: at the first level r where the coset
-    has no generators and r >= `dec.rigid_from`, no level from r on has a
-    kernel, so the coset stays the identity alone, which every later level
-    keeps and lifts onto the identity; it is returned as it is.  A swap
-    tower runs every level, or dies at one.
+    An aut coset that is the identity alone skips its level: the identity
+    keeps every color and lifts onto itself, so the level only adds its
+    kernel.  A swap tower runs every level, or dies at one.
     """
     n, node_colors = dec.n, dec.view.colors
     a, b = dec.base_edge
@@ -184,8 +182,10 @@ def _run_tower(dec: LayerDecomposition, swap: bool):
     # generator when a and b differ in color.
     rows = flip[None] if swap else np.stack([flip, ident]) if same_color else ident[None]
     for r in range(1, dec.N):
-        if not swap and len(rows) == 1 and r >= dec.rigid_from:
-            break
+        if not swap and len(rows) == 1:
+            kernel = dec.kernel_generators(r)
+            rows = np.concatenate([kernel, rows]) if len(kernel) else rows
+            continue
         if not _colors_kept(node_colors, rows):
             raise AssertionError(
                 f"level {r}: a permutation moves a node onto a node of another color")
@@ -266,22 +266,22 @@ def _tower(view: GraphArrays, e: tuple[int, int], swap: bool) -> np.ndarray | No
     Refines the view (`refine`), builds the layer tower, runs the level
     loop and maps its rows back onto the view's indices.  The refined view
     keeps the view's edges, so both steps share its `_edge_tables`.  A
-    swap tower rigid from level 1 first tries the class swap on the
-    refined view (`_class_swap`): an accepted σ is the loop's result
-    (module docstring), already over the view's indices, and the loop is
-    not run.  e is a pair of node ids.  With swap=False returns the
-    generators of the automorphisms fixing e setwise, the rows of a (k, n)
-    int32 array and a smooth generating sequence.  With swap=True returns
-    one row, an automorphism exchanging e's endpoints, or None if there is
-    none.  Callers validate, this function does not.
+    swap tower first tries the class swap on the refined view
+    (`_class_swap`): an accepted σ exchanges e's endpoints, is already over
+    the view's indices, and, where e is a bridge, is the loop's result
+    (module docstring), so the loop is not run.  e is a pair of node ids.
+    With swap=False returns the generators of the automorphisms fixing e
+    setwise, the rows of a (k, n) int32 array and a smooth generating
+    sequence.  With swap=True returns one row, an automorphism exchanging
+    e's endpoints, or None if there is none.  Callers validate, this
+    function does not.
     """
     tables = _edge_tables(view, e)
     refined = refine(view, e, tables)
     dec = layer_sequence(refined, e, tables)
-    if swap and dec.rigid_from == 1:
-        sigma = _class_swap(refined, *tables[:2])
-        if sigma is not None:
-            return sigma
+    sigma = _class_swap(refined, *tables[:2]) if swap else None
+    if sigma is not None:
+        return sigma
     result = _run_tower(dec, swap)
     if result is None:
         return None

@@ -223,10 +223,7 @@ def _view(ids, colors, u, v, labels) -> GraphArrays:
     ids, colors, labels = (_ints(x, len(x)) if x.dtype == object else x for x in (ids, colors, labels))
     n = len(ids)
     degrees = np.bincount(u, minlength=n) + np.bincount(v[u != v], minlength=n)
-    return _frozen(GraphArrays(ids, colors, u, v, labels, degrees))
-
-
-def _frozen(view: GraphArrays) -> GraphArrays:
+    view = GraphArrays(ids, colors, u, v, labels, degrees)
     for array in view:
         array.setflags(write=False)
     return view
@@ -451,14 +448,13 @@ def build_x(a1: GraphArrays, a2: GraphArrays, e1, e2) -> GraphArrays:
     # The stubs a-v1, b-v1, v2-a', v2-b', then the join v1-v2.
     stub_u, stub_v = [x1, y1, n1 + 1, n1 + 1, n1], [n1, n1, x2 + shift, y2 + shift, n1 + 1]
     stub_labels = [a1.labels[cut1].repeat(2), a2.labels[cut2].repeat(2), [0]]
-    return _frozen(GraphArrays(
-        ids=np.arange(shift + len(a2.ids)),
-        colors=np.concatenate([a1.colors, [0, 0], a2.colors]),
-        u=np.concatenate([a1.u[~cut1], a2.u[~cut2] + shift, stub_u]),
-        v=np.concatenate([a1.v[~cut1], a2.v[~cut2] + shift, stub_v]),
-        labels=np.concatenate([a1.labels[~cut1], a2.labels[~cut2], *stub_labels]),
-        degrees=np.concatenate([a1.degrees, [3, 3], a2.degrees]),
-    ))
+    return _view(
+        np.arange(shift + len(a2.ids)),
+        np.concatenate([a1.colors, [0, 0], a2.colors]),
+        np.concatenate([a1.u[~cut1], a2.u[~cut2] + shift, stub_u]),
+        np.concatenate([a1.v[~cut1], a2.v[~cut2] + shift, stub_v]),
+        np.concatenate([a1.labels[~cut1], a2.labels[~cut2], *stub_labels]),
+    )
 
 
 # -- isomorphism verification ---------------------------------------------------

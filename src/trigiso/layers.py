@@ -69,7 +69,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import GADGET_LABEL, GraphArrays, GraphError, _frozen, _norm_edge, _view
+from .graphs import GADGET_LABEL, GraphArrays, GraphError, _norm_edge, _view
 from .perm import _row_key, _row_ranks, _sorted_distinct
 
 
@@ -83,10 +83,7 @@ class LayerDecomposition:
     the triangle edges.  Per working node, `owner` is the input node it is
     or replaces (module docstring), `level` its tower level and `color_rank`
     the dense rank of its color among the `n_colors` colors.  A fiber of
-    more than two nodes raises AssertionError.  `rigid_from` is the first
-    level r from which no level has a two-node fiber, so no level r' >= r
-    has kernel generators: one more than the last level with such a fiber,
-    or 1 if there is none.
+    more than two nodes raises AssertionError.
 
     What is built when.  The constructor builds the fibers of all levels as
     global arrays, with each level's bounds in them (`_spans`): that is what
@@ -166,8 +163,6 @@ class LayerDecomposition:
         if (size > 2).any():
             at = int(fiber_level[size > 2][0])
             raise AssertionError(f"a fiber of more than two nodes enters at level {at}")
-        # A two-node fiber entering at level r+1 gives level r a kernel swap.
-        self.rigid_from = int(fiber_level[size == 2].max(initial=1))
 
     @cached_property
     def _elements(self) -> tuple[np.ndarray, np.ndarray, list]:
@@ -404,7 +399,9 @@ def refine(view: GraphArrays, e: tuple[int, int], tables=None) -> GraphArrays:
     start[[a, b]] += 1
     classes = _sorted_distinct(start)
     cls, _ = _refine_rounds(np.searchsorted(classes, start), len(classes), nbr, lab)
-    return _frozen(view._replace(colors=cls.astype(np.int32)))
+    colors = cls.astype(np.int32)
+    colors.setflags(write=False)
+    return view._replace(colors=colors)
 
 
 def _refine_rounds(

@@ -60,8 +60,8 @@ from .graphs import (
     ROOT_JOIN_LABEL,
     GraphArrays,
     LabeledGraph,
-    _frozen,
     _ints,
+    _view,
 )
 # The towers run through `core._tower`; `layer_sequence` is bound here only
 # because perfbench/tracing.py patches it in this module.
@@ -340,7 +340,7 @@ def _reduction(
     with the in label; two networks are joined by a last, root-to-root edge.
     The networks must be valid.
     """
-    colors, u, v, degrees, roots = [], [], [], [], []
+    colors, u, v, roots = [], [], [], []
     base = 0
     for net in nets:
         s = net.structure
@@ -356,25 +356,16 @@ def _reduction(
         ]
         u.append(np.stack([s.tail, s.head], axis=1).ravel() + base)
         v.append(np.arange(base + n, base + n + m).repeat(2))
-        degrees += [s.indeg + s.outdeg, np.full(m, 2)]
         roots.append(base + s.root)
         base += n + m
     labels = np.tile([ARC_OUT_LABEL, ARC_IN_LABEL], sum(map(len, v)) // 2)
-    degrees = np.concatenate(degrees)
     if len(roots) == 2:
         u.append(roots[:1])
         v.append(roots[1:])
         labels = np.append(labels, ROOT_JOIN_LABEL)
-        degrees[roots] += 1
-    view = GraphArrays(
-        ids=np.arange(base),
-        colors=np.concatenate(colors),
-        u=np.concatenate(u),
-        v=np.concatenate(v),
-        labels=labels,
-        degrees=degrees,
-    )
-    return _frozen(view), roots
+    return _view(
+        np.arange(base), np.concatenate(colors), np.concatenate(u), np.concatenate(v), labels
+    ), roots
 
 
 def reduce_to_colored(

@@ -123,6 +123,25 @@ def test_iso_and_aut_take_labels_past_64_bits(capsys):
     assert (code, out, err) == (0, "()\n", "")
 
 
+def test_aut_refuses_a_graph_past_the_64_bit_element_keys(capsys, tmp_path):
+    # The circular ladder on 38,000 nodes, with 57,000 distinct edge labels:
+    # a valid cubic graph whose tower packs each element half as node·R +
+    # label rank, R = 57,001, so 2·(n·R)² passes 2^63.  `aut` refuses it as
+    # an input error, with one line that names the limit.
+    k = 19_000
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    edges += [(k + i, k + (i + 1) % k) for i in range(k)] + [(i, k + i) for i in range(k)]
+    path = tmp_path / "ladder.graph"
+    path.write_text(
+        "".join(f"node {v}\n" for v in range(2 * k))
+        + "".join(f"edge {u} {v} {j + 1}\n" for j, (u, v) in enumerate(edges)),
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "aut", str(path), "--edge", "0,1")
+    assert code == 3 and out == ""
+    assert err == "error: graph too large for 64-bit tower element keys\n"
+
+
 DATA = Path(__file__).parent / "data"
 
 

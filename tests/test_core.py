@@ -17,7 +17,9 @@ from networkx.algorithms.isomorphism import (
 from trigiso import core
 from trigiso.coloraut import annotate, build_structure_tree, cb, cb_tree
 from trigiso.core import AutResult, aut_e_generators, is_isomorphic, lift
-from trigiso.graphs import GraphError, LabeledGraph, build_x, is_graph_isomorphism, validate
+from trigiso.graphs import (
+    GraphError, LabeledGraph, _maps_edges, build_x, is_graph_isomorphism, validate,
+)
 from trigiso.harness import (
     degree_sequence_graph,
     oracle_aut_e,
@@ -57,7 +59,7 @@ from tower_cases import (
     without_class_swap,
 )
 import tower_reference
-from tower_reference import reference_run_tower, written_out
+from tower_reference import has_two_node_fiber, reference_run_tower, written_out
 
 
 def _group(res: AutResult, n):
@@ -367,16 +369,19 @@ def _coset(gens, rep) -> Coset:
     return Coset(Permutation(rep), tuple(Permutation(g) for g in gens))
 
 
-def _spy_levels(monkeypatch) -> list:
-    """Record (decomposition, r, input rows) of every level that closes B_r."""
+def _spy_levels(monkeypatch, name="b_set") -> list:
+    """Record (decomposition, r, input rows) of every `LayerDecomposition.<name>` call.
+
+    By default that is every level that closes B_r.
+    """
     levels = []
-    real = LayerDecomposition.b_set
+    real = getattr(LayerDecomposition, name)
 
     def spy(dec, r, images):
         levels.append((dec, r, images))
         return real(dec, r, images)
 
-    monkeypatch.setattr(LayerDecomposition, "b_set", spy)
+    monkeypatch.setattr(LayerDecomposition, name, spy)
     return levels
 
 
@@ -504,6 +509,41 @@ def test_node_color_check_raises():
         core._run_tower(dec, swap=True)
 
 
+# The base endpoints 0 and 1 differ in color, so the aut coset starts as
+# the identity alone.  Node 4, entering at level 3, has the children 5 and
+# 6, a two-node fiber, and each of them one child.  Levels 1 to 3 skip, the
+# third adding the kernel swap (5 6); level 4 closes B_4 and lifts its two
+# rows, (5 6) and the identity.
+_LATE_KERNEL = LabeledGraph(
+    {v: int(v == 0) for v in range(9)},
+    [(0, 1), (0, 2), (1, 3), (2, 4), (4, 5), (4, 6), (5, 7), (6, 8)],
+)
+
+
+def test_aut_coset_of_the_identity_alone_skips_its_level(monkeypatch):
+    closes, lifts = _spy_levels(monkeypatch), _spy_levels(monkeypatch, "lift_or_none")
+    dec = layer_sequence(_LATE_KERNEL.arrays, (0, 1))
+    gens, rep = core._run_tower(dec, swap=False)
+    assert [(r, len(rows)) for _, r, rows in closes + lifts] == [(4, 2), (4, 2)]
+    assert gens.tolist() == [[0, 1, 2, 3, 4, 6, 5, 8, 7]]
+    assert same_tower_result((gens, rep), reference_run_tower(dec, swap=False))
+    # Refined aut towers: a level closes B_r and lifts only while its coset
+    # holds more than the identity, and the generators are the reference
+    # loop's, which filters the identity at every level.
+    seen = set()
+    graphs = [random_ternary_graph(n, seed) for n, seed in ((24, 0), (40, 1), (64, 2))]
+    for g in [*graphs, complete_binary_tree(15)]:
+        for e in g.sorted_edges()[::3]:
+            dec = layer_sequence(refine(g.arrays, e), e)
+            closes.clear()
+            lifts.clear()
+            got = core._run_tower(dec, swap=False)
+            assert all(len(rows) > 1 for _, _, rows in closes + lifts)
+            seen.add(bool(closes))
+            assert same_tower_result(got, reference_run_tower(dec, swap=False))
+    assert seen == {True, False}
+
+
 def same_tower_result(got, want) -> bool:
     """Both None, or generators and representative equal in dtype, shape and value."""
     if got is None or want is None:
@@ -529,8 +569,8 @@ def class_swap_taken(view, e) -> bool:
     without it, is the reference loop's witness on the refined view's
     tower, contracted onto the view.  σ is accepted exactly where every
     refined class holds two nodes (the `_class_swap` docstring); there it
-    asserts the premise of the `core` module docstring, that the tower is
-    rigid from level 1, and that σ is that witness.
+    asserts that σ is that witness and that the written-out tower has no
+    two-node fiber, as the `core` module docstring argues for a bridge.
     """
     refined = refine(view, e)
     dec = layer_sequence(refined, e)
@@ -541,7 +581,7 @@ def class_swap_taken(view, e) -> bool:
     sigma = core._class_swap(refined, *dec.owner[list(dec.base_edge)].tolist())
     assert (sigma is not None) == (np.bincount(refined.colors) == 2).all()
     if sigma is not None:
-        assert dec.rigid_from == 1 and same_tower_result((sigma,), want)
+        assert same_tower_result((sigma,), want) and not has_two_node_fiber(dec)
     return sigma is not None
 
 
@@ -591,8 +631,8 @@ def _differential_cases():
             yield f"random-pair-{n}", partial(
                 _splice_towers, g, random_ternary_graph(n, seed + 100)
             )
-    # Pairs whose unrefined splices are rigid swap towers that die in the
-    # loop (5, 9 and 10 nodes).
+    # Pairs whose unrefined splices are swap towers without two-node fibers
+    # that die in the loop (5, 9 and 10 nodes).
     for n, seed, other in ((5, 6, 8), (9, 0, 23), (10, 0, 26)):
         pair = random_ternary_graph(n, seed), random_ternary_graph(n, other)
         yield f"tail-deaths-{n}", partial(_splice_towers, *pair)
@@ -620,7 +660,7 @@ def _differential_cases():
 )
 def test_rigid_tail_equals_reference_loop(build):
     # `_run_tower` is the reference loop's result, row for row, for both
-    # swap values, rigid towers included.
+    # swap values, towers whose aut coset skips levels included.
     towers = build()
     assert towers
     for dec, _ in towers:
@@ -652,8 +692,8 @@ def test_class_swap_equals_reference_loop(case):
 def test_class_swap_on_network_joins_equals_reference_loop(seed):
     # The join of a network with a relabelled twin, with a copy whose two
     # leaf labels are swapped and with one whose arcs are reversed.  σ is
-    # accepted on every twin, and wherever it is accepted the tower is
-    # rigid from level 1 and σ is the loop's witness (`class_swap_taken`).
+    # accepted on every twin, and wherever it is accepted σ is the loop's
+    # witness and no level has a two-node fiber (`class_swap_taken`).
     net = stacked_galls(8) if seed == "galls" else random_network(33, seed=seed)
     others = [
         net.relabeled_nodes({v: 500 + v for v in net.nodes}),
@@ -667,12 +707,12 @@ def test_class_swap_on_network_joins_equals_reference_loop(seed):
     assert taken[0]
 
 
-# Both graphs are rigid from level 1: every fiber is one node, so the
-# exchange coset holds one element at every level.  In the first, swapping
-# the base endpoints sends node 4's neighbor set {(2, 1)} to {(3, 1)},
-# which no node has, so the level-2 filter empties the coset.  In the
-# second, the lifts pair nodes 2, 3 with 4, 5, but only 2 and 3 are
-# joined: the level-2 filter finds that cross edge's image missing.
+# Neither graph has a two-node fiber, so the exchange coset holds one
+# element at every level.  In the first, swapping the base endpoints sends
+# node 4's neighbor set {(2, 1)} to {(3, 1)}, which no node has, so the
+# level-2 filter empties the coset.  In the second, the lifts pair nodes
+# 2, 3 with 4, 5, but only 2 and 3 are joined: the level-2 filter finds
+# that cross edge's image missing.
 _LIFT_DIES = LabeledGraph(range(6), {(0, 1): 0, (0, 2): 0, (1, 3): 0, (2, 4): 1, (3, 5): 2})
 _EDGE_CHECK_FAILS = LabeledGraph(
     range(6), {(0, 1): 0, (0, 2): 5, (0, 3): 6, (1, 4): 5, (1, 5): 6, (2, 3): 0}
@@ -680,9 +720,9 @@ _EDGE_CHECK_FAILS = LabeledGraph(
 
 
 @pytest.mark.parametrize("g", [_LIFT_DIES, _EDGE_CHECK_FAILS], ids=["lift", "edge-check"])
-def test_rigid_tail_dies_where_the_loop_dies(monkeypatch, g):
+def test_exchange_coset_dies_where_the_reference_loop_dies(monkeypatch, g):
     dec = layer_sequence(g.arrays, (0, 1))
-    assert dec.rigid_from == 1
+    assert not has_two_node_fiber(dec)
     levels = _spy_levels(monkeypatch)
     assert core._run_tower(dec, swap=True) is None
     assert [r for _, r, _ in levels] == [1, 2]
@@ -696,14 +736,14 @@ def test_loop_checks_node_colors_at_every_level():
     # moves only 0 and 1, and fails the check at level 2.
     g = LabeledGraph(range(6), [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5)])
     dec = layer_sequence(g.arrays, (0, 1))
-    assert dec.rigid_from == 1 and dec.N >= 3
+    assert not has_two_node_fiber(dec) and dec.N >= 3
     assert core._run_tower(dec, swap=True)[1].tolist() == [1, 0, 3, 2, 5, 4]
     dec.view = dec.view._replace(colors=np.array([0, 0, 0, 3, 0, 0]))
     with pytest.raises(AssertionError, match="level 2: .* color"):
         core._run_tower(dec, swap=True)
 
 
-# Both graphs are rigid from level 1 and their colors pair every node, as
+# Neither graph has a two-node fiber, and their colors pair every node, as
 # refined colors would, so the class swap is tried and found wanting.  On
 # the path 2-0-1-3 it is (0 1)(2 3), which sends the edge {0, 2} of label 1
 # onto {1, 3} of label 2; the exchange coset then runs the level loop and
@@ -721,7 +761,7 @@ _SWAP_MISSES_B = LabeledGraph({0: 0, 1: 1, 2: 2, 3: 2, 4: 1, 5: 0}, [(v, v + 1) 
 )
 def test_failed_class_swap_falls_into_the_loop(monkeypatch, g, levels):
     dec = layer_sequence(g.arrays, (0, 1))
-    assert dec.rigid_from == 1 and core._class_swap(g.arrays, 0, 1) is None
+    assert not has_two_node_fiber(dec) and core._class_swap(g.arrays, 0, 1) is None
     seen = _spy_levels(monkeypatch)
     # `_tower` on the view as it is, its colors standing in for refined ones.
     monkeypatch.setattr(core, "refine", lambda view, e, tables=None: view)
@@ -730,24 +770,28 @@ def test_failed_class_swap_falls_into_the_loop(monkeypatch, g, levels):
     assert tower_equals_reference(dec)
 
 
-def test_class_swap_only_where_no_level_has_a_kernel():
+def test_class_swap_off_a_bridge_exchanges_the_base_endpoints():
     # The base edge {0, 1} lies on the cycle 0-2-4-3-1, so it is no bridge.
     # The refined classes {0, 1}, {2, 3} and {4, 5} pair every node, and
-    # the class swap (0 1)(2 3)(4 5) is an automorphism exchanging 0 and 1,
-    # but so is (0 1)(2 3): nodes 4 and 5 form a two-node fiber, the kernel
-    # swap (4 5) survives to the top, and the loop returns it as a
-    # generator beside the representative (0 1)(2 3).  So the class swap
-    # is not tried, and `_tower` returns that representative.
+    # the class swap σ = (0 1)(2 3)(4 5) is an automorphism exchanging 0
+    # and 1, but so is (0 1)(2 3): nodes 4 and 5 form a two-node fiber, the
+    # kernel swap (4 5) survives to the top, and the loop returns it as a
+    # generator beside the representative (0 1)(2 3).  `_tower` tries the
+    # class swap on every swap tower and returns σ, which is all it
+    # promises: an automorphism of the view that sends 0 to 1.
     g = LabeledGraph(
         {0: 0, 1: 0, 2: 0, 3: 0, 4: 1, 5: 1},
         [(0, 1), (0, 2), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5)],
     )
     refined = refine(g.arrays, (0, 1))
     dec = layer_sequence(refined, (0, 1))
-    assert dec.rigid_from > 1 and core._class_swap(refined, 0, 1).tolist() == [1, 0, 3, 2, 5, 4]
+    assert has_two_node_fiber(dec)
     gens, rep = core._run_tower(dec, swap=True)
     assert gens.tolist() == [[0, 1, 2, 3, 5, 4]] and rep.tolist() == [1, 0, 3, 2, 4, 5]
-    assert core._tower(g.arrays, (0, 1), swap=True).tolist() == [1, 0, 3, 2, 4, 5]
+    sigma = core._tower(g.arrays, (0, 1), swap=True)
+    assert sigma.tolist() == [1, 0, 3, 2, 5, 4]
+    assert _maps_edges(sigma[None], g.arrays, g.arrays)[0]
+    assert (g.arrays.colors.take(sigma) == g.arrays.colors).all()
     assert tower_equals_reference(dec)
 
 

@@ -324,22 +324,22 @@ def test_deep_caterpillar_twin_tower_is_one_class_swap():
 
 def test_deep_caterpillar_twin_through_the_level_loop(monkeypatch):
     # With the class swap turned off, this tower of about 3,000 levels,
-    # rigid from level 1, runs the level loop to the top, and the mapping
-    # is the same.
+    # with no two-node fiber, runs the level loop to the top, and the
+    # mapping is the same.
     net, twin = _deep_caterpillar_twin()
     want = phylo_isomorphic(net, twin, want_mapping=True).mapping
     loops = []
     real_run = core._run_tower
 
     def run(dec, swap):
-        loops.append((dec.N, dec.rigid_from, swap))
+        loops.append((dec.N, (dec._size == 2).any(), swap))
         return real_run(dec, swap)
 
     monkeypatch.setattr(core, "_class_swap", lambda view, a, b: None)
     monkeypatch.setattr(core, "_run_tower", run)
     res = phylo_isomorphic(net, twin, want_mapping=True)
     assert res.isomorphic and res.mapping == want
-    assert len(loops) == 1 and loops[0][0] > 3000 and loops[0][1:] == (1, True)
+    assert len(loops) == 1 and loops[0][0] > 3000 and loops[0][1:] == (False, True)
 
 
 def test_large_relabelled_network_twins_are_isomorphic():

@@ -175,7 +175,7 @@ def test_splice_tower_equals_reference_loop(pair, relabel, refined, pick, seed):
     # another graph, towered with or without refinement: `_run_tower`
     # returns the reference loop's result, row for row, for both swap
     # values.  So does `_tower`, with the class swap and without it, and
-    # where σ is accepted the tower is rigid from level 1 (`class_swap_taken`).
+    # where σ is accepted no level has a two-node fiber (`class_swap_taken`).
     g, k = pair
     if relabel:
         k, _ = random_relabeling(g, seed)

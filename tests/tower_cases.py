@@ -5,12 +5,13 @@ by case, as the (decomposition, swap) of every call to `core._tower`
 (`recorded_towers`), or as those calls (`tower_calls`);
 `cfi_tower_cases` does the same for uncolored CFI pairs over K4 and the
 cube, negatives included.  `every_level` runs those towers again through
-`reference_run_tower`, which filters and lifts at every level, rigid or
-not.  The symmetric inputs (a complete binary tree and an uncolored CFI
-pair over K4) keep generators in the coset, so the decisions themselves
-reach the general level loop too.  `without_class_swap` makes one call
-with the swap tower's class swap turned off, and `class_swap_work` records
-what a decision's class swaps did and what tower work they left.
+`reference_run_tower`, which filters and lifts at every level, an
+identity coset's included.  The symmetric inputs (a complete binary tree
+and an uncolored CFI pair over K4) keep generators in the coset, so the
+decisions themselves reach the general level loop too.
+`without_class_swap` makes one call with the swap tower's class swap
+turned off, and `class_swap_work` records what a decision's class swaps
+did and what tower work they left.
 """
 
 import pytest

@@ -8,6 +8,7 @@ per-level tables and the kernel transpositions) from that graph and
 `dec.level` with dicts, frozensets and per-node loops.
 `level_table(dec, r)` slices the tower's own global arrays into the same
 per-level tables as a `Level`, and `level_tables(dec)` does so for every level.
+`has_two_node_fiber(dec)` reads the written-out tables of every level.
 `reference_layer_sequence` is the per-node BFS and triangle rewrite,
 `reference_refine` the per-node color refinement, `two_pass_b_set` the
 closure of B_r and its image table in two passes, and `reference_run_tower`
@@ -206,6 +207,12 @@ def written_out(dec) -> WrittenOutTower:
     return WrittenOutTower(working_graph(dec), dec.level.tolist(), dec.base_edge, dec.N)
 
 
+def has_two_node_fiber(dec) -> bool:
+    """Whether some level of `dec`'s written-out tower has a fiber of two nodes."""
+    tower = written_out(dec)
+    return any((tower.level_table(r)["size"] == 2).any() for r in range(1, dec.N))
+
+
 def reference_layer_sequence(g: LabeledGraph, e) -> SimpleNamespace:
     """The per-node build: BFS levels, the triangle rewrite and the depth N.
 
@@ -335,7 +342,7 @@ def two_pass_b_set(dec, r: int, rows) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def reference_run_tower(dec, swap: bool):
-    """`trigiso.core._run_tower` without the aut tower's rigid exit: every level filters.
+    """`trigiso.core._run_tower` without the aut tower's identity skip: every level filters.
 
     Each level stacks the generators and the representative, checks their
     node colors, closes B_r (the keys of `dec.b_set`), moves every key
@@ -490,8 +497,8 @@ def lexsort_order(dec) -> SimpleNamespace:
     Entering nodes sorted by (level, neighbor-set key, color rank), stably,
     so by index within a fiber; fibers start where any of the three
     changes.  Elements are sorted by (level, key).  Returns the `members`,
-    the fibers' first positions and sizes, `rigid_from`, and the element
-    keys and colors with `e_at`, where each level's elements begin.
+    the fibers' first positions and sizes, and the element keys and colors
+    with `e_at`, where each level's elements begin.
     """
     view, level, n = dec.view, dec.level, dec.n
     u, v = view.u, view.v
@@ -529,7 +536,6 @@ def lexsort_order(dec) -> SimpleNamespace:
         members=members,
         fiber_first=fiber_first,
         size=size,
-        rigid_from=int(m_level[fiber_first][size == 2].max(initial=1)),
         keys=keys[order],
         colors=colors[order].astype(np.int64),
         e_at=np.searchsorted(elem_level[order], np.arange(1, dec.N + 2)),
