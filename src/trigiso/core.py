@@ -87,6 +87,20 @@ classes and label).  Hence:
   defining values, so the class and the candidates do not depend on node
   ids.
 
+Before any tower, the layer-profile filter (`_profile_filter`) drops each
+candidate whose BFS levels from its endpoints differ from e1's, in two
+stages.  The count stage compares only the number of nodes at each level,
+for every candidate at once, from bit-parallel node balls (Akiba, Iwata &
+Yoshida, SIGMOD 2013): a candidate's nodes within distance d are the union
+of its endpoints' balls of radius d.  It is exact: an isomorphism carrying
+e1 onto e2 maps the nodes at each distance from e1 onto those at the same
+distance from e2, so a level of another size rules the pairing out, and the
+signature walk, which compares the nodes' signatures level by level, would
+drop that candidate as well.  The walk then takes the candidates left, so
+the survivors and their order are the walk's alone.  The count stage runs
+a level only while it is cheaper than walking the rows still live, and
+only where its tables fit in the walk's memory bound.
+
 Pairings are pruned by automorphisms of the second graph.  If e2 admits no
 isomorphism carrying e1 onto it, neither does σ(e2) for any automorphism σ
 of the second graph, since composing with σ would give one.  So once a
@@ -327,7 +341,8 @@ class IsoResult:
 
 
 # Cells of the (candidate edge, node) depth table one block of the
-# layer-profile filter may fill; a block takes as many candidate edges as fit.
+# layer-profile walk may fill, one int8 each; a block takes as many candidate
+# edges as fit.  The count stage's uint64 tables stay under as many bytes.
 _PROFILE_CELLS = 1 << 20
 # Entries of the walk's depth table besides depth mod 3: a node not reached
 # yet, and the padding node.
@@ -418,6 +433,83 @@ def _profile_walk(tab: _ProfileTables, ends: np.ndarray, alive: np.ndarray):
         depth[key] = d % 3
 
 
+def _grow_balls(balls: np.ndarray, slots: np.ndarray, near: np.ndarray) -> None:
+    """Grow every node's ball by one level, in place.
+
+    B_{d+1}(x) is B_d(x) ORed with B_d(y) for each slot neighbor y of x.
+    `slots` holds the neighbor columns of a `_slots` table as three rows;
+    `near` is a (3, n+1, words) buffer that takes their balls before any
+    ball changes.  Take with mode="clip" writes straight into `out`; the
+    indices are all in range, so it clips nothing.
+    """
+    np.take(balls, slots, axis=0, out=near, mode="clip")
+    for rows in near:
+        balls |= rows
+
+
+def _count_stage(t1: _ProfileTables, e1, t2: _ProfileTables, candidates) -> np.ndarray:
+    """Increasing indices of the candidate edges whose BFS level sizes match e1's.
+
+    Bit-parallel balls, after the bit-parallel labels of Akiba, Iwata and
+    Yoshida (SIGMOD 2013).  Row x of the (n+1, ⌈n/64⌉) uint64 ball table
+    holds B_d(x), the second graph's nodes within distance d of node x, as
+    bits: node y is bit y % 64 of word y // 64.  B_0(x) is {x}, and each
+    level ORs the balls of x's three slot neighbors into B_d(x)
+    (`_grow_balls`); the padding row n stays empty, so an absent slot adds
+    nothing.  An edge's nodes within distance d are the OR of its
+    endpoints' balls, so its level-d size is that ball's popcount minus the
+    one at d-1.  e1's sizes come from `_bfs_levels` on the first graph.  A
+    live row matched e1 at every level before d, so its ball at d-1 holds
+    as many nodes as e1's; it is dropped where its ball at d holds another
+    number of nodes than e1's, which is its first level of another size,
+    a level only one of the two reaches included.
+
+    Level d is counted only while that is cheaper than walking the live
+    rows: while live rows × nodes e1 has not reached by d-1, the walk's
+    work on them, is at least e1's remaining levels × (n+1)·⌈n/64⌉, the
+    words of the ball updates still to come.  Where it is not, or where the
+    stage's uint64 tables would take more than `_PROFILE_CELLS` bytes, the
+    rows still live are returned as they are.  Those tables are the ball
+    table, the buffer `_grow_balls` gathers into, and one block of
+    candidate balls, which takes as many live rows as fit; every level
+    reuses all three.
+    """
+    n = len(t2.nbr) - 1
+    words = -(-n // 64)
+    table = (n + 1) * words
+    live = np.arange(len(candidates))
+    # The balls and `near` take four tables, and a block two balls a row.
+    block = min(len(live), (_PROFILE_CELLS // 8 - 4 * table) // (2 * words))
+    # With fewer rows the loop's rule stops at d = 1, however few levels e1 has.
+    if block < 1 or len(live) * (n - 2) < table:
+        return live
+    widths = np.bincount(_bfs_levels(t1.nbr, *e1)[:-1])[1:]
+    balls = np.zeros((n + 1, words), dtype=np.uint64)
+    nodes = np.arange(n, dtype=np.uint64)
+    balls[nodes, nodes >> 6] = np.left_shift(1, nodes & 63, dtype=np.uint64)
+    slots = np.ascontiguousarray(t2.nbr.T, dtype=np.intp)
+    near = np.empty((3, n + 1, words), dtype=np.uint64)
+    buf = np.empty(2 * block * words, dtype=np.uint64)
+    # A product with ones sums each row's word counts faster than sum(axis=1).
+    ones = np.ones(words, dtype=np.int32)
+    ends = np.ascontiguousarray(candidates.T, dtype=np.intp)
+    reached = int(widths[0])
+    for d in range(1, len(widths)):
+        if len(live) * (n - reached) < (len(widths) - d) * table:
+            break
+        _grow_balls(balls, slots, near)
+        reached += int(widths[d])
+        keep = np.empty(len(live), dtype=bool)
+        for at in range(0, len(live), block):
+            part = ends[:, at : at + block]
+            pair = np.take(balls, part, axis=0, mode="clip",
+                           out=buf[: part.size * words].reshape(2, -1, words))
+            np.bitwise_or(pair[0], pair[1], out=pair[0])
+            keep[at : at + block] = np.bitwise_count(pair[0]) @ ones == reached
+        live, ends = live[keep], ends[:, keep]
+    return live
+
+
 def _profile_filter(t1: _ProfileTables, e1, t2: _ProfileTables, candidates):
     """Yield the indices of the candidate edges whose layer profile matches e1's.
 
@@ -431,28 +523,35 @@ def _profile_filter(t1: _ProfileTables, e1, t2: _ProfileTables, candidates):
 
     Edges are pairs of node indices, rows of the tables: e1 is one pair and
     `candidates` a (k, 2) array of the second graph's edges, whose surviving
-    row indices are yielded.  e1's levels come from the same walk as a batch
-    of one, taken on demand: level d of e1 is walked only once some block's
-    candidates reach level d, and is kept for the later blocks, so the
-    levels past the one where every candidate died are never walked.  The
-    candidates walk together, one row each (see `_profile_walk`), and a
-    row is dropped at its first level whose node count or sorted codes
-    differ from e1's.  A row whose walk ends at another depth than e1's is
-    dropped at the last level both reach, where only one side has nodes
-    with a step +1 edge.
-    Candidates are taken in the given order, in blocks whose depth table
-    stays under `_PROFILE_CELLS` cells (1 MiB of int8), so memory does not
-    grow with the number of candidates; a block's survivors are yielded, in
+    row indices are yielded, in order.  Two stages run.  The count stage
+    (`_count_stage`) drops, for every candidate at once, each row whose
+    number of nodes at some BFS level differs from e1's, with bit-parallel
+    balls.  The signature walk then takes the rows left: they walk
+    together, one row each (see `_profile_walk`), and a row is dropped at
+    its first level whose node count or sorted codes differ from e1's.  A
+    row whose walk ends at another depth than e1's is dropped at the last
+    level both reach, where only one side has nodes with a step +1 edge.
+    So the walk drops every row the count stage drops, and running the
+    count stage first, for any number of levels, leaves the survivors and
+    their order as they are.  e1's levels come from the same walk as a
+    batch of one, taken on demand: level d of e1 is walked only once some
+    block's rows reach level d, and is kept for the later blocks, so the
+    levels past the one where every row died, and every level where the
+    count stage left no row, are never walked.
+    Rows are walked in the given order, in blocks whose depth table stays
+    under `_PROFILE_CELLS` cells (1 MiB of int8), so memory does not grow
+    with the number of candidates; a block's survivors are yielded, in
     order, before the next block is walked.
     """
     walk = _profile_walk(t1, np.reshape(e1, (1, 2)), np.ones(1, dtype=bool))
     ref = []
     span = 27 * (int(max(t1.base.max(), t2.base.max())) + 1)
+    live = _count_stage(t1, e1, t2, candidates)
     block = max(1, _PROFILE_CELLS // len(t2.nbr))
-    for first in range(0, len(candidates), block):
-        chunk = candidates[first : first + block]
+    for first in range(0, len(live), block):
+        chunk = live[first : first + block]
         alive = np.ones(len(chunk), dtype=bool)
-        for d, (rows, codes) in enumerate(_profile_walk(t2, chunk, alive)):
+        for d, (rows, codes) in enumerate(_profile_walk(t2, candidates[chunk], alive)):
             if d == len(ref):
                 level = next(walk, None)
                 if level is None:
@@ -464,7 +563,7 @@ def _profile_filter(t1: _ProfileTables, e1, t2: _ProfileTables, candidates):
             offset = rows[sel] * span  # rows come sorted, so sorting keeps them in place
             got = np.sort(offset + codes[sel]) - offset
             alive[alive] = (got.reshape(np.count_nonzero(alive), len(want)) == want).all(axis=1)
-        yield from first + np.flatnonzero(alive)
+        yield from chunk[alive]
 
 
 def _pretests_pass(g1: LabeledGraph, g2: LabeledGraph) -> bool:
@@ -579,15 +678,20 @@ def is_isomorphic(
     classes, label).  So e1, the first graph's lowest edge in the second
     graph's smallest edge class, is split against exactly the second graph's
     edges e2 of that class, in sorted order (`_first_edge_candidates`).  The
-    layer-profile filter (`_profile_filter`) drops every e2 whose BFS level
-    signatures differ from e1's; it walks the candidates together, in blocks
-    of bounded memory.  A lone candidate skips the walk, since its tower
-    decides it exactly as well.  For each surviving pairing, block by block,
-    the exchange coset of the joined graph (automorphisms fixing the join
-    edge that swap the two split nodes) is searched along the tower of its
-    color-refined view.  The first pairing whose coset survives yields the
-    witness, and no later block is walked; any returned mapping is
-    re-verified before being surfaced.
+    layer-profile filter (`_profile_filter`) drops every e2 whose BFS levels
+    differ from e1's, in two stages of bounded memory: a count stage drops,
+    for all candidates at once, each e2 with a level of another size than
+    e1's, from bit-parallel balls (`_count_stage`), while that is cheaper
+    than the walk; then the signature walk compares the node signatures of
+    the e2 left, level by level.  The walk would drop every e2 the count
+    stage drops, so the survivors are the walk's alone.  A lone candidate
+    skips the filter, since its tower decides it exactly as well.  For each
+    surviving pairing, block by block, the exchange coset of the joined
+    graph (automorphisms fixing the join edge that swap the two split
+    nodes) is searched along the tower of its color-refined view.  The
+    first pairing whose coset survives yields the witness, and no later
+    block is walked; any returned mapping is re-verified before being
+    surfaced.
 
     After the first failed pairing, the candidates are split into orbits of
     the second graph's automorphisms fixing one edge (`_candidate_orbits`),

@@ -1177,6 +1177,95 @@ def test_profile_filter_blocks_give_the_same_edges(monkeypatch):
         assert [filtered(g1, g2) for g1, g2 in cases] == whole
 
 
+def _spy_count_stage(monkeypatch):
+    """Record [levels counted, rows in, rows out] for every `_count_stage` call."""
+    calls = []
+    grow, stage = core._grow_balls, core._count_stage
+
+    def counting_grow(*args):
+        calls[-1][0] += 1
+        grow(*args)
+
+    def recording_stage(t1, e1, t2, candidates):
+        calls.append([0, len(candidates), None])
+        live = stage(t1, e1, t2, candidates)
+        calls[-1][2] = len(live)
+        return live
+
+    monkeypatch.setattr(core, "_grow_balls", counting_grow)
+    monkeypatch.setattr(core, "_count_stage", recording_stage)
+    return calls
+
+
+def _count_stage_cases():
+    # Cubic 2-switches leave early levels alike and differ further out.  A
+    # circular ladder is vertex-transitive, and a tree against a path has
+    # another depth from every edge.
+    for n in (64, 128, 256):
+        cubic = degree_sequence_graph([3] * n, n)
+        for colors in (1, 2, 3):
+            g = _recolored(cubic, n + colors, colors, 1)
+            yield f"cubic-switch-{n}-{colors}", g, random_relabeling(_two_switch(g, n), n)[0]
+    for k in (24, 32):
+        ladder = _ladder(k)
+        yield f"ladder-{k}", ladder, random_relabeling(ladder, k)[0]
+    yield "ladder-moebius-32", _ladder(32), _ladder(32, moebius=True)
+    yield "tree-path-64", _tree(64, 3), _path(64)
+
+
+@pytest.mark.parametrize("name,g1,g2", list(_count_stage_cases()))
+def test_count_stage_keeps_the_walks_survivors(monkeypatch, name, g1, g2):
+    calls = _spy_count_stage(monkeypatch)
+    assert filtered(g1, g2) == reference_filtered(g1, g2)
+    [(levels, rows_in, rows_out)] = calls
+    assert levels > 0, "the count stage did not run"
+    if name.startswith("ladder-") and "moebius" not in name:
+        assert rows_out == rows_in
+    if name.startswith("tree-path"):
+        assert rows_out == 0
+
+
+def test_count_stage_stays_off_where_it_does_not_pay_or_fit(monkeypatch):
+    calls = _spy_count_stage(monkeypatch)
+    g = degree_sequence_graph([3] * 64, 64)
+    h = random_relabeling(_two_switch(g, 64), 64)[0]
+    # Two rows of a 64-node pair: walking them costs less than a level of
+    # 65-word ball updates.
+    t1, t2 = core._profile_tables(g, h)
+    ends = np.searchsorted(t2.ids, h.sorted_edges()[:2])
+    list(core._profile_filter(t1, np.searchsorted(t1.ids, g.sorted_edges()[0]), t2, ends))
+    # 768 rows against 129 levels of 4,104-word ball updates.
+    ladder = _ladder(256)
+    filtered(ladder, random_relabeling(ladder, 1)[0])
+    assert calls == [[0, 2, 2], [0, 768, 768]]
+    # The 64-node pair's stage takes 4 tables of 65 words and a block of
+    # one row's two balls: 2,096 bytes.
+    want = reference_filtered(g, h)
+    for cells, runs in ((2095, False), (2096, True)):
+        monkeypatch.setattr(core, "_PROFILE_CELLS", cells)
+        calls.clear()
+        assert filtered(g, h) == want
+        assert (calls[0][0] > 0) == runs
+
+
+def test_count_stage_cost_pin(monkeypatch):
+    # Rows of a 256-node cubic 2-switch pair handed to the signature walk:
+    # e1's one row, then the candidate rows the count stage leaves of all
+    # 384 edges.  The walk alone would take all 384.
+    g = degree_sequence_graph([3] * 256, 256)
+    h = random_relabeling(_two_switch(g, 256), 256)[0]
+    walked = []
+    walk = core._profile_walk
+
+    def recording_walk(tab, ends, alive):
+        walked.append(len(ends))
+        return walk(tab, ends, alive)
+
+    monkeypatch.setattr(core, "_profile_walk", recording_walk)
+    assert filtered(g, h) == []
+    assert walked == [1, 2]
+
+
 def test_is_isomorphic_runs_towers_block_by_block(monkeypatch):
     # Two accepted pairings fail their towers before the third succeeds; a
     # positive stops there, whatever the blocks.
