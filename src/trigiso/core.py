@@ -98,8 +98,10 @@ distance from e2, so a level of another size rules the pairing out, and the
 signature walk, which compares the nodes' signatures level by level, would
 drop that candidate as well.  The walk then takes the candidates left, so
 the survivors and their order are the walk's alone.  The count stage runs
-a level only while it is cheaper than walking the rows still live, and
-only where its tables fit in the walk's memory bound.
+level 1 only where that is cheaper than walking every candidate, and a
+later level while it is cheaper than walking the rows still live or the
+level before dropped a row; it stops once no row is live.  It runs only
+where its tables fit in the walk's memory bound.
 
 Pairings are pruned by automorphisms of the second graph.  If e2 admits no
 isomorphism carrying e1 onto it, neither does σ(e2) for any automorphism σ
@@ -464,15 +466,19 @@ def _count_stage(t1: _ProfileTables, e1, t2: _ProfileTables, candidates) -> np.n
     number of nodes than e1's, which is its first level of another size,
     a level only one of the two reaches included.
 
-    Level d is counted only while that is cheaper than walking the live
-    rows: while live rows × nodes e1 has not reached by d-1, the walk's
-    work on them, is at least e1's remaining levels × (n+1)·⌈n/64⌉, the
-    words of the ball updates still to come.  Where it is not, or where the
-    stage's uint64 tables would take more than `_PROFILE_CELLS` bytes, the
-    rows still live are returned as they are.  Those tables are the ball
-    table, the buffer `_grow_balls` gathers into, and one block of
-    candidate balls, which takes as many live rows as fit; every level
-    reuses all three.
+    Level d is counted while some row is live and either it pays or level
+    d-1 dropped a row.  It pays while live rows × nodes e1 has not reached
+    by d-1, the walk's work on them, is at least e1's remaining levels ×
+    (n+1)·⌈n/64⌉, the words of the ball updates still to come.  That cost
+    leaves out the walk's fixed cost per level, and a level that drops rows
+    is mostly followed by more that do; so level 1 is counted only where it
+    pays, and on most negatives the stage then counts on until no row is
+    live, while on a positive, whose true row stays, it stops at the first
+    level that drops nothing and no longer pays.  Where the stage's uint64
+    tables would take more than `_PROFILE_CELLS` bytes, every row is
+    returned as it is.  Those tables are the ball table, the buffer
+    `_grow_balls` gathers into, and one block of candidate balls, which
+    takes as many live rows as fit; every level reuses all three.
     """
     n = len(t2.nbr) - 1
     words = -(-n // 64)
@@ -493,9 +499,10 @@ def _count_stage(t1: _ProfileTables, e1, t2: _ProfileTables, candidates) -> np.n
     # A product with ones sums each row's word counts faster than sum(axis=1).
     ones = np.ones(words, dtype=np.int32)
     ends = np.ascontiguousarray(candidates.T, dtype=np.intp)
-    reached = int(widths[0])
+    reached, dropped = int(widths[0]), False
     for d in range(1, len(widths)):
-        if len(live) * (n - reached) < (len(widths) - d) * table:
+        pays = len(live) * (n - reached) >= (len(widths) - d) * table
+        if not len(live) or not (pays or dropped):
             break
         _grow_balls(balls, slots, near)
         reached += int(widths[d])
@@ -506,6 +513,7 @@ def _count_stage(t1: _ProfileTables, e1, t2: _ProfileTables, candidates) -> np.n
                            out=buf[: part.size * words].reshape(2, -1, words))
             np.bitwise_or(pair[0], pair[1], out=pair[0])
             keep[at : at + block] = np.bitwise_count(pair[0]) @ ones == reached
+        dropped = not keep.all()
         live, ends = live[keep], ends[:, keep]
     return live
 
@@ -526,11 +534,13 @@ def _profile_filter(t1: _ProfileTables, e1, t2: _ProfileTables, candidates):
     row indices are yielded, in order.  Two stages run.  The count stage
     (`_count_stage`) drops, for every candidate at once, each row whose
     number of nodes at some BFS level differs from e1's, with bit-parallel
-    balls.  The signature walk then takes the rows left: they walk
-    together, one row each (see `_profile_walk`), and a row is dropped at
-    its first level whose node count or sorted codes differ from e1's.  A
-    row whose walk ends at another depth than e1's is dropped at the last
-    level both reach, where only one side has nodes with a step +1 edge.
+    balls, while a level pays for itself against the walk or the level
+    before dropped a row.  The signature walk then takes the rows left:
+    they walk together, one row each (see `_profile_walk`), and a row is
+    dropped at its first level whose node count or sorted codes differ
+    from e1's.  A row whose walk ends at another depth than e1's is dropped
+    at the last level both reach, where only one side has nodes with a step
+    +1 edge.
     So the walk drops every row the count stage drops, and running the
     count stage first, for any number of levels, leaves the survivors and
     their order as they are.  e1's levels come from the same walk as a
@@ -682,16 +692,16 @@ def is_isomorphic(
     differ from e1's, in two stages of bounded memory: a count stage drops,
     for all candidates at once, each e2 with a level of another size than
     e1's, from bit-parallel balls (`_count_stage`), while that is cheaper
-    than the walk; then the signature walk compares the node signatures of
-    the e2 left, level by level.  The walk would drop every e2 the count
-    stage drops, so the survivors are the walk's alone.  A lone candidate
-    skips the filter, since its tower decides it exactly as well.  For each
-    surviving pairing, block by block, the exchange coset of the joined
-    graph (automorphisms fixing the join edge that swap the two split
-    nodes) is searched along the tower of its color-refined view.  The
-    first pairing whose coset survives yields the witness, and no later
-    block is walked; any returned mapping is re-verified before being
-    surfaced.
+    than the walk or the level before dropped an e2; then the signature
+    walk compares the node signatures of the e2 left, level by level.  The
+    walk would drop every e2 the count stage drops, so the survivors are
+    the walk's alone.  A lone candidate skips the filter, since its tower
+    decides it exactly as well.  For each surviving pairing, block by
+    block, the exchange coset of the joined graph (automorphisms fixing the
+    join edge that swap the two split nodes) is searched along the tower of
+    its color-refined view.  The first pairing whose coset survives yields
+    the witness, and no later block is walked; any returned mapping is
+    re-verified before being surfaced.
 
     After the first failed pairing, the candidates are split into orbits of
     the second graph's automorphisms fixing one edge (`_candidate_orbits`),

@@ -1197,6 +1197,60 @@ def _spy_count_stage(monkeypatch):
     return calls
 
 
+def _distances(g: LabeledGraph) -> tuple[dict, np.ndarray]:
+    """Node index and all-pairs BFS distances of g, n where unreachable."""
+    index = {v: i for i, v in enumerate(g.node_ids)}
+    n = len(index)
+    slots = [[] for _ in range(n)]
+    for u, v in g.sorted_edges():
+        slots[index[u]].append(index[v])
+        slots[index[v]].append(index[u])
+    # Absent slots point at column n, which no source reaches.
+    nbr = np.array([s + [n] * (3 - len(s)) for s in slots])
+    reach = np.eye(n, n + 1, dtype=bool)
+    far = np.full((n, n), n)
+    d = 0
+    while reach.any():
+        far[reach[:, :n]] = d
+        reach[:, :n] = reach[:, nbr].any(axis=2) & (far == n)
+        d += 1
+    return index, far
+
+
+def _replayed_count_stage(g1, g2) -> tuple[int, int, int]:
+    """Levels the count stage counts on `filtered(g1, g2)` and rows it leaves,
+    then the levels a stage that stopped at its cost rule alone would count.
+
+    Replays the stop rule from each candidate's level sizes, taken from
+    distance matrices.  A level pays while live rows × nodes e1 has not
+    reached is at least e1's remaining levels × (n+1)·⌈n/64⌉ words; it is
+    counted while some row is live and it pays or the level before dropped
+    a row.
+    """
+    e1 = g1.sorted_edges()[0]
+    index1, far1 = _distances(g1)
+    index2, far2 = _distances(g2)
+    n = g2.n_nodes
+    table = (n + 1) * -(-n // 64)
+    near1 = np.minimum(far1[index1[e1[0]]], far1[index1[e1[1]]])
+    depth = int(near1[near1 < g1.n_nodes].max()) + 1
+    ends = np.array([(index2[a], index2[b]) for a, b in _candidates(g1, g2, e1)])
+    near = np.minimum(far2[ends[:, 0]], far2[ends[:, 1]])
+    replays = []
+    for drop_aware in (True, False):
+        live, dropped, levels = near, False, 0
+        for d in range(1, depth):
+            pays = len(live) * (n - np.count_nonzero(near1 < d)) >= (depth - d) * table
+            if not len(live) or not (pays or drop_aware and dropped):
+                break
+            levels += 1
+            keep = np.count_nonzero(live <= d, axis=1) == np.count_nonzero(near1 <= d)
+            dropped = not keep.all()
+            live = live[keep]
+        replays.append((levels, len(live)))
+    return *replays[0], replays[1][0]
+
+
 def _count_stage_cases():
     # Cubic 2-switches leave early levels alike and differ further out.  A
     # circular ladder is vertex-transitive, and a tree against a path has
@@ -1211,6 +1265,17 @@ def _count_stage_cases():
         yield f"ladder-{k}", ladder, random_relabeling(ladder, k)[0]
     yield "ladder-moebius-32", _ladder(32), _ladder(32, moebius=True)
     yield "tree-path-64", _tree(64, 3), _path(64)
+    # A positive keeps its true row live to the end, so the stage stops at
+    # the first level that drops nothing and does not pay.
+    for n in (256, 512):
+        cubic = degree_sequence_graph([3] * n, n)
+        for colors in (1, 3):
+            g = _recolored(cubic, n + colors, colors, 1)
+            yield f"cubic-relabel-{n}-{colors}", g, random_relabeling(g, n)[0]
+    for seed in range(4):
+        g = random_ternary_graph(128, seed)
+        yield f"relabel-128-{seed}", g, random_relabeling(g, seed)[0]
+        yield f"other-128-{seed}", g, random_ternary_graph(128, seed + 50)
 
 
 @pytest.mark.parametrize("name,g1,g2", list(_count_stage_cases()))
@@ -1219,6 +1284,13 @@ def test_count_stage_keeps_the_walks_survivors(monkeypatch, name, g1, g2):
     assert filtered(g1, g2) == reference_filtered(g1, g2)
     [(levels, rows_in, rows_out)] = calls
     assert levels > 0, "the count stage did not run"
+    # The levels counted and the rows left are the stop rule's, replayed
+    # from distance matrices; on positives the rule counts past the levels
+    # that pay, since the levels before dropped rows.
+    replayed_levels, replayed_rows, cost_rule_levels = _replayed_count_stage(g1, g2)
+    assert (levels, rows_out) == (replayed_levels, replayed_rows)
+    if "relabel" in name:
+        assert levels > cost_rule_levels
     if name.startswith("ladder-") and "moebius" not in name:
         assert rows_out == rows_in
     if name.startswith("tree-path"):
@@ -1248,12 +1320,8 @@ def test_count_stage_stays_off_where_it_does_not_pay_or_fit(monkeypatch):
         assert (calls[0][0] > 0) == runs
 
 
-def test_count_stage_cost_pin(monkeypatch):
-    # Rows of a 256-node cubic 2-switch pair handed to the signature walk:
-    # e1's one row, then the candidate rows the count stage leaves of all
-    # 384 edges.  The walk alone would take all 384.
-    g = degree_sequence_graph([3] * 256, 256)
-    h = random_relabeling(_two_switch(g, 256), 256)[0]
+def _spy_profile_walk(monkeypatch):
+    """Record the number of rows of every `_profile_walk` call."""
     walked = []
     walk = core._profile_walk
 
@@ -1262,8 +1330,33 @@ def test_count_stage_cost_pin(monkeypatch):
         return walk(tab, ends, alive)
 
     monkeypatch.setattr(core, "_profile_walk", recording_walk)
+    return walked
+
+
+def test_count_stage_cost_pin(monkeypatch):
+    # Rows of a 256-node cubic 2-switch pair handed to the signature walk:
+    # e1's one row, then the candidate rows the count stage leaves of all
+    # 384 edges.  The walk alone would take all 384.
+    g = degree_sequence_graph([3] * 256, 256)
+    h = random_relabeling(_two_switch(g, 256), 256)[0]
+    walked = _spy_profile_walk(monkeypatch)
     assert filtered(g, h) == []
-    assert walked == [1, 2]
+    assert walked == [1, 1]
+
+
+def test_count_stage_cost_pin_on_switch_pairs(monkeypatch):
+    # Eight cubic 2-switch pairs of 128 to 512 nodes, 4,128 candidate rows.
+    # The stage counts on after every level that drops a row: 50 levels,
+    # and the walk gets e1's row of each pair and 26 candidate rows.  The
+    # cost rule alone would count 35 levels and leave the walk 102.
+    walked = _spy_profile_walk(monkeypatch)
+    calls = _spy_count_stage(monkeypatch)
+    for k, n in enumerate((128, 192, 256, 320, 384, 448, 512, 512)):
+        g = degree_sequence_graph([3] * n, n + k)
+        filtered(g, random_relabeling(_two_switch(g, n), n)[0])
+    assert sum(rows_in for _, rows_in, _ in calls) == 4128
+    assert sum(levels for levels, _, _ in calls) == 50
+    assert sum(walked) == 8 + 26
 
 
 def test_is_isomorphic_runs_towers_block_by_block(monkeypatch):
